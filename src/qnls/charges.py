@@ -27,6 +27,7 @@ Gaussian-regularized deltas in ``g4_defect_scan``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,8 +36,8 @@ from typing import Sequence
 import numpy as np
 from scipy import integrate
 
-from .errors import QuadratureError
-from .exact import ExactComplex, as_scalar, exact
+from .errors import DomainError, QuadratureError
+from .exact import exact
 from .planewaves import BetheWavefunction, ExpPoly, RapiditySet
 
 QUAD_RTOL = 1e-8
@@ -84,6 +85,8 @@ class ChargeEigenvalue:
 
 
 def power_sum(values: Sequence, m: int):
+    if not values:
+        raise DomainError("power sum of an empty set of values")
     total = values[0] * 0
     for v in values:
         total = total + v ** m
@@ -91,7 +94,9 @@ def power_sum(values: Sequence, m: int):
 
 
 def elementary_symmetric(values: Sequence, m: int):
-    one = values[0] * 0 + 1 if values else 1
+    if not values:
+        raise DomainError("elementary symmetric sum of an empty set of values")
+    one = values[0] * 0 + 1
     # e_k via the expansion of prod (1 + v t)
     coeffs = [one] + [values[0] * 0] * m
     for v in values:
@@ -130,18 +135,9 @@ def apply_free_part(spec: FreeChargeSpec, w: BetheWavefunction) -> ExpPoly:
     constant-coefficient operator; the free part multiplies its
     coefficient by sign * sym(i*omega).
     """
-    poly = w.canonical
-    i_unit = exact(0, 1) if poly.exact else 1j
-
-    def weight(freq):
-        vals = [i_unit * f for f in freq]
-        if spec.kind == "power":
-            s = power_sum(vals, spec.degree)
-        else:
-            s = elementary_symmetric(vals, spec.degree)
-        return s * spec.sign
-
-    return poly.weighted(weight)
+    sym = power_sum if spec.kind == "power" else elementary_symmetric
+    return w.canonical.weighted(
+        lambda z: sym(z, spec.degree) * spec.sign, spec.degree)
 
 
 def interior_eigen_residual(name: str, w: BetheWavefunction) -> ExpPoly:
@@ -159,13 +155,7 @@ def interior_eigen_residual(name: str, w: BetheWavefunction) -> ExpPoly:
 
 def pair_bracket(poly: ExpPoly, coupling, j: int) -> ExpPoly:
     """c f + (d_j - d_{j+1}) f  as a plane-wave sum (not yet restricted)."""
-    i_unit = exact(0, 1) if poly.exact else 1j
-    c = as_scalar(coupling, poly.exact)
-
-    def weight(freq):
-        return c + i_unit * (freq[j - 1] - freq[j])
-
-    return poly.weighted(weight)
+    return poly.weighted(lambda z, c: c + (z[j - 1] - z[j]), 1, coupling)
 
 
 def boundary_residual_h2_generic(poly: ExpPoly, coupling, j: int) -> ExpPoly:
@@ -187,16 +177,15 @@ def boundary_residual_j3_generic(poly: ExpPoly, coupling, j: int) -> ExpPoly:
     if n < 3:
         raise ValueError("triple bracket needs at least three particles")
     bracket = pair_bracket(poly, coupling, j)
-    i_unit = exact(0, 1) if poly.exact else 1j
 
-    def weight(freq):
-        total = freq[0] * 0
+    def weight(z):
+        total = z[0] * 0
         for l in range(n):
             if l not in (j - 1, j):
-                total = total + freq[l]
-        return i_unit * total
+                total = total + z[l]
+        return total
 
-    return bracket.weighted(weight).restrict_to_boundary(j)
+    return bracket.weighted(weight, 1).restrict_to_boundary(j)
 
 
 def boundary_residual_j3(w: BetheWavefunction, j: int) -> ExpPoly:
@@ -215,21 +204,18 @@ def boundary_residual_j4_generic(poly: ExpPoly, coupling) -> list[ExpPoly]:
     n = poly.num_vars
     if n < 4:
         raise ValueError("quadruple bracket needs at least four particles")
-    c = as_scalar(coupling, poly.exact)
     bracket = pair_bracket(poly, coupling, 1)
-    i_unit = exact(0, 1) if poly.exact else 1j
 
     deriv_total = ExpPoly.zero(n - 1, poly.exact)
     restricted = bracket.restrict_to_boundary(1)
     delta_total = ExpPoly.zero(n - 2, poly.exact)
     for k_lo, j_hi in itertools.combinations(range(3, n + 1), 2):
         deriv = bracket.weighted(
-            lambda freq, a=j_hi, b=k_lo:
-                (i_unit * freq[a - 1]) * (i_unit * freq[b - 1]))
+            lambda z, a=j_hi, b=k_lo: z[a - 1] * z[b - 1], 2)
         deriv_total = deriv_total + deriv.restrict_to_boundary(1)
         # after restricting x_2 := x_1, old variable v >= 3 sits at v - 1
         delta_total = delta_total + restricted.substitute_equal(
-            j_hi - 1, k_lo - 1).scale(c)
+            j_hi - 1, k_lo - 1).scale(coupling)
     return [deriv_total, delta_total]
 
 
@@ -260,15 +246,17 @@ def all_boundary_residuals(w: BetheWavefunction) -> dict:
 def composition_identity_check(rapidities: RapiditySet) -> dict:
     """Verify the ladder compositions and the underlying Newton
     identities exactly at eigenvalue level."""
-    ev = {name: charge_eigenvalue(name, rapidities).value for name in CHARGES}
     n = len(rapidities)
+    if n == 0:
+        raise DomainError("composition identities need at least one particle")
+    ev = {name: charge_eigenvalue(name, rapidities).value for name in CHARGES}
 
     h3_combo = ev["H1"] ** 3 - 3 * ev["H1"] * ev["J2"] + 3 * ev["J3"]
     h4_combo = (ev["H1"] ** 4 + 2 * ev["J2"] ** 2 - 4 * ev["H1"] ** 2 * ev["J2"]
                 + 4 * ev["H1"] * ev["J3"] - 4 * ev["J4"])
 
     vals = list(rapidities.values)
-    p = {m: power_sum(vals, m) for m in (1, 2, 3, 4)} if n else {}
+    p = {m: power_sum(vals, m) for m in (1, 2, 3, 4)}
     e = {m: elementary_symmetric(vals, m) for m in (1, 2, 3, 4)}
     newton3 = p[3] == e[1] ** 3 - 3 * e[1] * e[2] + 3 * e[3]
     newton4 = p[4] == (e[1] ** 4 - 4 * e[1] ** 2 * e[2] + 2 * e[2] ** 2
@@ -289,8 +277,18 @@ def composition_identity_check(rapidities: RapiditySet) -> dict:
 # Regularized squared-delta defect (the ill-defined fourth charge)
 # ----------------------------------------------------------------------
 
-def _gauss_nodes(a: float, b: float, order: int):
+@functools.lru_cache(maxsize=16)
+def _legendre(order: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
+    (each computation solves an eigenproblem); read-only."""
     x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gauss_nodes(a: float, b: float, order: int):
+    x, w = _legendre(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 
@@ -403,7 +401,7 @@ def _cross_delta_expectation(w: BetheWavefunction, L: float, eps: float,
 def _integrate_square_sectors(fn, W: float, order: int) -> float:
     """Integrate fn(u, v) over [-W, W]^2, splitting along u=0, v=0 and
     u=v where symmetric-extension kinks live."""
-    x, wt = np.polynomial.legendre.leggauss(order)
+    x, wt = _legendre(order)
     x01 = 0.5 * (x + 1.0)
     w01 = 0.5 * wt
     total = 0.0

@@ -2,13 +2,16 @@
 
 All identity checks in this package are equalities with zero, so the
 default working mode keeps every coefficient as a complex number whose
-real and imaginary parts are `fractions.Fraction` instances.  Floating
-point is reserved for quadrature, Newton iteration and eigenvalue work,
-where tolerances are meaningful.
+real and imaginary parts are `fractions.Fraction` instances.  This is
+the scalar callers see; plane-wave sums store their exact coefficients
+as Gaussian integers over a shared denominator (see ``planewaves``) and
+convert at their interface.  Floating point is reserved for quadrature,
+Newton iteration and eigenvalue work, where tolerances are meaningful.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -90,6 +93,11 @@ class ExactComplex:
 
     def conjugate(self) -> "ExactComplex":
         return ExactComplex(self.re, -self.im)
+
+    @property
+    def denominator(self) -> int:
+        """Least common denominator of the real and imaginary parts."""
+        return math.lcm(self.re.denominator, self.im.denominator)
 
     # -- predicates ----------------------------------------------------
     def __eq__(self, other):

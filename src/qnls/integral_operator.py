@@ -45,7 +45,7 @@ from scipy import integrate
 
 from .errors import ConvergenceDomain, QuadratureError
 from .exact import ExactComplex, as_scalar, exact
-from .planewaves import BetheWavefunction, ExpPoly
+from .planewaves import BetheWavefunction, ExpPoly, GaussInt
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,12 @@ def apply_A(lam: SpectralParameter, f: SectorFunction, c) -> SectorFunction:
     Every nested integral of exponentials is evaluated exactly; the
     convergence of the outermost (improper) integral is guaranteed by
     Im(lambda) < 0 against the real input frequencies.
+
+    Exact mode runs on the integer core of ``planewaves``: in units of
+    1/U, U the common denominator of the frequencies, lambda and c, all
+    three are Gaussian integers, and 1/(i mu) = U (-i) conj(mu) / |mu|^2
+    puts each new term over its own integer denominator; the sum is
+    brought over their least common multiple at the end.
     """
     n = f.n
     if n > MAX_SECTOR:
@@ -109,27 +115,52 @@ def apply_A(lam: SpectralParameter, f: SectorFunction, c) -> SectorFunction:
     if not f.has_real_frequencies():
         raise ConvergenceDomain("input must have real frequencies")
     exact_mode = f.exact and lam.exact
-    poly = f.canonical if exact_mode or not f.exact else f.canonical.to_float()
-    lam_v = lam.value if exact_mode else complex(lam.value)
-    c_v = as_scalar(c, exact_mode)
-    i_unit = exact(0, 1) if exact_mode else 1j
+    if exact_mode:
+        c_e = ExactComplex.coerce(c)
+        unit = math.lcm(f.canonical.unit, lam.value.denominator, c_e.denominator)
+        poly = f.canonical._recast(unit, f.canonical.den)
 
-    result_terms = list(poly.terms)
+        def inverse(mu):
+            return (GaussInt(-mu.im * unit, -mu.re * unit),
+                    mu.re * mu.re + mu.im * mu.im)
+
+        lam_v, c_v = GaussInt.scaled(lam.value, unit), GaussInt.scaled(c_e, unit)
+        weight_den = unit
+        terms = [(cf, [GaussInt(fr[m], fr[m + 1]) for m in range(0, 2 * n, 2)], 1)
+                 for cf, fr in poly.data]
+    else:
+        poly = f.canonical.to_float()
+
+        def inverse(mu):
+            return 1 / (1j * mu), 1
+
+        lam_v, c_v, weight_den = complex(lam.value), as_scalar(c, False), 1
+        terms = [(cf, fr, 1) for cf, fr in poly.data]
+
+    result_terms = list(terms)
     for size in range(1, n + 1):
         for subset in itertools.combinations(range(n), size):
-            contrib = _subset_integral(poly, subset, lam_v, i_unit, n)
+            contrib = _subset_integral(terms, subset, lam_v, inverse, n)
             weight = c_v
             for _ in range(size - 1):
                 weight = weight * c_v
-            result_terms.extend((coeff * weight, freq) for coeff, freq in contrib)
-    out = ExpPoly.zero(n, exact_mode)._merged(result_terms)
-    return SectorFunction(n, out)
+            result_terms.extend((coeff * weight, freq, den * weight_den ** size)
+                                for coeff, freq, den in contrib)
+    if not exact_mode:
+        return SectorFunction(n, ExpPoly.from_terms(
+            n, [(coeff, freq) for coeff, freq, _ in result_terms], False))
+    den = math.lcm(*(d for _, _, d in result_terms))
+    raw = [(coeff * (den // d), tuple(x for w in freq for x in (w.re, w.im)))
+           for coeff, freq, d in result_terms]
+    return SectorFunction(n, ExpPoly(n, True, (), unit, poly.den * den)._merged(raw))
 
 
-def _subset_integral(poly: ExpPoly, subset: tuple, lam_v, i_unit, n: int):
+def _subset_integral(terms: list, subset: tuple, lam_v, inverse, n: int):
     """All closed-form terms for one coordinate subset.
 
-    The integration variable xi_m sweeps (x_{i_m}, x_{i_{m+1}}) (the last
+    ``terms`` holds (coeff, frequency list, denominator) triples and
+    ``inverse(mu)`` returns 1/(i mu) as (numerator, denominator).  The
+    integration variable xi_m sweeps (x_{i_m}, x_{i_{m+1}}) (the last
     one sweeps to +infinity); each sweep is split at the in-between
     coordinates so a fixed region form of f applies on each piece.
     """
@@ -150,7 +181,7 @@ def _subset_integral(poly: ExpPoly, subset: tuple, lam_v, i_unit, n: int):
                     else (t[1], 0))
         pos = {tok: r for r, tok in enumerate(tokens)}
 
-        for coeff, freq in poly.terms:
+        for coeff, freq, den in terms:
             base_freq = [freq[0] * 0] * n
             for j in range(n):
                 if j not in subset:
@@ -158,24 +189,24 @@ def _subset_integral(poly: ExpPoly, subset: tuple, lam_v, i_unit, n: int):
             for idx in subset:
                 base_freq[idx] = base_freq[idx] + lam_v
             # integrate each xi over its piece (x_q, x_{q+1}) or (x_q, inf)
-            pending = [(coeff, base_freq)]
+            pending = [(coeff, base_freq, den)]
             for m in range(size):
                 q = pieces[m]
                 mu = freq[pos[("xi", m)]] - lam_v     # exponent frequency
-                inv = 1 / (i_unit * mu)
+                inv, inv_den = inverse(mu)
                 new_pending = []
-                for cf, bf in pending:
+                for cf, bf, d in pending:
                     lower = list(bf)
                     lower[q] = lower[q] + mu
-                    new_pending.append((cf * inv * (-1), tuple(lower)))
+                    new_pending.append((cf * inv * (-1), lower, d * inv_den))
                     if q + 1 < n:
                         upper = list(bf)
                         upper[q + 1] = upper[q + 1] + mu
-                        new_pending.append((cf * inv, tuple(upper)))
+                        new_pending.append((cf * inv, upper, d * inv_den))
                     # q + 1 == n means the +infinity endpoint: Im(mu) > 0
                     # kills the boundary term
-                pending = [(cf, list(bf)) for cf, bf in new_pending]
-            out_terms.extend((cf, tuple(bf)) for cf, bf in pending)
+                pending = new_pending
+            out_terms.extend(pending)
     return out_terms
 
 
@@ -246,19 +277,18 @@ def bvp_residual(lam: SpectralParameter, f: SectorFunction,
     i_unit = exact(0, 1) if exact_mode else 1j
     n = f.n
 
-    def weight_g(freq):
-        out = as_scalar(1, exact_mode)
-        for wv in freq:
-            out = out * (lam_v - wv)
+    # with z = i w the symbol of lam + i d is lam - w = i (z - i lam), and
+    # that of lam + i d - ic is i (z - (i lam + c))
+    def shifted_product(z, a):
+        out = 1
+        for zn in z:
+            out = (zn - a) * out
         return out
 
-    def weight_f(freq):
-        out = as_scalar(1, exact_mode)
-        for wv in freq:
-            out = out * (lam_v - wv - i_unit * c_v)
-        return out
-
-    pde = g.canonical.weighted(weight_g) - f.canonical.weighted(weight_f)
+    i_lam = i_unit * lam_v
+    pde = (g.canonical.weighted(shifted_product, n, i_lam)
+           - f.canonical.weighted(shifted_product, n, i_lam + c_v)
+           ).scale(i_unit ** n)
 
     from .charges import pair_bracket
     boundary = []

@@ -10,20 +10,44 @@ inside the pair product is the one valid on the fundamental region.
 Everywhere else the wavefunction is the symmetric extension (sort the
 point, evaluate the canonical form).
 
-``ExpPoly`` stores such sums exactly: a term is (coefficient, frequency
-vector) meaning coeff * exp(i * sum_n freq_n * x_n).  With rational
-rapidities and coupling every operation here (derivatives, boundary
-restrictions, linear combinations) closes over complex-rational
-coefficients, so eigenvalue and boundary identities are checked as exact
-equalities with zero rather than against tolerances.
+``ExpPoly`` stores such sums: a term is (coefficient, frequency vector)
+meaning coeff * exp(i * sum_n freq_n * x_n).  With rational rapidities
+and coupling every operation here (derivatives, boundary restrictions,
+linear combinations) closes over complex-rational coefficients, so
+eigenvalue and boundary identities are checked as exact equalities with
+zero rather than against tolerances.
+
+Exact sums are held on Python integers.  Every identity checked here is
+homogeneous in (k, c, d/dx): rapidities, coupling and derivatives all
+carry dimension 1/length.  Measuring lengths in units of D, the least
+common denominator of the rapidities and the coupling, makes them all
+Gaussian integers.  So an exact sum stores
+
+* ``unit`` D: each frequency is a pair of ints (a, b) meaning (a + ib)/D,
+  flattened into one int tuple per frequency vector (the merge key);
+* ``den`` Q: each coefficient is a Gaussian integer p + iq on Python
+  ints, meaning (p + iq)/Q, with Q shared by every term of the sum.
+
+A constant-coefficient operator that is a homogeneous polynomial of
+degree d (a charge, a pair bracket, a derivative) is evaluated on the
+integer frequencies and multiplies Q by D^d; sums and differences first
+bring both operands to a common D and Q.  No gcd is taken on the way,
+so a cancellation is an exact cancellation of integers.  The public
+surface stays rational: ``terms`` presents ``ExactComplex`` coefficients
+and frequencies sorted by frequency, and ``from_terms``, ``evaluate``,
+``to_float`` and the JSON documents convert at the edge.  Float sums
+(``exact=False``) keep complex coefficients and frequencies.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -37,136 +61,259 @@ MAX_PARTICLES_DEFAULT = 8
 FLOAT_MERGE_RTOL = 1e-12
 
 
-def _coerce_freq(value, exact_mode: bool):
-    if exact_mode:
-        return ExactComplex.coerce(value)
-    if isinstance(value, ExactComplex):
-        return complex(value)
-    return complex(value)
+class GaussInt:
+    """Gaussian integer re + i*im on Python ints.
+
+    The coefficient type of exact sums and the value exact-mode weights
+    receive for i*freq; it mixes with Python ints only.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int = 0, im: int = 0):
+        self.re = re
+        self.im = im
+
+    def __add__(self, other):
+        if type(other) is GaussInt:
+            return GaussInt(self.re + other.re, self.im + other.im)
+        return GaussInt(self.re + other, self.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is GaussInt:
+            return GaussInt(self.re - other.re, self.im - other.im)
+        return GaussInt(self.re - other, self.im)
+
+    def __rsub__(self, other):
+        return GaussInt(other - self.re, -self.im)
+
+    def __neg__(self):
+        return GaussInt(-self.re, -self.im)
+
+    def __mul__(self, other):
+        if type(other) is GaussInt:
+            a, b, c, d = self.re, self.im, other.re, other.im
+            return GaussInt(a * c - b * d, a * d + b * c)
+        return GaussInt(self.re * other, self.im * other)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, m: int):
+        out = self if m else GaussInt(1, 0)
+        for _ in range(m - 1):
+            out = out * self
+        return out
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def conjugate(self) -> "GaussInt":
+        return GaussInt(self.re, -self.im)
+
+    def __repr__(self):
+        return f"GaussInt({self.re}, {self.im})"
+
+    @staticmethod
+    def scaled(z: ExactComplex, den: int) -> "GaussInt":
+        """den * z, for den a multiple of z's denominator."""
+        return GaussInt(_over(z.re, den), _over(z.im, den))
 
 
-@dataclass(frozen=True)
+def _over(x: Fraction, den: int) -> int:
+    """Numerator of x written over den (den a multiple of x's denominator)."""
+    return x.numerator * (den // x.denominator)
+
+
+@dataclass(frozen=True, eq=False)
 class ExpPoly:
     """Finite sum of complex plane waves over an ordered region.
 
-    terms: tuple of (coeff, freq) with freq a tuple of per-variable
-    frequencies; a term means  coeff * exp(i * freq . x).  Invariants:
-    no two terms share a frequency vector and no coefficient is zero
-    (exact mode) / exactly 0.0 (float mode).
+    ``data`` holds (coeff, freq) pairs; a term means
+    coeff * exp(i * freq . x).  Exact sums store GaussInt coefficients
+    over the shared denominator ``den`` and flat int frequency keys
+    (re_1, im_1, ..., re_N, im_N) in units of 1/``unit``, in no
+    particular order; float sums store complex coefficients and tuples
+    of complex frequencies sorted by frequency.  Invariants: no two
+    terms share a frequency vector and no coefficient is zero (exactly
+    0.0 in float mode).
     """
 
     num_vars: int
-    terms: tuple
     exact: bool
+    data: tuple = ()
+    unit: int = 1
+    den: int = 1
 
     # -- construction --------------------------------------------------
     @staticmethod
     def from_terms(num_vars: int, terms: Iterable, exact_mode: bool) -> "ExpPoly":
         normalized = []
         for coeff, freq in terms:
-            freq = tuple(_coerce_freq(f, exact_mode) for f in freq)
+            freq = tuple(as_scalar(f, exact_mode) for f in freq)
             if len(freq) != num_vars:
                 raise ValueError("frequency vector length mismatch")
             normalized.append((as_scalar(coeff, exact_mode), freq))
-        return ExpPoly(num_vars, (), exact_mode)._merged(normalized)
+        if not exact_mode:
+            return ExpPoly(num_vars, False)._merged(normalized)
+        unit = math.lcm(*(w.denominator for _, f in normalized for w in f))
+        den = math.lcm(*(c.denominator for c, _ in normalized))
+        raw = [(GaussInt.scaled(c, den),
+                tuple(_over(x, unit) for w in f for x in (w.re, w.im)))
+               for c, f in normalized]
+        return ExpPoly(num_vars, True, (), unit, den)._merged(raw)
 
     @staticmethod
     def zero(num_vars: int, exact_mode: bool = True) -> "ExpPoly":
-        return ExpPoly(num_vars, (), exact_mode)
+        return ExpPoly(num_vars, exact_mode)
+
+    def _with(self, data: tuple, num_vars: int | None = None,
+              den: int | None = None) -> "ExpPoly":
+        return ExpPoly(self.num_vars if num_vars is None else num_vars,
+                       self.exact, data, self.unit,
+                       self.den if den is None else den)
 
     def _merged(self, raw_terms) -> "ExpPoly":
         """Combine terms with equal frequency vectors and drop zeros."""
         acc: dict = {}
-        keys: dict = {}
         for coeff, freq in raw_terms:
-            if freq in acc:
-                acc[freq] = acc[freq] + coeff
-            else:
-                acc[freq] = coeff
-                keys[freq] = freq
+            prev = acc.get(freq)
+            acc[freq] = coeff if prev is None else prev + coeff
+        if self.exact:
+            return self._with(tuple((c, f) for f, c in acc.items() if c))
+        acc = _consolidate_float(acc)
+        items = sorted(((c, f) for f, c in acc.items() if c),
+                       key=lambda t: _freq_sort_key(t[1]))
+        return self._with(tuple(items))
+
+    def _recast(self, unit: int, den: int) -> "ExpPoly":
+        """The same exact sum with frequencies in units of 1/unit and
+        coefficients over den, both multiples of the current ones."""
+        if unit == self.unit and den == self.den:
+            return self
+        fu, fd = unit // self.unit, den // self.den
+        data = tuple((c * fd, tuple(x * fu for x in f)) for c, f in self.data)
+        return ExpPoly(self.num_vars, True, data, unit, den)
+
+    def _aligned(self, other: "ExpPoly", same_den: bool) -> tuple:
+        """Both exact sums over a common frequency unit and, if asked,
+        a common coefficient denominator."""
         if not self.exact:
-            acc = self._consolidate_float(acc)
-        return ExpPoly(self.num_vars, self._sorted_nonzero(acc), self.exact)
+            return self, other
+        unit = math.lcm(self.unit, other.unit)
+        a = self._recast(unit, math.lcm(self.den, other.den) if same_den
+                         else self.den)
+        b = other._recast(unit, a.den if same_den else other.den)
+        return a, b
 
-    def _sorted_nonzero(self, acc: dict) -> tuple:
-        items = []
-        for freq, coeff in acc.items():
-            if scalar_is_zero(coeff):
-                continue
-            items.append((coeff, freq))
-        items.sort(key=lambda t: _freq_sort_key(t[1]))
-        return tuple(items)
+    # -- the rational view ------------------------------------------------
+    @property
+    def terms(self):
+        """(coeff, freq) pairs sorted by frequency.  Exact sums present
+        ExactComplex coefficients and frequencies, converted on first
+        access; the length is available without converting."""
+        if not self.exact:
+            return self.data
+        return _RationalTerms(self)
 
-    def _consolidate_float(self, acc: dict) -> dict:
-        """Merge float frequency vectors that agree to relative 1e-12."""
-        if len(acc) < 2:
-            return acc
-        entries = sorted(acc.items(), key=lambda kv: _freq_sort_key(kv[0]))
-        scale = max(
-            (max((abs(f) for f in freq), default=0.0) for freq, _ in entries),
-            default=0.0,
-        )
-        tol = FLOAT_MERGE_RTOL * max(scale, 1.0)
-        out: dict = {}
-        cur_freq, cur_coeff = entries[0]
-        for freq, coeff in entries[1:]:
-            if all(abs(a - b) <= tol for a, b in zip(freq, cur_freq)):
-                cur_coeff = cur_coeff + coeff
-            else:
-                out[cur_freq] = out.get(cur_freq, 0) + cur_coeff
-                cur_freq, cur_coeff = freq, coeff
-        out[cur_freq] = out.get(cur_freq, 0) + cur_coeff
-        return out
+    @cached_property
+    def _rational_terms(self) -> tuple:
+        D, Q = self.unit, self.den
+        return tuple(
+            (ExactComplex(Fraction(c.re, Q), Fraction(c.im, Q)),
+             tuple(ExactComplex(Fraction(f[m], D), Fraction(f[m + 1], D))
+                   for m in range(0, len(f), 2)))
+            for c, f in self._sorted_data())
+
+    def _sorted_data(self):
+        return sorted(self.data, key=lambda t: t[1])
+
+    def _complex_terms(self) -> list:
+        """(complex coeff, complex freq tuple) pairs sorted by frequency.
+
+        Int true division rounds correctly, so these are the floats of
+        the rational values."""
+        if not self.exact:
+            return [(complex(c), tuple(complex(w) for w in f))
+                    for c, f in self.data]
+        D, Q = self.unit, self.den
+        return [(complex(c.re / Q, c.im / Q),
+                 tuple(complex(f[m] / D, f[m + 1] / D)
+                       for m in range(0, len(f), 2)))
+                for c, f in self._sorted_data()]
 
     # -- basic algebra --------------------------------------------------
     def __add__(self, other: "ExpPoly") -> "ExpPoly":
         self._check_compatible(other)
-        return self._merged(list(self.terms) + list(other.terms))
+        a, b = self._aligned(other, same_den=True)
+        return a._merged(a.data + b.data)
 
     def __sub__(self, other: "ExpPoly") -> "ExpPoly":
         return self + (-other)
 
     def __neg__(self) -> "ExpPoly":
-        return ExpPoly(self.num_vars,
-                       tuple((-c, f) for c, f in self.terms), self.exact)
+        return self._with(tuple((-c, f) for c, f in self.data))
 
     def scale(self, factor) -> "ExpPoly":
         factor = as_scalar(factor, self.exact)
         if scalar_is_zero(factor):
             return ExpPoly.zero(self.num_vars, self.exact)
-        return ExpPoly(self.num_vars,
-                       tuple((c * factor, f) for c, f in self.terms), self.exact)
+        den = self.den
+        if self.exact:
+            den *= factor.denominator
+            factor = GaussInt.scaled(factor, factor.denominator)
+        return self._with(tuple((c * factor, f) for c, f in self.data), den=den)
 
-    def weighted(self, weight: Callable) -> "ExpPoly":
-        """Multiply each term's coefficient by weight(freq).
+    def weighted(self, weight: Callable, degree: int, *constants) -> "ExpPoly":
+        """Multiply each term's coefficient by weight(z, *constants),
+        where z_n = i * freq_n.
 
         This realizes constant-coefficient differential operators: a
-        symmetric polynomial p in the per-variable derivatives acts on a
-        plane wave with frequency vector w as multiplication by p(i*w).
+        polynomial p in the per-variable derivatives acts on a plane
+        wave with frequency vector w as multiplication by p(i*w).  The
+        weight must be a homogeneous polynomial of total degree
+        ``degree`` in z and the constants (numbers of dimension
+        1/length, like the coupling); exact sums evaluate it on Gaussian
+        integers in units of 1/unit, float sums on complex numbers.
         """
-        out = []
-        for coeff, freq in self.terms:
-            out.append((coeff * weight(freq), freq))
-        return self._merged(out)
+        return self._map_coeffs(
+            lambda c, z, *k: c * weight(z, *k), degree, constants)
+
+    def _map_coeffs(self, fn: Callable, degree: int, constants=()) -> "ExpPoly":
+        """Replace each coefficient c by fn(c, z, *constants), z_n = i*freq_n,
+        fn homogeneous of the given degree in z and the constants."""
+        if not self.exact:
+            ks = [as_scalar(k, False) for k in constants]
+            return self._merged([(fn(c, [1j * w for w in f], *ks), f)
+                                 for c, f in self.data])
+        ks = [as_scalar(k, True) for k in constants]
+        unit = math.lcm(self.unit, *(k.denominator for k in ks))
+        poly = self._recast(unit, self.den)
+        ks = [GaussInt.scaled(k, unit) for k in ks]
+        pairs = range(0, 2 * self.num_vars, 2)
+        out = [(fn(c, [GaussInt(-f[m + 1], f[m]) for m in pairs], *ks), f)
+               for c, f in poly.data]
+        return poly._with((), den=poly.den * unit ** degree)._merged(out)
 
     def mul(self, other: "ExpPoly") -> "ExpPoly":
         """Pointwise product; frequency vectors add termwise."""
         self._check_compatible(other)
+        a, b = self._aligned(other, same_den=False)
         out = []
-        for c1, f1 in self.terms:
-            for c2, f2 in other.terms:
-                out.append((c1 * c2, tuple(a + b for a, b in zip(f1, f2))))
-        return self._merged(out)
+        for c1, f1 in a.data:
+            for c2, f2 in b.data:
+                out.append((c1 * c2, tuple(x + y for x, y in zip(f1, f2))))
+        return a._with((), den=a.den * b.den)._merged(out)
 
     def conj(self) -> "ExpPoly":
         """Complex conjugate; e^{i w x} maps to e^{-i conj(w) x}."""
         if self.exact:
-            return ExpPoly(self.num_vars,
-                           tuple((c.conjugate(), tuple(-f.conjugate() for f in freq))
-                                 for c, freq in self.terms), True)
-        return ExpPoly(self.num_vars,
-                       tuple((np.conj(c), tuple(-np.conj(f) for f in freq))
-                             for c, freq in self.terms), False)
+            return self._with(tuple(
+                (c.conjugate(), tuple(x if m & 1 else -x for m, x in enumerate(f)))
+                for c, f in self.data))
+        return self._with(tuple((np.conj(c), tuple(-np.conj(w) for w in f))
+                                for c, f in self.data))
 
     def _check_compatible(self, other: "ExpPoly"):
         if self.num_vars != other.num_vars or self.exact != other.exact:
@@ -177,14 +324,14 @@ class ExpPoly:
         """Apply prod_n (d/dx_n)^{m_n}; multiplies each coeff by prod (i w_n)^{m_n}."""
         if len(multi_index) != self.num_vars:
             raise ValueError("multi-index length mismatch")
-        i_unit = exact(0, 1) if self.exact else 1j
-        out = []
-        for coeff, freq in self.terms:
-            for w, m in zip(freq, multi_index):
+
+        def derivative(coeff, z):
+            for zn, m in zip(z, multi_index):
                 for _ in range(m):
-                    coeff = coeff * (i_unit * w)
-            out.append((coeff, freq))
-        return self._merged(out)
+                    coeff = coeff * zn
+            return coeff
+
+        return self._map_coeffs(derivative, sum(multi_index))
 
     def substitute_equal(self, i: int, j: int) -> "ExpPoly":
         """Set x_i := x_j (1-based, i != j); frequencies merge, variable i drops.
@@ -194,14 +341,16 @@ class ExpPoly:
         """
         if i == j or not (1 <= i <= self.num_vars) or not (1 <= j <= self.num_vars):
             raise ValueError("bad variable indices")
-        ii, jj = i - 1, j - 1
+        width = 2 if self.exact else 1
+        ii, jj = (i - 1) * width, (j - 1) * width
         out = []
-        for coeff, freq in self.terms:
+        for coeff, freq in self.data:
             merged = list(freq)
-            merged[jj] = merged[jj] + merged[ii]
-            del merged[ii]
+            for t in range(width):
+                merged[jj + t] = merged[jj + t] + merged[ii + t]
+            del merged[ii:ii + width]
             out.append((coeff, tuple(merged)))
-        return ExpPoly(self.num_vars - 1, (), self.exact)._merged(out)
+        return self._with((), num_vars=self.num_vars - 1)._merged(out)
 
     def restrict_to_boundary(self, j: int) -> "ExpPoly":
         """Substitute x_{j+1} := x_j (1 <= j < N), the one-sided limit
@@ -210,36 +359,33 @@ class ExpPoly:
             raise ValueError("boundary index out of range")
         return self.substitute_equal(j + 1, j)
 
-    def permute_vars(self, perm: Sequence[int]) -> "ExpPoly":
-        """Relabel variables: new variable r carries old frequency freq[perm[r]]."""
-        if sorted(perm) != list(range(self.num_vars)):
-            raise ValueError("not a permutation")
-        out = [(c, tuple(freq[p] for p in perm)) for c, freq in self.terms]
-        return self._merged(out)
-
     # -- predicates and evaluation ---------------------------------------
     def is_empty(self, abs_tol: float = 0.0) -> bool:
         if self.exact:
-            return not self.terms
+            return not self.data
         return self.max_coeff() <= abs_tol
 
     def max_coeff(self) -> float:
-        return max((abs(complex(c)) for c, _ in self.terms), default=0.0)
+        if self.exact:
+            Q = self.den
+            return max((abs(complex(c.re / Q, c.im / Q)) for c, _ in self.data),
+                       default=0.0)
+        return max((abs(complex(c)) for c, _ in self.data), default=0.0)
 
     def term_count(self) -> int:
-        return len(self.terms)
+        return len(self.data)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the sum at one point or a batch of points (rows)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.num_vars:
             raise ValueError("point dimension mismatch")
-        if not self.terms:
+        if not self.data:
             vals = np.zeros(pts.shape[0], dtype=complex)
         else:
-            freqs = np.array([[complex(w) for w in f] for _, f in self.terms],
-                             dtype=complex)
-            coeffs = np.array([complex(c) for c, _ in self.terms], dtype=complex)
+            terms = self._complex_terms()
+            freqs = np.array([f for _, f in terms], dtype=complex)
+            coeffs = np.array([c for c, _ in terms], dtype=complex)
             vals = np.exp(1j * pts @ freqs.T) @ coeffs
         if np.ndim(points) == 1:
             return vals[0]
@@ -248,10 +394,8 @@ class ExpPoly:
     def to_float(self) -> "ExpPoly":
         if not self.exact:
             return self
-        return ExpPoly.from_terms(
-            self.num_vars,
-            [(complex(c), tuple(complex(w) for w in f)) for c, f in self.terms],
-            exact_mode=False)
+        return ExpPoly.from_terms(self.num_vars, self._complex_terms(),
+                                  exact_mode=False)
 
     # -- serialization ----------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -281,17 +425,94 @@ class ExpPoly:
         built = []
         for re, im, freq in terms:
             coeff = exact(re, im) if exact_mode else complex(float(re), float(im))
-            if exact_mode:
-                freq = tuple(ExactComplex.coerce(w) if not isinstance(w, ExactComplex)
-                             else w for w in freq)
-            else:
-                freq = tuple(complex(w) for w in freq)
             built.append((coeff, freq))
         return ExpPoly.from_terms(doc["n"], built, exact_mode)
 
     def __repr__(self):
         mode = "exact" if self.exact else "float"
-        return f"ExpPoly(n={self.num_vars}, terms={len(self.terms)}, {mode})"
+        return f"ExpPoly(n={self.num_vars}, terms={len(self.data)}, {mode})"
+
+
+class _RationalTerms(SequenceABC):
+    """Read-only sequence of an exact sum's terms in rational form."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: ExpPoly):
+        self._poly = poly
+
+    def __len__(self):
+        return len(self._poly.data)
+
+    def __getitem__(self, index):
+        return self._poly._rational_terms[index]
+
+    def __iter__(self):
+        return iter(self._poly._rational_terms)
+
+    def __eq__(self, other):
+        if isinstance(other, SequenceABC):
+            return self._poly._rational_terms == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return repr(self._poly._rational_terms)
+
+
+def _consolidate_float(acc: dict) -> dict:
+    """Merge float frequency vectors that agree to relative 1e-12.
+
+    Two vectors are linked when every real and imaginary part differs
+    by at most the tolerance; each connected cluster becomes one term,
+    keyed by its least vector in sort order, with the coefficients added
+    in that order.  The result does not depend on the order of the
+    input.  Candidate clusters come from cutting the vectors, one
+    component at a time, wherever two sorted neighbours differ by more
+    than the tolerance; no linked pair is ever cut apart, so the exact
+    links are then resolved within each (small) candidate group.
+    """
+    if len(acc) < 2:
+        return acc
+    entries = sorted(acc.items(), key=lambda kv: _freq_sort_key(kv[0]))
+    points = [tuple(x for pair in _freq_sort_key(f) for x in pair)
+              for f, _ in entries]
+    scale = max((abs(x) for p in points for x in p), default=0.0)
+    tol = FLOAT_MERGE_RTOL * max(scale, 1.0)
+
+    groups = [list(range(len(entries)))]
+    for axis in range(len(points[0])):
+        cut = []
+        for group in groups:
+            group.sort(key=lambda e: points[e][axis])
+            start = 0
+            for pos in range(1, len(group)):
+                if points[group[pos]][axis] - points[group[pos - 1]][axis] > tol:
+                    cut.append(group[start:pos])
+                    start = pos
+            cut.append(group[start:])
+        groups = cut
+
+    root = list(range(len(entries)))
+
+    def find(e):
+        while root[e] != e:
+            root[e] = root[root[e]]
+            e = root[e]
+        return e
+
+    for group in groups:
+        for a, b in itertools.combinations(group, 2):
+            if all(abs(x - y) <= tol for x, y in zip(points[a], points[b])):
+                ra, rb = find(a), find(b)
+                root[max(ra, rb)] = min(ra, rb)
+
+    sums: dict = {}
+    for e, (_, coeff) in enumerate(entries):
+        rep = find(e)
+        sums[rep] = sums[rep] + coeff if rep in sums else coeff
+    return {entries[rep][0]: 0 + total for rep, total in sums.items()}
 
 
 def _re(c, exact_mode):
@@ -338,14 +559,8 @@ def _freq_parse(w):
 
 
 def _freq_sort_key(freq):
-    key = []
-    for w in freq:
-        if isinstance(w, ExactComplex):
-            key.append((float(w.re), float(w.im)))
-        else:
-            wc = complex(w)
-            key.append((wc.real, wc.imag))
-    return tuple(key)
+    """Sort key of a float frequency vector: (re, im) per variable."""
+    return tuple((w.real, w.imag) for w in map(complex, freq))
 
 
 # ----------------------------------------------------------------------
@@ -432,9 +647,12 @@ class BetheWavefunction:
             rank[var] = pos
         # variable v of the extension carries the canonical frequency of
         # its rank in the ordering
-        out = [(c, tuple(freq[rank[v]] for v in range(n)))
-               for c, freq in self.canonical.terms]
-        return ExpPoly(n, (), self.canonical.exact)._merged(out)
+        poly = self.canonical
+        width = 2 if poly.exact else 1
+        out = [(c, tuple(x for v in range(n)
+                         for x in f[rank[v] * width:(rank[v] + 1) * width]))
+               for c, f in poly.data]
+        return poly._with(())._merged(out)
 
     def to_json_dict(self) -> dict:
         doc = self.canonical.to_json_dict()
@@ -453,25 +671,37 @@ def build_bethe(rapidities: RapiditySet, coupling: Coupling,
     n = len(rapidities)
     if n > max_particles:
         raise SizeLimit(f"N={n} exceeds the configured maximum {max_particles}")
-    exact_mode = rapidities.exact and coupling.exact
     lam = list(rapidities.values)
     c = coupling.c
-    if exact_mode:
-        minus_ic = exact(0, -c)
-    else:
+    if not (rapidities.exact and coupling.exact):
         minus_ic = complex(0.0, -float(c))
+        terms = []
+        for perm in itertools.permutations(range(n)):
+            coeff = complex(_perm_sign(perm))
+            for j in range(n):
+                for k in range(j):
+                    # sgn(x_j - x_k) = +1 on the fundamental region for j > k
+                    coeff = coeff * (complex(lam[perm[j]] - lam[perm[k]]) + minus_ic)
+            terms.append((coeff, tuple(lam[perm[m]] for m in range(n))))
+        poly = ExpPoly.from_terms(n, terms, exact_mode=False)
+        return BetheWavefunction(rapidities, coupling, poly)
+    # lengths in units of D: rapidities k and coupling c become the
+    # integers D*k and D*c, each pair factor the Gaussian integer
+    # D*(l_{Pj} - l_{Pk}) - i*D*c, and the coefficient is their product
+    # over D^(number of pairs)
+    unit = math.lcm(*(Fraction(v).denominator for v in lam + [c]))
+    ks = [_over(Fraction(v), unit) for v in lam]
+    cd = _over(Fraction(c), unit)
     terms = []
     for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        coeff = as_scalar(sign, exact_mode)
+        re, im = _perm_sign(perm), 0
         for j in range(n):
             for k in range(j):
-                # sgn(x_j - x_k) = +1 on the fundamental region for j > k
-                diff = lam[perm[j]] - lam[perm[k]]
-                coeff = coeff * (as_scalar(diff, exact_mode) + minus_ic)
-        freq = tuple(lam[perm[m]] for m in range(n))
-        terms.append((coeff, freq))
-    poly = ExpPoly.from_terms(n, terms, exact_mode)
+                a = ks[perm[j]] - ks[perm[k]]
+                re, im = re * a + im * cd, im * a - re * cd
+        terms.append((GaussInt(re, im),
+                      tuple(x for m in range(n) for x in (ks[perm[m]], 0))))
+    poly = ExpPoly(n, True, (), unit, unit ** (n * (n - 1) // 2))._merged(terms)
     return BetheWavefunction(rapidities, coupling, poly)
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnls import charges as ch
+from qnls.errors import DomainError
 from qnls.bethe import (BoxSpec, QuantumNumbers, ground_state_quantum_numbers,
                         solve)
 from qnls.exact import exact
@@ -43,6 +44,24 @@ class TestEigenvalues:
     def test_triple_product(self):
         assert ch.charge_eigenvalue("J3", RapiditySet.of([1, 2, 3])).value \
             == exact(0, -6)
+
+
+class TestEmptyState:
+    def test_power_sum_rejects_empty(self):
+        with pytest.raises(DomainError):
+            ch.power_sum([], 2)
+
+    def test_elementary_symmetric_rejects_empty(self):
+        with pytest.raises(DomainError):
+            ch.elementary_symmetric([], 2)
+
+    def test_composition_check_rejects_empty(self):
+        with pytest.raises(DomainError):
+            ch.composition_identity_check(RapiditySet.of([]))
+
+    def test_eigenvalue_rejects_empty(self):
+        with pytest.raises(DomainError):
+            ch.charge_eigenvalue("H2", RapiditySet.of([]))
 
 
 class TestInteriorAction:

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from qnls.errors import DegenerateRapidities, SizeLimit
 from qnls.exact import ExactComplex, exact
-from qnls.planewaves import (Coupling, ExpPoly, RapiditySet, build_bethe,
-                             dumps, symmetrized_plane_wave)
+from qnls.planewaves import (FLOAT_MERGE_RTOL, Coupling, ExpPoly, RapiditySet,
+                             build_bethe, dumps, symmetrized_plane_wave)
 
 
 def rational_rapidities(n):
@@ -173,6 +173,44 @@ class TestSerialization:
         doc = w.to_json_dict()
         assert doc["rapidities"] == [{"num": 1, "den": 1}, {"num": 2, "den": 1}]
         assert doc["coupling"] == {"num": 1, "den": 1}
+
+
+class TestFloatMerge:
+    def test_non_neighbouring_duplicates_cancel(self):
+        p = ExpPoly.from_terms(2, [(1, (1, 3)), (5, (1, 5)),
+                                   (-1, (1 + 2.2e-16, 3))], False)
+        assert p.terms == ((5 + 0j, (1 + 0j, 5 + 0j)),)
+
+    def test_distinct_frequencies_kept(self):
+        p = ExpPoly.from_terms(1, [(1, (1.0,)), (1, (1.0 + 1e-9,))], False)
+        assert p.term_count() == 2
+
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                              st.integers(-4, 4).filter(bool)),
+                    min_size=1, max_size=12),
+           st.randoms(use_true_random=False), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_invariant_under_order_and_small_perturbations(self, raw, rnd, data):
+        """Well-separated frequencies, each repeated with jitter far
+        below the merge tolerance, merge to the same sum in any order."""
+        jitter = data.draw(st.lists(
+            st.floats(-FLOAT_MERGE_RTOL / 20, FLOAT_MERGE_RTOL / 20),
+            min_size=2 * len(raw), max_size=2 * len(raw)))
+        terms = [(complex(coeff), (complex(a + jitter[2 * k]),
+                                   complex(b + jitter[2 * k + 1])))
+                 for k, (a, b, coeff) in enumerate(raw)]
+        shuffled = terms[:]
+        rnd.shuffle(shuffled)
+        ref = ExpPoly.from_terms(2, [(c, (complex(a), complex(b)))
+                                     for a, b, c in raw], False)
+        for variant in (terms, shuffled):
+            got = ExpPoly.from_terms(2, variant, False)
+            assert got.term_count() == ref.term_count()
+            for c_ref, f_ref in ref.terms:
+                near = [c for c, f in got.terms
+                        if all(abs(x - y) <= 4 * FLOAT_MERGE_RTOL
+                               for x, y in zip(f, f_ref))]
+                assert near == [pytest.approx(c_ref, abs=1e-9)]
 
 
 class TestExactComplex:
