@@ -25,6 +25,16 @@ and g(mu,lam) = ic/(mu-lam) does not depend on Delta; the exchange
 relation it encodes is verified numerically for both tensor-leg
 orderings and the vanishing one is recorded (the convention is not fixed
 a priori here).
+
+Both engines are site-local: every monodromy monomial applies exactly one
+single-site factor per site, so no engine builds a full-space operator
+for a single site.  The sector engine multiplies a (d, d, 2, 2) table of
+scalar site factors over all config pairs at once, one batched product
+per site.  The full-space engine applies L(site) to the running block
+product as a contraction on that site's tensor axis, O(d dim^2) per site
+for dim = d^M.  The full-space checks hold a known number of dim x dim
+complex blocks; their byte total is checked against DENSE_BUDGET_BYTES
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -39,7 +49,17 @@ import numpy as np
 from .errors import CutoffTooSmall, RMatrixPole, SizeLimit
 from .transfer import theta
 
-DENSE_BUDGET = 20000
+DENSE_BUDGET_BYTES = 2 ** 30
+COMPLEX_BYTES = 16
+# Dense complex blocks alive at once, full (dim x dim) or kept (restricted
+# to the (d-1)^M states with every occupation <= d-2).  monodromy: the 4
+# running blocks, 3 finished new ones, the one being formed and one site
+# contraction.  rtt_residual: the first monodromy while the second is
+# built (4 + 9), then 32 kept tensor-block products plus the per-entry
+# temporaries and the norm's copy.
+MONODROMY_BLOCKS = 9
+RTT_BLOCKS = 4 + MONODROMY_BLOCKS
+RTT_KEPT_BLOCKS = 40
 
 
 @dataclass(frozen=True)
@@ -124,31 +144,51 @@ def site_l_blocks(spec: LatticeSpec, lam: complex,
 # Full-space monodromy (small M)
 # ----------------------------------------------------------------------
 
-def _embed(op: np.ndarray, site: int, spec: LatticeSpec) -> np.ndarray:
-    """Kronecker embedding of a single-site operator at the given site
-    (1-based; site 1 is the rightmost tensor factor)."""
-    d, M = spec.cutoff, spec.sites
-    out = np.eye(1, dtype=complex)
-    for n in range(M, 0, -1):
-        out = np.kron(out, op if n == site else np.eye(d, dtype=complex))
-    return out
+def dense_bytes(spec: LatticeSpec, blocks: int, kept_blocks: int = 0) -> int:
+    """Bytes of ``blocks`` full (dim x dim) and ``kept_blocks`` kept
+    complex blocks, the latter restricted to the (d-1)^M states with every
+    occupation <= d-2."""
+    dim = spec.cutoff ** spec.sites
+    kept = (spec.cutoff - 1) ** spec.sites
+    return COMPLEX_BYTES * (blocks * dim * dim + kept_blocks * kept * kept)
+
+
+def _check_dense_budget(spec: LatticeSpec, what: str, blocks: int,
+                        kept_blocks: int = 0) -> int:
+    """Full space dimension, once the dense blocks of ``what`` fit the
+    byte budget; raises SizeLimit before anything is allocated."""
+    dim = spec.cutoff ** spec.sites
+    need = dense_bytes(spec, blocks, kept_blocks)
+    if need > DENSE_BUDGET_BYTES:
+        raise SizeLimit(
+            f"{what} at dimension {dim} needs {need} bytes of dense complex "
+            f"blocks, over the budget of {DENSE_BUDGET_BYTES} bytes")
+    return dim
 
 
 def monodromy(spec: LatticeSpec, lam: complex,
               rho_override=None) -> list[list[np.ndarray]]:
-    """T(lam) = L(M) ... L(1) as a 2x2 block matrix of full-space operators."""
-    dim = spec.cutoff ** spec.sites
-    if dim > DENSE_BUDGET:
-        raise SizeLimit(f"full space dimension {dim} exceeds {DENSE_BUDGET}")
-    eye = np.eye(dim, dtype=complex)
-    T = [[eye, np.zeros_like(eye)], [np.zeros_like(eye), eye]]
-    for site in range(1, spec.sites + 1):
-        blocks = site_l_blocks(spec, lam, rho=rho_override)
-        L = [[_embed(blocks[r][s], site, spec) for s in range(2)]
-             for r in range(2)]
+    """T(lam) = L(M) ... L(1) as a 2x2 block matrix of full-space operators.
+
+    Site s is the middle axis of a block viewed as (d^(M-s), d,
+    d^(s-1) dim) (site 1 is the rightmost tensor factor), so L(s) T is
+    one matmul of each d x d site block against that view.
+    """
+    dim = _check_dense_budget(spec, "monodromy", MONODROMY_BLOCKS)
+    d, M = spec.cutoff, spec.sites
+    L = site_l_blocks(spec, lam, rho=rho_override)
+    T = [[np.eye(dim, dtype=complex), np.zeros((dim, dim), dtype=complex)],
+         [np.zeros((dim, dim), dtype=complex), np.eye(dim, dtype=complex)]]
+    for site in range(1, M + 1):
+        axes = (d ** (M - site), d, d ** (site - 1) * dim)
         # left-multiply the running product by the new site: T <- L(site) T
-        T = [[L[r][0] @ T[0][s] + L[r][1] @ T[1][s] for s in range(2)]
-             for r in range(2)]
+        new = [[None, None], [None, None]]
+        for r in range(2):
+            for s in range(2):
+                block = L[r][0] @ T[0][s].reshape(axes)
+                block += L[r][1] @ T[1][s].reshape(axes)
+                new[r][s] = block.reshape(dim, dim)
+        T = new
     return T
 
 
@@ -187,22 +227,39 @@ def sector_block(op: np.ndarray, spec: LatticeSpec, total: int) -> np.ndarray:
 def number_conservation_defect(spec: LatticeSpec, lam: complex) -> float:
     """Largest matrix element of tau(lam) connecting different sectors."""
     tau = transfer_operator(spec, lam)
-    counts = np.array([sum(_index_config(i, spec)) for i in range(tau.shape[0])])
+    counts = _occupations(spec).sum(axis=1)
     mask = counts[:, None] != counts[None, :]
     return float(np.max(np.abs(tau[mask]))) if mask.any() else 0.0
 
 
-def _index_config(index: int, spec: LatticeSpec) -> tuple[int, ...]:
-    out = []
-    for _ in range(spec.sites):
-        out.append(index % spec.cutoff)
-        index //= spec.cutoff
-    return tuple(out)
+def _occupations(spec: LatticeSpec) -> np.ndarray:
+    """Row i: the site occupations of full-space basis state i, site 1 first."""
+    index = np.arange(spec.cutoff ** spec.sites)
+    return index[:, None] // spec.cutoff ** np.arange(spec.sites) % spec.cutoff
 
 
 # ----------------------------------------------------------------------
 # Sector transfer matrix by auxiliary contraction (large M, small sectors)
 # ----------------------------------------------------------------------
+
+def _site_factor_table(spec: LatticeSpec, lam: complex) -> np.ndarray:
+    """table[n', n] = <n'| L(lam) |n>, the scalar 2x2 factor of one site;
+    zero unless |n' - n| <= 1."""
+    d, step, c = spec.cutoff, spec.step, spec.c
+    table = np.zeros((d, d, 2, 2), dtype=complex)
+    for n in range(d):
+        table[n, n, 0, 0] = 1.0 - 0.5j * lam * step + 0.5 * c * step * n
+        table[n, n, 1, 1] = 1.0 + 0.5j * lam * step + 0.5 * c * step * n
+        if n + 1 < d:
+            table[n + 1, n, 0, 1] = -1j * step * math.sqrt(c) \
+                * math.sqrt((n + 1) / step) \
+                * math.sqrt(1.0 + c * step * n / 4.0)
+        if n >= 1:
+            table[n - 1, n, 1, 0] = 1j * step * math.sqrt(c) \
+                * math.sqrt(1.0 + c * step * (n - 1) / 4.0) \
+                * math.sqrt(n / step)
+    return table
+
 
 def tau_sector_matrix(spec: LatticeSpec, lam: complex,
                       configs: Sequence[Sequence[int]]) -> np.ndarray:
@@ -211,42 +268,19 @@ def tau_sector_matrix(spec: LatticeSpec, lam: complex,
     Monodromy monomials are tensor products of one operator per site, so
     a matrix element is the trace of an ordered product of M scalar 2x2
     matrices M_site(n'_s, n_s); this needs no full-space construction
-    and scales to long lattices.
+    and scales to long lattices.  The products for all config pairs are
+    taken together, one batched matmul per site.
     """
-    d, step, c = spec.cutoff, spec.step, spec.c
-
-    def site_matrix(np_, n):
-        if np_ == n:
-            diag = 1.0 - 0.5j * lam * step + 0.5 * c * step * n
-            diag2 = 1.0 + 0.5j * lam * step + 0.5 * c * step * n
-            return np.array([[diag, 0.0], [0.0, diag2]])
-        if np_ == n + 1:
-            val = -1j * step * math.sqrt(c) * math.sqrt((n + 1) / step) \
-                * math.sqrt(1.0 + c * step * n / 4.0)
-            return np.array([[0.0, val], [0.0, 0.0]])
-        if np_ == n - 1:
-            val = 1j * step * math.sqrt(c) \
-                * math.sqrt(1.0 + c * step * (n - 1) / 4.0) \
-                * math.sqrt(n / step)
-            return np.array([[0.0, 0.0], [val, 0.0]])
-        return None
-
-    m = len(configs)
-    out = np.zeros((m, m), dtype=complex)
-    for i, cp in enumerate(configs):
-        for j, cq in enumerate(configs):
-            prod = np.eye(2, dtype=complex)
-            ok = True
-            # T = L(M) ... L(1): site M leftmost
-            for site in reversed(range(spec.sites)):
-                ms = site_matrix(cp[site], cq[site])
-                if ms is None:
-                    ok = False
-                    break
-                prod = prod @ ms
-            if ok:
-                out[i, j] = np.trace(prod)
-    return out
+    occ = np.asarray(configs, dtype=np.intp).reshape(len(configs), spec.sites)
+    if occ.size and not (0 <= occ.min() and occ.max() < spec.cutoff):
+        raise ValueError(f"occupations must lie in 0..{spec.cutoff - 1}")
+    table = _site_factor_table(spec, lam)
+    m = len(occ)
+    prod = np.broadcast_to(np.eye(2, dtype=complex), (m, m, 2, 2))
+    # T = L(M) ... L(1): site M leftmost
+    for site in reversed(range(spec.sites)):
+        prod = prod @ table[occ[:, None, site], occ[None, :, site]]
+    return prod[..., 0, 0] + prod[..., 1, 1]
 
 
 # ----------------------------------------------------------------------
@@ -266,44 +300,37 @@ def r_matrix(lam: complex, mu: complex, c: float) -> np.ndarray:
     ], dtype=complex)
 
 
-def _tensor_blocks(T1, T2):
-    """(T1 (x) T2)_{(ab),(cd)} = T1_ac T2_bd with operator entries."""
+def _tensor_blocks(T1, T2, keep: np.ndarray) -> dict:
+    """(T1 (x) T2)_{(ab),(cd)} = T1_ac T2_bd with operator entries,
+    restricted to the basis states ``keep`` as each product is formed."""
+    sub = np.ix_(keep, keep)
     blocks = {}
     for a in range(2):
         for b in range(2):
             for cc in range(2):
                 for dd in range(2):
-                    blocks[(2 * a + b, 2 * cc + dd)] = T1[a][cc] @ T2[b][dd]
+                    product = T1[a][cc] @ T2[b][dd]
+                    blocks[(2 * a + b, 2 * cc + dd)] = product[sub]
     return blocks
 
 
-def _block_linear(R, X, side: str):
-    """R acting on a 4x4 block matrix of operators, from the given side."""
-    dim = X[(0, 0)].shape[0]
-    out = {}
+def _exchange_defect(R: np.ndarray, X: dict, Y: dict) -> float:
+    """Largest 2-norm over the 16 operator entries of R X - Y R, each
+    entry formed and measured in turn."""
+    if not X[(0, 0)].size:
+        return 0.0
+    shape = X[(0, 0)].shape
+    worst = 0.0
     for r in range(4):
         for s in range(4):
-            acc = np.zeros((dim, dim), dtype=complex)
+            lhs = np.zeros(shape, dtype=complex)
+            rhs = np.zeros(shape, dtype=complex)
             for t in range(4):
-                if side == "left":
-                    if R[r, t] != 0:
-                        acc = acc + R[r, t] * X[(t, s)]
-                else:
-                    if R[t, s] != 0:
-                        acc = acc + X[(r, t)] * R[t, s]
-            out[(r, s)] = acc
-    return out
-
-
-def _restricted_norm(blocks, spec: LatticeSpec, max_occ: int) -> float:
-    keep = [i for i in range(spec.cutoff ** spec.sites)
-            if max(_index_config(i, spec)) <= max_occ]
-    if not keep:
-        return 0.0
-    worst = 0.0
-    for blk in blocks.values():
-        sub = blk[np.ix_(keep, keep)]
-        worst = max(worst, float(np.linalg.norm(sub, 2)))
+                if R[r, t] != 0:
+                    lhs = lhs + R[r, t] * X[(t, s)]
+                if R[t, s] != 0:
+                    rhs = rhs + Y[(r, t)] * R[t, s]
+            worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
     return worst
 
 
@@ -316,21 +343,16 @@ def rtt_residual(lam: complex, mu: complex, spec: LatticeSpec) -> dict:
     """
     if abs(lam - mu) < 1e-12:
         raise RMatrixPole("coinciding spectral parameters")
+    _check_dense_budget(spec, "exchange relation", RTT_BLOCKS, RTT_KEPT_BLOCKS)
     R = r_matrix(lam, mu, spec.c)
+    keep = np.flatnonzero(_occupations(spec).max(axis=1) <= spec.cutoff - 2)
     Tl = monodromy(spec, lam)
     Tm = monodromy(spec, mu)
-    lm = _tensor_blocks(Tl, Tm)
-    ml = _tensor_blocks(Tm, Tl)
-    max_occ = spec.cutoff - 2
-
-    def defect(X, Y):
-        lhs = _block_linear(R, X, "left")
-        rhs = _block_linear(R, Y, "right")
-        diff = {k: lhs[k] - rhs[k] for k in lhs}
-        return _restricted_norm(diff, spec, max_occ)
-
-    res_a = defect(lm, ml)   # R (T(lam) x T(mu)) = (T(mu) x T(lam)) R
-    res_b = defect(ml, lm)
+    lm = _tensor_blocks(Tl, Tm, keep)
+    ml = _tensor_blocks(Tm, Tl, keep)
+    # R (T(lam) x T(mu)) = (T(mu) x T(lam)) R
+    res_a = _exchange_defect(R, lm, ml)
+    res_b = _exchange_defect(R, ml, lm)
     return {
         "residual_lam_mu": res_a,
         "residual_mu_lam": res_b,
@@ -467,7 +489,7 @@ def normal_ordering_breakdown(spec_two_sites: LatticeSpec, lam: complex) -> dict
                                 spec.cutoff, spec.step, spec.c))[0][0]
     # scale of the ordering-sensitive cross term: B(2) C(1)
     blocks = site_l_blocks(spec, lam)
-    cross = _embed(blocks[0][1], 2, spec) @ _embed(blocks[1][0], 1, spec)
+    cross = np.kron(blocks[0][1], blocks[1][0])
     cross_scale = float(np.linalg.norm(cross, 2))
     diff = float(np.linalg.norm(exact_entry - naive_entry, 2))
     return {

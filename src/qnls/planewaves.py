@@ -243,6 +243,18 @@ class ExpPoly:
                        for m in range(0, len(f), 2)))
                 for c, f in self._sorted_data()]
 
+    @cached_property
+    def _eval_arrays(self) -> tuple:
+        """Read-only (terms x vars) complex frequency matrix and
+        coefficient vector of ``_complex_terms``, built once for
+        ``evaluate``."""
+        terms = self._complex_terms()
+        freqs = np.array([f for _, f in terms], dtype=complex)
+        coeffs = np.array([c for c, _ in terms], dtype=complex)
+        freqs.flags.writeable = False
+        coeffs.flags.writeable = False
+        return freqs, coeffs
+
     # -- basic algebra --------------------------------------------------
     def __add__(self, other: "ExpPoly") -> "ExpPoly":
         self._check_compatible(other)
@@ -383,9 +395,7 @@ class ExpPoly:
         if not self.data:
             vals = np.zeros(pts.shape[0], dtype=complex)
         else:
-            terms = self._complex_terms()
-            freqs = np.array([f for _, f in terms], dtype=complex)
-            coeffs = np.array([c for c, _ in terms], dtype=complex)
+            freqs, coeffs = self._eval_arrays
             vals = np.exp(1j * pts @ freqs.T) @ coeffs
         if np.ndim(points) == 1:
             return vals[0]

@@ -1,15 +1,141 @@
 """Lattice operators, exchange relation, commutativity, continuum limit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnls import lattice as lat
+from qnls.cli import main
 from qnls.errors import CutoffTooSmall, RMatrixPole, SizeLimit
 from qnls.transfer import theta
 
 BOX_L = 2.0 * math.pi
+
+
+# ----------------------------------------------------------------------
+# Reference engines: one 2x2 product per config pair and site, and the
+# monodromy from Kronecker-embedded site operators and dense products
+# ----------------------------------------------------------------------
+
+def reference_tau_sector_matrix(spec, lam, configs):
+    step, c = spec.step, spec.c
+
+    def site_matrix(np_, n):
+        if np_ == n:
+            diag = 1.0 - 0.5j * lam * step + 0.5 * c * step * n
+            diag2 = 1.0 + 0.5j * lam * step + 0.5 * c * step * n
+            return np.array([[diag, 0.0], [0.0, diag2]])
+        if np_ == n + 1:
+            val = -1j * step * math.sqrt(c) * math.sqrt((n + 1) / step) \
+                * math.sqrt(1.0 + c * step * n / 4.0)
+            return np.array([[0.0, val], [0.0, 0.0]])
+        if np_ == n - 1:
+            val = 1j * step * math.sqrt(c) \
+                * math.sqrt(1.0 + c * step * (n - 1) / 4.0) \
+                * math.sqrt(n / step)
+            return np.array([[0.0, 0.0], [val, 0.0]])
+        return None
+
+    m = len(configs)
+    out = np.zeros((m, m), dtype=complex)
+    for i, cp in enumerate(configs):
+        for j, cq in enumerate(configs):
+            prod = np.eye(2, dtype=complex)
+            for site in reversed(range(spec.sites)):
+                ms = site_matrix(cp[site], cq[site])
+                if ms is None:
+                    break
+                prod = prod @ ms
+            else:
+                out[i, j] = np.trace(prod)
+    return out
+
+
+def reference_embed(op, site, spec):
+    out = np.eye(1, dtype=complex)
+    for n in range(spec.sites, 0, -1):
+        out = np.kron(out, op if n == site
+                      else np.eye(spec.cutoff, dtype=complex))
+    return out
+
+
+def reference_monodromy(spec, lam, rho_override=None):
+    eye = np.eye(spec.cutoff ** spec.sites, dtype=complex)
+    T = [[eye, np.zeros_like(eye)], [np.zeros_like(eye), eye]]
+    for site in range(1, spec.sites + 1):
+        blocks = lat.site_l_blocks(spec, lam, rho=rho_override)
+        L = [[reference_embed(blocks[r][s], site, spec) for s in range(2)]
+             for r in range(2)]
+        T = [[L[r][0] @ T[0][s] + L[r][1] @ T[1][s] for s in range(2)]
+             for r in range(2)]
+    return T
+
+
+def reference_rtt_residual(lam, mu, spec):
+    """The exchange defect from full 4x4 block matrices of operators."""
+    R = lat.r_matrix(lam, mu, spec.c)
+    Tl, Tm = lat.monodromy(spec, lam), lat.monodromy(spec, mu)
+
+    def tensor(T1, T2):
+        return {(2 * a + b, 2 * cc + dd): T1[a][cc] @ T2[b][dd]
+                for a in range(2) for b in range(2)
+                for cc in range(2) for dd in range(2)}
+
+    keep = [i for i in range(spec.cutoff ** spec.sites)
+            if max(i // spec.cutoff ** s % spec.cutoff
+                   for s in range(spec.sites)) <= spec.cutoff - 2]
+
+    def defect(X, Y):
+        worst = 0.0
+        for r in range(4):
+            for s in range(4):
+                lhs = np.zeros_like(X[(0, 0)])
+                rhs = np.zeros_like(X[(0, 0)])
+                for t in range(4):
+                    if R[r, t] != 0:
+                        lhs = lhs + R[r, t] * X[(t, s)]
+                for t in range(4):
+                    if R[t, s] != 0:
+                        rhs = rhs + Y[(r, t)] * R[t, s]
+                if keep:
+                    sub = (lhs - rhs)[np.ix_(keep, keep)]
+                    worst = max(worst, float(np.linalg.norm(sub, 2)))
+        return worst
+
+    lm, ml = tensor(Tl, Tm), tensor(Tm, Tl)
+    return defect(lm, ml), defect(ml, lm)
+
+
+spectral = st.builds(complex, st.floats(-2, 2), st.floats(-1, 1))
+
+
+@st.composite
+def sector_cases(draw):
+    """Sites 1..6, sectors 0..3, cutoffs from 1 up to N+2."""
+    sites = draw(st.integers(1, 6))
+    sector = draw(st.integers(0, 3))
+    cutoff = draw(st.integers(1, sector + 2))
+    spec = lat.LatticeSpec(sites, cutoff, draw(st.floats(0.05, 1.0)),
+                           draw(st.floats(0.1, 3.0)))
+    return spec, draw(spectral), sector
+
+
+@st.composite
+def monodromy_cases(draw):
+    """Sites 1..6 at full space dimension <= 256, optional rho override."""
+    sites = draw(st.integers(1, 6))
+    max_cutoff = min(5, int(round(256 ** (1.0 / sites))))
+    cutoff = draw(st.integers(1, max_cutoff))
+    spec = lat.LatticeSpec(sites, cutoff, draw(st.floats(0.05, 1.0)),
+                           draw(st.floats(0.1, 3.0)))
+    rho = None
+    if draw(st.booleans()):
+        rho = np.diag(draw(st.lists(st.floats(0.5, 2.0), min_size=cutoff,
+                                    max_size=cutoff))).astype(complex)
+    return spec, draw(spectral), rho
 
 
 class TestSiteOperators:
@@ -111,6 +237,86 @@ class TestMonodromy:
         with pytest.raises(SizeLimit):
             lat.monodromy(lat.LatticeSpec(10, 5, 0.1, 1.0), 0.5)
 
+    @given(sector_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_sector_engine_matches_pair_loop(self, case):
+        spec, lam, sector = case
+        configs = lat.occupation_configs(spec, sector)
+        np.testing.assert_array_equal(
+            lat.tau_sector_matrix(spec, lam, configs),
+            reference_tau_sector_matrix(spec, lam, configs))
+
+    def test_sector_engine_empty_config_list(self):
+        out = lat.tau_sector_matrix(lat.LatticeSpec(3, 4, 0.3, 1.0), 0.7, [])
+        assert out.shape == (0, 0)
+
+    def test_sector_engine_rejects_occupation_above_cutoff(self):
+        with pytest.raises(ValueError):
+            lat.tau_sector_matrix(lat.LatticeSpec(2, 2, 0.3, 1.0), 0.7,
+                                  [(2, 0), (1, 1)])
+
+    @given(monodromy_cases())
+    @settings(max_examples=50, deadline=None)
+    def test_contracted_monodromy_matches_dense(self, case):
+        spec, lam, rho = case
+        fast = lat.monodromy(spec, lam, rho_override=rho)
+        dense = reference_monodromy(spec, lam, rho_override=rho)
+        for r in range(2):
+            for s in range(2):
+                np.testing.assert_allclose(fast[r][s], dense[r][s], rtol=1e-13)
+
+
+class TestDenseBudget:
+    def test_rejects_by_bytes_before_allocating(self):
+        spec = lat.LatticeSpec(7, 4, 0.3, 1.0)   # dimension 16384
+        need = lat.dense_bytes(spec, lat.RTT_BLOCKS, lat.RTT_KEPT_BLOCKS)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimit) as err:
+                lat.rtt_residual(0.7, 1.3, spec)
+            with pytest.raises(SizeLimit):
+                lat.monodromy(spec, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert str(need) in str(err.value)
+        assert str(lat.DENSE_BUDGET_BYTES) in str(err.value)
+
+    def test_cli_rtt_rejected(self, capsys):
+        code = main(["lattice", "rtt", "--sites", "7", "--cutoff", "4",
+                     "--step", "0.3", "--coupling", "1.0"])
+        assert code == 1
+        assert "bytes" in capsys.readouterr().err
+
+    def test_suite_and_sweep_sizes_fit(self):
+        # the suite goes up to 3 sites at cutoff 4; the benchmark sweep
+        # runs the exchange relation at 4^4 and monodromy at 4^5
+        rtt = lat.dense_bytes(lat.LatticeSpec(4, 4, 0.3, 1.0),
+                              lat.RTT_BLOCKS, lat.RTT_KEPT_BLOCKS)
+        mono = lat.dense_bytes(lat.LatticeSpec(5, 4, 0.3, 1.0),
+                               lat.MONODROMY_BLOCKS)
+        assert max(rtt, mono) <= lat.DENSE_BUDGET_BYTES
+
+    @pytest.mark.parametrize("sites, cutoff", [(4, 4), (3, 6), (2, 12)])
+    def test_block_counts_bound_peak_memory(self, sites, cutoff):
+        spec = lat.LatticeSpec(sites, cutoff, 0.3, 1.0)
+        runs = [
+            (lambda: lat.monodromy(spec, 0.7 - 0.2j),
+             lat.dense_bytes(spec, lat.MONODROMY_BLOCKS)),
+            (lambda: lat.rtt_residual(0.7 - 0.2j, -0.4 + 0.5j, spec),
+             lat.dense_bytes(spec, lat.RTT_BLOCKS, lat.RTT_KEPT_BLOCKS)),
+        ]
+        for run, need in runs:
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # headroom for the Python objects and the d x d site tables
+            assert peak <= need + 2 ** 16
+
 
 class TestExchangeRelation:
     def test_trivial_cutoff(self):
@@ -139,6 +345,14 @@ class TestExchangeRelation:
     def test_pole_guard(self):
         with pytest.raises(RMatrixPole):
             lat.rtt_residual(1.0, 1.0, lat.LatticeSpec(1, 3, 0.3, 1.0))
+
+    @pytest.mark.parametrize("sites, cutoff", [(1, 1), (1, 4), (2, 3), (3, 3)])
+    def test_streamed_defect_matches_full_blocks(self, sites, cutoff):
+        spec = lat.LatticeSpec(sites, cutoff, 0.3, 1.3)
+        lam, mu = 0.37 + 0.11j, -0.9 + 0.55j
+        res = lat.rtt_residual(lam, mu, spec)
+        assert (res["residual_lam_mu"], res["residual_mu_lam"]) \
+            == reference_rtt_residual(lam, mu, spec)
 
 
 class TestCommutingFamily:

@@ -77,6 +77,20 @@ class TestEvaluate:
         assert w.evaluate([pt[p] for p in perm]) == pytest.approx(ref, abs=1e-9)
 
 
+    def test_arrays_built_once_and_read_only(self, monkeypatch):
+        poly = build_bethe(RapiditySet.of([F(1, 2), F(2), F(-1, 3)]),
+                           Coupling(F(3, 2))).canonical
+        pts = np.array([[0.1, 0.4, 0.9], [-0.3, 0.2, 1.1]])
+        first = poly.evaluate(pts)
+        freqs, coeffs = poly._eval_arrays
+        assert not freqs.flags.writeable and not coeffs.flags.writeable
+
+        def rebuilt(_self):
+            raise AssertionError("evaluate rebuilt the term arrays")
+        monkeypatch.setattr(ExpPoly, "_complex_terms", rebuilt)
+        np.testing.assert_array_equal(poly.evaluate(pts), first)
+
+
 class TestDifferentiate:
     def test_first_derivative(self):
         p = ExpPoly.from_terms(1, [(1, (F(3),))], True)
