@@ -28,8 +28,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     raps = [float(t) for t in args.rapidities.split(",")]
-    w = build_bethe(RapiditySet.of(raps, exact_mode=False),
-                    Coupling(args.coupling))
+    w = build_bethe(RapiditySet.of(raps), Coupling(args.coupling))
     eps = [2.0 ** (-m) for m in range(args.m_min, args.m_max + 1)]
     scan = g4_defect_scan(w, eps, args.box)
     slope = fit_loglog_slope(scan)

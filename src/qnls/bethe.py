@@ -136,7 +136,10 @@ def _log_jacobian(k: np.ndarray, box: BoxSpec) -> np.ndarray:
 
 
 def solve(box: BoxSpec, qn: QuantumNumbers) -> RapiditySolution:
-    """Damped Newton iteration on the log form, seeded at k = 2 pi I / L."""
+    """Damped Newton iteration on the log form, seeded at k = 2 pi I / L.
+
+    Raises ``SolverDiverged`` when no halving of a Newton step lowers the
+    residual, or after MAX_ITERATIONS steps."""
     if box.c <= 0:
         raise DomainError("repulsive coupling required (c > 0)")
     if len(qn) != box.N:
@@ -159,13 +162,17 @@ def solve(box: BoxSpec, qn: QuantumNumbers) -> RapiditySolution:
             if np.max(np.abs(trial_res)) < norm0:
                 break
             scale *= 0.5
+        else:
+            raise SolverDiverged(
+                f"Newton step {iterations + 1}: no trial step among "
+                f"{MAX_HALVINGS + 1} halvings lowers the residual")
         k, res = trial, trial_res
         iterations += 1
 
     jac = _log_jacobian(k, box)
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (jac + jac.T))))
     solution = RapiditySolution(
-        rapidities=RapiditySet.of([float(v) for v in k], exact_mode=False),
+        rapidities=RapiditySet.of([float(v) for v in k]),
         box=box,
         quantum_numbers=qn,
         residual_log=float(np.max(np.abs(res))),

@@ -37,7 +37,6 @@ import numpy as np
 from scipy import integrate
 
 from .errors import DomainError, QuadratureError
-from .exact import exact
 from .planewaves import BetheWavefunction, ExpPoly, RapiditySet
 
 QUAD_RTOL = 1e-8
@@ -80,7 +79,7 @@ FORMULA_IDS = {
 
 @dataclass(frozen=True)
 class ChargeEigenvalue:
-    value: object       # ExactComplex in exact mode, complex otherwise
+    value: object       # ExactComplex under EXACT, complex under FLOAT
     formula_id: str
 
 
@@ -105,18 +104,12 @@ def elementary_symmetric(values: Sequence, m: int):
     return coeffs[m]
 
 
-def _i_times(rapidities: RapiditySet):
-    if rapidities.exact:
-        return [exact(0, v) for v in rapidities.values]
-    return [1j * v for v in rapidities.values]
-
-
 def charge_eigenvalue(name: str, rapidities: RapiditySet) -> ChargeEigenvalue:
     """Exact eigenvalue of the named charge on the Bethe state with the
     given rapidities: the registered symmetric polynomial evaluated at
     i * rapidities, times the registered sign."""
     spec = CHARGES[name]
-    vals = _i_times(rapidities)
+    vals = [rapidities.field.i * v for v in rapidities.values]
     if spec.kind == "power":
         value = power_sum(vals, spec.degree)
     else:
@@ -206,9 +199,9 @@ def boundary_residual_j4_generic(poly: ExpPoly, coupling) -> list[ExpPoly]:
         raise ValueError("quadruple bracket needs at least four particles")
     bracket = pair_bracket(poly, coupling, 1)
 
-    deriv_total = ExpPoly.zero(n - 1, poly.exact)
+    deriv_total = ExpPoly.zero(n - 1, poly.field)
     restricted = bracket.restrict_to_boundary(1)
-    delta_total = ExpPoly.zero(n - 2, poly.exact)
+    delta_total = ExpPoly.zero(n - 2, poly.field)
     for k_lo, j_hi in itertools.combinations(range(3, n + 1), 2):
         deriv = bracket.weighted(
             lambda z, a=j_hi, b=k_lo: z[a - 1] * z[b - 1], 2)

@@ -25,7 +25,7 @@ from . import transfer as tr
 from .bethe import BoxSpec, QuantumNumbers, ground_state_quantum_numbers, solve
 from .config import ALL_SUITES, ConfigError, build_config, parse_config_file
 from .errors import QnlsError
-from .exact import exact
+from .exact import EXACT, exact
 from .planewaves import Coupling, RapiditySet, build_bethe
 from .report import render_markdown, write_report
 from .suites import run_suites
@@ -174,7 +174,7 @@ def _cmd_aop_check(args) -> int:
     lam = aop.SpectralParameter(exact(re_part, im_part))
     measured, residual = aop.eigenvalue_check(lam, w)
     expected = aop.bethe_eigenvalue(lam, w.rapidities.values,
-                                    w.coupling.c, True)
+                                    w.coupling.c, EXACT)
     f = aop.SectorFunction.from_bethe(w)
     g = aop.apply_A(lam, f, w.coupling.c)
     pde, boundary = aop.bvp_residual(lam, f, g, w.coupling.c)

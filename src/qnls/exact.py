@@ -1,12 +1,14 @@
 """Exact complex-rational arithmetic.
 
 All identity checks in this package are equalities with zero, so the
-default working mode keeps every coefficient as a complex number whose
-real and imaginary parts are `fractions.Fraction` instances.  This is
-the scalar callers see; plane-wave sums store their exact coefficients
-as Gaussian integers over a shared denominator (see ``planewaves``) and
-convert at their interface.  Floating point is reserved for quadrature,
-Newton iteration and eigenvalue work, where tolerances are meaningful.
+default field, ``EXACT``, keeps every coefficient as a complex number
+whose real and imaginary parts are `fractions.Fraction` instances.  This
+is the scalar callers see; plane-wave sums store their exact
+coefficients as Gaussian integers over a shared denominator (see
+``planewaves``) and convert at their interface.  ``FLOAT`` mirrors every
+computation on complex floats; floating point is otherwise reserved for
+quadrature, Newton iteration and eigenvalue work, where tolerances are
+meaningful.
 """
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ class ExactComplex:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if type(other) is int:
+            return ExactComplex(self.re / other, self.im / other)
         o = ExactComplex.coerce(other)
         d = o.re * o.re + o.im * o.im
         if d == 0:
@@ -90,6 +94,14 @@ class ExactComplex:
             base = base * base
             n >>= 1
         return out
+
+    @property
+    def real(self) -> Fraction:
+        return self.re
+
+    @property
+    def imag(self) -> Fraction:
+        return self.im
 
     def conjugate(self) -> "ExactComplex":
         return ExactComplex(self.re, -self.im)
@@ -120,24 +132,68 @@ class ExactComplex:
         return f"ExactComplex({self.re!r}, {self.im!r})"
 
 
-I_EXACT = ExactComplex(0, 1)
-
-
 def exact(re: Rat = 0, im: Rat = 0) -> ExactComplex:
     """Shorthand constructor used throughout the exact-mode code."""
     return ExactComplex(re, im)
 
 
-def as_scalar(value, exact_mode: bool):
-    """Coerce a number to the scalar field of the requested mode."""
-    if exact_mode:
-        return ExactComplex.coerce(value)
-    if isinstance(value, ExactComplex):
-        return complex(value)
-    return complex(value)
+class Field:
+    """The scalar field a computation runs in: ``EXACT`` (``ExactComplex``
+    scalars, ``Fraction`` reals) or ``FLOAT`` (``complex`` scalars,
+    ``float`` reals).  Plane-wave sums and series carry their field.
+
+    Each field offers the constants ``zero``, ``one`` and ``i``;
+    ``coerce`` (a number as a scalar of the field), ``real`` (a number as
+    a real of the field) and ``frac``; and the tests ``is_zero`` and
+    ``equal``, exact in ``EXACT`` and within the given tolerance in
+    ``FLOAT``.
+    """
+
+    name: str
+
+    @staticmethod
+    def of(*values) -> "Field":
+        """``EXACT`` when every value is an int, Fraction or ExactComplex
+        (also for no values), ``FLOAT`` otherwise."""
+        if all(isinstance(v, (int, Fraction, ExactComplex)) for v in values):
+            return EXACT
+        return FLOAT
+
+    def frac(self, num: int, den: int):
+        """The scalar num/den."""
+        return self.coerce(self.real(num) / den)
+
+    def __repr__(self):
+        return self.name.upper()
 
 
-def scalar_is_zero(value, abs_tol: float = 0.0) -> bool:
-    if isinstance(value, ExactComplex):
-        return value.is_zero()
-    return abs(complex(value)) <= abs_tol
+class _ExactField(Field):
+    name = "exact"
+    zero, one, i = ExactComplex(0), ExactComplex(1), ExactComplex(0, 1)
+    coerce = staticmethod(ExactComplex.coerce)
+    real = staticmethod(Fraction)
+
+    def is_zero(self, value, abs_tol: float = 0.0) -> bool:
+        return value == 0
+
+    def equal(self, a, b, rel_tol: float = 1e-10) -> bool:
+        return a == b
+
+
+class _FloatField(Field):
+    name = "float"
+    zero, one, i = 0j, 1 + 0j, 1j
+    coerce = staticmethod(complex)
+    real = staticmethod(float)
+
+    def is_zero(self, value, abs_tol: float = 0.0) -> bool:
+        return abs(value) <= abs_tol
+
+    def equal(self, a, b, rel_tol: float = 1e-10) -> bool:
+        """|a - b| within rel_tol of the larger magnitude, or of 1."""
+        a, b = complex(a), complex(b)
+        return abs(a - b) <= rel_tol * max(abs(a), abs(b), 1.0)
+
+
+EXACT = _ExactField()
+FLOAT = _FloatField()

@@ -44,7 +44,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import ConvergenceDomain, QuadratureError
-from .exact import ExactComplex, as_scalar, exact
+from .exact import EXACT, FLOAT, Field
 from .planewaves import BetheWavefunction, ExpPoly, GaussInt
 
 
@@ -55,14 +55,12 @@ class SpectralParameter:
     value: object  # complex or ExactComplex
 
     def __post_init__(self):
-        im = self.value.im if isinstance(self.value, ExactComplex) \
-            else complex(self.value).imag
-        if not im < 0:
+        if not self.value.imag < 0:
             raise ConvergenceDomain("need Im(lambda) < 0 for convergent integrals")
 
     @property
-    def exact(self) -> bool:
-        return isinstance(self.value, ExactComplex)
+    def field(self) -> Field:
+        return Field.of(self.value)
 
 
 @dataclass(frozen=True)
@@ -81,16 +79,11 @@ class SectorFunction:
         return SectorFunction(w.n, w.canonical)
 
     @property
-    def exact(self) -> bool:
-        return self.canonical.exact
+    def field(self) -> Field:
+        return self.canonical.field
 
     def has_real_frequencies(self) -> bool:
-        for _, freq in self.canonical.terms:
-            for wv in freq:
-                im = wv.im if isinstance(wv, ExactComplex) else complex(wv).imag
-                if im != 0:
-                    return False
-        return True
+        return all(wv.imag == 0 for _, freq in self.canonical.terms for wv in freq)
 
 
 MAX_SECTOR = 3
@@ -114,17 +107,17 @@ def apply_A(lam: SpectralParameter, f: SectorFunction, c) -> SectorFunction:
         raise ValueError(f"sector N={n} beyond the supported maximum {MAX_SECTOR}")
     if not f.has_real_frequencies():
         raise ConvergenceDomain("input must have real frequencies")
-    exact_mode = f.exact and lam.exact
-    if exact_mode:
-        c_e = ExactComplex.coerce(c)
-        unit = math.lcm(f.canonical.unit, lam.value.denominator, c_e.denominator)
+    field = FLOAT if FLOAT in (f.field, lam.field) else EXACT
+    c_v = field.coerce(c)
+    if field is EXACT:
+        unit = math.lcm(f.canonical.unit, lam.value.denominator, c_v.denominator)
         poly = f.canonical._recast(unit, f.canonical.den)
 
         def inverse(mu):
             return (GaussInt(-mu.im * unit, -mu.re * unit),
                     mu.re * mu.re + mu.im * mu.im)
 
-        lam_v, c_v = GaussInt.scaled(lam.value, unit), GaussInt.scaled(c_e, unit)
+        lam_v, c_v = GaussInt.scaled(lam.value, unit), GaussInt.scaled(c_v, unit)
         weight_den = unit
         terms = [(cf, [GaussInt(fr[m], fr[m + 1]) for m in range(0, 2 * n, 2)], 1)
                  for cf, fr in poly.data]
@@ -134,7 +127,7 @@ def apply_A(lam: SpectralParameter, f: SectorFunction, c) -> SectorFunction:
         def inverse(mu):
             return 1 / (1j * mu), 1
 
-        lam_v, c_v, weight_den = complex(lam.value), as_scalar(c, False), 1
+        lam_v, weight_den = complex(lam.value), 1
         terms = [(cf, fr, 1) for cf, fr in poly.data]
 
     result_terms = list(terms)
@@ -146,13 +139,13 @@ def apply_A(lam: SpectralParameter, f: SectorFunction, c) -> SectorFunction:
                 weight = weight * c_v
             result_terms.extend((coeff * weight, freq, den * weight_den ** size)
                                 for coeff, freq, den in contrib)
-    if not exact_mode:
+    if field is FLOAT:
         return SectorFunction(n, ExpPoly.from_terms(
-            n, [(coeff, freq) for coeff, freq, _ in result_terms], False))
+            n, [(coeff, freq) for coeff, freq, _ in result_terms], FLOAT))
     den = math.lcm(*(d for _, _, d in result_terms))
     raw = [(coeff * (den // d), tuple(x for w in freq for x in (w.re, w.im)))
            for coeff, freq, d in result_terms]
-    return SectorFunction(n, ExpPoly(n, True, (), unit, poly.den * den)._merged(raw))
+    return SectorFunction(n, ExpPoly(n, EXACT, (), unit, poly.den * den)._merged(raw))
 
 
 def _subset_integral(terms: list, subset: tuple, lam_v, inverse, n: int):
@@ -211,15 +204,14 @@ def _subset_integral(terms: list, subset: tuple, lam_v, inverse, n: int):
 
 
 def bethe_eigenvalue(lam: SpectralParameter, rapidities: Sequence, c,
-                     exact_mode: bool) -> object:
+                     field: Field) -> object:
     """prod_j (lam - l_j - ic) / (lam - l_j)."""
-    lam_v = lam.value if exact_mode else complex(lam.value)
-    c_v = as_scalar(c, exact_mode)
-    i_unit = exact(0, 1) if exact_mode else 1j
-    out = as_scalar(1, exact_mode)
+    lam_v = field.coerce(lam.value)
+    c_v = field.coerce(c)
+    out = field.one
     for k in rapidities:
-        kv = as_scalar(k, exact_mode)
-        out = out * (lam_v - kv - i_unit * c_v) / (lam_v - kv)
+        kv = field.coerce(k)
+        out = out * (lam_v - kv - field.i * c_v) / (lam_v - kv)
     return out
 
 
@@ -233,9 +225,9 @@ def eigenvalue_check(lam: SpectralParameter, w: BetheWavefunction,
     float residual either way.
     """
     f = SectorFunction.from_bethe(w)
-    exact_mode = f.exact and lam.exact
     g = apply_A(lam, f, w.coupling.c)
-    expected = bethe_eigenvalue(lam, w.rapidities.values, w.coupling.c, exact_mode)
+    expected = bethe_eigenvalue(lam, w.rapidities.values, w.coupling.c,
+                                g.field)
     residual_poly = g.canonical - f.canonical.scale(expected)
     coeff_residual = residual_poly.max_coeff()
 
@@ -246,7 +238,8 @@ def eigenvalue_check(lam: SpectralParameter, w: BetheWavefunction,
     ratios = gv / fv
     measured = complex(np.mean(ratios))
     float_residual = float(np.max(np.abs(ratios - complex(expected))))
-    return measured, max(coeff_residual, 0.0) if exact_mode else float_residual
+    return measured, max(coeff_residual, 0.0) if g.field is EXACT \
+        else float_residual
 
 
 def _ordered_grid(n: int, count: int) -> np.ndarray:
@@ -271,10 +264,9 @@ def bvp_residual(lam: SpectralParameter, f: SectorFunction,
     be the empty sum.  Boundary: the pair bracket of g must equal that
     of f on every hyperplane x_{j+1} = x_j + 0.
     """
-    exact_mode = f.exact and lam.exact and g.exact
-    lam_v = lam.value if exact_mode else complex(lam.value)
-    c_v = as_scalar(c, exact_mode)
-    i_unit = exact(0, 1) if exact_mode else 1j
+    field = FLOAT if FLOAT in (f.field, g.field, lam.field) else EXACT
+    lam_v = field.coerce(lam.value)
+    c_v = field.coerce(c)
     n = f.n
 
     # with z = i w the symbol of lam + i d is lam - w = i (z - i lam), and
@@ -285,10 +277,10 @@ def bvp_residual(lam: SpectralParameter, f: SectorFunction,
             out = (zn - a) * out
         return out
 
-    i_lam = i_unit * lam_v
+    i_lam = field.i * lam_v
     pde = (g.canonical.weighted(shifted_product, n, i_lam)
            - f.canonical.weighted(shifted_product, n, i_lam + c_v)
-           ).scale(i_unit ** n)
+           ).scale(field.i ** n)
 
     from .charges import pair_bracket
     boundary = []

@@ -210,20 +210,6 @@ def occupation_configs(spec: LatticeSpec, total: int) -> list[tuple[int, ...]]:
     return configs
 
 
-def _config_index(config: Sequence[int], d: int) -> int:
-    # site 1 is the rightmost (fastest) tensor index
-    idx = 0
-    for n in reversed(range(len(config))):
-        idx = idx * d + config[n]
-    return idx
-
-
-def sector_block(op: np.ndarray, spec: LatticeSpec, total: int) -> np.ndarray:
-    configs = occupation_configs(spec, total)
-    idx = [_config_index(cfg, spec.cutoff) for cfg in configs]
-    return op[np.ix_(idx, idx)]
-
-
 def number_conservation_defect(spec: LatticeSpec, lam: complex) -> float:
     """Largest matrix element of tau(lam) connecting different sectors."""
     tau = transfer_operator(spec, lam)

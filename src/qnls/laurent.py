@@ -2,118 +2,95 @@
 
 A series is a coefficient list a_0..a_K meaning sum_k a_k / lambda^k,
 closed under addition, multiplication, log and exp at fixed truncation
-order.  Coefficients are complex-rational in exact mode (rational
-rapidities and coupling) and complex floats otherwise; the typo
-adjudication of the printed expansion tables runs in exact mode so that
-verdicts never hinge on rounding.
+order.  Coefficients live in the series' field: complex-rational under
+``EXACT`` (rational rapidities and coupling), complex floats under
+``FLOAT``; the typo adjudication of the printed expansion tables runs
+exactly so that verdicts never hinge on rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .exact import as_scalar, scalar_is_zero
+from .exact import Field
 
 
 @dataclass(frozen=True)
 class LaurentSeries:
     order: int
     coeffs: tuple
-    exact: bool
+    field: Field
 
     @staticmethod
-    def from_coeffs(coeffs: Sequence, exact_mode: bool) -> "LaurentSeries":
-        vals = tuple(as_scalar(c, exact_mode) for c in coeffs)
-        return LaurentSeries(len(vals) - 1, vals, exact_mode)
+    def from_coeffs(coeffs: Sequence, field: Field) -> "LaurentSeries":
+        vals = tuple(field.coerce(c) for c in coeffs)
+        return LaurentSeries(len(vals) - 1, vals, field)
 
     @staticmethod
-    def one(order: int, exact_mode: bool) -> "LaurentSeries":
-        one = as_scalar(1, exact_mode)
-        zero = as_scalar(0, exact_mode)
-        return LaurentSeries(order, (one,) + (zero,) * order, exact_mode)
+    def one(order: int, field: Field) -> "LaurentSeries":
+        return LaurentSeries(order, (field.one,) + (field.zero,) * order, field)
 
     def _check(self, other: "LaurentSeries"):
-        if self.order != other.order or self.exact != other.exact:
+        if self.order != other.order or self.field is not other.field:
             raise ValueError("incompatible series")
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         self._check(other)
         return LaurentSeries(self.order,
                              tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-                             self.exact)
+                             self.field)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         self._check(other)
         return LaurentSeries(self.order,
                              tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-                             self.exact)
+                             self.field)
 
     def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self.order, tuple(-a for a in self.coeffs), self.exact)
+        return LaurentSeries(self.order, tuple(-a for a in self.coeffs), self.field)
 
     def scale(self, factor) -> "LaurentSeries":
-        factor = as_scalar(factor, self.exact)
+        factor = self.field.coerce(factor)
         return LaurentSeries(self.order,
-                             tuple(a * factor for a in self.coeffs), self.exact)
+                             tuple(a * factor for a in self.coeffs), self.field)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         self._check(other)
-        zero = as_scalar(0, self.exact)
-        out = [zero] * (self.order + 1)
+        out = [self.field.zero] * (self.order + 1)
         for i, a in enumerate(self.coeffs):
-            if scalar_is_zero(a):
+            if self.field.is_zero(a):
                 continue
             for j in range(self.order + 1 - i):
                 out[i + j] = out[i + j] + a * other.coeffs[j]
-        return LaurentSeries(self.order, tuple(out), self.exact)
-
-    def _divn(self, value, n: int):
-        if self.exact:
-            return value * Fraction(1, n)
-        return value / n
+        return LaurentSeries(self.order, tuple(out), self.field)
 
     def log(self) -> "LaurentSeries":
         """Series logarithm; requires unit leading coefficient, so the
         result has vanishing constant term."""
-        if not self._leading_is_one():
+        if not self.field.equal(self.coeffs[0], self.field.one, 1e-12):
             raise ValueError("log requires leading coefficient 1")
         a = self.coeffs
-        zero = as_scalar(0, self.exact)
-        b = [zero] * (self.order + 1)
+        b = [self.field.zero] * (self.order + 1)
         for n in range(1, self.order + 1):
             acc = a[n]
             for k in range(1, n):
-                acc = acc - self._divn(b[k] * a[n - k] * k, n)
+                acc = acc - b[k] * a[n - k] * k / n
             b[n] = acc
-        return LaurentSeries(self.order, tuple(b), self.exact)
+        return LaurentSeries(self.order, tuple(b), self.field)
 
     def exp(self) -> "LaurentSeries":
         """Series exponential of a series with vanishing constant term."""
-        if not scalar_is_zero(self.coeffs[0], 1e-300):
+        if not self.field.is_zero(self.coeffs[0], 1e-300):
             raise ValueError("exp requires vanishing constant term")
         b = self.coeffs
-        one = as_scalar(1, self.exact)
-        zero = as_scalar(0, self.exact)
-        a = [one] + [zero] * self.order
+        a = [self.field.one] + [self.field.zero] * self.order
         for n in range(1, self.order + 1):
-            acc = zero
+            acc = self.field.zero
             for k in range(1, n + 1):
-                acc = acc + self._divn(b[k] * a[n - k] * k, n)
+                acc = acc + b[k] * a[n - k] * k / n
             a[n] = acc
-        return LaurentSeries(self.order, tuple(a), self.exact)
-
-    def _leading_is_one(self) -> bool:
-        lead = self.coeffs[0]
-        if self.exact:
-            return lead == 1
-        return abs(complex(lead) - 1.0) < 1e-12
-
-    def truncate(self, order: int) -> "LaurentSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return LaurentSeries(order, self.coeffs[: order + 1], self.exact)
+        return LaurentSeries(self.order, tuple(a), self.field)
 
     def eval_at(self, lam: complex, order: int | None = None) -> complex:
         """Partial sum sum_{k<=order} a_k lambda^{-k} as a complex float."""
@@ -129,18 +106,11 @@ class LaurentSeries:
     def coefficient(self, k: int):
         return self.coeffs[k]
 
-    def to_float(self) -> "LaurentSeries":
-        if not self.exact:
-            return self
-        return LaurentSeries(self.order,
-                             tuple(complex(c) for c in self.coeffs), False)
-
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return (self.order == other.order and self.exact == other.exact
-                and all(a == b if self.exact else complex(a) == complex(b)
-                        for a, b in zip(self.coeffs, other.coeffs)))
+        return (self.order == other.order and self.field is other.field
+                and all(a == b for a, b in zip(self.coeffs, other.coeffs)))
 
     def max_abs_diff(self, other: "LaurentSeries") -> float:
         self._check(other)

@@ -35,8 +35,8 @@ bring both operands to a common D and Q.  No gcd is taken on the way,
 so a cancellation is an exact cancellation of integers.  The public
 surface stays rational: ``terms`` presents ``ExactComplex`` coefficients
 and frequencies sorted by frequency, and ``from_terms``, ``evaluate``,
-``to_float`` and the JSON documents convert at the edge.  Float sums
-(``exact=False``) keep complex coefficients and frequencies.
+``to_float`` and the JSON documents convert at the edge.  Sums in the
+``FLOAT`` field keep complex coefficients and frequencies.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DegenerateRapidities, SizeLimit
-from .exact import ExactComplex, as_scalar, exact, scalar_is_zero
+from .exact import EXACT, FLOAT, ExactComplex, Field
 
 MAX_PARTICLES_DEFAULT = 8
 
@@ -64,7 +64,7 @@ FLOAT_MERGE_RTOL = 1e-12
 class GaussInt:
     """Gaussian integer re + i*im on Python ints.
 
-    The coefficient type of exact sums and the value exact-mode weights
+    The coefficient type of exact sums and the value their weights
     receive for i*freq; it mixes with Python ints only.
     """
 
@@ -141,37 +141,37 @@ class ExpPoly:
     """
 
     num_vars: int
-    exact: bool
+    field: Field
     data: tuple = ()
     unit: int = 1
     den: int = 1
 
     # -- construction --------------------------------------------------
     @staticmethod
-    def from_terms(num_vars: int, terms: Iterable, exact_mode: bool) -> "ExpPoly":
+    def from_terms(num_vars: int, terms: Iterable, field: Field) -> "ExpPoly":
         normalized = []
         for coeff, freq in terms:
-            freq = tuple(as_scalar(f, exact_mode) for f in freq)
+            freq = tuple(field.coerce(f) for f in freq)
             if len(freq) != num_vars:
                 raise ValueError("frequency vector length mismatch")
-            normalized.append((as_scalar(coeff, exact_mode), freq))
-        if not exact_mode:
-            return ExpPoly(num_vars, False)._merged(normalized)
+            normalized.append((field.coerce(coeff), freq))
+        if field is FLOAT:
+            return ExpPoly(num_vars, FLOAT)._merged(normalized)
         unit = math.lcm(*(w.denominator for _, f in normalized for w in f))
         den = math.lcm(*(c.denominator for c, _ in normalized))
         raw = [(GaussInt.scaled(c, den),
                 tuple(_over(x, unit) for w in f for x in (w.re, w.im)))
                for c, f in normalized]
-        return ExpPoly(num_vars, True, (), unit, den)._merged(raw)
+        return ExpPoly(num_vars, EXACT, (), unit, den)._merged(raw)
 
     @staticmethod
-    def zero(num_vars: int, exact_mode: bool = True) -> "ExpPoly":
-        return ExpPoly(num_vars, exact_mode)
+    def zero(num_vars: int, field: Field) -> "ExpPoly":
+        return ExpPoly(num_vars, field)
 
     def _with(self, data: tuple, num_vars: int | None = None,
               den: int | None = None) -> "ExpPoly":
         return ExpPoly(self.num_vars if num_vars is None else num_vars,
-                       self.exact, data, self.unit,
+                       self.field, data, self.unit,
                        self.den if den is None else den)
 
     def _merged(self, raw_terms) -> "ExpPoly":
@@ -180,7 +180,7 @@ class ExpPoly:
         for coeff, freq in raw_terms:
             prev = acc.get(freq)
             acc[freq] = coeff if prev is None else prev + coeff
-        if self.exact:
+        if self.field is EXACT:
             return self._with(tuple((c, f) for f, c in acc.items() if c))
         acc = _consolidate_float(acc)
         items = sorted(((c, f) for f, c in acc.items() if c),
@@ -194,12 +194,12 @@ class ExpPoly:
             return self
         fu, fd = unit // self.unit, den // self.den
         data = tuple((c * fd, tuple(x * fu for x in f)) for c, f in self.data)
-        return ExpPoly(self.num_vars, True, data, unit, den)
+        return ExpPoly(self.num_vars, EXACT, data, unit, den)
 
     def _aligned(self, other: "ExpPoly", same_den: bool) -> tuple:
         """Both exact sums over a common frequency unit and, if asked,
         a common coefficient denominator."""
-        if not self.exact:
+        if self.field is FLOAT:
             return self, other
         unit = math.lcm(self.unit, other.unit)
         a = self._recast(unit, math.lcm(self.den, other.den) if same_den
@@ -213,7 +213,7 @@ class ExpPoly:
         """(coeff, freq) pairs sorted by frequency.  Exact sums present
         ExactComplex coefficients and frequencies, converted on first
         access; the length is available without converting."""
-        if not self.exact:
+        if self.field is FLOAT:
             return self.data
         return _RationalTerms(self)
 
@@ -234,7 +234,7 @@ class ExpPoly:
 
         Int true division rounds correctly, so these are the floats of
         the rational values."""
-        if not self.exact:
+        if self.field is FLOAT:
             return [(complex(c), tuple(complex(w) for w in f))
                     for c, f in self.data]
         D, Q = self.unit, self.den
@@ -268,11 +268,11 @@ class ExpPoly:
         return self._with(tuple((-c, f) for c, f in self.data))
 
     def scale(self, factor) -> "ExpPoly":
-        factor = as_scalar(factor, self.exact)
-        if scalar_is_zero(factor):
-            return ExpPoly.zero(self.num_vars, self.exact)
+        factor = self.field.coerce(factor)
+        if self.field.is_zero(factor):
+            return ExpPoly.zero(self.num_vars, self.field)
         den = self.den
-        if self.exact:
+        if self.field is EXACT:
             den *= factor.denominator
             factor = GaussInt.scaled(factor, factor.denominator)
         return self._with(tuple((c * factor, f) for c, f in self.data), den=den)
@@ -287,7 +287,7 @@ class ExpPoly:
         weight must be a homogeneous polynomial of total degree
         ``degree`` in z and the constants (numbers of dimension
         1/length, like the coupling); exact sums evaluate it on Gaussian
-        integers in units of 1/unit, float sums on complex numbers.
+        integers in units of 1/unit, FLOAT sums on complex numbers.
         """
         return self._map_coeffs(
             lambda c, z, *k: c * weight(z, *k), degree, constants)
@@ -295,11 +295,10 @@ class ExpPoly:
     def _map_coeffs(self, fn: Callable, degree: int, constants=()) -> "ExpPoly":
         """Replace each coefficient c by fn(c, z, *constants), z_n = i*freq_n,
         fn homogeneous of the given degree in z and the constants."""
-        if not self.exact:
-            ks = [as_scalar(k, False) for k in constants]
+        ks = [self.field.coerce(k) for k in constants]
+        if self.field is FLOAT:
             return self._merged([(fn(c, [1j * w for w in f], *ks), f)
                                  for c, f in self.data])
-        ks = [as_scalar(k, True) for k in constants]
         unit = math.lcm(self.unit, *(k.denominator for k in ks))
         poly = self._recast(unit, self.den)
         ks = [GaussInt.scaled(k, unit) for k in ks]
@@ -320,7 +319,7 @@ class ExpPoly:
 
     def conj(self) -> "ExpPoly":
         """Complex conjugate; e^{i w x} maps to e^{-i conj(w) x}."""
-        if self.exact:
+        if self.field is EXACT:
             return self._with(tuple(
                 (c.conjugate(), tuple(x if m & 1 else -x for m, x in enumerate(f)))
                 for c, f in self.data))
@@ -328,7 +327,7 @@ class ExpPoly:
                                 for c, f in self.data))
 
     def _check_compatible(self, other: "ExpPoly"):
-        if self.num_vars != other.num_vars or self.exact != other.exact:
+        if self.num_vars != other.num_vars or self.field is not other.field:
             raise ValueError("incompatible plane-wave sums")
 
     # -- calculus -------------------------------------------------------
@@ -353,7 +352,7 @@ class ExpPoly:
         """
         if i == j or not (1 <= i <= self.num_vars) or not (1 <= j <= self.num_vars):
             raise ValueError("bad variable indices")
-        width = 2 if self.exact else 1
+        width = 2 if self.field is EXACT else 1
         ii, jj = (i - 1) * width, (j - 1) * width
         out = []
         for coeff, freq in self.data:
@@ -373,12 +372,12 @@ class ExpPoly:
 
     # -- predicates and evaluation ---------------------------------------
     def is_empty(self, abs_tol: float = 0.0) -> bool:
-        if self.exact:
+        if self.field is EXACT:
             return not self.data
         return self.max_coeff() <= abs_tol
 
     def max_coeff(self) -> float:
-        if self.exact:
+        if self.field is EXACT:
             Q = self.den
             return max((abs(complex(c.re / Q, c.im / Q)) for c, _ in self.data),
                        default=0.0)
@@ -402,21 +401,21 @@ class ExpPoly:
         return vals
 
     def to_float(self) -> "ExpPoly":
-        if not self.exact:
+        if self.field is FLOAT:
             return self
-        return ExpPoly.from_terms(self.num_vars, self._complex_terms(),
-                                  exact_mode=False)
+        return ExpPoly.from_terms(self.num_vars, self._complex_terms(), FLOAT)
 
     # -- serialization ----------------------------------------------------
     def to_json_dict(self) -> dict:
         return {"n": self.num_vars,
-                "terms": [{"re": _num_json(_re(c, self.exact)),
-                           "im": _num_json(_im(c, self.exact)),
-                           "freq": [_freq_json(w, self.exact) for w in f]}
+                "terms": [{"re": _num_json(c.real), "im": _num_json(c.imag),
+                           "freq": [_freq_json(w) for w in f]}
                           for c, f in self.terms]}
 
     @staticmethod
-    def from_json_dict(doc: dict, exact_mode: bool | None = None) -> "ExpPoly":
+    def from_json_dict(doc: dict, field: Field | None = None) -> "ExpPoly":
+        """The sum a JSON document describes, in the given field; by
+        default EXACT when the document holds any rational number."""
         terms = []
         saw_rational = False
         for t in doc["terms"]:
@@ -430,17 +429,18 @@ class ExpPoly:
                 rationals.append(r)
             saw_rational = saw_rational or any(rationals)
             terms.append((re, im, tuple(freq)))
-        if exact_mode is None:
-            exact_mode = saw_rational
+        if field is None:
+            field = EXACT if saw_rational else FLOAT
         built = []
         for re, im, freq in terms:
-            coeff = exact(re, im) if exact_mode else complex(float(re), float(im))
+            coeff = ExactComplex(re, im) if field is EXACT \
+                else complex(float(re), float(im))
             built.append((coeff, freq))
-        return ExpPoly.from_terms(doc["n"], built, exact_mode)
+        return ExpPoly.from_terms(doc["n"], built, field)
 
     def __repr__(self):
-        mode = "exact" if self.exact else "float"
-        return f"ExpPoly(n={self.num_vars}, terms={len(self.data)}, {mode})"
+        return (f"ExpPoly(n={self.num_vars}, terms={len(self.data)}, "
+                f"{self.field.name})")
 
 
 class _RationalTerms(SequenceABC):
@@ -525,29 +525,16 @@ def _consolidate_float(acc: dict) -> dict:
     return {entries[rep][0]: 0 + total for rep, total in sums.items()}
 
 
-def _re(c, exact_mode):
-    return c.re if exact_mode else complex(c).real
-
-
-def _im(c, exact_mode):
-    return c.im if exact_mode else complex(c).imag
-
-
 def _num_json(v):
     if isinstance(v, Fraction):
         return {"num": v.numerator, "den": v.denominator}
     return float(v)
 
 
-def _freq_json(w, exact_mode):
-    if exact_mode:
-        if w.im == 0:
-            return _num_json(w.re)
-        return {"re": _num_json(w.re), "im": _num_json(w.im)}
-    wc = complex(w)
-    if wc.imag == 0.0:
-        return wc.real
-    return {"re": wc.real, "im": wc.imag}
+def _freq_json(w):
+    if w.imag == 0:
+        return _num_json(w.real)
+    return {"re": _num_json(w.real), "im": _num_json(w.imag)}
 
 
 def _num_parse(v):
@@ -563,7 +550,7 @@ def _freq_parse(w):
         re, r1 = _num_parse(w["re"])
         im, r2 = _num_parse(w["im"])
         if r1 or r2:
-            return exact(re, im), True
+            return ExactComplex(re, im), True
         return complex(re, im), False
     return w, False
 
@@ -587,10 +574,6 @@ class Coupling:
         if self.c <= 0:
             raise ValueError("coupling must be positive (repulsive regime only)")
 
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.c, (int, Fraction))
-
 
 @dataclass(frozen=True)
 class RapiditySet:
@@ -599,12 +582,12 @@ class RapiditySet:
     values: tuple
 
     @staticmethod
-    def of(values: Sequence, exact_mode: bool | None = None) -> "RapiditySet":
+    def of(values: Sequence, field: Field | None = None) -> "RapiditySet":
+        """Sorted rapidities as reals of the given field, by default the
+        field of the values."""
         vals = list(values)
-        if exact_mode is None:
-            exact_mode = all(isinstance(v, (int, Fraction)) for v in vals)
-        vals = [Fraction(v) if exact_mode else float(v) for v in vals]
-        vals.sort()
+        field = field or Field.of(*vals)
+        vals = sorted(field.real(v) for v in vals)
         if any(a == b for a, b in zip(vals, vals[1:])):
             raise DegenerateRapidities(f"coincident rapidities in {vals}")
         return RapiditySet(tuple(vals))
@@ -613,8 +596,8 @@ class RapiditySet:
         return len(self.values)
 
     @property
-    def exact(self) -> bool:
-        return all(isinstance(v, (int, Fraction)) for v in self.values)
+    def field(self) -> Field:
+        return Field.of(*self.values)
 
 
 @dataclass(frozen=True)
@@ -631,7 +614,7 @@ class BetheWavefunction:
 
     @property
     def exact(self) -> bool:
-        return self.canonical.exact
+        return self.canonical.field is EXACT
 
     def evaluate(self, point: Sequence[float]) -> complex:
         """Symmetric extension: sort the point, evaluate the canonical
@@ -658,7 +641,7 @@ class BetheWavefunction:
         # variable v of the extension carries the canonical frequency of
         # its rank in the ordering
         poly = self.canonical
-        width = 2 if poly.exact else 1
+        width = 2 if poly.field is EXACT else 1
         out = [(c, tuple(x for v in range(n)
                          for x in f[rank[v] * width:(rank[v] + 1) * width]))
                for c, f in poly.data]
@@ -683,7 +666,7 @@ def build_bethe(rapidities: RapiditySet, coupling: Coupling,
         raise SizeLimit(f"N={n} exceeds the configured maximum {max_particles}")
     lam = list(rapidities.values)
     c = coupling.c
-    if not (rapidities.exact and coupling.exact):
+    if Field.of(*lam, c) is FLOAT:
         minus_ic = complex(0.0, -float(c))
         terms = []
         for perm in itertools.permutations(range(n)):
@@ -693,7 +676,7 @@ def build_bethe(rapidities: RapiditySet, coupling: Coupling,
                     # sgn(x_j - x_k) = +1 on the fundamental region for j > k
                     coeff = coeff * (complex(lam[perm[j]] - lam[perm[k]]) + minus_ic)
             terms.append((coeff, tuple(lam[perm[m]] for m in range(n))))
-        poly = ExpPoly.from_terms(n, terms, exact_mode=False)
+        poly = ExpPoly.from_terms(n, terms, FLOAT)
         return BetheWavefunction(rapidities, coupling, poly)
     # lengths in units of D: rapidities k and coupling c become the
     # integers D*k and D*c, each pair factor the Gaussian integer
@@ -711,7 +694,7 @@ def build_bethe(rapidities: RapiditySet, coupling: Coupling,
                 re, im = re * a + im * cd, im * a - re * cd
         terms.append((GaussInt(re, im),
                       tuple(x for m in range(n) for x in (ks[perm[m]], 0))))
-    poly = ExpPoly(n, True, (), unit, unit ** (n * (n - 1) // 2))._merged(terms)
+    poly = ExpPoly(n, EXACT, (), unit, unit ** (n * (n - 1) // 2))._merged(terms)
     return BetheWavefunction(rapidities, coupling, poly)
 
 
@@ -731,11 +714,10 @@ def symmetrized_plane_wave(rapidities: RapiditySet) -> ExpPoly:
     charges; used as the negative control in boundary-condition tests.
     """
     n = len(rapidities)
-    exact_mode = rapidities.exact
     lam = list(rapidities.values)
-    terms = [(as_scalar(1, exact_mode), tuple(lam[p] for p in perm))
+    terms = [(1, tuple(lam[p] for p in perm))
              for perm in itertools.permutations(range(n))]
-    return ExpPoly.from_terms(n, terms, exact_mode)
+    return ExpPoly.from_terms(n, terms, rapidities.field)
 
 
 def dumps(obj) -> str:

@@ -24,7 +24,7 @@ from .bethe import (BoxSpec, QUANTUM_NUMBER_CONVENTION, QuantumNumbers,
 from .config import RunConfig
 from .errors import (ConvergenceDomain, CutoffTooSmall, DegenerateRapidities,
                      DomainError, PoleAtRapidity, RMatrixPole, SizeLimit)
-from .exact import exact
+from .exact import EXACT, FLOAT, Field, exact
 from .laurent import LaurentSeries
 from .planewaves import (BetheWavefunction, Coupling, ExpPoly, RapiditySet,
                          build_bethe, symmetrized_plane_wave)
@@ -43,19 +43,15 @@ def _suite_rng(cfg: RunConfig, name: str) -> random.Random:
 
 
 def sample_rapidities(rng: random.Random, n: int,
-                      exact_mode: bool = True) -> RapiditySet:
+                      field: Field = EXACT) -> RapiditySet:
     values: set = set()
     while len(values) < n:
         values.add(Fraction(rng.randint(-18, 18), rng.randint(1, 6)))
-    vals = sorted(values)
-    if exact_mode:
-        return RapiditySet.of(vals)
-    return RapiditySet.of([float(v) for v in vals], exact_mode=False)
+    return RapiditySet.of(values, field)
 
 
-def sample_coupling(rng: random.Random, exact_mode: bool = True) -> Coupling:
-    c = Fraction(rng.randint(1, 12), rng.randint(1, 4))
-    return Coupling(c if exact_mode else float(c))
+def sample_coupling(rng: random.Random, field: Field = EXACT) -> Coupling:
+    return Coupling(field.real(Fraction(rng.randint(1, 12), rng.randint(1, 4))))
 
 
 def _state_scale(w: BetheWavefunction) -> float:
@@ -67,17 +63,17 @@ def _state_scale(w: BetheWavefunction) -> float:
             * (1.0 + abs(float(w.coupling.c))))
 
 
-def _residual_entry(poly_or_value, exact_mode: bool, scale: float = 1.0):
-    """(representation, ok) for an is-zero check in the active mode."""
-    if isinstance(poly_or_value, ExpPoly):
-        value = poly_or_value.max_coeff()
-    else:
-        value = float(poly_or_value)
-    if exact_mode:
-        empty = value == 0.0
-        return ("exact-zero" if empty else value), empty
-    rel = value / max(scale, 1.0)
-    return rel, rel <= FLOAT_TOL
+def _zero_check(field: Field, residuals) -> tuple:
+    """(residual, tolerance, ok) of a check that plane-wave sums vanish,
+    given as (sum, scale) pairs: under EXACT every sum must be empty,
+    under FLOAT its largest coefficient over max(scale, 1) must be
+    within FLOAT_TOL."""
+    if field is EXACT:
+        values = [poly.max_coeff() for poly, _ in residuals]
+        ok = all(v == 0.0 for v in values)
+        return ("exact-zero" if ok else max(values)), None, ok
+    values = [poly.max_coeff() / max(scale, 1.0) for poly, scale in residuals]
+    return max([0.0, *values]), FLOAT_TOL, all(v <= FLOAT_TOL for v in values)
 
 
 def _record(report: VerificationReport, check_id: str, group: str, anchor: str,
@@ -109,35 +105,29 @@ def _expect_raise(exc_type, fn):
 
 def run_waves_suite(cfg: RunConfig) -> list:
     rng = _suite_rng(cfg, "waves")
-    exact_mode = cfg.mode == "exact"
+    field = EXACT if cfg.mode == "exact" else FLOAT
     report = VerificationReport(cfg.mode, cfg.seed)
     group = "wavefunction-algebra"
 
     for n in range(2, 6):
         def continuity(n=n):
-            worst = 0.0
-            ok = True
-            for _ in range(3):
-                w = build_bethe(sample_rapidities(rng, n, exact_mode),
-                                sample_coupling(rng, exact_mode))
-                scale = _state_scale(w)
-                for j in range(1, n):
-                    perm = list(range(n))
-                    perm[j - 1], perm[j] = perm[j], perm[j - 1]
-                    diff = (w.canonical.restrict_to_boundary(j)
-                            - w.region_form(perm).restrict_to_boundary(j))
-                    rep, good = _residual_entry(diff, exact_mode, scale)
-                    ok = ok and good
-                    if isinstance(rep, float):
-                        worst = max(worst, rep)
-            residual = "exact-zero" if (exact_mode and ok) else worst
-            return residual, None if exact_mode else FLOAT_TOL, ok, ""
+            def residuals():
+                for _ in range(3):
+                    w = build_bethe(sample_rapidities(rng, n, field),
+                                    sample_coupling(rng, field))
+                    scale = _state_scale(w)
+                    for j in range(1, n):
+                        perm = list(range(n))
+                        perm[j - 1], perm[j] = perm[j], perm[j - 1]
+                        yield (w.canonical.restrict_to_boundary(j)
+                               - w.region_form(perm).restrict_to_boundary(j)), scale
+            return *_zero_check(field, residuals()), ""
         _record(report, f"waves.continuity.n{n}", group,
                 "symmetric-extension-continuity", {"n": n}, continuity)
 
     def permutation_invariance():
-        w = build_bethe(sample_rapidities(rng, 3, False),
-                        sample_coupling(rng, False))
+        w = build_bethe(sample_rapidities(rng, 3, FLOAT),
+                        sample_coupling(rng, FLOAT))
         worst = 0.0
         for _ in range(20):
             pt = [rng.uniform(-2, 2) for _ in range(3)]
@@ -150,8 +140,7 @@ def run_waves_suite(cfg: RunConfig) -> list:
             "symmetric-extension-invariance", {"n": 3}, permutation_invariance)
 
     def derivative_algebra():
-        w = build_bethe(sample_rapidities(rng, 3, True),
-                        sample_coupling(rng, True))
+        w = build_bethe(sample_rapidities(rng, 3), sample_coupling(rng))
         p = w.canonical
         mixed = p.differentiate((1, 0, 0)).differentiate((0, 1, 0))
         swapped = p.differentiate((0, 1, 0)).differentiate((1, 0, 0))
@@ -163,20 +152,18 @@ def run_waves_suite(cfg: RunConfig) -> list:
             "derivative-commutation-linearity", {"n": 3}, derivative_algebra)
 
     def term_count():
-        w = build_bethe(sample_rapidities(rng, 4, exact_mode),
-                        sample_coupling(rng, exact_mode))
+        w = build_bethe(sample_rapidities(rng, 4, field),
+                        sample_coupling(rng, field))
         ok = w.canonical.term_count() <= math.factorial(4)
         return float(w.canonical.term_count()), float(math.factorial(4)), ok, ""
     _record(report, "waves.term-count", group, "term-count-bound",
             {"n": 4}, term_count)
 
     def roundtrip():
-        w = build_bethe(sample_rapidities(rng, 3, exact_mode),
-                        sample_coupling(rng, exact_mode))
-        doc = w.canonical.to_json_dict()
-        back = ExpPoly.from_json_dict(doc, exact_mode=exact_mode)
-        rep, ok = _residual_entry(back - w.canonical, exact_mode)
-        return rep, None if exact_mode else FLOAT_TOL, ok, ""
+        w = build_bethe(sample_rapidities(rng, 3, field),
+                        sample_coupling(rng, field))
+        back = ExpPoly.from_json_dict(w.canonical.to_json_dict(), field)
+        return *_zero_check(field, [(back - w.canonical, 1.0)]), ""
     _record(report, "waves.serialization-roundtrip", group,
             "json-document-roundtrip", {"n": 3}, roundtrip)
 
@@ -195,44 +182,34 @@ def run_waves_suite(cfg: RunConfig) -> list:
 
 def run_charges_suite(cfg: RunConfig) -> list:
     rng = _suite_rng(cfg, "charges")
-    exact_mode = cfg.mode == "exact"
+    field = EXACT if cfg.mode == "exact" else FLOAT
     report = VerificationReport(cfg.mode, cfg.seed)
     group = "conserved-charges"
 
     for n in range(1, 5):
         def identities(n=n):
-            worst = 0.0
-            ok = True
-            for _ in range(20):
-                w = build_bethe(sample_rapidities(rng, n, exact_mode),
-                                sample_coupling(rng, exact_mode))
-                scale = _state_scale(w)
-                for name, spec in ch.CHARGES.items():
-                    if n < spec.min_particles():
-                        continue
-                    rep, good = _residual_entry(
-                        ch.interior_eigen_residual(name, w), exact_mode, scale)
-                    ok = ok and good
-                    if isinstance(rep, float):
-                        worst = max(worst, rep)
-                for res in ch.all_boundary_residuals(w).values():
-                    rep, good = _residual_entry(res, exact_mode, scale)
-                    ok = ok and good
-                    if isinstance(rep, float):
-                        worst = max(worst, rep)
-            residual = "exact-zero" if (exact_mode and ok) else worst
-            return residual, None if exact_mode else FLOAT_TOL, ok, \
+            def residuals():
+                for _ in range(20):
+                    w = build_bethe(sample_rapidities(rng, n, field),
+                                    sample_coupling(rng, field))
+                    scale = _state_scale(w)
+                    for name, spec in ch.CHARGES.items():
+                        if n >= spec.min_particles():
+                            yield ch.interior_eigen_residual(name, w), scale
+                    for res in ch.all_boundary_residuals(w).values():
+                        yield res, scale
+            return *_zero_check(field, residuals()), \
                 "interior + boundary identities, 20 sampled states"
         _record(report, f"charges.identities.n{n}", group,
                 "eigen-and-boundary-identities", {"n": n, "samples": 20},
                 identities)
 
     def negative_control():
-        raps = sample_rapidities(rng, 3, True)
+        raps = sample_rapidities(rng, 3)
         ctrl = symmetrized_plane_wave(raps)
         res = ch.boundary_residual_h2_generic(ctrl, Fraction(1), 1)
         res3 = ch.boundary_residual_j3_generic(
-            ExpPoly.from_terms(3, [(1, tuple(raps.values))], True), Fraction(1), 1)
+            ExpPoly.from_terms(3, [(1, tuple(raps.values))], EXACT), Fraction(1), 1)
         ok = (not res.is_empty()) and (not res3.is_empty())
         return None, None, ok, "generic symmetric functions violate the brackets"
     _record(report, "charges.negative-control", group,
@@ -242,7 +219,7 @@ def run_charges_suite(cfg: RunConfig) -> list:
         ok = True
         for _ in range(100):
             n = rng.randint(1, 6)
-            rep = ch.composition_identity_check(sample_rapidities(rng, n, True))
+            rep = ch.composition_identity_check(sample_rapidities(rng, n))
             ok = ok and rep["ok"]
         return "exact-zero" if ok else 1.0, None, ok, \
             "ladder compositions and Newton identities, 100 samples"
@@ -547,9 +524,9 @@ def _skewed_numbers(n: int) -> QuantumNumbers:
 def _direct_scalar_log(k: Fraction, c: Fraction, order: int) -> LaurentSeries:
     """log(1 - ic/(lam-k)) by accumulating powers of the off-unit part."""
     base = tr.asymptotic_product_series([k], c)
-    u = base - LaurentSeries.one(order, True)
-    total = LaurentSeries.from_coeffs([0] * (order + 1), True)
-    power = LaurentSeries.one(order, True)
+    u = base - LaurentSeries.one(order, EXACT)
+    total = LaurentSeries.from_coeffs([0] * (order + 1), EXACT)
+    power = LaurentSeries.one(order, EXACT)
     for m in range(1, order + 1):
         power = power * u
         total = total + power.scale(Fraction((-1) ** (m + 1), m))
@@ -689,7 +666,6 @@ def run_lattice_suite(cfg: RunConfig) -> list:
 
 def run_aop_suite(cfg: RunConfig) -> list:
     rng = _suite_rng(cfg, "aop")
-    exact_mode = cfg.mode == "exact"
     report = VerificationReport(cfg.mode, cfg.seed)
     group = "integral-operator"
     lam = aop.SpectralParameter(exact(Fraction(1, 3), Fraction(-2)))
@@ -699,8 +675,8 @@ def run_aop_suite(cfg: RunConfig) -> list:
             worst = 0.0
             ok = True
             for _ in range(3):
-                w = build_bethe(sample_rapidities(rng, n, True),
-                                sample_coupling(rng, True))
+                w = build_bethe(sample_rapidities(rng, n),
+                                sample_coupling(rng))
                 _, residual = aop.eigenvalue_check(lam, w)
                 worst = max(worst, residual)
                 ok = ok and residual == 0.0
@@ -712,8 +688,8 @@ def run_aop_suite(cfg: RunConfig) -> list:
         worst = 0.0
         lamc = 0.4 - 1.5j
         for n, pt in ((1, [0.3]), (2, [0.2, 0.9])):
-            w = build_bethe(sample_rapidities(rng, n, False),
-                            sample_coupling(rng, False))
+            w = build_bethe(sample_rapidities(rng, n, FLOAT),
+                            sample_coupling(rng, FLOAT))
             ana = complex(aop.apply_A(
                 aop.SpectralParameter(lamc), aop.SectorFunction.from_bethe(w),
                 float(w.coupling.c)).canonical.evaluate(np.array(pt)))
@@ -726,8 +702,8 @@ def run_aop_suite(cfg: RunConfig) -> list:
     def boundary_value_problem():
         ok = True
         for n in (1, 2, 3):
-            w = build_bethe(sample_rapidities(rng, n, True),
-                            sample_coupling(rng, True))
+            w = build_bethe(sample_rapidities(rng, n),
+                            sample_coupling(rng))
             f = aop.SectorFunction.from_bethe(w)
             g = aop.apply_A(lam, f, w.coupling.c)
             pde, boundary = aop.bvp_residual(lam, f, g, w.coupling.c)
@@ -740,9 +716,9 @@ def run_aop_suite(cfg: RunConfig) -> list:
     def bracket_preservation():
         ok = True
         for _ in range(10):
-            wa = build_bethe(sample_rapidities(rng, 2, True),
-                             sample_coupling(rng, True))
-            wb = build_bethe(sample_rapidities(rng, 2, True), wa.coupling)
+            wa = build_bethe(sample_rapidities(rng, 2),
+                             sample_coupling(rng))
+            wb = build_bethe(sample_rapidities(rng, 2), wa.coupling)
             combo = wa.canonical + wb.canonical.scale(
                 exact(rng.randint(-3, 3), rng.randint(1, 3)))
             before = aop.pair_bracket_residual(combo, wa.coupling.c)
@@ -757,9 +733,9 @@ def run_aop_suite(cfg: RunConfig) -> list:
             bracket_preservation)
 
     def bracket_equality_generic():
-        raps = sample_rapidities(rng, 2, True)
+        raps = sample_rapidities(rng, 2)
         f_poly = ExpPoly.from_terms(
-            2, [(1, tuple(raps.values)), (1, tuple(reversed(raps.values)))], True)
+            2, [(1, tuple(raps.values)), (1, tuple(reversed(raps.values)))], EXACT)
         f = aop.SectorFunction.from_poly(f_poly)
         c = Fraction(5, 4)
         g = aop.apply_A(lam, f, c)
@@ -773,9 +749,9 @@ def run_aop_suite(cfg: RunConfig) -> list:
             bracket_equality_generic)
 
     def linearity_and_identity():
-        wa = build_bethe(sample_rapidities(rng, 2, True),
-                         sample_coupling(rng, True))
-        wb = build_bethe(sample_rapidities(rng, 2, True), wa.coupling)
+        wa = build_bethe(sample_rapidities(rng, 2),
+                         sample_coupling(rng))
+        wb = build_bethe(sample_rapidities(rng, 2), wa.coupling)
         scale = exact(3, Fraction(1, 2))
         combo = wa.canonical + wb.canonical.scale(scale)
         c = wa.coupling.c
@@ -790,15 +766,15 @@ def run_aop_suite(cfg: RunConfig) -> list:
             "operator-linearity", {}, linearity_and_identity)
 
     def eigenvalue_structure():
-        w = build_bethe(sample_rapidities(rng, 2, True),
-                        sample_coupling(rng, True))
+        w = build_bethe(sample_rapidities(rng, 2),
+                        sample_coupling(rng))
         lam2 = aop.SpectralParameter(exact(Fraction(-3, 4), Fraction(-3)))
-        e1 = aop.bethe_eigenvalue(lam, w.rapidities.values, w.coupling.c, True)
-        e2 = aop.bethe_eigenvalue(lam2, w.rapidities.values, w.coupling.c, True)
+        e1 = aop.bethe_eigenvalue(lam, w.rapidities.values, w.coupling.c, EXACT)
+        e2 = aop.bethe_eigenvalue(lam2, w.rapidities.values, w.coupling.c, EXACT)
         commute = (e1 * e2 - e2 * e1).is_zero()
         big = aop.bethe_eigenvalue(
             aop.SpectralParameter(complex(0, -1e6)),
-            [float(v) for v in w.rapidities.values], float(w.coupling.c), False)
+            [float(v) for v in w.rapidities.values], float(w.coupling.c), FLOAT)
         far = abs(big - 1.0) <= 3.0 * float(w.coupling.c) * w.n / 1e6
         ok = commute and far
         return None, None, ok, "eigenvalues commute and tend to 1 at deep lam"

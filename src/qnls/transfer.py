@@ -24,13 +24,12 @@ evaluated and reported; it breaks already at order 2.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .errors import PoleAtRapidity
-from .exact import as_scalar, exact
+from .exact import Field
 from .laurent import LaurentSeries
 
 DEFAULT_ORDER = 6
@@ -71,43 +70,36 @@ def theta(lam: complex, rapidities: Sequence[float], c: float, L: float) -> comp
 
 def asymptotic_product_series(rapidities: Sequence, c,
                               order: int = DEFAULT_ORDER,
-                              exact_mode: bool | None = None) -> LaurentSeries:
-    """Exact expansion of prod_j (1 - ic/(lam - k_j)) to the given order.
+                              field: Field | None = None) -> LaurentSeries:
+    """Expansion of prod_j (1 - ic/(lam - k_j)) to the given order, in
+    the field of the rapidities and the coupling unless one is given.
 
     Per factor, -ic/(lam - k) = -ic sum_m k^m lam^{-m-1}; the factors are
     multiplied as truncated series.  This is the ground-truth oracle for
     the commuting-constant eigenvalues.
     """
-    if exact_mode is None:
-        exact_mode = all(isinstance(k, (int, Fraction)) for k in rapidities) and \
-            isinstance(c, (int, Fraction))
-    minus_ic = exact(0, -c) if exact_mode else complex(0.0, -float(c))
-    series = LaurentSeries.one(order, exact_mode)
+    field = field or Field.of(*rapidities, c)
+    minus_ic = -field.i * field.coerce(c)
+    series = LaurentSeries.one(order, field)
     for k in rapidities:
-        kv = as_scalar(k, exact_mode)
-        coeffs = [as_scalar(1, exact_mode)]
-        power = as_scalar(1, exact_mode)
+        kv = field.coerce(k)
+        coeffs = [field.one]
+        power = field.one
         for _ in range(order):
             coeffs.append(minus_ic * power)
             power = power * kv
-        series = series * LaurentSeries.from_coeffs(coeffs, exact_mode)
+        series = series * LaurentSeries.from_coeffs(coeffs, field)
     return series
 
 
-def power_sums(rapidities: Sequence, up_to: int, exact_mode: bool):
-    out = {0: as_scalar(len(rapidities), exact_mode)}
+def power_sums(rapidities: Sequence, up_to: int, field: Field):
+    out = {0: field.coerce(len(rapidities))}
     for m in range(1, up_to + 1):
-        total = as_scalar(0, exact_mode)
+        total = field.zero
         for k in rapidities:
-            total = total + as_scalar(k, exact_mode) ** m
+            total = total + field.coerce(k) ** m
         out[m] = total
     return out
-
-
-def _frac(num, den, exact_mode):
-    if exact_mode:
-        return as_scalar(Fraction(num, den), True)
-    return num / den
 
 
 # ----------------------------------------------------------------------
@@ -116,74 +108,72 @@ def _frac(num, den, exact_mode):
 # coefficients of e^{-i lam L/2} theta(lam) or of its logarithm.
 # ----------------------------------------------------------------------
 
-def printed_charge_constants(n: int, p: dict, c, exact_mode: bool,
+def printed_charge_constants(n: int, p: dict, c, field: Field,
                              h1_mode: str = "i_p1") -> list:
-    i = exact(0, 1) if exact_mode else 1j
-    c = as_scalar(c, exact_mode)
-    N = as_scalar(n, exact_mode)
-    one = as_scalar(1, exact_mode)
+    i, one, frac = field.i, field.one, field.frac
+    c = field.coerce(c)
+    N = field.coerce(n)
     h1 = i * p[1] if h1_mode == "i_p1" else p[1]
     h2 = p[2]
     h3 = (i ** 3) * p[3]
-    half = _frac(1, 2, exact_mode)
-    sixth = _frac(1, 6, exact_mode)
-    tw4 = _frac(1, 24, exact_mode)
+    half = frac(1, 2)
+    sixth = frac(1, 6)
+    tw4 = frac(1, 24)
     a0 = -i * c * N
     a1 = -c * h1 - c * c * half * N * (N - one)
     a2 = (-i * c * h2 + i * c * c * (N - one) * h1
           - i * c * c * sixth * N * (N - one) * (N - 2 * one))
     a3 = (c * h3 - c * c * half * h1 * h1
-          + c * c * (_frac(3, 2, exact_mode) - N) * h2
+          + c * c * (frac(3, 2) - N) * h2
           + c ** 3 * half * (N - one) * (N - 2 * one) * h1
           + c ** 4 * tw4 * N * (N - one) * (N - 2 * one) * (N - 3 * one))
     return [a0, a1, a2, a3]
 
 
-def printed_eigenvalue_expansion(n: int, p: dict, c, exact_mode: bool) -> list:
-    i = exact(0, 1) if exact_mode else 1j
-    c = as_scalar(c, exact_mode)
-    N = as_scalar(n, exact_mode)
-    one = as_scalar(1, exact_mode)
-    half = _frac(1, 2, exact_mode)
+def printed_eigenvalue_expansion(n: int, p: dict, c, field: Field) -> list:
+    i, one, frac = field.i, field.one, field.frac
+    c = field.coerce(c)
+    N = field.coerce(n)
+    half = frac(1, 2)
     m1 = -i * c * N
     m2 = -i * c * (p[1] + i * c * half * N * (N - one))
     m3 = -i * c * (p[2] + i * c * (N - one) * p[1]
-                   - c * c * _frac(1, 6, exact_mode) * N * (N - one) * (N - 2 * one))
+                   - c * c * frac(1, 6) * N * (N - one) * (N - 2 * one))
     m4 = -i * c * (p[3]
-                   - i * c * (N - _frac(3, 2, exact_mode)) * p[2]
+                   - i * c * (N - frac(3, 2)) * p[2]
                    - i * c * half * p[1] * p[1]
                    - c * c * half * (N - one) * (N - 2 * one) * p[1]
-                   + i * c ** 3 * _frac(1, 24, exact_mode)
+                   + i * c ** 3 * frac(1, 24)
                    * N * (N - one) * (N - 2 * one) * (N - 3 * one))
     return [m1, m2, m3, m4]
 
 
-def printed_log_eigenvalue_expansion(n: int, p: dict, c, exact_mode: bool) -> list:
-    i = exact(0, 1) if exact_mode else 1j
-    c = as_scalar(c, exact_mode)
-    N = as_scalar(n, exact_mode)
+def printed_log_eigenvalue_expansion(n: int, p: dict, c, field: Field) -> list:
+    i, frac = field.i, field.frac
+    c = field.coerce(c)
+    N = field.coerce(n)
     m1 = -i * c * N
-    m2 = -i * c * (p[1] + i * c * _frac(1, 2, exact_mode) * N)
-    m3 = -i * c * (p[2] + i * c * p[1] - c * c * _frac(1, 3, exact_mode) * N)
-    m4 = -i * c * (p[3] + i * c * _frac(3, 2, exact_mode) * p[2]
-                   - c * c * p[1] - i * c ** 3 * _frac(1, 4, exact_mode) * N)
+    m2 = -i * c * (p[1] + i * c * frac(1, 2) * N)
+    m3 = -i * c * (p[2] + i * c * p[1] - c * c * frac(1, 3) * N)
+    m4 = -i * c * (p[3] + i * c * frac(3, 2) * p[2]
+                   - c * c * p[1] - i * c ** 3 * frac(1, 4) * N)
     return [m1, m2, m3, m4]
 
 
-def printed_log_operator_expansion(n: int, p: dict, c, exact_mode: bool,
+def printed_log_operator_expansion(n: int, p: dict, c, field: Field,
                                    h1_mode: str = "i_p1") -> list:
-    i = exact(0, 1) if exact_mode else 1j
-    c = as_scalar(c, exact_mode)
-    N = as_scalar(n, exact_mode)
+    i, frac = field.i, field.frac
+    c = field.coerce(c)
+    N = field.coerce(n)
     h1 = i * p[1] if h1_mode == "i_p1" else p[1]
     h2 = p[2]
     h3 = (i ** 3) * p[3]
     m1 = -i * c * N
-    m2 = -c * (h1 - c * _frac(1, 2, exact_mode) * N)
-    m3 = -i * c * (h2 + c * h1 - c * c * _frac(1, 3, exact_mode) * N)
+    m2 = -c * (h1 - c * frac(1, 2) * N)
+    m3 = -i * c * (h2 + c * h1 - c * c * frac(1, 3) * N)
     # the quadratic-coupling slot repeats H2 where the oracle wants H1
-    m4 = c * (h3 + c * _frac(3, 2, exact_mode) * h2 + c * c * h2
-              - c ** 3 * _frac(1, 4, exact_mode) * N)
+    m4 = c * (h3 + c * frac(3, 2) * h2 + c * c * h2
+              - c ** 3 * frac(1, 4) * N)
     return [m1, m2, m3, m4]
 
 
@@ -222,39 +212,30 @@ class ChargeCoefficientSet:
         return any(v.verdict == "fail" for v in self.verdicts)
 
 
-def _values_equal(a, b, exact_mode: bool, tol: float = 1e-10) -> bool:
-    if exact_mode:
-        return a == b
-    av, bv = complex(a), complex(b)
-    scale = max(abs(av), abs(bv), 1.0)
-    return abs(av - bv) <= tol * scale
-
-
 def charge_coefficients_from_formulas(rapidities: Sequence, c,
                                       order: int = DEFAULT_ORDER,
-                                      exact_mode: bool | None = None
+                                      field: Field | None = None
                                       ) -> ChargeCoefficientSet:
-    """Evaluate every printed table and compare with the product oracle.
+    """Evaluate every printed table and compare with the product oracle,
+    in the field of the rapidities and the coupling unless one is given.
 
     Matches become ``pass``; mismatches at the documented (source, order)
     slots become ``expected-mismatch``; any other disagreement is a
     ``fail`` (and would indicate a transcription or oracle bug).
     """
-    if exact_mode is None:
-        exact_mode = all(isinstance(k, (int, Fraction)) for k in rapidities) and \
-            isinstance(c, (int, Fraction))
+    field = field or Field.of(*rapidities, c)
     n = len(rapidities)
-    series = asymptotic_product_series(rapidities, c, order, exact_mode)
+    series = asymptotic_product_series(rapidities, c, order, field)
     log_series = series.log()
-    p = power_sums(rapidities, 3, exact_mode)
+    p = power_sums(rapidities, 3, field)
 
     printed = {
-        "charge_constants": printed_charge_constants(n, p, c, exact_mode),
-        "eigenvalue_expansion": printed_eigenvalue_expansion(n, p, c, exact_mode),
+        "charge_constants": printed_charge_constants(n, p, c, field),
+        "eigenvalue_expansion": printed_eigenvalue_expansion(n, p, c, field),
         "log_eigenvalue_expansion":
-            printed_log_eigenvalue_expansion(n, p, c, exact_mode),
+            printed_log_eigenvalue_expansion(n, p, c, field),
         "log_operator_expansion":
-            printed_log_operator_expansion(n, p, c, exact_mode),
+            printed_log_operator_expansion(n, p, c, field),
     }
     oracle_for = {
         "charge_constants": series,
@@ -267,7 +248,7 @@ def charge_coefficients_from_formulas(rapidities: Sequence, c,
     for source in SOURCES:
         for m, value in enumerate(printed[source], start=1):
             oracle_val = oracle_for[source].coefficient(m)
-            match = _values_equal(value, oracle_val, exact_mode)
+            match = field.equal(value, oracle_val)
             if match:
                 verdict = "pass"
             elif (source, m) in EXPECTED_MISMATCHES:
@@ -280,12 +261,12 @@ def charge_coefficients_from_formulas(rapidities: Sequence, c,
     alt = []
     for source, table in (
             ("charge_constants",
-             printed_charge_constants(n, p, c, exact_mode, h1_mode="p1")),
+             printed_charge_constants(n, p, c, field, h1_mode="p1")),
             ("log_operator_expansion",
-             printed_log_operator_expansion(n, p, c, exact_mode, h1_mode="p1"))):
+             printed_log_operator_expansion(n, p, c, field, h1_mode="p1"))):
         for m, value in enumerate(table, start=1):
             oracle_val = oracle_for[source].coefficient(m)
-            match = _values_equal(value, oracle_val, exact_mode)
+            match = field.equal(value, oracle_val)
             alt.append(CoefficientVerdict(
                 source, m, complex(value), complex(oracle_val), match,
                 "pass" if match else "mismatch"))
@@ -297,20 +278,6 @@ def charge_coefficients_from_formulas(rapidities: Sequence, c,
         verdicts=tuple(verdicts),
         h1_alternative=tuple(alt),
     )
-
-
-def log_series_check(rapidities: Sequence, c, order: int = DEFAULT_ORDER,
-                     exact_mode: bool | None = None) -> dict:
-    """Per-coefficient comparison of log(product oracle) against the two
-    printed logarithmic tables."""
-    full = charge_coefficients_from_formulas(rapidities, c, order, exact_mode)
-    rows = [v for v in full.verdicts
-            if v.source in ("log_eigenvalue_expansion", "log_operator_expansion")]
-    return {
-        "oracle_log": full.oracle_log,
-        "rows": rows,
-        "ok": all(v.verdict != "fail" for v in rows),
-    }
 
 
 def remainder_bound_check(rapidities: Sequence[float], c: float, L: float,
@@ -327,7 +294,7 @@ def remainder_bound_check(rapidities: Sequence[float], c: float, L: float,
     order.
     """
     ks = [float(k) for k in rapidities]
-    series = asymptotic_product_series(ks, float(c), order, exact_mode=False)
+    series = asymptotic_product_series(ks, float(c), order)
 
     def err(t: float) -> float:
         lam = -1j * t

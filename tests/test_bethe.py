@@ -72,6 +72,21 @@ class TestSolve:
         with pytest.raises(mod.SolverDiverged):
             solve(BoxSpec(BOX_L, 1.0, 2), ground_state_quantum_numbers(2))
 
+    def test_no_descent_raises_in_first_step(self, monkeypatch):
+        """When no halving of the Newton step lowers the residual, the
+        solver raises at once instead of taking the worse step."""
+        import qnls.bethe as mod
+        calls = []
+
+        def flat_residual(k, box, I):
+            calls.append(k.copy())
+            return np.ones_like(k)
+
+        monkeypatch.setattr(mod, "_log_residual", flat_residual)
+        with pytest.raises(mod.SolverDiverged, match="Newton step 1:"):
+            solve(BoxSpec(BOX_L, 1.0, 2), ground_state_quantum_numbers(2))
+        assert len(calls) == 1 + mod.MAX_HALVINGS + 1
+
 
 class TestCovariances:
     def test_shift_covariance(self):

@@ -10,7 +10,7 @@ from qnls import charges as ch
 from qnls.errors import DomainError
 from qnls.bethe import (BoxSpec, QuantumNumbers, ground_state_quantum_numbers,
                         solve)
-from qnls.exact import exact
+from qnls.exact import EXACT, exact
 from qnls.planewaves import (Coupling, ExpPoly, RapiditySet, build_bethe,
                              symmetrized_plane_wave)
 
@@ -117,7 +117,7 @@ class TestBoundaryConditions:
         assert ch.boundary_residual_j3(w, 2).is_empty()
 
     def test_triple_bracket_negative_control(self):
-        single = ExpPoly.from_terms(3, [(1, (F(1), F(2), F(3)))], True)
+        single = ExpPoly.from_terms(3, [(1, (F(1), F(2), F(3)))], EXACT)
         assert not ch.boundary_residual_j3_generic(single, F(1), 1).is_empty()
 
     def test_quadruple_bracket(self):

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 from qnls import charges as ch
-from qnls.exact import ExactComplex, exact
+from qnls.exact import EXACT, ExactComplex, exact
 from qnls.planewaves import (Coupling, ExpPoly, RapiditySet, build_bethe,
                              symmetrized_plane_wave)
 
@@ -97,7 +97,7 @@ def sums(draw, n_min=1, n_max=3):
     ref: dict = {}
     for coeff, freq in terms:
         ref[freq] = ref.get(freq, exact(0)) + coeff
-    return ExpPoly.from_terms(n, terms, True), _cleaned(ref)
+    return ExpPoly.from_terms(n, terms, EXACT), _cleaned(ref)
 
 
 def weights(n):
@@ -207,7 +207,7 @@ class TestAgainstReference:
     def test_terms_are_rational_and_sorted(self):
         p = ExpPoly.from_terms(2, [(exact(1, F(1, 3)), (F(5, 2), F(-1, 3))),
                                    (F(2, 7), (F(-1, 2), exact(0, 1))),
-                                   (3, (F(-1, 2), F(1, 6)))], True)
+                                   (3, (F(-1, 2), F(1, 6)))], EXACT)
         assert [f for _, f in p.terms] == [
             (exact(F(-1, 2)), exact(0, 1)),
             (exact(F(-1, 2)), exact(F(1, 6))),

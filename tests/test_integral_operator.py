@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from qnls import integral_operator as aop
 from qnls.errors import ConvergenceDomain
-from qnls.exact import exact
+from qnls.exact import EXACT, FLOAT, exact
 from qnls.planewaves import Coupling, ExpPoly, RapiditySet, build_bethe
 
 LAM = aop.SpectralParameter(exact(F(1, 3), F(-2)))
@@ -39,7 +39,7 @@ class TestDomain:
             aop.apply_A(LAM, aop.SectorFunction.from_bethe(w), F(1))
 
     def test_vacuum_untouched(self):
-        f = aop.SectorFunction.from_poly(ExpPoly.from_terms(0, [(1, ())], True))
+        f = aop.SectorFunction.from_poly(ExpPoly.from_terms(0, [(1, ())], EXACT))
         g = aop.apply_A(LAM, f, F(2))
         assert (g.canonical - f.canonical).is_empty()
 
@@ -59,7 +59,7 @@ class TestDiagonality:
         w = build_bethe(raps, Coupling(F(3, 2)))
         measured, residual = aop.eigenvalue_check(LAM, w)
         assert residual == 0.0
-        expected = aop.bethe_eigenvalue(LAM, raps.values, F(3, 2), True)
+        expected = aop.bethe_eigenvalue(LAM, raps.values, F(3, 2), EXACT)
         assert measured == pytest.approx(complex(expected), rel=1e-12)
 
     @given(st.integers(1, 3), st.data())
@@ -73,24 +73,24 @@ class TestDiagonality:
 
     def test_free_limit_eigenvalue_is_one(self):
         big = aop.bethe_eigenvalue(
-            aop.SpectralParameter(0.5 - 1e7j), [0.3, 1.1], 1e-9, False)
+            aop.SpectralParameter(0.5 - 1e7j), [0.3, 1.1], 1e-9, FLOAT)
         assert big == pytest.approx(1.0, abs=1e-8)
 
     def test_deep_parameter_eigenvalue_near_one(self):
         val = aop.bethe_eigenvalue(
-            aop.SpectralParameter(-1e6j), [0.3, 1.1], 2.0, False)
+            aop.SpectralParameter(-1e6j), [0.3, 1.1], 2.0, FLOAT)
         assert abs(val - 1.0) <= 3.0 * 2.0 * 2 / 1e6
 
     def test_eigenvalue_depends_on_set_not_order(self):
-        a = aop.bethe_eigenvalue(LAM, [F(1), F(2)], F(1), True)
-        b = aop.bethe_eigenvalue(LAM, [F(2), F(1)], F(1), True)
+        a = aop.bethe_eigenvalue(LAM, [F(1), F(2)], F(1), EXACT)
+        b = aop.bethe_eigenvalue(LAM, [F(2), F(1)], F(1), EXACT)
         assert a == b
 
 
 class TestConstantInput:
     def test_matches_closed_form(self):
         f = aop.SectorFunction.from_poly(
-            ExpPoly.from_terms(2, [(1, (F(0), F(0)))], True))
+            ExpPoly.from_terms(2, [(1, (F(0), F(0)))], EXACT))
         c = F(1)
         g = aop.apply_A(LAM, f, c)
         lam = complex(LAM.value)
@@ -143,7 +143,7 @@ class TestBoundaryValueProblem:
     def test_bracket_equality_for_non_eigen_input(self):
         # symmetric, continuous, kinked at the diagonal, nonzero bracket
         f_poly = ExpPoly.from_terms(2, [(1, (F(1), F(3))),
-                                        (1, (F(3), F(1)))], True)
+                                        (1, (F(3), F(1)))], EXACT)
         c = F(5, 4)
         assert aop.pair_bracket_residual(f_poly, c) > 0
         f = aop.SectorFunction.from_poly(f_poly)
@@ -191,7 +191,7 @@ class TestExpansion:
 
     def test_constant_input_reduction(self):
         f = aop.SectorFunction.from_poly(
-            ExpPoly.from_terms(2, [(1.0, (0.0, 0.0))], False))
+            ExpPoly.from_terms(2, [(1.0, (0.0, 0.0))], FLOAT))
         c, lam, x, y = 1.0, -8j, 0.2, 0.9
         got = aop.expansion_partial_sum(f, c, lam, x, y, 2)
         il = 1j * lam
@@ -201,7 +201,7 @@ class TestExpansion:
 
     def test_zero_coupling_terminates(self):
         f = aop.SectorFunction.from_poly(
-            ExpPoly.from_terms(2, [(1.0, (0.4, 1.3))], False))
+            ExpPoly.from_terms(2, [(1.0, (0.4, 1.3))], FLOAT))
         val = complex(f.canonical.evaluate(np.array([0.1, 0.8])))
         for m in range(4):
             assert aop.expansion_partial_sum(f, 0.0, -5j, 0.1, 0.8, m) \

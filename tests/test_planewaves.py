@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnls.errors import DegenerateRapidities, SizeLimit
-from qnls.exact import ExactComplex, exact
+from qnls.exact import EXACT, FLOAT, ExactComplex, exact
 from qnls.planewaves import (FLOAT_MERGE_RTOL, Coupling, ExpPoly, RapiditySet,
                              build_bethe, dumps, symmetrized_plane_wave)
 
@@ -93,15 +93,15 @@ class TestEvaluate:
 
 class TestDifferentiate:
     def test_first_derivative(self):
-        p = ExpPoly.from_terms(1, [(1, (F(3),))], True)
+        p = ExpPoly.from_terms(1, [(1, (F(3),))], EXACT)
         assert p.differentiate((1,)).terms == ((exact(0, 3), (exact(3),)),)
 
     def test_second_derivative(self):
-        p = ExpPoly.from_terms(1, [(1, (F(3),))], True)
+        p = ExpPoly.from_terms(1, [(1, (F(3),))], EXACT)
         assert p.differentiate((2,)).terms == ((exact(-9), (exact(3),)),)
 
     def test_mixed_derivative(self):
-        p = ExpPoly.from_terms(2, [(exact(2, 1), (F(2), F(5)))], True)
+        p = ExpPoly.from_terms(2, [(exact(2, 1), (F(2), F(5)))], EXACT)
         out = p.differentiate((1, 1))
         assert out.terms == ((exact(2, 1) * exact(-10), (exact(2), exact(5))),)
 
@@ -123,11 +123,11 @@ class TestDifferentiate:
 
 class TestRestriction:
     def test_merge_frequencies(self):
-        p = ExpPoly.from_terms(2, [(1, (F(1), F(2)))], True)
+        p = ExpPoly.from_terms(2, [(1, (F(1), F(2)))], EXACT)
         assert p.restrict_to_boundary(1).terms == ((exact(1), (exact(3),)),)
 
     def test_exact_cancellation(self):
-        p = ExpPoly.from_terms(2, [(1, (F(1), F(2))), (-1, (F(2), F(1)))], True)
+        p = ExpPoly.from_terms(2, [(1, (F(1), F(2))), (-1, (F(2), F(1)))], EXACT)
         assert p.restrict_to_boundary(1).is_empty()
 
     def test_two_particle_continuity(self):
@@ -173,13 +173,12 @@ class TestSerialization:
         w = build_bethe(RapiditySet.of([F(1, 3), F(2), F(7, 2)]), Coupling(F(5, 4)))
         doc = w.canonical.to_json_dict()
         back = ExpPoly.from_json_dict(doc)
-        assert back.exact
+        assert back.field is EXACT
         assert (back - w.canonical).is_empty()
 
     def test_roundtrip_float(self):
         w = build_bethe(RapiditySet.of([0.25, 1.5]), Coupling(0.5))
-        back = ExpPoly.from_json_dict(w.canonical.to_json_dict(),
-                                      exact_mode=False)
+        back = ExpPoly.from_json_dict(w.canonical.to_json_dict(), FLOAT)
         assert (back - w.canonical).is_empty(1e-14)
 
     def test_wavefunction_document(self):
@@ -192,11 +191,11 @@ class TestSerialization:
 class TestFloatMerge:
     def test_non_neighbouring_duplicates_cancel(self):
         p = ExpPoly.from_terms(2, [(1, (1, 3)), (5, (1, 5)),
-                                   (-1, (1 + 2.2e-16, 3))], False)
+                                   (-1, (1 + 2.2e-16, 3))], FLOAT)
         assert p.terms == ((5 + 0j, (1 + 0j, 5 + 0j)),)
 
     def test_distinct_frequencies_kept(self):
-        p = ExpPoly.from_terms(1, [(1, (1.0,)), (1, (1.0 + 1e-9,))], False)
+        p = ExpPoly.from_terms(1, [(1, (1.0,)), (1, (1.0 + 1e-9,))], FLOAT)
         assert p.term_count() == 2
 
     @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
@@ -216,9 +215,9 @@ class TestFloatMerge:
         shuffled = terms[:]
         rnd.shuffle(shuffled)
         ref = ExpPoly.from_terms(2, [(c, (complex(a), complex(b)))
-                                     for a, b, c in raw], False)
+                                     for a, b, c in raw], FLOAT)
         for variant in (terms, shuffled):
-            got = ExpPoly.from_terms(2, variant, False)
+            got = ExpPoly.from_terms(2, variant, FLOAT)
             assert got.term_count() == ref.term_count()
             for c_ref, f_ref in ref.terms:
                 near = [c for c, f in got.terms

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qnls import transfer as tr
 from qnls.bethe import BoxSpec, ground_state_quantum_numbers, solve
 from qnls.errors import PoleAtRapidity
-from qnls.exact import exact
+from qnls.exact import EXACT, exact
 from qnls.laurent import LaurentSeries
 
 BOX_L = 2.0 * math.pi
@@ -85,9 +85,9 @@ class TestProductOracle:
     def test_scalar_log_expansion(self):
         k, c, order = F(2, 3), F(5, 4), 6
         base = tr.asymptotic_product_series([k], c, order)
-        total = LaurentSeries.from_coeffs([0] * (order + 1), True)
-        power = LaurentSeries.one(order, True)
-        u = base - LaurentSeries.one(order, True)
+        total = LaurentSeries.from_coeffs([0] * (order + 1), EXACT)
+        power = LaurentSeries.one(order, EXACT)
+        u = base - LaurentSeries.one(order, EXACT)
         for m in range(1, order + 1):
             power = power * u
             total = total + power.scale(F((-1) ** (m + 1), m))
@@ -154,16 +154,25 @@ class TestAdjudication:
 
 
 class TestLogSeriesCheck:
+    """The log rows of the adjudication: log(product oracle) against the
+    two printed logarithmic tables."""
+
+    @staticmethod
+    def log_rows(full):
+        return [v for v in full.verdicts if v.source in
+                ("log_eigenvalue_expansion", "log_operator_expansion")]
+
     def test_report_structure(self):
-        rep = tr.log_series_check([F(1), F(2), F(3)], F(3, 2))
-        assert rep["ok"]
-        sources = {v.source for v in rep["rows"]}
+        full = tr.charge_coefficients_from_formulas([F(1), F(2), F(3)], F(3, 2))
+        rows = self.log_rows(full)
+        assert all(v.verdict != "fail" for v in rows)
+        sources = {v.source for v in rows}
         assert sources == {"log_eigenvalue_expansion", "log_operator_expansion"}
-        assert complex(rep["oracle_log"][0]) == pytest.approx(-1j * 1.5 * 3)
+        assert complex(full.oracle_log[0]) == pytest.approx(-1j * 1.5 * 3)
 
     def test_operator_form_flagged_at_order_four(self):
-        rep = tr.log_series_check([F(1), F(2), F(3)], F(3, 2))
-        verdicts = {(v.source, v.order): v.verdict for v in rep["rows"]}
+        full = tr.charge_coefficients_from_formulas([F(1), F(2), F(3)], F(3, 2))
+        verdicts = {(v.source, v.order): v.verdict for v in self.log_rows(full)}
         assert verdicts[("log_operator_expansion", 4)] == "expected-mismatch"
         assert verdicts[("log_eigenvalue_expansion", 4)] == "pass"
 
