@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, linalg
 
 from .errors import DomainError, QuadratureError
 from .planewaves import BetheWavefunction, ExpPoly, RapiditySet
@@ -481,73 +481,59 @@ def one_over_eps_remainders(scan: Sequence[tuple[float, float]],
 # Pair-delta overlaps (sector action of the pair-contact operator)
 # ----------------------------------------------------------------------
 
-def integrate_box_1d(poly: ExpPoly, L: float) -> complex:
-    """Integral of a one-variable plane-wave sum over [0, L]."""
-    if poly.num_vars != 1:
-        raise ValueError("one-variable sum expected")
-    total = 0.0 + 0.0j
-    for coeff, (freq,) in poly.terms:
-        wv = complex(freq)
-        cv = complex(coeff)
-        z = 1j * wv * L
-        if abs(z) < 1e-8:
-            total += cv * L * (1.0 + z / 2.0 + z * z / 6.0)
-        else:
-            total += cv * (np.exp(z) - 1.0) / (1j * wv)
-    return total
+def integrate_ordered_box(poly: ExpPoly, L: float) -> complex:
+    """Integral of a plane-wave sum over 0 < x_1 < ... < x_n < L, in
+    closed form for any n.
+
+    In the gaps u_0 = L - x_n, u_1 = x_n - x_{n-1}, ..., u_n = x_1 the
+    term c exp(i w.x) is c exp(sum_j B_j u_j) on the simplex sum u = L,
+    with B_0 = 0 and B_j = i (w_n + ... + w_{n-j+1}).  That integral is
+    the divided difference of exp(L z) at B_0..B_n (Hermite-Genocchi),
+    which is entry (0, n) of expm(L Z) for Z upper bidiagonal with
+    diagonal B and unit superdiagonal (Opitz; McCurdy, Ng and Parlett,
+    Math. Comp. 43 (1984)).  One batched expm covers every term, and zero
+    or coincident B need no special case.
+    """
+    if not poly.data:
+        return 0j
+    freqs, coeffs = poly.complex_arrays
+    n = poly.num_vars
+    diag = np.arange(n + 1)
+    Z = np.zeros((len(coeffs), n + 1, n + 1), dtype=complex)
+    Z[:, diag[1:], diag[1:]] = 1j * L * np.cumsum(freqs[:, ::-1], axis=1)
+    Z[:, diag[:-1], diag[1:]] = L
+    return complex(coeffs @ linalg.expm(Z)[:, 0, n])
 
 
 def pair_delta_overlap(f: BetheWavefunction, g: BetheWavefunction,
                        L: float) -> complex:
     """<f| sum_{j<k} delta(x_j - x_k) |g> over the box [0, L]^N.
 
-    The delta layers are evaluated by exact restriction to the diagonal;
-    the remaining coordinates are integrated (closed form for N=2,
-    panel quadrature for N=3).  Nonzero off-diagonal elements between
-    distinct Bethe states are what expels the naively ordered quartic
-    expansion coefficient from the commuting family.
+    By exchange symmetry every pair gives the delta(x_1 - x_2) term; with
+    the remaining N - 1 coordinates ordered, the coincident pair sits at
+    boundary p = 1..N-1 of the ordered region in (N - 2)! of the
+    orderings, where both states restrict to x_{p+1} = x_p exactly.  The
+    restricted products are integrated in closed form.  Nonzero
+    off-diagonal elements between distinct Bethe states are what expels
+    the naively ordered quartic expansion coefficient from the commuting
+    family.
     """
     if f.n != g.n:
         raise ValueError("states must live in the same particle sector")
-    if f.n == 2:
-        df = f.canonical.restrict_to_boundary(1).to_float()
-        dg = g.canonical.restrict_to_boundary(1).to_float()
-        return integrate_box_1d(df.conj().mul(dg), L)
-    if f.n == 3:
-        # three equal pair contributions by exchange symmetry
-        order = 64
-        xs, wx = _gauss_nodes(0.0, L, order)
-        total = 0.0 + 0.0j
-        for x, wgt in zip(xs, wx):
-            for a, b in ((0.0, x), (x, L)):
-                if b - a <= 0:
-                    continue
-                ts, wt = _gauss_nodes(a, b, order // 2)
-                pts = np.column_stack(
-                    [np.full_like(ts, x), np.full_like(ts, x), ts])
-                vals = np.conj(f.evaluate_many(pts)) * g.evaluate_many(pts)
-                total += wgt * np.sum(wt * vals)
-        return 3.0 * complex(total)
-    raise ValueError("pair-delta overlap supports N in {2, 3}")
+    total = 0j
+    for p in range(1, f.n):
+        df = f.canonical.restrict_to_boundary(p).to_float()
+        dg = g.canonical.restrict_to_boundary(p).to_float()
+        total += integrate_ordered_box(df.conj().mul(dg), L)
+    # C(N, 2) pairs times (N - 2)! orderings; total is 0 for N < 2
+    return math.factorial(f.n) // 2 * total
 
 
 def norm_sq(f: BetheWavefunction, L: float) -> float:
-    """Squared box norm of the (unnormalized) wavefunction."""
-    if f.n == 2:
-        h = _diag_profile(f)
-        u, wu = _gauss_nodes(0.0, L, 256)
-        return float(2.0 * np.sum(wu * (L - u) * h(u)))
-    if f.n == 3:
-        def fn(u, v):
-            pts = np.column_stack([np.zeros_like(u), u, v])
-            q = np.abs(f.evaluate_many(pts)) ** 2
-            measure = np.maximum(
-                L - np.maximum(np.maximum(0.0, u), v)
-                + np.minimum(np.minimum(0.0, u), v), 0.0)
-            return measure * q
-
-        return _integrate_square_sectors(fn, L, 96)
-    raise ValueError("norm supported for N in {2, 3}")
+    """Squared box norm of the (unnormalized) wavefunction: N! times the
+    closed-form integral of |chi|^2 over the ordered region."""
+    chi = f.canonical.to_float()
+    return math.factorial(f.n) * integrate_ordered_box(chi.conj().mul(chi), L).real
 
 
 def normalized_pair_delta_overlap(f: BetheWavefunction, g: BetheWavefunction,

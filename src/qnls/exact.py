@@ -7,8 +7,8 @@ is the scalar callers see; plane-wave sums store their exact
 coefficients as Gaussian integers over a shared denominator (see
 ``planewaves``) and convert at their interface.  ``FLOAT`` mirrors every
 computation on complex floats; floating point is otherwise reserved for
-quadrature, Newton iteration and eigenvalue work, where tolerances are
-meaningful.
+box integrals, quadrature, Newton iteration and eigenvalue work, where
+tolerances are meaningful.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ class ExactComplex:
         return ExactComplex.coerce(other) - self
 
     def __mul__(self, other):
+        if type(other) is int:
+            return ExactComplex(self.re * other, self.im * other)
         o = ExactComplex.coerce(other)
         return ExactComplex(self.re * o.re - self.im * o.im,
                             self.re * o.im + self.im * o.re)

@@ -244,10 +244,10 @@ class ExpPoly:
                 for c, f in self._sorted_data()]
 
     @cached_property
-    def _eval_arrays(self) -> tuple:
+    def complex_arrays(self) -> tuple:
         """Read-only (terms x vars) complex frequency matrix and
-        coefficient vector of ``_complex_terms``, built once for
-        ``evaluate``."""
+        coefficient vector of ``_complex_terms``, built once and shared
+        by ``evaluate``, ``max_freq`` and the closed-form box integrals."""
         terms = self._complex_terms()
         freqs = np.array([f for _, f in terms], dtype=complex)
         coeffs = np.array([c for c, _ in terms], dtype=complex)
@@ -383,6 +383,11 @@ class ExpPoly:
                        default=0.0)
         return max((abs(complex(c)) for c, _ in self.data), default=0.0)
 
+    def max_freq(self) -> float:
+        """Largest modulus of a single frequency; 0.0 for the empty sum."""
+        freqs, _ = self.complex_arrays
+        return float(np.abs(freqs).max()) if freqs.size else 0.0
+
     def term_count(self) -> int:
         return len(self.data)
 
@@ -394,7 +399,7 @@ class ExpPoly:
         if not self.data:
             vals = np.zeros(pts.shape[0], dtype=complex)
         else:
-            freqs, coeffs = self._eval_arrays
+            freqs, coeffs = self.complex_arrays
             vals = np.exp(1j * pts @ freqs.T) @ coeffs
         if np.ndim(points) == 1:
             return vals[0]

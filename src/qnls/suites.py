@@ -57,9 +57,7 @@ def sample_coupling(rng: random.Random, field: Field = EXACT) -> Coupling:
 def _state_scale(w: BetheWavefunction) -> float:
     """Magnitude scale of degree-<=4 operator outputs on the state; float
     residuals are judged relative to it."""
-    wmax = max((abs(complex(f)) for _, freq in w.canonical.terms for f in freq),
-               default=1.0)
-    return (w.canonical.max_coeff() * (1.0 + wmax) ** 4
+    return (w.canonical.max_coeff() * (1.0 + w.canonical.max_freq()) ** 4
             * (1.0 + abs(float(w.coupling.c))))
 
 

@@ -3,14 +3,15 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnls import charges as ch
 from qnls.errors import DomainError
-from qnls.bethe import (BoxSpec, QuantumNumbers, ground_state_quantum_numbers,
-                        solve)
-from qnls.exact import EXACT, exact
+from qnls.bethe import (BoxSpec, QuantumNumbers, _log_jacobian,
+                        ground_state_quantum_numbers, solve)
+from qnls.exact import EXACT, FLOAT, exact
 from qnls.planewaves import (Coupling, ExpPoly, RapiditySet, build_bethe,
                              symmetrized_plane_wave)
 
@@ -25,6 +26,37 @@ def rational_rapidities(n):
 
 coupling_values = st.fractions(min_value=F(1, 4), max_value=4,
                                max_denominator=4).map(Coupling)
+
+
+def reference_pair_delta_overlap(f, g, L, order=64):
+    """<f| sum_{j<k} delta(x_j - x_k) |g> for N = 3 by panel quadrature:
+    three equal pair terms, each the integral of conj(f) g at
+    (x, x, t) over [0, L]^2, split at t = x."""
+    xs, wx = ch._gauss_nodes(0.0, L, order)
+    total = 0.0 + 0.0j
+    for x, wgt in zip(xs, wx):
+        for a, b in ((0.0, x), (x, L)):
+            ts, wt = ch._gauss_nodes(a, b, order // 2)
+            pts = np.column_stack([np.full_like(ts, x), np.full_like(ts, x), ts])
+            vals = np.conj(f.evaluate_many(pts)) * g.evaluate_many(pts)
+            total += wgt * np.sum(wt * vals)
+    return 3.0 * complex(total)
+
+
+def solved_state(quantum_numbers, c):
+    """Bethe state and rapidity array of the given quantum numbers in the
+    box of length BOX_L."""
+    box = BoxSpec(BOX_L, c, len(quantum_numbers))
+    sol = solve(box, QuantumNumbers.of(quantum_numbers))
+    k = np.array([float(v) for v in sol.rapidities.values])
+    return build_bethe(sol.rapidities, Coupling(c)), k, box
+
+
+def ground_and_excited(n):
+    """The ground state's quantum numbers and those with the top one
+    raised by one (a state of nonzero momentum)."""
+    ground = [F(2 * m - (n - 1), 2) for m in range(n)]
+    return [ground, ground[:-1] + [ground[-1] + 1]]
 
 
 class TestEigenvalues:
@@ -234,3 +266,93 @@ class TestPairDeltaOverlap:
         w = build_bethe(sol.rapidities, Coupling(1.0))
         val = ch.normalized_pair_delta_overlap(w, w, BOX_L)
         assert val.real > 0 and abs(val.imag) < 1e-7
+
+    def test_three_particle_off_diagonal_matches_panel_quadrature(self):
+        # equal total momentum, so the element is nonzero
+        wa, _, _ = solved_state([-1, 0, 1], 1.0)
+        wb, _, _ = solved_state([-2, 0, 2], 1.0)
+        ref = reference_pair_delta_overlap(wa, wb, BOX_L)
+        val = ch.pair_delta_overlap(wa, wb, BOX_L)
+        assert abs(ref) > 1e-3
+        assert abs(val - ref) <= 1e-10 * abs(ref)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_hermitian(self, n):
+        # both of total quantum number 1, so the element is complex and nonzero
+        excited = ground_and_excited(n)[1]
+        wider = [excited[0] - 1] + excited[1:-1] + [excited[-1] + 1]
+        wa, _, _ = solved_state(excited, 0.5)
+        wb, _, _ = solved_state(wider, 0.5)
+        ab = ch.pair_delta_overlap(wa, wb, BOX_L)
+        ba = ch.pair_delta_overlap(wb, wa, BOX_L)
+        assert abs(ab) > 1e-6
+        assert abs(ab - ba.conjugate()) <= 1e-12 * abs(ab)
+
+    def test_three_particle_momentum_selection_rule(self):
+        wa, _, _ = solved_state([-1, 0, 1], 1.0)
+        wb, _, _ = solved_state([-1, 0, 2], 1.0)
+        assert abs(ch.normalized_pair_delta_overlap(wa, wb, BOX_L)) < 1e-12
+
+    def test_single_particle_has_no_pairs(self):
+        w, _, _ = solved_state([0], 1.0)
+        assert ch.pair_delta_overlap(w, w, BOX_L) == 0
+
+
+class TestOrderedBoxIntegral:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+    def test_zero_frequencies_give_simplex_volume(self, n):
+        poly = ExpPoly.from_terms(n, [(1.0, (0.0,) * n)], FLOAT)
+        assert ch.integrate_ordered_box(poly, 1.7) == pytest.approx(
+            1.7 ** n / math.factorial(n), rel=1e-13)
+
+    @pytest.mark.parametrize("w", [0.3, -2.5, 1.0 + 0.5j])
+    def test_one_variable(self, w):
+        L = 1.3
+        poly = ExpPoly.from_terms(1, [(2.0 - 1.0j, (w,))], FLOAT)
+        expected = (2.0 - 1.0j) * (np.exp(1j * w * L) - 1.0) / (1j * w)
+        assert ch.integrate_ordered_box(poly, L) == pytest.approx(
+            expected, rel=1e-13)
+
+    def test_near_coincident_frequencies(self):
+        # w_2 = 0 and w_1 + w_2 + w_3 = 0 make B_1 = B_2 and B_3 = B_0
+        L = BOX_L
+        exact_hit = ExpPoly.from_terms(3, [(1.0, (0.8, 0.0, -0.8))], FLOAT)
+        near = ExpPoly.from_terms(3, [(1.0, (0.8, 1e-9, -0.8))], FLOAT)
+        a = ch.integrate_ordered_box(exact_hit, L)
+        b = ch.integrate_ordered_box(near, L)
+        assert abs(a) > 1e-3
+        assert abs(a - b) <= 1e-8 * abs(a)
+
+    def test_empty_sum(self):
+        assert ch.integrate_ordered_box(ExpPoly.zero(2, FLOAT), 2.0) == 0
+
+
+class TestAnalyticOracles:
+    @pytest.mark.parametrize("c", [0.5, 1.0])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_gaudin_korepin_norm(self, n, c):
+        """norm = N! prod_{j<k} ((k_j - k_k)^2 + c^2) det G, with G the
+        Jacobian of the log-form Bethe equations."""
+        for qn in ground_and_excited(n):
+            w, k, box = solved_state(qn, c)
+            pairs = np.prod([(k[j] - k[l]) ** 2 + c * c
+                             for j in range(n) for l in range(j + 1, n)])
+            expected = (math.factorial(n) * pairs
+                        * np.linalg.det(_log_jacobian(k, box)))
+            assert ch.norm_sq(w, BOX_L) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_hellmann_feynman_contact(self, n, c):
+        """<sum_{j<k} delta(x_j - x_k)> = (1/2) dE/dc with E = sum k^2;
+        dk/dc from implicit differentiation of the log-form equations
+        F(k, c) = 0: G dk/dc = -dF/dc."""
+        for qn in ground_and_excited(n):
+            w, k, box = solved_state(qn, c)
+            diff = k[:, None] - k[None, :]
+            dF_dc = -np.sum(2.0 * diff / (c * c + diff ** 2), axis=1)
+            dk_dc = np.linalg.solve(_log_jacobian(k, box), -dF_dc)
+            expected = float(k @ dk_dc)
+            val = ch.normalized_pair_delta_overlap(w, w, BOX_L)
+            assert val.real == pytest.approx(expected, rel=1e-10)
+            assert abs(val.imag) <= 1e-12 * abs(expected)

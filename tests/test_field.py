@@ -26,6 +26,9 @@ def test_exact_field_axioms(z, num, den):
     assert z - z == EXACT.zero and EXACT.is_zero(z - z)
     assert EXACT.coerce(z) is z
     assert EXACT.equal(z, z) and not EXACT.equal(z, z + EXACT.i)
+    # the int shortcut of * and / agrees with the general product
+    assert z * num == z * ExactComplex(num) and num * z == z * num
+    assert (z * den) / den == z
 
 
 @pytest.mark.parametrize("values, field", [

@@ -23,6 +23,9 @@ def rational_rapidities(n):
 coupling_values = st.fractions(min_value=F(1, 4), max_value=4,
                                max_denominator=4).map(Coupling)
 
+finite_complex = st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                    allow_infinity=False)
+
 
 class TestBuild:
     def test_single_particle_is_one_plane_wave(self):
@@ -77,12 +80,20 @@ class TestEvaluate:
         assert w.evaluate([pt[p] for p in perm]) == pytest.approx(ref, abs=1e-9)
 
 
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_max_freq_is_largest_rational_frequency(self, n, data):
+        w = build_bethe(data.draw(rational_rapidities(n)),
+                        data.draw(coupling_values))
+        assert w.canonical.max_freq() == max(
+            abs(complex(f)) for _, freq in w.canonical.terms for f in freq)
+
     def test_arrays_built_once_and_read_only(self, monkeypatch):
         poly = build_bethe(RapiditySet.of([F(1, 2), F(2), F(-1, 3)]),
                            Coupling(F(3, 2))).canonical
         pts = np.array([[0.1, 0.4, 0.9], [-0.3, 0.2, 1.1]])
         first = poly.evaluate(pts)
-        freqs, coeffs = poly._eval_arrays
+        freqs, coeffs = poly.complex_arrays
         assert not freqs.flags.writeable and not coeffs.flags.writeable
 
         def rebuilt(_self):
@@ -180,6 +191,16 @@ class TestSerialization:
         w = build_bethe(RapiditySet.of([0.25, 1.5]), Coupling(0.5))
         back = ExpPoly.from_json_dict(w.canonical.to_json_dict(), FLOAT)
         assert (back - w.canonical).is_empty(1e-14)
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.tuples(finite_complex, st.tuples(*[finite_complex] * n)),
+        min_size=1, max_size=8).map(lambda terms: (n, terms))))
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_float_random_sums(self, drawn):
+        n, terms = drawn
+        p = ExpPoly.from_terms(n, terms, FLOAT)
+        doc = json.loads(json.dumps(p.to_json_dict()))
+        assert ExpPoly.from_json_dict(doc, FLOAT).data == p.data
 
     def test_wavefunction_document(self):
         w = build_bethe(RapiditySet.of([F(1), F(2)]), Coupling(F(1)))
