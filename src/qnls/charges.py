@@ -21,8 +21,11 @@ verified here as exact cancellations of plane-wave sums:
 
 each evaluated in the one-sided limit x_{j+1} -> x_j from the ordered
 region.  The ill-defined "naive" fourth charge differs from H4 by a
-squared-delta term; its divergence is demonstrated numerically with
-Gaussian-regularized deltas in ``g4_defect_scan``.
+squared-delta term.  ``g4_defect_scan`` shows its 1/eps divergence with
+Gaussian-regularized deltas, in the relative coordinates of the ordered
+region: closed forms in the gaps the deltas leave free and one fixed
+Gauss rule in each pinned pair distance.  Box norms and pair-contact
+elements are closed-form ordered-box integrals (``integrate_ordered_box``).
 """
 
 from __future__ import annotations
@@ -34,12 +37,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate, linalg
+# integrate stays bound: perfbench/tracer.py patches charges.integrate
+from scipy import integrate, linalg  # noqa: F401
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError
 from .planewaves import BetheWavefunction, ExpPoly, RapiditySet
-
-QUAD_RTOL = 1e-8
 
 
 # ----------------------------------------------------------------------
@@ -270,168 +272,98 @@ def composition_identity_check(rapidities: RapiditySet) -> dict:
 # Regularized squared-delta defect (the ill-defined fourth charge)
 # ----------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=16)
-def _legendre(order: int) -> tuple:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
-    (each computation solves an eigenproblem); read-only."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+# Each pinned pair distance runs over one Gauss-Legendre rule of
+# DEFECT_ORDER nodes on [0, min(L, DEFECT_REACH * eps)]; past the reach
+# delta_eps has fallen below exp(-DEFECT_REACH**2) of its peak.  The rule
+# on [0, 1] is built on first use: importing charges solves no eigenproblem.
+DEFECT_ORDER = 48
+DEFECT_REACH = 7.0
 
 
-def _gauss_nodes(a: float, b: float, order: int):
-    x, w = _legendre(order)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+@functools.cache
+def _rule() -> tuple[np.ndarray, np.ndarray]:
+    x, wt = np.polynomial.legendre.leggauss(DEFECT_ORDER)
+    return 0.5 * (x + 1.0), 0.5 * wt
 
 
-def _diag_profile(w: BetheWavefunction):
-    """|chi(s, s+u)|^2 as a function of u only.
-
-    Every term of a Bethe sum carries the same total frequency p1, so
-    the modulus is invariant under the rigid shift s; the two-particle
-    density profile is one dimensional.
-    """
-    if w.n != 2:
-        raise ValueError("two-particle profile requested for N != 2")
-    coeffs = np.array([complex(c) for c, _ in w.canonical.terms])
-    freqs = np.array([complex(f[1]) for _, f in w.canonical.terms])
-
-    def h(u):
-        u = np.asarray(u, dtype=float)
-        vals = np.exp(1j * np.multiply.outer(u, freqs)) @ coeffs
-        return np.abs(vals) ** 2
-
-    return h
+def _phi(k: int, z) -> np.ndarray:
+    """phi_k(z) = sum_{m>=0} z^m / (m+k)!: (e^z - 1)/z for k = 1 and
+    (e^z - 1 - z)/z^2 for k = 2, so that int_0^M exp(z t/M) dt = M phi_1(z)
+    and int_0^M (M - t) exp(z t/M) dt = M^2 phi_2(z).  Summed as a Taylor
+    series where |z| < 1: z = 0 and tiny z lose nothing to cancellation."""
+    z = np.asarray(z, dtype=complex)
+    small = np.abs(z) < 1.0
+    zs, zb = np.where(small, z, 0.0), np.where(small, 1.0, z)
+    # 20 terms: the remainder is below 1/20! where |z| < 1
+    series = sum(zs ** m / math.factorial(m + k) for m in range(20))
+    return np.where(small, series, (np.expm1(zb) - (k - 1) * zb) / zb ** k)
 
 
-def _quad(fn, a: float, b: float, rtol: float = QUAD_RTOL) -> float:
-    val, err = integrate.quad(fn, a, b, epsabs=0.0, epsrel=rtol, limit=400)
-    if not np.isfinite(val):
-        raise QuadratureError(f"quadrature failed on [{a}, {b}]")
-    return val
-
-
-def _pair_delta_sq_expectation(w: BetheWavefunction, L: float, eps: float) -> float:
-    """<chi| delta_eps(x_1-x_2)^2 |chi> over the box, unnormalized.
+def _delta_expectations(w: BetheWavefunction, L: float,
+                        eps: float) -> tuple[float, float]:
+    """(<delta_eps(x_1-x_2)^2>, <delta_eps(x_1-x_2) delta_eps(x_2-x_3)>)
+    over the box [0, L]^N, unnormalized; the second is 0 for N = 2.
 
     delta_eps(u) = exp(-u^2/eps^2) / (eps sqrt(pi)); its square integrates
-    to 1/(eps sqrt(2 pi)), which drives the 1/eps divergence.
+    to 1/(eps sqrt(2 pi)), which drives the 1/eps divergence.  Terms a, b
+    of chi give conj(c_a) c_b exp(i Omega . y), Omega = w_b - conj(w_a).
+    Only a zero total frequency sum(Omega) lets the rigid shift y_1 drop
+    out; then in the gaps u = y_2 - y_1, v = y_3 - y_2 of the ordered
+    region |chi|^2 = sum C exp(alpha u + beta v), with alpha = i (Omega_2 +
+    Omega_3) and beta = i Omega_3, and the shift gives the measure
+    L - u - v.  By exchange symmetry the two expectations are
+
+        2 int (L-u-v) |chi|^2 [delta^2(u) + delta^2(v) + delta^2(u+v)],
+        2 int (L-u-v) |chi|^2 [delta(u) delta(v) + delta(u) delta(u+v)
+                               + delta(v) delta(u+v)].
+
+    A gap left free by the deltas is integrated in closed form (``_phi``);
+    each pinned pair distance runs over the fixed rule on [0, reach].  For
+    N = 3 the product delta(u) delta(v) pins both gaps, and the rule stays
+    clear of the kink u + v = L of the measure only while 2 reach <= L;
+    wider Gaussians are rejected.
     """
+    if not eps > 0:
+        raise DomainError(f"Gaussian width must be positive, got {eps}")
+    freqs, coeffs = w.canonical.complex_arrays
+    omega = (freqs[None, :, :] - freqs.conj()[:, None, :]).reshape(-1, w.n)
+    weight = (coeffs.conj()[:, None] * coeffs[None, :]).ravel()
+    drift = np.max(np.abs(omega.sum(axis=1)))
+    if drift > 1e-12 * w.n * (1.0 + np.max(np.abs(freqs))):
+        raise DomainError(f"|chi|^2 has terms of total frequency up to {drift:.3g}; "
+                          "it is not invariant under a rigid shift")
+    # gap exponents a_j = i (Omega_{j+1} + ... + Omega_N): alpha, then beta
+    gaps = 1j * np.cumsum(omega[:, :0:-1], axis=1)[:, ::-1]
+    nodes, weights = _rule()
+    reach = min(L, DEFECT_REACH * eps)
+    s = reach * nodes
+    delta = np.exp(-(s / eps) ** 2) / (eps * math.sqrt(math.pi))
+    d1 = reach * weights * delta            # rule weight times delta_eps
+    d2 = d1 * delta                         # rule weight times delta_eps^2
+    m = L - s
+    alpha = gaps[:, :1]
+    ea = np.exp(alpha * s)
     if w.n == 2:
-        h = _diag_profile(w)
-
-        def integrand(u):
-            return float((L - u) * h(u) * math.exp(-2.0 * u * u / (eps * eps)))
-
-        scale = 1.0 / (eps * eps * math.pi)
-        split = min(L, 30.0 * eps)
-        total = _quad(integrand, 0.0, split)
-        if split < L:
-            total += _quad(integrand, split, L)
-        return 2.0 * scale * total
-    if w.n == 3:
-        g_of_u = _pair_profile_three(w, L)
-
-        def integrand(u):
-            return float(g_of_u(u) * math.exp(-2.0 * u * u / (eps * eps)))
-
-        scale = 1.0 / (eps * eps * math.pi)
-        split = min(L, 30.0 * eps)
-        total = _quad(integrand, 0.0, split, rtol=1e-7)
-        if split < L:
-            total += _quad(integrand, split, L, rtol=1e-7)
-        return 2.0 * scale * total
-    raise ValueError("defect scan supports N in {2, 3}")
-
-
-def _pair_profile_three(w: BetheWavefunction, L: float, order: int = 48):
-    """G(u) = integral ds dx3 |chi(s, s+u, x3)|^2 for the N=3 box."""
-
-    def G(u):
-        u = float(u)
-        knots = sorted({-L, min(u - L, 0.0), 0.0, min(u, L), L})
-        total = 0.0
-        for a, b in zip(knots, knots[1:]):
-            if b - a <= 0:
-                continue
-            t, wt = _gauss_nodes(a, b, order)
-            measure = np.maximum(
-                L - np.maximum(np.maximum(0.0, u), t)
-                + np.minimum(np.minimum(0.0, u), t), 0.0)
-            pts = np.column_stack([np.zeros_like(t), np.full_like(t, u), t])
-            q = np.abs(w.evaluate_many(pts)) ** 2
-            total += float(np.sum(wt * measure * q))
-        return total
-
-    return G
-
-
-def _cross_delta_expectation(w: BetheWavefunction, L: float, eps: float,
-                             order: int = 48) -> float:
-    """<chi| delta_eps(x_1-x_2) delta_eps(x_2-x_3) |chi>, N = 3.
-
-    Reduced to offsets (u, v) = (x_1-x_2, x_3-x_2); the rigid-shift
-    measure is m(u,v) = L - max(0,u,v) + min(0,u,v).
-    """
-    W = min(L, 10.0 * eps)
-
-    def g1(x):
-        return np.exp(-x * x / (eps * eps)) / (eps * math.sqrt(math.pi))
-
-    def fn(u, v):
-        pts = np.column_stack([u, np.zeros_like(u), v])
-        q = np.abs(w.evaluate_many(pts)) ** 2
-        measure = np.maximum(
-            L - np.maximum(np.maximum(0.0, u), v)
-            + np.minimum(np.minimum(0.0, u), v), 0.0)
-        return g1(u) * g1(v) * measure * q
-
-    return _integrate_square_sectors(fn, W, order)
-
-
-def _integrate_square_sectors(fn, W: float, order: int) -> float:
-    """Integrate fn(u, v) over [-W, W]^2, splitting along u=0, v=0 and
-    u=v where symmetric-extension kinks live."""
-    x, wt = _legendre(order)
-    x01 = 0.5 * (x + 1.0)
-    w01 = 0.5 * wt
-    total = 0.0
-
-    # rectangles u<0<v and v<0<u
-    for flip in (False, True):
-        u = -W + W * x01
-        v = W * x01
-        uu, vv = np.meshgrid(u, v, indexing="ij")
-        ww = np.multiply.outer(W * w01, W * w01)
-        if flip:
-            uu, vv = vv.copy(), uu.copy()
-        total += float(np.sum(ww * fn(uu.ravel(), vv.ravel()).reshape(uu.shape)))
-
-    # triangles 0<v<u<W and 0<u<v<W via scaling v = u * eta
-    for flip in (False, True):
-        u = W * x01
-        eta = x01
-        uu, ee = np.meshgrid(u, eta, indexing="ij")
-        vv = uu * ee
-        jac = uu
-        ww = np.multiply.outer(W * w01, w01) * jac
-        a, b = (uu, vv) if not flip else (vv, uu)
-        total += float(np.sum(ww * fn(a.ravel(), b.ravel()).reshape(uu.shape)))
-
-    # triangles -W<u<v<0 and -W<v<u<0 via v = u * (1 - eta)
-    for flip in (False, True):
-        u = -W * x01
-        eta = x01
-        uu, ee = np.meshgrid(u, eta, indexing="ij")
-        vv = uu * (1.0 - ee)
-        jac = np.abs(uu)
-        ww = np.multiply.outer(W * w01, w01) * jac
-        a, b = (uu, vv) if not flip else (vv, uu)
-        total += float(np.sum(ww * fn(a.ravel(), b.ravel()).reshape(uu.shape)))
-
-    return total
+        return 2.0 * (weight @ (ea * m) @ d2).real, 0.0
+    if 2.0 * reach > L:
+        raise DomainError(f"width {eps} too wide for box {L}: the N = 3 "
+                          f"rule needs 2 * {DEFECT_REACH} * eps <= L")
+    beta = gaps[:, 1:]
+    eb = np.exp(beta * s)
+    # pinned u (v free), pinned v (u free), pinned u + v (split free)
+    pair = ((ea * _phi(2, beta * m) + eb * _phi(2, alpha * m)) * m * m
+            + eb * s * _phi(1, (alpha - beta) * s) * m) @ d2
+    # delta(u) delta(v) separates: sum_ij d1_i d1_j (L - s_i - s_j) ea_i eb_j
+    pa, pb, qa, qb = ea @ d1, eb @ d1, ea @ (s * d1), eb @ (s * d1)
+    cross = L * pa * pb - qa * pb - pa * qb
+    # delta(u) delta(u+v): pin u + v = s and u = s t, t on the rule over
+    # [0, 1]; the exponent is beta s + (alpha - beta) s t.  Then u <-> v.
+    st = np.multiply.outer(s, nodes)
+    dt = weights * np.exp(-(st / eps) ** 2) / (eps * math.sqrt(math.pi))
+    for a, b in ((alpha, beta), (beta, alpha)):
+        inner = np.einsum("tij,ij->ti", np.exp((a - b)[:, :, None] * st), dt)
+        cross = cross + (inner * np.exp(b * s) * s * m) @ d1
+    return (2.0 * (weight @ pair).real, 2.0 * (weight @ cross).real)
 
 
 def g4_defect_scan(w: BetheWavefunction, epsilons: Sequence[float],
@@ -442,20 +374,20 @@ def g4_defect_scan(w: BetheWavefunction, epsilons: Sequence[float],
     For N=2 the difference operator is -2 c^2 delta^2(x_1-x_2); for N=3
     it gains +6 c^2 delta(x_1-x_2) delta(x_2-x_3), whose regularized
     expectation stays finite while the squared-delta part diverges
-    like 1/eps.
+    like 1/eps.  Both come from ``_delta_expectations`` in relative
+    coordinates.  Raises ``ValueError`` for N outside {2, 3} and
+    ``DomainError`` for a width the N = 3 rule cannot take or a state
+    whose |chi|^2 is not invariant under rigid shifts.
     """
     if w.n not in (2, 3):
         raise ValueError("defect scan supports N in {2, 3}")
     c = float(w.coupling.c)
     out = []
     for eps in epsilons:
-        pair_term = _pair_delta_sq_expectation(w, box_length, float(eps))
-        if w.n == 2:
-            defect = abs(-2.0 * c * c * pair_term)
-        else:
-            cross = _cross_delta_expectation(w, box_length, float(eps))
-            defect = abs(-2.0 * c * c * 3.0 * pair_term + 6.0 * c * c * cross)
-        out.append((float(eps), defect))
+        pair, cross = _delta_expectations(w, box_length, float(eps))
+        # C(N, 2) equal pair terms against three equal cross terms
+        defect = abs(2.0 * c * c * (w.n * (w.n - 1) // 2 * pair - 3.0 * cross))
+        out.append((float(eps), float(defect)))
     return out
 
 

@@ -35,6 +35,7 @@ identity below is an equality of coefficients:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -305,6 +306,20 @@ def pair_bracket_residual(poly: ExpPoly, c) -> float:
 # Numeric cross-check (direct quadrature of the defining integrals)
 # ----------------------------------------------------------------------
 
+def _quad_complex(fn, a: float, b: float, rtol: float) -> complex:
+    """Integral of a complex function over [a, b] as two real adaptive
+    passes.  Both passes read one memo of fn, so every node they share
+    costs one evaluation of fn."""
+    value = functools.cache(fn)
+    re, _ = integrate.quad(lambda t: value(t).real, a, b,
+                           epsabs=1e-13, epsrel=rtol, limit=300)
+    im, _ = integrate.quad(lambda t: value(t).imag, a, b,
+                           epsabs=1e-13, epsrel=rtol, limit=300)
+    if not (np.isfinite(re) and np.isfinite(im)):
+        raise QuadratureError("numeric kernel integral failed")
+    return complex(re, im)
+
+
 def apply_A_numeric_point(lam: complex, w: BetheWavefunction,
                           point: Sequence[float], rtol: float = 1e-9) -> complex:
     """Direct quadrature of the defining integrals at one ordered point.
@@ -328,16 +343,7 @@ def apply_A_numeric_point(lam: complex, w: BetheWavefunction,
 
     total = complex(f_at(*x))
 
-    def quad_c(fn, a, b, pts=None):
-        re, re_err = integrate.quad(lambda t: fn(t).real, a, b,
-                                    epsabs=1e-13, epsrel=rtol, limit=300,
-                                    points=pts)
-        im, im_err = integrate.quad(lambda t: fn(t).imag, a, b,
-                                    epsabs=1e-13, epsrel=rtol, limit=300,
-                                    points=pts)
-        if not (np.isfinite(re) and np.isfinite(im)):
-            raise QuadratureError("numeric kernel integral failed")
-        return complex(re, im)
+    quad_c = functools.partial(_quad_complex, rtol=rtol)
 
     if n == 1:
         total += c * quad_c(

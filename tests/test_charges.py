@@ -5,15 +5,16 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy import integrate
 
 from qnls import charges as ch
 from qnls.errors import DomainError
 from qnls.bethe import (BoxSpec, QuantumNumbers, _log_jacobian,
                         ground_state_quantum_numbers, solve)
 from qnls.exact import EXACT, FLOAT, exact
-from qnls.planewaves import (Coupling, ExpPoly, RapiditySet, build_bethe,
-                             symmetrized_plane_wave)
+from qnls.planewaves import (BetheWavefunction, Coupling, ExpPoly,
+                             RapiditySet, build_bethe, symmetrized_plane_wave)
 
 BOX_L = 2.0 * math.pi
 
@@ -28,15 +29,21 @@ coupling_values = st.fractions(min_value=F(1, 4), max_value=4,
                                max_denominator=4).map(Coupling)
 
 
+def gauss_panel(a, b, order):
+    """Gauss-Legendre nodes and weights of the given order on [a, b]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
+
+
 def reference_pair_delta_overlap(f, g, L, order=64):
     """<f| sum_{j<k} delta(x_j - x_k) |g> for N = 3 by panel quadrature:
     three equal pair terms, each the integral of conj(f) g at
     (x, x, t) over [0, L]^2, split at t = x."""
-    xs, wx = ch._gauss_nodes(0.0, L, order)
+    xs, wx = gauss_panel(0.0, L, order)
     total = 0.0 + 0.0j
     for x, wgt in zip(xs, wx):
         for a, b in ((0.0, x), (x, L)):
-            ts, wt = ch._gauss_nodes(a, b, order // 2)
+            ts, wt = gauss_panel(a, b, order // 2)
             pts = np.column_stack([np.full_like(ts, x), np.full_like(ts, x), ts])
             vals = np.conj(f.evaluate_many(pts)) * g.evaluate_many(pts)
             total += wgt * np.sum(wt * vals)
@@ -229,6 +236,157 @@ class TestDefectScan:
         w = build_bethe(RapiditySet.of([1.0, 2.0, 3.0, 4.0]), Coupling(1.0))
         with pytest.raises(ValueError):
             ch.g4_defect_scan(w, [0.1], BOX_L)
+
+    def test_rejects_single_particle(self):
+        w = build_bethe(RapiditySet.of([1.0]), Coupling(1.0))
+        with pytest.raises(ValueError):
+            ch.g4_defect_scan(w, [0.1], BOX_L)
+
+    # g4_defect_scan at the suite's inputs as computed by the nested
+    # adaptive quadratures that the relative-coordinate rule replaced
+    ADAPTIVE_SCANS = [
+        ((1.0, 2.0), 0.5, [2.0 ** -m for m in range(2, 13)],
+         [20.64811956712693, 40.74511860566009, 80.87267185531215,
+          161.09538790828503, 321.52486612370683, 642.3759100739051,
+          1284.0740583635265, 2567.4683893587267, 5134.256069620427,
+          10267.830939546298, 20534.98043416611]),
+        ((1.0, 2.0), 1.0, [2.0 ** -6, 2.0 ** -8, 2.0 ** -9],
+         [1290.1078077421, 5140.298339996413, 10273.87461243317]),
+        ((1.0, 2.0), 1e-3, [2.0 ** -6], [0.0012821088805773683]),
+        ((0.5, 1.5, 3.0), 1.0, [2.0 ** -m for m in range(3, 8)],
+         [404922.33547354443, 819322.3068665707, 1643985.4556638699,
+          3291251.306187389, 6584760.836630829]),
+    ]
+
+    @pytest.mark.parametrize("raps,c,eps,expected", ADAPTIVE_SCANS)
+    def test_matches_adaptive_quadrature_at_suite_inputs(self, raps, c, eps,
+                                                         expected):
+        w = build_bethe(RapiditySet.of(list(raps)), Coupling(c))
+        scan = ch.g4_defect_scan(w, eps, BOX_L)
+        assert [e for e, _ in scan] == eps
+        for (_, got), want in zip(scan, expected):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_exact_and_float_states_agree(self):
+        eps = [2.0 ** -4, 2.0 ** -7]
+        exact_state = build_bethe(RapiditySet.of([F(1, 2), F(3, 2), F(3)]),
+                                  Coupling(F(1)))
+        float_state = build_bethe(RapiditySet.of([0.5, 1.5, 3.0]), Coupling(1.0))
+        for (_, a), (_, b) in zip(ch.g4_defect_scan(exact_state, eps, BOX_L),
+                                  ch.g4_defect_scan(float_state, eps, BOX_L)):
+            assert a == pytest.approx(b, rel=1e-13)
+
+    def test_rejects_state_not_invariant_under_rigid_shift(self):
+        # two plane waves of total momenta 3 and 2.5: |chi|^2 carries the
+        # total frequency 0.5 and depends on the centre of mass
+        poly = ExpPoly.from_terms(2, [(1.0, (1.0, 2.0)), (1.0, (0.5, 2.0))],
+                                  FLOAT)
+        w = BetheWavefunction(RapiditySet.of([1.0, 2.0]), Coupling(1.0), poly)
+        with pytest.raises(DomainError):
+            ch.g4_defect_scan(w, [0.1], BOX_L)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1])
+    def test_rejects_non_positive_width(self, eps):
+        w = build_bethe(RapiditySet.of([1.0, 2.0]), Coupling(1.0))
+        with pytest.raises(DomainError):
+            ch.g4_defect_scan(w, [eps], BOX_L)
+
+    def test_three_particle_width_limited_by_measure_kink(self):
+        # delta(u) delta(v) pins both gaps; its rule on [0, reach]^2 must
+        # stay inside u + v <= L, so 2 * reach * eps <= L
+        w = build_bethe(RapiditySet.of([0.5, 1.5, 3.0]), Coupling(1.0))
+        widest = BOX_L / (2.0 * ch.DEFECT_REACH)
+        (_, d), = ch.g4_defect_scan(w, [0.99 * widest], BOX_L)
+        assert np.isfinite(d) and d > 0
+        with pytest.raises(DomainError):
+            ch.g4_defect_scan(w, [1.01 * widest], BOX_L)
+
+    @pytest.mark.parametrize("eps", [0.5, 2.0])
+    def test_two_particle_rule_stops_at_box_edge(self, eps):
+        # reach 7 eps passes L; the rule ends at L, where the measure
+        # L - u vanishes, and matches adaptive quadrature over [0, L]
+        c = 0.5
+        w = build_bethe(RapiditySet.of([1.0, 2.0]), Coupling(c))
+
+        def integrand(u):
+            delta = math.exp(-(u / eps) ** 2) / (eps * math.sqrt(math.pi))
+            return (BOX_L - u) * abs(w.evaluate([0.0, u])) ** 2 * delta ** 2
+
+        brute = integrate.quad(integrand, 0.0, BOX_L, epsabs=0.0,
+                               epsrel=1e-13, limit=200)[0]
+        (_, d), = ch.g4_defect_scan(w, [eps], BOX_L)
+        assert d == pytest.approx(2.0 * c * c * 2.0 * brute, rel=1e-11)
+
+    @given(st.complex_numbers(max_magnitude=30.0, allow_nan=False,
+                              allow_infinity=False))
+    @example(0j)
+    @example(1e-9j)
+    @example(-1e-9 + 0j)
+    @example(3e-10 - 7e-10j)
+    @example(0.999999 + 0j)
+    @example(1.000001j)
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_gap_integrals_match_quadrature(self, z):
+        """phi_1(z) = int_0^1 e^{z t} dt, phi_2(z) = int_0^1 (1-t) e^{z t} dt."""
+        # tolerances relative to the largest value of the integrand
+        tol = 1e-13 * math.exp(max(z.real, 0.0))
+        for k, kernel in ((1, lambda t: np.exp(z * t)),
+                          (2, lambda t: (1.0 - t) * np.exp(z * t))):
+            parts = [integrate.quad(lambda t: part(kernel(t)), 0.0, 1.0,
+                                    epsabs=tol, epsrel=1e-12, limit=200)[0]
+                     for part in (np.real, np.imag)]
+            assert complex(ch._phi(k, z)) == pytest.approx(
+                complex(*parts), rel=1e-11, abs=10.0 * tol)
+
+
+class TestDefectOracles:
+    """The regularized defect against its small-width asymptotics, with
+    <sum delta> = ``pair_delta_overlap(w, w, L)``.  delta_eps^2 =
+    delta_{eps/sqrt 2} / (eps sqrt(2 pi)) gives the leading A/eps; for
+    N = 2 the contact cusp g2(u) ~ g2(0)(1 + c|u|) (Olshanii and Dunjko,
+    PRL 91 (2003) 090401) and the box measure L - |u| give the constant
+    B; the N = 3 cross term tends to the triple-coincidence density
+    (Gangardt and Shlyapnikov, PRL 90 (2003) 010401)."""
+
+    STATES = [((1.0, 2.0), 0.5), ((1.0, 2.0), 1.0), ((1.0, 2.0), 1e-3),
+              ((0.5, 1.5, 3.0), 1.0)]
+
+    @staticmethod
+    def amplitudes(raps, c):
+        w = build_bethe(RapiditySet.of(list(raps)), Coupling(c))
+        contact = ch.pair_delta_overlap(w, w, BOX_L).real
+        A = 2.0 * c * c * contact / math.sqrt(2.0 * math.pi)
+        B = 2.0 * c * c * contact * (c - 1.0 / BOX_L) / (2.0 * math.pi)
+        return w, A, B
+
+    @pytest.mark.parametrize("raps,c", STATES)
+    def test_leading_term(self, raps, c):
+        w, A, _ = self.amplitudes(raps, c)
+        gaps = [e * d / A - 1.0
+                for e, d in ch.g4_defect_scan(w, [2.0 ** -11, 2.0 ** -12], BOX_L)]
+        assert abs(gaps[1]) <= 1e-4
+        # the gap closes at rate O(eps)
+        assert gaps[1] / gaps[0] == pytest.approx(0.5, abs=0.01)
+
+    @pytest.mark.parametrize("raps,c", STATES[:3])
+    def test_two_particle_constant_term(self, raps, c):
+        w, A, B = self.amplitudes(raps, c)
+        (e, d), = ch.g4_defect_scan(w, [2.0 ** -12], BOX_L)
+        assert (d - A / e) / B == pytest.approx(1.0, abs=3e-4)
+
+    def test_three_particle_cross_term_limit(self):
+        w = build_bethe(RapiditySet.of([0.5, 1.5, 3.0]), Coupling(1.0))
+        # |chi|^2 on the diagonal does not depend on where it is taken
+        density = [abs(w.evaluate([x] * 3)) ** 2 for x in (0.3, 2.0, 5.1)]
+        assert density == pytest.approx([density[0]] * 3, rel=1e-12)
+        limit = BOX_L * density[0]
+        slopes = []
+        for m in range(9, 13):
+            e = 2.0 ** -m
+            _, cross = ch._delta_expectations(w, BOX_L, e)
+            slopes.append((cross - limit) / e)
+        assert slopes[-1] > 0
+        assert slopes == pytest.approx([slopes[-1]] * 4, rel=1e-3)
 
 
 class TestPairDeltaOverlap:

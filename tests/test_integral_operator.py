@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from qnls import integral_operator as aop
 from qnls.errors import ConvergenceDomain
@@ -181,6 +182,25 @@ class TestNumericCrossCheck:
             1.25).canonical.evaluate(np.array([0.2, 0.9])))
         num = aop.apply_A_numeric_point(lam, w, [0.2, 0.9])
         assert abs(ana - num) / abs(ana) < 1e-8
+
+    def test_memoized_complex_quadrature_matches_two_plain_passes(self):
+        # the real and imaginary passes share one memo of the integrand;
+        # the value must be bit-identical to two unshared passes
+        w = build_bethe(RapiditySet.of([-0.7, 1.1]), Coupling(1.25))
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return np.exp(1j * (0.4 - 1.5j) * (0.2 - t)) * w.evaluate([t, 0.9])
+
+        a, b = 0.2, 30.9
+        got = aop._quad_complex(fn, a, b, 1e-9)
+        memoized = len(calls)
+        kw = dict(epsabs=1e-13, epsrel=1e-9, limit=300)
+        re = integrate.quad(lambda t: fn(t).real, a, b, **kw)[0]
+        im = integrate.quad(lambda t: fn(t).imag, a, b, **kw)[0]
+        assert got == complex(re, im)
+        assert memoized < len(calls) - memoized
 
 
 class TestExpansion:
