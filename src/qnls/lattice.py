@@ -26,15 +26,24 @@ relation it encodes is verified numerically for both tensor-leg
 orderings and the vanishing one is recorded (the convention is not fixed
 a priori here).
 
-Both engines are site-local: every monodromy monomial applies exactly one
-single-site factor per site, so no engine builds a full-space operator
-for a single site.  The sector engine multiplies a (d, d, 2, 2) table of
-scalar site factors over all config pairs at once, one batched product
-per site.  The full-space engine applies L(site) to the running block
-product as a contraction on that site's tensor axis, O(d dim^2) per site
-for dim = d^M.  The full-space checks hold a known number of dim x dim
-complex blocks; their byte total is checked against DENSE_BUDGET_BYTES
-before anything is allocated.
+One table defines L: ``_site_factor_table`` holds the scalar 2x2
+factors <n'| L(lam) |n> of one site, zero unless |n' - n| <= 1.  Every
+monodromy monomial applies one single-site factor per site, so every
+engine reads that table:
+
+- sector matrices multiply it over all config pairs at once, one batched
+  product per site (``_contract_sites``);
+- the full-space monodromy applies each d x d slice table[:, :, r, s] as
+  a contraction on that site's tensor axis, O(d dim^2) per site for
+  dim = d^M;
+- the exchange relation builds no full-space block: T(lam) (x) T(mu) is
+  itself a monodromy, with the 4x4 site factor
+  sum_n'' L(lam)[n', n''] (x) L(mu)[n'', n], so both tensor orderings are
+  contracted over the (d-1)^M kept states only.
+
+The monodromy holds a known number of dim x dim complex blocks and the
+exchange relation a known number of kept x kept ones; their bytes are
+checked against DENSE_BUDGET_BYTES before anything is allocated.
 """
 
 from __future__ import annotations
@@ -54,12 +63,12 @@ COMPLEX_BYTES = 16
 # Dense complex blocks alive at once, full (dim x dim) or kept (restricted
 # to the (d-1)^M states with every occupation <= d-2).  monodromy: the 4
 # running blocks, 3 finished new ones, the one being formed and one site
-# contraction.  rtt_residual: the first monodromy while the second is
-# built (4 + 9), then 32 kept tensor-block products plus the per-entry
-# temporaries and the norm's copy.
+# contraction.  rtt_residual holds only kept blocks, 16 per (kept, kept,
+# 4, 4) stack: the first ordering's finished stack while the second is
+# contracted, whose running product, gathered site factors and new product
+# are alive together.
 MONODROMY_BLOCKS = 9
-RTT_BLOCKS = 4 + MONODROMY_BLOCKS
-RTT_KEPT_BLOCKS = 40
+RTT_KEPT_BLOCKS = 4 * 16
 
 
 @dataclass(frozen=True)
@@ -81,33 +90,16 @@ class LatticeSpec:
 
 
 # ----------------------------------------------------------------------
-# Site operators
+# The site factor L(lam)
 # ----------------------------------------------------------------------
 
-def annihilator(d: int, step: float) -> np.ndarray:
-    a = np.zeros((d, d), dtype=complex)
-    for n in range(1, d):
-        a[n - 1, n] = math.sqrt(n / step)
-    return a
-
-
-def creator(d: int, step: float) -> np.ndarray:
-    return annihilator(d, step).conj().T
-
-
-def density_sqrt(d: int, step: float, c: float) -> np.ndarray:
-    """rho = sqrt(1 + (c Delta^2/4) psi^dag psi), diagonal in occupation."""
-    diag = [math.sqrt(1.0 + c * step * n / 4.0) for n in range(d)]
-    return np.diag(diag).astype(complex)
-
-
 def density_sqrt_naive_ordered(d: int, step: float, c: float) -> np.ndarray:
-    """The square root expanded and ordered by the classical rule.
+    """Diagonal of the square root, expanded and ordered classically.
 
     Each power (psi^dag psi)^j of the expansion is replaced by the
     daggers-left monomial psi^dag^j psi^j, whose diagonal value is the
     falling factorial n(n-1)...(n-j+1)/Delta^j.  The series terminates at
-    j = n, so the truncated matrix is exact.  Differs from the true
+    j = n, so the truncated diagonal is exact.  Differs from the true
     square root from occupation 1 upward at order (c Delta)^2.
     """
     diag = []
@@ -121,23 +113,28 @@ def density_sqrt_naive_ordered(d: int, step: float, c: float) -> np.ndarray:
             binom *= (0.5 - j) / (j + 1)
             falling *= (n - j)
         diag.append(total)
-    return np.diag(diag).astype(complex)
+    return np.array(diag)
 
 
-def site_l_blocks(spec: LatticeSpec, lam: complex,
-                  rho: np.ndarray | None = None) -> list[list[np.ndarray]]:
-    """The 2x2 auxiliary matrix of d x d site operators."""
+def _site_factor_table(spec: LatticeSpec, lam: complex,
+                       rho: Sequence[float] | None = None) -> np.ndarray:
+    """table[n', n] = <n'| L(lam) |n>, the scalar 2x2 factor of one site;
+    zero unless |n' - n| <= 1.  ``rho`` is the diagonal that replaces
+    sqrt(1 + (c Delta^2/4) psi^dag psi) = sqrt(1 + c Delta n / 4)."""
     d, step, c = spec.cutoff, spec.step, spec.c
-    psi = annihilator(d, step)
-    psid = creator(d, step)
-    num = psid @ psi
-    rho = density_sqrt(d, step, c) if rho is None else rho
-    eye = np.eye(d, dtype=complex)
-    a = (1.0 - 0.5j * lam * step) * eye + 0.5 * c * step * step * num
-    dd = (1.0 + 0.5j * lam * step) * eye + 0.5 * c * step * step * num
-    b = -1j * step * math.sqrt(c) * (psid @ rho)
-    cc = 1j * step * math.sqrt(c) * (rho @ psi)
-    return [[a, b], [cc, dd]]
+    if rho is None:
+        rho = [math.sqrt(1.0 + c * step * n / 4.0) for n in range(d)]
+    table = np.zeros((d, d, 2, 2), dtype=complex)
+    for n in range(d):
+        table[n, n, 0, 0] = 1.0 - 0.5j * lam * step + 0.5 * c * step * n
+        table[n, n, 1, 1] = 1.0 + 0.5j * lam * step + 0.5 * c * step * n
+        if n + 1 < d:
+            table[n + 1, n, 0, 1] = -1j * step * math.sqrt(c) \
+                * math.sqrt((n + 1) / step) * rho[n]
+        if n >= 1:
+            table[n - 1, n, 1, 0] = 1j * step * math.sqrt(c) * rho[n - 1] \
+                * math.sqrt(n / step)
+    return table
 
 
 # ----------------------------------------------------------------------
@@ -157,13 +154,13 @@ def _check_dense_budget(spec: LatticeSpec, what: str, blocks: int,
                         kept_blocks: int = 0) -> int:
     """Full space dimension, once the dense blocks of ``what`` fit the
     byte budget; raises SizeLimit before anything is allocated."""
-    dim = spec.cutoff ** spec.sites
     need = dense_bytes(spec, blocks, kept_blocks)
     if need > DENSE_BUDGET_BYTES:
         raise SizeLimit(
-            f"{what} at dimension {dim} needs {need} bytes of dense complex "
-            f"blocks, over the budget of {DENSE_BUDGET_BYTES} bytes")
-    return dim
+            f"{what} at {spec.sites} sites, cutoff {spec.cutoff} needs "
+            f"{need} bytes of dense complex blocks, over the budget of "
+            f"{DENSE_BUDGET_BYTES} bytes")
+    return spec.cutoff ** spec.sites
 
 
 def monodromy(spec: LatticeSpec, lam: complex,
@@ -172,11 +169,13 @@ def monodromy(spec: LatticeSpec, lam: complex,
 
     Site s is the middle axis of a block viewed as (d^(M-s), d,
     d^(s-1) dim) (site 1 is the rightmost tensor factor), so L(s) T is
-    one matmul of each d x d site block against that view.
+    one matmul of each d x d slice of the site-factor table against that
+    view.  ``rho_override`` replaces the table's rho diagonal.
     """
     dim = _check_dense_budget(spec, "monodromy", MONODROMY_BLOCKS)
     d, M = spec.cutoff, spec.sites
-    L = site_l_blocks(spec, lam, rho=rho_override)
+    # L[r, s] = table[:, :, r, s], the d x d site operator of entry (r, s)
+    L = _site_factor_table(spec, lam, rho_override).transpose(2, 3, 0, 1)
     T = [[np.eye(dim, dtype=complex), np.zeros((dim, dim), dtype=complex)],
          [np.zeros((dim, dim), dtype=complex), np.eye(dim, dtype=complex)]]
     for site in range(1, M + 1):
@@ -185,8 +184,8 @@ def monodromy(spec: LatticeSpec, lam: complex,
         new = [[None, None], [None, None]]
         for r in range(2):
             for s in range(2):
-                block = L[r][0] @ T[0][s].reshape(axes)
-                block += L[r][1] @ T[1][s].reshape(axes)
+                block = L[r, 0] @ T[0][s].reshape(axes)
+                block += L[r, 1] @ T[1][s].reshape(axes)
                 new[r][s] = block.reshape(dim, dim)
         T = new
     return T
@@ -203,48 +202,40 @@ def transfer_operator(spec: LatticeSpec, lam: complex) -> np.ndarray:
 
 def occupation_configs(spec: LatticeSpec, total: int) -> list[tuple[int, ...]]:
     """All site-occupation tuples with the given total, entries <= d-1."""
-    configs = []
-    for combo in itertools.product(range(spec.cutoff), repeat=spec.sites):
-        if sum(combo) == total:
-            configs.append(combo)
-    return configs
+    return [combo for combo in itertools.product(range(spec.cutoff),
+                                                 repeat=spec.sites)
+            if sum(combo) == total]
 
 
 def number_conservation_defect(spec: LatticeSpec, lam: complex) -> float:
     """Largest matrix element of tau(lam) connecting different sectors."""
     tau = transfer_operator(spec, lam)
-    counts = _occupations(spec).sum(axis=1)
+    counts = _occupations(spec.cutoff, spec.sites).sum(axis=1)
     mask = counts[:, None] != counts[None, :]
     return float(np.max(np.abs(tau[mask]))) if mask.any() else 0.0
 
 
-def _occupations(spec: LatticeSpec) -> np.ndarray:
-    """Row i: the site occupations of full-space basis state i, site 1 first."""
-    index = np.arange(spec.cutoff ** spec.sites)
-    return index[:, None] // spec.cutoff ** np.arange(spec.sites) % spec.cutoff
+def _occupations(cutoff: int, sites: int) -> np.ndarray:
+    """Row i: the site occupations of basis state i of ``sites`` sites with
+    occupations 0..cutoff-1, site 1 first (the fastest index)."""
+    index = np.arange(cutoff ** sites)
+    return index[:, None] // cutoff ** np.arange(sites) % cutoff
 
 
 # ----------------------------------------------------------------------
 # Sector transfer matrix by auxiliary contraction (large M, small sectors)
 # ----------------------------------------------------------------------
 
-def _site_factor_table(spec: LatticeSpec, lam: complex) -> np.ndarray:
-    """table[n', n] = <n'| L(lam) |n>, the scalar 2x2 factor of one site;
-    zero unless |n' - n| <= 1."""
-    d, step, c = spec.cutoff, spec.step, spec.c
-    table = np.zeros((d, d, 2, 2), dtype=complex)
-    for n in range(d):
-        table[n, n, 0, 0] = 1.0 - 0.5j * lam * step + 0.5 * c * step * n
-        table[n, n, 1, 1] = 1.0 + 0.5j * lam * step + 0.5 * c * step * n
-        if n + 1 < d:
-            table[n + 1, n, 0, 1] = -1j * step * math.sqrt(c) \
-                * math.sqrt((n + 1) / step) \
-                * math.sqrt(1.0 + c * step * n / 4.0)
-        if n >= 1:
-            table[n - 1, n, 1, 0] = 1j * step * math.sqrt(c) \
-                * math.sqrt(1.0 + c * step * (n - 1) / 4.0) \
-                * math.sqrt(n / step)
-    return table
+def _contract_sites(table: np.ndarray, occ: np.ndarray) -> np.ndarray:
+    """out[i, j] = table[occ[i, M-1], occ[j, M-1]] ... table[occ[i, 0],
+    occ[j, 0]], the auxiliary k x k product of a (d, d, k, k) site table
+    between occupation rows i and j, site M leftmost.  All pairs are taken
+    together, one batched matmul per site."""
+    m, k = len(occ), table.shape[-1]
+    prod = np.broadcast_to(np.eye(k, dtype=complex), (m, m, k, k))
+    for site in reversed(range(occ.shape[1])):
+        prod = prod @ table[occ[:, None, site], occ[None, :, site]]
+    return prod
 
 
 def tau_sector_matrix(spec: LatticeSpec, lam: complex,
@@ -254,18 +245,12 @@ def tau_sector_matrix(spec: LatticeSpec, lam: complex,
     Monodromy monomials are tensor products of one operator per site, so
     a matrix element is the trace of an ordered product of M scalar 2x2
     matrices M_site(n'_s, n_s); this needs no full-space construction
-    and scales to long lattices.  The products for all config pairs are
-    taken together, one batched matmul per site.
+    and scales to long lattices.
     """
     occ = np.asarray(configs, dtype=np.intp).reshape(len(configs), spec.sites)
     if occ.size and not (0 <= occ.min() and occ.max() < spec.cutoff):
         raise ValueError(f"occupations must lie in 0..{spec.cutoff - 1}")
-    table = _site_factor_table(spec, lam)
-    m = len(occ)
-    prod = np.broadcast_to(np.eye(2, dtype=complex), (m, m, 2, 2))
-    # T = L(M) ... L(1): site M leftmost
-    for site in reversed(range(spec.sites)):
-        prod = prod @ table[occ[:, None, site], occ[None, :, site]]
+    prod = _contract_sites(_site_factor_table(spec, lam), occ)
     return prod[..., 0, 0] + prod[..., 1, 1]
 
 
@@ -286,56 +271,40 @@ def r_matrix(lam: complex, mu: complex, c: float) -> np.ndarray:
     ], dtype=complex)
 
 
-def _tensor_blocks(T1, T2, keep: np.ndarray) -> dict:
-    """(T1 (x) T2)_{(ab),(cd)} = T1_ac T2_bd with operator entries,
-    restricted to the basis states ``keep`` as each product is formed."""
-    sub = np.ix_(keep, keep)
-    blocks = {}
-    for a in range(2):
-        for b in range(2):
-            for cc in range(2):
-                for dd in range(2):
-                    product = T1[a][cc] @ T2[b][dd]
-                    blocks[(2 * a + b, 2 * cc + dd)] = product[sub]
-    return blocks
+def _pair_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """Site factor of T1 (x) T2, whose entry (ab),(cd) is the operator
+    product T1_ac T2_bd: sum_n'' t1[n', n''] (x) t2[n'', n] as a (d, d, 4, 4)
+    table with auxiliary index 2a + b."""
+    d = len(t1)
+    return np.einsum("xzac,zybd->xyabcd", t1, t2).reshape(d, d, 4, 4)
 
 
-def _exchange_defect(R: np.ndarray, X: dict, Y: dict) -> float:
-    """Largest 2-norm over the 16 operator entries of R X - Y R, each
-    entry formed and measured in turn."""
-    if not X[(0, 0)].size:
+def _exchange_defect(R: np.ndarray, X: np.ndarray, Y: np.ndarray) -> float:
+    """Largest 2-norm over the 16 operator entries of R X - Y R for
+    (m, m, 4, 4) stacks X and Y, each entry formed and measured in turn."""
+    if not X.size:
         return 0.0
-    shape = X[(0, 0)].shape
-    worst = 0.0
-    for r in range(4):
-        for s in range(4):
-            lhs = np.zeros(shape, dtype=complex)
-            rhs = np.zeros(shape, dtype=complex)
-            for t in range(4):
-                if R[r, t] != 0:
-                    lhs = lhs + R[r, t] * X[(t, s)]
-                if R[t, s] != 0:
-                    rhs = rhs + Y[(r, t)] * R[t, s]
-            worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
-    return worst
+    return max(float(np.linalg.norm(X[:, :, :, s] @ R[r]
+                                    - Y[:, :, r, :] @ R[:, s], 2))
+               for r in range(4) for s in range(4))
 
 
 def rtt_residual(lam: complex, mu: complex, spec: LatticeSpec) -> dict:
     """Exchange-relation defect for both tensor-leg orderings.
 
     Restricted to states with every occupation <= d-2, where truncation
-    cannot clip the two-operator products.  Returns both residuals and
-    the ordering that vanishes.
+    cannot clip the two-operator products.  Each tensor ordering is a
+    monodromy of the 4x4 pair table, contracted between the kept states
+    only.  Returns both residuals and the ordering that vanishes.
     """
     if abs(lam - mu) < 1e-12:
         raise RMatrixPole("coinciding spectral parameters")
-    _check_dense_budget(spec, "exchange relation", RTT_BLOCKS, RTT_KEPT_BLOCKS)
+    _check_dense_budget(spec, "exchange relation", 0, RTT_KEPT_BLOCKS)
     R = r_matrix(lam, mu, spec.c)
-    keep = np.flatnonzero(_occupations(spec).max(axis=1) <= spec.cutoff - 2)
-    Tl = monodromy(spec, lam)
-    Tm = monodromy(spec, mu)
-    lm = _tensor_blocks(Tl, Tm, keep)
-    ml = _tensor_blocks(Tm, Tl, keep)
+    keep = _occupations(spec.cutoff - 1, spec.sites)
+    tl, tm = _site_factor_table(spec, lam), _site_factor_table(spec, mu)
+    lm = _contract_sites(_pair_table(tl, tm), keep)
+    ml = _contract_sites(_pair_table(tm, tl), keep)
     # R (T(lam) x T(mu)) = (T(mu) x T(lam)) R
     res_a = _exchange_defect(R, lm, ml)
     res_b = _exchange_defect(R, ml, lm)
@@ -462,20 +431,17 @@ def normal_ordering_breakdown(spec_two_sites: LatticeSpec, lam: complex) -> dict
     if spec.cutoff < 3:
         raise ValueError("need cutoff >= 3 so an occupation >= 2 exists")
 
+    naive = density_sqrt_naive_ordered(spec.cutoff, spec.step, spec.c)
     one_site = LatticeSpec(1, spec.cutoff, spec.step, spec.c)
     t1 = monodromy(one_site, lam)[0][0]
-    t1_naive = monodromy(one_site, lam,
-                         rho_override=density_sqrt_naive_ordered(
-                             spec.cutoff, spec.step, spec.c))[0][0]
+    t1_naive = monodromy(one_site, lam, rho_override=naive)[0][0]
     m1_diff = float(np.linalg.norm(t1 - t1_naive, 2))
 
     exact_entry = monodromy(spec, lam)[0][0]
-    naive_entry = monodromy(spec, lam,
-                            rho_override=density_sqrt_naive_ordered(
-                                spec.cutoff, spec.step, spec.c))[0][0]
+    naive_entry = monodromy(spec, lam, rho_override=naive)[0][0]
     # scale of the ordering-sensitive cross term: B(2) C(1)
-    blocks = site_l_blocks(spec, lam)
-    cross = np.kron(blocks[0][1], blocks[1][0])
+    table = _site_factor_table(spec, lam)
+    cross = np.kron(table[:, :, 0, 1], table[:, :, 1, 0])
     cross_scale = float(np.linalg.norm(cross, 2))
     diff = float(np.linalg.norm(exact_entry - naive_entry, 2))
     return {

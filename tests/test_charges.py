@@ -481,6 +481,18 @@ class TestOrderedBoxIntegral:
         assert abs(a) > 1e-3
         assert abs(a - b) <= 1e-8 * abs(a)
 
+    @pytest.mark.parametrize("w1", [0.0, 3e-16, 1e-15, 1e-14])
+    def test_tiny_frequency_next_to_zero(self, w1):
+        # B_1 = i w_2 L and B_2 = i (w_1 + w_2) L nearly coincide; the
+        # w_1 = 0 value is int_0^L x e^{i a x} dx with a = w_2
+        L = BOX_L
+        a = 8.0 / L
+        poly = ExpPoly.from_terms(2, [(1.0, (w1, a))], FLOAT)
+        expected = (np.exp(1j * a * L) * (L / (1j * a) + 1.0 / a ** 2)
+                    - 1.0 / a ** 2)
+        value = ch.integrate_ordered_box(poly, L)
+        assert abs(value - expected) <= 1e-12 * abs(expected)
+
     def test_empty_sum(self):
         assert ch.integrate_ordered_box(ExpPoly.zero(2, FLOAT), 2.0) == 0
 
