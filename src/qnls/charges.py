@@ -187,6 +187,14 @@ def boundary_residual_j3(w: BetheWavefunction, j: int) -> ExpPoly:
     return boundary_residual_j3_generic(w.canonical, w.coupling.c, j)
 
 
+def _tangential_e2(z):
+    """e_2(z_3, ..., z_n); at n = 4 the single product z_4 z_3."""
+    total, run = z[3] * z[2], z[3] + z[2]
+    for x in z[4:]:
+        total, run = total + run * x, run + x
+    return total
+
+
 def boundary_residual_j4_generic(poly: ExpPoly, coupling) -> list[ExpPoly]:
     """Quadruple-layer boundary condition at x_2 = x_1 + 0.
 
@@ -201,13 +209,11 @@ def boundary_residual_j4_generic(poly: ExpPoly, coupling) -> list[ExpPoly]:
         raise ValueError("quadruple bracket needs at least four particles")
     bracket = pair_bracket(poly, coupling, 1)
 
-    deriv_total = ExpPoly.zero(n - 1, poly.field)
+    # sum_{j>k>=3} d_j d_k is one operator, weight e_2(z_3, ..., z_n)
+    deriv_total = bracket.weighted(_tangential_e2, 2).restrict_to_boundary(1)
     restricted = bracket.restrict_to_boundary(1)
     delta_total = ExpPoly.zero(n - 2, poly.field)
     for k_lo, j_hi in itertools.combinations(range(3, n + 1), 2):
-        deriv = bracket.weighted(
-            lambda z, a=j_hi, b=k_lo: z[a - 1] * z[b - 1], 2)
-        deriv_total = deriv_total + deriv.restrict_to_boundary(1)
         # after restricting x_2 := x_1, old variable v >= 3 sits at v - 1
         delta_total = delta_total + restricted.substitute_equal(
             j_hi - 1, k_lo - 1).scale(coupling)

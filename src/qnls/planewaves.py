@@ -118,7 +118,8 @@ class GaussInt:
     @staticmethod
     def scaled(z: ExactComplex, den: int) -> "GaussInt":
         """den * z, for den a multiple of z's denominator."""
-        return GaussInt(_over(z.re, den), _over(z.im, den))
+        k = den // z.d
+        return GaussInt(z.a * k, z.b * k)
 
 
 def _over(x: Fraction, den: int) -> int:
@@ -160,7 +161,7 @@ class ExpPoly:
         unit = math.lcm(*(w.denominator for _, f in normalized for w in f))
         den = math.lcm(*(c.denominator for c, _ in normalized))
         raw = [(GaussInt.scaled(c, den),
-                tuple(_over(x, unit) for w in f for x in (w.re, w.im)))
+                tuple(x * (unit // w.d) for w in f for x in (w.a, w.b)))
                for c, f in normalized]
         return ExpPoly(num_vars, EXACT, (), unit, den)._merged(raw)
 
@@ -221,8 +222,8 @@ class ExpPoly:
     def _rational_terms(self) -> tuple:
         D, Q = self.unit, self.den
         return tuple(
-            (ExactComplex(Fraction(c.re, Q), Fraction(c.im, Q)),
-             tuple(ExactComplex(Fraction(f[m], D), Fraction(f[m + 1], D))
+            (ExactComplex.over(c.re, c.im, Q),
+             tuple(ExactComplex.over(f[m], f[m + 1], D)
                    for m in range(0, len(f), 2)))
             for c, f in self._sorted_data())
 
@@ -273,8 +274,8 @@ class ExpPoly:
             return ExpPoly.zero(self.num_vars, self.field)
         den = self.den
         if self.field is EXACT:
-            den *= factor.denominator
-            factor = GaussInt.scaled(factor, factor.denominator)
+            den *= factor.d
+            factor = GaussInt(factor.a, factor.b)
         return self._with(tuple((c * factor, f) for c, f in self.data), den=den)
 
     def weighted(self, weight: Callable, degree: int, *constants) -> "ExpPoly":

@@ -3,8 +3,9 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from qnls import transfer as tr
 from qnls.exact import EXACT, FLOAT, exact
 from qnls.laurent import LaurentSeries
 
@@ -48,3 +49,28 @@ class TestArithmetic:
     @settings(max_examples=20, deadline=None)
     def test_log_of_product_adds(self, a, b):
         assert (a * b).log() == a.log() + b.log()
+
+
+def closed_form_log(ks, c, order):
+    """log prod_j (1 - ic/(lam - k_j)) from 1 - ic/(lam - k) =
+    (lam - k - ic)/(lam - k): its lam^{-m} coefficient is
+    sum_j [k_j^m - (k_j + ic)^m]/m."""
+    shifted = [(exact(k), exact(k, c)) for k in ks]
+    return LaurentSeries.from_coeffs(
+        [0] + [sum((k ** m - kc ** m for k, kc in shifted), exact(0)) / m
+               for m in range(1, order + 1)], EXACT)
+
+
+class TestClosedFormLog:
+    @given(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4),
+                    min_size=1, max_size=6),
+           st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4),
+           st.integers(1, 72))
+    @example([F(-3), F(1, 2), F(5, 4), F(2), F(-5, 3), F(6)], F(3, 2), 72)
+    @settings(max_examples=12, deadline=None)
+    def test_series_log_matches_closed_form(self, ks, c, order):
+        series = tr.asymptotic_product_series(ks, c, order)
+        closed = closed_form_log(ks, c, order)
+        assert series.log() == closed
+        assert closed.exp() == series
+        assert series.log().exp() == series
