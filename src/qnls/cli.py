@@ -81,12 +81,17 @@ def _run_and_report(cfg) -> int:
     return report.exit_code()
 
 
-def _parse_rationals(text: str) -> list:
-    return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
+def _parse(kind, text: str, option: str):
+    """kind(text), with a malformed value reported as a usage error."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError) as err:
+        raise ConfigError(f"bad {option} value {text!r}: {err}") from err
 
 
-def _parse_quantum_numbers(text: str) -> QuantumNumbers:
-    return QuantumNumbers.of(_parse_rationals(text))
+def _parse_rationals(text: str, option: str) -> list:
+    return [_parse(Fraction, tok.strip(), option)
+            for tok in text.split(",") if tok.strip()]
 
 
 def _cmd_verify(args) -> int:
@@ -103,7 +108,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_bethe_solve(args) -> int:
     box = BoxSpec(args.box, args.coupling, args.n)
-    qn = _parse_quantum_numbers(args.quantum_numbers) \
+    qn = QuantumNumbers.of(_parse_rationals(args.quantum_numbers,
+                                            "--quantum-numbers")) \
         if args.quantum_numbers else ground_state_quantum_numbers(args.n)
     sol = solve(box, qn)
     _emit(sol.to_json_dict(), as_json=True, quiet=False)
@@ -138,24 +144,25 @@ def _cmd_expand_transfer(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    spec = lat.LatticeSpec(args.sites, args.cutoff, args.step, args.coupling)
+    try:
+        spec = lat.LatticeSpec(args.sites, args.cutoff, args.step, args.coupling)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    lam, mu = _parse(complex, args.lam, "--lam"), _parse(complex, args.mu, "--mu")
     if args.action == "rtt":
-        res = lat.rtt_residual(complex(args.lam), complex(args.mu), spec)
+        res = lat.rtt_residual(lam, mu, spec)
         payload = {"sites": args.sites, "cutoff": args.cutoff,
                    "step": args.step, "coupling": args.coupling, **res}
         print(json.dumps(payload, sort_keys=True, indent=2, default=str))
         return 0 if res["residual"] < 1e-12 else 1
     if args.action == "commute":
-        norm = lat.tau_commutator_norm(complex(args.lam), complex(args.mu),
-                                       spec, args.sector)
+        norm = lat.tau_commutator_norm(lam, mu, spec, args.sector)
         payload = {"sites": args.sites, "cutoff": args.cutoff,
                    "sector": args.sector, "commutator_norm": norm}
         print(json.dumps(payload, sort_keys=True, indent=2))
         return 0 if norm < 1e-12 else 1
     if args.action == "continuum":
-        rep = lat.continuum_limit_rate(args.coupling,
-                                       args.sites * args.step,
-                                       complex(args.lam))
+        rep = lat.continuum_limit_rate(args.coupling, args.sites * args.step, lam)
         print(json.dumps(rep, sort_keys=True, indent=2, default=str))
         ok = rep["order_vacuum_normalized"] >= 1.0 \
             and rep["order_one_particle_normalized"] >= 1.0
@@ -164,13 +171,18 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_aop_check(args) -> int:
-    re_part, im_part = (Fraction(t) for t in args.lam.split(","))
+    lam_parts = _parse_rationals(args.lam, "--lam")
+    if len(lam_parts) != 2:
+        raise ConfigError(f"bad --lam value {args.lam!r}: expected 're,im'")
+    re_part, im_part = lam_parts
     if im_part >= 0:
         raise ConfigError("lambda must have negative imaginary part")
-    raps = _parse_rationals(args.rapidities)
+    raps = _parse_rationals(args.rapidities, "--rapidities")
     if len(raps) != args.n:
         raise ConfigError("rapidity count must match --n")
-    w = build_bethe(RapiditySet.of(raps), Coupling(Fraction(args.coupling)))
+    coupling = _parse(lambda t: Coupling(Fraction(t)), args.coupling,
+                      "--coupling")
+    w = build_bethe(RapiditySet.of(raps), coupling)
     lam = aop.SpectralParameter(exact(re_part, im_part))
     measured, residual = aop.eigenvalue_check(lam, w)
     expected = aop.bethe_eigenvalue(lam, w.rapidities.values,

@@ -231,7 +231,8 @@ class Field:
 
     Each field offers the constants ``zero``, ``one`` and ``i``;
     ``coerce`` (a number as a scalar of the field), ``real`` (a number as
-    a real of the field) and ``frac``; and the tests ``is_zero`` and
+    a real of the field), ``frac`` and ``over`` (the scalar (a + ib)/d);
+    and the tests ``is_zero`` and
     ``equal``, exact in ``EXACT`` and within the given tolerance in
     ``FLOAT``.
     """
@@ -259,6 +260,7 @@ class _ExactField(Field):
     zero, one, i = ExactComplex(0), ExactComplex(1), ExactComplex(0, 1)
     coerce = staticmethod(ExactComplex.coerce)
     real = staticmethod(Fraction)
+    over = staticmethod(ExactComplex.over)
 
     def is_zero(self, value, abs_tol: float = 0.0) -> bool:
         return value == 0
@@ -272,6 +274,11 @@ class _FloatField(Field):
     zero, one, i = 0j, 1 + 0j, 1j
     coerce = staticmethod(complex)
     real = staticmethod(float)
+
+    @staticmethod
+    def over(a, b, d: int) -> complex:
+        """(a + ib)/d, correctly rounded for ints; floats over 1 unchanged."""
+        return complex(a / d, b / d)
 
     def is_zero(self, value, abs_tol: float = 0.0) -> bool:
         return abs(value) <= abs_tol

@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 from scipy import integrate
 
-from .errors import ConvergenceDomain, QuadratureError
+from .errors import ConvergenceDomain, QuadratureError, SizeLimit
 from .exact import EXACT, FLOAT, Field
 from .planewaves import BetheWavefunction, ExpPoly, GaussInt
 
@@ -84,10 +84,25 @@ class SectorFunction:
         return self.canonical.field
 
     def has_real_frequencies(self) -> bool:
-        return all(wv.imag == 0 for _, freq in self.canonical.terms for wv in freq)
+        """Every imaginary part (the odd entries of each key) is zero."""
+        return not any(any(f[1::2]) for _, f in self.canonical.data)
 
 
-MAX_SECTOR = 3
+# Bethe states take 43,440 pre-merge terms at N = 5 and 972,720 at N = 6
+MAX_APPLY_TERMS = 100_000
+
+
+def apply_A_term_count(n: int, terms: int) -> int:
+    """Pre-merge term count of ``apply_A`` on ``terms`` terms in n
+    variables: per term, the identity plus, over coordinate subsets and
+    their integration pieces q, the product of the pieces' end counts
+    (2, or 1 for q = n - 1, whose upper end is +infinity).  The sum over
+    pieces factorizes, so chains[a] sums the subsets that start at a."""
+    chains = [0] * n
+    for a in reversed(range(n)):
+        chains[a] = 2 * (n - a) - 1 + sum(2 * (b - a) * chains[b]
+                                          for b in range(a + 1, n))
+    return terms * (1 + sum(chains))
 
 
 def apply_A(lam: SpectralParameter, f: SectorFunction, c) -> SectorFunction:
@@ -95,7 +110,8 @@ def apply_A(lam: SpectralParameter, f: SectorFunction, c) -> SectorFunction:
 
     Every nested integral of exponentials is evaluated exactly; the
     convergence of the outermost (improper) integral is guaranteed by
-    Im(lambda) < 0 against the real input frequencies.
+    Im(lambda) < 0 against the real input frequencies.  Raises
+    ``SizeLimit``, before building anything, past ``MAX_APPLY_TERMS``.
 
     Exact mode runs on the integer core of ``planewaves``: in units of
     1/U, U the common denominator of the frequencies, lambda and c, all
@@ -104,8 +120,10 @@ def apply_A(lam: SpectralParameter, f: SectorFunction, c) -> SectorFunction:
     brought over their least common multiple at the end.
     """
     n = f.n
-    if n > MAX_SECTOR:
-        raise ValueError(f"sector N={n} beyond the supported maximum {MAX_SECTOR}")
+    count = apply_A_term_count(n, f.canonical.term_count())
+    if count > MAX_APPLY_TERMS:
+        raise SizeLimit(f"apply_A on N={n} would build {count} terms, "
+                        f"more than {MAX_APPLY_TERMS}")
     if not f.has_real_frequencies():
         raise ConvergenceDomain("input must have real frequencies")
     field = FLOAT if FLOAT in (f.field, lam.field) else EXACT
@@ -115,21 +133,20 @@ def apply_A(lam: SpectralParameter, f: SectorFunction, c) -> SectorFunction:
         poly = f.canonical._recast(unit, f.canonical.den)
 
         def inverse(mu):
-            return (GaussInt(-mu.im * unit, -mu.re * unit),
-                    mu.re * mu.re + mu.im * mu.im)
+            return (GaussInt(-mu.imag * unit, -mu.real * unit),
+                    mu.real * mu.real + mu.imag * mu.imag)
 
         lam_v, c_v = GaussInt.scaled(lam.value, unit), GaussInt.scaled(c_v, unit)
-        weight_den = unit
-        terms = [(cf, [GaussInt(fr[m], fr[m + 1]) for m in range(0, 2 * n, 2)], 1)
-                 for cf, fr in poly.data]
+        weight_den, scalar = unit, GaussInt
     else:
         poly = f.canonical.to_float()
 
         def inverse(mu):
             return 1 / (1j * mu), 1
 
-        lam_v, weight_den = complex(lam.value), 1
-        terms = [(cf, fr, 1) for cf, fr in poly.data]
+        lam_v, weight_den, scalar = complex(lam.value), 1, complex
+    terms = [(cf, [scalar(fr[m], fr[m + 1]) for m in range(0, 2 * n, 2)], 1)
+             for cf, fr in poly.data]
 
     result_terms = list(terms)
     for size in range(1, n + 1):
@@ -140,13 +157,12 @@ def apply_A(lam: SpectralParameter, f: SectorFunction, c) -> SectorFunction:
                 weight = weight * c_v
             result_terms.extend((coeff * weight, freq, den * weight_den ** size)
                                 for coeff, freq, den in contrib)
-    if field is FLOAT:
-        return SectorFunction(n, ExpPoly.from_terms(
-            n, [(coeff, freq) for coeff, freq, _ in result_terms], FLOAT))
     den = math.lcm(*(d for _, _, d in result_terms))
-    raw = [(coeff * (den // d), tuple(x for w in freq for x in (w.re, w.im)))
+    raw = [(coeff if d == den else coeff * (den // d),
+            tuple(x for w in freq for x in (w.real, w.imag)))
            for coeff, freq, d in result_terms]
-    return SectorFunction(n, ExpPoly(n, EXACT, (), unit, poly.den * den)._merged(raw))
+    return SectorFunction(n, ExpPoly(n, field, (), poly.unit,
+                                     poly.den * den)._merged(raw))
 
 
 def _subset_integral(terms: list, subset: tuple, lam_v, inverse, n: int):
@@ -244,13 +260,9 @@ def eigenvalue_check(lam: SpectralParameter, w: BetheWavefunction,
 
 
 def _ordered_grid(n: int, count: int) -> np.ndarray:
+    """The first 4*count increasing n-tuples of a grid of count points."""
     base = np.linspace(-1.3, 1.7, count)
-    if n == 1:
-        return base[:, None]
-    pts = []
-    for combo in itertools.combinations(base, n):
-        pts.append(sorted(combo))
-    return np.array(pts[: 4 * count])
+    return np.array(list(itertools.combinations(base, n))[:4 * count])
 
 
 # ----------------------------------------------------------------------

@@ -17,26 +17,26 @@ linear combinations) closes over complex-rational coefficients, so
 eigenvalue and boundary identities are checked as exact equalities with
 zero rather than against tolerances.
 
+Both fields store a sum the same way: a term is keyed on the flat tuple
+(re_1, im_1, ..., re_N, im_N) of its frequency vector in units of
+1/``unit``, and its coefficient is read over ``den``, shared by the sum.
 Exact sums are held on Python integers.  Every identity checked here is
 homogeneous in (k, c, d/dx): rapidities, coupling and derivatives all
 carry dimension 1/length.  Measuring lengths in units of D, the least
 common denominator of the rapidities and the coupling, makes them all
-Gaussian integers.  So an exact sum stores
-
-* ``unit`` D: each frequency is a pair of ints (a, b) meaning (a + ib)/D,
-  flattened into one int tuple per frequency vector (the merge key);
-* ``den`` Q: each coefficient is a Gaussian integer p + iq on Python
-  ints, meaning (p + iq)/Q, with Q shared by every term of the sum.
-
-A constant-coefficient operator that is a homogeneous polynomial of
+Gaussian integers, so an exact sum has ``unit`` D, int keys and
+Gaussian-integer coefficients (``GaussInt``) over ``den`` Q.  A
+constant-coefficient operator that is a homogeneous polynomial of
 degree d (a charge, a pair bracket, a derivative) is evaluated on the
 integer frequencies and multiplies Q by D^d; sums and differences first
 bring both operands to a common D and Q.  No gcd is taken on the way,
-so a cancellation is an exact cancellation of integers.  The public
-surface stays rational: ``terms`` presents ``ExactComplex`` coefficients
-and frequencies sorted by frequency, and ``from_terms``, ``evaluate``,
-``to_float`` and the JSON documents convert at the edge.  Sums in the
-``FLOAT`` field keep complex coefficients and frequencies.
+so a cancellation is an exact cancellation of integers.  Sums in the
+``FLOAT`` field have ``unit = den = 1``, float keys and ``complex``
+coefficients.  ``GaussInt`` and ``complex`` both read as
+``real``/``imag``, so one key layout and two coefficient types serve
+both fields.  ``terms`` presents field scalars (``ExactComplex`` or
+``complex``) sorted by frequency; ``from_terms``, ``evaluate``,
+``to_float`` and the JSON documents convert at the edge.
 """
 
 from __future__ import annotations
@@ -62,41 +62,43 @@ FLOAT_MERGE_RTOL = 1e-12
 
 
 class GaussInt:
-    """Gaussian integer re + i*im on Python ints.
+    """Gaussian integer real + i*imag on Python ints.
 
     The coefficient type of exact sums and the value their weights
-    receive for i*freq; it mixes with Python ints only.
+    receive for i*freq; it mixes with Python ints only.  Its parts read
+    as ``real``/``imag``, like those of ``complex``, the coefficient
+    type of FLOAT sums.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("real", "imag")
 
-    def __init__(self, re: int = 0, im: int = 0):
-        self.re = re
-        self.im = im
+    def __init__(self, real: int = 0, imag: int = 0):
+        self.real = real
+        self.imag = imag
 
     def __add__(self, other):
         if type(other) is GaussInt:
-            return GaussInt(self.re + other.re, self.im + other.im)
-        return GaussInt(self.re + other, self.im)
+            return GaussInt(self.real + other.real, self.imag + other.imag)
+        return GaussInt(self.real + other, self.imag)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if type(other) is GaussInt:
-            return GaussInt(self.re - other.re, self.im - other.im)
-        return GaussInt(self.re - other, self.im)
+            return GaussInt(self.real - other.real, self.imag - other.imag)
+        return GaussInt(self.real - other, self.imag)
 
     def __rsub__(self, other):
-        return GaussInt(other - self.re, -self.im)
+        return GaussInt(other - self.real, -self.imag)
 
     def __neg__(self):
-        return GaussInt(-self.re, -self.im)
+        return GaussInt(-self.real, -self.imag)
 
     def __mul__(self, other):
         if type(other) is GaussInt:
-            a, b, c, d = self.re, self.im, other.re, other.im
+            a, b, c, d = self.real, self.imag, other.real, other.imag
             return GaussInt(a * c - b * d, a * d + b * c)
-        return GaussInt(self.re * other, self.im * other)
+        return GaussInt(self.real * other, self.imag * other)
 
     __rmul__ = __mul__
 
@@ -107,13 +109,13 @@ class GaussInt:
         return out
 
     def __bool__(self):
-        return bool(self.re or self.im)
+        return bool(self.real or self.imag)
 
     def conjugate(self) -> "GaussInt":
-        return GaussInt(self.re, -self.im)
+        return GaussInt(self.real, -self.imag)
 
     def __repr__(self):
-        return f"GaussInt({self.re}, {self.im})"
+        return f"GaussInt({self.real}, {self.imag})"
 
     @staticmethod
     def scaled(z: ExactComplex, den: int) -> "GaussInt":
@@ -131,14 +133,14 @@ def _over(x: Fraction, den: int) -> int:
 class ExpPoly:
     """Finite sum of complex plane waves over an ordered region.
 
-    ``data`` holds (coeff, freq) pairs; a term means
-    coeff * exp(i * freq . x).  Exact sums store GaussInt coefficients
-    over the shared denominator ``den`` and flat int frequency keys
-    (re_1, im_1, ..., re_N, im_N) in units of 1/``unit``, in no
-    particular order; float sums store complex coefficients and tuples
-    of complex frequencies sorted by frequency.  Invariants: no two
-    terms share a frequency vector and no coefficient is zero (exactly
-    0.0 in float mode).
+    ``data`` holds (coeff, key) pairs; a term means
+    coeff / den * exp(i * freq . x), its frequencies read from the flat
+    key (re_1, im_1, ..., re_N, im_N) in units of 1/``unit``.  Exact
+    sums have GaussInt coefficients and int keys, in no particular
+    order; FLOAT sums have complex coefficients, float keys and
+    ``unit = den = 1``, and every merge leaves them sorted by key.
+    Invariants: no two terms share a key and no coefficient is zero
+    (exactly 0.0 in float mode).
     """
 
     num_vars: int
@@ -157,13 +159,16 @@ class ExpPoly:
                 raise ValueError("frequency vector length mismatch")
             normalized.append((field.coerce(coeff), freq))
         if field is FLOAT:
-            return ExpPoly(num_vars, FLOAT)._merged(normalized)
-        unit = math.lcm(*(w.denominator for _, f in normalized for w in f))
-        den = math.lcm(*(c.denominator for c, _ in normalized))
-        raw = [(GaussInt.scaled(c, den),
-                tuple(x * (unit // w.d) for w in f for x in (w.a, w.b)))
-               for c, f in normalized]
-        return ExpPoly(num_vars, EXACT, (), unit, den)._merged(raw)
+            unit = den = 1
+            raw = [(c, tuple(x for w in f for x in (w.real, w.imag)))
+                   for c, f in normalized]
+        else:
+            unit = math.lcm(*(w.denominator for _, f in normalized for w in f))
+            den = math.lcm(*(c.denominator for c, _ in normalized))
+            raw = [(GaussInt.scaled(c, den),
+                    tuple(x * (unit // w.d) for w in f for x in (w.a, w.b)))
+                   for c, f in normalized]
+        return ExpPoly(num_vars, field, (), unit, den)._merged(raw)
 
     @staticmethod
     def zero(num_vars: int, field: Field) -> "ExpPoly":
@@ -176,73 +181,58 @@ class ExpPoly:
                        self.den if den is None else den)
 
     def _merged(self, raw_terms) -> "ExpPoly":
-        """Combine terms with equal frequency vectors and drop zeros."""
+        """Combine terms with equal keys and drop zeros; FLOAT sums also
+        merge nearly equal keys (``_consolidate_float``)."""
         acc: dict = {}
         for coeff, freq in raw_terms:
             prev = acc.get(freq)
             acc[freq] = coeff if prev is None else prev + coeff
-        if self.field is EXACT:
-            return self._with(tuple((c, f) for f, c in acc.items() if c))
-        acc = _consolidate_float(acc)
-        items = sorted(((c, f) for f, c in acc.items() if c),
-                       key=lambda t: _freq_sort_key(t[1]))
-        return self._with(tuple(items))
+        if self.field is FLOAT:
+            acc = _consolidate_float(acc)
+        return self._with(tuple((c, f) for f, c in acc.items() if c))
 
     def _recast(self, unit: int, den: int) -> "ExpPoly":
-        """The same exact sum with frequencies in units of 1/unit and
+        """The same sum with frequencies in units of 1/unit and
         coefficients over den, both multiples of the current ones."""
         if unit == self.unit and den == self.den:
             return self
         fu, fd = unit // self.unit, den // self.den
         data = tuple((c * fd, tuple(x * fu for x in f)) for c, f in self.data)
-        return ExpPoly(self.num_vars, EXACT, data, unit, den)
+        return ExpPoly(self.num_vars, self.field, data, unit, den)
 
     def _aligned(self, other: "ExpPoly", same_den: bool) -> tuple:
-        """Both exact sums over a common frequency unit and, if asked,
-        a common coefficient denominator."""
-        if self.field is FLOAT:
-            return self, other
+        """Both sums over a common frequency unit and, if asked, a common
+        coefficient denominator (FLOAT sums already share unit and den 1)."""
         unit = math.lcm(self.unit, other.unit)
         a = self._recast(unit, math.lcm(self.den, other.den) if same_den
                          else self.den)
         b = other._recast(unit, a.den if same_den else other.den)
         return a, b
 
-    # -- the rational view ------------------------------------------------
+    # -- the scalar view --------------------------------------------------
     @property
     def terms(self):
-        """(coeff, freq) pairs sorted by frequency.  Exact sums present
-        ExactComplex coefficients and frequencies, converted on first
-        access; the length is available without converting."""
-        if self.field is FLOAT:
-            return self.data
-        return _RationalTerms(self)
+        """(coeff, freq) pairs sorted by frequency, as scalars of the
+        field (ExactComplex or complex), converted on first access; the
+        length is available without converting."""
+        return _Terms(self)
 
     @cached_property
-    def _rational_terms(self) -> tuple:
-        D, Q = self.unit, self.den
-        return tuple(
-            (ExactComplex.over(c.re, c.im, Q),
-             tuple(ExactComplex.over(f[m], f[m + 1], D)
-                   for m in range(0, len(f), 2)))
-            for c, f in self._sorted_data())
+    def _field_terms(self) -> tuple:
+        return self._terms_in(self.field)
 
-    def _sorted_data(self):
-        return sorted(self.data, key=lambda t: t[1])
+    def _terms_in(self, field: Field) -> tuple:
+        """(coeff, freq tuple) pairs sorted by frequency, as scalars of
+        the given field."""
+        over, D, Q = field.over, self.unit, self.den
+        return tuple((over(c.real, c.imag, Q),
+                      tuple(over(f[m], f[m + 1], D)
+                            for m in range(0, len(f), 2)))
+                     for c, f in sorted(self.data, key=lambda t: t[1]))
 
-    def _complex_terms(self) -> list:
-        """(complex coeff, complex freq tuple) pairs sorted by frequency.
-
-        Int true division rounds correctly, so these are the floats of
-        the rational values."""
-        if self.field is FLOAT:
-            return [(complex(c), tuple(complex(w) for w in f))
-                    for c, f in self.data]
-        D, Q = self.unit, self.den
-        return [(complex(c.re / Q, c.im / Q),
-                 tuple(complex(f[m] / D, f[m + 1] / D)
-                       for m in range(0, len(f), 2)))
-                for c, f in self._sorted_data()]
+    def _complex_terms(self) -> tuple:
+        """The terms as complex floats, correctly rounded for exact sums."""
+        return self._terms_in(FLOAT)
 
     @cached_property
     def complex_arrays(self) -> tuple:
@@ -297,13 +287,14 @@ class ExpPoly:
         """Replace each coefficient c by fn(c, z, *constants), z_n = i*freq_n,
         fn homogeneous of the given degree in z and the constants."""
         ks = [self.field.coerce(k) for k in constants]
+        pairs = range(0, 2 * self.num_vars, 2)
         if self.field is FLOAT:
-            return self._merged([(fn(c, [1j * w for w in f], *ks), f)
-                                 for c, f in self.data])
+            return self._merged([
+                (fn(c, [1j * complex(f[m], f[m + 1]) for m in pairs], *ks), f)
+                for c, f in self.data])
         unit = math.lcm(self.unit, *(k.denominator for k in ks))
         poly = self._recast(unit, self.den)
         ks = [GaussInt.scaled(k, unit) for k in ks]
-        pairs = range(0, 2 * self.num_vars, 2)
         out = [(fn(c, [GaussInt(-f[m + 1], f[m]) for m in pairs], *ks), f)
                for c, f in poly.data]
         return poly._with((), den=poly.den * unit ** degree)._merged(out)
@@ -319,13 +310,11 @@ class ExpPoly:
         return a._with((), den=a.den * b.den)._merged(out)
 
     def conj(self) -> "ExpPoly":
-        """Complex conjugate; e^{i w x} maps to e^{-i conj(w) x}."""
-        if self.field is EXACT:
-            return self._with(tuple(
-                (c.conjugate(), tuple(x if m & 1 else -x for m, x in enumerate(f)))
-                for c, f in self.data))
-        return self._with(tuple((np.conj(c), tuple(-np.conj(w) for w in f))
-                                for c, f in self.data))
+        """Complex conjugate; e^{i w x} maps to e^{-i conj(w) x}, so each
+        key keeps its imaginary parts and negates its real parts."""
+        return self._with(tuple(
+            (c.conjugate(), tuple(x if m & 1 else -x for m, x in enumerate(f)))
+            for c, f in self.data))
 
     def _check_compatible(self, other: "ExpPoly"):
         if self.num_vars != other.num_vars or self.field is not other.field:
@@ -353,14 +342,13 @@ class ExpPoly:
         """
         if i == j or not (1 <= i <= self.num_vars) or not (1 <= j <= self.num_vars):
             raise ValueError("bad variable indices")
-        width = 2 if self.field is EXACT else 1
-        ii, jj = (i - 1) * width, (j - 1) * width
+        ii, jj = 2 * (i - 1), 2 * (j - 1)
         out = []
         for coeff, freq in self.data:
             merged = list(freq)
-            for t in range(width):
-                merged[jj + t] = merged[jj + t] + merged[ii + t]
-            del merged[ii:ii + width]
+            merged[jj] += merged[ii]
+            merged[jj + 1] += merged[ii + 1]
+            del merged[ii:ii + 2]
             out.append((coeff, tuple(merged)))
         return self._with((), num_vars=self.num_vars - 1)._merged(out)
 
@@ -378,11 +366,9 @@ class ExpPoly:
         return self.max_coeff() <= abs_tol
 
     def max_coeff(self) -> float:
-        if self.field is EXACT:
-            Q = self.den
-            return max((abs(complex(c.re / Q, c.im / Q)) for c, _ in self.data),
-                       default=0.0)
-        return max((abs(complex(c)) for c, _ in self.data), default=0.0)
+        Q = self.den
+        return max((abs(complex(c.real / Q, c.imag / Q)) for c, _ in self.data),
+                   default=0.0)
 
     def max_freq(self) -> float:
         """Largest modulus of a single frequency; 0.0 for the empty sum."""
@@ -449,8 +435,8 @@ class ExpPoly:
                 f"{self.field.name})")
 
 
-class _RationalTerms(SequenceABC):
-    """Read-only sequence of an exact sum's terms in rational form."""
+class _Terms(SequenceABC):
+    """Read-only sequence of a sum's terms as scalars of its field."""
 
     __slots__ = ("_poly",)
 
@@ -461,43 +447,36 @@ class _RationalTerms(SequenceABC):
         return len(self._poly.data)
 
     def __getitem__(self, index):
-        return self._poly._rational_terms[index]
-
-    def __iter__(self):
-        return iter(self._poly._rational_terms)
+        return self._poly._field_terms[index]
 
     def __eq__(self, other):
         if isinstance(other, SequenceABC):
-            return self._poly._rational_terms == tuple(other)
+            return self._poly._field_terms == tuple(other)
         return NotImplemented
 
-    __hash__ = None
-
     def __repr__(self):
-        return repr(self._poly._rational_terms)
+        return repr(self._poly._field_terms)
 
 
 def _consolidate_float(acc: dict) -> dict:
-    """Merge float frequency vectors that agree to relative 1e-12.
+    """Merge float keys that agree to relative 1e-12.
 
-    Two vectors are linked when every real and imaginary part differs
-    by at most the tolerance; each connected cluster becomes one term,
-    keyed by its least vector in sort order, with the coefficients added
-    in that order.  The result does not depend on the order of the
-    input.  Candidate clusters come from cutting the vectors, one
-    component at a time, wherever two sorted neighbours differ by more
-    than the tolerance; no linked pair is ever cut apart, so the exact
+    Two keys are linked when every real and imaginary part differs by
+    at most the tolerance; each connected cluster becomes one term,
+    keyed by its least key, with the coefficients added in key order.
+    The result comes back sorted by key and does not depend on the
+    order of the input.  Candidate clusters come from cutting the keys,
+    one component at a time, wherever two sorted neighbours differ by
+    more than the tolerance; no linked pair is ever cut apart, so the exact
     links are then resolved within each (small) candidate group.
     """
     if len(acc) < 2:
         return acc
-    entries = sorted(acc.items(), key=lambda kv: _freq_sort_key(kv[0]))
-    points = [tuple(x for pair in _freq_sort_key(f) for x in pair)
-              for f, _ in entries]
+    points = sorted(acc)
     scale = max((abs(x) for p in points for x in p), default=0.0)
     tol = FLOAT_MERGE_RTOL * max(scale, 1.0)
 
-    groups = [list(range(len(entries)))]
+    groups = [list(range(len(points)))]
     for axis in range(len(points[0])):
         cut = []
         for group in groups:
@@ -510,7 +489,7 @@ def _consolidate_float(acc: dict) -> dict:
             cut.append(group[start:])
         groups = cut
 
-    root = list(range(len(entries)))
+    root = list(range(len(points)))
 
     def find(e):
         while root[e] != e:
@@ -525,10 +504,10 @@ def _consolidate_float(acc: dict) -> dict:
                 root[max(ra, rb)] = min(ra, rb)
 
     sums: dict = {}
-    for e, (_, coeff) in enumerate(entries):
-        rep = find(e)
+    for e, point in enumerate(points):
+        rep, coeff = find(e), acc[point]
         sums[rep] = sums[rep] + coeff if rep in sums else coeff
-    return {entries[rep][0]: 0 + total for rep, total in sums.items()}
+    return {points[rep]: 0 + total for rep, total in sums.items()}
 
 
 def _num_json(v):
@@ -559,11 +538,6 @@ def _freq_parse(w):
             return ExactComplex(re, im), True
         return complex(re, im), False
     return w, False
-
-
-def _freq_sort_key(freq):
-    """Sort key of a float frequency vector: (re, im) per variable."""
-    return tuple((w.real, w.imag) for w in map(complex, freq))
 
 
 # ----------------------------------------------------------------------
@@ -647,9 +621,8 @@ class BetheWavefunction:
         # variable v of the extension carries the canonical frequency of
         # its rank in the ordering
         poly = self.canonical
-        width = 2 if poly.field is EXACT else 1
         out = [(c, tuple(x for v in range(n)
-                         for x in f[rank[v] * width:(rank[v] + 1) * width]))
+                         for x in f[2 * rank[v]:2 * rank[v] + 2]))
                for c, f in poly.data]
         return poly._with(())._merged(out)
 
@@ -672,35 +645,29 @@ def build_bethe(rapidities: RapiditySet, coupling: Coupling,
         raise SizeLimit(f"N={n} exceeds the configured maximum {max_particles}")
     lam = list(rapidities.values)
     c = coupling.c
-    if Field.of(*lam, c) is FLOAT:
-        minus_ic = complex(0.0, -float(c))
-        terms = []
-        for perm in itertools.permutations(range(n)):
-            coeff = complex(_perm_sign(perm))
-            for j in range(n):
-                for k in range(j):
-                    # sgn(x_j - x_k) = +1 on the fundamental region for j > k
-                    coeff = coeff * (complex(lam[perm[j]] - lam[perm[k]]) + minus_ic)
-            terms.append((coeff, tuple(lam[perm[m]] for m in range(n))))
-        poly = ExpPoly.from_terms(n, terms, FLOAT)
-        return BetheWavefunction(rapidities, coupling, poly)
-    # lengths in units of D: rapidities k and coupling c become the
-    # integers D*k and D*c, each pair factor the Gaussian integer
-    # D*(l_{Pj} - l_{Pk}) - i*D*c, and the coefficient is their product
-    # over D^(number of pairs)
-    unit = math.lcm(*(Fraction(v).denominator for v in lam + [c]))
-    ks = [_over(Fraction(v), unit) for v in lam]
-    cd = _over(Fraction(c), unit)
+    field = Field.of(*lam, c)
+    if field is EXACT:
+        # lengths in units of D: rapidities k and coupling c become the
+        # integers D*k and D*c, each pair factor the Gaussian integer
+        # D*(l_{Pj} - l_{Pk}) - i*D*c, and the coefficient is their
+        # product over D^(number of pairs)
+        unit = math.lcm(*(Fraction(v).denominator for v in lam + [c]))
+        ks = [_over(Fraction(v), unit) for v in lam]
+        cd, zero, scalar = _over(Fraction(c), unit), 0, GaussInt
+    else:
+        unit, ks, cd = 1, [float(v) for v in lam], float(c)
+        zero, scalar = 0.0, complex
     terms = []
     for perm in itertools.permutations(range(n)):
         re, im = _perm_sign(perm), 0
         for j in range(n):
             for k in range(j):
+                # sgn(x_j - x_k) = +1 on the fundamental region for j > k
                 a = ks[perm[j]] - ks[perm[k]]
                 re, im = re * a + im * cd, im * a - re * cd
-        terms.append((GaussInt(re, im),
-                      tuple(x for m in range(n) for x in (ks[perm[m]], 0))))
-    poly = ExpPoly(n, EXACT, (), unit, unit ** (n * (n - 1) // 2))._merged(terms)
+        terms.append((scalar(re, im),
+                      tuple(x for m in range(n) for x in (ks[perm[m]], zero))))
+    poly = ExpPoly(n, field, (), unit, unit ** (n * (n - 1) // 2))._merged(terms)
     return BetheWavefunction(rapidities, coupling, poly)
 
 

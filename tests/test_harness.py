@@ -176,3 +176,21 @@ class TestCli:
         code = main(["aop", "check", "--n", "1", "--rapidities", "1",
                      "--coupling", "1", "--lam", "1/3,2"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["aop", "check", "--n", "1", "--rapidities", "1", "--coupling", "1",
+         "--lam", "1"],
+        ["aop", "check", "--n", "2", "--rapidities", "1,x", "--coupling", "1",
+         "--lam", "1,-1"],
+        ["aop", "check", "--n", "1", "--rapidities", "1", "--coupling", "0",
+         "--lam", "1,-1"],
+        ["lattice", "rtt", "--sites", "2", "--step", "0.3", "--coupling", "1",
+         "--lam", "abc"],
+        ["lattice", "rtt", "--sites", "0", "--step", "0.3", "--coupling", "1"],
+    ], ids=["lam-one-part", "rapidity-not-a-number", "coupling-zero",
+            "lattice-lam-not-a-number", "zero-sites"])
+    def test_malformed_numbers_are_usage_errors(self, argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err and "Traceback" not in err

@@ -10,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from qnls import integral_operator as aop
-from qnls.errors import ConvergenceDomain
+from qnls.errors import ConvergenceDomain, SizeLimit
 from qnls.exact import EXACT, FLOAT, exact
 from qnls.planewaves import Coupling, ExpPoly, RapiditySet, build_bethe
 
 LAM = aop.SpectralParameter(exact(F(1, 3), F(-2)))
+RAPIDITIES = [F(-1), F(1, 2), F(2), F(7, 3), F(-5, 2)]
 
 
 def rational_rapidities(n):
@@ -34,10 +35,35 @@ class TestDomain:
         with pytest.raises(ConvergenceDomain):
             aop.SpectralParameter(exact(1, 0))
 
-    def test_sector_cap(self):
-        w = build_bethe(RapiditySet.of([1, 2, 3, 4]), Coupling(1))
-        with pytest.raises(ValueError):
+    def test_term_count_guard(self, monkeypatch):
+        """N = 6 Bethe states (972,720 terms) are refused before any
+        term is built."""
+        w = build_bethe(RapiditySet.of([1, 2, 3, 4, 5, 6]), Coupling(1))
+
+        def built(*_args):
+            raise AssertionError("apply_A built terms past its bound")
+        monkeypatch.setattr(aop, "_subset_integral", built)
+        monkeypatch.setattr(ExpPoly, "_merged", built)
+        with pytest.raises(SizeLimit):
             aop.apply_A(LAM, aop.SectorFunction.from_bethe(w), F(1))
+
+    @pytest.mark.parametrize("field", [EXACT, FLOAT])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_term_count_is_pre_merge_count(self, n, field, monkeypatch):
+        raps = RapiditySet.of(RAPIDITIES[:n], field)
+        w = build_bethe(raps, Coupling(field.real(1)))
+        merged = ExpPoly._merged
+        sizes = []
+
+        def counted(poly, raw_terms):
+            raw = list(raw_terms)
+            sizes.append(len(raw))
+            return merged(poly, raw)
+        monkeypatch.setattr(ExpPoly, "_merged", counted)
+        aop.apply_A(LAM, aop.SectorFunction.from_bethe(w), F(3, 2))
+        assert sizes == [aop.apply_A_term_count(n, w.canonical.term_count())]
+        assert aop.apply_A_term_count(n, math.factorial(n)) \
+            == [2, 14, 156, 2328][n - 1]
 
     def test_vacuum_untouched(self):
         f = aop.SectorFunction.from_poly(ExpPoly.from_terms(0, [(1, ())], EXACT))
@@ -54,9 +80,9 @@ class TestDiagonality:
             / (LAM.value - exact(k))
         assert (g.canonical - w.canonical.scale(expected)).is_empty()
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_exact_residual_zero(self, n):
-        raps = RapiditySet.of([F(-1), F(1, 2), F(2)][:n])
+        raps = RapiditySet.of(RAPIDITIES[:n])
         w = build_bethe(raps, Coupling(F(3, 2)))
         measured, residual = aop.eigenvalue_check(LAM, w)
         assert residual == 0.0
@@ -131,9 +157,9 @@ class TestBoundaryValueProblem:
         pde, boundary = aop.bvp_residual(LAM, f, g, c)
         assert pde.is_empty() and boundary == []
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_bethe_input(self, n):
-        raps = RapiditySet.of([F(-1), F(1, 2), F(2)][:n])
+        raps = RapiditySet.of(RAPIDITIES[:n])
         w = build_bethe(raps, Coupling(F(5, 4)))
         f = aop.SectorFunction.from_bethe(w)
         g = aop.apply_A(LAM, f, F(5, 4))

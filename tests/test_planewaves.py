@@ -1,17 +1,22 @@
 """Plane-wave algebra: construction, symmetric extension, restrictions."""
 
+import itertools
 import json
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qnls import charges as ch
+from qnls import integral_operator as aop
 from qnls.errors import DegenerateRapidities, SizeLimit
 from qnls.exact import EXACT, FLOAT, ExactComplex, exact
-from qnls.planewaves import (FLOAT_MERGE_RTOL, Coupling, ExpPoly, RapiditySet,
-                             build_bethe, dumps, symmetrized_plane_wave)
+from qnls.planewaves import (FLOAT_MERGE_RTOL, BetheWavefunction, Coupling,
+                             ExpPoly, RapiditySet, _perm_sign, build_bethe,
+                             dumps, symmetrized_plane_wave)
 
 
 def rational_rapidities(n):
@@ -262,3 +267,159 @@ class TestExactComplex:
     def test_power(self):
         assert exact(0, 1) ** 3 == exact(0, -1)
         assert exact(2, 1) ** 0 == 1
+
+
+def reference_float_bethe_terms(lam, c):
+    """Reference for build_bethe in FLOAT: the permutation loop on
+    complex pair factors and complex frequencies, (coeff, key) per
+    permutation, keys flattened the way ``from_terms`` flattens complex
+    frequencies."""
+    n = len(lam)
+    minus_ic = complex(0.0, -float(c))
+    terms = []
+    for perm in itertools.permutations(range(n)):
+        coeff = complex(_perm_sign(perm))
+        for j in range(n):
+            for k in range(j):
+                coeff = coeff * (complex(lam[perm[j]] - lam[perm[k]]) + minus_ic)
+        freq = [complex(lam[perm[m]]) for m in range(n)]
+        terms.append((coeff, tuple(x for w in freq for x in (w.real, w.imag))))
+    return terms
+
+
+def bits(terms):
+    """Every float of (complex coeff, float key) terms, as hex strings,
+    so that == compares bit patterns, signed zeros included."""
+    return [((c.real.hex(), c.imag.hex()), tuple(x.hex() for x in f))
+            for c, f in terms]
+
+
+def assert_float_layout(poly, ordered=True):
+    """FLOAT invariants: unit = den = 1, keys are tuples of 2N floats
+    (sorted after every merge), coefficients nonzero complex."""
+    assert poly.field is FLOAT and poly.unit == poly.den == 1
+    keys = [f for _, f in poly.data]
+    assert all(len(f) == 2 * poly.num_vars for f in keys)
+    assert all(type(x) is float for f in keys for x in f)
+    assert all(type(c) is complex and c != 0 for c, _ in poly.data)
+    assert len(set(keys)) == len(keys)
+    if ordered:
+        assert keys == sorted(keys)
+
+
+def assert_close(exact_poly, float_poly, rel=1e-12):
+    """Same term count, and each exact term matched by exactly one float
+    term whose key and coefficient are within rel of the largest key
+    entry and coefficient."""
+    a, b = exact_poly.to_float().data, float_poly.data
+    assert len(a) == len(b)
+    if not a:
+        return
+    f_tol = rel * max(1.0, max(abs(x) for _, f in a for x in f))
+    c_tol = rel * max(abs(c) for c, _ in a)
+    for ca, fa in a:
+        near = [cb for cb, fb in b
+                if all(abs(x - y) <= f_tol for x, y in zip(fa, fb))]
+        assert len(near) == 1 and abs(ca - near[0]) <= c_tol
+
+
+# coefficients and imaginary frequency parts are dyadic, so the float
+# path rounds only real frequency parts and the 1/(i mu) of apply_A, and
+# an exact cancellation is an exact cancellation in floats too
+dyadic = st.builds(lambda a, k: F(a, 2 ** k), st.integers(-12, 12),
+                   st.integers(0, 3))
+dyadic_complex = st.builds(exact, dyadic, dyadic)
+real_parts = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+def rational_sums(n, max_terms=4):
+    freq = st.tuples(*[st.builds(exact, real_parts, dyadic)] * n)
+    coeff = dyadic_complex.filter(lambda z: not z.is_zero())
+    return st.lists(st.tuples(coeff, freq), min_size=1,
+                    max_size=max_terms).map(
+        lambda terms: ExpPoly.from_terms(n, terms, EXACT))
+
+
+def single_real_term(n):
+    """One term with pairwise-distinct real frequencies: a function
+    continuous across no boundary, so apply_A cancels no terms."""
+    return st.tuples(dyadic_complex.filter(lambda z: not z.is_zero()),
+                     st.lists(real_parts, min_size=n, max_size=n,
+                              unique=True)).map(
+        lambda t: ExpPoly.from_terms(n, [(t[0], t[1])], EXACT))
+
+
+OPERATIONS = ("add", "sub", "scale", "weighted", "differentiate",
+              "substitute_equal", "conj", "mul", "region_form", "apply_A")
+
+
+def draw_operation(op, n, data):
+    """(operation on a sum of either field, its exact operand)."""
+    positive = dyadic.filter(lambda x: x > 0)
+    p = data.draw(rational_sums(n))
+    if op in ("add", "sub", "mul"):
+        q = data.draw(rational_sums(n))
+        pick = {"add": ExpPoly.__add__, "sub": ExpPoly.__sub__,
+                "mul": ExpPoly.mul}[op]
+        return lambda s: pick(s, q if s.field is EXACT else q.to_float()), p
+    if op == "scale":
+        factor = data.draw(dyadic_complex)
+        return lambda s: s.scale(factor), p
+    if op == "weighted":
+        k, j = data.draw(positive), data.draw(st.integers(1, n - 1))
+        return lambda s: ch.pair_bracket(s, k, j), p
+    if op == "differentiate":
+        multi = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        return lambda s: s.differentiate(multi), p
+    if op == "substitute_equal":
+        i, j = data.draw(st.permutations(range(1, n + 1)))[:2]
+        return lambda s: s.substitute_equal(i, j), p
+    if op == "conj":
+        return ExpPoly.conj, p
+    if op == "region_form":
+        values = data.draw(st.lists(real_parts, min_size=n, max_size=n,
+                                    unique=True))
+        w = build_bethe(RapiditySet.of(values), Coupling(data.draw(positive)))
+        perm = data.draw(st.permutations(range(n)))
+        return lambda s: BetheWavefunction(w.rapidities, w.coupling,
+                                           s).region_form(perm), w.canonical
+    lam = exact(data.draw(dyadic), -data.draw(positive))
+    c = data.draw(positive)
+
+    def apply_A(s):
+        if s.field is EXACT:
+            return aop.apply_A(aop.SpectralParameter(lam),
+                               aop.SectorFunction.from_poly(s), c).canonical
+        return aop.apply_A(aop.SpectralParameter(complex(lam)),
+                           aop.SectorFunction.from_poly(s), float(c)).canonical
+    return apply_A, data.draw(single_real_term(n))
+
+
+class TestFloatLayout:
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+               st.floats(-20, 20, allow_nan=False), min_size=n, max_size=n,
+               unique=True)),
+           st.floats(1e-3, 1e3))
+    @settings(max_examples=60, deadline=None)
+    def test_build_bethe_matches_reference_loop(self, values, c):
+        raps = RapiditySet.of(values)
+        with mock.patch.object(ExpPoly, "_merged", autospec=True,
+                               side_effect=ExpPoly._merged) as merged:
+            w = build_bethe(raps, Coupling(c))
+        raw = merged.call_args.args[1]
+        assert bits(raw) == bits(reference_float_bethe_terms(raps.values, c))
+        assert_float_layout(w.canonical)
+
+    @pytest.mark.parametrize("op", OPERATIONS)
+    @given(st.integers(1, 4), st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_operations_commute_with_to_float(self, op, n, data):
+        """op(p).to_float() agrees with op(p.to_float()), and the float
+        result keeps the FLOAT layout."""
+        if op in ("weighted", "substitute_equal"):
+            n = max(n, 2)
+        fn, p = draw_operation(op, n, data)
+        want, got = fn(p), fn(p.to_float())
+        assert want.field is EXACT
+        assert_float_layout(got, ordered=op != "conj")
+        assert_close(want, got)
