@@ -282,12 +282,14 @@ def composition_identity_check(rapidities: RapiditySet) -> dict:
 # DEFECT_ORDER nodes on [0, min(L, DEFECT_REACH * eps)]; past the reach
 # delta_eps has fallen below exp(-DEFECT_REACH**2) of its peak.  The rule
 # on [0, 1] is built on first use: importing charges solves no eigenproblem.
+# It is the program's one Gauss rule: the numeric oracle of
+# integral_operator tiles it into panels.
 DEFECT_ORDER = 48
 DEFECT_REACH = 7.0
 
 
 @functools.cache
-def _rule() -> tuple[np.ndarray, np.ndarray]:
+def gauss_rule() -> tuple[np.ndarray, np.ndarray]:
     x, wt = np.polynomial.legendre.leggauss(DEFECT_ORDER)
     return 0.5 * (x + 1.0), 0.5 * wt
 
@@ -340,7 +342,7 @@ def _delta_expectations(w: BetheWavefunction, L: float,
                           "it is not invariant under a rigid shift")
     # gap exponents a_j = i (Omega_{j+1} + ... + Omega_N): alpha, then beta
     gaps = 1j * np.cumsum(omega[:, :0:-1], axis=1)[:, ::-1]
-    nodes, weights = _rule()
+    nodes, weights = gauss_rule()
     reach = min(L, DEFECT_REACH * eps)
     s = reach * nodes
     delta = np.exp(-(s / eps) ** 2) / (eps * math.sqrt(math.pi))

@@ -120,8 +120,11 @@ def _cmd_expand_transfer(args) -> int:
     box = BoxSpec(args.box, args.coupling, args.n)
     sol = solve(box, ground_state_quantum_numbers(args.n))
     ks = [float(v) for v in sol.rapidities.values]
-    result = tr.charge_coefficients_from_formulas(ks, args.coupling,
-                                                  order=args.order)
+    try:
+        result = tr.charge_coefficients_from_formulas(ks, args.coupling,
+                                                      order=args.order)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     rows = [{"source": v.source, "order": v.order,
              "printed": str(v.printed), "oracle": str(v.oracle),
              "verdict": v.verdict} for v in result.verdicts]

@@ -25,10 +25,6 @@ class PoleAtRapidity(QnlsError):
     """Spectral parameter hit a rapidity pole of the eigenvalue product."""
 
 
-class QuadratureError(QnlsError):
-    """Adaptive quadrature failed to reach its requested tolerance."""
-
-
 class RMatrixPole(QnlsError):
     """Intertwiner evaluated at coinciding spectral parameters."""
 

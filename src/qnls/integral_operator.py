@@ -35,16 +35,15 @@ identity below is an equality of coefficients:
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 
-from .errors import ConvergenceDomain, QuadratureError, SizeLimit
+from .charges import gauss_rule, pair_bracket
+from .errors import ConvergenceDomain, SizeLimit
 from .exact import EXACT, FLOAT, Field
 from .planewaves import BetheWavefunction, ExpPoly, GaussInt
 
@@ -183,32 +182,26 @@ def _subset_integral(terms: list, subset: tuple, lam_v, inverse, n: int):
 
     out_terms = []
     for pieces in itertools.product(*piece_ranges):
-        # sorted argument tokens: ('x', j) for kept coordinates, with
-        # xi_m slotted right after coordinate value x_{pieces[m]}
-        tokens = [("x", j) for j in range(n) if j not in subset]
-        tokens += [("xi", m) for m in range(size)]
-        tokens.sort(key=lambda t: (pieces[t[1]], 1) if t[0] == "xi"
-                    else (t[1], 0))
-        pos = {tok: r for r, tok in enumerate(tokens)}
-
+        # in the sorted argument list xi_m sits at slot pieces[m] (right
+        # after x_{pieces[m]}); the kept coordinates fill the other slots
+        kept = list(zip((j for j in range(n) if j not in subset),
+                        (r for r in range(n) if r not in pieces)))
         for coeff, freq, den in terms:
             base_freq = [freq[0] * 0] * n
-            for j in range(n):
-                if j not in subset:
-                    base_freq[j] = freq[pos[("x", j)]]
+            for j, r in kept:
+                base_freq[j] = freq[r]
             for idx in subset:
                 base_freq[idx] = base_freq[idx] + lam_v
             # integrate each xi over its piece (x_q, x_{q+1}) or (x_q, inf)
             pending = [(coeff, base_freq, den)]
-            for m in range(size):
-                q = pieces[m]
-                mu = freq[pos[("xi", m)]] - lam_v     # exponent frequency
+            for q in pieces:
+                mu = freq[q] - lam_v     # exponent frequency
                 inv, inv_den = inverse(mu)
                 new_pending = []
                 for cf, bf, d in pending:
                     lower = list(bf)
                     lower[q] = lower[q] + mu
-                    new_pending.append((cf * inv * (-1), lower, d * inv_den))
+                    new_pending.append((-(cf * inv), lower, d * inv_den))
                     if q + 1 < n:
                         upper = list(bf)
                         upper[q + 1] = upper[q + 1] + mu
@@ -295,7 +288,6 @@ def bvp_residual(lam: SpectralParameter, f: SectorFunction,
            - f.canonical.weighted(shifted_product, n, i_lam + c_v)
            ).scale(field.i ** n)
 
-    from .charges import pair_bracket
     boundary = []
     for j in range(1, n):
         bg = pair_bracket(g.canonical, c, j).restrict_to_boundary(j)
@@ -306,7 +298,6 @@ def bvp_residual(lam: SpectralParameter, f: SectorFunction,
 
 def pair_bracket_residual(poly: ExpPoly, c) -> float:
     """Largest coefficient of the pair brackets of a sector function."""
-    from .charges import pair_bracket
     worst = 0.0
     for j in range(1, poly.num_vars):
         res = pair_bracket(poly, c, j).restrict_to_boundary(j)
@@ -318,26 +309,31 @@ def pair_bracket_residual(poly: ExpPoly, c) -> float:
 # Numeric cross-check (direct quadrature of the defining integrals)
 # ----------------------------------------------------------------------
 
-def _quad_complex(fn, a: float, b: float, rtol: float) -> complex:
-    """Integral of a complex function over [a, b] as two real adaptive
-    passes.  Both passes read one memo of fn, so every node they share
-    costs one evaluation of fn."""
-    value = functools.cache(fn)
-    re, _ = integrate.quad(lambda t: value(t).real, a, b,
-                           epsabs=1e-13, epsrel=rtol, limit=300)
-    im, _ = integrate.quad(lambda t: value(t).imag, a, b,
-                           epsabs=1e-13, epsrel=rtol, limit=300)
-    if not (np.isfinite(re) and np.isfinite(im)):
-        raise QuadratureError("numeric kernel integral failed")
-    return complex(re, im)
+# Every interval of the oracle is cut into equal panels, each at most
+# PANEL_PHASE radians of the fastest exponent |lambda| + max|k| long, and
+# each panel carries the 48-node rule of ``charges.gauss_rule``.
+PANEL_PHASE = 24.0
+
+
+def _panels(a: float, b: float, omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite Gauss-Legendre rule on [a, b]
+    for an integrand of exponent modulus at most omega."""
+    nodes, weights = gauss_rule()
+    count = max(1, math.ceil(omega * (b - a) / PANEL_PHASE))
+    width = (b - a) / count
+    starts = a + width * np.arange(count)
+    return ((starts[:, None] + width * nodes).ravel(),
+            np.tile(width * weights, count))
 
 
 def apply_A_numeric_point(lam: complex, w: BetheWavefunction,
-                          point: Sequence[float], rtol: float = 1e-9) -> complex:
+                          point: Sequence[float]) -> complex:
     """Direct quadrature of the defining integrals at one ordered point.
 
-    Supported for N <= 2; the improper integrals are truncated once the
-    kernel has decayed below the requested tolerance.
+    Supported for N <= 2.  Each integral runs over fixed composite
+    Gauss-Legendre panels (``_panels``), split at the kink x_2; the
+    improper integrals are cut at x + 45/|Im lambda|, where the kernel
+    has decayed by e^-45.  It shares only ``evaluate`` with ``apply_A``.
     """
     lam = complex(lam)
     if lam.imag >= 0:
@@ -347,43 +343,34 @@ def apply_A_numeric_point(lam: complex, w: BetheWavefunction,
     if n > 2:
         raise ValueError("numeric cross-check supports N <= 2")
     c = float(w.coupling.c)
-    decay = -lam.imag
-    cut = 45.0 / decay
+    cut = 45.0 / -lam.imag
+    omega = abs(lam) + w.canonical.max_freq()
 
-    def f_at(*args):
-        return w.evaluate(list(args))
+    def kernel(i, rule):
+        """Rule weights times exp(i lam (x_i - xi)) at the rule's nodes."""
+        xi, wt = rule
+        return wt * np.exp(1j * lam * (x[i] - xi))
 
-    total = complex(f_at(*x))
+    def sweep(i, a, b):
+        """c int_a^b exp(i lam (x_i - xi)) f(x with x_i -> xi) dxi."""
+        rule = _panels(a, b, omega)
+        pts = np.tile(x, (rule[0].size, 1))
+        pts[:, i] = rule[0]
+        return c * kernel(i, rule) @ w.evaluate_many(pts)
 
-    quad_c = functools.partial(_quad_complex, rtol=rtol)
-
+    total = w.evaluate(x)
     if n == 1:
-        total += c * quad_c(
-            lambda xi: np.exp(1j * lam * (x[0] - xi)) * f_at(xi),
-            x[0], x[0] + cut)
-        return total
-
+        return complex(total + sweep(0, x[0], x[0] + cut))
     # subset {x_1}: xi sweeps past x_2, where f has a kink
-    total += c * quad_c(
-        lambda xi: np.exp(1j * lam * (x[0] - xi)) * f_at(xi, x[1]),
-        x[0], x[1])
-    total += c * quad_c(
-        lambda xi: np.exp(1j * lam * (x[0] - xi)) * f_at(xi, x[1]),
-        x[1], x[1] + cut)
+    total += sweep(0, x[0], x[1]) + sweep(0, x[1], x[1] + cut)
     # subset {x_2}
-    total += c * quad_c(
-        lambda xi: np.exp(1j * lam * (x[1] - xi)) * f_at(x[0], xi),
-        x[1], x[1] + cut)
-
-    # subset {x_1, x_2}: xi_1 in (x_1, x_2), xi_2 in (x_2, inf)
-    def outer(xi2):
-        inner = quad_c(
-            lambda xi1: np.exp(1j * lam * (x[0] - xi1)) * f_at(xi1, xi2),
-            x[0], x[1])
-        return np.exp(1j * lam * (x[1] - xi2)) * inner
-
-    total += c * c * quad_c(outer, x[1], x[1] + cut)
-    return total
+    total += sweep(1, x[1], x[1] + cut)
+    # subset {x_1, x_2}: tensor rule on xi_1 in (x_1, x_2), xi_2 in (x_2, inf)
+    inner, outer = _panels(x[0], x[1], omega), _panels(x[1], x[1] + cut, omega)
+    grid = np.stack(np.meshgrid(inner[0], outer[0], indexing="ij"), axis=-1)
+    f_grid = w.evaluate_many(grid.reshape(-1, 2)).reshape(grid.shape[:2])
+    total += c * c * kernel(0, inner) @ f_grid @ kernel(1, outer)
+    return complex(total)
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 SCHEMA_VERSION = 1
 
@@ -86,7 +85,6 @@ class VerificationReport:
             "environment": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
             },
             "checks": [rec.to_json_dict() for rec in checks],
             "summary": self.summary(),

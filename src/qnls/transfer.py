@@ -108,6 +108,9 @@ def power_sums(rapidities: Sequence, up_to: int, field: Field):
 # coefficients of e^{-i lam L/2} theta(lam) or of its logarithm.
 # ----------------------------------------------------------------------
 
+PRINTED_ORDER = 4
+
+
 def printed_charge_constants(n: int, p: dict, c, field: Field,
                              h1_mode: str = "i_p1") -> list:
     i, one, frac = field.i, field.one, field.frac
@@ -221,8 +224,12 @@ def charge_coefficients_from_formulas(rapidities: Sequence, c,
 
     Matches become ``pass``; mismatches at the documented (source, order)
     slots become ``expected-mismatch``; any other disagreement is a
-    ``fail`` (and would indicate a transcription or oracle bug).
+    ``fail`` (and would indicate a transcription or oracle bug).  The
+    oracle must reach ``PRINTED_ORDER``, the last order of the tables.
     """
+    if order < PRINTED_ORDER:
+        raise ValueError(f"order {order} is below {PRINTED_ORDER}, the last "
+                         "order of the printed tables")
     field = field or Field.of(*rapidities, c)
     n = len(rapidities)
     series = asymptotic_product_series(rapidities, c, order, field)

@@ -1,12 +1,15 @@
 """Configuration, report rendering, CLI surfaces and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from qnls.cli import main
 from qnls.config import ALL_SUITES, ConfigError, build_config, parse_config_file
 from qnls.report import CheckRecord, VerificationReport, render_markdown
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestConfig:
@@ -187,10 +190,26 @@ class TestCli:
         ["lattice", "rtt", "--sites", "2", "--step", "0.3", "--coupling", "1",
          "--lam", "abc"],
         ["lattice", "rtt", "--sites", "0", "--step", "0.3", "--coupling", "1"],
+        *(["expand", "transfer", "--n", "2", "--box", "6.283", "--coupling",
+           "1", "--order", order] for order in ("0", "-3", "3")),
     ], ids=["lam-one-part", "rapidity-not-a-number", "coupling-zero",
-            "lattice-lam-not-a-number", "zero-sites"])
+            "lattice-lam-not-a-number", "zero-sites", "order-zero",
+            "order-negative", "order-three"])
     def test_malformed_numbers_are_usage_errors(self, argv, capsys):
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 2
         assert "configuration error" in err and "Traceback" not in err
+
+
+def test_no_scipy_in_sources():
+    """No computation or report field comes from scipy: the one line left
+    naming it is the import of charges that perfbench/tracer.py patches."""
+    files = sorted((ROOT / "src" / "qnls").glob("*.py")) \
+        + sorted((ROOT / "scripts").glob("*.py"))
+    assert files
+    held = ("charges.py", "from scipy import integrate  # noqa: F401")
+    offenders = [(path.name, line.strip()) for path in files
+                 for line in path.read_text(encoding="utf-8").splitlines()
+                 if "scipy" in line and (path.name, line.strip()) != held]
+    assert offenders == []
