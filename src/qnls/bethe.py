@@ -24,6 +24,7 @@ Conventions recorded in every emitted report:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -52,6 +53,8 @@ class BoxSpec:
     N: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.L) and math.isfinite(self.c)):
+            raise DomainError("box length and coupling must be finite")
         if self.L <= 0:
             raise DomainError("box length must be positive")
         if self.N < 0:
@@ -148,7 +151,8 @@ def solve(box: BoxSpec, qn: QuantumNumbers) -> RapiditySolution:
     k = 2.0 * np.pi * I / box.L
     res = _log_residual(k, box, I)
     iterations = 0
-    while np.max(np.abs(res)) > LOG_TOL * max(1.0, box.L):
+    # a NaN residual is never within tolerance: it ends in SolverDiverged
+    while not np.max(np.abs(res)) <= LOG_TOL * max(1.0, box.L):
         if iterations >= MAX_ITERATIONS:
             raise SolverDiverged(
                 f"no convergence after {MAX_ITERATIONS} Newton steps")
@@ -184,7 +188,7 @@ def solve(box: BoxSpec, qn: QuantumNumbers) -> RapiditySolution:
 
 
 def _product_residual(k: np.ndarray, box: BoxSpec) -> float:
-    worst = 0.0
+    defects = [0.0]
     for l in range(len(k)):
         lhs = np.exp(1j * k[l] * box.L)
         rhs = 1.0 + 0.0j
@@ -192,8 +196,9 @@ def _product_residual(k: np.ndarray, box: BoxSpec) -> float:
             if j == l:
                 continue
             rhs *= (k[l] - k[j] + 1j * box.c) / (k[l] - k[j] - 1j * box.c)
-        worst = max(worst, abs(lhs - rhs))
-    return float(worst)
+        defects.append(abs(lhs - rhs))
+    # np.max propagates NaN, where max(0.0, nan) would keep 0.0
+    return float(np.max(defects))
 
 
 def residual_product_form(sol: RapiditySolution, box: BoxSpec) -> float:

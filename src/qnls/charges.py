@@ -37,11 +37,18 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-# integrate stays bound: perfbench/tracer.py patches charges.integrate
-from scipy import integrate  # noqa: F401
 
 from .errors import DomainError
 from .planewaves import BetheWavefunction, ExpPoly, RapiditySet
+
+
+def __getattr__(name):
+    # last program-side tie to perfbench/tracer.py, which patches
+    # charges.integrate.quad; deleted by ROADMAP item 2
+    if name == "integrate":
+        from scipy import integrate
+        return integrate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ Exit codes: 0 all checks pass, 1 any check failed, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from fractions import Fraction
@@ -82,11 +83,21 @@ def _run_and_report(cfg) -> int:
 
 
 def _parse(kind, text: str, option: str):
-    """kind(text), with a malformed value reported as a usage error."""
+    """kind(text), with a malformed or non-finite value reported as a
+    usage error."""
     try:
-        return kind(text)
+        value = kind(text)
     except (ValueError, ZeroDivisionError) as err:
         raise ConfigError(f"bad {option} value {text!r}: {err}") from err
+    if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+        raise ConfigError(f"bad {option} value {text!r}: not finite")
+    return value
+
+
+def _parse_floats(args, *dests: str):
+    """Parse the named float options of args in place."""
+    for dest in dests:
+        setattr(args, dest, _parse(float, getattr(args, dest), f"--{dest}"))
 
 
 def _parse_rationals(text: str, option: str) -> list:
@@ -107,6 +118,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bethe_solve(args) -> int:
+    _parse_floats(args, "box", "coupling")
     box = BoxSpec(args.box, args.coupling, args.n)
     qn = QuantumNumbers.of(_parse_rationals(args.quantum_numbers,
                                             "--quantum-numbers")) \
@@ -117,6 +129,7 @@ def _cmd_bethe_solve(args) -> int:
 
 
 def _cmd_expand_transfer(args) -> int:
+    _parse_floats(args, "box", "coupling")
     box = BoxSpec(args.box, args.coupling, args.n)
     sol = solve(box, ground_state_quantum_numbers(args.n))
     ks = [float(v) for v in sol.rapidities.values]
@@ -147,6 +160,7 @@ def _cmd_expand_transfer(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
+    _parse_floats(args, "step", "coupling")
     try:
         spec = lat.LatticeSpec(args.sites, args.cutoff, args.step, args.coupling)
     except ValueError as err:
@@ -231,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     bsub = p_bethe.add_subparsers(dest="action", required=True)
     p_solve = bsub.add_parser("solve")
     p_solve.add_argument("--n", type=int, required=True)
-    p_solve.add_argument("--box", type=float, required=True)
-    p_solve.add_argument("--coupling", type=float, required=True)
+    p_solve.add_argument("--box", required=True)
+    p_solve.add_argument("--coupling", required=True)
     p_solve.add_argument("--quantum-numbers", dest="quantum_numbers")
     p_solve.set_defaults(fn=_cmd_bethe_solve)
 
@@ -240,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     esub = p_expand.add_subparsers(dest="action", required=True)
     p_tr = esub.add_parser("transfer")
     p_tr.add_argument("--n", type=int, required=True)
-    p_tr.add_argument("--box", type=float, required=True)
-    p_tr.add_argument("--coupling", type=float, required=True)
+    p_tr.add_argument("--box", required=True)
+    p_tr.add_argument("--coupling", required=True)
     p_tr.add_argument("--order", type=int, default=tr.DEFAULT_ORDER)
     p_tr.set_defaults(fn=_cmd_expand_transfer)
 
@@ -249,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lat.add_argument("action", choices=("rtt", "commute", "continuum"))
     p_lat.add_argument("--sites", type=int, required=True)
     p_lat.add_argument("--cutoff", type=int, default=4)
-    p_lat.add_argument("--step", type=float, required=True)
-    p_lat.add_argument("--coupling", type=float, required=True)
+    p_lat.add_argument("--step", required=True)
+    p_lat.add_argument("--coupling", required=True)
     p_lat.add_argument("--sector", type=int, default=1)
     p_lat.add_argument("--lam", default="0.7")
     p_lat.add_argument("--mu", default="1.3")

@@ -14,6 +14,8 @@ ALL_SUITES = (
 )
 
 _KEYS = {"mode", "seed", "out", "suites", "quiet"}
+_FLAGS = {"1": True, "true": True, "yes": True,
+          "0": False, "false": False, "no": False}
 
 
 class ConfigError(Exception):
@@ -32,6 +34,8 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "float"):
             raise ConfigError(f"unknown mode {self.mode!r}")
+        if not self.suites:
+            raise ConfigError("no suites to run")
         bad = [s for s in self.suites if s not in ALL_SUITES]
         if bad:
             raise ConfigError(f"unknown suites: {bad}")
@@ -72,7 +76,11 @@ def build_config(file_values: dict | None = None, **overrides) -> RunConfig:
             merged["suites"] = tuple(
                 s.strip() for s in file_values["suites"].split(",") if s.strip())
         if "quiet" in file_values:
-            merged["quiet"] = file_values["quiet"].lower() in ("1", "true", "yes")
+            quiet = file_values["quiet"]
+            if quiet.lower() not in _FLAGS:
+                raise ConfigError(f"bad quiet: {quiet!r}, expected one of "
+                                  f"{'/'.join(_FLAGS)}")
+            merged["quiet"] = _FLAGS[quiet.lower()]
     for key, value in overrides.items():
         if value is not None:
             merged[key] = value

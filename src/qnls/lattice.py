@@ -81,6 +81,8 @@ class LatticeSpec:
     c: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.step) and math.isfinite(self.c)):
+            raise ValueError("need finite Delta and c")
         if self.sites < 1 or self.cutoff < 1 or self.step <= 0 or self.c <= 0:
             raise ValueError("need M >= 1, d >= 1, Delta > 0, c > 0")
 

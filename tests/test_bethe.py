@@ -72,6 +72,30 @@ class TestSolve:
         with pytest.raises(mod.SolverDiverged):
             solve(BoxSpec(BOX_L, 1.0, 2), ground_state_quantum_numbers(2))
 
+    @pytest.mark.parametrize("L, c", [(math.nan, 1.0), (1.0, math.nan),
+                                      (math.inf, 1.0)],
+                             ids=["box-nan", "coupling-nan", "box-inf"])
+    def test_non_finite_box_rejected(self, L, c):
+        with pytest.raises(DomainError, match="finite"):
+            BoxSpec(L, c, 2)
+
+    def test_nan_residual_is_not_convergence(self, monkeypatch):
+        """A NaN residual fails every tolerance test: the solver raises
+        instead of returning the seed after zero iterations."""
+        import qnls.bethe as mod
+        monkeypatch.setattr(mod, "_log_residual",
+                            lambda k, box, I: np.full_like(k, np.nan))
+        with pytest.raises(mod.SolverDiverged):
+            solve(BoxSpec(BOX_L, 1.0, 2), ground_state_quantum_numbers(2))
+
+    def test_product_residual_propagates_nan(self):
+        import qnls.bethe as mod
+        box = BoxSpec(BOX_L, 1.0, 3)
+        with np.errstate(invalid="ignore"):
+            defect = mod._product_residual(np.array([0.1, np.nan, 0.3]), box)
+        assert math.isnan(defect)
+        assert mod._product_residual(np.array([]), box) == 0.0
+
     def test_no_descent_raises_in_first_step(self, monkeypatch):
         """When no halving of the Newton step lowers the residual, the
         solver raises at once instead of taking the worse step."""

@@ -1,6 +1,9 @@
 """Configuration, report rendering, CLI surfaces and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,6 +43,32 @@ class TestConfig:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ConfigError):
             build_config(suites=("nope",))
+
+    def test_empty_suites_rejected(self, tmp_path):
+        """A run that verifies nothing is a configuration error, not a pass."""
+        path = tmp_path / "run.cfg"
+        path.write_text("suites =\n")
+        with pytest.raises(ConfigError, match="no suites"):
+            build_config(parse_config_file(str(path)))
+        out_dir = tmp_path / "out"
+        assert main(["run", "all", "--config", str(path), "--out",
+                     str(out_dir)]) == 2
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("text, quiet", [("yes", True), ("TRUE", True),
+                                             ("1", True), ("no", False),
+                                             ("False", False), ("0", False)])
+    def test_quiet_values(self, tmp_path, text, quiet):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"quiet = {text}\n")
+        assert build_config(parse_config_file(str(path))).quiet is quiet
+
+    @pytest.mark.parametrize("text", ["ture", "on", ""])
+    def test_misspelt_quiet_rejected(self, tmp_path, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"quiet = {text}\n")
+        with pytest.raises(ConfigError, match="quiet"):
+            build_config(parse_config_file(str(path)))
 
 
 class TestReport:
@@ -192,9 +221,26 @@ class TestCli:
         ["lattice", "rtt", "--sites", "0", "--step", "0.3", "--coupling", "1"],
         *(["expand", "transfer", "--n", "2", "--box", "6.283", "--coupling",
            "1", "--order", order] for order in ("0", "-3", "3")),
+        ["bethe", "solve", "--n", "2", "--box", "nan", "--coupling", "1"],
+        ["bethe", "solve", "--n", "2", "--box", "6.283", "--coupling", "nan"],
+        ["bethe", "solve", "--n", "2", "--box", "1e400", "--coupling", "1"],
+        ["lattice", "rtt", "--sites", "2", "--step", "0.3", "--coupling",
+         "nan"],
+        ["lattice", "commute", "--sites", "2", "--step", "nan", "--coupling",
+         "1"],
+        ["lattice", "rtt", "--sites", "2", "--step", "0.3", "--coupling", "1",
+         "--lam", "inf"],
+        ["lattice", "rtt", "--sites", "2", "--step", "0.3", "--coupling", "1",
+         "--mu", "1+nanj"],
+        ["lattice", "continuum", "--sites", "2", "--step", "0.3",
+         "--coupling", "1", "--lam", "nan"],
+        ["expand", "transfer", "--n", "2", "--box", "nan", "--coupling", "1"],
     ], ids=["lam-one-part", "rapidity-not-a-number", "coupling-zero",
             "lattice-lam-not-a-number", "zero-sites", "order-zero",
-            "order-negative", "order-three"])
+            "order-negative", "order-three", "bethe-box-nan",
+            "bethe-coupling-nan", "bethe-box-overflow", "lattice-coupling-nan",
+            "lattice-step-nan", "lattice-lam-inf", "lattice-mu-nan",
+            "continuum-lam-nan", "transfer-box-nan"])
     def test_malformed_numbers_are_usage_errors(self, argv, capsys):
         code = main(argv)
         err = capsys.readouterr().err
@@ -204,12 +250,38 @@ class TestCli:
 
 def test_no_scipy_in_sources():
     """No computation or report field comes from scipy: the one line left
-    naming it is the import of charges that perfbench/tracer.py patches."""
+    naming it is the lazy import in the body of charges.__getattr__, run
+    only when perfbench/tracer.py asks for charges.integrate."""
     files = sorted((ROOT / "src" / "qnls").glob("*.py")) \
         + sorted((ROOT / "scripts").glob("*.py"))
     assert files
-    held = ("charges.py", "from scipy import integrate  # noqa: F401")
-    offenders = [(path.name, line.strip()) for path in files
+    held = ("charges.py", "        from scipy import integrate")
+    offenders = [(path.name, line) for path in files
                  for line in path.read_text(encoding="utf-8").splitlines()
-                 if "scipy" in line and (path.name, line.strip()) != held]
+                 if "scipy" in line and (path.name, line) != held]
     assert offenders == []
+
+
+def test_run_all_loads_no_scipy(tmp_path):
+    """In a fresh interpreter neither importing the CLI nor a full run
+    loads any scipy module."""
+    script = (
+        "import json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m == 'scipy' or m.startswith('scipy.'))\n"
+        "import qnls.cli\n"
+        "after_import = loaded()\n"
+        "code = qnls.cli.main(['run', 'all', '--seed', '2024', '--quiet',\n"
+        "                      '--out', sys.argv[1]])\n"
+        "print(json.dumps({'code': code, 'after_import': after_import,\n"
+        "                  'after_run': loaded()}))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert doc == {"code": 0, "after_import": [], "after_run": []}

@@ -298,6 +298,12 @@ class TestMonodromy:
         with pytest.raises(SizeLimit):
             lat.monodromy(lat.LatticeSpec(10, 5, 0.1, 1.0), 0.5)
 
+    @pytest.mark.parametrize("step, c", [(math.nan, 1.0), (math.inf, 1.0),
+                                         (0.3, math.nan), (0.3, math.inf)])
+    def test_non_finite_spec_rejected(self, step, c):
+        with pytest.raises(ValueError, match="finite"):
+            lat.LatticeSpec(2, 4, step, c)
+
     @given(sector_cases())
     @settings(max_examples=60, deadline=None)
     def test_sector_engine_matches_pair_loop(self, case):
