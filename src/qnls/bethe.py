@@ -37,7 +37,6 @@ from .planewaves import RapiditySet
 MAX_ITERATIONS = 200
 MAX_HALVINGS = 8
 LOG_TOL = 1e-12
-PRODUCT_TOL = 1e-10
 
 QUANTUM_NUMBER_CONVENTION = (
     "integers for odd N, half-odd integers for even N; "

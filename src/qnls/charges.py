@@ -58,38 +58,26 @@ def __getattr__(name):
 @dataclass(frozen=True)
 class FreeChargeSpec:
     """Free differential part of a charge: sign * (symmetric polynomial
-    of the per-variable derivatives), plus the number of delta layers."""
+    of the per-variable derivatives)."""
 
     name: str
     kind: str          # "power" or "elementary"
     degree: int
     sign: int
-    delta_rank: int
 
     def min_particles(self) -> int:
         return self.degree if self.kind == "elementary" else 1
 
 
 CHARGES = {
-    "H1": FreeChargeSpec("H1", "power", 1, +1, 0),
-    "H2": FreeChargeSpec("H2", "power", 2, -1, 1),
-    "J2": FreeChargeSpec("J2", "elementary", 2, +1, 1),
-    "J3": FreeChargeSpec("J3", "elementary", 3, +1, 1),
-    "J4": FreeChargeSpec("J4", "elementary", 4, +1, 2),
-    "H3": FreeChargeSpec("H3", "power", 3, +1, 1),
-    "H4": FreeChargeSpec("H4", "power", 4, +1, 2),
+    "H1": FreeChargeSpec("H1", "power", 1, +1),
+    "H2": FreeChargeSpec("H2", "power", 2, -1),
+    "J2": FreeChargeSpec("J2", "elementary", 2, +1),
+    "J3": FreeChargeSpec("J3", "elementary", 3, +1),
+    "J4": FreeChargeSpec("J4", "elementary", 4, +1),
+    "H3": FreeChargeSpec("H3", "power", 3, +1),
+    "H4": FreeChargeSpec("H4", "power", 4, +1),
 }
-
-FORMULA_IDS = {
-    "H1": "i*p1", "H2": "p2", "J2": "-e2", "J3": "i^3*e3",
-    "J4": "e4", "H3": "i^3*p3", "H4": "p4",
-}
-
-
-@dataclass(frozen=True)
-class ChargeEigenvalue:
-    value: object       # ExactComplex under EXACT, complex under FLOAT
-    formula_id: str
 
 
 def power_sum(values: Sequence, m: int):
@@ -113,17 +101,18 @@ def elementary_symmetric(values: Sequence, m: int):
     return coeffs[m]
 
 
-def charge_eigenvalue(name: str, rapidities: RapiditySet) -> ChargeEigenvalue:
+def charge_eigenvalue(name: str, rapidities: RapiditySet):
     """Exact eigenvalue of the named charge on the Bethe state with the
     given rapidities: the registered symmetric polynomial evaluated at
-    i * rapidities, times the registered sign."""
+    i * rapidities, times the registered sign.  An ExactComplex under
+    EXACT, a complex under FLOAT."""
     spec = CHARGES[name]
     vals = [rapidities.field.i * v for v in rapidities.values]
     if spec.kind == "power":
         value = power_sum(vals, spec.degree)
     else:
         value = elementary_symmetric(vals, spec.degree)
-    return ChargeEigenvalue(value * spec.sign, FORMULA_IDS[name])
+    return value * spec.sign
 
 
 # ----------------------------------------------------------------------
@@ -147,8 +136,7 @@ def interior_eigen_residual(name: str, w: BetheWavefunction) -> ExpPoly:
     the empty sum on the ordered region."""
     spec = CHARGES[name]
     applied = apply_free_part(spec, w)
-    ev = charge_eigenvalue(name, w.rapidities).value
-    return applied - w.canonical.scale(ev)
+    return applied - w.canonical.scale(charge_eigenvalue(name, w.rapidities))
 
 
 # ----------------------------------------------------------------------
@@ -160,18 +148,14 @@ def pair_bracket(poly: ExpPoly, coupling, j: int) -> ExpPoly:
     return poly.weighted(lambda z, c: c + (z[j - 1] - z[j]), 1, coupling)
 
 
-def boundary_residual_h2_generic(poly: ExpPoly, coupling, j: int) -> ExpPoly:
+def boundary_residual_h2(poly: ExpPoly, coupling, j: int) -> ExpPoly:
     """Pair bracket restricted to x_{j+1} = x_j + 0 for an arbitrary
     plane-wave sum; empty exactly for functions in the interacting
     domain, nonempty for generic controls."""
     return pair_bracket(poly, coupling, j).restrict_to_boundary(j)
 
 
-def boundary_residual_h2(w: BetheWavefunction, j: int) -> ExpPoly:
-    return boundary_residual_h2_generic(w.canonical, w.coupling.c, j)
-
-
-def boundary_residual_j3_generic(poly: ExpPoly, coupling, j: int) -> ExpPoly:
+def boundary_residual_j3(poly: ExpPoly, coupling, j: int) -> ExpPoly:
     """(sum_{l != j, j+1} d_l) applied to the pair bracket, restricted to
     x_{j+1} = x_j + 0.  The extra derivatives are tangential to the
     boundary, so vanishing of the pair bracket forces this to vanish."""
@@ -190,10 +174,6 @@ def boundary_residual_j3_generic(poly: ExpPoly, coupling, j: int) -> ExpPoly:
     return bracket.weighted(weight, 1).restrict_to_boundary(j)
 
 
-def boundary_residual_j3(w: BetheWavefunction, j: int) -> ExpPoly:
-    return boundary_residual_j3_generic(w.canonical, w.coupling.c, j)
-
-
 def _tangential_e2(z):
     """e_2(z_3, ..., z_n); at n = 4 the single product z_4 z_3."""
     total, run = z[3] * z[2], z[3] + z[2]
@@ -202,7 +182,7 @@ def _tangential_e2(z):
     return total
 
 
-def boundary_residual_j4_generic(poly: ExpPoly, coupling) -> list[ExpPoly]:
+def boundary_residual_j4(poly: ExpPoly, coupling) -> list[ExpPoly]:
     """Quadruple-layer boundary condition at x_2 = x_1 + 0.
 
     Returns two residual components, both required empty:
@@ -227,22 +207,18 @@ def boundary_residual_j4_generic(poly: ExpPoly, coupling) -> list[ExpPoly]:
     return [deriv_total, delta_total]
 
 
-def boundary_residual_j4(w: BetheWavefunction) -> list[ExpPoly]:
-    return boundary_residual_j4_generic(w.canonical, w.coupling.c)
-
-
 def all_boundary_residuals(w: BetheWavefunction) -> dict:
     """Every applicable boundary residual for the state; keys name the
     bracket and the hyperplane index."""
     out = {}
-    n = w.n
+    n, poly, c = w.n, w.canonical, w.coupling.c
     for j in range(1, n):
-        out[f"pair[j={j}]"] = boundary_residual_h2(w, j)
+        out[f"pair[j={j}]"] = boundary_residual_h2(poly, c, j)
     if n >= 3:
         for j in range(1, n):
-            out[f"triple[j={j}]"] = boundary_residual_j3(w, j)
+            out[f"triple[j={j}]"] = boundary_residual_j3(poly, c, j)
     if n >= 4:
-        for idx, res in enumerate(boundary_residual_j4(w)):
+        for idx, res in enumerate(boundary_residual_j4(poly, c)):
             out[f"quadruple[part={idx}]"] = res
     return out
 
@@ -257,7 +233,7 @@ def composition_identity_check(rapidities: RapiditySet) -> dict:
     n = len(rapidities)
     if n == 0:
         raise DomainError("composition identities need at least one particle")
-    ev = {name: charge_eigenvalue(name, rapidities).value for name in CHARGES}
+    ev = {name: charge_eigenvalue(name, rapidities) for name in CHARGES}
 
     h3_combo = ev["H1"] ** 3 - 3 * ev["H1"] * ev["J2"] + 3 * ev["J3"]
     h4_combo = (ev["H1"] ** 4 + 2 * ev["J2"] ** 2 - 4 * ev["H1"] ** 2 * ev["J2"]

@@ -8,7 +8,8 @@ Verbs:
     lattice rtt|commute|continuum
     aop check               integral-operator diagonality check
 
-Exit codes: 0 all checks pass, 1 any check failed, 2 usage/config error.
+Exit codes: 0 all checks pass, 1 any check failed, 2 usage/config error
+or input out of numeric range.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import json
 import sys
 from fractions import Fraction
 
-from . import charges as ch
+import numpy as np
+
 from . import integral_operator as aop
 from . import lattice as lat
 from . import transfer as tr
@@ -111,8 +113,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.what != "all":
-        raise ConfigError(f"unknown run target {args.what!r}")
     cfg = _load_config(args)
     return _run_and_report(cfg)
 
@@ -204,9 +204,8 @@ def _cmd_aop_check(args) -> int:
     measured, residual = aop.eigenvalue_check(lam, w)
     expected = aop.bethe_eigenvalue(lam, w.rapidities.values,
                                     w.coupling.c, EXACT)
-    f = aop.SectorFunction.from_bethe(w)
-    g = aop.apply_A(lam, f, w.coupling.c)
-    pde, boundary = aop.bvp_residual(lam, f, g, w.coupling.c)
+    g = aop.apply_A(lam, w.canonical, w.coupling.c)
+    pde, boundary = aop.bvp_residual(lam, w.canonical, g, w.coupling.c)
     payload = {
         "n": args.n,
         "rapidities": [str(v) for v in raps],
@@ -294,6 +293,11 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     except FileNotFoundError as err:
         print(f"configuration error: {err}", file=sys.stderr)
+        return USAGE_EXIT
+    except (OverflowError, np.linalg.LinAlgError) as err:
+        # finite inputs too large for floating-point arithmetic
+        print(f"configuration error: input out of numeric range: {err}",
+              file=sys.stderr)
         return USAGE_EXIT
     except QnlsError as err:
         print(f"error: {err}", file=sys.stderr)

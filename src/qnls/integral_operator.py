@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .charges import gauss_rule, pair_bracket
+from .charges import boundary_residual_h2, gauss_rule
 from .errors import ConvergenceDomain, SizeLimit
 from .exact import EXACT, FLOAT, Field
 from .planewaves import BetheWavefunction, ExpPoly, GaussInt
@@ -63,30 +63,6 @@ class SpectralParameter:
         return Field.of(self.value)
 
 
-@dataclass(frozen=True)
-class SectorFunction:
-    """Symmetric N-particle function given by its ordered-region form."""
-
-    n: int
-    canonical: ExpPoly
-
-    @staticmethod
-    def from_poly(poly: ExpPoly) -> "SectorFunction":
-        return SectorFunction(poly.num_vars, poly)
-
-    @staticmethod
-    def from_bethe(w: BetheWavefunction) -> "SectorFunction":
-        return SectorFunction(w.n, w.canonical)
-
-    @property
-    def field(self) -> Field:
-        return self.canonical.field
-
-    def has_real_frequencies(self) -> bool:
-        """Every imaginary part (the odd entries of each key) is zero."""
-        return not any(any(f[1::2]) for _, f in self.canonical.data)
-
-
 # Bethe states take 43,440 pre-merge terms at N = 5 and 972,720 at N = 6
 MAX_APPLY_TERMS = 100_000
 
@@ -104,13 +80,15 @@ def apply_A_term_count(n: int, terms: int) -> int:
     return terms * (1 + sum(chains))
 
 
-def apply_A(lam: SpectralParameter, f: SectorFunction, c) -> SectorFunction:
-    """Closed-form action of the integral operator on the ordered region.
+def apply_A(lam: SpectralParameter, f: ExpPoly, c) -> ExpPoly:
+    """Closed-form action of the integral operator on the ordered-region
+    form f of a symmetric function.
 
     Every nested integral of exponentials is evaluated exactly; the
     convergence of the outermost (improper) integral is guaranteed by
     Im(lambda) < 0 against the real input frequencies.  Raises
-    ``SizeLimit``, before building anything, past ``MAX_APPLY_TERMS``.
+    ``SizeLimit``, before building anything, past ``MAX_APPLY_TERMS``,
+    and ``ConvergenceDomain`` for an input frequency off the real axis.
 
     Exact mode runs on the integer core of ``planewaves``: in units of
     1/U, U the common denominator of the frequencies, lambda and c, all
@@ -118,18 +96,19 @@ def apply_A(lam: SpectralParameter, f: SectorFunction, c) -> SectorFunction:
     puts each new term over its own integer denominator; the sum is
     brought over their least common multiple at the end.
     """
-    n = f.n
-    count = apply_A_term_count(n, f.canonical.term_count())
+    n = f.num_vars
+    count = apply_A_term_count(n, f.term_count())
     if count > MAX_APPLY_TERMS:
         raise SizeLimit(f"apply_A on N={n} would build {count} terms, "
                         f"more than {MAX_APPLY_TERMS}")
-    if not f.has_real_frequencies():
+    # the imaginary parts are the odd entries of each frequency key
+    if any(any(fr[1::2]) for _, fr in f.data):
         raise ConvergenceDomain("input must have real frequencies")
     field = FLOAT if FLOAT in (f.field, lam.field) else EXACT
     c_v = field.coerce(c)
     if field is EXACT:
-        unit = math.lcm(f.canonical.unit, lam.value.denominator, c_v.denominator)
-        poly = f.canonical._recast(unit, f.canonical.den)
+        unit = math.lcm(f.unit, lam.value.denominator, c_v.denominator)
+        poly = f._recast(unit, f.den)
 
         def inverse(mu):
             return (GaussInt(-mu.imag * unit, -mu.real * unit),
@@ -138,7 +117,7 @@ def apply_A(lam: SpectralParameter, f: SectorFunction, c) -> SectorFunction:
         lam_v, c_v = GaussInt.scaled(lam.value, unit), GaussInt.scaled(c_v, unit)
         weight_den, scalar = unit, GaussInt
     else:
-        poly = f.canonical.to_float()
+        poly = f.to_float()
 
         def inverse(mu):
             return 1 / (1j * mu), 1
@@ -160,8 +139,7 @@ def apply_A(lam: SpectralParameter, f: SectorFunction, c) -> SectorFunction:
     raw = [(coeff if d == den else coeff * (den // d),
             tuple(x for w in freq for x in (w.real, w.imag)))
            for coeff, freq, d in result_terms]
-    return SectorFunction(n, ExpPoly(n, field, (), poly.unit,
-                                     poly.den * den)._merged(raw))
+    return ExpPoly(n, field, (), poly.unit, poly.den * den)._merged(raw)
 
 
 def _subset_integral(terms: list, subset: tuple, lam_v, inverse, n: int):
@@ -234,17 +212,16 @@ def eigenvalue_check(lam: SpectralParameter, w: BetheWavefunction,
     states; a pointwise ratio check on a sample grid is returned as the
     float residual either way.
     """
-    f = SectorFunction.from_bethe(w)
+    f = w.canonical
     g = apply_A(lam, f, w.coupling.c)
     expected = bethe_eigenvalue(lam, w.rapidities.values, w.coupling.c,
                                 g.field)
-    residual_poly = g.canonical - f.canonical.scale(expected)
-    coeff_residual = residual_poly.max_coeff()
+    coeff_residual = (g - f.scale(expected)).max_coeff()
 
     # pointwise ratio on an ordered sample grid
     pts = _ordered_grid(w.n, grid)
-    fv = f.canonical.evaluate(pts)
-    gv = g.canonical.evaluate(pts)
+    fv = f.evaluate(pts)
+    gv = g.evaluate(pts)
     ratios = gv / fv
     measured = complex(np.mean(ratios))
     float_residual = float(np.max(np.abs(ratios - complex(expected))))
@@ -262,8 +239,8 @@ def _ordered_grid(n: int, count: int) -> np.ndarray:
 # Boundary value problem
 # ----------------------------------------------------------------------
 
-def bvp_residual(lam: SpectralParameter, f: SectorFunction,
-                 g: SectorFunction, c) -> tuple[ExpPoly, list[ExpPoly]]:
+def bvp_residual(lam: SpectralParameter, f: ExpPoly,
+                 g: ExpPoly, c) -> tuple[ExpPoly, list[ExpPoly]]:
     """Interior and boundary residuals relating f and g = A f.
 
     Interior: prod_j (lam + i d_j) g - prod_j (lam + i d_j - ic) f must
@@ -273,7 +250,7 @@ def bvp_residual(lam: SpectralParameter, f: SectorFunction,
     field = FLOAT if FLOAT in (f.field, g.field, lam.field) else EXACT
     lam_v = field.coerce(lam.value)
     c_v = field.coerce(c)
-    n = f.n
+    n = f.num_vars
 
     # with z = i w the symbol of lam + i d is lam - w = i (z - i lam), and
     # that of lam + i d - ic is i (z - (i lam + c))
@@ -284,25 +261,17 @@ def bvp_residual(lam: SpectralParameter, f: SectorFunction,
         return out
 
     i_lam = field.i * lam_v
-    pde = (g.canonical.weighted(shifted_product, n, i_lam)
-           - f.canonical.weighted(shifted_product, n, i_lam + c_v)
-           ).scale(field.i ** n)
-
-    boundary = []
-    for j in range(1, n):
-        bg = pair_bracket(g.canonical, c, j).restrict_to_boundary(j)
-        bf = pair_bracket(f.canonical, c, j).restrict_to_boundary(j)
-        boundary.append(bg - bf)
+    pde = (g.weighted(shifted_product, n, i_lam)
+           - f.weighted(shifted_product, n, i_lam + c_v)).scale(field.i ** n)
+    boundary = [boundary_residual_h2(g, c, j) - boundary_residual_h2(f, c, j)
+                for j in range(1, n)]
     return pde, boundary
 
 
 def pair_bracket_residual(poly: ExpPoly, c) -> float:
     """Largest coefficient of the pair brackets of a sector function."""
-    worst = 0.0
-    for j in range(1, poly.num_vars):
-        res = pair_bracket(poly, c, j).restrict_to_boundary(j)
-        worst = max(worst, res.max_coeff())
-    return worst
+    return max((boundary_residual_h2(poly, c, j).max_coeff()
+                for j in range(1, poly.num_vars)), default=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -377,7 +346,7 @@ def apply_A_numeric_point(lam: complex, w: BetheWavefunction,
 # Inverse-lambda expansion and its non-uniformity
 # ----------------------------------------------------------------------
 
-def expansion_partial_sum(f: SectorFunction, c: float, lam: complex,
+def expansion_partial_sum(f: ExpPoly, c: float, lam: complex,
                           x: float, y: float, order: int) -> complex:
     """Two-particle expansion through the requested order in 1/lambda.
 
@@ -392,11 +361,11 @@ def expansion_partial_sum(f: SectorFunction, c: float, lam: complex,
     order 1/|lambda| they are as large as the rational terms of the same
     order, which is exactly the non-uniformity being demonstrated.
     """
-    if f.n != 2:
+    if f.num_vars != 2:
         raise ValueError("expansion defined on the two-particle sector")
     if not 0 <= order <= 3:
         raise ValueError("orders 0..3 are implemented")
-    poly = f.canonical.to_float()
+    poly = f.to_float()
     il = 1j * lam
 
     def d(mx, my, px, py):
@@ -418,7 +387,7 @@ def expansion_partial_sum(f: SectorFunction, c: float, lam: complex,
     return complex(total)
 
 
-def asymptotic_expand(f: SectorFunction, c: float,
+def asymptotic_expand(f: ExpPoly, c: float,
                       t_grid: Sequence[float], x: float, y: float) -> dict:
     """Truncation error of the expansion against the exact action.
 
@@ -431,8 +400,7 @@ def asymptotic_expand(f: SectorFunction, c: float,
     rows = []
     for t in t_grid:
         lam = SpectralParameter(complex(0.0, -float(t)))
-        g = apply_A(lam, f, c)
-        g_val = complex(g.canonical.evaluate(np.array([x, y])))
+        g_val = complex(apply_A(lam, f, c).evaluate(np.array([x, y])))
         errs = {}
         for m in range(4):
             approx = expansion_partial_sum(f, c, complex(lam.value), x, y, m)
@@ -446,7 +414,7 @@ def asymptotic_expand(f: SectorFunction, c: float,
     return {"rows": rows, "fitted_decay_order": fits}
 
 
-def nonuniformity_scan(f: SectorFunction, c: float,
+def nonuniformity_scan(f: ExpPoly, c: float,
                        t_grid: Sequence[float], y: float = 1.0) -> dict:
     """Size of the dropped boundary term at separation s = 1/t.
 
@@ -458,9 +426,9 @@ def nonuniformity_scan(f: SectorFunction, c: float,
     which is how a boundary-supported correction enters the expansion
     one order down.
     """
-    if f.n != 2:
+    if f.num_vars != 2:
         raise ValueError("scan defined on the two-particle sector")
-    poly = f.canonical.to_float()
+    poly = f.to_float()
     rows = []
     for t in t_grid:
         t = float(t)

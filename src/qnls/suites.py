@@ -205,8 +205,8 @@ def run_charges_suite(cfg: RunConfig) -> list:
     def negative_control():
         raps = sample_rapidities(rng, 3)
         ctrl = symmetrized_plane_wave(raps)
-        res = ch.boundary_residual_h2_generic(ctrl, Fraction(1), 1)
-        res3 = ch.boundary_residual_j3_generic(
+        res = ch.boundary_residual_h2(ctrl, Fraction(1), 1)
+        res3 = ch.boundary_residual_j3(
             ExpPoly.from_terms(3, [(1, tuple(raps.values))], EXACT), Fraction(1), 1)
         ok = (not res.is_empty()) and (not res3.is_empty())
         return None, None, ok, "generic symmetric functions violate the brackets"
@@ -689,8 +689,8 @@ def run_aop_suite(cfg: RunConfig) -> list:
             w = build_bethe(sample_rapidities(rng, n, FLOAT),
                             sample_coupling(rng, FLOAT))
             ana = complex(aop.apply_A(
-                aop.SpectralParameter(lamc), aop.SectorFunction.from_bethe(w),
-                float(w.coupling.c)).canonical.evaluate(np.array(pt)))
+                aop.SpectralParameter(lamc), w.canonical,
+                float(w.coupling.c)).evaluate(np.array(pt)))
             num = aop.apply_A_numeric_point(lamc, w, pt)
             worst = max(worst, abs(ana - num) / max(abs(ana), 1.0))
         return worst, 1e-8, worst < 1e-8, "direct quadrature of the kernels"
@@ -702,9 +702,8 @@ def run_aop_suite(cfg: RunConfig) -> list:
         for n in (1, 2, 3):
             w = build_bethe(sample_rapidities(rng, n),
                             sample_coupling(rng))
-            f = aop.SectorFunction.from_bethe(w)
-            g = aop.apply_A(lam, f, w.coupling.c)
-            pde, boundary = aop.bvp_residual(lam, f, g, w.coupling.c)
+            g = aop.apply_A(lam, w.canonical, w.coupling.c)
+            pde, boundary = aop.bvp_residual(lam, w.canonical, g, w.coupling.c)
             ok = ok and pde.is_empty() and all(b.is_empty() for b in boundary)
         return "exact-zero" if ok else 1.0, 0.0, ok, ""
     _record(report, "aop.boundary-value-problem", group,
@@ -720,9 +719,8 @@ def run_aop_suite(cfg: RunConfig) -> list:
             combo = wa.canonical + wb.canonical.scale(
                 exact(rng.randint(-3, 3), rng.randint(1, 3)))
             before = aop.pair_bracket_residual(combo, wa.coupling.c)
-            g = aop.apply_A(lam, aop.SectorFunction.from_poly(combo),
-                            wa.coupling.c)
-            after = aop.pair_bracket_residual(g.canonical, wa.coupling.c)
+            g = aop.apply_A(lam, combo, wa.coupling.c)
+            after = aop.pair_bracket_residual(g, wa.coupling.c)
             ok = ok and before == 0.0 and after == 0.0
         return "exact-zero" if ok else 1.0, 0.0, ok, \
             "10 non-eigenstate combinations with vanishing brackets"
@@ -730,21 +728,20 @@ def run_aop_suite(cfg: RunConfig) -> list:
             "boundary-bracket-preservation", {"inputs": 10},
             bracket_preservation)
 
-    def bracket_equality_generic():
+    def generic_bracket_equality():
         raps = sample_rapidities(rng, 2)
         f_poly = ExpPoly.from_terms(
             2, [(1, tuple(raps.values)), (1, tuple(reversed(raps.values)))], EXACT)
-        f = aop.SectorFunction.from_poly(f_poly)
         c = Fraction(5, 4)
-        g = aop.apply_A(lam, f, c)
-        _, boundary = aop.bvp_residual(lam, f, g, c)
+        g = aop.apply_A(lam, f_poly, c)
+        _, boundary = aop.bvp_residual(lam, f_poly, g, c)
         nonzero = aop.pair_bracket_residual(f_poly, c) > 0
         ok = nonzero and all(b.is_empty() for b in boundary)
         return "exact-zero" if ok else 1.0, 0.0, ok, \
             "bracket carried over unchanged for a non-eigen input"
     _record(report, "aop.bracket-equality-generic", group,
             "boundary-bracket-preservation", {"n": 2},
-            bracket_equality_generic)
+            generic_bracket_equality)
 
     def linearity_and_identity():
         wa = build_bethe(sample_rapidities(rng, 2),
@@ -753,11 +750,10 @@ def run_aop_suite(cfg: RunConfig) -> list:
         scale = exact(3, Fraction(1, 2))
         combo = wa.canonical + wb.canonical.scale(scale)
         c = wa.coupling.c
-        lhs = aop.apply_A(lam, aop.SectorFunction.from_poly(combo), c).canonical
-        rhs = aop.apply_A(lam, aop.SectorFunction.from_bethe(wa), c).canonical \
-            + aop.apply_A(lam, aop.SectorFunction.from_bethe(wb), c) \
-            .canonical.scale(scale)
-        ident = aop.apply_A(lam, aop.SectorFunction.from_bethe(wa), 0).canonical
+        lhs = aop.apply_A(lam, combo, c)
+        rhs = aop.apply_A(lam, wa.canonical, c) \
+            + aop.apply_A(lam, wb.canonical, c).scale(scale)
+        ident = aop.apply_A(lam, wa.canonical, 0)
         ok = (lhs - rhs).is_empty() and (ident - wa.canonical).is_empty()
         return "exact-zero" if ok else 1.0, 0.0, ok, ""
     _record(report, "aop.linearity-and-free-limit", group,
@@ -781,8 +777,8 @@ def run_aop_suite(cfg: RunConfig) -> list:
 
     def expansion_decay():
         w = build_bethe(RapiditySet.of([-0.7, 1.1]), Coupling(1.25))
-        f = aop.SectorFunction.from_bethe(w)
-        rep = aop.asymptotic_expand(f, 1.25, [8.0, 16.0, 32.0, 64.0], 0.3, 1.3)
+        rep = aop.asymptotic_expand(w.canonical, 1.25, [8.0, 16.0, 32.0, 64.0],
+                                    0.3, 1.3)
         fits = rep["fitted_decay_order"]
         ok = all(abs(fits[m] - (m + 1)) <= 0.1 * (m + 1) for m in range(4))
         return None, None, ok, \
@@ -793,8 +789,7 @@ def run_aop_suite(cfg: RunConfig) -> list:
 
     def nonuniform_boundary():
         w = build_bethe(RapiditySet.of([-0.7, 1.1]), Coupling(1.25))
-        f = aop.SectorFunction.from_bethe(w)
-        scan = aop.nonuniformity_scan(f, 1.25, [10.0, 20.0, 40.0])
+        scan = aop.nonuniformity_scan(w.canonical, 1.25, [10.0, 20.0, 40.0])
         ok = True
         for r in scan["rows"]:
             ok = ok and r["boundary_term"] >= r["floor"] * (1 - 1e-12)

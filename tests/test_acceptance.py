@@ -176,17 +176,16 @@ def test_criterion_7_integral_operator():
             w = build_bethe(_sample_rapidities(rng, n), _sample_coupling(rng))
             _, residual = aop.eigenvalue_check(lam, w)
             ok = ok and residual == 0.0
-            f = aop.SectorFunction.from_bethe(w)
-            g = aop.apply_A(lam, f, w.coupling.c)
-            pde, boundary = aop.bvp_residual(lam, f, g, w.coupling.c)
+            g = aop.apply_A(lam, w.canonical, w.coupling.c)
+            pde, boundary = aop.bvp_residual(lam, w.canonical, g, w.coupling.c)
             ok = ok and pde.is_empty() and all(b.is_empty() for b in boundary)
     # numeric cross-check
     lamf = 0.4 - 1.5j
     for n, pt in ((1, [0.3]), (2, [0.2, 0.9])):
         w = build_bethe(_sample_rapidities(rng, n), Coupling(1.25))
         ana = complex(aop.apply_A(
-            aop.SpectralParameter(lamf), aop.SectorFunction.from_bethe(w),
-            float(w.coupling.c)).canonical.evaluate(np.array(pt)))
+            aop.SpectralParameter(lamf), w.canonical,
+            float(w.coupling.c)).evaluate(np.array(pt)))
         num = aop.apply_A_numeric_point(lamf, w, pt)
         ok = ok and abs(ana - num) / max(abs(ana), 1.0) < 1e-8
     # bracket preservation on ten crafted non-eigen inputs
@@ -195,17 +194,16 @@ def test_criterion_7_integral_operator():
         wb = build_bethe(_sample_rapidities(rng, 2), wa.coupling)
         combo = wa.canonical + wb.canonical.scale(
             exact(rng.randint(-3, 3), rng.randint(1, 3)))
-        g = aop.apply_A(lam, aop.SectorFunction.from_poly(combo),
-                        wa.coupling.c)
+        g = aop.apply_A(lam, combo, wa.coupling.c)
         ok = ok and aop.pair_bracket_residual(combo, wa.coupling.c) == 0.0
-        ok = ok and aop.pair_bracket_residual(g.canonical, wa.coupling.c) == 0.0
+        ok = ok and aop.pair_bracket_residual(g, wa.coupling.c) == 0.0
     _verdict(7, "integral-operator diagonality, boundary value problem, "
                 "bracket preservation", ok)
 
 
 def test_criterion_8_nonuniform_expansion():
     w = build_bethe(RapiditySet.of([-0.7, 1.1]), Coupling(1.25))
-    f = aop.SectorFunction.from_bethe(w)
+    f = w.canonical
     ok = True
     scan = aop.nonuniformity_scan(f, 1.25, [10.0, 20.0, 40.0])
     for row in scan["rows"]:

@@ -235,12 +235,23 @@ class TestCli:
         ["lattice", "continuum", "--sites", "2", "--step", "0.3",
          "--coupling", "1", "--lam", "nan"],
         ["expand", "transfer", "--n", "2", "--box", "nan", "--coupling", "1"],
+        # finite but too large: OverflowError, or LinAlgError from the
+        # overflowed matrices
+        ["bethe", "solve", "--n", "2", "--box", "6", "--coupling", "1e300"],
+        ["lattice", "continuum", "--sites", "2", "--step", "0.3",
+         "--coupling", "1", "--lam", "1e300"],
+        ["lattice", "rtt", "--sites", "2", "--step", "1e300", "--coupling",
+         "1"],
+        ["lattice", "commute", "--sites", "2", "--step", "0.3", "--coupling",
+         "1e300"],
     ], ids=["lam-one-part", "rapidity-not-a-number", "coupling-zero",
             "lattice-lam-not-a-number", "zero-sites", "order-zero",
             "order-negative", "order-three", "bethe-box-nan",
             "bethe-coupling-nan", "bethe-box-overflow", "lattice-coupling-nan",
             "lattice-step-nan", "lattice-lam-inf", "lattice-mu-nan",
-            "continuum-lam-nan", "transfer-box-nan"])
+            "continuum-lam-nan", "transfer-box-nan", "bethe-coupling-overflow",
+            "continuum-lam-overflow", "rtt-step-overflow",
+            "commute-coupling-overflow"])
     def test_malformed_numbers_are_usage_errors(self, argv, capsys):
         code = main(argv)
         err = capsys.readouterr().err
@@ -262,9 +273,10 @@ def test_no_scipy_in_sources():
     assert offenders == []
 
 
-def test_run_all_loads_no_scipy(tmp_path):
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_run_all_loads_no_scipy(tmp_path, mode):
     """In a fresh interpreter neither importing the CLI nor a full run
-    loads any scipy module."""
+    loads any scipy module; the run passes and reports all 77 checks."""
     script = (
         "import json, sys\n"
         "def loaded():\n"
@@ -273,15 +285,17 @@ def test_run_all_loads_no_scipy(tmp_path):
         "import qnls.cli\n"
         "after_import = loaded()\n"
         "code = qnls.cli.main(['run', 'all', '--seed', '2024', '--quiet',\n"
-        "                      '--out', sys.argv[1]])\n"
+        "                      '--mode', sys.argv[2], '--out', sys.argv[1]])\n"
         "print(json.dumps({'code': code, 'after_import': after_import,\n"
         "                  'after_run': loaded()}))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), mode],
                           capture_output=True, text=True, env=env,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout.strip().splitlines()[-1])
     assert doc == {"code": 0, "after_import": [], "after_run": []}
+    report = json.loads((tmp_path / "latest" / "report.json").read_text())
+    assert report["mode"] == mode and len(report["checks"]) == 77

@@ -49,7 +49,18 @@ class TestDomain:
         monkeypatch.setattr(aop, "_subset_integral", built)
         monkeypatch.setattr(ExpPoly, "_merged", built)
         with pytest.raises(SizeLimit):
-            aop.apply_A(LAM, aop.SectorFunction.from_bethe(w), F(1))
+            aop.apply_A(LAM, w.canonical, F(1))
+
+    @pytest.mark.parametrize("field", [EXACT, FLOAT])
+    def test_rejects_non_real_frequency(self, field):
+        """A decaying or growing wave in any coordinate is refused: the
+        improper integral need not converge against it."""
+        real = ExpPoly.from_terms(2, [(1, (F(1), F(2)))], field)
+        aop.apply_A(LAM, real, F(1))
+        for freq in ((exact(1), exact(2, F(1, 2))), (exact(1, -3), exact(2))):
+            f = ExpPoly.from_terms(2, [(1, (F(1), F(2))), (1, freq)], field)
+            with pytest.raises(ConvergenceDomain):
+                aop.apply_A(LAM, f, F(1))
 
     @pytest.mark.parametrize("field", [EXACT, FLOAT])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -64,25 +75,25 @@ class TestDomain:
             sizes.append(len(raw))
             return merged(poly, raw)
         monkeypatch.setattr(ExpPoly, "_merged", counted)
-        aop.apply_A(LAM, aop.SectorFunction.from_bethe(w), F(3, 2))
+        aop.apply_A(LAM, w.canonical, F(3, 2))
         assert sizes == [aop.apply_A_term_count(n, w.canonical.term_count())]
         assert aop.apply_A_term_count(n, math.factorial(n)) \
             == [2, 14, 156, 2328][n - 1]
 
     def test_vacuum_untouched(self):
-        f = aop.SectorFunction.from_poly(ExpPoly.from_terms(0, [(1, ())], EXACT))
+        f = ExpPoly.from_terms(0, [(1, ())], EXACT)
         g = aop.apply_A(LAM, f, F(2))
-        assert (g.canonical - f.canonical).is_empty()
+        assert (g - f).is_empty()
 
 
 class TestDiagonality:
     def test_single_particle_closed_form(self):
         k, c = F(1, 2), F(2, 3)
         w = build_bethe(RapiditySet.of([k]), Coupling(c))
-        g = aop.apply_A(LAM, aop.SectorFunction.from_bethe(w), c)
+        g = aop.apply_A(LAM, w.canonical, c)
         expected = (LAM.value - exact(k) - exact(0, 1) * exact(c)) \
             / (LAM.value - exact(k))
-        assert (g.canonical - w.canonical.scale(expected)).is_empty()
+        assert (g - w.canonical.scale(expected)).is_empty()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_exact_residual_zero(self, n):
@@ -120,15 +131,14 @@ class TestDiagonality:
 
 class TestConstantInput:
     def test_matches_closed_form(self):
-        f = aop.SectorFunction.from_poly(
-            ExpPoly.from_terms(2, [(1, (F(0), F(0)))], EXACT))
+        f = ExpPoly.from_terms(2, [(1, (F(0), F(0)))], EXACT)
         c = F(1)
         g = aop.apply_A(LAM, f, c)
         lam = complex(LAM.value)
         il = 1j * lam
         for (x, y) in [(0.2, 0.9), (-1.0, 0.5)]:
             want = 1 + 2 / il + (1 - np.exp(1j * lam * (x - y))) / il ** 2
-            got = complex(g.canonical.evaluate(np.array([x, y])))
+            got = complex(g.evaluate(np.array([x, y])))
             assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -140,23 +150,22 @@ class TestLinearity:
         wb = build_bethe(rb, c)
         scale = exact(2, F(-1, 3))
         combo = wa.canonical + wb.canonical.scale(scale)
-        lhs = aop.apply_A(LAM, aop.SectorFunction.from_poly(combo), c.c).canonical
-        rhs = aop.apply_A(LAM, aop.SectorFunction.from_bethe(wa), c.c).canonical \
-            + aop.apply_A(LAM, aop.SectorFunction.from_bethe(wb), c.c) \
-            .canonical.scale(scale)
+        lhs = aop.apply_A(LAM, combo, c.c)
+        rhs = aop.apply_A(LAM, wa.canonical, c.c) \
+            + aop.apply_A(LAM, wb.canonical, c.c).scale(scale)
         assert (lhs - rhs).is_empty()
 
     def test_zero_coupling_is_identity(self):
         w = build_bethe(RapiditySet.of([F(-1), F(2)]), Coupling(F(1)))
-        g = aop.apply_A(LAM, aop.SectorFunction.from_bethe(w), 0)
-        assert (g.canonical - w.canonical).is_empty()
+        g = aop.apply_A(LAM, w.canonical, 0)
+        assert (g - w.canonical).is_empty()
 
 
 class TestBoundaryValueProblem:
     def test_single_particle_scalar_identity(self):
         k, c = F(1, 2), F(2)
         w = build_bethe(RapiditySet.of([k]), Coupling(c))
-        f = aop.SectorFunction.from_bethe(w)
+        f = w.canonical
         g = aop.apply_A(LAM, f, c)
         pde, boundary = aop.bvp_residual(LAM, f, g, c)
         assert pde.is_empty() and boundary == []
@@ -165,7 +174,7 @@ class TestBoundaryValueProblem:
     def test_bethe_input(self, n):
         raps = RapiditySet.of(RAPIDITIES[:n])
         w = build_bethe(raps, Coupling(F(5, 4)))
-        f = aop.SectorFunction.from_bethe(w)
+        f = w.canonical
         g = aop.apply_A(LAM, f, F(5, 4))
         pde, boundary = aop.bvp_residual(LAM, f, g, F(5, 4))
         assert pde.is_empty()
@@ -177,9 +186,8 @@ class TestBoundaryValueProblem:
                                         (1, (F(3), F(1)))], EXACT)
         c = F(5, 4)
         assert aop.pair_bracket_residual(f_poly, c) > 0
-        f = aop.SectorFunction.from_poly(f_poly)
-        g = aop.apply_A(LAM, f, c)
-        _, boundary = aop.bvp_residual(LAM, f, g, c)
+        g = aop.apply_A(LAM, f_poly, c)
+        _, boundary = aop.bvp_residual(LAM, f_poly, g, c)
         assert all(b.is_empty() for b in boundary)
 
     @given(rational_rapidities(2), rational_rapidities(2), coupling_values,
@@ -190,8 +198,8 @@ class TestBoundaryValueProblem:
         wb = build_bethe(rb, c)
         combo = wa.canonical + wb.canonical.scale(exact(pre, qim))
         assert aop.pair_bracket_residual(combo, c.c) == 0.0
-        g = aop.apply_A(LAM, aop.SectorFunction.from_poly(combo), c.c)
-        assert aop.pair_bracket_residual(g.canonical, c.c) == 0.0
+        g = aop.apply_A(LAM, combo, c.c)
+        assert aop.pair_bracket_residual(g, c.c) == 0.0
 
 
 def reference_numeric_point(lam: complex, w, point) -> complex:
@@ -235,8 +243,8 @@ class TestNumericCrossCheck:
         w = build_bethe(RapiditySet.of([0.5]), Coupling(0.75))
         lam = 0.4 - 1.5j
         ana = complex(aop.apply_A(
-            aop.SpectralParameter(lam), aop.SectorFunction.from_bethe(w),
-            0.75).canonical.evaluate(np.array([0.3])))
+            aop.SpectralParameter(lam), w.canonical,
+            0.75).evaluate(np.array([0.3])))
         num = aop.apply_A_numeric_point(lam, w, [0.3])
         assert abs(ana - num) < 1e-10
 
@@ -244,8 +252,8 @@ class TestNumericCrossCheck:
         w = build_bethe(RapiditySet.of([-0.7, 1.1]), Coupling(1.25))
         lam = 0.4 - 1.5j
         ana = complex(aop.apply_A(
-            aop.SpectralParameter(lam), aop.SectorFunction.from_bethe(w),
-            1.25).canonical.evaluate(np.array([0.2, 0.9])))
+            aop.SpectralParameter(lam), w.canonical,
+            1.25).evaluate(np.array([0.2, 0.9])))
         num = aop.apply_A_numeric_point(lam, w, [0.2, 0.9])
         assert abs(ana - num) / abs(ana) < 1e-8
 
@@ -282,11 +290,10 @@ class TestExpansion:
     @pytest.fixture()
     def pair_state(self):
         w = build_bethe(RapiditySet.of([-0.7, 1.1]), Coupling(1.25))
-        return aop.SectorFunction.from_bethe(w)
+        return w.canonical
 
     def test_constant_input_reduction(self):
-        f = aop.SectorFunction.from_poly(
-            ExpPoly.from_terms(2, [(1.0, (0.0, 0.0))], FLOAT))
+        f = ExpPoly.from_terms(2, [(1.0, (0.0, 0.0))], FLOAT)
         c, lam, x, y = 1.0, -8j, 0.2, 0.9
         got = aop.expansion_partial_sum(f, c, lam, x, y, 2)
         il = 1j * lam
@@ -295,9 +302,8 @@ class TestExpansion:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_zero_coupling_terminates(self):
-        f = aop.SectorFunction.from_poly(
-            ExpPoly.from_terms(2, [(1.0, (0.4, 1.3))], FLOAT))
-        val = complex(f.canonical.evaluate(np.array([0.1, 0.8])))
+        f = ExpPoly.from_terms(2, [(1.0, (0.4, 1.3))], FLOAT)
+        val = complex(f.evaluate(np.array([0.1, 0.8])))
         for m in range(4):
             assert aop.expansion_partial_sum(f, 0.0, -5j, 0.1, 0.8, m) \
                 == pytest.approx(val)
@@ -320,7 +326,7 @@ class TestExpansion:
 class TestNonuniformity:
     def test_boundary_term_at_inverse_separation(self):
         w = build_bethe(RapiditySet.of([-0.7, 1.1]), Coupling(1.25))
-        f = aop.SectorFunction.from_bethe(w)
+        f = w.canonical
         scan = aop.nonuniformity_scan(f, 1.25, [10.0, 20.0, 40.0])
         for row in scan["rows"]:
             assert row["boundary_term"] >= row["floor"] * (1 - 1e-12)
@@ -330,7 +336,7 @@ class TestNonuniformity:
 
     def test_integrated_contribution_one_order_down(self):
         w = build_bethe(RapiditySet.of([-0.7, 1.1]), Coupling(1.25))
-        f = aop.SectorFunction.from_bethe(w)
+        f = w.canonical
         scan = aop.nonuniformity_scan(f, 1.25, [10.0, 20.0, 40.0])
         vals = [r["integrated_over_unit_separation"] * r["t"] ** 3
                 for r in scan["rows"]]

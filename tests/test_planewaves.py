@@ -388,10 +388,8 @@ def draw_operation(op, n, data):
 
     def apply_A(s):
         if s.field is EXACT:
-            return aop.apply_A(aop.SpectralParameter(lam),
-                               aop.SectorFunction.from_poly(s), c).canonical
-        return aop.apply_A(aop.SpectralParameter(complex(lam)),
-                           aop.SectorFunction.from_poly(s), float(c)).canonical
+            return aop.apply_A(aop.SpectralParameter(lam), s, c)
+        return aop.apply_A(aop.SpectralParameter(complex(lam)), s, float(c))
     return apply_A, data.draw(single_real_term(n))
 
 

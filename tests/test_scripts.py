@@ -1,11 +1,7 @@
 """Smoke tests of the command-line scripts under scripts/."""
 
 import importlib.util
-import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -47,15 +43,3 @@ def test_adjudicate_expansion_tables_defaults(capsys):
                        ("eigenvalue_expansion", "3"),
                        ("log_operator_expansion", "4")}
 
-
-def test_run_verification_float(tmp_path):
-    src = str(SCRIPTS.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "run_verification.py"), "--mode",
-         "float", "--seed", "2024", "--quiet", "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads((tmp_path / "latest" / "report.json").read_text())
-    assert len(report["checks"]) == 77
