@@ -200,16 +200,8 @@ def _product_residual(k: np.ndarray, box: BoxSpec) -> float:
     return float(np.max(defects))
 
 
-def residual_product_form(sol: RapiditySolution, box: BoxSpec) -> float:
-    """Defect of the exponential/product form, reported independently of
-    the log form used by the solver."""
-    k = np.array([float(v) for v in sol.rapidities.values])
-    return _product_residual(k, box)
-
-
-def perturbed_product_residual(sol: RapiditySolution, box: BoxSpec,
-                               shift: float) -> float:
+def perturbed_product_residual(sol: RapiditySolution, shift: float) -> float:
     """Sensitivity control: product residual after shifting one root."""
     k = np.array([float(v) for v in sol.rapidities.values])
     k[0] += shift
-    return _product_residual(k, box)
+    return _product_residual(k, sol.box)

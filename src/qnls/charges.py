@@ -60,7 +60,6 @@ class FreeChargeSpec:
     """Free differential part of a charge: sign * (symmetric polynomial
     of the per-variable derivatives)."""
 
-    name: str
     kind: str          # "power" or "elementary"
     degree: int
     sign: int
@@ -70,13 +69,13 @@ class FreeChargeSpec:
 
 
 CHARGES = {
-    "H1": FreeChargeSpec("H1", "power", 1, +1),
-    "H2": FreeChargeSpec("H2", "power", 2, -1),
-    "J2": FreeChargeSpec("J2", "elementary", 2, +1),
-    "J3": FreeChargeSpec("J3", "elementary", 3, +1),
-    "J4": FreeChargeSpec("J4", "elementary", 4, +1),
-    "H3": FreeChargeSpec("H3", "power", 3, +1),
-    "H4": FreeChargeSpec("H4", "power", 4, +1),
+    "H1": FreeChargeSpec("power", 1, +1),
+    "H2": FreeChargeSpec("power", 2, -1),
+    "J2": FreeChargeSpec("elementary", 2, +1),
+    "J3": FreeChargeSpec("elementary", 3, +1),
+    "J4": FreeChargeSpec("elementary", 4, +1),
+    "H3": FreeChargeSpec("power", 3, +1),
+    "H4": FreeChargeSpec("power", 4, +1),
 }
 
 

@@ -36,14 +36,6 @@ from .suites import run_suites
 USAGE_EXIT = 2
 
 
-def _emit(payload: dict, as_json: bool, quiet: bool):
-    if as_json:
-        print(json.dumps(payload, sort_keys=True, indent=2, default=str))
-    elif not quiet:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
-
-
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--mode", choices=("exact", "float"))
@@ -124,7 +116,7 @@ def _cmd_bethe_solve(args) -> int:
                                             "--quantum-numbers")) \
         if args.quantum_numbers else ground_state_quantum_numbers(args.n)
     sol = solve(box, qn)
-    _emit(sol.to_json_dict(), as_json=True, quiet=False)
+    print(json.dumps(sol.to_json_dict(), sort_keys=True, indent=2))
     return 0
 
 
@@ -160,31 +152,37 @@ def _cmd_expand_transfer(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    _parse_floats(args, "step", "coupling")
-    try:
-        spec = lat.LatticeSpec(args.sites, args.cutoff, args.step, args.coupling)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    lam, mu = _parse(complex, args.lam, "--lam"), _parse(complex, args.mu, "--mu")
-    if args.action == "rtt":
-        res = lat.rtt_residual(lam, mu, spec)
-        payload = {"sites": args.sites, "cutoff": args.cutoff,
-                   "step": args.step, "coupling": args.coupling, **res}
-        print(json.dumps(payload, sort_keys=True, indent=2, default=str))
-        return 0 if res["residual"] < 1e-12 else 1
-    if args.action == "commute":
-        norm = lat.tau_commutator_norm(lam, mu, spec, args.sector)
-        payload = {"sites": args.sites, "cutoff": args.cutoff,
-                   "sector": args.sector, "commutator_norm": norm}
-        print(json.dumps(payload, sort_keys=True, indent=2))
-        return 0 if norm < 1e-12 else 1
-    if args.action == "continuum":
-        rep = lat.continuum_limit_rate(args.coupling, args.sites * args.step, lam)
-        print(json.dumps(rep, sort_keys=True, indent=2, default=str))
-        ok = rep["order_vacuum_normalized"] >= 1.0 \
-            and rep["order_one_particle_normalized"] >= 1.0
-        return 0 if ok else 1
-    raise ConfigError(f"unknown lattice action {args.action!r}")
+    # floating-point overflow on finite input is a usage error, not a
+    # traceback or a numpy warning
+    with np.errstate(over="raise", invalid="raise"):
+        _parse_floats(args, "step", "coupling")
+        try:
+            spec = lat.LatticeSpec(args.sites, args.cutoff, args.step,
+                                   args.coupling)
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
+        lam = _parse(complex, args.lam, "--lam")
+        mu = _parse(complex, args.mu, "--mu")
+        if args.action == "rtt":
+            res = lat.rtt_residual(lam, mu, spec)
+            payload = {"sites": args.sites, "cutoff": args.cutoff,
+                       "step": args.step, "coupling": args.coupling, **res}
+            print(json.dumps(payload, sort_keys=True, indent=2, default=str))
+            return 0 if res["residual"] < 1e-12 else 1
+        if args.action == "commute":
+            norm = lat.tau_commutator_norm(lam, mu, spec, args.sector)
+            payload = {"sites": args.sites, "cutoff": args.cutoff,
+                       "sector": args.sector, "commutator_norm": norm}
+            print(json.dumps(payload, sort_keys=True, indent=2))
+            return 0 if norm < 1e-12 else 1
+        if args.action == "continuum":
+            rep = lat.continuum_limit_rate(args.coupling,
+                                           args.sites * args.step, lam)
+            print(json.dumps(rep, sort_keys=True, indent=2, default=str))
+            ok = rep["order_vacuum_normalized"] >= 1.0 \
+                and rep["order_one_particle_normalized"] >= 1.0
+            return 0 if ok else 1
+        raise ConfigError(f"unknown lattice action {args.action!r}")
 
 
 def _cmd_aop_check(args) -> int:
@@ -294,7 +292,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return USAGE_EXIT
-    except (OverflowError, np.linalg.LinAlgError) as err:
+    except (OverflowError, FloatingPointError, np.linalg.LinAlgError) as err:
         # finite inputs too large for floating-point arithmetic
         print(f"configuration error: input out of numeric range: {err}",
               file=sys.stderr)

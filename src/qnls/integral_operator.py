@@ -66,6 +66,11 @@ class SpectralParameter:
 # Bethe states take 43,440 pre-merge terms at N = 5 and 972,720 at N = 6
 MAX_APPLY_TERMS = 100_000
 
+# eigenvalue_check samples A f / f at ordered tuples of EIGEN_GRID values;
+# nonuniformity_scan evaluates at pairs (x, SCAN_Y)
+EIGEN_GRID = 7
+SCAN_Y = 1.0
+
 
 def apply_A_term_count(n: int, terms: int) -> int:
     """Pre-merge term count of ``apply_A`` on ``terms`` terms in n
@@ -203,8 +208,8 @@ def bethe_eigenvalue(lam: SpectralParameter, rapidities: Sequence, c,
     return out
 
 
-def eigenvalue_check(lam: SpectralParameter, w: BetheWavefunction,
-                     grid: int = 7) -> tuple[complex, float]:
+def eigenvalue_check(lam: SpectralParameter,
+                     w: BetheWavefunction) -> tuple[complex, float]:
     """Measured eigenvalue and residual of the diagonal action.
 
     In exact mode the residual is the largest coefficient of
@@ -219,7 +224,7 @@ def eigenvalue_check(lam: SpectralParameter, w: BetheWavefunction,
     coeff_residual = (g - f.scale(expected)).max_coeff()
 
     # pointwise ratio on an ordered sample grid
-    pts = _ordered_grid(w.n, grid)
+    pts = _ordered_grid(w.n, EIGEN_GRID)
     fv = f.evaluate(pts)
     gv = g.evaluate(pts)
     ratios = gv / fv
@@ -414,21 +419,21 @@ def asymptotic_expand(f: ExpPoly, c: float,
     return {"rows": rows, "fitted_decay_order": fits}
 
 
-def nonuniformity_scan(f: ExpPoly, c: float,
-                       t_grid: Sequence[float], y: float = 1.0) -> dict:
+def nonuniformity_scan(f: ExpPoly, c: float, t_grid: Sequence[float]) -> dict:
     """Size of the dropped boundary term at separation s = 1/t.
 
-    With lam = -i t and x = y - 1/t the boundary factor is exactly
-    e^{-1}, so the dropped term has magnitude e^{-1} c^2 t^{-2} |f(y,y)|,
-    the same order as the retained 1/lambda^2 term; at separation 10/t it
-    is suppressed by e^{-10}; integrated over separations in (0, 1] it
-    contributes at order t^{-3}, one power beyond the pointwise order,
-    which is how a boundary-supported correction enters the expansion
-    one order down.
+    With lam = -i t, y = SCAN_Y and x = y - 1/t the boundary factor is
+    exactly e^{-1}, so the dropped term has magnitude e^{-1} c^2 t^{-2}
+    |f(y,y)|, the same order as the retained 1/lambda^2 term; at
+    separation 10/t it is suppressed by e^{-10}; integrated over
+    separations in (0, 1] it contributes at order t^{-3}, one power
+    beyond the pointwise order, which is how a boundary-supported
+    correction enters the expansion one order down.
     """
     if f.num_vars != 2:
         raise ValueError("scan defined on the two-particle sector")
     poly = f.to_float()
+    y = SCAN_Y
     rows = []
     for t in t_grid:
         t = float(t)

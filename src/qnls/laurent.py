@@ -92,14 +92,13 @@ class LaurentSeries:
             a[n] = acc
         return LaurentSeries(self.order, tuple(a), self.field)
 
-    def eval_at(self, lam: complex, order: int | None = None) -> complex:
-        """Partial sum sum_{k<=order} a_k lambda^{-k} as a complex float."""
-        order = self.order if order is None else order
+    def eval_at(self, lam: complex) -> complex:
+        """The sum of a_k lambda^{-k} over k <= order as a complex float."""
         total = 0.0 + 0.0j
         inv = 1.0 / complex(lam)
         power = 1.0 + 0.0j
-        for k in range(order + 1):
-            total += complex(self.coeffs[k]) * power
+        for a in self.coeffs:
+            total += complex(a) * power
             power *= inv
         return total
 

@@ -42,7 +42,6 @@ both fields.  ``terms`` presents field scalars (``ExactComplex`` or
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
@@ -55,7 +54,7 @@ import numpy as np
 from .errors import DegenerateRapidities, SizeLimit
 from .exact import EXACT, FLOAT, ExactComplex, Field
 
-MAX_PARTICLES_DEFAULT = 8
+MAX_PARTICLES = 8
 
 # Relative tolerance used to consolidate float-mode frequency vectors.
 FLOAT_MERGE_RTOL = 1e-12
@@ -266,7 +265,9 @@ class ExpPoly:
         if self.field is EXACT:
             den *= factor.d
             factor = GaussInt(factor.a, factor.b)
-        return self._with(tuple((c * factor, f) for c, f in self.data), den=den)
+        # a FLOAT product can underflow to zero; zero terms are dropped
+        products = ((c * factor, f) for c, f in self.data)
+        return self._with(tuple((c, f) for c, f in products if c), den=den)
 
     def weighted(self, weight: Callable, degree: int, *constants) -> "ExpPoly":
         """Multiply each term's coefficient by weight(z, *constants),
@@ -360,10 +361,8 @@ class ExpPoly:
         return self.substitute_equal(j + 1, j)
 
     # -- predicates and evaluation ---------------------------------------
-    def is_empty(self, abs_tol: float = 0.0) -> bool:
-        if self.field is EXACT:
-            return not self.data
-        return self.max_coeff() <= abs_tol
+    def is_empty(self) -> bool:
+        return not self.data
 
     def max_coeff(self) -> float:
         Q = self.den
@@ -405,30 +404,15 @@ class ExpPoly:
                           for c, f in self.terms]}
 
     @staticmethod
-    def from_json_dict(doc: dict, field: Field | None = None) -> "ExpPoly":
-        """The sum a JSON document describes, in the given field; by
-        default EXACT when the document holds any rational number."""
+    def from_json_dict(doc: dict, field: Field) -> "ExpPoly":
+        """The sum a JSON document describes, in the given field."""
         terms = []
-        saw_rational = False
         for t in doc["terms"]:
-            re, r1 = _num_parse(t["re"])
-            im, r2 = _num_parse(t["im"])
-            freq = []
-            rationals = [r1, r2]
-            for w in t["freq"]:
-                wv, r = _freq_parse(w)
-                freq.append(wv)
-                rationals.append(r)
-            saw_rational = saw_rational or any(rationals)
-            terms.append((re, im, tuple(freq)))
-        if field is None:
-            field = EXACT if saw_rational else FLOAT
-        built = []
-        for re, im, freq in terms:
+            re, im = _num_parse(t["re"]), _num_parse(t["im"])
             coeff = ExactComplex(re, im) if field is EXACT \
                 else complex(float(re), float(im))
-            built.append((coeff, freq))
-        return ExpPoly.from_terms(doc["n"], built, field)
+            terms.append((coeff, tuple(_freq_parse(w) for w in t["freq"])))
+        return ExpPoly.from_terms(doc["n"], terms, field)
 
     def __repr__(self):
         return (f"ExpPoly(n={self.num_vars}, terms={len(self.data)}, "
@@ -524,20 +508,17 @@ def _freq_json(w):
 
 def _num_parse(v):
     if isinstance(v, dict):
-        return Fraction(v["num"], v["den"]), True
-    return v, False
+        return Fraction(v["num"], v["den"])
+    return v
 
 
 def _freq_parse(w):
-    if isinstance(w, dict):
-        if "num" in w:
-            return Fraction(w["num"], w["den"]), True
-        re, r1 = _num_parse(w["re"])
-        im, r2 = _num_parse(w["im"])
-        if r1 or r2:
-            return ExactComplex(re, im), True
-        return complex(re, im), False
-    return w, False
+    if isinstance(w, dict) and "re" in w:
+        re, im = _num_parse(w["re"]), _num_parse(w["im"])
+        if isinstance(re, Fraction) or isinstance(im, Fraction):
+            return ExactComplex(re, im)
+        return complex(re, im)
+    return _num_parse(w)
 
 
 # ----------------------------------------------------------------------
@@ -626,23 +607,16 @@ class BetheWavefunction:
                for c, f in poly.data]
         return poly._with(())._merged(out)
 
-    def to_json_dict(self) -> dict:
-        doc = self.canonical.to_json_dict()
-        doc["rapidities"] = [_num_json(v) for v in self.rapidities.values]
-        doc["coupling"] = _num_json(self.coupling.c)
-        return doc
 
-
-def build_bethe(rapidities: RapiditySet, coupling: Coupling,
-                max_particles: int = MAX_PARTICLES_DEFAULT) -> BetheWavefunction:
+def build_bethe(rapidities: RapiditySet, coupling: Coupling) -> BetheWavefunction:
     """Construct the canonical-region wavefunction for the given rapidities.
 
     On x_1 < ... < x_N each permutation P contributes
     (-1)^P prod_{j>k} (l_{Pj} - l_{Pk} - i c) exp(i sum_n x_n l_{Pn}).
     """
     n = len(rapidities)
-    if n > max_particles:
-        raise SizeLimit(f"N={n} exceeds the configured maximum {max_particles}")
+    if n > MAX_PARTICLES:
+        raise SizeLimit(f"N={n} exceeds the maximum {MAX_PARTICLES}")
     lam = list(rapidities.values)
     c = coupling.c
     field = Field.of(*lam, c)
@@ -692,7 +666,3 @@ def symmetrized_plane_wave(rapidities: RapiditySet) -> ExpPoly:
              for perm in itertools.permutations(range(n))]
     return ExpPoly.from_terms(n, terms, rapidities.field)
 
-
-def dumps(obj) -> str:
-    """JSON text for ExpPoly / BetheWavefunction documents."""
-    return json.dumps(obj.to_json_dict(), sort_keys=True)

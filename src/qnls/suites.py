@@ -20,7 +20,7 @@ from . import lattice as lat
 from . import transfer as tr
 from .bethe import (BoxSpec, QUANTUM_NUMBER_CONVENTION, QuantumNumbers,
                     ground_state_quantum_numbers, perturbed_product_residual,
-                    residual_product_form, solve)
+                    solve)
 from .config import RunConfig
 from .errors import (ConvergenceDomain, CutoffTooSmall, DegenerateRapidities,
                      DomainError, PoleAtRapidity, RMatrixPole, SizeLimit)
@@ -170,7 +170,7 @@ def run_waves_suite(cfg: RunConfig) -> list:
                               lambda: RapiditySet.of([1, 1, 2])))
     _record(report, "waves.size-limit", group, "input-validation",
             {}, _expect_raise(SizeLimit, lambda: build_bethe(
-                RapiditySet.of(list(range(9))), Coupling(1), max_particles=8)))
+                RapiditySet.of(list(range(9))), Coupling(1))))
     return report.checks
 
 
@@ -304,7 +304,7 @@ def run_bethe_suite(cfg: RunConfig) -> list:
             for c in (0.1, 1.0, 10.0, 1e4):
                 box = BoxSpec(BOX_L, c, n)
                 sol = solve(box, ground_state_quantum_numbers(n))
-                worst = max(worst, residual_product_form(sol, box))
+                worst = max(worst, sol.residual_product)
         return worst, 1e-10, worst < 1e-10, ""
     _record(report, "bethe.product-residual-grid", group,
             "periodicity-product-equations", {"n_max": 5}, product_grid)
@@ -379,7 +379,7 @@ def run_bethe_suite(cfg: RunConfig) -> list:
     def perturbation_control():
         box = BoxSpec(BOX_L, 1.0, 3)
         sol = solve(box, ground_state_quantum_numbers(3))
-        defect = perturbed_product_residual(sol, box, 1e-3)
+        defect = perturbed_product_residual(sol, 1e-3)
         return defect, 1e-4, defect > 1e-4, "sensitivity of the product residual"
     _record(report, "bethe.perturbation-control", group,
             "product-residual-sensitivity", {"shift": 1e-3},
@@ -438,7 +438,6 @@ def run_transfer_suite(cfg: RunConfig) -> list:
 
     def solved_states():
         ok = True
-        detail = []
         for n in range(1, 5):
             for qn in (ground_state_quantum_numbers(n), _skewed_numbers(n)):
                 sol = solve(BoxSpec(BOX_L, 1.7, n), qn)
@@ -447,7 +446,6 @@ def run_transfer_suite(cfg: RunConfig) -> list:
                 ok = ok and not res.has_unexpected_mismatch()
                 table = res.verdict_table()["charge_constants"]
                 ok = ok and table[1] == "pass" and table[2] == "pass"
-                detail.append(f"n={n}")
         return None, None, ok, "constants at orders 1,2 match on solved states"
     _record(report, "transfer.solved-states", group,
             "adjudication-on-solved-states", {"n_max": 4, "c": 1.7},

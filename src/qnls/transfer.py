@@ -34,6 +34,11 @@ from .laurent import LaurentSeries
 
 DEFAULT_ORDER = 6
 
+# remainder_bound_check: fit and assert grids of t = |lambda|, bound slack
+REMAINDER_T_FIT = (5.0, 7.0, 10.0, 14.0)
+REMAINDER_T_ASSERT = (20.0, 30.0, 40.0, 50.0)
+REMAINDER_SLACK = 1.25
+
 SOURCES = (
     "charge_constants",          # operator-constant table A_0..A_3
     "eigenvalue_expansion",      # printed expansion of the eigenvalue product
@@ -69,16 +74,15 @@ def theta(lam: complex, rapidities: Sequence[float], c: float, L: float) -> comp
 
 
 def asymptotic_product_series(rapidities: Sequence, c,
-                              order: int = DEFAULT_ORDER,
-                              field: Field | None = None) -> LaurentSeries:
+                              order: int = DEFAULT_ORDER) -> LaurentSeries:
     """Expansion of prod_j (1 - ic/(lam - k_j)) to the given order, in
-    the field of the rapidities and the coupling unless one is given.
+    the field of the rapidities and the coupling.
 
     Per factor, -ic/(lam - k) = -ic sum_m k^m lam^{-m-1}; the factors are
     multiplied as truncated series.  This is the ground-truth oracle for
     the commuting-constant eigenvalues.
     """
-    field = field or Field.of(*rapidities, c)
+    field = Field.of(*rapidities, c)
     minus_ic = -field.i * field.coerce(c)
     series = LaurentSeries.one(order, field)
     for k in rapidities:
@@ -198,8 +202,6 @@ class CoefficientVerdict:
 class ChargeCoefficientSet:
     """Oracle values A_0..A_3 plus per-source, per-order verdicts."""
 
-    n: int
-    coupling: object
     oracle: tuple              # lambda^{-1}..lambda^{-4} of the product
     oracle_log: tuple          # same orders of log(product)
     verdicts: tuple            # CoefficientVerdict entries
@@ -216,11 +218,10 @@ class ChargeCoefficientSet:
 
 
 def charge_coefficients_from_formulas(rapidities: Sequence, c,
-                                      order: int = DEFAULT_ORDER,
-                                      field: Field | None = None
+                                      order: int = DEFAULT_ORDER
                                       ) -> ChargeCoefficientSet:
     """Evaluate every printed table and compare with the product oracle,
-    in the field of the rapidities and the coupling unless one is given.
+    in the field of the rapidities and the coupling.
 
     Matches become ``pass``; mismatches at the documented (source, order)
     slots become ``expected-mismatch``; any other disagreement is a
@@ -230,9 +231,9 @@ def charge_coefficients_from_formulas(rapidities: Sequence, c,
     if order < PRINTED_ORDER:
         raise ValueError(f"order {order} is below {PRINTED_ORDER}, the last "
                          "order of the printed tables")
-    field = field or Field.of(*rapidities, c)
+    field = Field.of(*rapidities, c)
     n = len(rapidities)
-    series = asymptotic_product_series(rapidities, c, order, field)
+    series = asymptotic_product_series(rapidities, c, order)
     log_series = series.log()
     p = power_sums(rapidities, 3, field)
 
@@ -279,7 +280,6 @@ def charge_coefficients_from_formulas(rapidities: Sequence, c,
                 "pass" if match else "mismatch"))
 
     return ChargeCoefficientSet(
-        n=n, coupling=c,
         oracle=tuple(series.coefficient(m) for m in range(1, 5)),
         oracle_log=tuple(log_series.coefficient(m) for m in range(1, 5)),
         verdicts=tuple(verdicts),
@@ -287,19 +287,17 @@ def charge_coefficients_from_formulas(rapidities: Sequence, c,
     )
 
 
-def remainder_bound_check(rapidities: Sequence[float], c: float, L: float,
-                          order: int = DEFAULT_ORDER,
-                          t_fit: Sequence[float] = (5.0, 7.0, 10.0, 14.0),
-                          t_assert: Sequence[float] = (20.0, 30.0, 40.0, 50.0),
-                          slack: float = 1.25) -> dict:
+def remainder_bound_check(rapidities: Sequence[float], c: float,
+                          L: float) -> dict:
     """Truncated-series error versus direct theta evaluation on the ray
-    lam = -i t.
+    lam = -i t, at order DEFAULT_ORDER.
 
     The constant C of the next-order bound C * t^-(order+1) is fitted on
     the small-t grid; the large-t grid must then satisfy the extrapolated
     bound, which fails if the true error decays slower than the claimed
     order.
     """
+    order = DEFAULT_ORDER
     ks = [float(k) for k in rapidities]
     series = asymptotic_product_series(ks, float(c), order)
 
@@ -312,11 +310,11 @@ def remainder_bound_check(rapidities: Sequence[float], c: float, L: float,
         return abs(direct - series.eval_at(lam))
 
     floor = 1e-13  # rounding floor of the O(1) direct evaluation
-    C = max(err(t) * t ** (order + 1) for t in t_fit)
+    C = max(err(t) * t ** (order + 1) for t in REMAINDER_T_FIT)
     worst = 0.0
     ok = True
-    for t in t_assert:
-        bound = slack * C * t ** (-(order + 1)) + floor
+    for t in REMAINDER_T_ASSERT:
+        bound = REMAINDER_SLACK * C * t ** (-(order + 1)) + floor
         e = err(t)
         worst = max(worst, e / bound)
         ok = ok and e <= bound

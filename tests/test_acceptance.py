@@ -17,7 +17,7 @@ from qnls import integral_operator as aop
 from qnls import lattice as lat
 from qnls import transfer as tr
 from qnls.bethe import (BoxSpec, QuantumNumbers, ground_state_quantum_numbers,
-                        residual_product_form, solve)
+                        solve)
 from qnls.config import build_config
 from qnls.exact import exact
 from qnls.planewaves import Coupling, RapiditySet, build_bethe
@@ -90,7 +90,7 @@ def test_criterion_4_box_roots():
         for c in (0.1, 1.0, 10.0, 1e4):
             box = BoxSpec(BOX_L, c, n)
             sol = solve(box, ground_state_quantum_numbers(n))
-            ok = ok and residual_product_form(sol, box) < 1e-10
+            ok = ok and sol.residual_product < 1e-10
     c = 1e4
     for n in range(1, 6):
         sol = solve(BoxSpec(BOX_L, c, n), ground_state_quantum_numbers(n))

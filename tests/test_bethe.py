@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnls.bethe import (BoxSpec, QuantumNumbers, ground_state_quantum_numbers,
-                        perturbed_product_residual, residual_product_form,
-                        solve)
+                        perturbed_product_residual, solve)
 from qnls.errors import DomainError
 
 BOX_L = 2.0 * math.pi
@@ -55,7 +54,7 @@ class TestSolve:
     def test_product_residual_grid(self, n, c):
         box = BoxSpec(BOX_L, c, n)
         sol = solve(box, ground_state_quantum_numbers(n))
-        assert residual_product_form(sol, box) < 1e-10
+        assert sol.residual_product < 1e-10
         assert sol.jacobian_min_eigenvalue > 0
 
     def test_repulsive_only(self):
@@ -139,7 +138,7 @@ class TestCovariances:
     def test_perturbed_root_detected(self):
         box = BoxSpec(BOX_L, 1.0, 3)
         sol = solve(box, ground_state_quantum_numbers(3))
-        assert perturbed_product_residual(sol, box, 1e-3) > 1e-4
+        assert perturbed_product_residual(sol, 1e-3) > 1e-4
 
 
 class TestReporting:

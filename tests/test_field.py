@@ -70,8 +70,9 @@ def test_adjudication_agrees_across_fields(raps, c):
     """The same rational state adjudicated under EXACT and FLOAT gives
     the same verdicts and, within rounding, the same coefficients."""
     raps = sorted(raps)
-    exact = tr.charge_coefficients_from_formulas(raps, c, field=EXACT)
-    flt = tr.charge_coefficients_from_formulas(raps, c, field=FLOAT)
+    exact = tr.charge_coefficients_from_formulas(raps, c)
+    flt = tr.charge_coefficients_from_formulas([float(k) for k in raps],
+                                               float(c))
     assert exact.verdict_table() == flt.verdict_table()
     assert [v.verdict for v in exact.h1_alternative] \
         == [v.verdict for v in flt.h1_alternative]

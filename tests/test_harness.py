@@ -244,6 +244,11 @@ class TestCli:
          "1"],
         ["lattice", "commute", "--sites", "2", "--step", "0.3", "--coupling",
          "1e300"],
+        # finite but overflowing inside the lattice engines: FloatingPointError
+        ["lattice", "continuum", "--sites", "2", "--step", "0.3",
+         "--coupling", "1e200"],
+        ["lattice", "rtt", "--sites", "2", "--step", "0.3", "--coupling",
+         "1e150"],
     ], ids=["lam-one-part", "rapidity-not-a-number", "coupling-zero",
             "lattice-lam-not-a-number", "zero-sites", "order-zero",
             "order-negative", "order-three", "bethe-box-nan",
@@ -251,7 +256,8 @@ class TestCli:
             "lattice-step-nan", "lattice-lam-inf", "lattice-mu-nan",
             "continuum-lam-nan", "transfer-box-nan", "bethe-coupling-overflow",
             "continuum-lam-overflow", "rtt-step-overflow",
-            "commute-coupling-overflow"])
+            "commute-coupling-overflow", "continuum-coupling-overflow",
+            "rtt-coupling-overflow"])
     def test_malformed_numbers_are_usage_errors(self, argv, capsys):
         code = main(argv)
         err = capsys.readouterr().err
