@@ -453,4 +453,4 @@ def nonuniformity_scan(f: ExpPoly, c: float, t_grid: Sequence[float]) -> dict:
             "suppressed_at_10_over_t": suppressed,
             "integrated_over_unit_separation": integrated,
         })
-    return {"rows": rows, "y": y}
+    return {"rows": rows}

@@ -41,6 +41,18 @@ engine reads that table:
   sum_n'' L(lam)[n', n''] (x) L(mu)[n'', n], so both tensor orderings are
   contracted over the (d-1)^M kept states only.
 
+Each operator whose 2-norm the exchange relation or the adjoint pairing
+takes moves particle number by a fixed amount (A and D conserve it, B
+and C shift it by +1 and -1), so it is block diagonal once rows and
+columns are ordered by number, and its 2-norm is the largest block
+2-norm.  ``_sector_norm`` takes it that way, one small SVD per sector,
+and adds the Frobenius norm of every entry off the blocks; that term is
+0 when the operator moves number by exactly the given amount, so the
+result is exact then and an upper bound on the full 2-norm always.
+``tau_commutator_norm`` already works in one sector, and
+``normal_ordering_breakdown`` measures 9 x 9 blocks; both take plain
+2-norms.
+
 The monodromy holds a known number of dim x dim complex blocks and the
 exchange relation a known number of kept x kept ones; their bytes are
 checked against DENSE_BUDGET_BYTES before anything is allocated.
@@ -283,13 +295,45 @@ def _pair_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return np.einsum("xzac,zybd->xyabcd", t1, t2).reshape(d, d, 4, 4)
 
 
-def _exchange_defect(R: np.ndarray, X: np.ndarray, Y: np.ndarray) -> float:
-    """Largest 2-norm over the 16 operator entries of R X - Y R for
-    (m, m, 4, 4) stacks X and Y, each entry formed and measured in turn."""
+def _sector_norm(X: np.ndarray, counts: np.ndarray, shift: int = 0) -> float:
+    """Upper bound on ||X||_2 for a square X over states with particle
+    numbers ``counts``, exact when X moves number by ``shift``.
+
+    Such an X is block diagonal once rows and columns are ordered by
+    number: rows in sector n + shift against columns in sector n, one
+    block per n.  Its 2-norm is the largest block 2-norm.  The Frobenius norm of every entry outside
+    those blocks is added, which is 0 for a number-shifting X and keeps
+    the result >= ||X||_2 for any X, so a conservation fault raises the
+    residual rather than hiding it.
+    """
     if not X.size:
         return 0.0
-    return max(float(np.linalg.norm(X[:, :, :, s] @ R[r]
-                                    - Y[:, :, r, :] @ R[:, s], 2))
+    # sort the states by number: each block is then a contiguous slice
+    order = np.argsort(counts, kind="stable")
+    edges = np.searchsorted(counts[order], np.arange(counts.max() + 2))
+    P = X[np.ix_(order, order)]
+    worst = 0.0
+    for n in range(max(0, -shift), len(edges) - 1 - max(0, shift)):
+        block = P[edges[n + shift]:edges[n + shift + 1], edges[n]:edges[n + 1]]
+        if block.size:
+            worst = max(worst, np.linalg.svd(block, compute_uv=False)[0])
+            block[...] = 0.0   # P keeps only the entries off the blocks
+    return float(worst + np.linalg.norm(P))
+
+
+def _exchange_defect(R: np.ndarray, X: np.ndarray, Y: np.ndarray,
+                     counts: np.ndarray) -> float:
+    """Largest 2-norm over the 16 operator entries of R X - Y R for
+    (m, m, 4, 4) stacks X and Y over states with particle numbers
+    ``counts``, each entry formed and measured in turn.
+
+    T_ac moves number by c - a, so entry (ab),(cd) of T (x) T, at auxiliary
+    index 2a + b, moves it by popcount(2c + d) - popcount(2a + b).  R only
+    swaps indices 1 and 2, so entry (r, s) of R X - Y R moves number by
+    popcount(s) - popcount(r) and is measured per sector (``_sector_norm``).
+    """
+    return max(_sector_norm(X[:, :, :, s] @ R[r] - Y[:, :, r, :] @ R[:, s],
+                            counts, s.bit_count() - r.bit_count())
                for r in range(4) for s in range(4))
 
 
@@ -310,8 +354,9 @@ def rtt_residual(lam: complex, mu: complex, spec: LatticeSpec) -> dict:
     lm = _contract_sites(_pair_table(tl, tm), keep)
     ml = _contract_sites(_pair_table(tm, tl), keep)
     # R (T(lam) x T(mu)) = (T(mu) x T(lam)) R
-    res_a = _exchange_defect(R, lm, ml)
-    res_b = _exchange_defect(R, ml, lm)
+    counts = keep.sum(axis=1)
+    res_a = _exchange_defect(R, lm, ml, counts)
+    res_b = _exchange_defect(R, ml, lm, counts)
     return {
         "residual_lam_mu": res_a,
         "residual_mu_lam": res_b,
@@ -335,9 +380,11 @@ def tau_commutator_norm(lam: complex, mu: complex, spec: LatticeSpec,
 
 
 def hermiticity_pairing_defect(spec: LatticeSpec, lam: float) -> float:
-    """At real lam the diagonal monodromy entries are mutual adjoints."""
+    """At real lam the diagonal monodromy entries are mutual adjoints:
+    ||A^dag - D||_2, measured per number sector (``_sector_norm``)."""
     T = monodromy(spec, float(lam))
-    return float(np.linalg.norm(T[0][0].conj().T - T[1][1], 2))
+    counts = _occupations(spec.cutoff, spec.sites).sum(axis=1)
+    return _sector_norm(T[0][0].conj().T - T[1][1], counts)
 
 
 # ----------------------------------------------------------------------

@@ -318,4 +318,4 @@ def remainder_bound_check(rapidities: Sequence[float], c: float,
         e = err(t)
         worst = max(worst, e / bound)
         ok = ok and e <= bound
-    return {"C": C, "ok": ok, "worst_ratio": worst, "order": order}
+    return {"ok": ok, "worst_ratio": worst}

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qnls import lattice as lat
 from qnls.cli import main
@@ -188,6 +188,28 @@ def monodromy_cases(draw):
     return spec, draw(spectral), rho
 
 
+@st.composite
+def shifted_matrices(draw):
+    """A square matrix that moves particle number by ``shift`` (-2..2) over
+    up to 24 states with numbers 0..4 in any order, so some sectors are
+    empty; each block has a random rank, zero included, and a scale down
+    to 1e-15."""
+    counts = np.array(draw(st.lists(st.integers(0, 4), min_size=1,
+                                    max_size=24)))
+    shift = draw(st.integers(-2, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = np.zeros((len(counts), len(counts)), dtype=complex)
+    for n in range(5):
+        rows = np.flatnonzero(counts == n + shift)
+        cols = np.flatnonzero(counts == n)
+        rank = draw(st.integers(0, min(len(rows), len(cols))))
+        scale = draw(st.sampled_from([1.0, 1e-15, 1e3]))
+        left = rng.standard_normal((len(rows), rank, 2)) @ [1, 1j]
+        right = rng.standard_normal((rank, len(cols), 2)) @ [1, 1j]
+        X[np.ix_(rows, cols)] = scale * (left @ right)
+    return X, counts, shift
+
+
 class TestSiteOperators:
     def test_commutator_below_cutoff(self):
         d, step = 5, 0.3
@@ -333,6 +355,37 @@ class TestMonodromy:
                 np.testing.assert_allclose(fast[r][s], dense[r][s], rtol=1e-13)
 
 
+class TestSectorNorm:
+    @given(shifted_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_svd_norm_on_number_shifting_matrices(self, case):
+        X, counts, shift = case
+        assert lat._sector_norm(X, counts, shift) == pytest.approx(
+            np.linalg.norm(X, 2), rel=1e-12, abs=0)
+
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=24),
+           st.integers(-2, 2), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_bounds_svd_norm_on_any_matrix(self, counts, shift, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((len(counts), len(counts), 2)) @ [1, 1j]
+        assert lat._sector_norm(X, np.array(counts), shift) \
+            >= np.linalg.norm(X, 2) * (1 - 1e-12)
+
+    @given(shifted_matrices(), st.floats(1e-15, 1e3), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_planted_off_sector_entry_shows(self, case, size, data):
+        X, counts, shift = case
+        off = np.argwhere(counts[:, None] != counts[None, :] + shift)
+        assume(len(off))
+        i, j = off[data.draw(st.integers(0, len(off) - 1))]
+        clean = lat._sector_norm(X, counts, shift)
+        X[i, j] = 1j * size
+        planted = lat._sector_norm(X, counts, shift)
+        assert planted == pytest.approx(clean + size, rel=1e-12, abs=0)
+        assert planted - clean >= 0.5 * size or size < 1e-12 * clean
+
+
 class TestDenseBudget:
     def test_rejects_by_bytes_before_allocating(self):
         spec = lat.LatticeSpec(7, 4, 0.3, 1.0)   # 3^7 kept states
@@ -375,6 +428,9 @@ class TestDenseBudget:
              lat.dense_bytes(spec, lat.MONODROMY_BLOCKS)),
             (lambda: lat.rtt_residual(0.7 - 0.2j, -0.4 + 0.5j, spec),
              lat.dense_bytes(spec, 0, lat.RTT_KEPT_BLOCKS)),
+            # the sector norm's permuted copy fits in the monodromy's blocks
+            (lambda: lat.hermiticity_pairing_defect(spec, 0.7),
+             lat.dense_bytes(spec, lat.MONODROMY_BLOCKS)),
         ]
         peaks = []
         for run, need in runs:
