@@ -140,9 +140,12 @@ def apply_A(lam: SpectralParameter, f: ExpPoly, c) -> ExpPoly:
                 weight = weight * c_v
             result_terms.extend((coeff * weight, freq, den * weight_den ** size)
                                 for coeff, freq, den in contrib)
-    den = math.lcm(*(d for _, _, d in result_terms))
-    raw = [(coeff if d == den else coeff * (den // d),
-            tuple(x for w in freq for x in (w.real, w.imag)))
+    # bring every term over the common denominator, one factor per distinct d
+    dens = {d for _, _, d in result_terms}
+    den = math.lcm(*dens)
+    factor = {d: den // d for d in dens}
+    raw = [(coeff if d == den else coeff * factor[d],
+            tuple([x for w in freq for x in (w.real, w.imag)]))
            for coeff, freq, d in result_terms]
     return ExpPoly(n, field, (), poly.unit, poly.den * den)._merged(raw)
 

@@ -306,35 +306,52 @@ def _sector_norm(X: np.ndarray, counts: np.ndarray, shift: int = 0) -> float:
     the result >= ||X||_2 for any X, so a conservation fault raises the
     residual rather than hiding it.
     """
-    if not X.size:
-        return 0.0
     # sort the states by number: each block is then a contiguous slice
     order = np.argsort(counts, kind="stable")
-    edges = np.searchsorted(counts[order], np.arange(counts.max() + 2))
     P = X[np.ix_(order, order)]
-    worst = 0.0
+    return float(_sorted_sector_norms(P[None], _sector_edges(counts[order]),
+                                      shift)[0])
+
+
+def _sector_edges(counts: np.ndarray) -> np.ndarray:
+    """edges[n]: the first state of sector n in a basis sorted by number
+    ``counts``, up to edges[max + 1] = len(counts)."""
+    return np.searchsorted(counts, np.arange(counts.max(initial=0) + 2))
+
+
+def _sorted_sector_norms(P: np.ndarray, edges: np.ndarray,
+                         shift: int) -> np.ndarray:
+    """``_sector_norm`` of each matrix of a (k, m, m) stack P over states
+    already sorted by number, sector n spanning edges[n]:edges[n + 1]:
+    one SVD call per block for the whole stack.  Zeroes the blocks of P."""
+    worst = np.zeros(len(P))
     for n in range(max(0, -shift), len(edges) - 1 - max(0, shift)):
-        block = P[edges[n + shift]:edges[n + shift + 1], edges[n]:edges[n + 1]]
+        block = P[:, edges[n + shift]:edges[n + shift + 1], edges[n]:edges[n + 1]]
         if block.size:
-            worst = max(worst, np.linalg.svd(block, compute_uv=False)[0])
+            worst = np.maximum(worst, np.linalg.svd(block, compute_uv=False)[:, 0])
             block[...] = 0.0   # P keeps only the entries off the blocks
-    return float(worst + np.linalg.norm(P))
+    return worst + [np.linalg.norm(p) for p in P]
 
 
 def _exchange_defect(R: np.ndarray, X: np.ndarray, Y: np.ndarray,
-                     counts: np.ndarray) -> float:
+                     edges: np.ndarray) -> float:
     """Largest 2-norm over the 16 operator entries of R X - Y R for
-    (m, m, 4, 4) stacks X and Y over states with particle numbers
-    ``counts``, each entry formed and measured in turn.
+    (m, m, 4, 4) stacks X and Y over states sorted by particle number,
+    sector n spanning edges[n]:edges[n + 1].
 
     T_ac moves number by c - a, so entry (ab),(cd) of T (x) T, at auxiliary
     index 2a + b, moves it by popcount(2c + d) - popcount(2a + b).  R only
     swaps indices 1 and 2, so entry (r, s) of R X - Y R moves number by
-    popcount(s) - popcount(r) and is measured per sector (``_sector_norm``).
+    popcount(s) - popcount(r) and is measured per sector (``_sector_norm``),
+    the entries of one shift together.
     """
-    return max(_sector_norm(X[:, :, :, s] @ R[r] - Y[:, :, r, :] @ R[:, s],
-                            counts, s.bit_count() - r.bit_count())
-               for r in range(4) for s in range(4))
+    worst = 0.0
+    for shift in range(-2, 3):
+        stack = np.stack([X[:, :, :, s] @ R[r] - Y[:, :, r, :] @ R[:, s]
+                          for r in range(4) for s in range(4)
+                          if s.bit_count() - r.bit_count() == shift])
+        worst = max(worst, _sorted_sector_norms(stack, edges, shift).max())
+    return float(worst)
 
 
 def rtt_residual(lam: complex, mu: complex, spec: LatticeSpec) -> dict:
@@ -350,13 +367,15 @@ def rtt_residual(lam: complex, mu: complex, spec: LatticeSpec) -> dict:
     _check_dense_budget(spec, "exchange relation", 0, RTT_KEPT_BLOCKS)
     R = r_matrix(lam, mu, spec.c)
     keep = _occupations(spec.cutoff - 1, spec.sites)
+    # kept states sorted by number, so every sector is a contiguous slice
+    keep = keep[np.argsort(keep.sum(axis=1), kind="stable")]
     tl, tm = _site_factor_table(spec, lam), _site_factor_table(spec, mu)
     lm = _contract_sites(_pair_table(tl, tm), keep)
     ml = _contract_sites(_pair_table(tm, tl), keep)
     # R (T(lam) x T(mu)) = (T(mu) x T(lam)) R
-    counts = keep.sum(axis=1)
-    res_a = _exchange_defect(R, lm, ml, counts)
-    res_b = _exchange_defect(R, ml, lm, counts)
+    edges = _sector_edges(keep.sum(axis=1))
+    res_a = _exchange_defect(R, lm, ml, edges)
+    res_b = _exchange_defect(R, ml, lm, edges)
     return {
         "residual_lam_mu": res_a,
         "residual_mu_lam": res_b,

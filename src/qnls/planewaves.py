@@ -37,6 +37,15 @@ coefficients.  ``GaussInt`` and ``complex`` both read as
 both fields.  ``terms`` presents field scalars (``ExactComplex`` or
 ``complex``) sorted by frequency; ``from_terms``, ``evaluate``,
 ``to_float`` and the JSON documents convert at the edge.
+
+A weight (``weighted``, ``differentiate``) may use only +, -, * and **
+by a non-negative int, and ``z[0] * 0`` for a zero of the right type:
+no comparison, no ``bool`` and no branch on a term's value.  An exact
+pass then runs once on columns: z_n and the coefficients are single
+``GaussInt``s whose parts are numpy object arrays of Python ints, one
+entry per term (int64 would overflow: N = 7 coefficients pass 2**63).
+FLOAT passes stay one call per term, because complex ndarray columns
+round differently: they moved a float residual from 0.0 to 3.3e-19.
 """
 
 from __future__ import annotations
@@ -66,7 +75,9 @@ class GaussInt:
     The coefficient type of exact sums and the value their weights
     receive for i*freq; it mixes with Python ints only.  Its parts read
     as ``real``/``imag``, like those of ``complex``, the coefficient
-    type of FLOAT sums.
+    type of FLOAT sums.  The parts may also be numpy object arrays of
+    Python ints, one entry per term: +, -, * and ** then act entrywise,
+    which is how an exact weight runs on all terms at once.
     """
 
     __slots__ = ("real", "imag")
@@ -280,6 +291,12 @@ class ExpPoly:
         ``degree`` in z and the constants (numbers of dimension
         1/length, like the coupling); exact sums evaluate it on Gaussian
         integers in units of 1/unit, FLOAT sums on complex numbers.
+
+        The weight may use only +, -, * and ** by a non-negative int,
+        and ``z[0] * 0`` for a zero; no comparison, ``bool`` or per-term
+        branch.  Exact sums call it once, on columns of all terms (see
+        the module docstring); FLOAT sums call it once per term, since
+        complex ndarray columns would move float residuals by round-off.
         """
         return self._map_coeffs(
             lambda c, z, *k: c * weight(z, *k), degree, constants)
@@ -296,9 +313,19 @@ class ExpPoly:
         unit = math.lcm(self.unit, *(k.denominator for k in ks))
         poly = self._recast(unit, self.den)
         ks = [GaussInt.scaled(k, unit) for k in ks]
-        out = [(fn(c, [GaussInt(-f[m + 1], f[m]) for m in pairs], *ks), f)
-               for c, f in poly.data]
-        return poly._with((), den=poly.den * unit ** degree)._merged(out)
+        # one call on columns: GaussInts whose parts are object arrays of
+        # Python ints, one entry per term (int64 would overflow at N = 7)
+        terms = poly.data
+        keys = np.array([f for _, f in terms], dtype=object).reshape(
+            len(terms), 2 * self.num_vars)
+        coeffs = GaussInt(np.array([c.real for c, _ in terms], dtype=object),
+                          np.array([c.imag for c, _ in terms], dtype=object))
+        out = fn(coeffs, [GaussInt(-keys[:, m + 1], keys[:, m]) for m in pairs],
+                 *ks)
+        # the keys stay distinct, so no merge: drop zeros, keep the order
+        data = tuple((GaussInt(re, im), f) for re, im, (_, f)
+                     in zip(out.real, out.imag, terms) if re or im)
+        return poly._with(data, den=poly.den * unit ** degree)
 
     def mul(self, other: "ExpPoly") -> "ExpPoly":
         """Pointwise product; frequency vectors add termwise."""

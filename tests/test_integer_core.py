@@ -10,12 +10,13 @@ give the same rational terms on random states.
 import itertools
 from fractions import Fraction as F
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from qnls import charges as ch
 from qnls.exact import EXACT, ExactComplex, exact
-from qnls.planewaves import (Coupling, ExpPoly, RapiditySet, build_bethe,
-                             symmetrized_plane_wave)
+from qnls.planewaves import (Coupling, ExpPoly, GaussInt, RapiditySet,
+                             build_bethe, symmetrized_plane_wave)
 
 I = exact(0, 1)
 
@@ -215,6 +216,87 @@ class TestAgainstReference:
         assert all(isinstance(c, ExactComplex) for c, _ in p.terms)
         assert p.terms[1][0] == exact(3)
         assert len(p.terms) == p.term_count() == 3
+
+
+# ----------------------------------------------------------------------
+# Weights on columns
+# ----------------------------------------------------------------------
+
+# parts well past 2**63, where an int64 column would overflow
+big_ints = st.integers(-2 ** 70, 2 ** 70)
+gauss_ints = st.builds(GaussInt, big_ints, big_ints)
+
+
+def column(values) -> GaussInt:
+    """One GaussInt whose parts are object arrays of Python ints."""
+    return GaussInt(np.array([z.real for z in values], dtype=object),
+                    np.array([z.imag for z in values], dtype=object))
+
+
+def entries(col: GaussInt, count: int) -> list:
+    """The (real, imag) pairs of a column; scalar parts (X ** 0 is the
+    scalar 1) stand for every entry."""
+    parts = [list(p) if isinstance(p, np.ndarray) else [p] * count
+             for p in (col.real, col.imag)]
+    assert all(len(part) == count for part in parts)
+    assert all(type(x) is int for part in parts for x in part)
+    return list(zip(*parts))
+
+
+class TestColumns:
+    """A GaussInt over object arrays, as the exact weighted pass builds
+    it, agrees entry by entry with scalar GaussInt arithmetic."""
+
+    @given(st.lists(st.tuples(gauss_ints, gauss_ints), min_size=1,
+                    max_size=5), big_ints, gauss_ints)
+    @settings(max_examples=60, deadline=None)
+    def test_column_arithmetic_matches_scalars(self, pairs, k, g):
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        X, Y = column(xs), column(ys)
+        cases = [
+            (X + Y, [x + y for x, y in pairs]),
+            (X - Y, [x - y for x, y in pairs]),
+            (X * Y, [x * y for x, y in pairs]),
+            (-X, [-x for x in xs]),
+            (X + k, [x + k for x in xs]), (k + X, [k + x for x in xs]),
+            (X - k, [x - k for x in xs]), (k - X, [k - x for x in xs]),
+            (X * k, [x * k for x in xs]), (k * X, [k * x for x in xs]),
+            (X + g, [x + g for x in xs]), (g + X, [g + x for x in xs]),
+            (X - g, [x - g for x in xs]), (g - X, [g - x for x in xs]),
+            (X * g, [x * g for x in xs]), (g * X, [g * x for x in xs]),
+        ] + [(X ** m, [x ** m for x in xs]) for m in range(5)]
+        for col, expected in cases:
+            assert entries(col, len(xs)) == [(z.real, z.imag) for z in expected]
+
+    @given(sums(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_weighted_past_int64(self, drawn, data):
+        """Coefficients scaled and frequencies shifted past 2**63 stay
+        exact."""
+        small_poly, small = drawn
+        scale, shift = exact(2 ** 64 + 1, 3), F(2 ** 64, 3)
+        ref = {tuple(w + shift for w in f): c * scale for f, c in small.items()}
+        poly = ExpPoly.from_terms(small_poly.num_vars,
+                                  [(c, f) for f, c in ref.items()], EXACT)
+        weight, degree, kinds = data.draw(weights(poly.num_vars))
+        out, expected = _apply_weight(poly, ref, weight, degree, kinds,
+                                      F(2 ** 65 + 3, 7), exact(2 ** 66, -5))
+        assert as_dict(out) == expected
+
+    def test_zeroed_terms_are_dropped(self):
+        poly = ExpPoly.from_terms(2, [(1, (F(1, 2), 0)), (F(2, 5), (0, F(1, 2))),
+                                      (3, (F(1, 2), F(1, 2)))], EXACT)
+        assert (poly.unit, poly.den) == (2, 5)
+        out = poly.weighted(lambda z: z[0] * z[1], 2)
+        assert out.term_count() == 1
+        assert as_dict(out) == {(exact(F(1, 2)), exact(F(1, 2))): exact(F(-3, 4))}
+        assert out.den == 5 * 2 ** 2
+
+    def test_all_zeroed_is_the_empty_sum_over_den_unit_degree(self):
+        poly = ExpPoly.from_terms(1, [(F(2, 5), (F(1, 2),)), (1, (1,))], EXACT)
+        out = poly.weighted(lambda z, k: (z[0] - k) * 0, 1, F(1, 3))
+        assert out.is_empty()
+        assert (out.unit, out.den) == (6, 5 * 6)
 
 
 class TestTangentialCommutation:
