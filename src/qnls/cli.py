@@ -176,9 +176,13 @@ def _cmd_lattice(args) -> int:
             print(json.dumps(payload, sort_keys=True, indent=2))
             return 0 if norm < 1e-12 else 1
         if args.action == "continuum":
-            rep = lat.continuum_limit_rate(args.coupling,
-                                           args.sites * args.step, lam)
-            print(json.dumps(rep, sort_keys=True, indent=2, default=str))
+            # --sites x --step sets the box length only; the fit runs at
+            # its own site counts
+            length = args.sites * args.step
+            rep = lat.continuum_limit_rate(args.coupling, length, lam)
+            payload = {"length": length,
+                       "fit_sites": list(lat.CONTINUUM_SITES), **rep}
+            print(json.dumps(payload, sort_keys=True, indent=2, default=str))
             ok = rep["order_vacuum_normalized"] >= 1.0 \
                 and rep["order_one_particle_normalized"] >= 1.0
             return 0 if ok else 1
@@ -258,7 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lat = sub.add_parser("lattice", help="lattice integrability checks")
     p_lat.add_argument("action", choices=("rtt", "commute", "continuum"))
-    p_lat.add_argument("--sites", type=int, required=True)
+    fit_sites = ", ".join(map(str, lat.CONTINUUM_SITES))
+    p_lat.add_argument("--sites", type=int, required=True,
+                       help="lattice sites M; for continuum, --sites x --step "
+                            "sets the box length L only, and the fit runs at "
+                            f"{fit_sites} sites")
     p_lat.add_argument("--cutoff", type=int, default=4)
     p_lat.add_argument("--step", required=True)
     p_lat.add_argument("--coupling", required=True)

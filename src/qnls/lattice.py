@@ -31,11 +31,14 @@ factors <n'| L(lam) |n> of one site, zero unless |n' - n| <= 1.  Every
 monodromy monomial applies one single-site factor per site, so every
 engine reads that table:
 
-- sector matrices multiply it over all config pairs at once, one batched
-  product per site (``_contract_sites``);
-- the full-space monodromy applies each d x d slice table[:, :, r, s] as
-  a contraction on that site's tensor axis, O(d dim^2) per site for
-  dim = d^M;
+- sector matrices multiply it over all config pairs at once, k broadcast
+  products per site for its k x k factors (``_contract_sites``);
+- the full-space monodromy grows by one tensor factor per site: each
+  entry of L(s) T is a sum of two Kronecker products of d x d slices
+  table[:, :, r, s] with entries of the product over sites s-1..1, so
+  only the last site works on dim x dim blocks, dim = d^M: 8 Kronecker
+  products and 4 in-place sums, against M d dim^2 multiply-adds per
+  block for a contraction on each site's tensor axis;
 - the exchange relation builds no full-space block: T(lam) (x) T(mu) is
   itself a monodromy, with the 4x4 site factor
   sum_n'' L(lam)[n', n''] (x) L(mu)[n'', n], so both tensor orderings are
@@ -72,17 +75,23 @@ from .transfer import theta
 DENSE_BUDGET_BYTES = 2 ** 30
 COMPLEX_BYTES = 16
 # Dense complex blocks alive at once, full (dim x dim) or kept (restricted
-# to the (d-1)^M states with every occupation <= d-2).  monodromy: the 4
-# running blocks, 3 finished new ones, the one being formed and one site
-# contraction.  rtt_residual holds only kept blocks, 16 per (kept, kept,
-# 4, 4) stack: the first ordering's finished stack while the second is
-# contracted, whose running product, gathered site factors and new product
-# are alive together.
-MONODROMY_BLOCKS = 9
-RTT_KEPT_BLOCKS = 4 * 16
-# continuum_limit_rate: one-particle momentum index and per-site cutoff
+# to the (d-1)^M states with every occupation <= d-2).  monodromy, at the
+# last site: 3 finished blocks, the one being formed, the Kronecker product
+# added to it, and the previous site's 4 blocks of dimension dim/d (a
+# quarter block at d = 4).  rtt_residual holds only kept blocks, 16 per
+# (kept, kept, 4, 4) stack: the first ordering's finished stack while the
+# second is contracted, whose running product, gathered site factors, new
+# product and one broadcast product are alive together, 80 blocks.  Both
+# also pass numpy's 256 KiB broadcast buffer, which the sixth full block
+# and 3 more kept blocks cover at the sizes the tests measure (4^4, 6^3,
+# 12^2); tracemalloc peaks there at 5.5-5.7 full and 81.1-82.6 kept blocks.
+MONODROMY_BLOCKS = 6
+RTT_KEPT_BLOCKS = 5 * 16 + 3
+# continuum_limit_rate: one-particle momentum index, per-site cutoff and
+# the site counts of the fit
 CONTINUUM_MOMENTUM_INDEX = 1
 CONTINUUM_CUTOFF = 3
+CONTINUUM_SITES = (8, 16, 32, 64)
 
 
 @dataclass(frozen=True)
@@ -167,42 +176,38 @@ def dense_bytes(spec: LatticeSpec, blocks: int, kept_blocks: int = 0) -> int:
 
 
 def _check_dense_budget(spec: LatticeSpec, what: str, blocks: int,
-                        kept_blocks: int = 0) -> int:
-    """Full space dimension, once the dense blocks of ``what`` fit the
-    byte budget; raises SizeLimit before anything is allocated."""
+                        kept_blocks: int = 0) -> None:
+    """Raises SizeLimit, before anything is allocated, unless the dense
+    blocks of ``what`` fit the byte budget."""
     need = dense_bytes(spec, blocks, kept_blocks)
     if need > DENSE_BUDGET_BYTES:
         raise SizeLimit(
             f"{what} at {spec.sites} sites, cutoff {spec.cutoff} needs "
             f"{need} bytes of dense complex blocks, over the budget of "
             f"{DENSE_BUDGET_BYTES} bytes")
-    return spec.cutoff ** spec.sites
 
 
 def monodromy(spec: LatticeSpec, lam: complex,
               rho_override=None) -> list[list[np.ndarray]]:
     """T(lam) = L(M) ... L(1) as a 2x2 block matrix of full-space operators.
 
-    Site s is the middle axis of a block viewed as (d^(M-s), d,
-    d^(s-1) dim) (site 1 is the rightmost tensor factor), so L(s) T is
-    one matmul of each d x d slice of the site-factor table against that
-    view.  ``rho_override`` replaces the table's rho diagonal.
+    Site 1 is the rightmost tensor factor, so each site adds a leftmost
+    factor: for T the product over sites s-1..1, entry (r, c) of L(s) T is
+    L[r, 0] (x) T[0][c] + L[r, 1] (x) T[1][c], of dimension d^s.  Only the
+    last site forms dim x dim blocks.  ``rho_override`` replaces the
+    table's rho diagonal.
     """
-    dim = _check_dense_budget(spec, "monodromy", MONODROMY_BLOCKS)
-    d, M = spec.cutoff, spec.sites
+    _check_dense_budget(spec, "monodromy", MONODROMY_BLOCKS)
     # L[r, s] = table[:, :, r, s], the d x d site operator of entry (r, s)
     L = _site_factor_table(spec, lam, rho_override).transpose(2, 3, 0, 1)
-    T = [[np.eye(dim, dtype=complex), np.zeros((dim, dim), dtype=complex)],
-         [np.zeros((dim, dim), dtype=complex), np.eye(dim, dtype=complex)]]
-    for site in range(1, M + 1):
-        axes = (d ** (M - site), d, d ** (site - 1) * dim)
+    T = [[L[r, c] for c in range(2)] for r in range(2)]
+    for _ in range(spec.sites - 1):
         # left-multiply the running product by the new site: T <- L(site) T
         new = [[None, None], [None, None]]
         for r in range(2):
-            for s in range(2):
-                block = L[r, 0] @ T[0][s].reshape(axes)
-                block += L[r, 1] @ T[1][s].reshape(axes)
-                new[r][s] = block.reshape(dim, dim)
+            for c in range(2):
+                new[r][c] = np.kron(L[r, 0], T[0][c])
+                new[r][c] += np.kron(L[r, 1], T[1][c])
         T = new
     return T
 
@@ -246,11 +251,17 @@ def _contract_sites(table: np.ndarray, occ: np.ndarray) -> np.ndarray:
     """out[i, j] = table[occ[i, M-1], occ[j, M-1]] ... table[occ[i, 0],
     occ[j, 0]], the auxiliary k x k product of a (d, d, k, k) site table
     between occupation rows i and j, site M leftmost.  All pairs are taken
-    together, one batched matmul per site."""
-    m, k = len(occ), table.shape[-1]
-    prod = np.broadcast_to(np.eye(k, dtype=complex), (m, m, k, k))
-    for site in reversed(range(occ.shape[1])):
-        prod = prod @ table[occ[:, None, site], occ[None, :, site]]
+    together: each site adds k broadcast products of a column of the
+    running product with a row of the gathered factors (for k = 2 several
+    times cheaper than a stacked matmul of the tiny matrices)."""
+    k = table.shape[-1]
+    prod = table[occ[:, None, -1], occ[None, :, -1]]
+    for site in reversed(range(occ.shape[1] - 1)):
+        g = table[occ[:, None, site], occ[None, :, site]]
+        new = prod[..., :, 0, None] * g[..., None, 0, :]
+        for col in range(1, k):
+            new += prod[..., :, col, None] * g[..., None, col, :]
+        prod = new
     return prod
 
 
@@ -401,9 +412,9 @@ def tau_commutator_norm(lam: complex, mu: complex, spec: LatticeSpec,
 def hermiticity_pairing_defect(spec: LatticeSpec, lam: float) -> float:
     """At real lam the diagonal monodromy entries are mutual adjoints:
     ||A^dag - D||_2, measured per number sector (``_sector_norm``)."""
-    T = monodromy(spec, float(lam))
+    (A, _), (_, D) = monodromy(spec, float(lam))
     counts = _occupations(spec.cutoff, spec.sites).sum(axis=1)
-    return _sector_norm(T[0][0].conj().T - T[1][1], counts)
+    return _sector_norm(A.conj().T - D, counts)
 
 
 # ----------------------------------------------------------------------
@@ -426,8 +437,7 @@ def one_particle_eigenvalue(spec: LatticeSpec, lam: complex,
     the exact eigenvector.
     """
     M = spec.sites
-    configs = [tuple(1 if s == m else 0 for s in range(M)) for m in range(M)]
-    block = tau_sector_matrix(spec, lam, configs)
+    block = tau_sector_matrix(spec, lam, np.eye(M, dtype=np.intp))
     vec = np.exp(2j * np.pi * momentum_index * np.arange(M) / M)
     val = (vec.conj() @ block @ vec) / (vec.conj() @ vec)
     # confirm vec is an eigenvector, not just a stationary direction
@@ -438,7 +448,7 @@ def one_particle_eigenvalue(spec: LatticeSpec, lam: complex,
 
 
 def continuum_limit_rate(c: float, L: float, lam: complex,
-                         site_counts: Sequence[int] = (8, 16, 32, 64)) -> dict:
+                         site_counts: Sequence[int] = CONTINUUM_SITES) -> dict:
     """Convergence of lattice transfer eigenvalues to the continuum ones.
 
     Vacuum sector: compares with 2 cos(lam L / 2).  One-particle sector:

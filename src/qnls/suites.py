@@ -626,7 +626,8 @@ def run_lattice_suite(cfg: RunConfig) -> list:
                   f"{rep['order_one_particle_normalized']:.2f}")
         return None, None, ok, detail
     _record(report, "lattice.continuum-rate", group,
-            "continuum-limit-convergence", {"sites": [8, 16, 32, 64]},
+            "continuum-limit-convergence",
+            {"sites": list(lat.CONTINUUM_SITES)},
             continuum)
 
     def ordering_demo():

@@ -1,5 +1,7 @@
 """Lattice operators, exchange relation, commutativity, continuum limit."""
 
+import functools
+import itertools
 import json
 import math
 import tracemalloc
@@ -335,6 +337,26 @@ class TestMonodromy:
             lat.tau_sector_matrix(spec, lam, configs),
             reference_tau_sector_matrix(spec, lam, configs))
 
+    @given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 12),
+           spectral, spectral, st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_four_by_four_contraction_matches_pair_products(
+            self, sites, cutoff, rows, lam, mu, seed):
+        # the exchange relation's (d, d, 4, 4) pair table, at random
+        # occupations, against one ordered product per config pair
+        spec = lat.LatticeSpec(sites, cutoff, 0.3, 1.3)
+        table = lat._pair_table(lat._site_factor_table(spec, lam),
+                                lat._site_factor_table(spec, mu))
+        occ = np.random.default_rng(seed).integers(0, cutoff, (rows, sites))
+        got = lat._contract_sites(table, occ)
+        for i in range(rows):
+            for j in range(rows):
+                want = functools.reduce(np.matmul, [
+                    table[occ[i, s], occ[j, s]]
+                    for s in reversed(range(sites))])
+                np.testing.assert_allclose(got[i, j], want, rtol=1e-14,
+                                           atol=0)
+
     def test_sector_engine_empty_config_list(self):
         out = lat.tau_sector_matrix(lat.LatticeSpec(3, 4, 0.3, 1.0), 0.7, [])
         assert out.shape == (0, 0)
@@ -343,6 +365,24 @@ class TestMonodromy:
         with pytest.raises(ValueError):
             lat.tau_sector_matrix(lat.LatticeSpec(2, 2, 0.3, 1.0), 0.7,
                                   [(2, 0), (1, 1)])
+
+    @pytest.mark.parametrize("sites", [1, 2, 3])
+    def test_monodromy_blocks_are_private_to_the_call(self, sites):
+        # at one site the blocks are slices of the call's own site table;
+        # writing into them must not reach another block or the next call
+        spec = lat.LatticeSpec(sites, 3, 0.3, 1.0)
+        first = [block for row in lat.monodromy(spec, 0.7 - 0.2j)
+                 for block in row]
+        for a, b in itertools.combinations(first, 2):
+            assert not np.shares_memory(a, b)
+        for block in first:
+            block[...] = 99.0
+        again = lat.monodromy(spec, 0.7 - 0.2j)
+        dense = reference_monodromy(spec, 0.7 - 0.2j)
+        for r in range(2):
+            for s in range(2):
+                np.testing.assert_allclose(again[r][s], dense[r][s],
+                                           rtol=1e-13)
 
     @given(monodromy_cases())
     @settings(max_examples=50, deadline=None)
@@ -442,7 +482,8 @@ class TestDenseBudget:
                 tracemalloc.stop()
             # headroom for the Python objects and the d x d site tables
             assert peaks[-1] <= need + 2 ** 16
-        # the kept-block count is the exchange relation's real peak
+        # both block counts are the real peaks, not loose stand-ins
+        assert runs[0][1] <= 1.25 * peaks[0]
         assert runs[1][1] <= 1.25 * peaks[1]
 
 
@@ -553,6 +594,16 @@ class TestContinuumLimit:
             target = theta(0.9, [2 * math.pi / BOX_L], 1.0, BOX_L)
             errs.append(abs(val - target))
         assert all(a > b for a, b in zip(errs, errs[1:]))
+
+    def test_cli_names_the_fit_sites(self, capsys):
+        # --sites x --step sets the box length; the fit uses its own sites
+        code = main(["lattice", "continuum", "--sites", "20", "--step",
+                     str(BOX_L / 20), "--coupling", "1.0", "--lam", "0.9"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["fit_sites"] == [8, 16, 32, 64]
+        assert [row["sites"] for row in out["rows"]] == out["fit_sites"]
+        assert out["length"] == pytest.approx(BOX_L)
 
     def test_fitted_orders(self):
         rep = lat.continuum_limit_rate(1.0, BOX_L, 0.9)
