@@ -180,8 +180,7 @@ def _cmd_lattice(args) -> int:
             # its own site counts
             length = args.sites * args.step
             rep = lat.continuum_limit_rate(args.coupling, length, lam)
-            payload = {"length": length,
-                       "fit_sites": list(lat.CONTINUUM_SITES), **rep}
+            payload = {"length": length, **rep}
             print(json.dumps(payload, sort_keys=True, indent=2, default=str))
             ok = rep["order_vacuum_normalized"] >= 1.0 \
                 and rep["order_one_particle_normalized"] >= 1.0

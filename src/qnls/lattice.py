@@ -31,8 +31,9 @@ factors <n'| L(lam) |n> of one site, zero unless |n' - n| <= 1.  Every
 monodromy monomial applies one single-site factor per site, so every
 engine reads that table:
 
-- sector matrices multiply it over all config pairs at once, k broadcast
-  products per site for its k x k factors (``_contract_sites``);
+- sector matrices multiply it over all config pairs at once, k^2
+  broadcast products per site for its k x k factors, one column of the
+  new product at a time (``_contract_sites``);
 - the full-space monodromy grows by one tensor factor per site: each
   entry of L(s) T is a sum of two Kronecker products of d x d slices
   table[:, :, r, s] with entries of the product over sites s-1..1, so
@@ -78,15 +79,17 @@ COMPLEX_BYTES = 16
 # to the (d-1)^M states with every occupation <= d-2).  monodromy, at the
 # last site: 3 finished blocks, the one being formed, the Kronecker product
 # added to it, and the previous site's 4 blocks of dimension dim/d (a
-# quarter block at d = 4).  rtt_residual holds only kept blocks, 16 per
-# (kept, kept, 4, 4) stack: the first ordering's finished stack while the
-# second is contracted, whose running product, gathered site factors, new
-# product and one broadcast product are alive together, 80 blocks.  Both
-# also pass numpy's 256 KiB broadcast buffer, which the sixth full block
-# and 3 more kept blocks cover at the sizes the tests measure (4^4, 6^3,
-# 12^2); tracemalloc peaks there at 5.5-5.7 full and 81.1-82.6 kept blocks.
+# quarter block at d = 4); numpy's 256 KiB broadcast buffer is covered by
+# the sixth full block at the sizes the tests measure (4^4, 6^3, 12^2),
+# where tracemalloc peaks at 5.5-5.7 full blocks.  rtt_residual holds only
+# kept blocks, 16 per (kept, kept, 4, 4) stack: the first ordering's
+# finished stack while the second is contracted, whose running and new
+# products are alive with two (kept, kept, 4) temporaries (a gathered
+# column of site factors and one broadcast product): 56 blocks, and 4 more
+# for the index arrays and small tables.  tracemalloc peaks at 56.2-57.4
+# kept blocks from 81 to 256 kept states.
 MONODROMY_BLOCKS = 6
-RTT_KEPT_BLOCKS = 5 * 16 + 3
+RTT_KEPT_BLOCKS = 3 * 16 + 2 * 4 + 4
 # continuum_limit_rate: one-particle momentum index, per-site cutoff and
 # the site counts of the fit
 CONTINUUM_MOMENTUM_INDEX = 1
@@ -251,16 +254,23 @@ def _contract_sites(table: np.ndarray, occ: np.ndarray) -> np.ndarray:
     """out[i, j] = table[occ[i, M-1], occ[j, M-1]] ... table[occ[i, 0],
     occ[j, 0]], the auxiliary k x k product of a (d, d, k, k) site table
     between occupation rows i and j, site M leftmost.  All pairs are taken
-    together: each site adds k broadcast products of a column of the
-    running product with a row of the gathered factors (for k = 2 several
-    times cheaper than a stacked matmul of the tiny matrices)."""
+    together: each site forms the new product one column at a time, as k
+    broadcast products of the running product's columns with that
+    column's gathered factors (for k = 2 several times cheaper than a
+    stacked matmul of the tiny matrices).  Beside the running and the new
+    product only (m, m, k) temporaries are alive."""
     k = table.shape[-1]
     prod = table[occ[:, None, -1], occ[None, :, -1]]
     for site in reversed(range(occ.shape[1] - 1)):
-        g = table[occ[:, None, site], occ[None, :, site]]
-        new = prod[..., :, 0, None] * g[..., None, 0, :]
-        for col in range(1, k):
-            new += prod[..., :, col, None] * g[..., None, col, :]
+        rows, cols = occ[:, None, site], occ[None, :, site]
+        new = np.empty_like(prod)
+        for b in range(k):
+            # g[..., c, :] = table[occ[i, site], occ[j, site], c, b]
+            g = table[rows, cols, :, b, None]
+            col = new[..., :, b]
+            np.multiply(prod[..., :, 0], g[..., 0, :], out=col)
+            for c in range(1, k):
+                col += prod[..., :, c] * g[..., c, :]
         prod = new
     return prod
 

@@ -190,17 +190,13 @@ class ExpPoly:
                        self.field, data, self.unit,
                        self.den if den is None else den)
 
-    def _merged(self, raw_terms, subtracted=()) -> "ExpPoly":
-        """Combine terms with equal keys, less the ``subtracted`` terms,
-        and drop zeros; FLOAT sums also merge nearly equal keys
-        (``_consolidate_float``)."""
+    def _merged(self, raw_terms) -> "ExpPoly":
+        """Combine terms with equal keys and drop zeros; FLOAT sums also
+        merge nearly equal keys (``_consolidate_float``)."""
         acc: dict = {}
         for coeff, freq in raw_terms:
             prev = acc.get(freq)
             acc[freq] = coeff if prev is None else prev + coeff
-        for coeff, freq in subtracted:
-            prev = acc.get(freq)
-            acc[freq] = -coeff if prev is None else prev - coeff
         if self.field is FLOAT:
             acc = _consolidate_float(acc)
         return self._with(tuple((c, f) for f, c in acc.items() if c))
@@ -267,9 +263,7 @@ class ExpPoly:
         return a._merged(a.data + b.data)
 
     def __sub__(self, other: "ExpPoly") -> "ExpPoly":
-        self._check_compatible(other)
-        a, b = self._aligned(other, same_den=True)
-        return a._merged(a.data, subtracted=b.data)
+        return self + (-other)
 
     def __neg__(self) -> "ExpPoly":
         return self._with(tuple((-c, f) for c, f in self.data))

@@ -452,10 +452,10 @@ class TestDenseBudget:
     def test_suite_and_sweep_sizes_fit(self):
         # the suite goes up to 3 sites at cutoff 4; the benchmark sweep
         # runs the exchange relation at 4^4 and monodromy at 4^5; the
-        # exchange relation fits up to 6 sites at cutoff 4
+        # exchange relation fits up to 6 sites at cutoff 4 and 10 at cutoff 3
         rtt = [lat.dense_bytes(lat.LatticeSpec(m, d, 0.3, 1.0), 0,
                                lat.RTT_KEPT_BLOCKS)
-               for m, d in ((4, 4), (6, 4), (8, 3))]
+               for m, d in ((4, 4), (6, 4), (10, 3))]
         mono = lat.dense_bytes(lat.LatticeSpec(5, 4, 0.3, 1.0),
                                lat.MONODROMY_BLOCKS)
         assert max(*rtt, mono) <= lat.DENSE_BUDGET_BYTES
@@ -601,8 +601,8 @@ class TestContinuumLimit:
                      str(BOX_L / 20), "--coupling", "1.0", "--lam", "0.9"])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert out["fit_sites"] == [8, 16, 32, 64]
-        assert [row["sites"] for row in out["rows"]] == out["fit_sites"]
+        assert [row["sites"] for row in out["rows"]] \
+            == list(lat.CONTINUUM_SITES)
         assert out["length"] == pytest.approx(BOX_L)
 
     def test_fitted_orders(self):

@@ -424,24 +424,6 @@ class TestFloatLayout:
 
 
 class TestSubtraction:
-    @given(st.integers(1, 3), st.data(), st.booleans())
-    @settings(max_examples=60, deadline=None)
-    def test_stores_the_terms_of_adding_the_negation(self, n, data, to_float):
-        """p - q keeps the unit, denominator and terms of p + (-q), bit
-        for bit in FLOAT sums; q shares some keys with p, so the merge
-        both subtracts into existing terms and inserts negated ones."""
-        p = data.draw(rational_sums(n))
-        q = data.draw(rational_sums(n)) + p.scale(data.draw(dyadic_complex))
-        if to_float:
-            p, q = p.to_float(), q.to_float()
-        got, want = p - q, p + (-q)
-        assert (got.unit, got.den) == (want.unit, want.den)
-        if to_float:
-            assert bits(got.data) == bits(want.data)
-        else:
-            assert [(c.real, c.imag, f) for c, f in got.data] \
-                == [(c.real, c.imag, f) for c, f in want.data]
-
     def test_difference_with_itself_is_empty(self):
         w = build_bethe(RapiditySet.of([F(1, 2), F(-3, 2)]), Coupling(F(1)))
         assert (w.canonical - w.canonical).is_empty()
