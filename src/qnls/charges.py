@@ -381,10 +381,12 @@ def g4_defect_scan(w: BetheWavefunction, epsilons: Sequence[float],
     return out
 
 
-def fit_loglog_slope(scan: Sequence[tuple[float, float]]) -> float:
-    eps = np.log([p[0] for p in scan])
-    val = np.log([p[1] for p in scan])
-    return float(np.polyfit(eps, val, 1)[0])
+def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> float:
+    """Least-squares slope of log y against log x over (x, y) points; y is
+    floored at 1e-300, so an exactly zero error stays finite."""
+    xs = np.log([p[0] for p in points])
+    ys = np.log([max(p[1], 1e-300) for p in points])
+    return float(np.polyfit(xs, ys, 1)[0])
 
 
 def one_over_eps_remainders(scan: Sequence[tuple[float, float]],

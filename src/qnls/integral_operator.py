@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .charges import boundary_residual_h2, gauss_rule
+from .charges import boundary_residual_h2, fit_loglog_slope, gauss_rule
 from .errors import ConvergenceDomain, SizeLimit
 from .exact import EXACT, FLOAT, Field
 from .planewaves import BetheWavefunction, ExpPoly, GaussInt
@@ -133,13 +133,13 @@ def apply_A(lam: SpectralParameter, f: ExpPoly, c) -> ExpPoly:
 
     result_terms = list(terms)
     for size in range(1, n + 1):
+        weight = c_v
+        for _ in range(size - 1):
+            weight = weight * c_v
+        weight = (weight, weight_den ** size)   # c^size over its denominator
         for subset in itertools.combinations(range(n), size):
-            contrib = _subset_integral(terms, subset, lam_v, inverse, n)
-            weight = c_v
-            for _ in range(size - 1):
-                weight = weight * c_v
-            result_terms.extend((coeff * weight, freq, den * weight_den ** size)
-                                for coeff, freq, den in contrib)
+            result_terms.extend(
+                _subset_integral(terms, subset, lam_v, inverse, n, weight))
     # bring every term over the common denominator, one factor per distinct d
     dens = {d for _, _, d in result_terms}
     den = math.lcm(*dens)
@@ -150,52 +150,49 @@ def apply_A(lam: SpectralParameter, f: ExpPoly, c) -> ExpPoly:
     return ExpPoly(n, field, (), poly.unit, poly.den * den)._merged(raw)
 
 
-def _subset_integral(terms: list, subset: tuple, lam_v, inverse, n: int):
-    """All closed-form terms for one coordinate subset.
+def _subset_integral(terms: list, subset: tuple, lam_v, inverse, n: int,
+                     weight: tuple):
+    """All closed-form terms for one coordinate subset, times ``weight``.
 
-    ``terms`` holds (coeff, frequency list, denominator) triples and
-    ``inverse(mu)`` returns 1/(i mu) as (numerator, denominator).  The
-    integration variable xi_m sweeps (x_{i_m}, x_{i_{m+1}}) (the last
-    one sweeps to +infinity); each sweep is split at the in-between
-    coordinates so a fixed region form of f applies on each piece.
+    ``terms`` holds (coeff, frequency list, denominator) triples;
+    ``inverse(mu)`` returns 1/(i mu) and ``weight`` the subset's factor
+    c^size, each as (numerator, denominator).  The integration variable
+    xi_m sweeps (x_{i_m}, x_{i_{m+1}}) (the last one sweeps to
+    +infinity); each sweep is split at the in-between coordinates so a
+    fixed region form of f applies on each piece.  A piece integrates to
+    the same coefficient, coeff * prod_q 1/(i mu_q) * c^size in that
+    order, at every choice of ends; a lower end flips its sign and an
+    upper end at +infinity vanishes, since Im(mu) > 0.
     """
-    size = len(subset)
-    piece_ranges = []
-    for m in range(size):
-        lo = subset[m]
-        hi = subset[m + 1] if m + 1 < size else n
-        piece_ranges.append(range(lo, hi))
-
+    piece_ranges = [range(lo, hi) for lo, hi in zip(subset, subset[1:] + (n,))]
     out_terms = []
     for pieces in itertools.product(*piece_ranges):
         # in the sorted argument list xi_m sits at slot pieces[m] (right
         # after x_{pieces[m]}); the kept coordinates fill the other slots
         kept = list(zip((j for j in range(n) if j not in subset),
                         (r for r in range(n) if r not in pieces)))
+        # xi ends at x_q (offset 0, a lower end) or x_{q+1} (offset 1); the
+        # order sets FLOAT rounding: lower end first, first piece slowest
+        choices = ((0, 1) if q + 1 < n else (0,) for q in pieces)
+        ends = [(offsets, offsets.count(0) % 2)
+                for offsets in itertools.product(*choices)]
         for coeff, freq, den in terms:
             base_freq = [freq[0] * 0] * n
             for j, r in kept:
                 base_freq[j] = freq[r]
             for idx in subset:
                 base_freq[idx] = base_freq[idx] + lam_v
-            # integrate each xi over its piece (x_q, x_{q+1}) or (x_q, inf)
-            pending = [(coeff, base_freq, den)]
-            for q in pieces:
-                mu = freq[q] - lam_v     # exponent frequency
+            mus = [freq[q] - lam_v for q in pieces]     # exponent frequencies
+            for mu in mus:
                 inv, inv_den = inverse(mu)
-                new_pending = []
-                for cf, bf, d in pending:
-                    lower = list(bf)
-                    lower[q] = lower[q] + mu
-                    new_pending.append((-(cf * inv), lower, d * inv_den))
-                    if q + 1 < n:
-                        upper = list(bf)
-                        upper[q + 1] = upper[q + 1] + mu
-                        new_pending.append((cf * inv, upper, d * inv_den))
-                    # q + 1 == n means the +infinity endpoint: Im(mu) > 0
-                    # kills the boundary term
-                pending = new_pending
-            out_terms.extend(pending)
+                coeff, den = coeff * inv, den * inv_den
+            coeff, den = coeff * weight[0], den * weight[1]
+            signed = (coeff, -coeff)
+            for offsets, parity in ends:
+                out_freq = list(base_freq)
+                for q, offset, mu in zip(pieces, offsets, mus):
+                    out_freq[q + offset] = out_freq[q + offset] + mu
+                out_terms.append((signed[parity], out_freq, den))
     return out_terms
 
 
@@ -414,11 +411,8 @@ def asymptotic_expand(f: ExpPoly, c: float,
             approx = expansion_partial_sum(f, c, complex(lam.value), x, y, m)
             errs[m] = abs(g_val - approx)
         rows.append({"t": float(t), "g": g_val, "errors": errs})
-    fits = {}
-    for m in range(4):
-        xs = np.log([r["t"] for r in rows])
-        ys = np.log([max(r["errors"][m], 1e-300) for r in rows])
-        fits[m] = float(-np.polyfit(xs, ys, 1)[0])
+    fits = {m: -fit_loglog_slope([(r["t"], r["errors"][m]) for r in rows])
+            for m in range(4)}
     return {"rows": rows, "fitted_decay_order": fits}
 
 

@@ -70,6 +70,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .charges import fit_loglog_slope
 from .errors import CutoffTooSmall, RMatrixPole, SizeLimit
 from .transfer import theta
 
@@ -487,9 +488,7 @@ def continuum_limit_rate(c: float, L: float, lam: complex,
         })
 
     def fit(key):
-        xs = np.log([r["step"] for r in rows])
-        ys = np.log([max(r[key], 1e-300) for r in rows])
-        return float(np.polyfit(xs, ys, 1)[0])
+        return fit_loglog_slope([(r["step"], r[key]) for r in rows])
 
     return {
         "rows": rows,
@@ -547,6 +546,4 @@ def ordering_defect_rate(c: float, cutoff: int, steps: Sequence[float],
     for step in steps:
         rep = normal_ordering_breakdown(LatticeSpec(2, cutoff, step, c), lam)
         rows.append((step, rep["relative_difference"]))
-    xs = np.log([r[0] for r in rows])
-    ys = np.log([r[1] for r in rows])
-    return {"rows": rows, "order": float(np.polyfit(xs, ys, 1)[0])}
+    return {"rows": rows, "order": fit_loglog_slope(rows)}

@@ -40,12 +40,14 @@ both fields.  ``terms`` presents field scalars (``ExactComplex`` or
 
 A weight (``weighted``, ``differentiate``) may use only +, -, * and **
 by a non-negative int, and ``z[0] * 0`` for a zero of the right type:
-no comparison, no ``bool`` and no branch on a term's value.  An exact
-pass then runs once on columns: z_n and the coefficients are single
-``GaussInt``s whose parts are numpy object arrays of Python ints, one
-entry per term (int64 would overflow: N = 7 coefficients pass 2**63).
-FLOAT passes stay one call per term, because complex ndarray columns
-round differently: they moved a float residual from 0.0 to 3.3e-19.
+no comparison, no ``bool`` and no branch on a term's value.  A pass
+then calls it once, in either field, on columns with one entry per
+term: numpy object arrays, so that every entry keeps the arithmetic of
+its Python number.  Exact z_n and coefficients are ``GaussInt``s whose
+parts are arrays of ints (int64 would overflow: N = 7 coefficients pass
+2**63); FLOAT ones are arrays of ``complex``, which round as one call
+per term would (complex128 arrays do not: they moved a float residual
+from 0.0 to 3.3e-19).  A weight moves no key, so a pass merges nothing.
 """
 
 from __future__ import annotations
@@ -294,9 +296,8 @@ class ExpPoly:
 
         The weight may use only +, -, * and ** by a non-negative int,
         and ``z[0] * 0`` for a zero; no comparison, ``bool`` or per-term
-        branch.  Exact sums call it once, on columns of all terms (see
-        the module docstring); FLOAT sums call it once per term, since
-        complex ndarray columns would move float residuals by round-off.
+        branch.  It is called once, on object-array columns of all terms,
+        in both fields (see the module docstring).
         """
         return self._map_coeffs(
             lambda c, z, *k: c * weight(z, *k), degree, constants)
@@ -305,27 +306,31 @@ class ExpPoly:
         """Replace each coefficient c by fn(c, z, *constants), z_n = i*freq_n,
         fn homogeneous of the given degree in z and the constants."""
         ks = [self.field.coerce(k) for k in constants]
-        pairs = range(0, 2 * self.num_vars, 2)
-        if self.field is FLOAT:
-            return self._merged([
-                (fn(c, [1j * complex(f[m], f[m + 1]) for m in pairs], *ks), f)
-                for c, f in self.data])
-        unit = math.lcm(self.unit, *(k.denominator for k in ks))
-        poly = self._recast(unit, self.den)
-        ks = [GaussInt.scaled(k, unit) for k in ks]
-        # one call on columns: GaussInts whose parts are object arrays of
-        # Python ints, one entry per term (int64 would overflow at N = 7)
-        terms = poly.data
-        keys = np.array([f for _, f in terms], dtype=object).reshape(
-            len(terms), 2 * self.num_vars)
-        coeffs = GaussInt(np.array([c.real for c, _ in terms], dtype=object),
-                          np.array([c.imag for c, _ in terms], dtype=object))
-        out = fn(coeffs, [GaussInt(-keys[:, m + 1], keys[:, m]) for m in pairs],
-                 *ks)
-        # the keys stay distinct, so no merge: drop zeros, keep the order
-        data = tuple((GaussInt(re, im), f) for re, im, (_, f)
-                     in zip(out.real, out.imag, terms) if re or im)
-        return poly._with(data, den=poly.den * unit ** degree)
+        poly, pairs = self, range(0, 2 * self.num_vars, 2)
+        # one call on object-array columns, one entry per term (see the
+        # module docstring)
+        if self.field is EXACT:
+            unit = math.lcm(self.unit, *(k.denominator for k in ks))
+            poly = self._recast(unit, self.den)
+            ks = [GaussInt.scaled(k, unit) for k in ks]
+            keys = np.array([f for _, f in poly.data], dtype=object).reshape(
+                len(poly.data), 2 * self.num_vars)
+            coeffs = GaussInt(
+                np.array([c.real for c, _ in poly.data], dtype=object),
+                np.array([c.imag for c, _ in poly.data], dtype=object))
+            z = [GaussInt(-keys[:, m + 1], keys[:, m]) for m in pairs]
+        else:
+            coeffs = np.array([c for c, _ in poly.data], dtype=object)
+            z = [np.array([1j * complex(f[m], f[m + 1]) for _, f in poly.data],
+                          dtype=object) for m in pairs]
+        out = fn(coeffs, z, *ks)
+        # a weight moves no key: drop zeros, keep the order, merge nothing
+        if self.field is EXACT:
+            data = tuple((GaussInt(re, im), f) for re, im, (_, f)
+                         in zip(out.real, out.imag, poly.data) if re or im)
+        else:
+            data = tuple((c, f) for c, (_, f) in zip(out, poly.data) if c)
+        return poly._with(data, den=poly.den * poly.unit ** degree)
 
     def mul(self, other: "ExpPoly") -> "ExpPoly":
         """Pointwise product; frequency vectors add termwise."""

@@ -1,0 +1,268 @@
+"""Differential tests of the column passes against the per-term code
+they replaced.
+
+A weight runs once per pass, on numpy object-array columns, in both
+fields.  The references below are the earlier per-term forms, kept here
+as oracles:
+
+* ``per_term_map_coeffs``: the FLOAT pass that called the weight once
+  per term and then re-merged the sum (``_merged``, with its tolerance
+  consolidation);
+* ``pending_subset_integral``: the ``apply_A`` subset integral that
+  multiplied every pending branch by 1/(i mu) separately and left the
+  factor c^size to its caller.
+
+FLOAT results must match them bit for bit: same keys, same order, same
+coefficient bits.  The one exception is the sign of a zero real or
+imaginary part, which the old re-merge cleared (``0 + total``) and the
+column pass keeps, as ``scale`` and negation always have; no value
+reads the sign of a zero.
+"""
+
+import itertools
+from contextlib import contextmanager
+from fractions import Fraction as F
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qnls import charges as ch
+from qnls import integral_operator as aop
+from qnls.exact import EXACT, FLOAT, exact
+from qnls.planewaves import Coupling, ExpPoly, RapiditySet, build_bethe
+
+LAM = aop.SpectralParameter(exact(F(1, 3), -2))
+COLUMN_MAP_COEFFS = ExpPoly._map_coeffs
+
+
+# ----------------------------------------------------------------------
+# The per-term references
+# ----------------------------------------------------------------------
+
+def per_term_map_coeffs(self, fn, degree, constants=()):
+    """The FLOAT pass before the column pass: one call per term, then a
+    full re-merge.  Exact sums take the column pass."""
+    if self.field is not FLOAT:
+        return COLUMN_MAP_COEFFS(self, fn, degree, constants)
+    ks = [FLOAT.coerce(k) for k in constants]
+    pairs = range(0, 2 * self.num_vars, 2)
+    return self._merged([
+        (fn(c, [1j * complex(f[m], f[m + 1]) for m in pairs], *ks), f)
+        for c, f in self.data])
+
+
+def pending_subset_integral(terms, subset, lam_v, inverse, n, weight):
+    """The subset integral before each piece's coefficient was formed
+    once: every pending branch multiplies by 1/(i mu) and negates its
+    lower end on its own, and c^size comes last, per output term."""
+    size = len(subset)
+    piece_ranges = []
+    for m in range(size):
+        lo = subset[m]
+        hi = subset[m + 1] if m + 1 < size else n
+        piece_ranges.append(range(lo, hi))
+    out_terms = []
+    for pieces in itertools.product(*piece_ranges):
+        kept = list(zip((j for j in range(n) if j not in subset),
+                        (r for r in range(n) if r not in pieces)))
+        for coeff, freq, den in terms:
+            base_freq = [freq[0] * 0] * n
+            for j, r in kept:
+                base_freq[j] = freq[r]
+            for idx in subset:
+                base_freq[idx] = base_freq[idx] + lam_v
+            pending = [(coeff, base_freq, den)]
+            for q in pieces:
+                mu = freq[q] - lam_v
+                inv, inv_den = inverse(mu)
+                new_pending = []
+                for cf, bf, d in pending:
+                    lower = list(bf)
+                    lower[q] = lower[q] + mu
+                    new_pending.append((-(cf * inv), lower, d * inv_den))
+                    if q + 1 < n:
+                        upper = list(bf)
+                        upper[q + 1] = upper[q + 1] + mu
+                        new_pending.append((cf * inv, upper, d * inv_den))
+                pending = new_pending
+            out_terms.extend(pending)
+    return [(cf * weight[0], f, d * weight[1]) for cf, f, d in out_terms]
+
+
+@contextmanager
+def references():
+    with mock.patch.object(ExpPoly, "_map_coeffs", per_term_map_coeffs), \
+            mock.patch.object(aop, "_subset_integral", pending_subset_integral):
+        yield
+
+
+def layout(poly: ExpPoly) -> tuple:
+    """Everything a sum stores, FLOAT coefficients as the bits of their
+    parts with the sign of a zero part dropped (see the module
+    docstring)."""
+    def bits(c):
+        if poly.field is FLOAT:
+            return (c.real + 0.0).hex(), (c.imag + 0.0).hex()
+        return c.real, c.imag
+    return (poly.num_vars, poly.field, poly.unit, poly.den,
+            [(bits(c), f) for c, f in poly.data])
+
+
+def layouts(value) -> list:
+    """The layouts of a sum or of a (possibly nested) list of sums."""
+    if isinstance(value, ExpPoly):
+        return [layout(value)]
+    return [x for item in value for x in layouts(item)]
+
+
+def assert_matches_reference(compute):
+    got = compute()
+    with references():
+        expected = compute()
+    assert layouts(got) == layouts(expected)
+
+
+# ----------------------------------------------------------------------
+# FLOAT sums
+# ----------------------------------------------------------------------
+
+# halves make exact zeros and exact cancellations likely; the draws from
+# a range give generic round-off
+reals = st.one_of(st.sampled_from([x / 2 for x in range(-6, 7)]),
+                  st.floats(-3, 3, allow_nan=False).map(lambda x: round(x, 6)))
+couplings = st.sampled_from([0.5, 1.0, 1.5, 2.25])
+
+
+@st.composite
+def float_states(draw, n_min=1, n_max=4):
+    n = draw(st.integers(n_min, n_max))
+    values = draw(st.lists(reals, min_size=n, max_size=n, unique=True))
+    c = draw(couplings)
+    return build_bethe(RapiditySet.of(values, FLOAT), Coupling(c)), c
+
+
+@st.composite
+def float_sums(draw, n_max=4):
+    """General FLOAT sums: complex coefficients and frequencies."""
+    n = draw(st.integers(1, n_max))
+    scalars = st.builds(complex, reals, reals)
+    terms = draw(st.lists(st.tuples(scalars, st.tuples(*[scalars] * n)),
+                          min_size=1, max_size=8))
+    return ExpPoly.from_terms(n, terms, FLOAT)
+
+
+class TestFloatWeights:
+    @given(float_states(), st.sampled_from(sorted(ch.CHARGES)))
+    @settings(max_examples=40, deadline=None)
+    def test_charges(self, state, name):
+        w, _ = state
+        assert_matches_reference(lambda: ch.apply_free_part(ch.CHARGES[name], w))
+        assert_matches_reference(lambda: ch.interior_eigen_residual(name, w))
+
+    @given(float_states(n_min=2), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_brackets(self, state, data):
+        w, c = state
+        poly, n = w.canonical, w.n
+        j = data.draw(st.integers(1, n - 1))
+        assert_matches_reference(lambda: ch.pair_bracket(poly, c, j))
+        assert_matches_reference(lambda: ch.boundary_residual_h2(poly, c, j))
+        if n >= 3:
+            assert_matches_reference(lambda: ch.boundary_residual_j3(poly, c, j))
+        if n >= 4:
+            assert_matches_reference(lambda: ch.boundary_residual_j4(poly, c))
+
+    @given(float_states())
+    @settings(max_examples=20, deadline=None)
+    def test_bvp(self, state):
+        w, c = state
+        g = aop.apply_A(LAM, w.canonical, c)
+        assert_matches_reference(lambda: aop.bvp_residual(LAM, w.canonical, g, c))
+
+    @given(float_sums(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_derivatives_and_weights_on_general_sums(self, poly, data):
+        n = poly.num_vars
+        multi = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        k = data.draw(st.builds(complex, reals, reals))
+        assert_matches_reference(lambda: poly.differentiate(multi))
+        assert_matches_reference(lambda: poly.weighted(
+            lambda z, a: ch.power_sum([zn - a for zn in z], 2), 2, k))
+        assert_matches_reference(lambda: poly.weighted(
+            lambda z: ch.elementary_symmetric(z, n) * -1, n))
+
+    def test_empty_sum(self):
+        poly = ExpPoly.zero(3, FLOAT)
+        assert_matches_reference(lambda: poly.differentiate((1, 0, 2)))
+
+
+# ----------------------------------------------------------------------
+# One call per pass, no merge
+# ----------------------------------------------------------------------
+
+def state(n: int, field):
+    values = [F(1, 2), F(-3, 4), F(5, 3), F(-2), F(7, 5)][:n]
+    return build_bethe(RapiditySet.of(values, field),
+                       Coupling(field.real(F(3, 2)))).canonical
+
+
+@pytest.mark.parametrize("field", [EXACT, FLOAT])
+def test_weight_runs_once_per_pass_and_merges_nothing(field):
+    poly = state(4, field)
+    calls = []
+
+    def weight(z, c):
+        calls.append(len(z[0].real if field is EXACT else z[0]))
+        return c + (z[0] - z[1])
+
+    def merged(*_args):
+        raise AssertionError("a weight pass merged")
+
+    with mock.patch.object(ExpPoly, "_merged", merged):
+        out = poly.weighted(weight, 1, F(1, 2))
+        derivative = poly.differentiate((1, 0, 2, 0))
+    assert calls == [poly.term_count()]
+    assert 0 < out.term_count() <= poly.term_count()
+    assert derivative.term_count() == poly.term_count()
+
+
+def test_complex_columns_are_object_arrays():
+    """complex128 columns would round differently from the per-term
+    call (they moved a residual from 0.0 to 3.3e-19), so the pass hands
+    the weight Python complex numbers."""
+    seen = []
+
+    def weight(z):
+        seen.extend([type(z[0]), z[0].dtype, type(z[0][0])])
+        return z[0]
+
+    state(2, FLOAT).weighted(weight, 1)
+    assert seen == [np.ndarray, np.dtype(object), complex]
+
+
+# ----------------------------------------------------------------------
+# apply_A
+# ----------------------------------------------------------------------
+
+class TestApplyA:
+    @pytest.mark.parametrize("field", [EXACT, FLOAT])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_bethe_states(self, n, field):
+        f = state(n, field)
+        assert_matches_reference(lambda: aop.apply_A(LAM, f, F(3, 2)))
+
+    @given(st.integers(1, 4), st.sampled_from([EXACT, FLOAT]), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_random_states(self, n, field, data):
+        values = data.draw(st.lists(
+            st.fractions(-4, 4, max_denominator=4), min_size=n, max_size=n,
+            unique=True))
+        c = data.draw(st.fractions(F(1, 4), 3, max_denominator=4))
+        lam = aop.SpectralParameter(data.draw(st.builds(
+            exact, st.fractions(-3, 3, max_denominator=3),
+            st.fractions(-3, F(-1, 3), max_denominator=3))))
+        f = build_bethe(RapiditySet.of(values, field),
+                        Coupling(field.real(c))).canonical
+        assert_matches_reference(lambda: aop.apply_A(lam, f, c))

@@ -1,6 +1,7 @@
 """Configuration, report rendering, CLI surfaces and exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,13 @@ from qnls.config import ALL_SUITES, ConfigError, build_config, parse_config_file
 from qnls.report import CheckRecord, VerificationReport, render_markdown
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# the accepted seed-2024 reports; a change that moves a byte of a report
+# updates its file in the same commit
+PINNED = {mode: ROOT / "tests" / "data" / f"report-2024-{mode}.json"
+          for mode in ("exact", "float")}
+# how far a float residual may move under another python or numpy
+RESIDUAL_RTOL = 1e-9
 
 
 class TestConfig:
@@ -282,7 +290,8 @@ def test_no_scipy_in_sources():
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_run_all_loads_no_scipy(tmp_path, mode):
     """In a fresh interpreter neither importing the CLI nor a full run
-    loads any scipy module; the run passes and reports all 77 checks."""
+    loads any scipy module; the run passes, reports all 77 checks and
+    writes the pinned report (``report_moves``)."""
     script = (
         "import json, sys\n"
         "def loaded():\n"
@@ -303,5 +312,89 @@ def test_run_all_loads_no_scipy(tmp_path, mode):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout.strip().splitlines()[-1])
     assert doc == {"code": 0, "after_import": [], "after_run": []}
-    report = json.loads((tmp_path / "latest" / "report.json").read_text())
+    fresh = (tmp_path / "latest" / "report.json").read_text()
+    report = json.loads(fresh)
     assert report["mode"] == mode and len(report["checks"]) == 77
+    pinned = PINNED[mode].read_text()
+    if fresh != pinned:
+        comparison, moved = report_moves(json.loads(pinned), report)
+        assert not moved, (f"report moved from {PINNED[mode].name} "
+                           f"({comparison}):\n" + "\n".join(moved))
+        assert comparison != "exact", \
+            f"{PINNED[mode].name}: same fields, different bytes"
+
+
+def report_moves(pinned: dict, fresh: dict) -> tuple[str, list[str]]:
+    """The comparison that applies and one line per moved field: check
+    id, field, old value -> new value.
+
+    Under the pinned python and numpy every field must match exactly.
+    Under others a float residual may move with the LAPACK build, so it
+    need only agree to RESIDUAL_RTOL relative; every other field, the
+    verdicts included, must still match exactly.
+    """
+    exact = pinned["environment"] == fresh["environment"]
+    comparison = "exact" if exact else (
+        f"environment {fresh['environment']} against {pinned['environment']}: "
+        f"residuals to {RESIDUAL_RTOL:g} relative, all else exact")
+
+    def same(field, old, new):
+        if json.dumps(old) == json.dumps(new):
+            return True
+        return (not exact and field == "residual"
+                and all(type(v) is float for v in (old, new))
+                and math.isclose(old, new, rel_tol=RESIDUAL_RTOL))
+
+    moved = [f"report {key}: {pinned.get(key)!r} -> {fresh.get(key)!r}"
+             for key in sorted(pinned.keys() | fresh.keys())
+             if key not in ("checks", "environment")
+             and not same(key, pinned.get(key), fresh.get(key))]
+    old = {c["check"]: c for c in pinned["checks"]}
+    new = {c["check"]: c for c in fresh["checks"]}
+    moved += [f"{check}: dropped" for check in old.keys() - new.keys()]
+    moved += [f"{check}: added" for check in new.keys() - old.keys()]
+    for check in old.keys() & new.keys():
+        a, b = old[check], new[check]
+        moved += [f"{check} {field}: {a.get(field)!r} -> {b.get(field)!r}"
+                  for field in sorted(a.keys() | b.keys())
+                  if not same(field, a.get(field), b.get(field))]
+    return comparison, sorted(moved)
+
+
+def _pinned(mode: str) -> dict:
+    return json.loads(PINNED[mode].read_text())
+
+
+def test_report_moves_name_each_moved_field():
+    pinned = _pinned("exact")
+    fresh = json.loads(json.dumps(pinned))
+    assert report_moves(pinned, fresh) == ("exact", [])
+    # one ulp on one residual, and one flipped verdict
+    check = next(c for c in fresh["checks"] if type(c["residual"]) is float
+                 and c["residual"] > 0)
+    old_residual = check["residual"]
+    check["residual"] = math.nextafter(old_residual, math.inf)
+    flipped = fresh["checks"][0]
+    flipped["verdict"] = "fail"
+    comparison, moved = report_moves(pinned, fresh)
+    assert comparison == "exact"
+    assert moved == sorted([
+        f"{check['check']} residual: {old_residual!r} -> {check['residual']!r}",
+        f"{flipped['check']} verdict: 'pass' -> 'fail'"])
+    # under another numpy the residual passes at 1e-9; the verdict never does
+    fresh["environment"] = dict(fresh["environment"], numpy="0.0")
+    comparison, moved = report_moves(pinned, fresh)
+    assert comparison.startswith("environment") and "1e-09 relative" in comparison
+    assert moved == [f"{flipped['check']} verdict: 'pass' -> 'fail'"]
+    check["residual"] = old_residual * (1 + 1e-8)
+    assert len(report_moves(pinned, fresh)[1]) == 2
+    dropped = fresh["checks"].pop()
+    assert f"{dropped['check']}: dropped" in report_moves(pinned, fresh)[1]
+
+
+def test_pinned_reports_agree_across_modes():
+    """Both fields run the same checks with the same verdicts."""
+    exact, float_ = _pinned("exact"), _pinned("float")
+    assert (exact["mode"], float_["mode"]) == ("exact", "float")
+    assert [(c["check"], c["verdict"]) for c in exact["checks"]] \
+        == [(c["check"], c["verdict"]) for c in float_["checks"]]

@@ -7,8 +7,9 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+from qnls import integral_operator as aop
 from qnls import transfer as tr
-from qnls.exact import ExactComplex
+from qnls.exact import ExactComplex, exact
 from qnls.laurent import LaurentSeries
 from qnls.planewaves import Coupling, ExpPoly, RapiditySet, build_bethe
 
@@ -49,3 +50,38 @@ def test_tracer_counts_exact_arithmetic_and_restores(monkeypatch):
     assert any(span[0] == "laurent.log_exp" for span in tracer.spans)
     for cls, attr, fn in originals:
         assert getattr(cls, attr) is fn, f"{cls.__name__}.{attr} not restored"
+
+
+def test_tracer_wraps_column_passes_and_apply_a_and_restores(monkeypatch):
+    """A FLOAT weight, a derivative and ``apply_A`` in both fields run
+    under the tracer with the results they give without it."""
+    lam = aop.SpectralParameter(exact(F(1, 3), -2))
+    waves = [build_bethe(RapiditySet.of(values), Coupling(c)).canonical
+             for values, c in (([0.5, -1.5, 2.0], 1.5),
+                               ([F(1, 2), F(-3, 2), F(2)], F(3, 2)))]
+
+    def run():
+        float_wave = waves[0]
+        return [float_wave.weighted(lambda z, c: c + (z[0] - z[1]), 1, 1.5),
+                float_wave.differentiate((1, 0, 2))] \
+            + [aop.apply_A(lam, wave, F(3, 2)) for wave in waves]
+
+    originals = [(ExpPoly, attr, ExpPoly.__dict__[attr])
+                 for attr in ("weighted", "differentiate", "_merged")]
+    apply_a = aop.apply_A
+    expected = run()
+    tracer = load_tracer(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        assert all(cls.__dict__[attr] is not fn for cls, attr, fn in originals)
+        assert aop.apply_A is not apply_a
+        traced = run()
+    finally:
+        tracer.uninstall()
+    assert [list(p.terms) for p in traced] == [list(p.terms) for p in expected]
+    assert tracer.counts["aop.apply_A_calls"] == 2
+    assert tracer.counts["planewaves.expoly_calls"] >= 2
+    assert {"aop.apply_A", "planewaves.expoly"} <= {s[0] for s in tracer.spans}
+    for cls, attr, fn in originals:
+        assert cls.__dict__[attr] is fn, f"{cls.__name__}.{attr} not restored"
+    assert aop.apply_A is apply_a
