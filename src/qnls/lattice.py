@@ -38,8 +38,17 @@ engine reads that table:
   entry of L(s) T is a sum of two Kronecker products of d x d slices
   table[:, :, r, s] with entries of the product over sites s-1..1, so
   only the last site works on dim x dim blocks, dim = d^M: 8 Kronecker
-  products and 4 in-place sums, against M d dim^2 multiply-adds per
-  block for a contraction on each site's tensor axis;
+  products and 4 in-place sums for all four entries (``monodromy``),
+  against M d dim^2 multiply-adds per block for a contraction on each
+  site's tensor axis.  Callers that read only A and D (the transfer
+  operator, the adjoint pairing, the ordering breakdown) share the site
+  loop but form only those two at the last site (``_diagonal_entries``):
+  4 Kronecker products, and B and C are never allocated;
+- the one-particle block is never formed: one pass over the sites
+  applies it to its Fourier vector for all rows at once, carrying two
+  2x2 products per row (``one_particle_eigenvalue``);
+- a sector's occupation configs are grown one site at a time from the
+  prefixes that can still reach its total (``occupation_configs``);
 - the exchange relation builds no full-space block: T(lam) (x) T(mu) is
   itself a monodromy, with the 4x4 site factor
   sum_n'' L(lam)[n', n''] (x) L(mu)[n'', n], so both tensor orderings are
@@ -82,7 +91,9 @@ COMPLEX_BYTES = 16
 # added to it, and the previous site's 4 blocks of dimension dim/d (a
 # quarter block at d = 4); numpy's 256 KiB broadcast buffer is covered by
 # the sixth full block at the sizes the tests measure (4^4, 6^3, 12^2),
-# where tracemalloc peaks at 5.5-5.7 full blocks.  rtt_residual holds only
+# where tracemalloc peaks at 5.5-5.7 full blocks.  A and D alone
+# (_diagonal_entries) are checked against the same count and peak at
+# 3.5-3.7 full blocks there, with no B and C.  rtt_residual holds only
 # kept blocks, 16 per (kept, kept, 4, 4) stack: the first ordering's
 # finished stack while the second is contracted, whose running and new
 # products are alive with two (kept, kept, 4) temporaries (a gathered
@@ -191,6 +202,30 @@ def _check_dense_budget(spec: LatticeSpec, what: str, blocks: int,
             f"{DENSE_BUDGET_BYTES} bytes")
 
 
+def _monodromy_below_last(spec: LatticeSpec, lam: complex, rho_override):
+    """The site operators L[r, s] = table[:, :, r, s] and the 2x2 block
+    product over sites M-1..1 (None at one site), after the byte budget
+    of ``monodromy`` has been checked."""
+    _check_dense_budget(spec, "monodromy", MONODROMY_BLOCKS)
+    L = _site_factor_table(spec, lam, rho_override).transpose(2, 3, 0, 1)
+    if spec.sites == 1:
+        return L, None
+    T = [[L[r, c] for c in range(2)] for r in range(2)]
+    for _ in range(spec.sites - 2):
+        T = [[_left_multiply(L, T, r, c) for c in range(2)] for r in range(2)]
+    return L, T
+
+
+def _left_multiply(L: np.ndarray, T, r: int, c: int) -> np.ndarray:
+    """Entry (r, c) of L(site) T: L[r, 0] (x) T[0][c] + L[r, 1] (x) T[1][c],
+    or L[r, c] itself when there is no product T below the site."""
+    if T is None:
+        return L[r, c]
+    out = np.kron(L[r, 0], T[0][c])
+    out += np.kron(L[r, 1], T[1][c])
+    return out
+
+
 def monodromy(spec: LatticeSpec, lam: complex,
               rho_override=None) -> list[list[np.ndarray]]:
     """T(lam) = L(M) ... L(1) as a 2x2 block matrix of full-space operators.
@@ -201,24 +236,21 @@ def monodromy(spec: LatticeSpec, lam: complex,
     last site forms dim x dim blocks.  ``rho_override`` replaces the
     table's rho diagonal.
     """
-    _check_dense_budget(spec, "monodromy", MONODROMY_BLOCKS)
-    # L[r, s] = table[:, :, r, s], the d x d site operator of entry (r, s)
-    L = _site_factor_table(spec, lam, rho_override).transpose(2, 3, 0, 1)
-    T = [[L[r, c] for c in range(2)] for r in range(2)]
-    for _ in range(spec.sites - 1):
-        # left-multiply the running product by the new site: T <- L(site) T
-        new = [[None, None], [None, None]]
-        for r in range(2):
-            for c in range(2):
-                new[r][c] = np.kron(L[r, 0], T[0][c])
-                new[r][c] += np.kron(L[r, 1], T[1][c])
-        T = new
-    return T
+    L, T = _monodromy_below_last(spec, lam, rho_override)
+    return [[_left_multiply(L, T, r, c) for c in range(2)] for r in range(2)]
+
+
+def _diagonal_entries(spec: LatticeSpec, lam: complex,
+                      rho_override=None) -> tuple[np.ndarray, np.ndarray]:
+    """A and D of ``monodromy``, bit for bit, without B and C at the last
+    site: 4 Kronecker products there instead of 8."""
+    L, T = _monodromy_below_last(spec, lam, rho_override)
+    return _left_multiply(L, T, 0, 0), _left_multiply(L, T, 1, 1)
 
 
 def transfer_operator(spec: LatticeSpec, lam: complex) -> np.ndarray:
-    T = monodromy(spec, lam)
-    return T[0][0] + T[1][1]
+    A, D = _diagonal_entries(spec, lam)
+    return A + D
 
 
 # ----------------------------------------------------------------------
@@ -227,9 +259,21 @@ def transfer_operator(spec: LatticeSpec, lam: complex) -> np.ndarray:
 
 def occupation_configs(spec: LatticeSpec, total: int) -> np.ndarray:
     """Rows: the site occupations with the given total, entries <= d-1,
-    in lexicographic order (site M the fastest index)."""
-    occ = _occupations(spec.cutoff, spec.sites)[:, ::-1]
-    return occ[occ.sum(axis=1) == total]
+    in lexicographic order (site M the fastest index).
+
+    Grown one site at a time, keeping only the prefixes that the later
+    sites can still bring to the total, so the cost follows the sector's
+    size rather than d^M."""
+    d, M = spec.cutoff, spec.sites
+    rows = np.zeros((1, 0), dtype=np.intp)
+    sums = np.zeros(1, dtype=np.intp)
+    for site in range(M):
+        grown = sums[:, None] + np.arange(d)
+        reach = (d - 1) * (M - 1 - site)   # the most the later sites add
+        prefix, value = np.nonzero((grown <= total) & (grown + reach >= total))
+        rows = np.column_stack([rows[prefix], value])
+        sums = grown[prefix, value]
+    return rows
 
 
 def number_conservation_defect(spec: LatticeSpec, lam: complex) -> float:
@@ -423,7 +467,7 @@ def tau_commutator_norm(lam: complex, mu: complex, spec: LatticeSpec,
 def hermiticity_pairing_defect(spec: LatticeSpec, lam: float) -> float:
     """At real lam the diagonal monodromy entries are mutual adjoints:
     ||A^dag - D||_2, measured per number sector (``_sector_norm``)."""
-    (A, _), (_, D) = monodromy(spec, float(lam))
+    A, D = _diagonal_entries(spec, float(lam))
     counts = _occupations(spec.cutoff, spec.sites).sum(axis=1)
     return _sector_norm(A.conj().T - D, counts)
 
@@ -438,21 +482,48 @@ def vacuum_eigenvalue(spec: LatticeSpec, lam: complex) -> complex:
             + (1.0 + 0.5j * lam * step) ** spec.sites)
 
 
+def _mul_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of 2x2 matrices, as broadcast products (cheaper
+    than a stacked matmul of the tiny matrices)."""
+    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+
+
 def one_particle_eigenvalue(spec: LatticeSpec, lam: complex,
                             momentum_index: int) -> complex:
     """Transfer eigenvalue on the one-particle plane-wave state with
     lattice momentum 2 pi n / L.
 
     tau commutes with the cyclic shift, so Fourier modes diagonalize the
-    one-particle block exactly; the eigenvalue is a Rayleigh quotient on
-    the exact eigenvector.
+    one-particle block B[i, j] = <e_i| tau |e_j> (e_j: the particle at
+    site j + 1) exactly; the eigenvalue is a Rayleigh quotient on the
+    exact eigenvector, and the residual of B v confirms it.
+
+    B v is formed without B, in one pass over the sites for all rows at
+    once.  Row i carries two running 2x2 products over the sites so far:
+    ``empty``, the column config with the particle not yet placed, and
+    ``placed``, the v-weighted sum over the columns whose particle is
+    among those sites.  The factor of a site for row i is
+    table[n_i, 0] (g0) without the column's particle there and
+    table[n_i, 1] (g1) with it, so each site left-multiplies
+    placed <- g0 placed + v[site] g1 empty and empty <- g0 empty:
+    O(M^2) small products in place of M sites x M^2 config pairs.
     """
     M = spec.sites
-    block = tau_sector_matrix(spec, lam, np.eye(M, dtype=np.intp))
+    if spec.cutoff < 2:
+        raise ValueError("the one-particle sector needs cutoff >= 2")
+    table = _site_factor_table(spec, lam)
     vec = np.exp(2j * np.pi * momentum_index * np.arange(M) / M)
-    val = (vec.conj() @ block @ vec) / (vec.conj() @ vec)
+    row_occ = np.eye(M, dtype=np.intp)   # row_occ[site][i]: n_i at site
+    empty = np.broadcast_to(np.eye(2, dtype=complex), (M, 2, 2))
+    placed = np.zeros((M, 2, 2), dtype=complex)
+    for site in range(M):
+        g0, g1 = table[row_occ[site], 0], table[row_occ[site], 1]
+        placed = _mul_2x2(g0, placed) + vec[site] * _mul_2x2(g1, empty)
+        empty = _mul_2x2(g0, empty)
+    applied = placed[:, 0, 0] + placed[:, 1, 1]   # B v
+    val = (vec.conj() @ applied) / (vec.conj() @ vec)
     # confirm vec is an eigenvector, not just a stationary direction
-    resid = np.linalg.norm(block @ vec - val * vec) / np.linalg.norm(vec)
+    resid = np.linalg.norm(applied - val * vec) / np.linalg.norm(vec)
     if resid > 1e-8 * max(1.0, abs(val)):
         raise ArithmeticError(f"Fourier mode failed to diagonalize: {resid}")
     return complex(val)
@@ -521,12 +592,12 @@ def normal_ordering_breakdown(spec_two_sites: LatticeSpec, lam: complex) -> dict
 
     naive = density_sqrt_naive_ordered(spec.cutoff, spec.step, spec.c)
     one_site = LatticeSpec(1, spec.cutoff, spec.step, spec.c)
-    t1 = monodromy(one_site, lam)[0][0]
-    t1_naive = monodromy(one_site, lam, rho_override=naive)[0][0]
+    t1 = _diagonal_entries(one_site, lam)[0]
+    t1_naive = _diagonal_entries(one_site, lam, rho_override=naive)[0]
     m1_diff = float(np.linalg.norm(t1 - t1_naive, 2))
 
-    exact_entry = monodromy(spec, lam)[0][0]
-    naive_entry = monodromy(spec, lam, rho_override=naive)[0][0]
+    exact_entry = _diagonal_entries(spec, lam)[0]
+    naive_entry = _diagonal_entries(spec, lam, rho_override=naive)[0]
     # scale of the ordering-sensitive cross term: B(2) C(1)
     table = _site_factor_table(spec, lam)
     cross = np.kron(table[:, :, 0, 1], table[:, :, 1, 0])

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qnls import lattice as lat
 from qnls.cli import main
@@ -20,8 +20,9 @@ BOX_L = 2.0 * math.pi
 
 # ----------------------------------------------------------------------
 # Reference engines: the site operators as d x d matrices, one 2x2
-# product per config pair and site, and the monodromy from
-# Kronecker-embedded site operators and dense products
+# product per config pair and site, the monodromy from site operators
+# applied on their tensor axes, the sector filtered out of all
+# occupations and the one-particle block formed in full
 # ----------------------------------------------------------------------
 
 def annihilator(d, step):
@@ -98,24 +99,45 @@ def reference_tau_sector_matrix(spec, lam, configs):
     return out
 
 
-def reference_embed(op, site, spec):
-    out = np.eye(1, dtype=complex)
-    for n in range(spec.sites, 0, -1):
-        out = np.kron(out, op if n == site
-                      else np.eye(spec.cutoff, dtype=complex))
-    return out
+def reference_apply(op, site, X, spec):
+    """The d x d operator ``op`` at ``site`` times the full-space matrix X:
+    op acts on the site's tensor axis of the rows, site 1 the fastest, as
+    a broadcast matmul over the other axes (several times faster than the
+    same contraction by einsum)."""
+    d = spec.cutoff
+    rows = X.reshape(d ** (spec.sites - site), d, -1)
+    return (op @ rows).reshape(X.shape)
 
 
 def reference_monodromy(spec, lam, rho_override=None):
     eye = np.eye(spec.cutoff ** spec.sites, dtype=complex)
     T = [[eye, np.zeros_like(eye)], [np.zeros_like(eye), eye]]
+    blocks = site_l_blocks(spec, lam, rho=rho_override)
     for site in range(1, spec.sites + 1):
-        blocks = site_l_blocks(spec, lam, rho=rho_override)
-        L = [[reference_embed(blocks[r][s], site, spec) for s in range(2)]
-             for r in range(2)]
-        T = [[L[r][0] @ T[0][s] + L[r][1] @ T[1][s] for s in range(2)]
-             for r in range(2)]
+        T = [[reference_apply(blocks[r][0], site, T[0][s], spec)
+              + reference_apply(blocks[r][1], site, T[1][s], spec)
+              for s in range(2)] for r in range(2)]
     return T
+
+
+def reference_occupation_configs(spec, total):
+    """All cutoff^sites occupations, site M the fastest, filtered to one
+    sector."""
+    occ = lat._occupations(spec.cutoff, spec.sites)[:, ::-1]
+    return occ[occ.sum(axis=1) == total]
+
+
+def reference_one_particle_eigenvalue(spec, lam, momentum_index):
+    """Rayleigh quotient and eigen-residual on the full one-particle
+    block."""
+    M = spec.sites
+    block = lat.tau_sector_matrix(spec, lam, np.eye(M, dtype=np.intp))
+    vec = np.exp(2j * np.pi * momentum_index * np.arange(M) / M)
+    val = (vec.conj() @ block @ vec) / (vec.conj() @ vec)
+    resid = np.linalg.norm(block @ vec - val * vec) / np.linalg.norm(vec)
+    if resid > 1e-8 * max(1.0, abs(val)):
+        raise ArithmeticError(f"Fourier mode failed to diagonalize: {resid}")
+    return complex(val)
 
 
 def reference_sector_block(op, spec, total):
@@ -188,6 +210,15 @@ def monodromy_cases(draw):
         rho = draw(st.lists(st.floats(0.5, 2.0), min_size=cutoff,
                             max_size=cutoff))
     return spec, draw(spectral), rho
+
+
+@st.composite
+def sector_totals(draw):
+    """Cutoffs 1..5, sites 1..8 and totals -1..(d-1)M+1, so both empty
+    sectors at the ends are drawn."""
+    cutoff = draw(st.integers(1, 5))
+    sites = draw(st.integers(1, 8))
+    return cutoff, sites, draw(st.integers(-1, (cutoff - 1) * sites + 1))
 
 
 @st.composite
@@ -394,6 +425,29 @@ class TestMonodromy:
             for s in range(2):
                 np.testing.assert_allclose(fast[r][s], dense[r][s], rtol=1e-13)
 
+    @given(monodromy_cases())
+    @settings(max_examples=50, deadline=None)
+    def test_diagonal_entries_are_monodromy_bits(self, case):
+        spec, lam, rho = case
+        (A, _), (_, D) = lat.monodromy(spec, lam, rho_override=rho)
+        got_a, got_d = lat._diagonal_entries(spec, lam, rho_override=rho)
+        assert np.array_equal(got_a, A) and np.array_equal(got_d, D)
+
+    @given(sector_totals())
+    @settings(max_examples=100, deadline=None)
+    @example((1, 3, 0))        # total 0, the only sector at cutoff 1
+    @example((1, 2, 1))        # empty: above (d - 1) M
+    @example((4, 8, -1))       # empty: negative total
+    @example((5, 8, 33))       # empty: (d - 1) M + 1
+    @example((4, 8, 2))        # the 36 configs of a commutator check
+    def test_sector_configs_match_filtered_occupations(self, case):
+        cutoff, sites, total = case
+        spec = lat.LatticeSpec(sites, cutoff, 0.3, 1.0)
+        got = lat.occupation_configs(spec, total)
+        want = reference_occupation_configs(spec, total)
+        assert np.array_equal(got, want) and got.shape == want.shape
+        assert got.dtype == want.dtype
+
 
 class TestSectorNorm:
     @given(shifted_matrices())
@@ -436,6 +490,10 @@ class TestDenseBudget:
                 lat.rtt_residual(0.7, 1.3, spec)
             with pytest.raises(SizeLimit):
                 lat.monodromy(spec, 0.7)
+            with pytest.raises(SizeLimit):
+                lat.transfer_operator(spec, 0.7)
+            with pytest.raises(SizeLimit):
+                lat.hermiticity_pairing_defect(spec, 0.7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -470,6 +528,9 @@ class TestDenseBudget:
              lat.dense_bytes(spec, 0, lat.RTT_KEPT_BLOCKS)),
             # the sector norm's permuted copy fits in the monodromy's blocks
             (lambda: lat.hermiticity_pairing_defect(spec, 0.7),
+             lat.dense_bytes(spec, lat.MONODROMY_BLOCKS)),
+            # A and D alone, under the budget they are checked against
+            (lambda: lat._diagonal_entries(spec, 0.7 - 0.2j),
              lat.dense_bytes(spec, lat.MONODROMY_BLOCKS)),
         ]
         peaks = []
@@ -594,6 +655,19 @@ class TestContinuumLimit:
             target = theta(0.9, [2 * math.pi / BOX_L], 1.0, BOX_L)
             errs.append(abs(val - target))
         assert all(a > b for a, b in zip(errs, errs[1:]))
+
+    @pytest.mark.parametrize("sites", [8, 16, 32, 64, 72])
+    @pytest.mark.parametrize("lam", [0.9, 0.4 + 0.3j, -1.3])
+    def test_one_particle_pass_matches_full_block(self, sites, lam):
+        spec = lat.LatticeSpec(sites, lat.CONTINUUM_CUTOFF, BOX_L / sites, 1.0)
+        for n in (0, 1, 2):
+            want = reference_one_particle_eigenvalue(spec, lam, n)
+            got = lat.one_particle_eigenvalue(spec, lam, n)
+            assert abs(got - want) <= 1e-14 * abs(want)
+
+    def test_one_particle_needs_an_occupied_level(self):
+        with pytest.raises(ValueError, match="cutoff"):
+            lat.one_particle_eigenvalue(lat.LatticeSpec(4, 1, 0.3, 1.0), 0.9, 1)
 
     def test_cli_names_the_fit_sites(self, capsys):
         # --sites x --step sets the box length; the fit uses its own sites
