@@ -25,7 +25,7 @@ squared-delta term.  ``g4_defect_scan`` shows its 1/eps divergence with
 Gaussian-regularized deltas, in the relative coordinates of the ordered
 region: closed forms in the gaps the deltas leave free and one fixed
 Gauss rule in each pinned pair distance.  Box norms and pair-contact
-elements are closed-form ordered-box integrals (``integrate_ordered_box``).
+elements come from one exponential on pairs of rapidity subsets.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .planewaves import BetheWavefunction, ExpPoly, RapiditySet
 
 def __getattr__(name):
     # last program-side tie to perfbench/tracer.py, which patches
-    # charges.integrate.quad; deleted by ROADMAP item 2
+    # charges.integrate.quad; it goes when the tracer stops patching by name
     if name == "integrate":
         from scipy import integrate
         return integrate
@@ -402,80 +402,90 @@ def one_over_eps_remainders(scan: Sequence[tuple[float, float]],
 
 
 # ----------------------------------------------------------------------
-# Pair-delta overlaps (sector action of the pair-contact operator)
+# Box norms and pair-delta overlaps
 # ----------------------------------------------------------------------
 
-def integrate_ordered_box(poly: ExpPoly, L: float) -> complex:
-    """Integral of a plane-wave sum over 0 < x_1 < ... < x_n < L, in
-    closed form for any n.
-
-    In the gaps u_0 = L - x_n, u_1 = x_n - x_{n-1}, ..., u_n = x_1 the
-    term c exp(i w.x) is c exp(sum_j B_j u_j) on the simplex sum u = L,
-    with B_0 = 0 and B_j = i (w_n + ... + w_{n-j+1}).  That integral is
-    the divided difference of exp(L z) at B_0..B_n (Hermite-Genocchi),
-    which is entry (0, n) of expm(L Z) for Z upper bidiagonal with
-    diagonal B and unit superdiagonal (Opitz; McCurdy, Ng and Parlett,
-    Math. Comp. 43 (1984)).  One batched expm covers every term, and zero
-    or coincident B need no special case.
+def _placement(w: BetheWavefunction) -> tuple:
+    """(P, P^2, beta, gauge) on the rapidity subsets S (bitmasks), in
+    blocks from each size |S| = k up, padded to the widest level.  Placing
+    a after S gains P[S, S+a] = (-1)^#{b in S: b > a} prod_{b in S}
+    (l_a - l_b - i c); the orders of a < b at one point differ only in the
+    last factor, so P^2 is 2 (l_b - l_a) P[S, S+a] P[S, S+b], the -i c
+    cancelled exactly.  Each level is divided by its largest row sum of |P|,
+    bounding those of |P| and |P^2| by 1.  beta[k, S] = i sum_{a not in S} l_a.
     """
-    if not poly.data:
-        return 0j
-    freqs, coeffs = poly.complex_arrays
-    n = poly.num_vars
-    diag = np.arange(n + 1)
-    Z = np.zeros((len(coeffs), n + 1, n + 1), dtype=complex)
-    Z[:, diag[1:], diag[1:]] = 1j * L * np.cumsum(freqs[:, ::-1], axis=1)
-    Z[:, diag[:-1], diag[1:]] = L
-    return complex(coeffs @ _expm(Z)[:, 0, n])
+    n, c = w.n, float(w.coupling.c)
+    lam = np.array([float(v) for v in w.rapidities.values])
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
+    level, width = bits.sum(axis=1), math.comb(n, n // 2)
+    pos = np.tril(level[:, None] == level, -1).sum(axis=1)  # rank in level
+    later = np.arange(n) > np.arange(n)[:, None]            # [a, b]: b > a
+    amp = (1 - 2 * ((bits[:, None, :] & later).sum(axis=2) & 1)) * np.where(
+        bits[:, None, :], lam[:, None] - lam - 1j * c, 1.0).prod(axis=2)
+    P, Q = np.zeros((2, n, width, width), dtype=complex)
+    S, a = np.nonzero(~bits)
+    P[level[S], pos[S], pos[S | 1 << a]] = amp[S, a]
+    S, a, b = np.nonzero(~bits[:, :, None] & ~bits[:, None, :] & later)
+    Q[level[S], pos[S], pos[S | 1 << a | 1 << b]] = (
+        2.0 * (lam[b] - lam[a]) * amp[S, a] * amp[S, b])
+    gauge = np.abs(P).sum(axis=2, keepdims=True).max(axis=1, keepdims=True)
+    beta = np.zeros((n + 1, width), dtype=complex)
+    beta[level, pos] = 1j * (~bits @ lam)
+    return P / gauge, Q[:-1] / (gauge[:-1] * gauge[1:]), beta, gauge
 
 
-def _expm(A: np.ndarray) -> np.ndarray:
-    """exp of a stack of matrices: degree-18 Taylor after scaling each to
-    1-norm <= 1/2, then squaring.  No triangular fix-up, so it stays
-    accurate on nearly coincident diagonal entries."""
-    norms = np.abs(A).sum(axis=-2).max(axis=-1)
-    squarings = np.ceil(np.log2(np.maximum(2.0 * norms, 1.0))).astype(int)
-    X = A / np.ldexp(1.0, squarings)[:, None, None]
-    eye = np.eye(A.shape[-1])
-    P = eye + X / 18
-    for k in range(17, 0, -1):
-        P = eye + X @ P / k
-    for k in range(squarings.max(initial=0)):
-        P = np.where((k < squarings)[:, None, None], P @ P, P)
-    return P
+def _box_solve(f, g, L: float, contact: bool) -> complex:
+    """Integral of conj(chi_f) chi_g over 0 < x_1 < ... < x_N < L, or with
+    ``contact`` of its restrictions to x_{p+1} = x_p summed over p.  With
+    prefix sets S, T before a gap its phase is B = beta_g[T] + conj(beta_f[S]),
+    so the sum over all orders is entry (empty, empty) -> (full, full) of
+    exp(L Z), Z Y = B o Y + P_f^H Y P_g (path expansion of a graded
+    exponential; McCurdy, Ng and Parlett, Math. Comp. 43 (1984)).  A contact
+    steps by P^2 into a second copy of Y, so one solve covers every p.
+    Error control: equal Taylor steps with h ||Z||_1 <= 4, by ||Z||_1 <=
+    max|beta_f| + max|beta_g| + 1 (+ 1 for the contact copy), each summed
+    until a term's 2-norm is below 2^-53 of the sum's.
+    """
+    if f.n != g.n:
+        raise ValueError("states must live in the same particle sector")
+    pf, qf, beta_f, gauge_f = _placement(f)
+    pg, qg, beta_g, gauge_g = _placement(g)
+    bound = np.abs(beta_f).max() + np.abs(beta_g).max() + 1.0 + contact
+    steps = max(1, math.ceil(L * bound / 4.0))
+    h = L / steps                                           # folded into Z
+    B = h * (beta_g[:, None, :] + beta_f.conj()[:, :, None])
+    pf_h, qf_h = h * pf.conj().swapaxes(1, 2), h * qf.conj().swapaxes(1, 2)
+    Y = np.zeros((1 + contact,) + B.shape, dtype=complex)
+    Y[0, 0, 0, 0] = 1.0
+    for _ in range(steps):
+        term, m = Y, 0
+        while m == 0 or np.linalg.norm(term) > 2.0 ** -53 * np.linalg.norm(Y):
+            m += 1
+            out = B * term
+            out[:, 1:] += pf_h @ term[:, :-1] @ pg
+            if contact:
+                out[1, 2:] += qf_h @ term[0, :-2] @ qg
+            term = out / m
+            Y = Y + term
+    return complex(Y[-1, -1, 0, 0]) * math.exp(np.log(gauge_f * gauge_g).sum())
 
 
 def pair_delta_overlap(f: BetheWavefunction, g: BetheWavefunction,
                        L: float) -> complex:
-    """<f| sum_{j<k} delta(x_j - x_k) |g> over the box [0, L]^N.
-
-    By exchange symmetry every pair gives the delta(x_1 - x_2) term; with
-    the remaining N - 1 coordinates ordered, the coincident pair sits at
-    boundary p = 1..N-1 of the ordered region in (N - 2)! of the
-    orderings, where both states restrict to x_{p+1} = x_p exactly.  The
-    restricted products are integrated in closed form.  Nonzero
-    off-diagonal elements between distinct Bethe states are what expels
-    the naively ordered quartic expansion coefficient from the commuting
-    family.
-    """
-    if f.n != g.n:
-        raise ValueError("states must live in the same particle sector")
-    total = 0j
-    for p in range(1, f.n):
-        df = f.canonical.restrict_to_boundary(p).to_float()
-        dg = g.canonical.restrict_to_boundary(p).to_float()
-        total += integrate_ordered_box(df.conj().mul(dg), L)
-    # C(N, 2) pairs times (N - 2)! orderings; total is 0 for N < 2
-    return math.factorial(f.n) // 2 * total
+    """<f| sum_{j<k} delta(x_j - x_k) |g> over the box [0, L]^N: each of the
+    C(N, 2) pairs sits at boundary p = 1..N-1 of N - 1 ordered coordinates in
+    (N - 2)! orderings.  Nonzero elements between distinct Bethe states expel
+    the naively ordered quartic coefficient from the commuting family."""
+    return math.factorial(f.n) // 2 * _box_solve(f, g, L, contact=True)
 
 
 def norm_sq(f: BetheWavefunction, L: float) -> float:
-    """Squared box norm of the (unnormalized) wavefunction: N! times the
-    closed-form integral of |chi|^2 over the ordered region."""
-    chi = f.canonical.to_float()
-    return math.factorial(f.n) * integrate_ordered_box(chi.conj().mul(chi), L).real
+    """Squared box norm of the (unnormalized) wavefunction."""
+    return math.factorial(f.n) * _box_solve(f, f, L, contact=False).real
 
 
 def normalized_pair_delta_overlap(f: BetheWavefunction, g: BetheWavefunction,
                                   L: float) -> complex:
-    return pair_delta_overlap(f, g, L) / math.sqrt(norm_sq(f, L) * norm_sq(g, L))
+    nf = norm_sq(f, L)
+    ng = nf if g is f else norm_sq(g, L)
+    return pair_delta_overlap(f, g, L) / math.sqrt(nf * ng)

@@ -176,11 +176,16 @@ def _cmd_lattice(args) -> int:
             print(json.dumps(payload, sort_keys=True, indent=2))
             return 0 if norm < 1e-12 else 1
         if args.action == "continuum":
-            # --sites x --step sets the box length only; the fit runs at
-            # its own site counts
+            # --sites x --step sets the box length only; the fits run at
+            # their own site counts and steps
             length = args.sites * args.step
             rep = lat.continuum_limit_rate(args.coupling, length, lam)
-            payload = {"length": length, **rep}
+            try:
+                rate = lat.ordering_defect_rate(args.coupling, args.cutoff,
+                                                lat.ORDERING_STEPS, lam)
+            except ValueError as err:
+                raise ConfigError(str(err)) from err
+            payload = {"length": length, **rep, "ordering_defect_rate": rate}
             print(json.dumps(payload, sort_keys=True, indent=2, default=str))
             ok = rep["order_vacuum_normalized"] >= 1.0 \
                 and rep["order_one_particle_normalized"] >= 1.0
@@ -264,8 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     fit_sites = ", ".join(map(str, lat.CONTINUUM_SITES))
     p_lat.add_argument("--sites", type=int, required=True,
                        help="lattice sites M; for continuum, --sites x --step "
-                            "sets the box length L only, and the fit runs at "
-                            f"{fit_sites} sites")
+                            "sets the box length L only, the fit runs at "
+                            f"{fit_sites} sites, and the ordering-defect fit "
+                            "on two sites of the given cutoff")
     p_lat.add_argument("--cutoff", type=int, default=4)
     p_lat.add_argument("--step", required=True)
     p_lat.add_argument("--coupling", required=True)

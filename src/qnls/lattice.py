@@ -107,6 +107,8 @@ RTT_KEPT_BLOCKS = 3 * 16 + 2 * 4 + 4
 CONTINUUM_MOMENTUM_INDEX = 1
 CONTINUUM_CUTOFF = 3
 CONTINUUM_SITES = (8, 16, 32, 64)
+# ordering_defect_rate: the lattice steps of the fit
+ORDERING_STEPS = tuple(0.2 / 2 ** k for k in range(5))
 
 
 @dataclass(frozen=True)

@@ -123,9 +123,6 @@ class GaussInt:
     def __bool__(self):
         return bool(self.real or self.imag)
 
-    def conjugate(self) -> "GaussInt":
-        return GaussInt(self.real, -self.imag)
-
     def __repr__(self):
         return f"GaussInt({self.real}, {self.imag})"
 
@@ -250,7 +247,7 @@ class ExpPoly:
     def complex_arrays(self) -> tuple:
         """Read-only (terms x vars) complex frequency matrix and
         coefficient vector of ``_complex_terms``, built once and shared
-        by ``evaluate``, ``max_freq`` and the closed-form box integrals."""
+        by ``evaluate``, ``max_freq`` and the defect rule of ``charges``."""
         terms = self._complex_terms()
         freqs = np.array([f for _, f in terms], dtype=complex)
         coeffs = np.array([c for c, _ in terms], dtype=complex)
@@ -341,13 +338,6 @@ class ExpPoly:
             for c2, f2 in b.data:
                 out.append((c1 * c2, tuple(x + y for x, y in zip(f1, f2))))
         return a._with((), den=a.den * b.den)._merged(out)
-
-    def conj(self) -> "ExpPoly":
-        """Complex conjugate; e^{i w x} maps to e^{-i conj(w) x}, so each
-        key keeps its imaginary parts and negates its real parts."""
-        return self._with(tuple(
-            (c.conjugate(), tuple(x if m & 1 else -x for m, x in enumerate(f)))
-            for c, f in self.data))
 
     def _check_compatible(self, other: "ExpPoly"):
         if self.num_vars != other.num_vars or self.field is not other.field:

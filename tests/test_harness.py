@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from qnls import lattice as lat
 from qnls.cli import main
 from qnls.config import ALL_SUITES, ConfigError, build_config, parse_config_file
 from qnls.report import CheckRecord, VerificationReport, render_markdown
@@ -204,6 +205,20 @@ class TestCli:
         assert code == 0
         assert doc["commutator_norm"] < 1e-12
 
+    def test_lattice_continuum_fits(self, capsys):
+        # the continuum orders and the two-site ordering-defect fit in one
+        # document; the exit code follows the continuum orders only
+        code = main(["lattice", "continuum", "--sites", "8", "--step",
+                     str(2.0 * math.pi / 8), "--coupling", "1.0",
+                     "--lam", "0.9"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["order_vacuum_normalized"] >= 1.0
+        assert doc["order_one_particle_normalized"] >= 1.0
+        rate = doc["ordering_defect_rate"]
+        assert [step for step, _ in rate["rows"]] == list(lat.ORDERING_STEPS)
+        assert rate["order"] == pytest.approx(2.0, abs=0.25)
+
     def test_aop_check(self, capsys):
         code = main(["aop", "check", "--n", "2", "--rapidities=-1,3/2",
                      "--coupling", "2", "--lam", "1/3,-2"])
@@ -242,6 +257,9 @@ class TestCli:
          "--mu", "1+nanj"],
         ["lattice", "continuum", "--sites", "2", "--step", "0.3",
          "--coupling", "1", "--lam", "nan"],
+        # the ordering-defect fit needs an occupation of 2 on a site
+        ["lattice", "continuum", "--sites", "8", "--step", "0.8",
+         "--coupling", "1", "--cutoff", "2"],
         ["expand", "transfer", "--n", "2", "--box", "nan", "--coupling", "1"],
         # finite but too large: OverflowError, or LinAlgError from the
         # overflowed matrices
@@ -262,8 +280,9 @@ class TestCli:
             "order-negative", "order-three", "bethe-box-nan",
             "bethe-coupling-nan", "bethe-box-overflow", "lattice-coupling-nan",
             "lattice-step-nan", "lattice-lam-inf", "lattice-mu-nan",
-            "continuum-lam-nan", "transfer-box-nan", "bethe-coupling-overflow",
-            "continuum-lam-overflow", "rtt-step-overflow",
+            "continuum-lam-nan", "continuum-cutoff-two", "transfer-box-nan",
+            "bethe-coupling-overflow", "continuum-lam-overflow",
+            "rtt-step-overflow",
             "commute-coupling-overflow", "continuum-coupling-overflow",
             "rtt-coupling-overflow"])
     def test_malformed_numbers_are_usage_errors(self, argv, capsys):

@@ -299,7 +299,7 @@ class TestLOperator:
         # deviate from the unit-density model at order step^(3/2) in norm
         lam, c, d = 0.7, 1.5, 4
         norms = []
-        steps = [0.2 / 2 ** k for k in range(5)]
+        steps = lat.ORDERING_STEPS
         for step in steps:
             spec = lat.LatticeSpec(1, d, step, c)
             blocks = table_blocks(spec, lam)
@@ -697,6 +697,5 @@ class TestOrderingBreakdown:
         assert rep["relative_difference"] > 0.0
 
     def test_quadratic_step_scaling(self):
-        rep = lat.ordering_defect_rate(1.5, 3, [0.2 / 2 ** k for k in range(5)],
-                                       0.7)
+        rep = lat.ordering_defect_rate(1.5, 3, lat.ORDERING_STEPS, 0.7)
         assert rep["order"] == pytest.approx(2.0, abs=0.25)

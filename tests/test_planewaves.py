@@ -294,7 +294,7 @@ def bits(terms):
             for c, f in terms]
 
 
-def assert_float_layout(poly, ordered=True):
+def assert_float_layout(poly):
     """FLOAT invariants: unit = den = 1, keys are tuples of 2N floats
     (sorted after every merge), coefficients nonzero complex."""
     assert poly.field is FLOAT and poly.unit == poly.den == 1
@@ -303,8 +303,7 @@ def assert_float_layout(poly, ordered=True):
     assert all(type(x) is float for f in keys for x in f)
     assert all(type(c) is complex and c != 0 for c, _ in poly.data)
     assert len(set(keys)) == len(keys)
-    if ordered:
-        assert keys == sorted(keys)
+    assert keys == sorted(keys)
 
 
 def assert_close(exact_poly, float_poly, rel=1e-12):
@@ -350,7 +349,7 @@ def single_real_term(n):
 
 
 OPERATIONS = ("add", "sub", "scale", "weighted", "differentiate",
-              "substitute_equal", "conj", "mul", "region_form", "apply_A")
+              "substitute_equal", "mul", "region_form", "apply_A")
 
 
 def draw_operation(op, n, data):
@@ -374,8 +373,6 @@ def draw_operation(op, n, data):
     if op == "substitute_equal":
         i, j = data.draw(st.permutations(range(1, n + 1)))[:2]
         return lambda s: s.substitute_equal(i, j), p
-    if op == "conj":
-        return ExpPoly.conj, p
     if op == "region_form":
         values = data.draw(st.lists(real_parts, min_size=n, max_size=n,
                                     unique=True))
@@ -419,7 +416,7 @@ class TestFloatLayout:
         fn, p = draw_operation(op, n, data)
         want, got = fn(p), fn(p.to_float())
         assert want.field is EXACT
-        assert_float_layout(got, ordered=op != "conj")
+        assert_float_layout(got)
         assert_close(want, got)
 
 

@@ -14,17 +14,6 @@ def load_script(name):
     return module
 
 
-def test_continuum_rate_study_defaults(capsys):
-    assert load_script("continuum_rate_study").main([]) == 0
-    out = capsys.readouterr().out
-    fitted = re.search(r"fitted orders: vacuum raw (\S+), normalized (\S+); "
-                       r"one-particle raw (\S+), normalized (\S+)", out)
-    assert fitted is not None
-    _, vac_norm, _, one_norm = map(float, fitted.groups())
-    assert vac_norm >= 1.0 and one_norm >= 1.0
-    assert "fitted step order" in out
-
-
 def test_scan_quartic_defect_short_scan(capsys):
     assert load_script("scan_quartic_defect").main(
         ["--m-min", "2", "--m-max", "6"]) == 0
