@@ -171,7 +171,9 @@ class ExactComplex:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its Fraction (and an equal int), so it
+        # hashes as that Fraction
+        return hash(self.re) if self.b == 0 else hash((self.re, self.im))
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0

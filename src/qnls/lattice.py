@@ -56,12 +56,14 @@ engine reads that table:
 
 Each operator whose 2-norm the exchange relation or the adjoint pairing
 takes moves particle number by a fixed amount (A and D conserve it, B
-and C shift it by +1 and -1), so it is block diagonal once rows and
-columns are ordered by number, and its 2-norm is the largest block
-2-norm.  ``_sector_norm`` takes it that way, one small SVD per sector,
-and adds the Frobenius norm of every entry off the blocks; that term is
-0 when the operator moves number by exactly the given amount, so the
-result is exact then and an upper bound on the full 2-norm always.
+and C shift it by +1 and -1), so its 2-norm is the largest 2-norm of its
+blocks between number sectors.  The sectors are index groups of the
+basis states, in basis order (``_sector_groups``); ``_sector_norms``
+gathers each block by index for one small SVD, zeroes it in place and
+adds the Frobenius norm of what is left, which is 0 when the operator
+moves number by exactly the given amount: the result is exact then and
+an upper bound on the full 2-norm always.  No operator is sorted or
+copied whole; the adjoint pairing forms A^dag - D in A's own memory.
 ``tau_commutator_norm`` already works in one sector, and
 ``normal_ordering_breakdown`` measures 9 x 9 blocks; both take plain
 2-norms.
@@ -93,13 +95,14 @@ COMPLEX_BYTES = 16
 # the sixth full block at the sizes the tests measure (4^4, 6^3, 12^2),
 # where tracemalloc peaks at 5.5-5.7 full blocks.  A and D alone
 # (_diagonal_entries) are checked against the same count and peak at
-# 3.5-3.7 full blocks there, with no B and C.  rtt_residual holds only
-# kept blocks, 16 per (kept, kept, 4, 4) stack: the first ordering's
-# finished stack while the second is contracted, whose running and new
-# products are alive with two (kept, kept, 4) temporaries (a gathered
-# column of site factors and one broadcast product): 56 blocks, and 4 more
-# for the index arrays and small tables.  tracemalloc peaks at 56.2-57.4
-# kept blocks from 81 to 256 kept states.
+# 3.4-3.7 full blocks there, with no B and C; the adjoint pairing and the
+# number conservation check allocate no further full block.  rtt_residual
+# holds only kept blocks, 16 per (kept, kept, 4, 4) stack: the first
+# ordering's finished stack while the second is contracted, whose running
+# and new products are alive with two (kept, kept, 4) temporaries (a
+# gathered column of site factors and one broadcast product): 56 blocks,
+# and 4 more for the index arrays and small tables.  tracemalloc peaks at
+# 56.2-57.4 kept blocks from 81 to 256 kept states.
 MONODROMY_BLOCKS = 6
 RTT_KEPT_BLOCKS = 3 * 16 + 2 * 4 + 4
 # continuum_limit_rate: one-particle momentum index, per-site cutoff and
@@ -204,18 +207,18 @@ def _check_dense_budget(spec: LatticeSpec, what: str, blocks: int,
             f"{DENSE_BUDGET_BYTES} bytes")
 
 
-def _monodromy_below_last(spec: LatticeSpec, lam: complex, rho_override):
-    """The site operators L[r, s] = table[:, :, r, s] and the 2x2 block
-    product over sites M-1..1 (None at one site), after the byte budget
-    of ``monodromy`` has been checked."""
+def _monodromy_entries(spec: LatticeSpec, lam: complex, rho_override,
+                       entries) -> list[np.ndarray]:
+    """The listed (r, c) entries of T(lam), after the byte budget of
+    ``monodromy`` has been checked: all four entries of the product over
+    sites M-1..1, then only the listed ones at the last site.  L[r, s] is
+    the slice table[:, :, r, s]."""
     _check_dense_budget(spec, "monodromy", MONODROMY_BLOCKS)
     L = _site_factor_table(spec, lam, rho_override).transpose(2, 3, 0, 1)
-    if spec.sites == 1:
-        return L, None
-    T = [[L[r, c] for c in range(2)] for r in range(2)]
-    for _ in range(spec.sites - 2):
+    T = None
+    for _ in range(spec.sites - 1):
         T = [[_left_multiply(L, T, r, c) for c in range(2)] for r in range(2)]
-    return L, T
+    return [_left_multiply(L, T, r, c) for r, c in entries]
 
 
 def _left_multiply(L: np.ndarray, T, r: int, c: int) -> np.ndarray:
@@ -238,16 +241,16 @@ def monodromy(spec: LatticeSpec, lam: complex,
     last site forms dim x dim blocks.  ``rho_override`` replaces the
     table's rho diagonal.
     """
-    L, T = _monodromy_below_last(spec, lam, rho_override)
-    return [[_left_multiply(L, T, r, c) for c in range(2)] for r in range(2)]
+    A, B, C, D = _monodromy_entries(spec, lam, rho_override,
+                                    ((0, 0), (0, 1), (1, 0), (1, 1)))
+    return [[A, B], [C, D]]
 
 
 def _diagonal_entries(spec: LatticeSpec, lam: complex,
                       rho_override=None) -> tuple[np.ndarray, np.ndarray]:
     """A and D of ``monodromy``, bit for bit, without B and C at the last
     site: 4 Kronecker products there instead of 8."""
-    L, T = _monodromy_below_last(spec, lam, rho_override)
-    return _left_multiply(L, T, 0, 0), _left_multiply(L, T, 1, 1)
+    return tuple(_monodromy_entries(spec, lam, rho_override, ((0, 0), (1, 1))))
 
 
 def transfer_operator(spec: LatticeSpec, lam: complex) -> np.ndarray:
@@ -282,8 +285,9 @@ def number_conservation_defect(spec: LatticeSpec, lam: complex) -> float:
     """Largest matrix element of tau(lam) connecting different sectors."""
     tau = transfer_operator(spec, lam)
     counts = _occupations(spec.cutoff, spec.sites).sum(axis=1)
-    mask = counts[:, None] != counts[None, :]
-    return float(np.max(np.abs(tau[mask]))) if mask.any() else 0.0
+    for group in _sector_groups(counts):
+        tau[np.ix_(group, group)] = 0.0   # off-sector entries stay
+    return float(np.abs(tau).max())
 
 
 def _occupations(cutoff: int, sites: int) -> np.ndarray:
@@ -291,6 +295,13 @@ def _occupations(cutoff: int, sites: int) -> np.ndarray:
     occupations 0..cutoff-1, site 1 first (the fastest index)."""
     index = np.arange(cutoff ** sites)
     return index[:, None] // cutoff ** np.arange(sites) % cutoff
+
+
+def _sector_groups(counts: np.ndarray) -> list[np.ndarray]:
+    """groups[n]: the states with particle number n, in basis order, for
+    n up to the largest of ``counts``."""
+    return [np.flatnonzero(counts == n)
+            for n in range(counts.max(initial=0) + 1)]
 
 
 # ----------------------------------------------------------------------
@@ -363,54 +374,39 @@ def _pair_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return np.einsum("xzac,zybd->xyabcd", t1, t2).reshape(d, d, 4, 4)
 
 
-def _sector_norm(X: np.ndarray, counts: np.ndarray, shift: int = 0) -> float:
-    """Upper bound on ||X||_2 for a square X over states with particle
-    numbers ``counts``, exact when X moves number by ``shift``.
+def _sector_norms(P: np.ndarray, groups: Sequence[np.ndarray],
+                  shift: int) -> np.ndarray:
+    """Upper bound on the 2-norm of each matrix of a (k, m, m) stack P
+    over states split into number sectors ``groups`` (``_sector_groups``),
+    exact for a matrix that moves number by ``shift``.
 
-    Such an X is block diagonal once rows and columns are ordered by
-    number: rows in sector n + shift against columns in sector n, one
-    block per n.  Its 2-norm is the largest block 2-norm.  The Frobenius norm of every entry outside
-    those blocks is added, which is 0 for a number-shifting X and keeps
-    the result >= ||X||_2 for any X, so a conservation fault raises the
-    residual rather than hiding it.
+    Such a matrix is block diagonal up to the order of its states: rows in
+    sector n + shift against columns in sector n, one block per n.  Its
+    2-norm is the largest block 2-norm, one SVD call per block for the
+    whole stack.  The Frobenius norm of every entry outside those blocks
+    is added, which is 0 for a number-shifting matrix and keeps the result
+    >= its 2-norm for any matrix, so a conservation fault raises the
+    residual rather than hiding it.  Zeroes the blocks of P.
     """
-    # sort the states by number: each block is then a contiguous slice
-    order = np.argsort(counts, kind="stable")
-    P = X[np.ix_(order, order)]
-    return float(_sorted_sector_norms(P[None], _sector_edges(counts[order]),
-                                      shift)[0])
-
-
-def _sector_edges(counts: np.ndarray) -> np.ndarray:
-    """edges[n]: the first state of sector n in a basis sorted by number
-    ``counts``, up to edges[max + 1] = len(counts)."""
-    return np.searchsorted(counts, np.arange(counts.max(initial=0) + 2))
-
-
-def _sorted_sector_norms(P: np.ndarray, edges: np.ndarray,
-                         shift: int) -> np.ndarray:
-    """``_sector_norm`` of each matrix of a (k, m, m) stack P over states
-    already sorted by number, sector n spanning edges[n]:edges[n + 1]:
-    one SVD call per block for the whole stack.  Zeroes the blocks of P."""
     worst = np.zeros(len(P))
-    for n in range(max(0, -shift), len(edges) - 1 - max(0, shift)):
-        block = P[:, edges[n + shift]:edges[n + shift + 1], edges[n]:edges[n + 1]]
+    for n in range(max(0, -shift), len(groups) - max(0, shift)):
+        index = (slice(None), groups[n + shift][:, None], groups[n])
+        block = P[index]
         if block.size:
             worst = np.maximum(worst, np.linalg.svd(block, compute_uv=False)[:, 0])
-            block[...] = 0.0   # P keeps only the entries off the blocks
+            P[index] = 0.0   # P keeps only the entries off the blocks
     return worst + [np.linalg.norm(p) for p in P]
 
 
 def _exchange_defect(R: np.ndarray, X: np.ndarray, Y: np.ndarray,
-                     edges: np.ndarray) -> float:
+                     groups: Sequence[np.ndarray]) -> float:
     """Largest 2-norm over the 16 operator entries of R X - Y R for
-    (m, m, 4, 4) stacks X and Y over states sorted by particle number,
-    sector n spanning edges[n]:edges[n + 1].
+    (m, m, 4, 4) stacks X and Y over states in number sectors ``groups``.
 
     T_ac moves number by c - a, so entry (ab),(cd) of T (x) T, at auxiliary
     index 2a + b, moves it by popcount(2c + d) - popcount(2a + b).  R only
     swaps indices 1 and 2, so entry (r, s) of R X - Y R moves number by
-    popcount(s) - popcount(r) and is measured per sector (``_sector_norm``),
+    popcount(s) - popcount(r) and is measured per sector (``_sector_norms``),
     the entries of one shift together.
     """
     worst = 0.0
@@ -418,7 +414,7 @@ def _exchange_defect(R: np.ndarray, X: np.ndarray, Y: np.ndarray,
         stack = np.stack([X[:, :, :, s] @ R[r] - Y[:, :, r, :] @ R[:, s]
                           for r in range(4) for s in range(4)
                           if s.bit_count() - r.bit_count() == shift])
-        worst = max(worst, _sorted_sector_norms(stack, edges, shift).max())
+        worst = max(worst, _sector_norms(stack, groups, shift).max())
     return float(worst)
 
 
@@ -435,15 +431,13 @@ def rtt_residual(lam: complex, mu: complex, spec: LatticeSpec) -> dict:
     _check_dense_budget(spec, "exchange relation", 0, RTT_KEPT_BLOCKS)
     R = r_matrix(lam, mu, spec.c)
     keep = _occupations(spec.cutoff - 1, spec.sites)
-    # kept states sorted by number, so every sector is a contiguous slice
-    keep = keep[np.argsort(keep.sum(axis=1), kind="stable")]
     tl, tm = _site_factor_table(spec, lam), _site_factor_table(spec, mu)
     lm = _contract_sites(_pair_table(tl, tm), keep)
     ml = _contract_sites(_pair_table(tm, tl), keep)
     # R (T(lam) x T(mu)) = (T(mu) x T(lam)) R
-    edges = _sector_edges(keep.sum(axis=1))
-    res_a = _exchange_defect(R, lm, ml, edges)
-    res_b = _exchange_defect(R, ml, lm, edges)
+    groups = _sector_groups(keep.sum(axis=1))
+    res_a = _exchange_defect(R, lm, ml, groups)
+    res_b = _exchange_defect(R, ml, lm, groups)
     return {
         "residual_lam_mu": res_a,
         "residual_mu_lam": res_b,
@@ -468,10 +462,13 @@ def tau_commutator_norm(lam: complex, mu: complex, spec: LatticeSpec,
 
 def hermiticity_pairing_defect(spec: LatticeSpec, lam: float) -> float:
     """At real lam the diagonal monodromy entries are mutual adjoints:
-    ||A^dag - D||_2, measured per number sector (``_sector_norm``)."""
+    ||A^dag - D||_2 per number sector (``_sector_norms``), the difference
+    formed in A's own memory."""
     A, D = _diagonal_entries(spec, float(lam))
-    counts = _occupations(spec.cutoff, spec.sites).sum(axis=1)
-    return _sector_norm(A.conj().T - D, counts)
+    X = np.conjugate(A, out=A).T
+    X -= D
+    groups = _sector_groups(_occupations(spec.cutoff, spec.sites).sum(axis=1))
+    return float(_sector_norms(X[None], groups, 0)[0])
 
 
 # ----------------------------------------------------------------------

@@ -190,7 +190,7 @@ class ReferenceExactComplex:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -287,6 +287,16 @@ def test_equality_matches_reference(x, operand):
     assert (new_x != new_y) is (ref_x != ref_y)
     # a real value equals its own int or Fraction
     assert (new_x == x[0]) is (x[1] == 0)
+    # equal values hash alike
+    if new_x == new_y:
+        assert hash(new_x) == hash(new_y)
+
+
+@pytest.mark.parametrize("value", [0, 1, -3, 2 ** 70, F(1, 2), F(-7, 3)])
+def test_real_value_and_its_int_or_fraction_are_one_set_element(value):
+    assert len({ExactComplex(value), value}) == 1
+    assert len({value, ExactComplex(value)}) == 1
+    assert len({ReferenceExactComplex(value), value}) == 1
 
 
 @pytest.mark.parametrize("re, im", [

@@ -345,6 +345,26 @@ class TestMonodromy:
         fast = lat.tau_sector_matrix(spec, lam, lat.occupation_configs(spec, 2))
         assert np.max(np.abs(full - fast)) < 1e-13
 
+    @given(st.integers(1, 3), st.integers(2, 4), st.floats(1e-300, 1e3),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_number_conservation_shows_planted_entry(self, sites, cutoff,
+                                                     size, data):
+        spec = lat.LatticeSpec(sites, cutoff, 0.35, 1.2)
+        counts = lat._occupations(cutoff, sites).sum(axis=1)
+        off = np.argwhere(counts[:, None] != counts[None, :])
+        i, j = off[data.draw(st.integers(0, len(off) - 1))]
+        tau = lat.transfer_operator(spec, 0.7 - 0.2j)
+        tau[i, j] = -1j * size
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lat, "transfer_operator", lambda *args: tau.copy())
+            assert lat.number_conservation_defect(spec, 0.7 - 0.2j) == size
+
+    def test_number_conservation_with_one_sector(self):
+        # cutoff 1: the vacuum is the only state and the only sector
+        spec = lat.LatticeSpec(3, 1, 0.35, 1.2)
+        assert lat.number_conservation_defect(spec, 0.7) == 0.0
+
     def test_adjoint_pairing_at_real_parameter(self):
         spec = lat.LatticeSpec(3, 4, 0.3, 1.0)
         assert lat.hermiticity_pairing_defect(spec, 1.3) < 1e-12
@@ -449,13 +469,39 @@ class TestMonodromy:
         assert got.dtype == want.dtype
 
 
+def reference_sector_norm(X, counts, shift):
+    """The sector norm over a copy of X with its states sorted by number,
+    each sector a contiguous slice: the layout the index groups replaced."""
+    order = np.argsort(counts, kind="stable")
+    P = X[np.ix_(order, order)][None]
+    edges = np.searchsorted(counts[order],
+                            np.arange(counts.max(initial=0) + 2))
+    worst = np.zeros(1)
+    for n in range(max(0, -shift), len(edges) - 1 - max(0, shift)):
+        block = P[:, edges[n + shift]:edges[n + shift + 1],
+                  edges[n]:edges[n + 1]]
+        if block.size:
+            worst = np.maximum(worst,
+                               np.linalg.svd(block, compute_uv=False)[:, 0])
+            block[...] = 0.0
+    return float((worst + [np.linalg.norm(p) for p in P])[0])
+
+
+def sector_norm(X, counts, shift):
+    """``_sector_norms`` of X alone; it zeroes the blocks of its input."""
+    groups = lat._sector_groups(counts)
+    return float(lat._sector_norms(X[None].copy(), groups, shift)[0])
+
+
 class TestSectorNorm:
     @given(shifted_matrices())
     @settings(max_examples=200, deadline=None)
     def test_equals_svd_norm_on_number_shifting_matrices(self, case):
         X, counts, shift = case
-        assert lat._sector_norm(X, counts, shift) == pytest.approx(
-            np.linalg.norm(X, 2), rel=1e-12, abs=0)
+        got = sector_norm(X, counts, shift)
+        assert got == pytest.approx(np.linalg.norm(X, 2), rel=1e-12, abs=0)
+        # the same blocks as the sorted layout, and exact zeros off them
+        assert got == reference_sector_norm(X, counts, shift)
 
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=24),
            st.integers(-2, 2), st.integers(0, 2 ** 32 - 1))
@@ -463,8 +509,12 @@ class TestSectorNorm:
     def test_bounds_svd_norm_on_any_matrix(self, counts, shift, seed):
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((len(counts), len(counts), 2)) @ [1, 1j]
-        assert lat._sector_norm(X, np.array(counts), shift) \
-            >= np.linalg.norm(X, 2) * (1 - 1e-12)
+        counts = np.array(counts)
+        got = sector_norm(X, counts, shift)
+        assert got >= np.linalg.norm(X, 2) * (1 - 1e-12)
+        # the Frobenius sum off the blocks may run in another order
+        assert got == pytest.approx(reference_sector_norm(X, counts, shift),
+                                    rel=1e-15, abs=0)
 
     @given(shifted_matrices(), st.floats(1e-15, 1e3), st.data())
     @settings(max_examples=100, deadline=None)
@@ -473,11 +523,15 @@ class TestSectorNorm:
         off = np.argwhere(counts[:, None] != counts[None, :] + shift)
         assume(len(off))
         i, j = off[data.draw(st.integers(0, len(off) - 1))]
-        clean = lat._sector_norm(X, counts, shift)
+        clean = sector_norm(X, counts, shift)
         X[i, j] = 1j * size
-        planted = lat._sector_norm(X, counts, shift)
+        planted = sector_norm(X, counts, shift)
         assert planted == pytest.approx(clean + size, rel=1e-12, abs=0)
         assert planted - clean >= 0.5 * size or size < 1e-12 * clean
+
+    def test_groups_keep_basis_order(self):
+        groups = lat._sector_groups(np.array([2, 0, 1, 0, 2, 2]))
+        assert [g.tolist() for g in groups] == [[1, 3], [2], [0, 4, 5]]
 
 
 class TestDenseBudget:
@@ -526,11 +580,10 @@ class TestDenseBudget:
              lat.dense_bytes(spec, lat.MONODROMY_BLOCKS)),
             (lambda: lat.rtt_residual(0.7 - 0.2j, -0.4 + 0.5j, spec),
              lat.dense_bytes(spec, 0, lat.RTT_KEPT_BLOCKS)),
-            # the sector norm's permuted copy fits in the monodromy's blocks
-            (lambda: lat.hermiticity_pairing_defect(spec, 0.7),
-             lat.dense_bytes(spec, lat.MONODROMY_BLOCKS)),
             # A and D alone, under the budget they are checked against
             (lambda: lat._diagonal_entries(spec, 0.7 - 0.2j),
+             lat.dense_bytes(spec, lat.MONODROMY_BLOCKS)),
+            (lambda: lat.hermiticity_pairing_defect(spec, 0.7),
              lat.dense_bytes(spec, lat.MONODROMY_BLOCKS)),
         ]
         peaks = []
@@ -546,6 +599,9 @@ class TestDenseBudget:
         # both block counts are the real peaks, not loose stand-ins
         assert runs[0][1] <= 1.25 * peaks[0]
         assert runs[1][1] <= 1.25 * peaks[1]
+        # the adjoint pairing allocates no full-space block beyond A and D:
+        # its difference lives in A's memory and its sector blocks are small
+        assert peaks[3] <= peaks[2] + 2 ** 16
 
 
 class TestExchangeRelation:
