@@ -144,6 +144,8 @@ def solve(box: BoxSpec, qn: QuantumNumbers) -> RapiditySolution:
     residual, or after MAX_ITERATIONS steps."""
     if box.c <= 0:
         raise DomainError("repulsive coupling required (c > 0)")
+    if box.N < 1:
+        raise DomainError("need at least one particle")
     if len(qn) != box.N:
         raise DomainError("quantum-number count must match N")
     I = qn.as_floats()

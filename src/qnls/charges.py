@@ -34,7 +34,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -173,14 +173,6 @@ def boundary_residual_j3(poly: ExpPoly, coupling, j: int) -> ExpPoly:
     return bracket.weighted(weight, 1).restrict_to_boundary(j)
 
 
-def _tangential_e2(z):
-    """e_2(z_3, ..., z_n); at n = 4 the single product z_4 z_3."""
-    total, run = z[3] * z[2], z[3] + z[2]
-    for x in z[4:]:
-        total, run = total + run * x, run + x
-    return total
-
-
 def boundary_residual_j4(poly: ExpPoly, coupling) -> list[ExpPoly]:
     """Quadruple-layer boundary condition at x_2 = x_1 + 0.
 
@@ -196,7 +188,8 @@ def boundary_residual_j4(poly: ExpPoly, coupling) -> list[ExpPoly]:
     bracket = pair_bracket(poly, coupling, 1)
 
     # sum_{j>k>=3} d_j d_k is one operator, weight e_2(z_3, ..., z_n)
-    deriv_total = bracket.weighted(_tangential_e2, 2).restrict_to_boundary(1)
+    deriv_total = bracket.weighted(
+        lambda z: elementary_symmetric(z[2:], 2), 2).restrict_to_boundary(1)
     restricted = bracket.restrict_to_boundary(1)
     delta_total = ExpPoly.zero(n - 2, poly.field)
     for k_lo, j_hi in itertools.combinations(range(3, n + 1), 2):
@@ -313,6 +306,8 @@ def _delta_expectations(w: BetheWavefunction, L: float,
     clear of the kink u + v = L of the measure only while 2 reach <= L;
     wider Gaussians are rejected.
     """
+    if not 0 < L < math.inf:
+        raise DomainError(f"box length must be positive and finite, got {L}")
     if not eps > 0:
         raise DomainError(f"Gaussian width must be positive, got {eps}")
     freqs, coeffs = w.canonical.complex_arrays
@@ -356,7 +351,7 @@ def _delta_expectations(w: BetheWavefunction, L: float,
     return (2.0 * (weight @ pair).real, 2.0 * (weight @ cross).real)
 
 
-def g4_defect_scan(w: BetheWavefunction, epsilons: Sequence[float],
+def g4_defect_scan(w: BetheWavefunction, epsilons: Iterable[float],
                    box_length: float) -> list[tuple[float, float]]:
     """|<chi| (naive fourth charge - H4) |chi>| with every delta replaced
     by a Gaussian of width eps, for each eps in the scan.
@@ -446,6 +441,8 @@ def _box_solve(f, g, L: float, contact: bool) -> complex:
     max|beta_f| + max|beta_g| + 1 (+ 1 for the contact copy), each summed
     until a term's 2-norm is below 2^-53 of the sum's.
     """
+    if not 0 < L < math.inf:
+        raise DomainError(f"box length must be positive and finite, got {L}")
     if f.n != g.n:
         raise ValueError("states must live in the same particle sector")
     pf, qf, beta_f, gauge_f = _placement(f)

@@ -5,6 +5,7 @@ Verbs:
     run all                 run every suite
     bethe solve             solve the finite-box root equations
     expand transfer         expansion oracle + printed-table adjudication
+    charges defect          1/width divergence of the naive quartic charge
     lattice rtt|commute|continuum
     aop check               integral-operator diagonality check
 
@@ -22,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import charges as ch
 from . import integral_operator as aop
 from . import lattice as lat
 from . import transfer as tr
@@ -94,61 +96,103 @@ def _parse_floats(args, *dests: str):
         setattr(args, dest, _parse(float, getattr(args, dest), f"--{dest}"))
 
 
-def _parse_rationals(text: str, option: str) -> list:
-    return [_parse(Fraction, tok.strip(), option)
+def _parse_list(kind, text: str, option: str) -> list:
+    return [_parse(kind, tok.strip(), option)
             for tok in text.split(",") if tok.strip()]
 
 
-def _cmd_verify(args) -> int:
-    cfg = _load_config(args, suites=args.suites)
-    return _run_and_report(cfg)
-
-
 def _cmd_run(args) -> int:
-    cfg = _load_config(args)
-    return _run_and_report(cfg)
+    return _run_and_report(_load_config(args, suites=args.suites))
 
 
 def _cmd_bethe_solve(args) -> int:
     _parse_floats(args, "box", "coupling")
     box = BoxSpec(args.box, args.coupling, args.n)
-    qn = QuantumNumbers.of(_parse_rationals(args.quantum_numbers,
-                                            "--quantum-numbers")) \
+    qn = QuantumNumbers.of(_parse_list(Fraction, args.quantum_numbers,
+                                       "--quantum-numbers")) \
         if args.quantum_numbers else ground_state_quantum_numbers(args.n)
     sol = solve(box, qn)
     print(json.dumps(sol.to_json_dict(), sort_keys=True, indent=2))
     return 0
 
 
+def _verdict_rows(verdicts) -> list:
+    return [{"source": v.source, "order": v.order,
+             "printed": str(v.printed), "oracle": str(v.oracle),
+             "verdict": v.verdict} for v in verdicts]
+
+
 def _cmd_expand_transfer(args) -> int:
-    _parse_floats(args, "box", "coupling")
-    box = BoxSpec(args.box, args.coupling, args.n)
-    sol = solve(box, ground_state_quantum_numbers(args.n))
-    ks = [float(v) for v in sol.rapidities.values]
+    if args.rapidities is None:
+        if args.n is None or args.box is None:
+            raise ConfigError("give --rapidities, or --n with --box")
+        _parse_floats(args, "box", "coupling")
+        sol = solve(BoxSpec(args.box, args.coupling, args.n),
+                    ground_state_quantum_numbers(args.n))
+        ks = [float(v) for v in sol.rapidities.values]
+        c = args.coupling
+        inputs = {"n": args.n, "box_length": args.box, "coupling": c,
+                  "rapidities": ks}
+    else:
+        if args.n is not None or args.box is not None:
+            raise ConfigError("--rapidities replaces --n and --box")
+        ks = sorted(_parse_list(Fraction, args.rapidities, "--rapidities"))
+        c = _parse(lambda t: Coupling(Fraction(t)).c, args.coupling,
+                   "--coupling")
+        inputs = {"n": len(ks), "coupling": str(c),
+                  "rapidities": [str(k) for k in ks]}
     try:
-        result = tr.charge_coefficients_from_formulas(ks, args.coupling,
-                                                      order=args.order)
+        result = tr.charge_coefficients_from_formulas(ks, c, order=args.order)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    rows = [{"source": v.source, "order": v.order,
-             "printed": str(v.printed), "oracle": str(v.oracle),
-             "verdict": v.verdict} for v in result.verdicts]
+    rows = _verdict_rows(result.verdicts)
     lines = ["| source | order | verdict |", "|---|---|---|"]
     lines += [f"| {r['source']} | {r['order']} | {r['verdict']} |"
               for r in rows]
     payload = {
-        "n": args.n,
-        "box_length": args.box,
-        "coupling": args.coupling,
+        **inputs,
         "order": args.order,
-        "rapidities": ks,
         "oracle_coefficients": [str(complex(v)) for v in result.oracle],
         "oracle_log_coefficients": [str(complex(v)) for v in result.oracle_log],
         "verdicts": rows,
+        "h1_alternative": _verdict_rows(result.h1_alternative),
         "markdown_summary": "\n".join(lines),
     }
     print(json.dumps(payload, sort_keys=True, indent=2))
     return 0 if not result.has_unexpected_mismatch() else 1
+
+
+def _cmd_charges_defect(args) -> int:
+    raps = _parse_list(float, args.rapidities, "--rapidities")
+    if len(raps) not in (2, 3):
+        raise ConfigError(f"bad --rapidities value {args.rapidities!r}: "
+                          "the scan takes 2 or 3 rapidities")
+    coupling = _parse(lambda t: Coupling(float(t)), args.coupling,
+                      "--coupling")
+    box = _parse(float, args.box, "--box")
+    if box <= 0:
+        raise ConfigError(f"bad --box value {args.box!r}: not positive")
+    if args.m_min >= args.m_max:
+        raise ConfigError("--m-min must be below --m-max: the slope needs "
+                          "two widths")
+    w = build_bethe(RapiditySet.of(raps), coupling)
+    # ascending widths, the order of the remainders; lazily, so a width
+    # that underflows to 0 stops the scan before the rest is built
+    widths = (2.0 ** -m for m in range(args.m_max, args.m_min - 1, -1))
+    # an overflow, or a width whose square underflows, is a usage error
+    with np.errstate(over="raise", invalid="raise"):
+        scan = ch.g4_defect_scan(w, widths, box)
+        amplitude, remainders = ch.one_over_eps_remainders(scan)
+    payload = {
+        "n": len(raps), "rapidities": raps, "coupling": coupling.c,
+        "box_length": box,
+        "rows": [{"width": e, "defect": v, "remainder": r}
+                 for (e, v), r in zip(scan, remainders)],
+        "slope": ch.fit_loglog_slope(scan),
+        "amplitude": amplitude,
+    }
+    print(json.dumps(payload, sort_keys=True, indent=2))
+    return 0
 
 
 def _cmd_lattice(args) -> int:
@@ -194,13 +238,13 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_aop_check(args) -> int:
-    lam_parts = _parse_rationals(args.lam, "--lam")
+    lam_parts = _parse_list(Fraction, args.lam, "--lam")
     if len(lam_parts) != 2:
         raise ConfigError(f"bad --lam value {args.lam!r}: expected 're,im'")
     re_part, im_part = lam_parts
     if im_part >= 0:
         raise ConfigError("lambda must have negative imaginary part")
-    raps = _parse_rationals(args.rapidities, "--rapidities")
+    raps = _parse_list(Fraction, args.rapidities, "--rapidities")
     if len(raps) != args.n:
         raise ConfigError("rapidity count must match --n")
     coupling = _parse(lambda t: Coupling(Fraction(t)), args.coupling,
@@ -239,12 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("suites", nargs="+", choices=ALL_SUITES)
     _add_common(p_verify)
-    p_verify.set_defaults(fn=_cmd_verify)
+    p_verify.set_defaults(fn=_cmd_run)
 
     p_run = sub.add_parser("run", help="run the full verification")
     p_run.add_argument("what", choices=("all",))
     _add_common(p_run)
-    p_run.set_defaults(fn=_cmd_run)
+    p_run.set_defaults(fn=_cmd_run, suites=None)
 
     p_bethe = sub.add_parser("bethe", help="finite-box root equations")
     bsub = p_bethe.add_subparsers(dest="action", required=True)
@@ -258,11 +302,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand = sub.add_parser("expand", help="transfer-eigenvalue expansion")
     esub = p_expand.add_subparsers(dest="action", required=True)
     p_tr = esub.add_parser("transfer")
-    p_tr.add_argument("--n", type=int, required=True)
-    p_tr.add_argument("--box", required=True)
-    p_tr.add_argument("--coupling", required=True)
+    p_tr.add_argument("--n", type=int,
+                      help="particle count of the box ground state")
+    p_tr.add_argument("--box", help="box length for --n")
+    p_tr.add_argument("--rapidities",
+                      help="comma-separated rationals in place of --n and "
+                           "--box, judged in exact arithmetic, e.g. '1,2,3'")
+    p_tr.add_argument("--coupling", required=True,
+                      help="a rational with --rapidities, e.g. '3/2'")
     p_tr.add_argument("--order", type=int, default=tr.DEFAULT_ORDER)
     p_tr.set_defaults(fn=_cmd_expand_transfer)
+
+    p_charges = sub.add_parser("charges", help="conserved-charge studies")
+    csub = p_charges.add_subparsers(dest="action", required=True)
+    p_defect = csub.add_parser("defect", help="Gaussian deltas of width 2^-m")
+    p_defect.add_argument("--rapidities", default="1,2",
+                          help="2 or 3 comma-separated reals")
+    p_defect.add_argument("--coupling", default="0.5")
+    p_defect.add_argument("--box", default=str(2.0 * np.pi))
+    p_defect.add_argument("--m-min", type=int, default=2)
+    p_defect.add_argument("--m-max", type=int, default=12)
+    p_defect.set_defaults(fn=_cmd_charges_defect)
 
     p_lat = sub.add_parser("lattice", help="lattice integrability checks")
     p_lat.add_argument("action", choices=("rtt", "commute", "continuum"))
@@ -299,13 +359,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as err:
+    except (ConfigError, FileNotFoundError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return USAGE_EXIT
-    except FileNotFoundError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return USAGE_EXIT
-    except (OverflowError, FloatingPointError, np.linalg.LinAlgError) as err:
+    except (OverflowError, ZeroDivisionError, FloatingPointError,
+            np.linalg.LinAlgError) as err:
         # finite inputs too large for floating-point arithmetic
         print(f"configuration error: input out of numeric range: {err}",
               file=sys.stderr)

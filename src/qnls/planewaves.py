@@ -554,8 +554,10 @@ class Coupling:
     c: Fraction | float
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("coupling must be positive (repulsive regime only)")
+        # NaN fails both comparisons
+        if not 0 < self.c < math.inf:
+            raise ValueError("coupling must be finite and positive "
+                             "(repulsive regime only)")
 
 
 @dataclass(frozen=True)
@@ -571,6 +573,8 @@ class RapiditySet:
         vals = list(values)
         field = field or Field.of(*vals)
         vals = sorted(field.real(v) for v in vals)
+        if not all(abs(v) < math.inf for v in vals):
+            raise ValueError(f"rapidities must be finite, got {vals}")
         if any(a == b for a, b in zip(vals, vals[1:])):
             raise DegenerateRapidities(f"coincident rapidities in {vals}")
         return RapiditySet(tuple(vals))

@@ -107,22 +107,20 @@ def power_sums(rapidities: Sequence, up_to: int, field: Field):
 
 
 # ----------------------------------------------------------------------
-# Printed coefficient tables, transcribed verbatim (h1 substitution
-# selectable).  Each function returns the lambda^{-1}..lambda^{-4}
-# coefficients of e^{-i lam L/2} theta(lam) or of its logarithm.
+# Printed coefficient tables, transcribed verbatim.  Each function
+# returns the lambda^{-1}..lambda^{-4} coefficients of e^{-i lam L/2}
+# theta(lam) or of its logarithm; the rapidity forms take the power sums
+# p, the charge forms the charge values h = {1: H1, 2: H2, 3: H3}.
 # ----------------------------------------------------------------------
 
 PRINTED_ORDER = 4
 
 
-def printed_charge_constants(n: int, p: dict, c, field: Field,
-                             h1_mode: str = "i_p1") -> list:
+def printed_charge_constants(n: int, h: dict, c, field: Field) -> list:
     i, one, frac = field.i, field.one, field.frac
     c = field.coerce(c)
     N = field.coerce(n)
-    h1 = i * p[1] if h1_mode == "i_p1" else p[1]
-    h2 = p[2]
-    h3 = (i ** 3) * p[3]
+    h1, h2, h3 = h[1], h[2], h[3]
     half = frac(1, 2)
     sixth = frac(1, 6)
     tw4 = frac(1, 24)
@@ -167,14 +165,11 @@ def printed_log_eigenvalue_expansion(n: int, p: dict, c, field: Field) -> list:
     return [m1, m2, m3, m4]
 
 
-def printed_log_operator_expansion(n: int, p: dict, c, field: Field,
-                                   h1_mode: str = "i_p1") -> list:
+def printed_log_operator_expansion(n: int, h: dict, c, field: Field) -> list:
     i, frac = field.i, field.frac
     c = field.coerce(c)
     N = field.coerce(n)
-    h1 = i * p[1] if h1_mode == "i_p1" else p[1]
-    h2 = p[2]
-    h3 = (i ** 3) * p[3]
+    h1, h2, h3 = h[1], h[2], h[3]
     m1 = -i * c * N
     m2 = -c * (h1 - c * frac(1, 2) * N)
     m3 = -i * c * (h2 + c * h1 - c * c * frac(1, 3) * N)
@@ -236,14 +231,15 @@ def charge_coefficients_from_formulas(rapidities: Sequence, c,
     series = asymptotic_product_series(rapidities, c, order)
     log_series = series.log()
     p = power_sums(rapidities, 3, field)
+    h = {1: field.i * p[1], 2: p[2], 3: (field.i ** 3) * p[3]}
 
     printed = {
-        "charge_constants": printed_charge_constants(n, p, c, field),
+        "charge_constants": printed_charge_constants(n, h, c, field),
         "eigenvalue_expansion": printed_eigenvalue_expansion(n, p, c, field),
         "log_eigenvalue_expansion":
             printed_log_eigenvalue_expansion(n, p, c, field),
         "log_operator_expansion":
-            printed_log_operator_expansion(n, p, c, field),
+            printed_log_operator_expansion(n, h, c, field),
     }
     oracle_for = {
         "charge_constants": series,
@@ -267,11 +263,11 @@ def charge_coefficients_from_formulas(rapidities: Sequence, c,
                 source, m, complex(value), complex(oracle_val), match, verdict))
 
     alt = []
+    h_alt = {**h, 1: p[1]}
     for source, table in (
-            ("charge_constants",
-             printed_charge_constants(n, p, c, field, h1_mode="p1")),
+            ("charge_constants", printed_charge_constants(n, h_alt, c, field)),
             ("log_operator_expansion",
-             printed_log_operator_expansion(n, p, c, field, h1_mode="p1"))):
+             printed_log_operator_expansion(n, h_alt, c, field))):
         for m, value in enumerate(table, start=1):
             oracle_val = oracle_for[source].coefficient(m)
             match = field.equal(value, oracle_val)

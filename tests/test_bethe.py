@@ -61,6 +61,12 @@ class TestSolve:
         with pytest.raises(DomainError):
             solve(BoxSpec(BOX_L, -2.0, 1), QuantumNumbers.of([0]))
 
+    def test_no_particles_rejected(self):
+        # BoxSpec and QuantumNumbers both accept N = 0; the residual of
+        # no roots has no maximum
+        with pytest.raises(DomainError, match="at least one particle"):
+            solve(BoxSpec(BOX_L, 1.0, 0), QuantumNumbers.of([]))
+
     def test_quantum_number_count_must_match(self):
         with pytest.raises(DomainError):
             solve(BoxSpec(BOX_L, 1.0, 3), ground_state_quantum_numbers(2))

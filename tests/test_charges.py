@@ -342,6 +342,13 @@ class TestDefectScan:
         with pytest.raises(ValueError):
             ch.g4_defect_scan(w, [0.1], BOX_L)
 
+    @pytest.mark.parametrize("L", [-2.0, 0.0, math.inf, math.nan])
+    @pytest.mark.parametrize("raps", [[1.0, 2.0], [1.0, 2.0, 3.0]])
+    def test_rejects_box_length_outside_domain(self, raps, L):
+        w = build_bethe(RapiditySet.of(raps), Coupling(0.5))
+        with pytest.raises(DomainError, match="box length"):
+            ch.g4_defect_scan(w, [0.1], L)
+
     # g4_defect_scan at the suite's inputs as computed by the nested
     # adaptive quadratures that the relative-coordinate rule replaced
     ADAPTIVE_SCANS = [
@@ -621,6 +628,18 @@ class TestBoxSolveAgainstReference:
             <= 1e-12 * scale
         assert abs(ch.pair_delta_overlap(ground, excited, BOX_L) - off) \
             <= 1e-12 * scale
+
+    @pytest.mark.parametrize("L", [-1.0, 0.0, math.inf, math.nan])
+    def test_rejects_box_length_outside_domain(self, L):
+        # at L = -1 the norm read 3.24 and at L = 0 it read 0.0, which
+        # the normalized overlap divided by
+        w = build_bethe(RapiditySet.of([1.0, 2.0]), Coupling(0.5))
+        for routine in (ch.pair_delta_overlap,
+                        ch.normalized_pair_delta_overlap):
+            with pytest.raises(DomainError, match="box length"):
+                routine(w, w, L)
+        with pytest.raises(DomainError, match="box length"):
+            ch.norm_sq(w, L)
 
 
 class TestAnalyticOracles:

@@ -87,8 +87,7 @@ def test_adjudication_agrees_across_fields(raps, c):
 def test_no_mode_flag_in_sources():
     """The field is carried as a value; no module threads a mode flag or
     rebuilds the imaginary unit per mode."""
-    files = sorted((ROOT / "src" / "qnls").glob("*.py")) \
-        + sorted((ROOT / "scripts").glob("*.py"))
+    files = sorted((ROOT / "src" / "qnls").glob("*.py"))
     assert files
     offenders = [f"{path.name}: {needle}" for path in files
                  for needle in ("exact_mode", "exact(0, 1) if")

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from qnls import lattice as lat
-from qnls.cli import main
+from qnls.cli import build_parser, main
 from qnls.config import ALL_SUITES, ConfigError, build_config, parse_config_file
 from qnls.report import CheckRecord, VerificationReport, render_markdown
 
@@ -189,6 +190,56 @@ class TestCli:
         verdicts = {(v["source"], v["order"]): v["verdict"]
                     for v in doc["verdicts"]}
         assert verdicts[("charge_constants", 1)] == "pass"
+        assert len(doc["h1_alternative"]) == 8
+
+    def test_expand_transfer_rational_rapidities(self, capsys):
+        code = main(["expand", "transfer", "--rapidities", "3,1,2",
+                     "--coupling", "3/2"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["rapidities"] == ["1", "2", "3"]
+        assert doc["coupling"] == "3/2" and "box_length" not in doc
+        verdicts = {(v["source"], v["order"]): v["verdict"]
+                    for v in doc["verdicts"]}
+        flagged = {slot for slot, verdict in verdicts.items()
+                   if verdict == "expected-mismatch"}
+        assert flagged == {("charge_constants", 3), ("charge_constants", 4),
+                           ("eigenvalue_expansion", 2),
+                           ("eigenvalue_expansion", 3),
+                           ("log_operator_expansion", 4)}
+        assert set(verdicts.values()) == {"pass", "expected-mismatch"}
+        # the H1 -> p1 reading holds at order 1 only, in both charge forms
+        alternative = {(v["source"], v["order"]): v["verdict"]
+                       for v in doc["h1_alternative"]}
+        assert alternative == {
+            (source, m): "pass" if m == 1 else "mismatch"
+            for source in ("charge_constants", "log_operator_expansion")
+            for m in (1, 2, 3, 4)}
+
+    def test_charges_defect_short_scan(self, capsys):
+        code = main(["charges", "defect", "--m-min", "2", "--m-max", "6"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["n"] == 2 and doc["box_length"] == 2.0 * math.pi
+        assert [r["width"] for r in doc["rows"]] \
+            == [2.0 ** -m for m in range(6, 1, -1)]
+        assert abs(doc["slope"] + 1.0) <= 0.05
+        # each remainder belongs to the width of its own row
+        for r in doc["rows"]:
+            assert r["remainder"] == r["defect"] - doc["amplitude"] / r["width"]
+
+    @pytest.mark.parametrize("argv", [
+        ["bethe", "solve", "--n", "0", "--box", "6", "--coupling", "1",
+         "--quantum-numbers", ","],
+        ["charges", "defect", "--rapidities", "1,2,3", "--m-min", "0",
+         "--m-max", "3"],
+    ], ids=["bethe-no-particles", "defect-width-too-wide-at-three"])
+    def test_domain_errors_exit_one(self, argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("error:") == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_lattice_rtt(self, capsys):
         code = main(["lattice", "rtt", "--sites", "1", "--cutoff", "4",
@@ -275,6 +326,26 @@ class TestCli:
          "--coupling", "1e200"],
         ["lattice", "rtt", "--sites", "2", "--step", "0.3", "--coupling",
          "1e150"],
+        ["expand", "transfer", "--rapidities", "1,2,3", "--n", "3", "--box",
+         "6.283", "--coupling", "3/2"],
+        ["expand", "transfer", "--coupling", "3/2"],
+        ["expand", "transfer", "--n", "3", "--coupling", "1"],
+        ["expand", "transfer", "--rapidities", "1,2,3", "--coupling=-3/2"],
+        ["expand", "transfer", "--rapidities", "1,2,3", "--coupling", "nan"],
+        ["expand", "transfer", "--rapidities", "1,x", "--coupling", "3/2"],
+        *(["charges", "defect", "--rapidities", raps]
+          for raps in ("1", "1,2,3,4")),
+        *(["charges", "defect", "--box", box] for box in ("-1", "0", "nan")),
+        ["charges", "defect", "--m-min", "5", "--m-max", "4"],
+        ["charges", "defect", "--m-min", "4", "--m-max", "4"],
+        *(["charges", "defect", "--coupling", c]
+          for c in ("x", "nan", "inf", "0", "-0.5")),
+        ["charges", "defect", "--rapidities", "1,nan"],
+        # out of floating-point range: the defect overflows, or the square
+        # of a width underflows to 0
+        ["charges", "defect", "--rapidities", "1e300,2"],
+        ["charges", "defect", "--m-min", "600", "--m-max", "604"],
+        ["charges", "defect", "--m-min", "1070", "--m-max", "1074"],
     ], ids=["lam-one-part", "rapidity-not-a-number", "coupling-zero",
             "lattice-lam-not-a-number", "zero-sites", "order-zero",
             "order-negative", "order-three", "bethe-box-nan",
@@ -284,7 +355,18 @@ class TestCli:
             "bethe-coupling-overflow", "continuum-lam-overflow",
             "rtt-step-overflow",
             "commute-coupling-overflow", "continuum-coupling-overflow",
-            "rtt-coupling-overflow"])
+            "rtt-coupling-overflow", "transfer-both-forms",
+            "transfer-neither-form", "transfer-n-without-box",
+            "transfer-rational-coupling-negative",
+            "transfer-rational-coupling-nan", "transfer-rapidity-not-rational",
+            "defect-one-rapidity", "defect-four-rapidities",
+            "defect-box-negative", "defect-box-zero", "defect-box-nan",
+            "defect-m-min-above-m-max", "defect-one-width",
+            "defect-coupling-not-a-number", "defect-coupling-nan",
+            "defect-coupling-inf", "defect-coupling-zero",
+            "defect-coupling-negative", "defect-rapidity-nan",
+            "defect-rapidity-overflow", "defect-width-square-underflow",
+            "defect-width-overflow"])
     def test_malformed_numbers_are_usage_errors(self, argv, capsys):
         code = main(argv)
         err = capsys.readouterr().err
@@ -292,12 +374,24 @@ class TestCli:
         assert "configuration error" in err and "Traceback" not in err
 
 
+def test_readme_commands_parse():
+    """Every qnls line of the README parses, and together they show each
+    verb, so the README cannot name an option or a form the CLI lacks."""
+    parser = build_parser()
+    lines = [line for line in (ROOT / "README.md").read_text(
+        encoding="utf-8").splitlines() if line.startswith("qnls ")]
+    verbs = {parser.parse_args(shlex.split(line, comments=True)[1:]).command
+             for line in lines}
+    choices = next(a.choices for a in parser._actions
+                   if a.dest == "command")
+    assert verbs == set(choices)
+
+
 def test_no_scipy_in_sources():
     """No computation or report field comes from scipy: the one line left
     naming it is the lazy import in the body of charges.__getattr__, run
     only when perfbench/tracer.py asks for charges.integrate."""
-    files = sorted((ROOT / "src" / "qnls").glob("*.py")) \
-        + sorted((ROOT / "scripts").glob("*.py"))
+    files = sorted((ROOT / "src" / "qnls").glob("*.py"))
     assert files
     held = ("charges.py", "        from scipy import integrate")
     offenders = [(path.name, line) for path in files

@@ -54,6 +54,18 @@ class TestBuild:
         with pytest.raises(DegenerateRapidities):
             RapiditySet.of([1, 1, 2])
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, F(0)])
+    def test_coupling_must_be_finite_and_positive(self, c):
+        with pytest.raises(ValueError, match="coupling must be"):
+            Coupling(c)
+
+    @pytest.mark.parametrize("values", [[1.0, math.nan], [math.nan, 1.0],
+                                        [math.inf, 1.0], [1.0, -math.inf]])
+    def test_non_finite_rapidities_rejected(self, values):
+        # NaN equals no neighbour, so the coincidence test cannot see it
+        with pytest.raises(ValueError, match="rapidities must be finite"):
+            RapiditySet.of(values)
+
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
             build_bethe(RapiditySet.of(list(range(9))), Coupling(1))
