@@ -29,7 +29,7 @@ from . import lattice as lat
 from . import transfer as tr
 from .bethe import BoxSpec, QuantumNumbers, ground_state_quantum_numbers, solve
 from .config import ALL_SUITES, ConfigError, build_config, parse_config_file
-from .errors import QnlsError
+from .errors import DomainError, QnlsError
 from .exact import EXACT, exact
 from .planewaves import Coupling, RapiditySet, build_bethe
 from .report import render_markdown, write_report
@@ -101,6 +101,13 @@ def _parse_list(kind, text: str, option: str) -> list:
             for tok in text.split(",") if tok.strip()]
 
 
+def _rapidity_set(values: list) -> RapiditySet:
+    """The rapidities of a state of at least one particle."""
+    if not values:
+        raise DomainError("need at least one particle")
+    return RapiditySet.of(values)
+
+
 def _cmd_run(args) -> int:
     return _run_and_report(_load_config(args, suites=args.suites))
 
@@ -136,7 +143,8 @@ def _cmd_expand_transfer(args) -> int:
     else:
         if args.n is not None or args.box is not None:
             raise ConfigError("--rapidities replaces --n and --box")
-        ks = sorted(_parse_list(Fraction, args.rapidities, "--rapidities"))
+        ks = list(_rapidity_set(_parse_list(Fraction, args.rapidities,
+                                            "--rapidities")).values)
         c = _parse(lambda t: Coupling(Fraction(t)).c, args.coupling,
                    "--coupling")
         inputs = {"n": len(ks), "coupling": str(c),
@@ -175,9 +183,11 @@ def _cmd_charges_defect(args) -> int:
     if args.m_min >= args.m_max:
         raise ConfigError("--m-min must be below --m-max: the slope needs "
                           "two widths")
+    if 2.0 ** -args.m_max == 0.0:
+        raise FloatingPointError(f"the width 2^-{args.m_max} underflows to 0")
     w = build_bethe(RapiditySet.of(raps), coupling)
     # ascending widths, the order of the remainders; lazily, so a width
-    # that underflows to 0 stops the scan before the rest is built
+    # whose square underflows stops the scan before the rest is built
     widths = (2.0 ** -m for m in range(args.m_max, args.m_min - 1, -1))
     # an overflow, or a width whose square underflows, is a usage error
     with np.errstate(over="raise", invalid="raise"):
@@ -249,7 +259,7 @@ def _cmd_aop_check(args) -> int:
         raise ConfigError("rapidity count must match --n")
     coupling = _parse(lambda t: Coupling(Fraction(t)), args.coupling,
                       "--coupling")
-    w = build_bethe(RapiditySet.of(raps), coupling)
+    w = build_bethe(_rapidity_set(raps), coupling)
     lam = aop.SpectralParameter(exact(re_part, im_part))
     measured, residual = aop.eigenvalue_check(lam, w)
     expected = aop.bethe_eigenvalue(lam, w.rapidities.values,

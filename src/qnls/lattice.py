@@ -33,26 +33,37 @@ engine reads that table:
 
 - sector matrices multiply it over all config pairs at once, k^2
   broadcast products per site for its k x k factors, one column of the
-  new product at a time (``_contract_sites``);
-- the full-space monodromy grows by one tensor factor per site: each
-  entry of L(s) T is a sum of two Kronecker products of d x d slices
-  table[:, :, r, s] with entries of the product over sites s-1..1, so
-  only the last site works on dim x dim blocks, dim = d^M: 8 Kronecker
-  products and 4 in-place sums for all four entries (``monodromy``),
-  against M d dim^2 multiply-adds per block for a contraction on each
-  site's tensor axis.  Callers that read only A and D (the transfer
-  operator, the adjoint pairing, the ordering breakdown) share the site
-  loop but form only those two at the last site (``_diagonal_entries``):
-  4 Kronecker products, and B and C are never allocated;
+  new product at a time (``_contract_sites``, for number sectors);
+- the full-space monodromy is the one dense engine: it grows by one
+  tensor factor per site, each entry of L(s) T a sum of two Kronecker
+  products of d x d slices table[:, :, r, s] with entries of the product
+  over sites s-1..1 (``_left_multiply``).  Block (i, j) of such a
+  product is the slice entry (i, j) times the entry below, so only the
+  blocks of nonzero slice entries are written into a zeroed output: at
+  d = 4, 4 of the 16 for the diagonal slices and 3 of 16 for the
+  off-diagonal ones, each a block of dimension dim/d, dim = d^M.  The
+  zero pattern is read from the table, and the sums run in Kronecker
+  order, so every entry equals the sum of Kronecker products bit for
+  bit.  Only the last site works on dim x dim blocks (``monodromy``);
+  callers that read only A and D (the transfer operator, the ordering
+  breakdown) share the site loop but form only those two at the last
+  site (``_diagonal_entries``), and B and C are never allocated;
+- the adjoint pairing forms D and, at the last site, A^dag from the
+  adjoint slices and the adjoints of the product below that site, which
+  are d times smaller than A: bit for bit conj(A).T, written in order,
+  so A^dag - D reads both operands in order
+  (``hermiticity_pairing_defect``);
+- the exchange relation builds no full-space block: T(lam) (x) T(mu) is
+  itself a monodromy, with the 4x4 site factor
+  sum_n'' L(lam)[n', n''] (x) L(mu)[n'', n], so the dense engine grows
+  both tensor orderings over the (d-1)^M kept states only, from that
+  factor restricted to the kept levels, and writes the last site straight
+  into an (m, m, 4, 4) stack (``_stacked_product``);
 - the one-particle block is never formed: one pass over the sites
   applies it to its Fourier vector for all rows at once, carrying two
   2x2 products per row (``one_particle_eigenvalue``);
 - a sector's occupation configs are grown one site at a time from the
-  prefixes that can still reach its total (``occupation_configs``);
-- the exchange relation builds no full-space block: T(lam) (x) T(mu) is
-  itself a monodromy, with the 4x4 site factor
-  sum_n'' L(lam)[n', n''] (x) L(mu)[n'', n], so both tensor orderings are
-  contracted over the (d-1)^M kept states only.
+  prefixes that can still reach its total (``occupation_configs``).
 
 Each operator whose 2-norm the exchange relation or the adjoint pairing
 takes moves particle number by a fixed amount (A and D conserve it, B
@@ -63,7 +74,7 @@ gathers each block by index for one small SVD, zeroes it in place and
 adds the Frobenius norm of what is left, which is 0 when the operator
 moves number by exactly the given amount: the result is exact then and
 an upper bound on the full 2-norm always.  No operator is sorted or
-copied whole; the adjoint pairing forms A^dag - D in A's own memory.
+copied whole; A^dag - D is formed in the memory of A^dag.
 ``tau_commutator_norm`` already works in one sector, and
 ``normal_ordering_breakdown`` measures 9 x 9 blocks; both take plain
 2-norms.
@@ -89,22 +100,21 @@ DENSE_BUDGET_BYTES = 2 ** 30
 COMPLEX_BYTES = 16
 # Dense complex blocks alive at once, full (dim x dim) or kept (restricted
 # to the (d-1)^M states with every occupation <= d-2).  monodromy, at the
-# last site: 3 finished blocks, the one being formed, the Kronecker product
-# added to it, and the previous site's 4 blocks of dimension dim/d (a
-# quarter block at d = 4); numpy's 256 KiB broadcast buffer is covered by
-# the sixth full block at the sizes the tests measure (4^4, 6^3, 12^2),
-# where tracemalloc peaks at 5.5-5.7 full blocks.  A and D alone
-# (_diagonal_entries) are checked against the same count and peak at
-# 3.4-3.7 full blocks there, with no B and C; the adjoint pairing and the
-# number conservation check allocate no further full block.  rtt_residual
-# holds only kept blocks, 16 per (kept, kept, 4, 4) stack: the first
-# ordering's finished stack while the second is contracted, whose running
-# and new products are alive with two (kept, kept, 4) temporaries (a
-# gathered column of site factors and one broadcast product): 56 blocks,
-# and 4 more for the index arrays and small tables.  tracemalloc peaks at
-# 56.2-57.4 kept blocks from 81 to 256 kept states.
-MONODROMY_BLOCKS = 6
-RTT_KEPT_BLOCKS = 3 * 16 + 2 * 4 + 4
+# last site: 3 finished blocks, the one being written, and the previous
+# site's 4 blocks of dimension dim/d (a quarter block at d = 4) with one
+# such temporary where two slices reach the same block; tracemalloc peaks
+# at 4.05-4.32 full blocks at the sizes the tests measure (4^4, 6^3,
+# 12^2).  A and D alone (_diagonal_entries) are checked against the same
+# count and peak at 2.05-2.32 full blocks there, with no B and C; the
+# adjoint pairing (A^dag in place of A) and the number conservation check
+# (tau in A's memory) allocate no further full block.  rtt_residual holds
+# only kept blocks, 16 per (kept, kept, 4, 4) stack: both orderings'
+# stacks while the defect is measured, the stack of the 6 entries of one
+# number shift and the two products whose difference is written into it:
+# 40 blocks, and 1 more for the index arrays and small tables.
+# tracemalloc peaks at 40.05-40.12 kept blocks at 81 to 125 kept states.
+MONODROMY_BLOCKS = 5
+RTT_KEPT_BLOCKS = 2 * 16 + 6 + 2 + 1
 # continuum_limit_rate: one-particle momentum index, per-site cutoff and
 # the site counts of the fit
 CONTINUUM_MOMENTUM_INDEX = 1
@@ -207,27 +217,65 @@ def _check_dense_budget(spec: LatticeSpec, what: str, blocks: int,
             f"{DENSE_BUDGET_BYTES} bytes")
 
 
-def _monodromy_entries(spec: LatticeSpec, lam: complex, rho_override,
-                       entries) -> list[np.ndarray]:
-    """The listed (r, c) entries of T(lam), after the byte budget of
-    ``monodromy`` has been checked: all four entries of the product over
-    sites M-1..1, then only the listed ones at the last site.  L[r, s] is
-    the slice table[:, :, r, s]."""
+def _below_last_site(spec: LatticeSpec, lam: complex, rho_override):
+    """The site factor as a (2, 2, d, d) stack of slices, L[r, s] =
+    table[:, :, r, s], and all four entries of the product over sites
+    M-1..1 (None at one site), after the byte budget of ``monodromy`` has
+    been checked."""
     _check_dense_budget(spec, "monodromy", MONODROMY_BLOCKS)
     L = _site_factor_table(spec, lam, rho_override).transpose(2, 3, 0, 1)
-    T = None
-    for _ in range(spec.sites - 1):
-        T = [[_left_multiply(L, T, r, c) for c in range(2)] for r in range(2)]
+    return L, _site_products(L, spec.sites - 1)
+
+
+def _monodromy_entries(spec: LatticeSpec, lam: complex, rho_override,
+                       entries) -> list[np.ndarray]:
+    """The listed (r, c) entries of T(lam): all four entries of the
+    product over sites M-1..1, then only the listed ones at the last
+    site."""
+    L, T = _below_last_site(spec, lam, rho_override)
     return [_left_multiply(L, T, r, c) for r, c in entries]
 
 
-def _left_multiply(L: np.ndarray, T, r: int, c: int) -> np.ndarray:
-    """Entry (r, c) of L(site) T: L[r, 0] (x) T[0][c] + L[r, 1] (x) T[1][c],
-    or L[r, c] itself when there is no product T below the site."""
+def _site_products(L: np.ndarray, sites: int):
+    """All k x k entries of the product of ``sites`` copies of the
+    (k, k, d, d) site factor L, site 1 the rightmost tensor factor, or None
+    for no sites."""
+    T = None
+    for _ in range(sites):
+        T = [[_left_multiply(L, T, r, c) for c in range(len(L))]
+             for r in range(len(L))]
+    return T
+
+
+def _left_multiply(L: np.ndarray, T, r: int, c: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Entry (r, c) of L(site) T, the sum over q of L[r, q] (x) T[q][c],
+    or L[r, c] itself when there is no product T below the site.
+
+    Block (i, j) of a Kronecker product L[r, q] (x) T[q][c] is
+    L[r, q][i, j] T[q][c], so only the blocks of the nonzero slice entries
+    are written into the zeroed output (or into ``out``, a zeroed square
+    view); the zero pattern is read from each slice.  A block that several
+    q reach is summed in q order, each term formed as np.kron forms it
+    (the slice entry the left operand), so the result equals the sum of
+    Kronecker products bit for bit."""
     if T is None:
-        return L[r, c]
-    out = np.kron(L[r, 0], T[0][c])
-    out += np.kron(L[r, 1], T[1][c])
+        if out is None:
+            return L[r, c]
+        out[...] = L[r, c]
+        return out
+    d, n = L.shape[-1], len(T[0][c])
+    if out is None:
+        out = np.zeros((d * n, d * n), dtype=complex)
+    blocks = out.reshape(d, n, d, n)
+    written = np.zeros((d, d), dtype=bool)
+    for q, part in enumerate(L[r]):
+        for i, j in zip(*np.nonzero(part)):
+            if written[i, j]:
+                blocks[i, :, j] += np.multiply(part[i, j], T[q][c])
+            else:
+                np.multiply(part[i, j], T[q][c], out=blocks[i, :, j])
+                written[i, j] = True
     return out
 
 
@@ -237,9 +285,10 @@ def monodromy(spec: LatticeSpec, lam: complex,
 
     Site 1 is the rightmost tensor factor, so each site adds a leftmost
     factor: for T the product over sites s-1..1, entry (r, c) of L(s) T is
-    L[r, 0] (x) T[0][c] + L[r, 1] (x) T[1][c], of dimension d^s.  Only the
-    last site forms dim x dim blocks.  ``rho_override`` replaces the
-    table's rho diagonal.
+    L[r, 0] (x) T[0][c] + L[r, 1] (x) T[1][c], of dimension d^s, written
+    block by block for the nonzero slice entries (``_left_multiply``).
+    Only the last site forms dim x dim blocks.  ``rho_override`` replaces
+    the table's rho diagonal.
     """
     A, B, C, D = _monodromy_entries(spec, lam, rho_override,
                                     ((0, 0), (0, 1), (1, 0), (1, 1)))
@@ -249,13 +298,14 @@ def monodromy(spec: LatticeSpec, lam: complex,
 def _diagonal_entries(spec: LatticeSpec, lam: complex,
                       rho_override=None) -> tuple[np.ndarray, np.ndarray]:
     """A and D of ``monodromy``, bit for bit, without B and C at the last
-    site: 4 Kronecker products there instead of 8."""
+    site."""
     return tuple(_monodromy_entries(spec, lam, rho_override, ((0, 0), (1, 1))))
 
 
 def transfer_operator(spec: LatticeSpec, lam: complex) -> np.ndarray:
     A, D = _diagonal_entries(spec, lam)
-    return A + D
+    A += D
+    return A
 
 
 # ----------------------------------------------------------------------
@@ -316,7 +366,8 @@ def _contract_sites(table: np.ndarray, occ: np.ndarray) -> np.ndarray:
     broadcast products of the running product's columns with that
     column's gathered factors (for k = 2 several times cheaper than a
     stacked matmul of the tiny matrices).  Beside the running and the new
-    product only (m, m, k) temporaries are alive."""
+    product only (m, m, k) temporaries are alive.  Serves the number
+    sectors, whose configs are not a full tensor product of levels."""
     k = table.shape[-1]
     prod = table[occ[:, None, -1], occ[None, :, -1]]
     for site in reversed(range(occ.shape[1] - 1)):
@@ -374,6 +425,22 @@ def _pair_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return np.einsum("xzac,zybd->xyabcd", t1, t2).reshape(d, d, 4, 4)
 
 
+def _stacked_product(table: np.ndarray, sites: int) -> np.ndarray:
+    """The product of a (d, d, k, k) site table over ``sites`` sites, site
+    M leftmost, between all d^M basis states (site 1 the fastest index):
+    out[i, j, r, c] is entry (r, c) of the k x k product.  Grown by the
+    dense engine, which writes the last site straight into the
+    (d^M, d^M, k, k) layout."""
+    L = table.transpose(2, 3, 0, 1)
+    T = _site_products(L, sites - 1)
+    m, k = len(table) ** sites, len(L)
+    out = np.zeros((m, m, k, k), dtype=complex)
+    for r in range(k):
+        for c in range(k):
+            _left_multiply(L, T, r, c, out=out[:, :, r, c])
+    return out
+
+
 def _sector_norms(P: np.ndarray, groups: Sequence[np.ndarray],
                   shift: int) -> np.ndarray:
     """Upper bound on the 2-norm of each matrix of a (k, m, m) stack P
@@ -409,13 +476,21 @@ def _exchange_defect(R: np.ndarray, X: np.ndarray, Y: np.ndarray,
     popcount(s) - popcount(r) and is measured per sector (``_sector_norms``),
     the entries of one shift together.
     """
-    worst = 0.0
-    for shift in range(-2, 3):
-        stack = np.stack([X[:, :, :, s] @ R[r] - Y[:, :, r, :] @ R[:, s]
-                          for r in range(4) for s in range(4)
-                          if s.bit_count() - r.bit_count() == shift])
-        worst = max(worst, _sector_norms(stack, groups, shift).max())
-    return float(worst)
+    return float(max(_sector_norms(_exchange_entries(R, X, Y, shift),
+                                   groups, shift).max()
+                     for shift in range(-2, 3)))
+
+
+def _exchange_entries(R: np.ndarray, X: np.ndarray, Y: np.ndarray,
+                      shift: int) -> np.ndarray:
+    """The entries (r, s) of R X - Y R that move number by ``shift``, each
+    written straight into its slot of one stack."""
+    pairs = [(r, s) for r in range(4) for s in range(4)
+             if s.bit_count() - r.bit_count() == shift]
+    stack = np.empty((len(pairs),) + X.shape[:2], dtype=complex)
+    for entry, (r, s) in zip(stack, pairs):
+        np.subtract(X[:, :, :, s] @ R[r], Y[:, :, r, :] @ R[:, s], out=entry)
+    return stack
 
 
 def rtt_residual(lam: complex, mu: complex, spec: LatticeSpec) -> dict:
@@ -430,12 +505,12 @@ def rtt_residual(lam: complex, mu: complex, spec: LatticeSpec) -> dict:
         raise RMatrixPole("coinciding spectral parameters")
     _check_dense_budget(spec, "exchange relation", 0, RTT_KEPT_BLOCKS)
     R = r_matrix(lam, mu, spec.c)
-    keep = _occupations(spec.cutoff - 1, spec.sites)
+    kept = spec.cutoff - 1
     tl, tm = _site_factor_table(spec, lam), _site_factor_table(spec, mu)
-    lm = _contract_sites(_pair_table(tl, tm), keep)
-    ml = _contract_sites(_pair_table(tm, tl), keep)
+    lm = _stacked_product(_pair_table(tl, tm)[:kept, :kept], spec.sites)
+    ml = _stacked_product(_pair_table(tm, tl)[:kept, :kept], spec.sites)
     # R (T(lam) x T(mu)) = (T(mu) x T(lam)) R
-    groups = _sector_groups(keep.sum(axis=1))
+    groups = _sector_groups(_occupations(kept, spec.sites).sum(axis=1))
     res_a = _exchange_defect(R, lm, ml, groups)
     res_b = _exchange_defect(R, ml, lm, groups)
     return {
@@ -462,10 +537,17 @@ def tau_commutator_norm(lam: complex, mu: complex, spec: LatticeSpec,
 
 def hermiticity_pairing_defect(spec: LatticeSpec, lam: float) -> float:
     """At real lam the diagonal monodromy entries are mutual adjoints:
-    ||A^dag - D||_2 per number sector (``_sector_norms``), the difference
-    formed in A's own memory."""
-    A, D = _diagonal_entries(spec, float(lam))
-    X = np.conjugate(A, out=A).T
+    ||A^dag - D||_2 per number sector (``_sector_norms``).
+
+    A^dag is formed at the last site as sum_q L[0, q]^dag (x) T[q][0]^dag,
+    from the adjoint slices and the adjoints of the product below that
+    site, which are d times smaller than A: bit for bit conj(A).T, but
+    written in order, so the difference reads both operands in order."""
+    L, T = _below_last_site(spec, float(lam), None)
+    D = _left_multiply(L, T, 1, 1)
+    if T is not None:   # keep only the entries below A, as adjoints
+        T = [[np.conjugate(T[q][0].T, order="C")] for q in range(2)]
+    X = _left_multiply(np.conjugate(L).swapaxes(2, 3), T, 0, 0)
     X -= D
     groups = _sector_groups(_occupations(spec.cutoff, spec.sites).sum(axis=1))
     return float(_sector_norms(X[None], groups, 0)[0])

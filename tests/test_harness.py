@@ -233,7 +233,13 @@ class TestCli:
          "--quantum-numbers", ","],
         ["charges", "defect", "--rapidities", "1,2,3", "--m-min", "0",
          "--m-max", "3"],
-    ], ids=["bethe-no-particles", "defect-width-too-wide-at-three"])
+        ["expand", "transfer", "--rapidities", ",", "--coupling", "1"],
+        ["aop", "check", "--n", "0", "--rapidities", ",", "--coupling", "1",
+         "--lam", "1,-1"],
+        ["expand", "transfer", "--rapidities", "1,1", "--coupling", "1"],
+    ], ids=["bethe-no-particles", "defect-width-too-wide-at-three",
+            "transfer-no-particles", "aop-no-particles",
+            "transfer-coincident-rapidities"])
     def test_domain_errors_exit_one(self, argv, capsys):
         code = main(argv)
         err = capsys.readouterr().err
@@ -346,6 +352,9 @@ class TestCli:
         ["charges", "defect", "--rapidities", "1e300,2"],
         ["charges", "defect", "--m-min", "600", "--m-max", "604"],
         ["charges", "defect", "--m-min", "1070", "--m-max", "1074"],
+        # the first width itself underflows to 0
+        ["charges", "defect", "--m-max", "1075"],
+        ["charges", "defect", "--m-max", "100000000"],
     ], ids=["lam-one-part", "rapidity-not-a-number", "coupling-zero",
             "lattice-lam-not-a-number", "zero-sites", "order-zero",
             "order-negative", "order-three", "bethe-box-nan",
@@ -366,7 +375,8 @@ class TestCli:
             "defect-coupling-inf", "defect-coupling-zero",
             "defect-coupling-negative", "defect-rapidity-nan",
             "defect-rapidity-overflow", "defect-width-square-underflow",
-            "defect-width-overflow"])
+            "defect-width-overflow", "defect-width-underflow",
+            "defect-width-underflow-far"])
     def test_malformed_numbers_are_usage_errors(self, argv, capsys):
         code = main(argv)
         err = capsys.readouterr().err

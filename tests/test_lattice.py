@@ -120,6 +120,45 @@ def reference_monodromy(spec, lam, rho_override=None):
     return T
 
 
+def reference_left_multiply(L, T, r, c):
+    """Entry (r, c) of L(site) T for a (k, k, d, d) site factor L, as the
+    sum over q of the Kronecker products L[r, q] (x) T[q][c] in q order:
+    every block multiplied, zero slice entries included."""
+    if T is None:
+        return L[r, c]
+    out = np.kron(L[r, 0], T[0][c])
+    for q in range(1, len(L)):
+        out += np.kron(L[r, q], T[q][c])
+    return out
+
+
+def reference_site_products(L, sites):
+    """All entries of the product of ``sites`` copies of L by
+    ``reference_left_multiply``."""
+    T = None
+    for _ in range(sites):
+        T = [[reference_left_multiply(L, T, r, c) for c in range(len(L))]
+             for r in range(len(L))]
+    return T
+
+
+def reference_pairing_defect(spec, lam):
+    """||conj(A).T - D|| per number sector, the adjoint taken of the
+    finished A."""
+    A, D = lat._diagonal_entries(spec, lam)
+    X = np.conjugate(A).T - D
+    groups = lat._sector_groups(lat._occupations(spec.cutoff,
+                                                 spec.sites).sum(axis=1))
+    return float(lat._sector_norms(X[None], groups, 0)[0])
+
+
+def ordered_product(table, row, col):
+    """table[row[M-1], col[M-1]] ... table[row[0], col[0]], one k x k
+    product per site, site M leftmost."""
+    return functools.reduce(np.matmul, [table[row[s], col[s]]
+                                        for s in reversed(range(len(row)))])
+
+
 def reference_occupation_configs(spec, total):
     """All cutoff^sites occupations, site M the fastest, filtered to one
     sector."""
@@ -210,6 +249,22 @@ def monodromy_cases(draw):
         rho = draw(st.lists(st.floats(0.5, 2.0), min_size=cutoff,
                             max_size=cutoff))
     return spec, draw(spectral), rho
+
+
+@st.composite
+def sparse_tables(draw):
+    """A finite (d, d, k, k) site table, k = 2 or 4, with a random zero
+    pattern over all level pairs, one entry at n' = n + 2 whenever d >= 3,
+    and 1..3 sites (full dimension d^M <= 64)."""
+    k = draw(st.sampled_from([2, 4]))
+    d = draw(st.integers(1, 4))
+    sites = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    table = rng.standard_normal((d, d, k, k, 2)) @ [1, 1j]
+    table *= rng.random((d, d, k, k)) < draw(st.floats(0.0, 1.0))
+    if d >= 3:
+        table[2, 0, 0, 0] = 0.5 - 0.25j
+    return table, sites
 
 
 @st.composite
@@ -394,7 +449,8 @@ class TestMonodromy:
     def test_four_by_four_contraction_matches_pair_products(
             self, sites, cutoff, rows, lam, mu, seed):
         # the exchange relation's (d, d, 4, 4) pair table, at random
-        # occupations, against one ordered product per config pair
+        # occupations and on all kept ones, against one ordered product
+        # per config pair
         spec = lat.LatticeSpec(sites, cutoff, 0.3, 1.3)
         table = lat._pair_table(lat._site_factor_table(spec, lam),
                                 lat._site_factor_table(spec, mu))
@@ -402,11 +458,18 @@ class TestMonodromy:
         got = lat._contract_sites(table, occ)
         for i in range(rows):
             for j in range(rows):
-                want = functools.reduce(np.matmul, [
-                    table[occ[i, s], occ[j, s]]
-                    for s in reversed(range(sites))])
-                np.testing.assert_allclose(got[i, j], want, rtol=1e-14,
-                                           atol=0)
+                np.testing.assert_allclose(
+                    got[i, j], ordered_product(table, occ[i], occ[j]),
+                    rtol=1e-14, atol=0)
+        # the dense engine of the exchange relation, on all kept states
+        if sites <= 4:
+            kept = lat._occupations(cutoff - 1, sites)
+            stacked = lat._stacked_product(
+                table[:cutoff - 1, :cutoff - 1], sites)
+            for i, j in itertools.product(range(len(kept)), repeat=2):
+                np.testing.assert_allclose(
+                    stacked[i, j], ordered_product(table, kept[i], kept[j]),
+                    rtol=1e-14, atol=0)
 
     def test_sector_engine_empty_config_list(self):
         out = lat.tau_sector_matrix(lat.LatticeSpec(3, 4, 0.3, 1.0), 0.7, [])
@@ -452,6 +515,61 @@ class TestMonodromy:
         (A, _), (_, D) = lat.monodromy(spec, lam, rho_override=rho)
         got_a, got_d = lat._diagonal_entries(spec, lam, rho_override=rho)
         assert np.array_equal(got_a, A) and np.array_equal(got_d, D)
+
+    @given(sparse_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_engine_matches_kronecker_sums(self, case):
+        # the zero pattern is read from the table, off the band included
+        table, sites = case
+        L = table.transpose(2, 3, 0, 1)
+        want = reference_site_products(L, sites)
+        got = lat._site_products(L, sites)
+        stacked = lat._stacked_product(table, sites)
+        for r, c in itertools.product(range(len(L)), repeat=2):
+            np.testing.assert_array_equal(got[r][c], want[r][c])
+            np.testing.assert_array_equal(stacked[:, :, r, c], want[r][c])
+
+    @given(monodromy_cases())
+    @settings(max_examples=50, deadline=None)
+    def test_monodromy_is_kronecker_sums_bit_for_bit(self, case):
+        spec, lam, rho = case
+        L = lat._site_factor_table(spec, lam, rho).transpose(2, 3, 0, 1)
+        want = reference_site_products(L, spec.sites)
+        got = lat.monodromy(spec, lam, rho_override=rho)
+        for r, c in itertools.product(range(2), repeat=2):
+            np.testing.assert_array_equal(got[r][c], want[r][c])
+        # the adjoint pairing forms A^dag from the adjoints below the last
+        # site: the same float as the adjoint of the finished A
+        assert lat.hermiticity_pairing_defect(spec, lam.real) \
+            == reference_pairing_defect(spec, lam.real)
+
+    @pytest.mark.parametrize("sites", [2, 3])
+    @pytest.mark.parametrize("r, s", itertools.product(range(2), repeat=2))
+    def test_number_conservation_shows_entry_off_the_band(self, r, s, sites):
+        # an entry at n' = n + 2 moves number in tau; an engine that took
+        # the slices to be tridiagonal would drop it at every site above
+        # the first, so tau is also held to the Kronecker sums
+        spec = lat.LatticeSpec(sites, 4, 0.35, 1.2)
+        lam = 0.7 - 0.2j
+        clean = lat._site_factor_table
+
+        def planted(*args):
+            table = clean(*args)
+            table[2, 0, r, s] = 0.5
+            return table
+
+        T = reference_site_products(planted(spec, lam).transpose(2, 3, 0, 1),
+                                    sites)
+        tau = T[0][0] + T[1][1]
+        counts = lat._occupations(4, sites).sum(axis=1)
+        want = np.abs(tau[counts[:, None] != counts[None, :]]).max()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lat, "_site_factor_table", planted)
+            got = lat.number_conservation_defect(spec, lam)
+            np.testing.assert_array_equal(lat.transfer_operator(spec, lam),
+                                          tau)
+        assert got > 0.0 and got == want
+        assert lat.number_conservation_defect(spec, lam) == 0.0
 
     @given(sector_totals())
     @settings(max_examples=100, deadline=None)
