@@ -123,14 +123,21 @@ class RapiditySolution:
 
 def _log_residual(k: np.ndarray, box: BoxSpec, I: np.ndarray) -> np.ndarray:
     diff = k[:, None] - k[None, :]
-    phases = 2.0 * np.arctan(diff / box.c)
+    # at a subnormal c the ratio overflows to +-inf, whose arctan is the
+    # limit +-pi/2
+    with np.errstate(over="ignore"):
+        phases = 2.0 * np.arctan(diff / box.c)
     np.fill_diagonal(phases, 0.0)
     return k * box.L + phases.sum(axis=1) - 2.0 * np.pi * I
 
 
 def _log_jacobian(k: np.ndarray, box: BoxSpec) -> np.ndarray:
     diff = k[:, None] - k[None, :]
-    kernel = 2.0 * box.c / (box.c ** 2 + diff ** 2)
+    den = box.c ** 2 + diff ** 2
+    # the diagonal kernel is 0; a denominator of 1 there keeps c^2 + 0,
+    # which underflows to 0 at a subnormal c, out of the division
+    np.fill_diagonal(den, 1.0)
+    kernel = 2.0 * box.c / den
     np.fill_diagonal(kernel, 0.0)
     jac = -kernel
     jac[np.diag_indices_from(jac)] = box.L + kernel.sum(axis=1)

@@ -1,8 +1,7 @@
 """Command-line entry points.
 
 Verbs:
-    verify <suite ...>      run verification suites, write reports
-    run all                 run every suite
+    run all | <suite ...>   run every suite or the named ones, write reports
     bethe solve             solve the finite-box root equations
     expand transfer         expansion oracle + printed-table adjudication
     charges defect          1/width divergence of the naive quartic charge
@@ -109,16 +108,17 @@ def _rapidity_set(values: list) -> RapiditySet:
 
 
 def _cmd_run(args) -> int:
-    return _run_and_report(_load_config(args, suites=args.suites))
+    # `run all` leaves the suites to a config file's `suites =`
+    suites = None if args.suites == ["all"] else args.suites
+    return _run_and_report(_load_config(args, suites=suites))
 
 
 def _cmd_bethe_solve(args) -> int:
     _parse_floats(args, "box", "coupling")
-    box = BoxSpec(args.box, args.coupling, args.n)
-    qn = QuantumNumbers.of(_parse_list(Fraction, args.quantum_numbers,
-                                       "--quantum-numbers")) \
-        if args.quantum_numbers else ground_state_quantum_numbers(args.n)
-    sol = solve(box, qn)
+    qn = ground_state_quantum_numbers(args.n) if args.quantum_numbers is None \
+        else QuantumNumbers.of(_parse_list(Fraction, args.quantum_numbers,
+                                           "--quantum-numbers"))
+    sol = solve(BoxSpec(args.box, args.coupling, len(qn)), qn)
     print(json.dumps(sol.to_json_dict(), sort_keys=True, indent=2))
     return 0
 
@@ -149,17 +149,13 @@ def _cmd_expand_transfer(args) -> int:
                    "--coupling")
         inputs = {"n": len(ks), "coupling": str(c),
                   "rapidities": [str(k) for k in ks]}
-    try:
-        result = tr.charge_coefficients_from_formulas(ks, c, order=args.order)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    result = tr.charge_coefficients_from_formulas(ks, c)
     rows = _verdict_rows(result.verdicts)
     lines = ["| source | order | verdict |", "|---|---|---|"]
     lines += [f"| {r['source']} | {r['order']} | {r['verdict']} |"
               for r in rows]
     payload = {
         **inputs,
-        "order": args.order,
         "oracle_coefficients": [str(complex(v)) for v in result.oracle],
         "oracle_log_coefficients": [str(complex(v)) for v in result.oracle_log],
         "verdicts": rows,
@@ -205,46 +201,53 @@ def _cmd_charges_defect(args) -> int:
     return 0
 
 
+# Each lattice action treats a floating-point overflow or invalid value on
+# finite input as a usage error, not a traceback or a numpy warning.
+
+@np.errstate(over="raise", invalid="raise")
 def _cmd_lattice(args) -> int:
-    # floating-point overflow on finite input is a usage error, not a
-    # traceback or a numpy warning
-    with np.errstate(over="raise", invalid="raise"):
-        _parse_floats(args, "step", "coupling")
-        try:
-            spec = lat.LatticeSpec(args.sites, args.cutoff, args.step,
-                                   args.coupling)
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
-        lam = _parse(complex, args.lam, "--lam")
-        mu = _parse(complex, args.mu, "--mu")
-        if args.action == "rtt":
-            res = lat.rtt_residual(lam, mu, spec)
-            payload = {"sites": args.sites, "cutoff": args.cutoff,
-                       "step": args.step, "coupling": args.coupling, **res}
-            print(json.dumps(payload, sort_keys=True, indent=2, default=str))
-            return 0 if res["residual"] < 1e-12 else 1
-        if args.action == "commute":
-            norm = lat.tau_commutator_norm(lam, mu, spec, args.sector)
-            payload = {"sites": args.sites, "cutoff": args.cutoff,
-                       "sector": args.sector, "commutator_norm": norm}
-            print(json.dumps(payload, sort_keys=True, indent=2))
-            return 0 if norm < 1e-12 else 1
-        if args.action == "continuum":
-            # --sites x --step sets the box length only; the fits run at
-            # their own site counts and steps
-            length = args.sites * args.step
-            rep = lat.continuum_limit_rate(args.coupling, length, lam)
-            try:
-                rate = lat.ordering_defect_rate(args.coupling, args.cutoff,
-                                                lat.ORDERING_STEPS, lam)
-            except ValueError as err:
-                raise ConfigError(str(err)) from err
-            payload = {"length": length, **rep, "ordering_defect_rate": rate}
-            print(json.dumps(payload, sort_keys=True, indent=2, default=str))
-            ok = rep["order_vacuum_normalized"] >= 1.0 \
-                and rep["order_one_particle_normalized"] >= 1.0
-            return 0 if ok else 1
-        raise ConfigError(f"unknown lattice action {args.action!r}")
+    """``lattice rtt`` and ``lattice commute``."""
+    _parse_floats(args, "step", "coupling")
+    try:
+        spec = lat.LatticeSpec(args.sites, args.cutoff, args.step,
+                               args.coupling)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    lam = _parse(complex, args.lam, "--lam")
+    mu = _parse(complex, args.mu, "--mu")
+    if args.action == "rtt":
+        res = lat.rtt_residual(lam, mu, spec)
+        payload = {"sites": args.sites, "cutoff": args.cutoff,
+                   "step": args.step, "coupling": args.coupling, **res}
+        print(json.dumps(payload, sort_keys=True, indent=2, default=str))
+        return 0 if res["residual"] < 1e-12 else 1
+    if args.sector < 0:
+        raise ConfigError(f"bad --sector value {args.sector}: negative")
+    norm = lat.tau_commutator_norm(lam, mu, spec, args.sector)
+    payload = {"sites": args.sites, "cutoff": args.cutoff,
+               "sector": args.sector, "commutator_norm": norm}
+    print(json.dumps(payload, sort_keys=True, indent=2))
+    return 0 if norm < 1e-12 else 1
+
+
+@np.errstate(over="raise", invalid="raise")
+def _cmd_lattice_continuum(args) -> int:
+    _parse_floats(args, "length", "coupling")
+    for dest in ("length", "coupling"):
+        if getattr(args, dest) <= 0:
+            raise ConfigError(f"bad --{dest} value {getattr(args, dest)!r}: "
+                              "not positive")
+    lam = _parse(complex, args.lam, "--lam")
+    try:
+        rep = lat.continuum_limit_rate(args.coupling, args.length, lam)
+        rate = lat.ordering_defect_rate(args.coupling, args.cutoff, lam)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    payload = {"length": args.length, **rep, "ordering_defect_rate": rate}
+    print(json.dumps(payload, sort_keys=True, indent=2, default=str))
+    ok = rep["order_vacuum_normalized"] >= 1.0 \
+        and rep["order_one_particle_normalized"] >= 1.0
+    return 0 if ok else 1
 
 
 def _cmd_aop_check(args) -> int:
@@ -255,8 +258,6 @@ def _cmd_aop_check(args) -> int:
     if im_part >= 0:
         raise ConfigError("lambda must have negative imaginary part")
     raps = _parse_list(Fraction, args.rapidities, "--rapidities")
-    if len(raps) != args.n:
-        raise ConfigError("rapidity count must match --n")
     coupling = _parse(lambda t: Coupling(Fraction(t)), args.coupling,
                       "--coupling")
     w = build_bethe(_rapidity_set(raps), coupling)
@@ -267,7 +268,7 @@ def _cmd_aop_check(args) -> int:
     g = aop.apply_A(lam, w.canonical, w.coupling.c)
     pde, boundary = aop.bvp_residual(lam, w.canonical, g, w.coupling.c)
     payload = {
-        "n": args.n,
+        "n": len(raps),
         "rapidities": [str(v) for v in raps],
         "coupling": args.coupling,
         "lambda": args.lam,
@@ -290,23 +291,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "one-dimensional delta Bose gas.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run verification suites")
-    p_verify.add_argument("suites", nargs="+", choices=ALL_SUITES)
-    _add_common(p_verify)
-    p_verify.set_defaults(fn=_cmd_run)
-
-    p_run = sub.add_parser("run", help="run the full verification")
-    p_run.add_argument("what", choices=("all",))
+    p_run = sub.add_parser("run", help="run verification suites")
+    p_run.add_argument("suites", nargs="+", choices=("all",) + ALL_SUITES,
+                       help="all, or suite names")
     _add_common(p_run)
-    p_run.set_defaults(fn=_cmd_run, suites=None)
+    p_run.set_defaults(fn=_cmd_run)
 
     p_bethe = sub.add_parser("bethe", help="finite-box root equations")
     bsub = p_bethe.add_subparsers(dest="action", required=True)
     p_solve = bsub.add_parser("solve")
-    p_solve.add_argument("--n", type=int, required=True)
     p_solve.add_argument("--box", required=True)
     p_solve.add_argument("--coupling", required=True)
-    p_solve.add_argument("--quantum-numbers", dest="quantum_numbers")
+    state = p_solve.add_mutually_exclusive_group(required=True)
+    state.add_argument("--n", type=int,
+                       help="particle count of the ground state")
+    state.add_argument("--quantum-numbers", dest="quantum_numbers",
+                       help="comma-separated quantum numbers in place of "
+                            "--n, e.g. '-1/2,3/2'")
     p_solve.set_defaults(fn=_cmd_bethe_solve)
 
     p_expand = sub.add_parser("expand", help="transfer-eigenvalue expansion")
@@ -320,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "--box, judged in exact arithmetic, e.g. '1,2,3'")
     p_tr.add_argument("--coupling", required=True,
                       help="a rational with --rapidities, e.g. '3/2'")
-    p_tr.add_argument("--order", type=int, default=tr.DEFAULT_ORDER)
     p_tr.set_defaults(fn=_cmd_expand_transfer)
 
     p_charges = sub.add_parser("charges", help="conserved-charge studies")
@@ -335,25 +335,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_defect.set_defaults(fn=_cmd_charges_defect)
 
     p_lat = sub.add_parser("lattice", help="lattice integrability checks")
-    p_lat.add_argument("action", choices=("rtt", "commute", "continuum"))
+    lsub = p_lat.add_subparsers(dest="action", required=True)
+    p_rtt = lsub.add_parser("rtt", help="exchange relation")
+    p_commute = lsub.add_parser("commute", help="transfer commutator on one "
+                                                "number sector")
     fit_sites = ", ".join(map(str, lat.CONTINUUM_SITES))
-    p_lat.add_argument("--sites", type=int, required=True,
-                       help="lattice sites M; for continuum, --sites x --step "
-                            "sets the box length L only, the fit runs at "
-                            f"{fit_sites} sites, and the ordering-defect fit "
-                            "on two sites of the given cutoff")
-    p_lat.add_argument("--cutoff", type=int, default=4)
-    p_lat.add_argument("--step", required=True)
-    p_lat.add_argument("--coupling", required=True)
-    p_lat.add_argument("--sector", type=int, default=1)
-    p_lat.add_argument("--lam", default="0.7")
-    p_lat.add_argument("--mu", default="1.3")
-    p_lat.set_defaults(fn=_cmd_lattice)
+    p_cont = lsub.add_parser("continuum", help=f"continuum fit at {fit_sites} "
+                             "sites, ordering-defect fit on two")
+    for p in (p_rtt, p_commute, p_cont):
+        p.add_argument("--coupling", required=True)
+        p.add_argument("--cutoff", type=int, default=4)
+        p.add_argument("--lam", default="0.7")
+    for p in (p_rtt, p_commute):
+        p.add_argument("--sites", type=int, required=True)
+        p.add_argument("--step", required=True)
+        p.add_argument("--mu", default="1.3")
+        p.set_defaults(fn=_cmd_lattice)
+    p_commute.add_argument("--sector", type=int, default=1)
+    p_cont.add_argument("--length", required=True, help="box length L")
+    p_cont.set_defaults(fn=_cmd_lattice_continuum)
 
     p_aop = sub.add_parser("aop", help="integral-operator checks")
     asub = p_aop.add_subparsers(dest="action", required=True)
     p_check = asub.add_parser("check")
-    p_check.add_argument("--n", type=int, required=True)
     p_check.add_argument("--rapidities", required=True,
                          help="comma-separated rationals, e.g. '1/2,-3'")
     p_check.add_argument("--coupling", required=True,

@@ -79,9 +79,11 @@ copied whole; A^dag - D is formed in the memory of A^dag.
 ``normal_ordering_breakdown`` measures 9 x 9 blocks; both take plain
 2-norms.
 
-The monodromy holds a known number of dim x dim complex blocks and the
-exchange relation a known number of kept x kept ones; their bytes are
-checked against DENSE_BUDGET_BYTES before anything is allocated.
+The monodromy holds a known number of dim x dim complex blocks, the
+exchange relation a known number of kept x kept ones and the sector
+commutator a known number of m x m ones over the m configs of its
+sector; their bytes are checked against DENSE_BUDGET_BYTES before
+anything is allocated.
 """
 
 from __future__ import annotations
@@ -115,6 +117,13 @@ COMPLEX_BYTES = 16
 # tracemalloc peaks at 40.05-40.12 kept blocks at 81 to 125 kept states.
 MONODROMY_BLOCKS = 5
 RTT_KEPT_BLOCKS = 2 * 16 + 6 + 2 + 1
+# tau_commutator_norm holds (m x m) complex blocks over the m configs of
+# its sector: the first sector matrix while the second is contracted, that
+# contraction's running and new (m, m, 2, 2) products, its gathered
+# factors and one broadcast product, (m, m, 2, 1) and (m, m, 2): 13, and
+# 1 more for the configs, index arrays and small tables.  tracemalloc
+# peaks at 13.08-13.52 blocks at 136 to 364 configs.
+SECTOR_BLOCKS = 1 + 2 * 4 + 2 * 2 + 1
 # continuum_limit_rate: one-particle momentum index, per-site cutoff and
 # the site counts of the fit
 CONTINUUM_MOMENTUM_INDEX = 1
@@ -138,10 +147,6 @@ class LatticeSpec:
             raise ValueError("need finite Delta and c")
         if self.sites < 1 or self.cutoff < 1 or self.step <= 0 or self.c <= 0:
             raise ValueError("need M >= 1, d >= 1, Delta > 0, c > 0")
-
-    @property
-    def length(self) -> float:
-        return self.sites * self.step
 
 
 # ----------------------------------------------------------------------
@@ -205,11 +210,15 @@ def dense_bytes(spec: LatticeSpec, blocks: int, kept_blocks: int = 0) -> int:
     return COMPLEX_BYTES * (blocks * dim * dim + kept_blocks * kept * kept)
 
 
-def _check_dense_budget(spec: LatticeSpec, what: str, blocks: int,
-                        kept_blocks: int = 0) -> None:
-    """Raises SizeLimit, before anything is allocated, unless the dense
-    blocks of ``what`` fit the byte budget."""
-    need = dense_bytes(spec, blocks, kept_blocks)
+def sector_bytes(configs: int) -> int:
+    """Bytes of the dense blocks of ``tau_commutator_norm`` on a sector of
+    ``configs`` occupation configs."""
+    return COMPLEX_BYTES * SECTOR_BLOCKS * configs * configs
+
+
+def _check_dense_budget(spec: LatticeSpec, what: str, need: int) -> None:
+    """Raises SizeLimit, before anything is allocated, unless the ``need``
+    bytes of dense blocks of ``what`` fit the byte budget."""
     if need > DENSE_BUDGET_BYTES:
         raise SizeLimit(
             f"{what} at {spec.sites} sites, cutoff {spec.cutoff} needs "
@@ -222,7 +231,7 @@ def _below_last_site(spec: LatticeSpec, lam: complex, rho_override):
     table[:, :, r, s], and all four entries of the product over sites
     M-1..1 (None at one site), after the byte budget of ``monodromy`` has
     been checked."""
-    _check_dense_budget(spec, "monodromy", MONODROMY_BLOCKS)
+    _check_dense_budget(spec, "monodromy", dense_bytes(spec, MONODROMY_BLOCKS))
     L = _site_factor_table(spec, lam, rho_override).transpose(2, 3, 0, 1)
     return L, _site_products(L, spec.sites - 1)
 
@@ -329,6 +338,18 @@ def occupation_configs(spec: LatticeSpec, total: int) -> np.ndarray:
         rows = np.column_stack([rows[prefix], value])
         sums = grown[prefix, value]
     return rows
+
+
+def sector_size(spec: LatticeSpec, total: int) -> int:
+    """The number of rows of ``occupation_configs``, counted without
+    forming them: the compositions of the total into M parts of at most
+    d-1, by inclusion-exclusion over the parts that exceed it."""
+    d, M = spec.cutoff, spec.sites
+    if total < 0:
+        return 0
+    return sum((-1) ** j * math.comb(M, j) * math.comb(total - j * d + M - 1,
+                                                       M - 1)
+               for j in range(total // d + 1))
 
 
 def number_conservation_defect(spec: LatticeSpec, lam: complex) -> float:
@@ -503,7 +524,8 @@ def rtt_residual(lam: complex, mu: complex, spec: LatticeSpec) -> dict:
     """
     if abs(lam - mu) < 1e-12:
         raise RMatrixPole("coinciding spectral parameters")
-    _check_dense_budget(spec, "exchange relation", 0, RTT_KEPT_BLOCKS)
+    _check_dense_budget(spec, "exchange relation",
+                        dense_bytes(spec, 0, RTT_KEPT_BLOCKS))
     R = r_matrix(lam, mu, spec.c)
     kept = spec.cutoff - 1
     tl, tm = _site_factor_table(spec, lam), _site_factor_table(spec, mu)
@@ -527,9 +549,12 @@ def tau_commutator_norm(lam: complex, mu: complex, spec: LatticeSpec,
     if enforce_cutoff and spec.cutoff < n_sector + 2:
         raise CutoffTooSmall(
             f"sector {n_sector} needs cutoff >= {n_sector + 2}, got {spec.cutoff}")
-    configs = occupation_configs(spec, n_sector)
-    if not len(configs):
+    m = sector_size(spec, n_sector)
+    if not m:
         raise CutoffTooSmall("sector empty at this cutoff")
+    _check_dense_budget(spec, f"sector {n_sector} ({m} configs)",
+                        sector_bytes(m))
+    configs = occupation_configs(spec, n_sector)
     ta = tau_sector_matrix(spec, lam, configs)
     tb = tau_sector_matrix(spec, mu, configs)
     return float(np.linalg.norm(ta @ tb - tb @ ta, 2))
@@ -691,11 +716,11 @@ def normal_ordering_breakdown(spec_two_sites: LatticeSpec, lam: complex) -> dict
     }
 
 
-def ordering_defect_rate(c: float, cutoff: int, steps: Sequence[float],
-                         lam: complex) -> dict:
-    """Fit of the relative ordering defect against the lattice step."""
+def ordering_defect_rate(c: float, cutoff: int, lam: complex) -> dict:
+    """Fit of the relative ordering defect against the lattice steps
+    ORDERING_STEPS."""
     rows = []
-    for step in steps:
+    for step in ORDERING_STEPS:
         rep = normal_ordering_breakdown(LatticeSpec(2, cutoff, step, c), lam)
         rows.append((step, rep["relative_difference"]))
     return {"rows": rows, "order": fit_loglog_slope(rows)}

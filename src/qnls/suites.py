@@ -632,7 +632,7 @@ def run_lattice_suite(cfg: RunConfig) -> list:
 
     def ordering_demo():
         rep = lat.normal_ordering_breakdown(lat.LatticeSpec(2, 3, 0.2, 1.5), 0.7)
-        rate = lat.ordering_defect_rate(1.5, 3, lat.ORDERING_STEPS, 0.7)
+        rate = lat.ordering_defect_rate(1.5, 3, 0.7)
         ok = (rep["one_site_difference"] == 0.0
               and rep["relative_difference"] > 0.0
               and 1.5 <= rate["order"] <= 2.5)

@@ -212,8 +212,7 @@ class ChargeCoefficientSet:
         return any(v.verdict == "fail" for v in self.verdicts)
 
 
-def charge_coefficients_from_formulas(rapidities: Sequence, c,
-                                      order: int = DEFAULT_ORDER
+def charge_coefficients_from_formulas(rapidities: Sequence, c
                                       ) -> ChargeCoefficientSet:
     """Evaluate every printed table and compare with the product oracle,
     in the field of the rapidities and the coupling.
@@ -221,14 +220,13 @@ def charge_coefficients_from_formulas(rapidities: Sequence, c,
     Matches become ``pass``; mismatches at the documented (source, order)
     slots become ``expected-mismatch``; any other disagreement is a
     ``fail`` (and would indicate a transcription or oracle bug).  The
-    oracle must reach ``PRINTED_ORDER``, the last order of the tables.
+    oracle runs to ``PRINTED_ORDER``, the last order of the tables: a
+    truncated product or log series fixes every coefficient up to its
+    order, wherever it is truncated.
     """
-    if order < PRINTED_ORDER:
-        raise ValueError(f"order {order} is below {PRINTED_ORDER}, the last "
-                         "order of the printed tables")
     field = Field.of(*rapidities, c)
     n = len(rapidities)
-    series = asymptotic_product_series(rapidities, c, order)
+    series = asymptotic_product_series(rapidities, c, PRINTED_ORDER)
     log_series = series.log()
     p = power_sums(rapidities, 3, field)
     h = {1: field.i * p[1], 2: p[2], 3: (field.i ** 3) * p[3]}

@@ -57,6 +57,14 @@ class TestSolve:
         assert sol.residual_product < 1e-10
         assert sol.jacobian_min_eigenvalue > 0
 
+    @pytest.mark.parametrize("c", [1e-320, 1e-200])
+    def test_subnormal_coupling(self, c):
+        # the phase ratios overflow to +-inf and the Jacobian's diagonal
+        # kernel has a zero denominator, neither with a RuntimeWarning
+        sol = solve(BoxSpec(6.0, c, 2), ground_state_quantum_numbers(2))
+        assert np.max(np.abs(sol.rapidities.values)) < 1e-15
+        assert sol.residual_log < 1e-12
+
     def test_repulsive_only(self):
         with pytest.raises(DomainError):
             solve(BoxSpec(BOX_L, -2.0, 1), QuantumNumbers.of([0]))

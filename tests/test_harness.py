@@ -137,15 +137,17 @@ class TestSuiteIntegration:
 
 
 class TestCli:
-    def test_verify_waves_exit_zero(self, tmp_path, capsys):
-        code = main(["verify", "waves", "--out", str(tmp_path), "--quiet",
+    def test_run_waves_exit_zero(self, tmp_path, capsys):
+        code = main(["run", "waves", "--out", str(tmp_path), "--quiet",
                      "--seed", "3"])
         assert code == 0
-        assert (tmp_path / "latest" / "report.json").exists()
+        report = json.loads((tmp_path / "latest" / "report.json").read_text())
+        assert report["checks"]
+        assert all(c["check"].startswith("waves.") for c in report["checks"])
         assert (tmp_path / "latest" / "report.md").exists()
 
-    def test_verify_json_stdout(self, tmp_path, capsys):
-        code = main(["verify", "bethe", "--out", str(tmp_path), "--json",
+    def test_run_json_stdout(self, tmp_path, capsys):
+        code = main(["run", "bethe", "--out", str(tmp_path), "--json",
                      "--seed", "3"])
         out = capsys.readouterr().out
         doc = json.loads(out)
@@ -174,7 +176,7 @@ class TestCli:
         assert doc["quantum_numbers"] == ["-1/2", "1/2"]
 
     def test_bethe_solve_custom_numbers(self, capsys):
-        code = main(["bethe", "solve", "--n", "1", "--box", "6.283185307179586",
+        code = main(["bethe", "solve", "--box", "6.283185307179586",
                      "--coupling", "2.0", "--quantum-numbers", "3"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
@@ -182,9 +184,10 @@ class TestCli:
 
     def test_expand_transfer(self, capsys):
         code = main(["expand", "transfer", "--n", "2", "--box",
-                     "6.283185307179586", "--coupling", "1.5", "--order", "6"])
+                     "6.283185307179586", "--coupling", "1.5"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
+        assert "order" not in doc
         assert len(doc["oracle_coefficients"]) == 4
         assert "markdown_summary" in doc
         verdicts = {(v["source"], v["order"]): v["verdict"]
@@ -229,12 +232,12 @@ class TestCli:
             assert r["remainder"] == r["defect"] - doc["amplitude"] / r["width"]
 
     @pytest.mark.parametrize("argv", [
-        ["bethe", "solve", "--n", "0", "--box", "6", "--coupling", "1",
+        ["bethe", "solve", "--box", "6", "--coupling", "1",
          "--quantum-numbers", ","],
         ["charges", "defect", "--rapidities", "1,2,3", "--m-min", "0",
          "--m-max", "3"],
         ["expand", "transfer", "--rapidities", ",", "--coupling", "1"],
-        ["aop", "check", "--n", "0", "--rapidities", ",", "--coupling", "1",
+        ["aop", "check", "--rapidities", ",", "--coupling", "1",
          "--lam", "1,-1"],
         ["expand", "transfer", "--rapidities", "1,1", "--coupling", "1"],
     ], ids=["bethe-no-particles", "defect-width-too-wide-at-three",
@@ -265,9 +268,8 @@ class TestCli:
     def test_lattice_continuum_fits(self, capsys):
         # the continuum orders and the two-site ordering-defect fit in one
         # document; the exit code follows the continuum orders only
-        code = main(["lattice", "continuum", "--sites", "8", "--step",
-                     str(2.0 * math.pi / 8), "--coupling", "1.0",
-                     "--lam", "0.9"])
+        code = main(["lattice", "continuum", "--length", str(2.0 * math.pi),
+                     "--coupling", "1.0", "--lam", "0.9"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         assert doc["order_vacuum_normalized"] >= 1.0
@@ -277,30 +279,35 @@ class TestCli:
         assert rate["order"] == pytest.approx(2.0, abs=0.25)
 
     def test_aop_check(self, capsys):
-        code = main(["aop", "check", "--n", "2", "--rapidities=-1,3/2",
+        code = main(["aop", "check", "--rapidities=-1,3/2",
                      "--coupling", "2", "--lam", "1/3,-2"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         assert doc["diagonality_residual"] == 0.0
         assert doc["pde_residual_terms"] == 0
 
+    @pytest.mark.parametrize("c", ["1e-320", "1e-200"])
+    def test_subnormal_coupling(self, c, capsys):
+        # solved without a RuntimeWarning, which the tests make an error
+        for verb in (["bethe", "solve"], ["expand", "transfer"]):
+            assert main(verb + ["--n", "2", "--box", "6", "--coupling", c]) == 0
+        capsys.readouterr()
+
     def test_aop_check_rejects_upper_half_plane(self, capsys):
-        code = main(["aop", "check", "--n", "1", "--rapidities", "1",
+        code = main(["aop", "check", "--rapidities", "1",
                      "--coupling", "1", "--lam", "1/3,2"])
         assert code == 2
 
     @pytest.mark.parametrize("argv", [
-        ["aop", "check", "--n", "1", "--rapidities", "1", "--coupling", "1",
+        ["aop", "check", "--rapidities", "1", "--coupling", "1",
          "--lam", "1"],
-        ["aop", "check", "--n", "2", "--rapidities", "1,x", "--coupling", "1",
+        ["aop", "check", "--rapidities", "1,x", "--coupling", "1",
          "--lam", "1,-1"],
-        ["aop", "check", "--n", "1", "--rapidities", "1", "--coupling", "0",
+        ["aop", "check", "--rapidities", "1", "--coupling", "0",
          "--lam", "1,-1"],
         ["lattice", "rtt", "--sites", "2", "--step", "0.3", "--coupling", "1",
          "--lam", "abc"],
         ["lattice", "rtt", "--sites", "0", "--step", "0.3", "--coupling", "1"],
-        *(["expand", "transfer", "--n", "2", "--box", "6.283", "--coupling",
-           "1", "--order", order] for order in ("0", "-3", "3")),
         ["bethe", "solve", "--n", "2", "--box", "nan", "--coupling", "1"],
         ["bethe", "solve", "--n", "2", "--box", "6.283", "--coupling", "nan"],
         ["bethe", "solve", "--n", "2", "--box", "1e400", "--coupling", "1"],
@@ -312,24 +319,29 @@ class TestCli:
          "--lam", "inf"],
         ["lattice", "rtt", "--sites", "2", "--step", "0.3", "--coupling", "1",
          "--mu", "1+nanj"],
-        ["lattice", "continuum", "--sites", "2", "--step", "0.3",
-         "--coupling", "1", "--lam", "nan"],
+        ["lattice", "continuum", "--length", "0.6", "--coupling", "1",
+         "--lam", "nan"],
         # the ordering-defect fit needs an occupation of 2 on a site
-        ["lattice", "continuum", "--sites", "8", "--step", "0.8",
-         "--coupling", "1", "--cutoff", "2"],
+        ["lattice", "continuum", "--length", "6.4", "--coupling", "1",
+         "--cutoff", "2"],
+        *(["lattice", "continuum", "--length", length, "--coupling", "1"]
+          for length in ("0", "-1", "inf")),
+        ["lattice", "continuum", "--length", "6.4", "--coupling", "0"],
+        ["lattice", "commute", "--sites", "2", "--step", "0.3", "--coupling",
+         "1", "--sector", "-1"],
+        ["run", "all", "waves"],
         ["expand", "transfer", "--n", "2", "--box", "nan", "--coupling", "1"],
         # finite but too large: OverflowError, or LinAlgError from the
         # overflowed matrices
         ["bethe", "solve", "--n", "2", "--box", "6", "--coupling", "1e300"],
-        ["lattice", "continuum", "--sites", "2", "--step", "0.3",
-         "--coupling", "1", "--lam", "1e300"],
+        ["lattice", "continuum", "--length", "0.6", "--coupling", "1",
+         "--lam", "1e300"],
         ["lattice", "rtt", "--sites", "2", "--step", "1e300", "--coupling",
          "1"],
         ["lattice", "commute", "--sites", "2", "--step", "0.3", "--coupling",
          "1e300"],
         # finite but overflowing inside the lattice engines: FloatingPointError
-        ["lattice", "continuum", "--sites", "2", "--step", "0.3",
-         "--coupling", "1e200"],
+        ["lattice", "continuum", "--length", "0.6", "--coupling", "1e200"],
         ["lattice", "rtt", "--sites", "2", "--step", "0.3", "--coupling",
          "1e150"],
         ["expand", "transfer", "--rapidities", "1,2,3", "--n", "3", "--box",
@@ -356,11 +368,14 @@ class TestCli:
         ["charges", "defect", "--m-max", "1075"],
         ["charges", "defect", "--m-max", "100000000"],
     ], ids=["lam-one-part", "rapidity-not-a-number", "coupling-zero",
-            "lattice-lam-not-a-number", "zero-sites", "order-zero",
-            "order-negative", "order-three", "bethe-box-nan",
+            "lattice-lam-not-a-number", "zero-sites", "bethe-box-nan",
             "bethe-coupling-nan", "bethe-box-overflow", "lattice-coupling-nan",
             "lattice-step-nan", "lattice-lam-inf", "lattice-mu-nan",
-            "continuum-lam-nan", "continuum-cutoff-two", "transfer-box-nan",
+            "continuum-lam-nan", "continuum-cutoff-two",
+            "continuum-length-zero", "continuum-length-negative",
+            "continuum-length-inf", "continuum-coupling-zero",
+            "commute-sector-negative", "run-all-and-suites",
+            "transfer-box-nan",
             "bethe-coupling-overflow", "continuum-lam-overflow",
             "rtt-step-overflow",
             "commute-coupling-overflow", "continuum-coupling-overflow",
@@ -384,17 +399,53 @@ class TestCli:
         assert "configuration error" in err and "Traceback" not in err
 
 
-def test_readme_commands_parse():
+@pytest.mark.parametrize("argv", [
+    ["lattice", "rtt", "--sites", "1", "--step", "0.3", "--coupling", "1",
+     "--sector", "2"],
+    ["lattice", "continuum", "--length", "6.3", "--coupling", "1",
+     "--mu", "1"],
+    *(["lattice", "continuum", "--length", "6.3", "--coupling", "1",
+       option, value] for option, value in (("--sites", "8"),
+                                            ("--step", "0.8"))),
+    ["expand", "transfer", "--n", "2", "--box", "6.283", "--coupling", "1",
+     "--order", "6"],
+    ["aop", "check", "--n", "2", "--rapidities=-1,3/2", "--coupling", "2",
+     "--lam", "1/3,-2"],
+    ["bethe", "solve", "--n", "3", "--quantum-numbers=-1,0,1", "--box", "6",
+     "--coupling", "1"],
+    ["bethe", "solve", "--box", "6", "--coupling", "1"],
+    ["verify", "waves"],
+    ["run"],
+    ["lattice", "--sites", "1", "--step", "0.3", "--coupling", "1"],
+], ids=["rtt-sector", "continuum-mu", "continuum-sites", "continuum-step",
+        "transfer-order", "aop-n", "bethe-n-and-quantum-numbers",
+        "bethe-neither-n-nor-quantum-numbers", "verify", "run-nothing",
+        "lattice-no-action"])
+def test_unread_options_are_usage_errors(argv, capsys):
+    """Each verb accepts only the inputs it reads."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_readme_commands_parse(tmp_path, monkeypatch, capsys):
     """Every qnls line of the README parses, and together they show each
-    verb, so the README cannot name an option or a form the CLI lacks."""
+    verb, so the README cannot name an option or a form the CLI lacks.
+    Each line but the suite runs also runs, with exit code 0."""
     parser = build_parser()
-    lines = [line for line in (ROOT / "README.md").read_text(
-        encoding="utf-8").splitlines() if line.startswith("qnls ")]
-    verbs = {parser.parse_args(shlex.split(line, comments=True)[1:]).command
-             for line in lines}
+    argvs = [shlex.split(line, comments=True)[1:] for line in (
+        ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+        if line.startswith("qnls ")]
+    verbs = {parser.parse_args(argv).command for argv in argvs}
     choices = next(a.choices for a in parser._actions
                    if a.dest == "command")
     assert verbs == set(choices)
+    monkeypatch.chdir(tmp_path)
+    for argv in argvs:
+        if argv[0] != "run":
+            assert main(argv) == 0, argv
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_no_scipy_in_sources():

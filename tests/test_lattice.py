@@ -585,6 +585,7 @@ class TestMonodromy:
         want = reference_occupation_configs(spec, total)
         assert np.array_equal(got, want) and got.shape == want.shape
         assert got.dtype == want.dtype
+        assert lat.sector_size(spec, total) == len(want)
 
 
 def reference_sector_norm(X, counts, shift):
@@ -679,6 +680,24 @@ class TestDenseBudget:
         assert code == 1
         assert "bytes" in capsys.readouterr().err
 
+    def test_sector_rejected_before_allocating(self, capsys):
+        spec = lat.LatticeSpec(72, 4, 0.3, 1.0)   # 2628 configs in sector 2
+        need = lat.sector_bytes(2628)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimit) as err:
+                lat.tau_commutator_norm(0.7, 1.3, spec, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert str(need) in str(err.value)
+        assert str(lat.DENSE_BUDGET_BYTES) in str(err.value)
+        code = main(["lattice", "commute", "--sites", "72", "--cutoff", "4",
+                     "--step", "0.3", "--coupling", "1.0", "--sector", "2"])
+        assert code == 1
+        assert "bytes" in capsys.readouterr().err
+
     def test_suite_and_sweep_sizes_fit(self):
         # the suite goes up to 3 sites at cutoff 4; the benchmark sweep
         # runs the exchange relation at 4^4 and monodromy at 4^5; the
@@ -688,7 +707,25 @@ class TestDenseBudget:
                for m, d in ((4, 4), (6, 4), (10, 3))]
         mono = lat.dense_bytes(lat.LatticeSpec(5, 4, 0.3, 1.0),
                                lat.MONODROMY_BLOCKS)
-        assert max(*rtt, mono) <= lat.DENSE_BUDGET_BYTES
+        # the commutator sectors: the suite's reach M <= 4 and N <= 3, and
+        # the sweep's at 6 to 8 sites, N <= 3, d = N + 2 (at most 56 configs)
+        sectors = [lat.sector_bytes(lat.sector_size(
+            lat.LatticeSpec(m, n + 2, 0.3, 1.0), n))
+            for m, n in ((4, 3), (8, 2), (6, 3))]
+        assert max(*rtt, mono, *sectors) <= lat.DENSE_BUDGET_BYTES
+
+    @pytest.mark.parametrize("sites, sector", [(16, 2), (24, 2), (12, 3)])
+    def test_sector_count_bounds_peak_memory(self, sites, sector):
+        spec = lat.LatticeSpec(sites, sector + 2, 0.3, 1.0)
+        need = lat.sector_bytes(lat.sector_size(spec, sector))
+        tracemalloc.start()
+        try:
+            lat.tau_commutator_norm(0.7 - 0.2j, -0.4 + 0.5j, spec, sector)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the block count is the real peak, not a loose stand-in
+        assert peak <= need <= 1.25 * peak
 
     @pytest.mark.parametrize("sites, cutoff", [(4, 4), (3, 6), (2, 12)])
     def test_block_counts_bound_peak_memory(self, sites, cutoff):
@@ -844,14 +881,14 @@ class TestContinuumLimit:
             lat.one_particle_eigenvalue(lat.LatticeSpec(4, 1, 0.3, 1.0), 0.9, 1)
 
     def test_cli_names_the_fit_sites(self, capsys):
-        # --sites x --step sets the box length; the fit uses its own sites
-        code = main(["lattice", "continuum", "--sites", "20", "--step",
-                     str(BOX_L / 20), "--coupling", "1.0", "--lam", "0.9"])
+        # the verb takes the box length; the fit uses its own sites
+        code = main(["lattice", "continuum", "--length", str(BOX_L),
+                     "--coupling", "1.0", "--lam", "0.9"])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert [row["sites"] for row in out["rows"]] \
             == list(lat.CONTINUUM_SITES)
-        assert out["length"] == pytest.approx(BOX_L)
+        assert out["length"] == BOX_L
 
     def test_fitted_orders(self):
         rep = lat.continuum_limit_rate(1.0, BOX_L, 0.9)
@@ -871,5 +908,5 @@ class TestOrderingBreakdown:
         assert rep["relative_difference"] > 0.0
 
     def test_quadratic_step_scaling(self):
-        rep = lat.ordering_defect_rate(1.5, 3, lat.ORDERING_STEPS, 0.7)
+        rep = lat.ordering_defect_rate(1.5, 3, 0.7)
         assert rep["order"] == pytest.approx(2.0, abs=0.25)

@@ -143,6 +143,22 @@ class TestAdjudication:
         res = tr.charge_coefficients_from_formulas(sorted(raps), c)
         assert not res.has_unexpected_mismatch()
 
+    @given(st.sets(st.fractions(min_value=-5, max_value=5, max_denominator=4),
+                   min_size=1, max_size=4),
+           st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3),
+           st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_truncation_fixes_the_printed_orders(self, raps, c, as_float):
+        # the adjudication expands to PRINTED_ORDER: a longer product or log
+        # series has the same first coefficients, bit for bit in floats
+        ks = sorted(raps)
+        if as_float:
+            ks, c = [float(k) for k in ks], float(c)
+        short = tr.asymptotic_product_series(ks, c, tr.PRINTED_ORDER)
+        long = tr.asymptotic_product_series(ks, c, tr.DEFAULT_ORDER)
+        for a, b in ((short, long), (short.log(), long.log())):
+            assert a.coeffs == b.coeffs[:tr.PRINTED_ORDER + 1]
+
     def test_solved_states_consistent(self):
         for n in (1, 2, 3, 4):
             sol = solve(BoxSpec(BOX_L, 1.7, n), ground_state_quantum_numbers(n))
