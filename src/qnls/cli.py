@@ -108,6 +108,8 @@ def _rapidity_set(values: list) -> RapiditySet:
 
 
 def _cmd_run(args) -> int:
+    if "all" in args.suites and len(args.suites) > 1:
+        raise ConfigError("`run all` takes no suite names")
     # `run all` leaves the suites to a config file's `suites =`
     suites = None if args.suites == ["all"] else args.suites
     return _run_and_report(_load_config(args, suites=suites))
