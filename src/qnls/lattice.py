@@ -129,6 +129,14 @@ SECTOR_BLOCKS = 1 + 2 * 4 + 2 * 2 + 1
 CONTINUUM_MOMENTUM_INDEX = 1
 CONTINUUM_CUTOFF = 3
 CONTINUUM_SITES = (8, 16, 32, 64)
+# the least fitted orders: the normalized errors are second order in the
+# step; the raw ones add the first-order per-site modulus factor, but over
+# CONTINUUM_SITES their fit reaches 0.8 only near the suite's input
+CONTINUUM_MIN_ORDER = {"order_vacuum_normalized": 1.0,
+                       "order_one_particle_normalized": 1.0}
+CONTINUUM_MIN_RAW_ORDER = {"order_vacuum_raw": 0.8, "order_one_particle_raw": 0.8}
+# round-off bound of the exchange, commutator and adjoint-pairing residuals
+IDENTITY_TOL = 1e-12
 # ordering_defect_rate: the lattice steps of the fit
 ORDERING_STEPS = tuple(0.2 / 2 ** k for k in range(5))
 
@@ -665,6 +673,8 @@ def continuum_limit_rate(c: float, L: float, lam: complex,
         })
 
     def fit(key):
+        if not any(r[key] for r in rows):
+            raise ValueError(f"every {key} is 0 at box length {L!r}: no rate to fit")
         return fit_loglog_slope([(r["step"], r[key]) for r in rows])
 
     return {
@@ -719,6 +729,8 @@ def normal_ordering_breakdown(spec_two_sites: LatticeSpec, lam: complex) -> dict
 def ordering_defect_rate(c: float, cutoff: int, lam: complex) -> dict:
     """Fit of the relative ordering defect against the lattice steps
     ORDERING_STEPS."""
+    if cutoff < 3:  # before LatticeSpec, whose own check names d, not cutoff
+        raise ValueError("need cutoff >= 3 so an occupation >= 2 exists")
     rows = []
     for step in ORDERING_STEPS:
         rep = normal_ordering_breakdown(LatticeSpec(2, cutoff, step, c), lam)

@@ -111,7 +111,7 @@ class LaurentSeries:
         return (self.order == other.order and self.field is other.field
                 and all(a == b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def max_abs_diff(self, other: "LaurentSeries") -> float:
+    def differing_coefficients(self, other: "LaurentSeries") -> int:
+        """How many coefficients differ from those of other, exactly."""
         self._check(other)
-        return max(abs(complex(a) - complex(b))
-                   for a, b in zip(self.coeffs, other.coeffs))
+        return sum(a != b for a, b in zip(self.coeffs, other.coeffs))

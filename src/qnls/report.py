@@ -9,6 +9,7 @@ directory name, never in the JSON payload.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import platform
 import shutil
@@ -21,6 +22,22 @@ SCHEMA_VERSION = 1
 
 VERDICTS = ("pass", "fail", "expected-mismatch")
 
+# how a residual must compare with its tolerance to pass: an "exact-zero"
+# residual is an exact size (a count), a "predicate" residual information
+COMPARISONS = {"<=": operator.le, "<": operator.lt, ">": operator.gt,
+               "exact-zero": lambda residual, _: residual == 0,
+               "predicate": lambda residual, _: True}
+
+
+def judge(comparison: str, residual, tolerance, holds: bool = True,
+          expected: bool = False) -> str:
+    """``pass`` when the residual compares with the tolerance as declared
+    and ``holds``, the conditions the numbers do not show; otherwise
+    ``expected-mismatch`` for a documented mismatch, else ``fail``."""
+    if holds and COMPARISONS[comparison](residual, tolerance):
+        return "pass"
+    return "expected-mismatch" if expected else "fail"
+
 
 @dataclass(frozen=True)
 class CheckRecord:
@@ -28,14 +45,17 @@ class CheckRecord:
     group: str
     anchor: str
     params: dict
-    residual: object          # float, "exact-zero", or None
+    residual: object          # float, exact size, "exact-zero", or None
     tolerance: object         # float or None
     verdict: str
     detail: str = ""
+    comparison: str = "predicate"   # a COMPARISONS key; not in the JSON
 
     def __post_init__(self):
         if self.verdict not in VERDICTS:
             raise ValueError(f"bad verdict {self.verdict!r}")
+        if self.comparison not in COMPARISONS:
+            raise ValueError(f"bad comparison {self.comparison!r}")
 
     def to_json_dict(self) -> dict:
         return {

@@ -117,8 +117,7 @@ def test_criterion_5_expansion_adjudication():
             table = r.verdict_table()["charge_constants"]
             ok = ok and table[1] == "pass" and table[2] == "pass"
             ok = ok and not r.has_unexpected_mismatch()
-            rep = tr.remainder_bound_check(ks, 1.7, BOX_L)
-            ok = ok and rep["ok"]
+            ok = ok and tr.remainder_bound_check(ks, 1.7, BOX_L) <= 1.0
     _verdict(5, "trace-identity adjudication with oracle and remainder bound", ok)
 
 

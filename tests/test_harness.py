@@ -9,11 +9,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnls import lattice as lat
+from qnls import suites
+from qnls import transfer as tr
 from qnls.cli import build_parser, main
 from qnls.config import ALL_SUITES, ConfigError, build_config, parse_config_file
-from qnls.report import CheckRecord, VerificationReport, render_markdown
+from qnls.exact import EXACT, FLOAT
+from qnls.planewaves import ExpPoly
+from qnls.report import (COMPARISONS, CheckRecord, VerificationReport, judge,
+                         render_markdown)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -116,6 +122,116 @@ class TestReport:
     def test_bad_verdict_rejected(self):
         with pytest.raises(ValueError):
             CheckRecord("x", "g", "a", {}, None, None, "maybe")
+        with pytest.raises(ValueError, match="comparison"):
+            CheckRecord("x", "g", "a", {}, None, None, "pass", "", "==")
+
+
+# residuals and tolerances as a check may report them, NaN and +-inf included
+numbers = st.floats(allow_nan=True, allow_infinity=True)
+
+
+class TestVerdicts:
+    """Every verdict is report.judge's reading of the declared comparison."""
+
+    @given(numbers, numbers)
+    @settings(max_examples=300, deadline=None)
+    def test_pass_means_the_comparison_holds(self, residual, tolerance):
+        holds_under = {"<=": residual <= tolerance, "<": residual < tolerance,
+                       ">": residual > tolerance, "exact-zero": residual == 0,
+                       "predicate": True}
+        assert set(holds_under) == set(COMPARISONS)
+        for comparison, holds in holds_under.items():
+            verdict = judge(comparison, residual, tolerance)
+            assert verdict == ("pass" if holds else "fail")
+            # the extra boolean can turn a pass into a fail, never back
+            assert judge(comparison, residual, tolerance, False) == "fail"
+            # a documented mismatch changes only what a failure is called
+            assert judge(comparison, residual, tolerance, expected=True) \
+                == ("pass" if holds else "expected-mismatch")
+        if not (math.isnan(residual) or math.isnan(tolerance)):
+            assert judge(">", residual, tolerance) \
+                != judge("<=", residual, tolerance)
+
+    def test_flipped_comparison_flips_the_verdict(self, monkeypatch):
+        record = suites._record
+
+        def flipped(records, check_id, anchor, params, comparison, fn, **kw):
+            if check_id == "bethe.jacobian-positive":
+                assert comparison == ">"
+                comparison = "<="
+            record(records, check_id, anchor, params, comparison, fn, **kw)
+
+        def jacobian(cfg):
+            return next(r for r in suites.run_bethe_suite(cfg)
+                        if r.check_id == "bethe.jacobian-positive")
+        cfg = build_config(seed=2024)
+        assert jacobian(cfg).verdict == "pass"
+        monkeypatch.setattr(suites, "_record", flipped)
+        rec = jacobian(cfg)
+        assert (rec.verdict, rec.comparison) == ("fail", "<=")
+        assert rec.residual > 0.0 == rec.tolerance
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_pinned_verdicts_follow_from_their_numbers(self, mode):
+        """Recomputed from its residual, tolerance and declared comparison,
+        every non-predicate verdict of the pinned report comes out as
+        pinned, and every one of its 77 records is matched."""
+        pinned = {row["check"]: row for row in
+                  json.loads(PINNED[mode].read_text())["checks"]}
+        records = suites.run_suites(build_config(mode=mode, seed=2024)).checks
+        assert sorted(rec.check_id for rec in records) == sorted(pinned)
+        assert len(pinned) == 77
+        for rec in records:
+            row = pinned[rec.check_id]
+            assert rec.verdict == row["verdict"], rec.check_id
+            if rec.comparison == "predicate":
+                continue
+            residual = 0 if row["residual"] == "exact-zero" else row["residual"]
+            documented = (row["params"].get("source"),
+                          row["params"].get("order")) in tr.EXPECTED_MISMATCHES
+            assert judge(rec.comparison, residual, row["tolerance"],
+                         expected=documented) == row["verdict"], rec.check_id
+        declared = [rec.comparison for rec in records]
+        zero_sums = 9 if mode == "float" else 0   # _zero_check's <= FLOAT_TOL
+        assert {c: declared.count(c) for c in COMPARISONS} == {
+            "<=": 28 + zero_sums, "<": 6, ">": 2, "exact-zero": 22 - zero_sums,
+            "predicate": 19}
+        # two predicates carry a residual, as information only
+        assert {rec.check_id for rec in records if rec.comparison == "predicate"
+                and rec.residual is not None} \
+            == {"lattice.cutoff-control", "lattice.ordering-breakdown"}
+
+    def test_raising_check_is_a_failure(self, monkeypatch):
+        def boom(*args):
+            raise RuntimeError("boom")
+        cfg = build_config(seed=2024)
+        clean = suites.run_lattice_suite(cfg)
+        monkeypatch.setattr(lat, "rtt_residual", boom)
+        records = {rec.check_id: rec for rec in suites.run_lattice_suite(cfg)}
+        assert sorted(records) == sorted(rec.check_id for rec in clean)
+        rec = records["lattice.exchange-relation"]
+        assert (rec.verdict, rec.detail, rec.residual, rec.tolerance) \
+            == ("fail", "RuntimeError: boom", None, None)
+        # the other checks still ran; those that call rtt_residual fail too
+        failed = {cid for cid, rec in records.items() if rec.verdict == "fail"}
+        assert failed == {"lattice.exchange-relation",
+                          "lattice.exchange-trivial-cutoff", "lattice.pole-guard"}
+
+    def test_zero_check_reports_the_size_left(self):
+        """Under EXACT a sum that does not vanish is reported by its term
+        count; under FLOAT a NaN coefficient fails."""
+        left = ExpPoly.from_terms(2, [(1, (0, 1)), (3, (1, 2))], EXACT)
+        records = []
+        suites._zero_check(records, EXACT, "waves.left", "a", {},
+                           lambda: [(left, 1.0), (left - left, 1.0)])
+        suites._zero_check(records, EXACT, "waves.empty", "a", {},
+                           lambda: [(left - left, 1.0)])
+        nan = ExpPoly.from_terms(2, [(float("nan"), (0, 1))], FLOAT)
+        suites._zero_check(records, FLOAT, "waves.nan", "a", {},
+                           lambda: [(nan, 1.0), (nan - nan, 1.0)])
+        assert [(r.comparison, r.residual, r.verdict) for r in records[:2]] \
+            == [("exact-zero", 2, "fail"), ("exact-zero", "exact-zero", "pass")]
+        assert records[2].comparison == "<=" and records[2].verdict == "fail"
 
 
 class TestSuiteIntegration:
@@ -328,8 +444,8 @@ class TestCli:
         ["lattice", "continuum", "--length", "0.6", "--coupling", "1",
          "--lam", "nan"],
         # the ordering-defect fit needs an occupation of 2 on a site
-        ["lattice", "continuum", "--length", "6.4", "--coupling", "1",
-         "--cutoff", "2"],
+        *(["lattice", "continuum", "--length", "6.4", "--coupling", "1",
+           "--cutoff", cutoff] for cutoff in ("2", "0", "-1")),
         *(["lattice", "continuum", "--length", length, "--coupling", "1"]
           for length in ("0", "-1", "inf")),
         ["lattice", "continuum", "--length", "6.4", "--coupling", "0"],
@@ -378,6 +494,7 @@ class TestCli:
             "bethe-coupling-nan", "bethe-box-overflow", "lattice-coupling-nan",
             "lattice-step-nan", "lattice-lam-inf", "lattice-mu-nan",
             "continuum-lam-nan", "continuum-cutoff-two",
+            "continuum-cutoff-zero", "continuum-cutoff-negative",
             "continuum-length-zero", "continuum-length-negative",
             "continuum-length-inf", "continuum-coupling-zero",
             "commute-sector-negative", "run-all-and-suites",
@@ -403,6 +520,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert "configuration error" in err and "Traceback" not in err
+        if "--cutoff" in argv:
+            assert "need cutoff >= 3" in err
+
+    def test_continuum_with_nothing_to_fit_is_usage_error(self, capsys):
+        """A box so small that every lattice error is exactly 0 has no
+        convergence rate; the verb says so instead of failing the fit."""
+        code = main(["lattice", "continuum", "--length", "1e-300",
+                     "--coupling", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "is 0 at box length 1e-300" in err
 
 
 @pytest.mark.parametrize("argv", [

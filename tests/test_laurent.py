@@ -18,6 +18,15 @@ def unit_series(order=6):
 
 
 class TestArithmetic:
+    def test_differing_coefficients_counts_exactly(self):
+        """A difference below float resolution still counts."""
+        a = LaurentSeries.from_coeffs([1, F(1, 3), 2], EXACT)
+        b = LaurentSeries.from_coeffs([1, F(1, 3) + F(1, 10 ** 400), 5], EXACT)
+        assert a.differing_coefficients(a) == 0
+        assert a.differing_coefficients(b) == 2
+        with pytest.raises(ValueError):
+            a.differing_coefficients(LaurentSeries.from_coeffs([1, 2], EXACT))
+
     def test_multiplication_truncates(self):
         a = LaurentSeries.from_coeffs([1, 2, 3], EXACT)
         b = LaurentSeries.from_coeffs([1, -1, 0], EXACT)

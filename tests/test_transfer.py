@@ -198,5 +198,5 @@ class TestRemainderBound:
     def test_truncation_error_within_next_order(self, n):
         sol = solve(BoxSpec(BOX_L, 1.0, n), ground_state_quantum_numbers(n))
         ks = [float(v) for v in sol.rapidities.values]
-        rep = tr.remainder_bound_check(ks, 1.0, BOX_L)
-        assert rep["ok"], rep
+        ratio = tr.remainder_bound_check(ks, 1.0, BOX_L)
+        assert ratio <= 1.0, ratio
