@@ -158,19 +158,16 @@ def boundary_residual_j3(poly: ExpPoly, coupling, j: int) -> ExpPoly:
     """(sum_{l != j, j+1} d_l) applied to the pair bracket, restricted to
     x_{j+1} = x_j + 0.  The extra derivatives are tangential to the
     boundary, so vanishing of the pair bracket forces this to vanish."""
-    n = poly.num_vars
-    if n < 3:
+    if poly.num_vars < 3:
         raise ValueError("triple bracket needs at least three particles")
-    bracket = pair_bracket(poly, coupling, j)
+    return _triple(pair_bracket(poly, coupling, j), j)
 
-    def weight(z):
-        total = z[0] * 0
-        for l in range(n):
-            if l not in (j - 1, j):
-                total = total + z[l]
-        return total
 
-    return bracket.weighted(weight, 1).restrict_to_boundary(j)
+def _triple(bracket: ExpPoly, j: int) -> ExpPoly:
+    """``boundary_residual_j3`` from the pair bracket at j."""
+    return bracket.weighted(lambda z: sum(
+        (z[l] for l in range(len(z)) if l not in (j - 1, j)), z[0] * 0),
+        1).restrict_to_boundary(j)
 
 
 def boundary_residual_j4(poly: ExpPoly, coupling) -> list[ExpPoly]:
@@ -201,14 +198,15 @@ def boundary_residual_j4(poly: ExpPoly, coupling) -> list[ExpPoly]:
 
 def all_boundary_residuals(w: BetheWavefunction) -> dict:
     """Every applicable boundary residual for the state; keys name the
-    bracket and the hyperplane index."""
-    out = {}
+    bracket and the hyperplane index.  The pair and triple brackets at
+    one hyperplane share one pair bracket."""
     n, poly, c = w.n, w.canonical, w.coupling.c
-    for j in range(1, n):
-        out[f"pair[j={j}]"] = boundary_residual_h2(poly, c, j)
+    brackets = {j: pair_bracket(poly, c, j) for j in range(1, n)}
+    out = {f"pair[j={j}]": bracket.restrict_to_boundary(j)
+           for j, bracket in brackets.items()}
     if n >= 3:
-        for j in range(1, n):
-            out[f"triple[j={j}]"] = boundary_residual_j3(poly, c, j)
+        for j, bracket in brackets.items():
+            out[f"triple[j={j}]"] = _triple(bracket, j)
     if n >= 4:
         for idx, res in enumerate(boundary_residual_j4(poly, c)):
             out[f"quadruple[part={idx}]"] = res

@@ -5,10 +5,12 @@ default field, ``EXACT``, keeps every coefficient as an exact complex
 rational: a Gaussian-integer numerator over one positive integer
 denominator, three Python ints in lowest terms.  This is the scalar
 callers see; it presents its real and imaginary parts as
-`fractions.Fraction` instances.  Plane-wave sums store their exact
-coefficients as Gaussian integers over a denominator shared by the whole
-sum (see ``planewaves``) and convert at their interface.  ``FLOAT``
-mirrors every computation on complex floats; floating point is otherwise
+`fractions.Fraction` instances.  Plane-wave sums keep their exact
+coefficients as columns of Gaussian-integer numerators over a
+denominator shared by the whole sum (``planewaves.GaussColumn``), and
+series form each coefficient as one sum of ints (``Field.fold``); both
+convert to this scalar at their interface.  ``FLOAT`` mirrors every
+computation on complex floats; floating point is otherwise
 reserved for box integrals, quadrature, Newton iteration and eigenvalue
 work, where tolerances are meaningful.
 """
@@ -16,7 +18,7 @@ work, where tolerances are meaningful.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Union
 
 Rat = Union[int, Fraction]
@@ -234,7 +236,8 @@ class Field:
     Each field offers the constants ``zero``, ``one`` and ``i``;
     ``coerce`` (a number as a scalar of the field), ``real`` (a number as
     a real of the field), ``frac`` and ``over`` (the scalar (a + ib)/d);
-    and the tests ``is_zero`` and
+    ``fold``, a coefficient of a series product, log or exp; and the
+    tests ``is_zero`` and
     ``equal``, exact in ``EXACT`` and within the given tolerance in
     ``FLOAT``.
     """
@@ -264,6 +267,21 @@ class _ExactField(Field):
     real = staticmethod(Fraction)
     over = staticmethod(ExactComplex.over)
 
+    @staticmethod
+    def fold(start, sign: int, terms: list, n: int) -> ExactComplex:
+        """start + sign * sum k x y / n over (k, x, y) in terms (x y alone
+        for n = 0): one sum of ints over the lcm of the products'
+        denominators, reduced once, then added to start."""
+        dens = [x.d * y.d for _, x, y in terms]
+        den = lcm(*dens)
+        re = im = 0
+        for (k, x, y), d in zip(terms, dens):
+            f = k * (den // d)
+            re += (x.a * y.a - x.b * y.b) * f
+            im += (x.a * y.b + x.b * y.a) * f
+        total = _reduced(re, im, den * max(n, 1))
+        return start + total if sign > 0 else start - total
+
     def is_zero(self, value, abs_tol: float = 0.0) -> bool:
         return value == 0
 
@@ -281,6 +299,14 @@ class _FloatField(Field):
     def over(a, b, d: int) -> complex:
         """(a + ib)/d, correctly rounded for ints; floats over 1 unchanged."""
         return complex(a / d, b / d)
+
+    @staticmethod
+    def fold(start, sign: int, terms: list, n: int) -> complex:
+        """Term by term, in order, rounding as the recurrences do."""
+        for k, x, y in terms:
+            term = x * y if n == 0 else x * y * k / n
+            start = start + term if sign > 0 else start - term
+        return start
 
     def is_zero(self, value, abs_tol: float = 0.0) -> bool:
         return abs(value) <= abs_tol

@@ -45,7 +45,7 @@ import numpy as np
 from .charges import boundary_residual_h2, fit_loglog_slope, gauss_rule
 from .errors import ConvergenceDomain, SizeLimit
 from .exact import EXACT, FLOAT, Field
-from .planewaves import BetheWavefunction, ExpPoly, GaussInt
+from .planewaves import BetheWavefunction, ExpPoly, GaussColumn
 
 
 @dataclass(frozen=True)
@@ -95,11 +95,12 @@ def apply_A(lam: SpectralParameter, f: ExpPoly, c) -> ExpPoly:
     ``SizeLimit``, before building anything, past ``MAX_APPLY_TERMS``,
     and ``ConvergenceDomain`` for an input frequency off the real axis.
 
-    Exact mode runs on the integer core of ``planewaves``: in units of
-    1/U, U the common denominator of the frequencies, lambda and c, all
-    three are Gaussian integers, and 1/(i mu) = U (-i) conj(mu) / |mu|^2
-    puts each new term over its own integer denominator; the sum is
-    brought over their least common multiple at the end.
+    The subset integrals run on columns with one entry per input term.
+    Exact mode runs on the integer columns of ``planewaves``: in units
+    of 1/U, U the common denominator of the frequencies, lambda and c,
+    all three are Gaussian integers, and 1/(i mu) = U (-i) conj(mu) /
+    |mu|^2 puts each new term over its own integer denominator; one
+    product per column brings them over their lcm.
     """
     n = f.num_vars
     count = apply_A_term_count(n, f.term_count())
@@ -107,93 +108,93 @@ def apply_A(lam: SpectralParameter, f: ExpPoly, c) -> ExpPoly:
         raise SizeLimit(f"apply_A on N={n} would build {count} terms, "
                         f"more than {MAX_APPLY_TERMS}")
     # the imaginary parts are the odd entries of each frequency key
-    if any(any(fr[1::2]) for _, fr in f.data):
+    if any(any(key[1::2]) for key in f.keys):
         raise ConvergenceDomain("input must have real frequencies")
     field = FLOAT if FLOAT in (f.field, lam.field) else EXACT
     c_v = field.coerce(c)
     if field is EXACT:
         unit = math.lcm(f.unit, lam.value.denominator, c_v.denominator)
-        poly = f._recast(unit, f.den)
+        poly, lam_v = f._recast(unit, f.den), GaussColumn.of(lam.value, unit)
+        c_v = GaussColumn.of(c_v, unit)
 
-        def inverse(mu):
-            return (GaussInt(-mu.imag * unit, -mu.real * unit),
-                    mu.real * mu.real + mu.imag * mu.imag)
-
-        lam_v, c_v = GaussInt.scaled(lam.value, unit), GaussInt.scaled(c_v, unit)
-        weight_den, scalar = unit, GaussInt
+        def inverse(re, im):
+            return GaussColumn(-im * unit, -re * unit), re * re + im * im
     else:
-        poly = f.to_float()
+        poly, unit, lam_v = f.to_float(), 1, complex(lam.value)
 
-        def inverse(mu):
-            return 1 / (1j * mu), 1
-
-        lam_v, weight_den, scalar = complex(lam.value), 1, complex
-    terms = [(cf, [scalar(fr[m], fr[m + 1]) for m in range(0, 2 * n, 2)], 1)
-             for cf, fr in poly.data]
-
-    result_terms = list(terms)
+        def inverse(re, im):
+            return np.array([1 / (1j * complex(a, b)) for a, b in zip(re, im)],
+                            dtype=object), 1
+    # frequencies as (real, imag) column pairs; mu_q = freq_q - lambda
+    keys = poly._key_columns
+    freqs = [(keys[:, m], keys[:, m + 1]) for m in range(0, 2 * n, 2)]
+    mus = [(re - lam_v.real, im - lam_v.imag) for re, im in freqs]
+    inverses = [inverse(*mu) for mu in mus]
+    groups = []
     for size in range(1, n + 1):
         weight = c_v
         for _ in range(size - 1):
             weight = weight * c_v
-        weight = (weight, weight_den ** size)   # c^size over its denominator
         for subset in itertools.combinations(range(n), size):
-            result_terms.extend(
-                _subset_integral(terms, subset, lam_v, inverse, n, weight))
-    # bring every term over the common denominator, one factor per distinct d
-    dens = {d for _, _, d in result_terms}
-    den = math.lcm(*dens)
-    factor = {d: den // d for d in dens}
-    raw = [(coeff if d == den else coeff * factor[d],
-            tuple([x for w in freq for x in (w.real, w.imag)]))
-           for coeff, freq, d in result_terms]
-    return ExpPoly(n, field, (), poly.unit, poly.den * den)._merged(raw)
+            groups += _subset_integral(poly.coeffs, freqs, mus, inverses,
+                                       subset, lam_v, (weight, unit ** size))
+    # every term over the least common denominator (1 in FLOAT)
+    den = math.lcm(*{d for group_den, _ in groups
+                     for d in np.atleast_1d(group_den).tolist()})
+    out = ExpPoly(n, field, unit=poly.unit, den=poly.den * den)
+    raw = [out._items(poly.coeffs * den if den > 1 else poly.coeffs, poly.keys)]
+    for group_den, ends in groups:
+        raw.append(itertools.chain.from_iterable(zip(*[
+            out._items(coeff * (den // group_den) if den > 1 else coeff, keys)
+            for coeff, keys in ends])))
+    return out._merged(itertools.chain.from_iterable(raw))
 
 
-def _subset_integral(terms: list, subset: tuple, lam_v, inverse, n: int,
-                     weight: tuple):
+def _subset_integral(coeffs, freqs: list, mus: list, inverses: list,
+                     subset: tuple, lam_v, weight: tuple) -> list:
     """All closed-form terms for one coordinate subset, times ``weight``.
 
-    ``terms`` holds (coeff, frequency list, denominator) triples;
-    ``inverse(mu)`` returns 1/(i mu) and ``weight`` the subset's factor
-    c^size, each as (numerator, denominator).  The integration variable
-    xi_m sweeps (x_{i_m}, x_{i_{m+1}}) (the last one sweeps to
-    +infinity); each sweep is split at the in-between coordinates so a
-    fixed region form of f applies on each piece.  A piece integrates to
-    the same coefficient, coeff * prod_q 1/(i mu_q) * c^size in that
-    order, at every choice of ends; a lower end flips its sign and an
-    upper end at +infinity vanishes, since Im(mu) > 0.
+    ``freqs`` and ``mus`` hold (real, imag) column pairs of the input
+    frequencies and of mu_q = freq_q - lambda; ``inverses`` 1/(i mu_q)
+    and ``weight`` c^size are (numerator, denominator) pairs.  The
+    integration variable xi_m sweeps (x_{i_m}, x_{i_{m+1}}) (the last to
+    +infinity), split at the in-between coordinates so a fixed region
+    form of f applies on each piece.  A piece integrates to coeff *
+    prod_q 1/(i mu_q) * c^size, in that order, at every choice of ends; a
+    lower end flips its sign and an upper end at +infinity vanishes,
+    since Im(mu) > 0.  Returns (denominator, ends) per choice of pieces,
+    ends a (coefficient column, key list) pair per choice of ends.
     """
-    piece_ranges = [range(lo, hi) for lo, hi in zip(subset, subset[1:] + (n,))]
-    out_terms = []
-    for pieces in itertools.product(*piece_ranges):
+    n = len(freqs)
+    re0, im0 = freqs[0]
+    # the input's zero, freq * 0 as a complex product forms it, plus lambda
+    moved = (re0 * 0 - im0 * 0 + lam_v.real, re0 * 0 + im0 * 0 + lam_v.imag)
+    out = []
+    for pieces in itertools.product(*(
+            range(lo, hi) for lo, hi in zip(subset, subset[1:] + (n,)))):
         # in the sorted argument list xi_m sits at slot pieces[m] (right
         # after x_{pieces[m]}); the kept coordinates fill the other slots
-        kept = list(zip((j for j in range(n) if j not in subset),
-                        (r for r in range(n) if r not in pieces)))
+        base = [moved] * n
+        for j, r in zip((j for j in range(n) if j not in subset),
+                        (r for r in range(n) if r not in pieces)):
+            base[j] = freqs[r]
+        coeff, den = coeffs, 1
+        for q in pieces:
+            coeff, den = coeff * inverses[q][0], den * inverses[q][1]
+        coeff, den = coeff * weight[0], den * weight[1]
+        ends = []
         # xi ends at x_q (offset 0, a lower end) or x_{q+1} (offset 1); the
         # order sets FLOAT rounding: lower end first, first piece slowest
-        choices = ((0, 1) if q + 1 < n else (0,) for q in pieces)
-        ends = [(offsets, offsets.count(0) % 2)
-                for offsets in itertools.product(*choices)]
-        for coeff, freq, den in terms:
-            base_freq = [freq[0] * 0] * n
-            for j, r in kept:
-                base_freq[j] = freq[r]
-            for idx in subset:
-                base_freq[idx] = base_freq[idx] + lam_v
-            mus = [freq[q] - lam_v for q in pieces]     # exponent frequencies
-            for mu in mus:
-                inv, inv_den = inverse(mu)
-                coeff, den = coeff * inv, den * inv_den
-            coeff, den = coeff * weight[0], den * weight[1]
-            signed = (coeff, -coeff)
-            for offsets, parity in ends:
-                out_freq = list(base_freq)
-                for q, offset, mu in zip(pieces, offsets, mus):
-                    out_freq[q + offset] = out_freq[q + offset] + mu
-                out_terms.append((signed[parity], out_freq, den))
-    return out_terms
+        for offsets in itertools.product(*((0, 1) if q + 1 < n else (0,)
+                                           for q in pieces)):
+            slots = list(base)
+            for q, offset in zip(pieces, offsets):
+                re, im = slots[q + offset]
+                slots[q + offset] = (re + mus[q][0], im + mus[q][1])
+            ends.append((-coeff if offsets.count(0) % 2 else coeff,
+                         list(zip(*[part for slot in slots for part in slot]))))
+        out.append((den, ends))
+    return out
 
 
 def bethe_eigenvalue(lam: SpectralParameter, rapidities: Sequence, c,

@@ -6,6 +6,10 @@ order.  Coefficients live in the series' field: complex-rational under
 ``EXACT`` (rational rapidities and coupling), complex floats under
 ``FLOAT``; the typo adjudication of the printed expansion tables runs
 exactly so that verdicts never hinge on rounding.
+
+Each coefficient of a product, log or exp is one call of the field's
+``fold``: term by term on ``complex`` values, or in ``EXACT`` one sum
+of bare ints over a common denominator, reduced once.
 """
 
 from __future__ import annotations
@@ -57,39 +61,32 @@ class LaurentSeries:
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         self._check(other)
-        out = [self.field.zero] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if self.field.is_zero(a):
-                continue
-            for j in range(self.order + 1 - i):
-                out[i + j] = out[i + j] + a * other.coeffs[j]
-        return LaurentSeries(self.order, tuple(out), self.field)
+        x, y, field = self.coeffs, other.coeffs, self.field
+        live = [i for i, a in enumerate(x) if not field.is_zero(a)]
+        return LaurentSeries(self.order, tuple(
+            field.fold(field.zero, 1, [(1, x[i], y[n - i])
+                                       for i in live if i <= n], 0)
+            for n in range(self.order + 1)), field)
 
     def log(self) -> "LaurentSeries":
         """Series logarithm; requires unit leading coefficient, so the
         result has vanishing constant term."""
         if not self.field.equal(self.coeffs[0], self.field.one, 1e-12):
             raise ValueError("log requires leading coefficient 1")
-        a = self.coeffs
-        b = [self.field.zero] * (self.order + 1)
+        a, b = self.coeffs, [self.field.zero]
         for n in range(1, self.order + 1):
-            acc = a[n]
-            for k in range(1, n):
-                acc = acc - b[k] * a[n - k] * k / n
-            b[n] = acc
+            b.append(self.field.fold(a[n], -1, [(k, b[k], a[n - k])
+                                                for k in range(1, n)], n))
         return LaurentSeries(self.order, tuple(b), self.field)
 
     def exp(self) -> "LaurentSeries":
         """Series exponential of a series with vanishing constant term."""
         if not self.field.is_zero(self.coeffs[0], 1e-300):
             raise ValueError("exp requires vanishing constant term")
-        b = self.coeffs
-        a = [self.field.one] + [self.field.zero] * self.order
+        b, a = self.coeffs, [self.field.one]
         for n in range(1, self.order + 1):
-            acc = self.field.zero
-            for k in range(1, n + 1):
-                acc = acc + b[k] * a[n - k] * k / n
-            a[n] = acc
+            a.append(self.field.fold(self.field.zero, 1, [
+                (k, b[k], a[n - k]) for k in range(1, n + 1)], n))
         return LaurentSeries(self.order, tuple(a), self.field)
 
     def eval_at(self, lam: complex) -> complex:
@@ -115,3 +112,4 @@ class LaurentSeries:
         """How many coefficients differ from those of other, exactly."""
         self._check(other)
         return sum(a != b for a, b in zip(self.coeffs, other.coeffs))
+

@@ -17,37 +17,33 @@ linear combinations) closes over complex-rational coefficients, so
 eigenvalue and boundary identities are checked as exact equalities with
 zero rather than against tolerances.
 
-Both fields store a sum the same way: a term is keyed on the flat tuple
-(re_1, im_1, ..., re_N, im_N) of its frequency vector in units of
-1/``unit``, and its coefficient is read over ``den``, shared by the sum.
-Exact sums are held on Python integers.  Every identity checked here is
-homogeneous in (k, c, d/dx): rapidities, coupling and derivatives all
-carry dimension 1/length.  Measuring lengths in units of D, the least
-common denominator of the rapidities and the coupling, makes them all
-Gaussian integers, so an exact sum has ``unit`` D, int keys and
-Gaussian-integer coefficients (``GaussInt``) over ``den`` Q.  A
-constant-coefficient operator that is a homogeneous polynomial of
-degree d (a charge, a pair bracket, a derivative) is evaluated on the
-integer frequencies and multiplies Q by D^d; sums and differences first
-bring both operands to a common D and Q.  No gcd is taken on the way,
-so a cancellation is an exact cancellation of integers.  Sums in the
-``FLOAT`` field have ``unit = den = 1``, float keys and ``complex``
-coefficients.  ``GaussInt`` and ``complex`` both read as
-``real``/``imag``, so one key layout and two coefficient types serve
-both fields.  ``terms`` presents field scalars (``ExactComplex`` or
-``complex``) sorted by frequency; ``from_terms``, ``evaluate``,
+Both fields store a sum as columns with one entry per term: ``keys``,
+each the flat tuple (re_1, im_1, ..., re_N, im_N) of a frequency vector
+in units of 1/``unit``, and ``coeffs``, read over ``den``.  Every
+identity checked here is homogeneous in (k, c, d/dx), all of dimension
+1/length, so measuring lengths in units of D, the least common
+denominator of the rapidities and the coupling, makes them Gaussian
+integers.  An exact sum has ``unit`` D, int keys and a ``GaussColumn``
+of coefficients: two numpy object arrays of Python ints (int64 would
+overflow: N = 7 coefficients pass 2**63), the real and imaginary
+numerators over ``den`` Q.  An operator that is a homogeneous
+polynomial of degree d (a charge, a pair bracket, a derivative)
+multiplies Q by D^d; sums first bring both operands to a common D and
+Q.  No gcd is taken on the way, so a cancellation is an exact
+cancellation of integers.  A ``FLOAT`` sum has ``unit = den = 1``,
+float keys and an object array of Python ``complex``, which rounds as
+one operation per term would (complex128 arrays moved a float residual
+from 0.0 to 3.3e-19).  Negation, scaling and weights act on whole
+columns; only ``_merged`` (sums, restrictions, products) visits the
+terms one by one.  ``terms`` presents field scalars (``ExactComplex``
+or ``complex``) sorted by frequency; ``from_terms``, ``evaluate``,
 ``to_float`` and the JSON documents convert at the edge.
 
 A weight (``weighted``, ``differentiate``) may use only +, -, * and **
-by a non-negative int, and ``z[0] * 0`` for a zero of the right type:
-no comparison, no ``bool`` and no branch on a term's value.  A pass
-then calls it once, in either field, on columns with one entry per
-term: numpy object arrays, so that every entry keeps the arithmetic of
-its Python number.  Exact z_n and coefficients are ``GaussInt``s whose
-parts are arrays of ints (int64 would overflow: N = 7 coefficients pass
-2**63); FLOAT ones are arrays of ``complex``, which round as one call
-per term would (complex128 arrays do not: they moved a float residual
-from 0.0 to 3.3e-19).  A weight moves no key, so a pass merges nothing.
+by a non-negative int, and ``z[0] * 0`` for a zero: no comparison,
+``bool`` or branch on a term's value.  A pass calls it once, in either
+field, on the columns z_n = i * freq_n; it moves no key, so it merges
+nothing.
 """
 
 from __future__ import annotations
@@ -58,6 +54,7 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -71,90 +68,86 @@ MAX_PARTICLES = 8
 FLOAT_MERGE_RTOL = 1e-12
 
 
-class GaussInt:
-    """Gaussian integer real + i*imag on Python ints.
+class GaussColumn:
+    """Gaussian integers real + i*imag, one per term: the coefficient
+    column of an exact sum and the z_n and constants of an exact weight.
 
-    The coefficient type of exact sums and the value their weights
-    receive for i*freq; it mixes with Python ints only.  Its parts read
-    as ``real``/``imag``, like those of ``complex``, the coefficient
-    type of FLOAT sums.  The parts may also be numpy object arrays of
-    Python ints, one entry per term: +, -, * and ** then act entrywise,
-    which is how an exact weight runs on all terms at once.
+    The parts are numpy object arrays of Python ints, or ints standing
+    for every term.  +, -, * and ** by a non-negative int act entrywise
+    and mix with ints; indexing selects terms, iteration yields
+    (real, imag) pairs and ``col != 0`` masks the nonzero entries.
     """
 
     __slots__ = ("real", "imag")
 
-    def __init__(self, real: int = 0, imag: int = 0):
+    def __init__(self, real, imag):
         self.real = real
         self.imag = imag
 
+    @staticmethod
+    def of(z: ExactComplex, unit: int) -> "GaussColumn":
+        """unit * z, for unit a multiple of z's denominator."""
+        k = unit // z.d
+        return GaussColumn(z.a * k, z.b * k)
+
     def __add__(self, other):
-        if type(other) is GaussInt:
-            return GaussInt(self.real + other.real, self.imag + other.imag)
-        return GaussInt(self.real + other, self.imag)
+        if type(other) is GaussColumn:
+            return GaussColumn(self.real + other.real, self.imag + other.imag)
+        return GaussColumn(self.real + other, self.imag)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is GaussInt:
-            return GaussInt(self.real - other.real, self.imag - other.imag)
-        return GaussInt(self.real - other, self.imag)
+        return self + -other
 
     def __rsub__(self, other):
-        return GaussInt(other - self.real, -self.imag)
+        return GaussColumn(other - self.real, -self.imag)
 
     def __neg__(self):
-        return GaussInt(-self.real, -self.imag)
+        return GaussColumn(-self.real, -self.imag)
 
     def __mul__(self, other):
-        if type(other) is GaussInt:
+        if type(other) is GaussColumn:
             a, b, c, d = self.real, self.imag, other.real, other.imag
-            return GaussInt(a * c - b * d, a * d + b * c)
-        return GaussInt(self.real * other, self.imag * other)
+            return GaussColumn(a * c - b * d, a * d + b * c)
+        return GaussColumn(self.real * other, self.imag * other)
 
     __rmul__ = __mul__
 
     def __pow__(self, m: int):
-        out = self if m else GaussInt(1, 0)
+        out = self if m else GaussColumn(1, 0)
         for _ in range(m - 1):
             out = out * self
         return out
 
-    def __bool__(self):
-        return bool(self.real or self.imag)
+    def __ne__(self, zero):
+        return (self.real != zero) | (self.imag != zero)
 
-    def __repr__(self):
-        return f"GaussInt({self.real}, {self.imag})"
+    def __getitem__(self, index) -> "GaussColumn":
+        return GaussColumn(self.real[index], self.imag[index])
 
-    @staticmethod
-    def scaled(z: ExactComplex, den: int) -> "GaussInt":
-        """den * z, for den a multiple of z's denominator."""
-        k = den // z.d
-        return GaussInt(z.a * k, z.b * k)
-
-
-def _over(x: Fraction, den: int) -> int:
-    """Numerator of x written over den (den a multiple of x's denominator)."""
-    return x.numerator * (den // x.denominator)
+    def __iter__(self):
+        return zip(self.real, self.imag)
 
 
 @dataclass(frozen=True, eq=False)
 class ExpPoly:
     """Finite sum of complex plane waves over an ordered region.
 
-    ``data`` holds (coeff, key) pairs; a term means
-    coeff / den * exp(i * freq . x), its frequencies read from the flat
-    key (re_1, im_1, ..., re_N, im_N) in units of 1/``unit``.  Exact
-    sums have GaussInt coefficients and int keys, in no particular
-    order; FLOAT sums have complex coefficients, float keys and
-    ``unit = den = 1``, and every merge leaves them sorted by key.
-    Invariants: no two terms share a key and no coefficient is zero
-    (exactly 0.0 in float mode).
+    Term t means coeffs[t] / den * exp(i * freq . x), its frequencies
+    read from the flat key keys[t] = (re_1, im_1, ..., re_N, im_N) in
+    units of 1/``unit``.  Exact sums have int keys, in no particular
+    order, and a ``GaussColumn`` of coefficients; FLOAT sums have float
+    keys, sorted by every merge, an object array of ``complex``
+    coefficients and ``unit = den = 1``.  Invariants: no two terms share
+    a key and no coefficient is zero (exactly 0.0 in float mode).
+    Without columns (``coeffs`` None) a sum is only a ``_merged`` template.
     """
 
     num_vars: int
     field: Field
-    data: tuple = ()
+    keys: tuple = ()
+    coeffs: object = None
     unit: int = 1
     den: int = 1
 
@@ -174,40 +167,65 @@ class ExpPoly:
         else:
             unit = math.lcm(*(w.denominator for _, f in normalized for w in f))
             den = math.lcm(*(c.denominator for c, _ in normalized))
-            raw = [(GaussInt.scaled(c, den),
+            raw = [(c.a * (den // c.d), c.b * (den // c.d),
                     tuple(x * (unit // w.d) for w in f for x in (w.a, w.b)))
                    for c, f in normalized]
-        return ExpPoly(num_vars, field, (), unit, den)._merged(raw)
+        return ExpPoly(num_vars, field, unit=unit, den=den)._merged(raw)
 
     @staticmethod
     def zero(num_vars: int, field: Field) -> "ExpPoly":
-        return ExpPoly(num_vars, field)
+        return ExpPoly(num_vars, field)._merged(())
 
-    def _with(self, data: tuple, num_vars: int | None = None,
-              den: int | None = None) -> "ExpPoly":
-        return ExpPoly(self.num_vars if num_vars is None else num_vars,
-                       self.field, data, self.unit,
-                       self.den if den is None else den)
+    def _with(self, keys: tuple, coeffs, den: int | None = None) -> "ExpPoly":
+        """These columns as a sum like this one, zero terms dropped."""
+        live = coeffs != 0
+        return ExpPoly(self.num_vars, self.field,
+                       tuple(itertools.compress(keys, live)), coeffs[live],
+                       self.unit, self.den if den is None else den)
+
+    def _items(self, coeffs, keys):
+        """Columns as the items ``_merged`` takes, one per term."""
+        if self.field is FLOAT:
+            return zip(coeffs, keys)
+        return zip(coeffs.real, coeffs.imag, keys)
 
     def _merged(self, raw_terms) -> "ExpPoly":
-        """Combine terms with equal keys and drop zeros; FLOAT sums also
-        merge nearly equal keys (``_consolidate_float``)."""
-        acc: dict = {}
-        for coeff, freq in raw_terms:
-            prev = acc.get(freq)
-            acc[freq] = coeff if prev is None else prev + coeff
+        """The sum of raw terms, one item per term: (real, imag, key) in
+        an exact sum, the ints read over ``den``, and (coeff, key) in a
+        FLOAT one.  Equal keys are combined and zeros dropped; FLOAT
+        sums also merge nearly equal keys (``_consolidate_float``)."""
         if self.field is FLOAT:
+            acc: dict = {}
+            for coeff, key in raw_terms:
+                prev = acc.get(key)
+                acc[key] = coeff if prev is None else prev + coeff
             acc = _consolidate_float(acc)
-        return self._with(tuple((c, f) for f, c in acc.items() if c))
+            return self._with(tuple(acc), np.array(list(acc.values()), dtype=object))
+        # each key is hashed once and gets the next slot of the columns
+        slots: dict = {}
+        res, ims = [], []
+        for re, im, key in raw_terms:
+            slot = slots.get(key)
+            if slot is None:
+                slots[key] = len(res)
+                res.append(re)
+                ims.append(im)
+            else:
+                res[slot] += re
+                ims[slot] += im
+        return self._with(tuple(slots), GaussColumn(np.array(res, dtype=object),
+                                                    np.array(ims, dtype=object)))
 
     def _recast(self, unit: int, den: int) -> "ExpPoly":
         """The same sum with frequencies in units of 1/unit and
         coefficients over den, both multiples of the current ones."""
         if unit == self.unit and den == self.den:
             return self
-        fu, fd = unit // self.unit, den // self.den
-        data = tuple((c * fd, tuple(x * fu for x in f)) for c, f in self.data)
-        return ExpPoly(self.num_vars, self.field, data, unit, den)
+        fu = unit // self.unit
+        keys = self.keys if fu == 1 else tuple(
+            tuple(x * fu for x in f) for f in self.keys)
+        return ExpPoly(self.num_vars, self.field, keys,
+                       self.coeffs * (den // self.den), unit, den)
 
     def _aligned(self, other: "ExpPoly", same_den: bool) -> tuple:
         """Both sums over a common frequency unit and, if asked, a common
@@ -217,6 +235,16 @@ class ExpPoly:
                          else self.den)
         b = other._recast(unit, a.den if same_den else other.den)
         return a, b
+
+    def _numerators(self, values) -> tuple:
+        """Numbers as scalars the coefficient column multiplies, and their
+        common denominator: int GaussColumns over the lcm in an exact
+        sum, complex values over 1 in a FLOAT one."""
+        values = [self.field.coerce(v) for v in values]
+        if self.field is FLOAT:
+            return values, 1
+        den = math.lcm(*(v.d for v in values))
+        return [GaussColumn.of(v, den) for v in values], den
 
     # -- the scalar view --------------------------------------------------
     @property
@@ -234,10 +262,13 @@ class ExpPoly:
         """(coeff, freq tuple) pairs sorted by frequency, as scalars of
         the given field."""
         over, D, Q = field.over, self.unit, self.den
-        return tuple((over(c.real, c.imag, Q),
+        parts = iter(self.coeffs) if self.field is EXACT \
+            else ((c.real, c.imag) for c in self.coeffs)
+        return tuple((over(re, im, Q),
                       tuple(over(f[m], f[m + 1], D)
                             for m in range(0, len(f), 2)))
-                     for c, f in sorted(self.data, key=lambda t: t[1]))
+                     for f, (re, im) in sorted(zip(self.keys, parts),
+                                               key=itemgetter(0)))
 
     def _complex_terms(self) -> tuple:
         """The terms as complex floats, correctly rounded for exact sums."""
@@ -247,7 +278,8 @@ class ExpPoly:
     def complex_arrays(self) -> tuple:
         """Read-only (terms x vars) complex frequency matrix and
         coefficient vector of ``_complex_terms``, built once and shared
-        by ``evaluate``, ``max_freq`` and the defect rule of ``charges``."""
+        by ``evaluate``, ``max_coeff``, ``max_freq`` and the defect rule
+        of ``charges``."""
         terms = self._complex_terms()
         freqs = np.array([f for _, f in terms], dtype=complex)
         coeffs = np.array([c for c, _ in terms], dtype=complex)
@@ -255,29 +287,44 @@ class ExpPoly:
         coeffs.flags.writeable = False
         return freqs, coeffs
 
+    @cached_property
+    def _key_columns(self) -> np.ndarray:
+        """The keys as a read-only (terms x 2N) object array."""
+        keys = np.array(self.keys, dtype=object).reshape(
+            len(self.keys), 2 * self.num_vars)
+        keys.flags.writeable = False
+        return keys
+
+    @cached_property
+    def _z(self) -> list:
+        """The columns z_n = i * freq_n: GaussColumns in units of 1/unit
+        for exact sums, object arrays of ``complex`` for FLOAT ones."""
+        keys, pairs = self._key_columns, range(0, 2 * self.num_vars, 2)
+        if self.field is EXACT:
+            return [GaussColumn(-keys[:, m + 1], keys[:, m]) for m in pairs]
+        return [np.array([1j * complex(f[m], f[m + 1]) for f in self.keys],
+                         dtype=object) for m in pairs]
+
     # -- basic algebra --------------------------------------------------
     def __add__(self, other: "ExpPoly") -> "ExpPoly":
         self._check_compatible(other)
         a, b = self._aligned(other, same_den=True)
-        return a._merged(a.data + b.data)
+        return a._merged(itertools.chain(a._items(a.coeffs, a.keys),
+                                         b._items(b.coeffs, b.keys)))
 
     def __sub__(self, other: "ExpPoly") -> "ExpPoly":
         return self + (-other)
 
     def __neg__(self) -> "ExpPoly":
-        return self._with(tuple((-c, f) for c, f in self.data))
+        return ExpPoly(self.num_vars, self.field, self.keys, -self.coeffs,
+                       self.unit, self.den)
 
     def scale(self, factor) -> "ExpPoly":
-        factor = self.field.coerce(factor)
-        if self.field.is_zero(factor):
+        if self.field.is_zero(self.field.coerce(factor)):
             return ExpPoly.zero(self.num_vars, self.field)
-        den = self.den
-        if self.field is EXACT:
-            den *= factor.d
-            factor = GaussInt(factor.a, factor.b)
+        (factor,), den = self._numerators([factor])
         # a FLOAT product can underflow to zero; zero terms are dropped
-        products = ((c * factor, f) for c, f in self.data)
-        return self._with(tuple((c, f) for c, f in products if c), den=den)
+        return self._with(self.keys, self.coeffs * factor, den=self.den * den)
 
     def weighted(self, weight: Callable, degree: int, *constants) -> "ExpPoly":
         """Multiply each term's coefficient by weight(z, *constants),
@@ -288,56 +335,35 @@ class ExpPoly:
         wave with frequency vector w as multiplication by p(i*w).  The
         weight must be a homogeneous polynomial of total degree
         ``degree`` in z and the constants (numbers of dimension
-        1/length, like the coupling); exact sums evaluate it on Gaussian
-        integers in units of 1/unit, FLOAT sums on complex numbers.
-
-        The weight may use only +, -, * and ** by a non-negative int,
-        and ``z[0] * 0`` for a zero; no comparison, ``bool`` or per-term
-        branch.  It is called once, on object-array columns of all terms,
-        in both fields (see the module docstring).
+        1/length, like the coupling), evaluated once on columns of all
+        terms (see the module docstring).
         """
         return self._map_coeffs(
             lambda c, z, *k: c * weight(z, *k), degree, constants)
 
     def _map_coeffs(self, fn: Callable, degree: int, constants=()) -> "ExpPoly":
-        """Replace each coefficient c by fn(c, z, *constants), z_n = i*freq_n,
-        fn homogeneous of the given degree in z and the constants."""
-        ks = [self.field.coerce(k) for k in constants]
-        poly, pairs = self, range(0, 2 * self.num_vars, 2)
-        # one call on object-array columns, one entry per term (see the
-        # module docstring)
-        if self.field is EXACT:
-            unit = math.lcm(self.unit, *(k.denominator for k in ks))
-            poly = self._recast(unit, self.den)
-            ks = [GaussInt.scaled(k, unit) for k in ks]
-            keys = np.array([f for _, f in poly.data], dtype=object).reshape(
-                len(poly.data), 2 * self.num_vars)
-            coeffs = GaussInt(
-                np.array([c.real for c, _ in poly.data], dtype=object),
-                np.array([c.imag for c, _ in poly.data], dtype=object))
-            z = [GaussInt(-keys[:, m + 1], keys[:, m]) for m in pairs]
-        else:
-            coeffs = np.array([c for c, _ in poly.data], dtype=object)
-            z = [np.array([1j * complex(f[m], f[m + 1]) for _, f in poly.data],
-                          dtype=object) for m in pairs]
-        out = fn(coeffs, z, *ks)
+        """Replace the coefficient column c by fn(c, z, *constants),
+        z_n = i*freq_n, fn homogeneous of the given degree in z and the
+        constants."""
+        ks, den = self._numerators(constants)
+        unit = math.lcm(self.unit, den)
+        poly = self._recast(unit, self.den)
+        if unit != den:     # FLOAT constants are already over unit 1
+            ks = [k * (unit // den) for k in ks]
         # a weight moves no key: drop zeros, keep the order, merge nothing
-        if self.field is EXACT:
-            data = tuple((GaussInt(re, im), f) for re, im, (_, f)
-                         in zip(out.real, out.imag, poly.data) if re or im)
-        else:
-            data = tuple((c, f) for c, (_, f) in zip(out, poly.data) if c)
-        return poly._with(data, den=poly.den * poly.unit ** degree)
+        return poly._with(poly.keys, fn(poly.coeffs, poly._z, *ks),
+                          den=poly.den * unit ** degree)
 
     def mul(self, other: "ExpPoly") -> "ExpPoly":
         """Pointwise product; frequency vectors add termwise."""
         self._check_compatible(other)
         a, b = self._aligned(other, same_den=False)
-        out = []
-        for c1, f1 in a.data:
-            for c2, f2 in b.data:
-                out.append((c1 * c2, tuple(x + y for x, y in zip(f1, f2))))
-        return a._with((), den=a.den * b.den)._merged(out)
+        rows = np.repeat(np.arange(len(a.keys)), len(b.keys))
+        cols = np.tile(np.arange(len(b.keys)), len(a.keys))
+        keys = [tuple(x + y for x, y in zip(f1, f2))
+                for f1 in a.keys for f2 in b.keys]
+        return ExpPoly(a.num_vars, a.field, unit=a.unit, den=a.den * b.den) \
+            ._merged(a._items(a.coeffs[rows] * b.coeffs[cols], keys))
 
     def _check_compatible(self, other: "ExpPoly"):
         if self.num_vars != other.num_vars or self.field is not other.field:
@@ -366,14 +392,12 @@ class ExpPoly:
         if i == j or not (1 <= i <= self.num_vars) or not (1 <= j <= self.num_vars):
             raise ValueError("bad variable indices")
         ii, jj = 2 * (i - 1), 2 * (j - 1)
-        out = []
-        for coeff, freq in self.data:
-            merged = list(freq)
-            merged[jj] += merged[ii]
-            merged[jj + 1] += merged[ii + 1]
-            del merged[ii:ii + 2]
-            out.append((coeff, tuple(merged)))
-        return self._with((), num_vars=self.num_vars - 1)._merged(out)
+        cols = list(self._key_columns.T)
+        cols[jj] = cols[jj] + cols[ii]
+        cols[jj + 1] = cols[jj + 1] + cols[ii + 1]
+        del cols[ii:ii + 2]
+        return ExpPoly(self.num_vars - 1, self.field, unit=self.unit,
+                       den=self.den)._merged(self._items(self.coeffs, zip(*cols)))
 
     def restrict_to_boundary(self, j: int) -> "ExpPoly":
         """Substitute x_{j+1} := x_j (1 <= j < N), the one-sided limit
@@ -384,12 +408,10 @@ class ExpPoly:
 
     # -- predicates and evaluation ---------------------------------------
     def is_empty(self) -> bool:
-        return not self.data
+        return not self.keys
 
     def max_coeff(self) -> float:
-        Q = self.den
-        return max((abs(complex(c.real / Q, c.imag / Q)) for c, _ in self.data),
-                   default=0.0)
+        return max(map(abs, self.complex_arrays[1].tolist()), default=0.0)
 
     def max_freq(self) -> float:
         """Largest modulus of a single frequency; 0.0 for the empty sum."""
@@ -397,14 +419,14 @@ class ExpPoly:
         return float(np.abs(freqs).max()) if freqs.size else 0.0
 
     def term_count(self) -> int:
-        return len(self.data)
+        return len(self.keys)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the sum at one point or a batch of points (rows)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.num_vars:
             raise ValueError("point dimension mismatch")
-        if not self.data:
+        if not self.keys:
             vals = np.zeros(pts.shape[0], dtype=complex)
         else:
             freqs, coeffs = self.complex_arrays
@@ -428,16 +450,12 @@ class ExpPoly:
     @staticmethod
     def from_json_dict(doc: dict, field: Field) -> "ExpPoly":
         """The sum a JSON document describes, in the given field."""
-        terms = []
-        for t in doc["terms"]:
-            re, im = _num_parse(t["re"]), _num_parse(t["im"])
-            coeff = ExactComplex(re, im) if field is EXACT \
-                else complex(float(re), float(im))
-            terms.append((coeff, tuple(_freq_parse(w) for w in t["freq"])))
-        return ExpPoly.from_terms(doc["n"], terms, field)
+        return ExpPoly.from_terms(
+            doc["n"], [(_freq_parse(t), tuple(map(_freq_parse, t["freq"])))
+                       for t in doc["terms"]], field)
 
     def __repr__(self):
-        return (f"ExpPoly(n={self.num_vars}, terms={len(self.data)}, "
+        return (f"ExpPoly(n={self.num_vars}, terms={len(self.keys)}, "
                 f"{self.field.name})")
 
 
@@ -450,7 +468,7 @@ class _Terms(SequenceABC):
         self._poly = poly
 
     def __len__(self):
-        return len(self._poly.data)
+        return len(self._poly.keys)
 
     def __getitem__(self, index):
         return self._poly._field_terms[index]
@@ -622,16 +640,11 @@ class BetheWavefunction:
         n = self.n
         if sorted(perm) != list(range(n)):
             raise ValueError("not a permutation")
-        rank = [0] * n
-        for pos, var in enumerate(perm):
-            rank[var] = pos
         # variable v of the extension carries the canonical frequency of
         # its rank in the ordering
-        poly = self.canonical
-        out = [(c, tuple(x for v in range(n)
-                         for x in f[2 * rank[v]:2 * rank[v] + 2]))
-               for c, f in poly.data]
-        return poly._with(())._merged(out)
+        poly, rank = self.canonical, np.argsort(perm)
+        keys = poly._key_columns[:, np.stack([2 * rank, 2 * rank + 1], 1).ravel()]
+        return poly._merged(poly._items(poly.coeffs, map(tuple, keys.tolist())))
 
 
 def build_bethe(rapidities: RapiditySet, coupling: Coupling) -> BetheWavefunction:
@@ -651,33 +664,37 @@ def build_bethe(rapidities: RapiditySet, coupling: Coupling) -> BetheWavefunctio
         # integers D*k and D*c, each pair factor the Gaussian integer
         # D*(l_{Pj} - l_{Pk}) - i*D*c, and the coefficient is their
         # product over D^(number of pairs)
-        unit = math.lcm(*(Fraction(v).denominator for v in lam + [c]))
-        ks = [_over(Fraction(v), unit) for v in lam]
-        cd, zero, scalar = _over(Fraction(c), unit), 0, GaussInt
+        unit = math.lcm(*(v.denominator for v in lam + [c]))
+        ks = [v.numerator * (unit // v.denominator) for v in lam]
+        cd, zero, pack = c.numerator * (unit // c.denominator), 0, zip
     else:
-        unit, ks, cd = 1, [float(v) for v in lam], float(c)
-        zero, scalar = 0.0, complex
-    terms = []
-    for perm in itertools.permutations(range(n)):
-        re, im = _perm_sign(perm), 0
-        for j in range(n):
-            for k in range(j):
-                # sgn(x_j - x_k) = +1 on the fundamental region for j > k
-                a = ks[perm[j]] - ks[perm[k]]
-                re, im = re * a + im * cd, im * a - re * cd
-        terms.append((scalar(re, im),
-                      tuple(x for m in range(n) for x in (ks[perm[m]], zero))))
-    poly = ExpPoly(n, field, (), unit, unit ** (n * (n - 1) // 2))._merged(terms)
+        unit, ks, cd, zero = 1, [float(v) for v in lam], float(c), 0.0
+
+        def pack(re, im, keys):
+            return zip(map(complex, re, im), keys)
+    # one column entry per permutation P, in the lexicographic order of
+    # itertools: a first entry that is the d-th smallest adds d
+    # inversions to those of the rest, so (-1)^P builds up digit by digit
+    perms = list(itertools.permutations(range(n)))
+    signs = [1]
+    for m in range(2, n + 1):
+        signs = [-x if d % 2 else x for d in range(m) for x in signs]
+    re = np.array(signs, dtype=object)
+    im = re * 0
+    lam_p = [np.array([ks[perm[m]] for perm in perms], dtype=object)
+             for m in range(n)]
+    for j in range(n):
+        for k in range(j):
+            # sgn(x_j - x_k) = +1 on the fundamental region for j > k
+            a = lam_p[j] - lam_p[k]
+            re, im = re * a + im * cd, im * a - re * cd
+    # keys (l_{P1}, 0, ..., l_{PN}, 0); N = 0 has the one key ()
+    keys = list(zip(*[part for col in lam_p
+                      for part in (col, [zero] * len(perms))])) or [()]
+    terms = list(pack(re, im, keys))
+    poly = ExpPoly(n, field, unit=unit,
+                   den=unit ** (n * (n - 1) // 2))._merged(terms)
     return BetheWavefunction(rapidities, coupling, poly)
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def symmetrized_plane_wave(rapidities: RapiditySet) -> ExpPoly:

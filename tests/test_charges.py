@@ -54,9 +54,10 @@ def reference_pair_delta_overlap(f, g, L, order=64):
 def reference_conj(poly):
     """Complex conjugate of a FLOAT sum: e^{i w x} maps to e^{-i conj(w) x},
     so each key keeps its imaginary parts and negates its real parts."""
-    return poly._with(tuple(
-        (c.conjugate(), tuple(x if m & 1 else -x for m, x in enumerate(f)))
-        for c, f in poly.data))
+    return poly._with(
+        tuple(tuple(x if m & 1 else -x for m, x in enumerate(f))
+              for f in poly.keys),
+        np.array([c.conjugate() for c in poly.coeffs], dtype=object))
 
 
 def reference_expm(A):
@@ -85,7 +86,7 @@ def reference_ordered_box_integral(poly, L):
     superdiagonal (McCurdy, Ng and Parlett, Math. Comp. 43 (1984)); one
     batched expm covers every term.
     """
-    if not poly.data:
+    if not poly.keys:
         return 0j
     freqs, coeffs = poly.complex_arrays
     n = poly.num_vars
@@ -284,6 +285,38 @@ class TestBoundaryConditions:
         w = build_bethe(raps, c)
         for key, res in ch.all_boundary_residuals(w).items():
             assert res.is_empty(), key
+
+    @pytest.mark.parametrize("field", [EXACT, FLOAT])
+    def test_all_residuals_share_each_pair_bracket(self, field, monkeypatch):
+        """One pair bracket per hyperplane serves its pair and triple
+        residuals, which equal those of the public functions bit for
+        bit."""
+        w = build_bethe(RapiditySet.of([F(1, 2), F(-3, 4), F(5, 3), F(-2),
+                                        F(7, 5)], field),
+                        Coupling(field.real(F(3, 2))))
+        poly, c = w.canonical, w.coupling.c
+        expected = {f"pair[j={j}]": ch.boundary_residual_h2(poly, c, j)
+                    for j in range(1, 5)}
+        expected.update({f"triple[j={j}]": ch.boundary_residual_j3(poly, c, j)
+                         for j in range(1, 5)})
+        expected.update({f"quadruple[part={idx}]": res for idx, res
+                         in enumerate(ch.boundary_residual_j4(poly, c))})
+        built = []
+        pair_bracket = ch.pair_bracket
+        monkeypatch.setattr(ch, "pair_bracket",
+                            lambda *args: built.append(args[2])
+                            or pair_bracket(*args))
+        got = ch.all_boundary_residuals(w)
+        # one bracket per hyperplane, and j = 1 once more for the
+        # quadruple residual
+        assert sorted(built) == [1, 1, 2, 3, 4]
+        assert list(got) == list(expected)
+        for key, res in got.items():
+            want = expected[key]
+            assert (res.unit, res.den, res.keys) \
+                == (want.unit, want.den, want.keys), key
+            assert [str(x) for x in res.coeffs] \
+                == [str(x) for x in want.coeffs], key
 
 
 class TestCompositions:

@@ -8,9 +8,12 @@ as oracles:
 * ``per_term_map_coeffs``: the FLOAT pass that called the weight once
   per term and then re-merged the sum (``_merged``, with its tolerance
   consolidation);
-* ``pending_subset_integral``: the ``apply_A`` subset integral that
-  multiplied every pending branch by 1/(i mu) separately and left the
-  factor c^size to its caller.
+* ``per_branch_apply_A``: ``apply_A`` one input term at a time, with
+  the subset integral that multiplied every pending branch by 1/(i mu)
+  separately and left the factor c^size to its caller
+  (``pending_subset_integral``), and a rescale of every output term to
+  the common denominator on its own.  Exact scalars there are
+  ``GaussColumn``s with int parts.
 
 FLOAT results must match them bit for bit: same keys, same order, same
 coefficient bits.  The one exception is the sign of a zero real or
@@ -20,6 +23,7 @@ reads the sign of a zero.
 """
 
 import itertools
+import math
 from contextlib import contextmanager
 from fractions import Fraction as F
 from unittest import mock
@@ -31,7 +35,8 @@ from hypothesis import given, settings, strategies as st
 from qnls import charges as ch
 from qnls import integral_operator as aop
 from qnls.exact import EXACT, FLOAT, exact
-from qnls.planewaves import Coupling, ExpPoly, RapiditySet, build_bethe
+from qnls.planewaves import (Coupling, ExpPoly, GaussColumn, RapiditySet,
+                             build_bethe)
 
 LAM = aop.SpectralParameter(exact(F(1, 3), -2))
 COLUMN_MAP_COEFFS = ExpPoly._map_coeffs
@@ -50,7 +55,7 @@ def per_term_map_coeffs(self, fn, degree, constants=()):
     pairs = range(0, 2 * self.num_vars, 2)
     return self._merged([
         (fn(c, [1j * complex(f[m], f[m + 1]) for m in pairs], *ks), f)
-        for c, f in self.data])
+        for c, f in zip(self.coeffs, self.keys)])
 
 
 def pending_subset_integral(terms, subset, lam_v, inverse, n, weight):
@@ -91,10 +96,56 @@ def pending_subset_integral(terms, subset, lam_v, inverse, n, weight):
     return [(cf * weight[0], f, d * weight[1]) for cf, f, d in out_terms]
 
 
+def per_branch_apply_A(lam, f, c):
+    """apply_A term by term, each branch of each subset integral on its
+    own (see the module docstring)."""
+    n = f.num_vars
+    field = FLOAT if FLOAT in (f.field, lam.field) else EXACT
+    c_v = field.coerce(c)
+    if field is EXACT:
+        unit = math.lcm(f.unit, lam.value.denominator, c_v.denominator)
+        poly = f._recast(unit, f.den)
+
+        def inverse(mu):
+            return (GaussColumn(-mu.imag * unit, -mu.real * unit),
+                    mu.real * mu.real + mu.imag * mu.imag)
+
+        lam_v, c_v = GaussColumn.of(lam.value, unit), GaussColumn.of(c_v, unit)
+        weight_den, scalar = unit, GaussColumn
+        coeffs = [GaussColumn(*c) for c in poly.coeffs]
+    else:
+        poly = f.to_float()
+
+        def inverse(mu):
+            return 1 / (1j * mu), 1
+
+        lam_v, weight_den, scalar = complex(lam.value), 1, complex
+        coeffs = list(poly.coeffs)
+    terms = [(cf, [scalar(fr[m], fr[m + 1]) for m in range(0, 2 * n, 2)], 1)
+             for cf, fr in zip(coeffs, poly.keys)]
+    result_terms = list(terms)
+    for size in range(1, n + 1):
+        weight = c_v
+        for _ in range(size - 1):
+            weight = weight * c_v
+        for subset in itertools.combinations(range(n), size):
+            result_terms.extend(pending_subset_integral(
+                terms, subset, lam_v, inverse, n, (weight, weight_den ** size)))
+    den = math.lcm(*{d for _, _, d in result_terms})
+    raw = []
+    for coeff, freq, d in result_terms:
+        if d != den:
+            coeff = coeff * (den // d)
+        key = tuple(x for w in freq for x in (w.real, w.imag))
+        raw.append((coeff.real, coeff.imag, key) if field is EXACT
+                   else (coeff, key))
+    return ExpPoly(n, field, unit=poly.unit, den=poly.den * den)._merged(raw)
+
+
 @contextmanager
 def references():
     with mock.patch.object(ExpPoly, "_map_coeffs", per_term_map_coeffs), \
-            mock.patch.object(aop, "_subset_integral", pending_subset_integral):
+            mock.patch.object(aop, "apply_A", per_branch_apply_A):
         yield
 
 
@@ -105,9 +156,9 @@ def layout(poly: ExpPoly) -> tuple:
     def bits(c):
         if poly.field is FLOAT:
             return (c.real + 0.0).hex(), (c.imag + 0.0).hex()
-        return c.real, c.imag
+        return c    # the (real, imag) ints of an exact entry
     return (poly.num_vars, poly.field, poly.unit, poly.den,
-            [(bits(c), f) for c, f in poly.data])
+            [(bits(c), f) for c, f in zip(poly.coeffs, poly.keys)])
 
 
 def layouts(value) -> list:

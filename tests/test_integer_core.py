@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from qnls import charges as ch
 from qnls.exact import EXACT, ExactComplex, exact
-from qnls.planewaves import (Coupling, ExpPoly, GaussInt, RapiditySet,
+from qnls.planewaves import (Coupling, ExpPoly, GaussColumn, RapiditySet,
                              build_bethe, symmetrized_plane_wave)
 
 I = exact(0, 1)
@@ -220,16 +220,16 @@ class TestAgainstReference:
 
 # parts well past 2**63, where an int64 column would overflow
 big_ints = st.integers(-2 ** 70, 2 ** 70)
-gauss_ints = st.builds(GaussInt, big_ints, big_ints)
+gauss_ints = st.builds(exact, big_ints, big_ints)
 
 
-def column(values) -> GaussInt:
-    """One GaussInt whose parts are object arrays of Python ints."""
-    return GaussInt(np.array([z.real for z in values], dtype=object),
-                    np.array([z.imag for z in values], dtype=object))
+def column(values) -> GaussColumn:
+    """One GaussColumn whose parts are object arrays of Python ints."""
+    return GaussColumn(np.array([z.a for z in values], dtype=object),
+                       np.array([z.b for z in values], dtype=object))
 
 
-def entries(col: GaussInt, count: int) -> list:
+def entries(col: GaussColumn, count: int) -> list:
     """The (real, imag) pairs of a column; scalar parts (X ** 0 is the
     scalar 1) stand for every entry."""
     parts = [list(p) if isinstance(p, np.ndarray) else [p] * count
@@ -240,15 +240,16 @@ def entries(col: GaussInt, count: int) -> list:
 
 
 class TestColumns:
-    """A GaussInt over object arrays, as the exact weighted pass builds
-    it, agrees entry by entry with scalar GaussInt arithmetic."""
+    """A GaussColumn over object arrays, as the exact passes build it,
+    agrees entry by entry with ``ExactComplex`` arithmetic on Gaussian
+    integers."""
 
     @given(st.lists(st.tuples(gauss_ints, gauss_ints), min_size=1,
                     max_size=5), big_ints, gauss_ints)
     @settings(max_examples=60, deadline=None)
     def test_column_arithmetic_matches_scalars(self, pairs, k, g):
         xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
-        X, Y = column(xs), column(ys)
+        X, Y, G = column(xs), column(ys), GaussColumn(g.a, g.b)
         cases = [
             (X + Y, [x + y for x, y in pairs]),
             (X - Y, [x - y for x, y in pairs]),
@@ -257,12 +258,15 @@ class TestColumns:
             (X + k, [x + k for x in xs]), (k + X, [k + x for x in xs]),
             (X - k, [x - k for x in xs]), (k - X, [k - x for x in xs]),
             (X * k, [x * k for x in xs]), (k * X, [k * x for x in xs]),
-            (X + g, [x + g for x in xs]), (g + X, [g + x for x in xs]),
-            (X - g, [x - g for x in xs]), (g - X, [g - x for x in xs]),
-            (X * g, [x * g for x in xs]), (g * X, [g * x for x in xs]),
+            (X + G, [x + g for x in xs]), (G + X, [g + x for x in xs]),
+            (X - G, [x - g for x in xs]), (G - X, [g - x for x in xs]),
+            (X * G, [x * g for x in xs]), (G * X, [g * x for x in xs]),
         ] + [(X ** m, [x ** m for x in xs]) for m in range(5)]
         for col, expected in cases:
-            assert entries(col, len(xs)) == [(z.real, z.imag) for z in expected]
+            assert all(z.d == 1 for z in expected)
+            assert entries(col, len(xs)) == [(z.a, z.b) for z in expected]
+        assert list(X != 0) == [not x.is_zero() for x in xs]
+        assert entries(X[1:], len(xs) - 1) == [(x.a, x.b) for x in xs[1:]]
 
     @given(sums(), st.data())
     @settings(max_examples=30, deadline=None)
@@ -293,6 +297,83 @@ class TestColumns:
         out = poly.weighted(lambda z, k: (z[0] - k) * 0, 1, F(1, 3))
         assert out.is_empty()
         assert (out.unit, out.den) == (6, 5 * 6)
+
+
+def ref_substitute(ref: dict, i: int, j: int) -> dict:
+    """x_i := x_j, 1-based."""
+    acc: dict = {}
+    for f, c in ref.items():
+        merged = list(f)
+        merged[j - 1] = merged[j - 1] + merged[i - 1]
+        del merged[i - 1]
+        key = tuple(merged)
+        acc[key] = acc.get(key, exact(0)) + c
+    return _cleaned(acc)
+
+
+def ref_combination(a: dict, b: dict, sign: int) -> dict:
+    acc = dict(a)
+    for f, c in b.items():
+        acc[f] = acc.get(f, exact(0)) + c * sign
+    return _cleaned(acc)
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    acc: dict = {}
+    for f1, c1 in a.items():
+        for f2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(f1, f2))
+            acc[key] = acc.get(key, exact(0)) + c1 * c2
+    return _cleaned(acc)
+
+
+def columns(poly: ExpPoly) -> dict:
+    """as_dict of a sum after checking its exact layout: distinct int
+    keys, a GaussColumn of two object arrays of ints with one nonzero
+    entry per key."""
+    assert len(set(poly.keys)) == len(poly.keys)
+    assert all(type(x) is int for f in poly.keys for x in f)
+    assert isinstance(poly.coeffs, GaussColumn)
+    for part in (poly.coeffs.real, poly.coeffs.imag):
+        assert part.dtype == object and len(part) == len(poly.keys)
+        assert all(type(x) is int for x in part)
+    assert all(re or im for re, im in poly.coeffs)
+    return as_dict(poly)
+
+
+class TestColumnOperations:
+    """Every operation on the columns agrees term for term with the
+    ExactComplex dict reference, on random sums with mixed units and
+    denominators."""
+
+    @given(sums(), constants, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_operations_match_reference(self, drawn, factor, data):
+        poly, ref = drawn
+        n = poly.num_vars
+        other, other_ref = data.draw(sums(n, n))
+        assert columns(poly) == ref
+        assert columns(-poly) == {f: -c for f, c in ref.items()}
+        assert columns(poly.scale(factor)) \
+            == _cleaned({f: c * factor for f, c in ref.items()})
+        recast = poly._recast(poly.unit * 3, poly.den * 7)
+        assert (recast.unit, recast.den) == (poly.unit * 3, poly.den * 7)
+        assert columns(recast) == ref
+        assert columns(poly + other) == ref_combination(ref, other_ref, 1)
+        assert columns(poly - other) == ref_combination(ref, other_ref, -1)
+        weight, degree, kinds = data.draw(weights(n))
+        out, expected = _apply_weight(poly, ref, weight, degree, kinds,
+                                      F(5, 3), factor)
+        assert columns(out) == expected
+        multi = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        assert columns(poly.differentiate(multi)) == ref_differentiate(ref, multi)
+        if n >= 2:
+            i, j = data.draw(st.permutations(range(1, n + 1)))[:2]
+            assert columns(poly.substitute_equal(i, j)) == ref_substitute(ref, i, j)
+        assert columns(poly.mul(other)) == ref_mul(ref, other_ref)
+        back = ExpPoly.from_terms(n, poly.terms, EXACT)
+        assert columns(back) == ref
+        assert list(back.terms) == list(poly.terms)
 
 
 class TestTangentialCommutation:

@@ -83,3 +83,81 @@ class TestClosedFormLog:
         assert series.log() == closed
         assert closed.exp() == series
         assert series.log().exp() == series
+
+
+# ----------------------------------------------------------------------
+# The kernels against the per-term recurrences they replaced
+# ----------------------------------------------------------------------
+
+def reference_mul(x: LaurentSeries, y: LaurentSeries) -> LaurentSeries:
+    field = x.field
+    out = [field.zero] * (x.order + 1)
+    for i, a in enumerate(x.coeffs):
+        if field.is_zero(a):
+            continue
+        for j in range(x.order + 1 - i):
+            out[i + j] = out[i + j] + a * y.coeffs[j]
+    return LaurentSeries(x.order, tuple(out), field)
+
+
+def reference_log(s: LaurentSeries) -> LaurentSeries:
+    a, b = s.coeffs, [s.field.zero] * (s.order + 1)
+    for n in range(1, s.order + 1):
+        acc = a[n]
+        for k in range(1, n):
+            acc = acc - b[k] * a[n - k] * k / n
+        b[n] = acc
+    return LaurentSeries(s.order, tuple(b), s.field)
+
+
+def reference_exp(s: LaurentSeries) -> LaurentSeries:
+    b, a = s.coeffs, [s.field.one] + [s.field.zero] * s.order
+    for n in range(1, s.order + 1):
+        acc = s.field.zero
+        for k in range(1, n + 1):
+            acc = acc + b[k] * a[n - k] * k / n
+        a[n] = acc
+    return LaurentSeries(s.order, tuple(a), s.field)
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def factor_lists(draw):
+    """1 to 4 series of one order up to 72 with unit leading coefficient
+    and rational tails, some entries zero."""
+    order = draw(st.integers(1, 72))
+    tail = st.lists(st.tuples(rationals, rationals), min_size=order,
+                    max_size=order)
+    return [[(1, 0)] + draw(tail) for _ in range(draw(st.integers(1, 4)))]
+
+
+def triples(series):
+    return [(z.a, z.b, z.d) for z in series.coeffs]
+
+
+def bits(series):
+    return [(z.real.hex(), z.imag.hex()) for z in series.coeffs]
+
+
+class TestKernels:
+    """Products, log and exp against the per-term recurrences: the same
+    (re, im, den) triples in EXACT, the same bits in FLOAT."""
+
+    @pytest.mark.parametrize("field", [EXACT, FLOAT])
+    @given(factor_lists())
+    @settings(max_examples=12, deadline=None)
+    def test_match_per_term_recurrences(self, field, factors):
+        view = triples if field is EXACT else bits
+        scalar = exact if field is EXACT \
+            else (lambda re, im: complex(float(re), float(im)))
+        series = [LaurentSeries.from_coeffs([scalar(*p) for p in f], field)
+                  for f in factors]
+        product = expected = series[0]
+        for s in series[1:]:
+            product, expected = product * s, reference_mul(expected, s)
+            assert view(product) == view(expected)
+        log = product.log()
+        assert view(log) == view(reference_log(product))
+        assert view(log.exp()) == view(reference_exp(log))

@@ -15,7 +15,7 @@ from qnls import integral_operator as aop
 from qnls.errors import DegenerateRapidities, SizeLimit
 from qnls.exact import EXACT, FLOAT, ExactComplex, exact
 from qnls.planewaves import (FLOAT_MERGE_RTOL, BetheWavefunction, Coupling,
-                             ExpPoly, RapiditySet, _perm_sign, build_bethe,
+                             ExpPoly, RapiditySet, build_bethe,
                              symmetrized_plane_wave)
 
 
@@ -216,7 +216,8 @@ class TestSerialization:
         n, terms = drawn
         p = ExpPoly.from_terms(n, terms, FLOAT)
         doc = json.loads(json.dumps(p.to_json_dict()))
-        assert ExpPoly.from_json_dict(doc, FLOAT).data == p.data
+        back = ExpPoly.from_json_dict(doc, FLOAT)
+        assert back.keys == p.keys and list(back.coeffs) == list(p.coeffs)
 
 
 class TestFloatMerge:
@@ -281,6 +282,15 @@ class TestExactComplex:
         assert exact(2, 1) ** 0 == 1
 
 
+def _perm_sign(perm) -> int:
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
 def reference_float_bethe_terms(lam, c):
     """Reference for build_bethe in FLOAT: the permutation loop on
     complex pair factors and complex frequencies, (coeff, key) per
@@ -310,10 +320,11 @@ def assert_float_layout(poly):
     """FLOAT invariants: unit = den = 1, keys are tuples of 2N floats
     (sorted after every merge), coefficients nonzero complex."""
     assert poly.field is FLOAT and poly.unit == poly.den == 1
-    keys = [f for _, f in poly.data]
+    keys = list(poly.keys)
     assert all(len(f) == 2 * poly.num_vars for f in keys)
     assert all(type(x) is float for f in keys for x in f)
-    assert all(type(c) is complex and c != 0 for c, _ in poly.data)
+    assert poly.coeffs.dtype == object and len(poly.coeffs) == len(keys)
+    assert all(type(c) is complex and c != 0 for c in poly.coeffs)
     assert len(set(keys)) == len(keys)
     assert keys == sorted(keys)
 
@@ -322,7 +333,8 @@ def assert_close(exact_poly, float_poly, rel=1e-12):
     """Same term count, and each exact term matched by exactly one float
     term whose key and coefficient are within rel of the largest key
     entry and coefficient."""
-    a, b = exact_poly.to_float().data, float_poly.data
+    a, b = [list(zip(p.coeffs, p.keys))
+            for p in (exact_poly.to_float(), float_poly)]
     assert len(a) == len(b)
     if not a:
         return
