@@ -170,8 +170,10 @@ def _triple(bracket: ExpPoly, j: int) -> ExpPoly:
         1).restrict_to_boundary(j)
 
 
-def boundary_residual_j4(poly: ExpPoly, coupling) -> list[ExpPoly]:
-    """Quadruple-layer boundary condition at x_2 = x_1 + 0.
+def boundary_residual_j4(poly: ExpPoly, coupling,
+                         bracket: ExpPoly | None = None) -> list[ExpPoly]:
+    """Quadruple-layer boundary condition at x_2 = x_1 + 0; ``bracket``,
+    if given, is ``pair_bracket(poly, coupling, 1)``.
 
     Returns two residual components, both required empty:
       [0] the tangential-derivative part sum_{j>k>=3} d_j d_k [bracket],
@@ -182,7 +184,7 @@ def boundary_residual_j4(poly: ExpPoly, coupling) -> list[ExpPoly]:
     n = poly.num_vars
     if n < 4:
         raise ValueError("quadruple bracket needs at least four particles")
-    bracket = pair_bracket(poly, coupling, 1)
+    bracket = pair_bracket(poly, coupling, 1) if bracket is None else bracket
 
     # sum_{j>k>=3} d_j d_k is one operator, weight e_2(z_3, ..., z_n)
     deriv_total = bracket.weighted(
@@ -198,8 +200,8 @@ def boundary_residual_j4(poly: ExpPoly, coupling) -> list[ExpPoly]:
 
 def all_boundary_residuals(w: BetheWavefunction) -> dict:
     """Every applicable boundary residual for the state; keys name the
-    bracket and the hyperplane index.  The pair and triple brackets at
-    one hyperplane share one pair bracket."""
+    bracket and the hyperplane index.  The residuals at one hyperplane
+    share one pair bracket."""
     n, poly, c = w.n, w.canonical, w.coupling.c
     brackets = {j: pair_bracket(poly, c, j) for j in range(1, n)}
     out = {f"pair[j={j}]": bracket.restrict_to_boundary(j)
@@ -208,7 +210,7 @@ def all_boundary_residuals(w: BetheWavefunction) -> dict:
         for j, bracket in brackets.items():
             out[f"triple[j={j}]"] = _triple(bracket, j)
     if n >= 4:
-        for idx, res in enumerate(boundary_residual_j4(poly, c)):
+        for idx, res in enumerate(boundary_residual_j4(poly, c, brackets[1])):
             out[f"quadruple[part={idx}]"] = res
     return out
 

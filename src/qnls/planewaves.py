@@ -33,11 +33,12 @@ Q.  No gcd is taken on the way, so a cancellation is an exact
 cancellation of integers.  A ``FLOAT`` sum has ``unit = den = 1``,
 float keys and an object array of Python ``complex``, which rounds as
 one operation per term would (complex128 arrays moved a float residual
-from 0.0 to 3.3e-19).  Negation, scaling and weights act on whole
-columns; only ``_merged`` (sums, restrictions, products) visits the
-terms one by one.  ``terms`` presents field scalars (``ExactComplex``
-or ``complex``) sorted by frequency; ``from_terms``, ``evaluate``,
-``to_float`` and the JSON documents convert at the edge.
+from 0.0 to 3.3e-19).  Negation, scaling, weights and sums of equal keys
+act on whole columns; only ``_merged`` (other sums, restrictions,
+products) visits the terms one by one.  ``terms`` presents field
+scalars (``ExactComplex`` or ``complex``) sorted by frequency;
+``from_terms``, ``evaluate``, ``to_float`` and the JSON documents
+convert at the edge.
 
 A weight (``weighted``, ``differentiate``) may use only +, -, * and **
 by a non-negative int, and ``z[0] * 0`` for a zero: no comparison,
@@ -54,7 +55,7 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
+from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -74,8 +75,10 @@ class GaussColumn:
 
     The parts are numpy object arrays of Python ints, or ints standing
     for every term.  +, -, * and ** by a non-negative int act entrywise
-    and mix with ints; indexing selects terms, iteration yields
-    (real, imag) pairs and ``col != 0`` masks the nonzero entries.
+    and mix with ints; an int 0 part is skipped, never multiplied or
+    added, so the real part of z_n = i * freq_n on real frequencies costs
+    nothing.  Indexing selects terms (an int part stays), iteration
+    yields (real, imag) pairs and ``col != 0`` masks the nonzero entries.
     """
 
     __slots__ = ("real", "imag")
@@ -92,8 +95,9 @@ class GaussColumn:
 
     def __add__(self, other):
         if type(other) is GaussColumn:
-            return GaussColumn(self.real + other.real, self.imag + other.imag)
-        return GaussColumn(self.real + other, self.imag)
+            return GaussColumn(_part(add, self.real, other.real),
+                               _part(add, self.imag, other.imag))
+        return GaussColumn(_part(add, self.real, other), self.imag)
 
     __radd__ = __add__
 
@@ -101,7 +105,7 @@ class GaussColumn:
         return self + -other
 
     def __rsub__(self, other):
-        return GaussColumn(other - self.real, -self.imag)
+        return GaussColumn(_part(sub, other, self.real), -self.imag)
 
     def __neg__(self):
         return GaussColumn(-self.real, -self.imag)
@@ -109,8 +113,10 @@ class GaussColumn:
     def __mul__(self, other):
         if type(other) is GaussColumn:
             a, b, c, d = self.real, self.imag, other.real, other.imag
-            return GaussColumn(a * c - b * d, a * d + b * c)
-        return GaussColumn(self.real * other, self.imag * other)
+            return GaussColumn(_part(sub, _part(mul, a, c), _part(mul, b, d)),
+                               _part(add, _part(mul, a, d), _part(mul, b, c)))
+        return GaussColumn(_part(mul, self.real, other),
+                           _part(mul, self.imag, other))
 
     __rmul__ = __mul__
 
@@ -124,10 +130,21 @@ class GaussColumn:
         return (self.real != zero) | (self.imag != zero)
 
     def __getitem__(self, index) -> "GaussColumn":
-        return GaussColumn(self.real[index], self.imag[index])
+        return GaussColumn(*(p if type(p) is int else p[index]
+                             for p in (self.real, self.imag)))
 
     def __iter__(self):
         return zip(self.real, self.imag)
+
+
+def _part(op, x, y):
+    """op(x, y) for ``add``, ``sub`` or ``mul`` of column parts; the int 0
+    stands for zero in every term and costs no pass over a column."""
+    if type(x) is int and not x:
+        return 0 if op is mul else y if op is add else -y
+    if type(y) is int and not y:
+        return 0 if op is mul else x
+    return op(x, y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,6 +159,9 @@ class ExpPoly:
     coefficients and ``unit = den = 1``.  Invariants: no two terms share
     a key and no coefficient is zero (exactly 0.0 in float mode).
     Without columns (``coeffs`` None) a sum is only a ``_merged`` template.
+    Operands of ``+`` and ``-`` with equal keys after alignment add their
+    columns and merge nothing.  A scaled or weighted sum that keeps every
+    term keeps the key tuple and shares the cached key columns and z.
     """
 
     num_vars: int
@@ -177,17 +197,30 @@ class ExpPoly:
         return ExpPoly(num_vars, field)._merged(())
 
     def _with(self, keys: tuple, coeffs, den: int | None = None) -> "ExpPoly":
-        """These columns as a sum like this one, zero terms dropped."""
-        live = coeffs != 0
+        """These columns as a sum like this one, zero terms dropped.  An
+        int part of a GaussColumn is widened to a column here, so no
+        stored sum holds one.  Given this sum's own key tuple and no zero
+        term, the result shares its cached key columns and z."""
+        if type(coeffs) is GaussColumn:
+            coeffs = GaussColumn(*(np.full(len(keys), p, dtype=object)
+                                   if type(p) is int else p
+                                   for p in (coeffs.real, coeffs.imag)))
+        live, den = coeffs != 0, self.den if den is None else den
+        if keys is self.keys and live.all():
+            out = ExpPoly(self.num_vars, self.field, keys, coeffs, self.unit, den)
+            out.__dict__.update((name, self.__dict__[name]) for name in
+                                ("_key_columns", "_z") if name in self.__dict__)
+            return out
         return ExpPoly(self.num_vars, self.field,
                        tuple(itertools.compress(keys, live)), coeffs[live],
-                       self.unit, self.den if den is None else den)
+                       self.unit, den)
 
     def _items(self, coeffs, keys):
         """Columns as the items ``_merged`` takes, one per term."""
         if self.field is FLOAT:
             return zip(coeffs, keys)
-        return zip(coeffs.real, coeffs.imag, keys)
+        return zip(*(itertools.repeat(p) if type(p) is int else p
+                     for p in (coeffs.real, coeffs.imag)), keys)
 
     def _merged(self, raw_terms) -> "ExpPoly":
         """The sum of raw terms, one item per term: (real, imag, key) in
@@ -301,7 +334,9 @@ class ExpPoly:
         for exact sums, object arrays of ``complex`` for FLOAT ones."""
         keys, pairs = self._key_columns, range(0, 2 * self.num_vars, 2)
         if self.field is EXACT:
-            return [GaussColumn(-keys[:, m + 1], keys[:, m]) for m in pairs]
+            # real frequencies (every Bethe state) give real part int 0
+            return [GaussColumn(-keys[:, m + 1] if keys[:, m + 1].any() else 0,
+                                keys[:, m]) for m in pairs]
         return [np.array([1j * complex(f[m], f[m + 1]) for f in self.keys],
                          dtype=object) for m in pairs]
 
@@ -309,6 +344,8 @@ class ExpPoly:
     def __add__(self, other: "ExpPoly") -> "ExpPoly":
         self._check_compatible(other)
         a, b = self._aligned(other, same_den=True)
+        if a.keys == b.keys:    # consolidated in FLOAT: nothing to merge
+            return a._with(a.keys, a.coeffs + b.coeffs)
         return a._merged(itertools.chain(a._items(a.coeffs, a.keys),
                                          b._items(b.coeffs, b.keys)))
 
@@ -531,7 +568,7 @@ def _consolidate_float(acc: dict) -> dict:
     for e, point in enumerate(points):
         rep, coeff = find(e), acc[point]
         sums[rep] = sums[rep] + coeff if rep in sums else coeff
-    return {points[rep]: 0 + total for rep, total in sums.items()}
+    return {points[rep]: total for rep, total in sums.items()}
 
 
 def _num_json(v):

@@ -16,10 +16,11 @@ as oracles:
   ``GaussColumn``s with int parts.
 
 FLOAT results must match them bit for bit: same keys, same order, same
-coefficient bits.  The one exception is the sign of a zero real or
-imaginary part, which the old re-merge cleared (``0 + total``) and the
-column pass keeps, as ``scale`` and negation always have; no value
-reads the sign of a zero.
+coefficient bits, the sign of a zero part included (a merge keeps it,
+as the column pass, ``scale`` and negation do).
+
+Sums of two operands with equal keys add their columns instead of
+merging; they must match the merge (``merged_sum``) bit for bit too.
 """
 
 import itertools
@@ -35,8 +36,8 @@ from hypothesis import given, settings, strategies as st
 from qnls import charges as ch
 from qnls import integral_operator as aop
 from qnls.exact import EXACT, FLOAT, exact
-from qnls.planewaves import (Coupling, ExpPoly, GaussColumn, RapiditySet,
-                             build_bethe)
+from qnls.planewaves import (FLOAT_MERGE_RTOL, Coupling, ExpPoly,
+                             GaussColumn, RapiditySet, build_bethe)
 
 LAM = aop.SpectralParameter(exact(F(1, 3), -2))
 COLUMN_MAP_COEFFS = ExpPoly._map_coeffs
@@ -151,11 +152,10 @@ def references():
 
 def layout(poly: ExpPoly) -> tuple:
     """Everything a sum stores, FLOAT coefficients as the bits of their
-    parts with the sign of a zero part dropped (see the module
-    docstring)."""
+    parts."""
     def bits(c):
         if poly.field is FLOAT:
-            return (c.real + 0.0).hex(), (c.imag + 0.0).hex()
+            return c.real.hex(), c.imag.hex()
         return c    # the (real, imag) ints of an exact entry
     return (poly.num_vars, poly.field, poly.unit, poly.den,
             [(bits(c), f) for c, f in zip(poly.coeffs, poly.keys)])
@@ -265,7 +265,8 @@ def test_weight_runs_once_per_pass_and_merges_nothing(field):
     calls = []
 
     def weight(z, c):
-        calls.append(len(z[0].real if field is EXACT else z[0]))
+        # an exact z on real frequencies has the int 0 as its real part
+        calls.append(len(z[0].imag if field is EXACT else z[0]))
         return c + (z[0] - z[1])
 
     def merged(*_args):
@@ -277,6 +278,149 @@ def test_weight_runs_once_per_pass_and_merges_nothing(field):
     assert calls == [poly.term_count()]
     assert 0 < out.term_count() <= poly.term_count()
     assert derivative.term_count() == poly.term_count()
+
+
+def test_bethe_residuals_merge_nothing_and_skip_zero_parts():
+    """On an exact N = 6 Bethe state the seven interior residuals add
+    two sums of equal keys, so none merges, and no product on the way to
+    any residual reads a part that is zero in every term: the real part
+    of each z = i * freq is the int 0, which products skip."""
+    w = build_bethe(RapiditySet.of([F(1, 2), F(3, 4), F(5, 3), F(2), F(7, 5),
+                                    F(1, 3)]), Coupling(F(3, 2)))
+    assert all(type(z.real) is int and z.real == 0 for z in w.canonical._z)
+    operands = []
+    product = GaussColumn.__mul__
+
+    def recorded(self, other):
+        operands.extend([self, other])
+        return product(self, other)
+
+    def merged(*_args):
+        raise AssertionError("an interior residual merged")
+
+    with mock.patch.object(GaussColumn, "__mul__", recorded):
+        with mock.patch.object(ExpPoly, "_merged", merged):
+            assert all(ch.interior_eigen_residual(name, w).is_empty()
+                       for name in ch.CHARGES)
+        assert all(res.is_empty()
+                   for res in ch.all_boundary_residuals(w).values())
+    parts = [part for col in operands if type(col) is GaussColumn
+             for part in (col.real, col.imag)]
+    assert len(parts) > 100
+    # empty columns come from scaling the restricted (empty) brackets
+    assert not [part for part in parts
+                if isinstance(part, np.ndarray) and part.size and not part.any()]
+
+
+# ----------------------------------------------------------------------
+# Sums of equal keys
+# ----------------------------------------------------------------------
+
+def merged_sum(p: ExpPoly, q: ExpPoly) -> ExpPoly:
+    """p + q through ``_merged``, as every sum ran before equal keys
+    skipped the merge."""
+    a, b = p._aligned(q, same_den=True)
+    return a._merged(itertools.chain(a._items(a.coeffs, a.keys),
+                                     b._items(b.coeffs, b.keys)))
+
+
+def assert_sums_match_merge(p: ExpPoly, q: ExpPoly) -> bool:
+    """p + q and p - q equal the merged sums bit for bit, and merge only
+    when the aligned keys differ; returns whether they were equal."""
+    a, b = p._aligned(q, same_den=True)
+    calls = []
+    merge = ExpPoly._merged
+
+    def counted(self, raw):
+        calls.append(1)
+        return merge(self, raw)
+
+    with mock.patch.object(ExpPoly, "_merged", counted):
+        got = [p + q, p - q]
+    assert len(calls) == (0 if a.keys == b.keys else 2)
+    assert layouts(got) == layouts([merged_sum(p, q), merged_sum(p, -q)])
+    return a.keys == b.keys
+
+
+@st.composite
+def general_sums(draw, field):
+    """Sums with complex coefficients and frequencies: z = i * freq has
+    a nonzero real part."""
+    n = draw(st.integers(1, 3))
+    halves = st.integers(-6, 6).map(lambda k: F(k, 2))
+    scalars = st.builds(exact, halves, halves) if field is EXACT \
+        else st.builds(complex, reals, reals)
+    terms = draw(st.lists(st.tuples(scalars, st.tuples(*[scalars] * n)),
+                          min_size=1, max_size=8))
+    return ExpPoly.from_terms(n, terms, field), scalars
+
+
+class TestEqualKeySums:
+    @given(st.sampled_from([EXACT, FLOAT]), st.integers(2, 4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_bethe_states(self, field, n, data):
+        """A weight that zeroes the terms with first frequency l_m leaves
+        fewer keys, and its sums merge; sums of the full key set do not."""
+        values = data.draw(st.lists(st.fractions(-4, 4, max_denominator=4),
+                                    min_size=n, max_size=n, unique=True))
+        c = field.real(data.draw(st.fractions(F(1, 4), 3, max_denominator=4)))
+        poly = build_bethe(RapiditySet.of(values, field), Coupling(c)).canonical
+        lm = field.real(data.draw(st.sampled_from(values)))
+        partial = poly.weighted(lambda z, k: z[0] - k, 1, field.i * lm)
+        assert partial.term_count() < poly.term_count()
+        full = [poly.scale(field.coerce(F(-3, 2))), ch.pair_bracket(poly, c, 1),
+                poly.weighted(lambda z: ch.power_sum(z, 2), 2)]
+        assert not any([assert_sums_match_merge(partial, q) for q in full])
+        assert all([assert_sums_match_merge(p, q)
+                    for p, q in itertools.combinations(full, 2)])
+
+    @given(st.sampled_from([EXACT, FLOAT]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_general_sums(self, field, data):
+        poly, scalars = data.draw(general_sums(field))
+        n = poly.num_vars
+        k = data.draw(scalars)
+        multi = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        first = data.draw(st.sampled_from([f[0] for _, f in poly.terms]
+                                          or [field.zero]))
+        derived = [poly, poly.scale(k), poly.differentiate(multi),
+                   poly.weighted(lambda z, a: ch.power_sum(
+                       [zn - a for zn in z], 2), 2, k),
+                   # zeroes the terms of that first frequency: fewer keys
+                   poly.weighted(lambda z, a: z[0] - a, 1, field.i * first),
+                   # exact keys in the reverse order: the same set, merged
+                   ExpPoly.from_terms(n, reversed(poly.terms), field)]
+        for p, q in itertools.combinations(derived, 2):
+            assert_sums_match_merge(p, q)
+
+    @given(st.lists(st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+                    min_size=1, max_size=6),
+           st.lists(st.builds(complex, reals, reals), min_size=14,
+                    max_size=14),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_float_keys_near_merge_tolerance(self, gaps, coeffs, rnd):
+        """Neighbouring frequencies 0.5 to 2 tolerances apart: the
+        consolidated keys of two sums on them agree, whatever the order
+        of the terms, and their sum matches the merge."""
+        tol = FLOAT_MERGE_RTOL * 2.0
+        freqs = [(2.0, 1.5)]
+        for du, dv in gaps:
+            freqs.append((freqs[-1][0] + du * tol, freqs[-1][1] + dv * tol))
+        p = ExpPoly.from_terms(2, list(zip(coeffs, freqs)), FLOAT)
+        shuffled = list(zip(coeffs[len(freqs):], freqs))
+        rnd.shuffle(shuffled)
+        q = ExpPoly.from_terms(2, shuffled, FLOAT)
+        for other in (q, p.scale(coeffs[-1]), p.weighted(lambda z: z[0], 1)):
+            assert_sums_match_merge(p, other)
+
+    def test_float_zero_parts_keep_their_sign(self):
+        """A merge keeps the sign of a zero part, as the column sum does:
+        -p has imaginary parts -0.0, and so do both forms of -p + -p."""
+        p = -ExpPoly.from_terms(1, [(1.5, (1.0,)), (2.0, (2.0,))], FLOAT)
+        assert all(math.copysign(1.0, c.imag) < 0 for c in p.coeffs)
+        assert assert_sums_match_merge(p, p)
+        assert all(math.copysign(1.0, c.imag) < 0 for c in (p + p).coeffs)
 
 
 def test_complex_columns_are_object_arrays():

@@ -268,6 +268,37 @@ class TestColumns:
         assert list(X != 0) == [not x.is_zero() for x in xs]
         assert entries(X[1:], len(xs) - 1) == [(x.a, x.b) for x in xs[1:]]
 
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_int_parts_match_array_parts(self, count, data):
+        """A part given as one int, the int 0 most of all, stands for that
+        int in every term: each operation agrees with the column whose
+        part is that int repeated in an array."""
+        part = st.one_of(st.just(0), big_ints,
+                         st.lists(big_ints, min_size=count, max_size=count))
+
+        def columns():
+            parts = data.draw(st.tuples(part, part))
+            return (GaussColumn(*(p if isinstance(p, int)
+                                  else np.array(p, dtype=object)
+                                  for p in parts)),
+                    GaussColumn(*(np.full(count, p, dtype=object)
+                                  if isinstance(p, int)
+                                  else np.array(p, dtype=object)
+                                  for p in parts)))
+        (X, XA), (Y, YA) = columns(), columns()
+        k = data.draw(st.one_of(st.just(0), big_ints))
+        pairs = [(X + Y, XA + YA), (X - Y, XA - YA), (X * Y, XA * YA),
+                 (-X, -XA), (X + k, XA + k), (k + X, k + XA), (X - k, XA - k),
+                 (k - X, k - XA), (X * k, XA * k), (k * X, k * XA)] \
+            + [(X ** m, XA ** m) for m in range(4)]
+        for col, expected in pairs:
+            assert entries(col, count) == entries(expected, count)
+        assert list(np.broadcast_to(X != 0, count)) == list(XA != 0)
+        live = XA != 0
+        for index, n in ((slice(1, None), count - 1), (live, live.sum())):
+            assert entries(X[index], n) == entries(XA[index], n)
+
     @given(sums(), st.data())
     @settings(max_examples=30, deadline=None)
     def test_weighted_past_int64(self, drawn, data):

@@ -32,15 +32,16 @@ def test_tracer_counts_exact_arithmetic_and_restores(monkeypatch):
                  (ExpPoly, "mul", ExpPoly.mul),
                  (ExpPoly, "_merged", ExpPoly._merged),
                  (LaurentSeries, "log", LaurentSeries.log)]
-    wave = build_bethe(RapiditySet.of([F(1, 2), F(-3, 2)]), Coupling(F(1)))
-    p, q = wave.canonical, wave.canonical.scale(F(1, 3))
+    # two rapidity sets: sums of equal keys add their columns unmerged
+    p, q = (build_bethe(RapiditySet.of(values), Coupling(F(1))).canonical
+            for values in ([F(1, 2), F(-3, 2)], [F(1, 3), F(5, 2)]))
     tracer = load_tracer(monkeypatch).Tracer()
     tracer.install()
     try:
         assert all(getattr(cls, attr) is not fn for cls, attr, fn in originals)
         series = tr.asymptotic_product_series([F(1, 2), F(-2), F(3)], F(3, 2), 8)
         assert series.log().exp() == series
-        # sums and differences both pass the wrapped merge
+        # sums and differences of different keys pass the wrapped merge
         assert ((p - q) + q - p).is_empty()
     finally:
         tracer.uninstall()
