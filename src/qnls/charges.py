@@ -39,6 +39,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError
+from .exact import EXACT, ExactComplex
 from .planewaves import BetheWavefunction, ExpPoly, RapiditySet
 
 
@@ -100,18 +101,36 @@ def elementary_symmetric(values: Sequence, m: int):
     return coeffs[m]
 
 
+def _numerators(rapidities: RapiditySet) -> tuple[list[int], int]:
+    """Int numerators a_k over D, the lcm of the denominators of the
+    rational rapidities v_k = a_k / D."""
+    den = math.lcm(*(v.denominator for v in rapidities.values))
+    return [v.numerator * (den // v.denominator)
+            for v in rapidities.values], den
+
+
+# i^m as (re, im), indexed by m mod 4
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
 def charge_eigenvalue(name: str, rapidities: RapiditySet):
     """Exact eigenvalue of the named charge on the Bethe state with the
     given rapidities: the registered symmetric polynomial evaluated at
     i * rapidities, times the registered sign.  An ExactComplex under
-    EXACT, a complex under FLOAT."""
+    EXACT, a complex under FLOAT.
+
+    The polynomial is homogeneous of degree m, so under EXACT it is one
+    sum of ints: sym(a_k) over D^m for numerators a_k over the common
+    denominator D, times i^m, reduced once."""
     spec = CHARGES[name]
+    sym = power_sum if spec.kind == "power" else elementary_symmetric
+    if rapidities.field is EXACT:
+        nums, den = _numerators(rapidities)
+        s = spec.sign * sym(nums, spec.degree)
+        re, im = _I_POWERS[spec.degree % 4]
+        return ExactComplex.over(re * s, im * s, den ** spec.degree)
     vals = [rapidities.field.i * v for v in rapidities.values]
-    if spec.kind == "power":
-        value = power_sum(vals, spec.degree)
-    else:
-        value = elementary_symmetric(vals, spec.degree)
-    return value * spec.sign
+    return sym(vals, spec.degree) * spec.sign
 
 
 # ----------------------------------------------------------------------
@@ -170,10 +189,8 @@ def _triple(bracket: ExpPoly, j: int) -> ExpPoly:
         1).restrict_to_boundary(j)
 
 
-def boundary_residual_j4(poly: ExpPoly, coupling,
-                         bracket: ExpPoly | None = None) -> list[ExpPoly]:
-    """Quadruple-layer boundary condition at x_2 = x_1 + 0; ``bracket``,
-    if given, is ``pair_bracket(poly, coupling, 1)``.
+def boundary_residual_j4(poly: ExpPoly, coupling) -> list[ExpPoly]:
+    """Quadruple-layer boundary condition at x_2 = x_1 + 0.
 
     Returns two residual components, both required empty:
       [0] the tangential-derivative part sum_{j>k>=3} d_j d_k [bracket],
@@ -181,16 +198,21 @@ def boundary_residual_j4(poly: ExpPoly, coupling,
       [1] the delta layer, evaluated by a second restriction x_j = x_k of
           the already-restricted bracket, summed over j > k >= 3.
     """
-    n = poly.num_vars
-    if n < 4:
+    if poly.num_vars < 4:
         raise ValueError("quadruple bracket needs at least four particles")
-    bracket = pair_bracket(poly, coupling, 1) if bracket is None else bracket
+    bracket = pair_bracket(poly, coupling, 1)
+    return _quadruple(bracket, bracket.restrict_to_boundary(1), coupling)
 
+
+def _quadruple(bracket: ExpPoly, restricted: ExpPoly,
+               coupling) -> list[ExpPoly]:
+    """``boundary_residual_j4`` from the pair bracket at j = 1 and its
+    restriction to x_2 = x_1."""
+    n = bracket.num_vars
     # sum_{j>k>=3} d_j d_k is one operator, weight e_2(z_3, ..., z_n)
     deriv_total = bracket.weighted(
         lambda z: elementary_symmetric(z[2:], 2), 2).restrict_to_boundary(1)
-    restricted = bracket.restrict_to_boundary(1)
-    delta_total = ExpPoly.zero(n - 2, poly.field)
+    delta_total = ExpPoly.zero(n - 2, bracket.field)
     for k_lo, j_hi in itertools.combinations(range(3, n + 1), 2):
         # after restricting x_2 := x_1, old variable v >= 3 sits at v - 1
         delta_total = delta_total + restricted.substitute_equal(
@@ -210,7 +232,8 @@ def all_boundary_residuals(w: BetheWavefunction) -> dict:
         for j, bracket in brackets.items():
             out[f"triple[j={j}]"] = _triple(bracket, j)
     if n >= 4:
-        for idx, res in enumerate(boundary_residual_j4(poly, c, brackets[1])):
+        quadruple = _quadruple(brackets[1], out["pair[j=1]"], c)
+        for idx, res in enumerate(quadruple):
             out[f"quadruple[part={idx}]"] = res
     return out
 
@@ -221,19 +244,24 @@ def all_boundary_residuals(w: BetheWavefunction) -> dict:
 
 def composition_identity_check(rapidities: RapiditySet) -> dict:
     """Verify the ladder compositions and the underlying Newton
-    identities exactly at eigenvalue level."""
+    identities exactly at eigenvalue level; the rapidities must be
+    rational.  Newton's identities are homogeneous, so they compare the
+    int sums of the numerators over the common denominator."""
     n = len(rapidities)
     if n == 0:
         raise DomainError("composition identities need at least one particle")
+    if rapidities.field is not EXACT:
+        raise DomainError("composition identities are exact equalities: "
+                          "give rational rapidities, not floats")
     ev = {name: charge_eigenvalue(name, rapidities) for name in CHARGES}
 
     h3_combo = ev["H1"] ** 3 - 3 * ev["H1"] * ev["J2"] + 3 * ev["J3"]
     h4_combo = (ev["H1"] ** 4 + 2 * ev["J2"] ** 2 - 4 * ev["H1"] ** 2 * ev["J2"]
                 + 4 * ev["H1"] * ev["J3"] - 4 * ev["J4"])
 
-    vals = list(rapidities.values)
-    p = {m: power_sum(vals, m) for m in (1, 2, 3, 4)}
-    e = {m: elementary_symmetric(vals, m) for m in (1, 2, 3, 4)}
+    nums, _ = _numerators(rapidities)
+    p = {m: power_sum(nums, m) for m in (1, 2, 3, 4)}
+    e = {m: elementary_symmetric(nums, m) for m in (1, 2, 3, 4)}
     newton3 = p[3] == e[1] ** 3 - 3 * e[1] * e[2] + 3 * e[3]
     newton4 = p[4] == (e[1] ** 4 - 4 * e[1] ** 2 * e[2] + 2 * e[2] ** 2
                        + 4 * e[1] * e[3] - 4 * e[4])
@@ -301,7 +329,10 @@ def _delta_expectations(w: BetheWavefunction, L: float,
                                + delta(v) delta(u+v)].
 
     A gap left free by the deltas is integrated in closed form (``_phi``);
-    each pinned pair distance runs over the fixed rule on [0, reach].  For
+    each pinned pair distance runs over the fixed rule on [0, reach].  In
+    delta(u) delta(u+v) the inner rule sees a row only through its gap
+    exponent, so its exponentials are built once per distinct value of
+    alpha - beta and beta - alpha.  For
     N = 3 the product delta(u) delta(v) pins both gaps, and the rule stays
     clear of the kink u + v = L of the measure only while 2 reach <= L;
     wider Gaussians are rejected.
@@ -345,9 +376,12 @@ def _delta_expectations(w: BetheWavefunction, L: float,
     # [0, 1]; the exponent is beta s + (alpha - beta) s t.  Then u <-> v.
     st = np.multiply.outer(s, nodes)
     dt = weights * np.exp(-(st / eps) ** 2) / (eps * math.sqrt(math.pi))
-    for a, b in ((alpha, beta), (beta, alpha)):
-        inner = np.einsum("tij,ij->ti", np.exp((a - b)[:, :, None] * st), dt)
-        cross = cross + (inner * np.exp(b * s) * s * m) @ d1
+    gap, row = np.unique(np.concatenate([alpha - beta, beta - alpha]),
+                         return_inverse=True)
+    inner = np.einsum("tij,ij->ti", np.exp(gap[:, None, None] * st),
+                      dt)[row.reshape(2, -1)]
+    for rows, e_pinned in zip(inner, (eb, ea)):    # exp(beta s), exp(alpha s)
+        cross = cross + (rows * e_pinned * s * m) @ d1
     return (2.0 * (weight @ pair).real, 2.0 * (weight @ cross).real)
 
 

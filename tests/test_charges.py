@@ -182,8 +182,9 @@ class TestEmptyState:
             ch.composition_identity_check(RapiditySet.of([]))
 
     def test_eigenvalue_rejects_empty(self):
-        with pytest.raises(DomainError):
-            ch.charge_eigenvalue("H2", RapiditySet.of([]))
+        for name in ch.CHARGES:
+            with pytest.raises(DomainError):
+                ch.charge_eigenvalue(name, RapiditySet.of([]))
 
 
 class TestInteriorAction:
@@ -301,15 +302,25 @@ class TestBoundaryConditions:
                          for j in range(1, 5)})
         expected.update({f"quadruple[part={idx}]": res for idx, res
                          in enumerate(ch.boundary_residual_j4(poly, c))})
-        built = []
+        built, restricted = [], []
         pair_bracket = ch.pair_bracket
         monkeypatch.setattr(ch, "pair_bracket",
                             lambda *args: built.append(args[2])
                             or pair_bracket(*args))
+        restrict = ExpPoly.restrict_to_boundary
+        monkeypatch.setattr(ExpPoly, "restrict_to_boundary",
+                            lambda self, j: restricted.append((self, j))
+                            or restrict(self, j))
         got = ch.all_boundary_residuals(w)
         # one bracket per hyperplane, none rebuilt
         assert [built.count(j) for j in range(1, 5)] == [1, 1, 1, 1]
         assert len(built) == 4
+        # each sum restricted once: four pair brackets, four tangential
+        # triple weights and one quadruple weight; the quadruple delta
+        # layer reuses pair[j=1] (``restricted`` holds every sum, so no
+        # id is reused)
+        calls = [(id(poly), j) for poly, j in restricted]
+        assert len(set(calls)) == len(calls) == 9
         assert list(got) == list(expected)
         for key, res in got.items():
             want = expected[key]
@@ -317,6 +328,73 @@ class TestBoundaryConditions:
                 == (want.unit, want.den, want.keys), key
             assert [str(x) for x in res.coeffs] \
                 == [str(x) for x in want.coeffs], key
+
+
+def reference_charge_eigenvalue(name, rapidities):
+    """A charge eigenvalue as the generic symmetric polynomial of the
+    field's scalars i * v, one product at a time."""
+    spec = ch.CHARGES[name]
+    sym = ch.power_sum if spec.kind == "power" else ch.elementary_symmetric
+    vals = [rapidities.field.i * v for v in rapidities.values]
+    return sym(vals, spec.degree) * spec.sign
+
+
+def reference_composition_check(rapidities):
+    """The composition and Newton identities on reference eigenvalues and
+    on Fraction power and elementary sums."""
+    ev = {name: reference_charge_eigenvalue(name, rapidities)
+          for name in ch.CHARGES}
+    h3 = ev["H1"] ** 3 - 3 * ev["H1"] * ev["J2"] + 3 * ev["J3"]
+    h4 = (ev["H1"] ** 4 + 2 * ev["J2"] ** 2 - 4 * ev["H1"] ** 2 * ev["J2"]
+          + 4 * ev["H1"] * ev["J3"] - 4 * ev["J4"])
+    vals = list(rapidities.values)
+    p = {m: ch.power_sum(vals, m) for m in (1, 2, 3, 4)}
+    e = {m: ch.elementary_symmetric(vals, m) for m in (1, 2, 3, 4)}
+    report = {
+        "n": len(vals),
+        "h3_composition": ev["H3"] == h3,
+        "h4_composition": ev["H4"] == h4,
+        "newton_p3": p[3] == e[1] ** 3 - 3 * e[1] * e[2] + 3 * e[3],
+        "newton_p4": p[4] == (e[1] ** 4 - 4 * e[1] ** 2 * e[2]
+                              + 2 * e[2] ** 2 + 4 * e[1] * e[3] - 4 * e[4]),
+    }
+    report["ok"] = all(v for k, v in report.items() if k != "n")
+    return report
+
+
+def mixed_rapidities(n):
+    """n distinct rationals: small and large denominators, zero and
+    negative values."""
+    return st.sets(st.one_of(
+        st.fractions(min_value=-6, max_value=6, max_denominator=6),
+        st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                     max_denominator=10 ** 12),
+        st.just(F(0))), min_size=n, max_size=n)
+
+
+class TestEigenvaluesAgainstReference:
+    @given(st.integers(1, 7).flatmap(mixed_rapidities))
+    @example({F(0)})
+    @example({F(0), F(-7, 3), F(10 ** 9 + 7, 10 ** 12)})
+    @example({F(-3), F(-1, 2), F(0), F(1, 3), F(5, 4), F(7, 6), F(11)})
+    @settings(max_examples=60, deadline=None)
+    def test_exact_and_float_match_reference(self, values):
+        raps = RapiditySet.of(values)
+        floats = RapiditySet.of(values, FLOAT)
+        for name in ch.CHARGES:
+            got, want = (ch.charge_eigenvalue(name, raps),
+                         reference_charge_eigenvalue(name, raps))
+            assert type(got) is type(want)
+            assert (got.a, got.b, got.d) == (want.a, want.b, want.d), name
+            got, want = (ch.charge_eigenvalue(name, floats),
+                         reference_charge_eigenvalue(name, floats))
+            assert type(got) is complex
+            assert (got.real.hex(), got.imag.hex()) \
+                == (want.real.hex(), want.imag.hex()), name
+        got = ch.composition_identity_check(raps)
+        assert got == reference_composition_check(raps)
+        assert [type(v) for v in got.values()] \
+            == [int] + [bool] * (len(got) - 1)
 
 
 class TestCompositions:
@@ -340,6 +418,12 @@ class TestCompositions:
     def test_random_sets(self, n, data):
         raps = data.draw(rational_rapidities(n))
         assert ch.composition_identity_check(raps)["ok"]
+
+    def test_rejects_float_rapidities(self):
+        # the identities hold, but exact equality of rounded sums would
+        # report them false
+        with pytest.raises(DomainError, match="rational rapidities"):
+            ch.composition_identity_check(RapiditySet.of([0.1, 0.7, 1.3]))
 
 
 class TestDefectScan:
@@ -477,6 +561,111 @@ class TestDefectScan:
                      for part in (np.real, np.imag)]
             assert complex(ch._phi(k, z)) == pytest.approx(
                 complex(*parts), rel=1e-11, abs=10.0 * tol)
+
+
+def reference_delta_expectations(w, L, eps):
+    """``_delta_expectations`` with the delta(u) delta(u + v) rule run for
+    each ordering over every row of |chi|^2, one exponential per row."""
+    freqs, coeffs = w.canonical.complex_arrays
+    omega = (freqs[None, :, :] - freqs.conj()[:, None, :]).reshape(-1, w.n)
+    weight = (coeffs.conj()[:, None] * coeffs[None, :]).ravel()
+    gaps = 1j * np.cumsum(omega[:, :0:-1], axis=1)[:, ::-1]
+    nodes, weights = ch.gauss_rule()
+    reach = min(L, ch.DEFECT_REACH * eps)
+    s = reach * nodes
+    delta = np.exp(-(s / eps) ** 2) / (eps * math.sqrt(math.pi))
+    d1 = reach * weights * delta
+    d2 = d1 * delta
+    m = L - s
+    alpha = gaps[:, :1]
+    ea = np.exp(alpha * s)
+    if w.n == 2:
+        return 2.0 * (weight @ (ea * m) @ d2).real, 0.0
+    beta = gaps[:, 1:]
+    eb = np.exp(beta * s)
+    pair = ((ea * ch._phi(2, beta * m) + eb * ch._phi(2, alpha * m)) * m * m
+            + eb * s * ch._phi(1, (alpha - beta) * s) * m) @ d2
+    pa, pb, qa, qb = ea @ d1, eb @ d1, ea @ (s * d1), eb @ (s * d1)
+    cross = L * pa * pb - qa * pb - pa * qb
+    st_ = np.multiply.outer(s, nodes)
+    dt = weights * np.exp(-(st_ / eps) ** 2) / (eps * math.sqrt(math.pi))
+    for a, b in ((alpha, beta), (beta, alpha)):
+        inner = np.einsum("tij,ij->ti", np.exp((a - b)[:, :, None] * st_), dt)
+        cross = cross + (inner * np.exp(b * s) * s * m) @ d1
+    return (2.0 * (weight @ pair).real, 2.0 * (weight @ cross).real)
+
+
+def gap_differences(w):
+    """alpha - beta and beta - alpha over the rows of |chi|^2, as
+    ``_delta_expectations`` forms them."""
+    freqs, _ = w.canonical.complex_arrays
+    omega = (freqs[None, :, :] - freqs.conj()[:, None, :]).reshape(-1, w.n)
+    alpha = 1j * (omega[:, 1] + omega[:, 2])
+    beta = 1j * omega[:, 2]
+    return np.concatenate([alpha - beta, beta - alpha])
+
+
+def signed_zero_state():
+    """The suite's N = 3 state with every frequency of x_3 given the
+    imaginary part -0.0: rows with Omega_2 = 0 and Omega_3 < 0 then have
+    the gap exponent -0.0 in one ordering and +0.0 in the other."""
+    w = build_bethe(RapiditySet.of([0.5, 1.5, 3.0]), Coupling(1.0))
+    poly = w.canonical
+    keys = tuple(f[:5] + (-0.0,) for f in poly.keys)
+    return BetheWavefunction(w.rapidities, w.coupling,
+                             poly._with(keys, poly.coeffs))
+
+
+class TestDeltaExpectationsAgainstLoop:
+    """One exponential block per distinct gap exponent gives the floats of
+    the per-row loop bit for bit."""
+
+    @staticmethod
+    def states():
+        rng = np.random.default_rng(11)
+        yield build_bethe(RapiditySet.of([0.5, 1.5, 3.0]), Coupling(1.0))
+        for _ in range(3):
+            raps = np.round(rng.uniform(-3.0, 3.0, 3), 6)
+            yield build_bethe(RapiditySet.of(list(raps)),
+                              Coupling(float(rng.uniform(0.25, 4.0))))
+        yield build_bethe(RapiditySet.of([F(1, 2), F(3, 2), F(3)]),
+                          Coupling(F(1)))
+        yield signed_zero_state()
+
+    @pytest.mark.parametrize("L", [BOX_L, 3.5])
+    def test_three_particles_bit_identical(self, L):
+        for w in self.states():
+            for m in range(3, 8):
+                got = ch._delta_expectations(w, L, 2.0 ** -m)
+                want = reference_delta_expectations(w, L, 2.0 ** -m)
+                assert [x.hex() for x in map(float, got)] \
+                    == [x.hex() for x in map(float, want)]
+
+    def test_inputs_hold_zero_gaps_of_both_signs(self):
+        """Every state has exactly zero gaps (its diagonal rows among
+        them); merged equal gaps differ in the sign of a zero real part
+        on the suite's state, and of the zero gap itself on the
+        signed-zero state."""
+        for w in self.states():
+            gaps = gap_differences(w)
+            assert np.sum(gaps == 0) >= 2 * len(w.canonical.keys)
+        suite = gap_differences(next(self.states()))
+        zero_re = suite.real == 0
+        assert np.signbit(suite.real[zero_re]).any()
+        assert not np.signbit(suite.real[zero_re]).all()
+        zero = gap_differences(signed_zero_state())
+        zero = zero[zero == 0]
+        assert np.signbit(zero.real).any() and not np.signbit(zero.real).all()
+
+    @pytest.mark.parametrize("L", [BOX_L, 3.5])
+    def test_two_particles_bit_identical(self, L):
+        for raps, c in (([1.0, 2.0], 0.5), ([-0.75, 1.25], 2.0)):
+            w = build_bethe(RapiditySet.of(raps), Coupling(c))
+            for m in range(3, 8):
+                got = ch._delta_expectations(w, L, 2.0 ** -m)
+                want = reference_delta_expectations(w, L, 2.0 ** -m)
+                assert [x.hex() for x in map(float, got)] \
+                    == [x.hex() for x in map(float, want)]
 
 
 class TestDefectOracles:
