@@ -329,10 +329,11 @@ def _delta_expectations(w: BetheWavefunction, L: float,
                                + delta(v) delta(u+v)].
 
     A gap left free by the deltas is integrated in closed form (``_phi``);
-    each pinned pair distance runs over the fixed rule on [0, reach].  In
-    delta(u) delta(u+v) the inner rule sees a row only through its gap
-    exponent, so its exponentials are built once per distinct value of
-    alpha - beta and beta - alpha.  For
+    each pinned pair distance runs over the fixed rule on [0, reach].
+    Every exponential block sees a row only through alpha, beta or a gap
+    exponent alpha - beta or beta - alpha (the inner rule of
+    delta(u) delta(u+v)), so each is built once per distinct value and
+    gathered per row: a Bethe state's 36 rows take 7 values of each.  For
     N = 3 the product delta(u) delta(v) pins both gaps, and the rule stays
     clear of the kink u + v = L of the measure only while 2 reach <= L;
     wider Gaussians are rejected.
@@ -357,18 +358,25 @@ def _delta_expectations(w: BetheWavefunction, L: float,
     d1 = reach * weights * delta            # rule weight times delta_eps
     d2 = d1 * delta                         # rule weight times delta_eps^2
     m = L - s
-    alpha = gaps[:, :1]
-    ea = np.exp(alpha * s)
     if w.n == 2:
+        ea = np.exp(gaps * s)
         return 2.0 * (weight @ (ea * m) @ d2).real, 0.0
     if 2.0 * reach > L:
         raise DomainError(f"width {eps} too wide for box {L}: the N = 3 "
                           f"rule needs 2 * {DEFECT_REACH} * eps <= L")
-    beta = gaps[:, 1:]
-    eb = np.exp(beta * s)
+    # blocks in alpha or beta alone, built once per distinct value
+    value, row = np.unique(gaps, return_inverse=True)
+    ia, ib = row.reshape(gaps.shape).T
+    ev, phi2 = np.exp(value[:, None] * s), _phi(2, value[:, None] * m)
+    ea, eb = ev[ia], ev[ib]
+    # blocks in the gap exponent alpha - beta or beta - alpha
+    alpha, beta = gaps.T
+    gap, row = np.unique(np.concatenate([alpha - beta, beta - alpha]),
+                         return_inverse=True)
+    order = row.reshape(2, -1)              # alpha - beta, then beta - alpha
     # pinned u (v free), pinned v (u free), pinned u + v (split free)
-    pair = ((ea * _phi(2, beta * m) + eb * _phi(2, alpha * m)) * m * m
-            + eb * s * _phi(1, (alpha - beta) * s) * m) @ d2
+    pair = ((ea * phi2[ib] + eb * phi2[ia]) * m * m
+            + eb * s * _phi(1, gap[:, None] * s)[order[0]] * m) @ d2
     # delta(u) delta(v) separates: sum_ij d1_i d1_j (L - s_i - s_j) ea_i eb_j
     pa, pb, qa, qb = ea @ d1, eb @ d1, ea @ (s * d1), eb @ (s * d1)
     cross = L * pa * pb - qa * pb - pa * qb
@@ -376,10 +384,8 @@ def _delta_expectations(w: BetheWavefunction, L: float,
     # [0, 1]; the exponent is beta s + (alpha - beta) s t.  Then u <-> v.
     st = np.multiply.outer(s, nodes)
     dt = weights * np.exp(-(st / eps) ** 2) / (eps * math.sqrt(math.pi))
-    gap, row = np.unique(np.concatenate([alpha - beta, beta - alpha]),
-                         return_inverse=True)
     inner = np.einsum("tij,ij->ti", np.exp(gap[:, None, None] * st),
-                      dt)[row.reshape(2, -1)]
+                      dt)[order]
     for rows, e_pinned in zip(inner, (eb, ea)):    # exp(beta s), exp(alpha s)
         cross = cross + (rows * e_pinned * s * m) @ d1
     return (2.0 * (weight @ pair).real, 2.0 * (weight @ cross).real)

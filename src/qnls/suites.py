@@ -62,9 +62,12 @@ def sample_coupling(rng: random.Random, field: Field = EXACT) -> Coupling:
     return Coupling(field.real(Fraction(rng.randint(1, 12), rng.randint(1, 4))))
 
 
-def _state_scale(w: BetheWavefunction) -> float:
+def _state_scale(w: BetheWavefunction) -> float | None:
     """Magnitude scale of degree-<=4 operator outputs on the state; float
-    residuals are judged relative to it."""
+    residuals are judged relative to it.  None on an exact state, whose
+    residuals ``_zero_check`` judges by their count of terms alone."""
+    if w.exact:
+        return None
     return (w.canonical.max_coeff() * (1.0 + w.canonical.max_freq()) ** 4
             * (1.0 + abs(float(w.coupling.c))))
 

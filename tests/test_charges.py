@@ -564,8 +564,9 @@ class TestDefectScan:
 
 
 def reference_delta_expectations(w, L, eps):
-    """``_delta_expectations`` with the delta(u) delta(u + v) rule run for
-    each ordering over every row of |chi|^2, one exponential per row."""
+    """``_delta_expectations`` row by row: every exponential and ``_phi``
+    block is built over the rows of |chi|^2, and the delta(u) delta(u + v)
+    rule runs for each ordering with one exponential per row."""
     freqs, coeffs = w.canonical.complex_arrays
     omega = (freqs[None, :, :] - freqs.conj()[:, None, :]).reshape(-1, w.n)
     weight = (coeffs.conj()[:, None] * coeffs[None, :]).ravel()
@@ -595,13 +596,17 @@ def reference_delta_expectations(w, L, eps):
     return (2.0 * (weight @ pair).real, 2.0 * (weight @ cross).real)
 
 
-def gap_differences(w):
-    """alpha - beta and beta - alpha over the rows of |chi|^2, as
-    ``_delta_expectations`` forms them."""
+def gap_exponents(w):
+    """alpha and beta over the rows of |chi|^2, as ``_delta_expectations``
+    forms them."""
     freqs, _ = w.canonical.complex_arrays
     omega = (freqs[None, :, :] - freqs.conj()[:, None, :]).reshape(-1, w.n)
-    alpha = 1j * (omega[:, 1] + omega[:, 2])
-    beta = 1j * omega[:, 2]
+    return 1j * (omega[:, 1] + omega[:, 2]), 1j * omega[:, 2]
+
+
+def gap_differences(w):
+    """alpha - beta and beta - alpha over the rows of |chi|^2."""
+    alpha, beta = gap_exponents(w)
     return np.concatenate([alpha - beta, beta - alpha])
 
 
@@ -617,8 +622,9 @@ def signed_zero_state():
 
 
 class TestDeltaExpectationsAgainstLoop:
-    """One exponential block per distinct gap exponent gives the floats of
-    the per-row loop bit for bit."""
+    """One exponential or ``_phi`` block per distinct alpha, beta or gap
+    exponent gives both floats of the per-row form bit for bit, though
+    ``np.unique`` merges values that differ in the sign of a zero."""
 
     @staticmethod
     def states():
@@ -645,7 +651,8 @@ class TestDeltaExpectationsAgainstLoop:
         """Every state has exactly zero gaps (its diagonal rows among
         them); merged equal gaps differ in the sign of a zero real part
         on the suite's state, and of the zero gap itself on the
-        signed-zero state."""
+        signed-zero state, where the one block of alpha and beta values
+        also merges values whose zero real parts differ in sign."""
         for w in self.states():
             gaps = gap_differences(w)
             assert np.sum(gaps == 0) >= 2 * len(w.canonical.keys)
@@ -656,6 +663,10 @@ class TestDeltaExpectationsAgainstLoop:
         zero = gap_differences(signed_zero_state())
         zero = zero[zero == 0]
         assert np.signbit(zero.real).any() and not np.signbit(zero.real).all()
+        values = np.concatenate(gap_exponents(signed_zero_state()))
+        _, group = np.unique(values, return_inverse=True)
+        signed = set(zip(group.ravel(), np.signbit(values.real)))
+        assert len(signed) > len(set(group.ravel()))
 
     @pytest.mark.parametrize("L", [BOX_L, 3.5])
     def test_two_particles_bit_identical(self, L):

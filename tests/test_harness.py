@@ -595,11 +595,79 @@ def test_no_scipy_in_sources():
     assert offenders == []
 
 
-@pytest.mark.parametrize("mode", ["exact", "float"])
-def test_run_all_loads_no_scipy(tmp_path, mode):
+# the variables OpenBLAS reads its thread count from, in its order
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                         "OMP_NUM_THREADS")
+
+
+def fresh_env(**threads: str) -> dict:
+    """This process's environment for a fresh interpreter that imports
+    qnls from this checkout, with only the given BLAS thread variables."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env.update(threads)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+BLAS_THREADS_SCRIPT = """\
+import ctypes, json, os
+before = dict(os.environ)
+import qnls
+def blas_threads():
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        libs = sorted({line.split()[-1] for line in fh
+                       if "openblas" in line and line.rstrip().endswith(".so")})
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return fn()
+    return None
+print(json.dumps({"threads": blas_threads(),
+                  "environ_kept": dict(os.environ) == before}))
+"""
+
+
+@pytest.mark.parametrize("threads,expected", [
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+    ({"GOTO_NUM_THREADS": "2"}, 2),
+    ({"OMP_NUM_THREADS": "2"}, 2),
+], ids=["default", "openblas-2", "goto-2", "omp-2"])
+def test_blas_thread_default(threads, expected):
+    """``import qnls`` in a fresh interpreter loads OpenBLAS on one thread
+    unless a thread variable is set, which it keeps, and leaves
+    os.environ as it found it."""
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps to find the BLAS library")
+    if expected > (os.cpu_count() or 1):
+        pytest.skip("OpenBLAS caps its threads at the CPUs present")
+    proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT],
+                          capture_output=True, text=True,
+                          env=fresh_env(**threads), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    if doc["threads"] is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    assert doc == {"threads": expected, "environ_kept": True}
+
+
+@pytest.mark.parametrize("mode,threads", [
+    pytest.param("exact", {}, id="exact"),
+    pytest.param("float", {}, id="float"),
+    pytest.param("exact", {"OPENBLAS_NUM_THREADS": "2"}, id="exact-openblas-2"),
+    pytest.param("float", {"OPENBLAS_NUM_THREADS": "2"}, id="float-openblas-2"),
+])
+def test_run_all_loads_no_scipy(tmp_path, mode, threads):
     """In a fresh interpreter neither importing the CLI nor a full run
     loads any scipy module; the run passes, reports all 77 checks and
-    writes the pinned report (``report_moves``)."""
+    writes the pinned report (``report_moves``), on qnls's default of one
+    BLAS thread and on two."""
     script = (
         "import json, sys\n"
         "def loaded():\n"
@@ -611,12 +679,9 @@ def test_run_all_loads_no_scipy(tmp_path, mode):
         "                      '--mode', sys.argv[2], '--out', sys.argv[1]])\n"
         "print(json.dumps({'code': code, 'after_import': after_import,\n"
         "                  'after_run': loaded()}))\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), mode],
-                          capture_output=True, text=True, env=env,
-                          timeout=300)
+                          capture_output=True, text=True,
+                          env=fresh_env(**threads), timeout=300)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout.strip().splitlines()[-1])
     assert doc == {"code": 0, "after_import": [], "after_run": []}
