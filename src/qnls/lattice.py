@@ -39,19 +39,20 @@ engine reads that table:
   products of d x d slices table[:, :, r, s] with entries of the product
   over sites s-1..1 (``_left_multiply``).  Block (i, j) of such a
   product is the slice entry (i, j) times the entry below, so only the
-  blocks of nonzero slice entries are written into a zeroed output: at
-  d = 4, 4 of the 16 for the diagonal slices and 3 of 16 for the
-  off-diagonal ones, each a block of dimension dim/d, dim = d^M.  The
-  zero pattern is read from the table, and the sums run in Kronecker
-  order, so every entry equals the sum of Kronecker products bit for
-  bit.  Only the last site works on dim x dim blocks (``monodromy``);
-  callers that read only A and D (the transfer operator, the ordering
-  breakdown) share the site loop but form only those two at the last
-  site (``_diagonal_entries``), and B and C are never allocated;
-- the adjoint pairing forms D and, at the last site, A^dag from the
-  adjoint slices and the adjoints of the product below that site, which
-  are d times smaller than A: bit for bit conj(A).T, written in order,
-  so A^dag - D reads both operands in order
+  blocks of nonzero slice entries are written, one at a time
+  (``_write_block``), into a zeroed output: at d = 4, 4 of the 16 for
+  the diagonal slices and 3 of 16 for the off-diagonal ones, each a
+  block of dimension dim/d, dim = d^M.  The zero pattern is read from
+  the table, and the sums run in Kronecker order, so every entry equals
+  the sum of Kronecker products bit for bit.  Only the last site works
+  on dim x dim blocks (``monodromy``); callers that read only A and D
+  (the transfer operator, the ordering breakdown) share the site loop
+  but form only those two at the last site (``_diagonal_entries``), and
+  B and C are never allocated;
+- the adjoint pairing never forms a dim x dim block: it writes A^dag - D
+  one block over the last site's levels at a time, A^dag's from the
+  adjoint slices and the adjoints of the product below that site, keeps
+  each block's in-sector entries and sums the squares of the rest
   (``hermiticity_pairing_defect``);
 - the exchange relation builds no full-space block: T(lam) (x) T(mu) is
   itself a monodromy, with the 4x4 site factor
@@ -74,14 +75,16 @@ gathers each block by index for one small SVD, zeroes it in place and
 adds the Frobenius norm of what is left, which is 0 when the operator
 moves number by exactly the given amount: the result is exact then and
 an upper bound on the full 2-norm always.  No operator is sorted or
-copied whole; A^dag - D is formed in the memory of A^dag.
-``tau_commutator_norm`` already works in one sector, and
-``normal_ordering_breakdown`` measures 9 x 9 blocks; both take plain
-2-norms.
+copied whole.  The adjoint pairing measures its difference the same way
+without forming it: the in-sector entries of each block go straight
+into one buffer of the sector blocks.  ``tau_commutator_norm`` already
+works in one sector, and ``normal_ordering_breakdown`` measures 9 x 9
+blocks; both take plain 2-norms.
 
 The monodromy holds a known number of dim x dim complex blocks, the
-exchange relation a known number of kept x kept ones and the sector
-commutator a known number of m x m ones over the m configs of its
+adjoint pairing a known number of dim/d x dim/d ones beside its sector
+blocks, the exchange relation a known number of kept x kept ones and the
+sector commutator a known number of m x m ones over the m configs of its
 sector; their bytes are checked against DENSE_BUDGET_BYTES before
 anything is allocated.
 """
@@ -108,12 +111,13 @@ COMPLEX_BYTES = 16
 # at 4.05-4.32 full blocks at the sizes the tests measure (4^4, 6^3,
 # 12^2).  A and D alone (_diagonal_entries) are checked against the same
 # count and peak at 2.05-2.32 full blocks there, with no B and C; the
-# adjoint pairing (A^dag in place of A) and the number conservation check
-# (tau in A's memory) allocate no further full block.  rtt_residual holds
-# only kept blocks, 16 per (kept, kept, 4, 4) stack: both orderings'
-# stacks while the defect is measured, the stack of the 6 entries of one
-# number shift and the two products whose difference is written into it:
-# 40 blocks, and 1 more for the index arrays and small tables.
+# number conservation check (tau in A's memory) allocates no further full
+# block.  The adjoint pairing holds no full block and has its own count
+# (_PAIRING_BLOCKS).  rtt_residual holds only kept blocks, 16 per (kept,
+# kept, 4, 4) stack: both orderings' stacks while the defect is measured,
+# the stack of the 6 entries of one number shift and the two products
+# whose difference is written into it: 40 blocks, and 1 more for the
+# index arrays and small tables.
 # tracemalloc peaks at 40.05-40.12 kept blocks at 81 to 125 kept states.
 MONODROMY_BLOCKS = 5
 RTT_KEPT_BLOCKS = 2 * 16 + 6 + 2 + 1
@@ -124,6 +128,16 @@ RTT_KEPT_BLOCKS = 2 * 16 + 6 + 2 + 1
 # 1 more for the configs, index arrays and small tables.  tracemalloc
 # peaks at 13.08-13.52 blocks at 136 to 364 configs.
 SECTOR_BLOCKS = 1 + 2 * 4 + 2 * 2 + 1
+# hermiticity_pairing_defect holds blocks of dimension dim/d, the size of
+# the products below the last site: those 4 products, the two blocks of
+# A^dag and D being formed and one term of a sum where two slices reach a
+# block; a block's in-sector index arrays, less than a block, are alive
+# only between writes.  Beside them: the sector blocks, sum_n
+# sector_size(n)^2 entries.  tracemalloc peaks at 6.47 blocks beside the
+# sector blocks at 4^5 (7.04 on a table where two slices reach a block),
+# and at most 31 KB above the count at 4^4, 6^3 and 12^2, where index
+# arrays and numpy's iteration buffers come to more than a block.
+_PAIRING_BLOCKS = 4 + 2 + 1
 # continuum_limit_rate: one-particle momentum index, per-site cutoff and
 # the site counts of the fit
 CONTINUUM_MOMENTUM_INDEX = 1
@@ -224,6 +238,14 @@ def sector_bytes(configs: int) -> int:
     return COMPLEX_BYTES * SECTOR_BLOCKS * configs * configs
 
 
+def _pairing_bytes(spec: LatticeSpec) -> int:
+    """Bytes of the dense blocks of ``hermiticity_pairing_defect``."""
+    n = spec.cutoff ** (spec.sites - 1)
+    in_sector = sum(sector_size(spec, total) ** 2
+                    for total in range((spec.cutoff - 1) * spec.sites + 1))
+    return COMPLEX_BYTES * (_PAIRING_BLOCKS * n * n + in_sector)
+
+
 def _check_dense_budget(spec: LatticeSpec, what: str, need: int) -> None:
     """Raises SizeLimit, before anything is allocated, unless the ``need``
     bytes of dense blocks of ``what`` fit the byte budget."""
@@ -234,22 +256,16 @@ def _check_dense_budget(spec: LatticeSpec, what: str, need: int) -> None:
             f"{DENSE_BUDGET_BYTES} bytes")
 
 
-def _below_last_site(spec: LatticeSpec, lam: complex, rho_override):
-    """The site factor as a (2, 2, d, d) stack of slices, L[r, s] =
-    table[:, :, r, s], and all four entries of the product over sites
-    M-1..1 (None at one site), after the byte budget of ``monodromy`` has
-    been checked."""
-    _check_dense_budget(spec, "monodromy", dense_bytes(spec, MONODROMY_BLOCKS))
-    L = _site_factor_table(spec, lam, rho_override).transpose(2, 3, 0, 1)
-    return L, _site_products(L, spec.sites - 1)
-
-
 def _monodromy_entries(spec: LatticeSpec, lam: complex, rho_override,
                        entries) -> list[np.ndarray]:
-    """The listed (r, c) entries of T(lam): all four entries of the
-    product over sites M-1..1, then only the listed ones at the last
-    site."""
-    L, T = _below_last_site(spec, lam, rho_override)
+    """The listed (r, c) entries of T(lam), after the byte budget of
+    ``monodromy`` has been checked: all four entries of the product over
+    sites M-1..1 (None at one site), then only the listed ones at the last
+    site.  The site factor is taken as a (2, 2, d, d) stack of slices,
+    L[r, s] = table[:, :, r, s]."""
+    _check_dense_budget(spec, "monodromy", dense_bytes(spec, MONODROMY_BLOCKS))
+    L = _site_factor_table(spec, lam, rho_override).transpose(2, 3, 0, 1)
+    T = _site_products(L, spec.sites - 1)
     return [_left_multiply(L, T, r, c) for r, c in entries]
 
 
@@ -270,12 +286,10 @@ def _left_multiply(L: np.ndarray, T, r: int, c: int,
     or L[r, c] itself when there is no product T below the site.
 
     Block (i, j) of a Kronecker product L[r, q] (x) T[q][c] is
-    L[r, q][i, j] T[q][c], so only the blocks of the nonzero slice entries
-    are written into the zeroed output (or into ``out``, a zeroed square
-    view); the zero pattern is read from each slice.  A block that several
-    q reach is summed in q order, each term formed as np.kron forms it
-    (the slice entry the left operand), so the result equals the sum of
-    Kronecker products bit for bit."""
+    L[r, q][i, j] T[q][c], so only the blocks that some slice reaches are
+    written (``_write_block``) into the zeroed output (or into ``out``, a
+    zeroed square view); the zero pattern is read from the slices, and the
+    result equals the sum of Kronecker products bit for bit."""
     if T is None:
         if out is None:
             return L[r, c]
@@ -285,15 +299,28 @@ def _left_multiply(L: np.ndarray, T, r: int, c: int,
     if out is None:
         out = np.zeros((d * n, d * n), dtype=complex)
     blocks = out.reshape(d, n, d, n)
-    written = np.zeros((d, d), dtype=bool)
-    for q, part in enumerate(L[r]):
-        for i, j in zip(*np.nonzero(part)):
-            if written[i, j]:
-                blocks[i, :, j] += np.multiply(part[i, j], T[q][c])
-            else:
-                np.multiply(part[i, j], T[q][c], out=blocks[i, :, j])
-                written[i, j] = True
+    for i, j in zip(*np.nonzero(L[r].any(axis=0))):
+        _write_block(L, T, r, c, i, j, blocks[i, :, j])
     return out
+
+
+def _write_block(L: np.ndarray, T, r: int, c: int, i: int, j: int,
+                 out: np.ndarray) -> bool:
+    """Block (i, j) of entry (r, c) of L(site) T, the sum over q of
+    L[r, q][i, j] T[q][c], written into ``out`` in q order: the first
+    nonzero slice entry's term with np.multiply, each later one added,
+    each formed as np.kron forms it (the slice entry the left operand).
+    Returns False, ``out`` untouched, when no slice reaches the block."""
+    written = False
+    for q, part in enumerate(L[r]):
+        entry = part[i, j]
+        if entry:
+            if written:
+                out += np.multiply(entry, T[q][c])
+            else:
+                np.multiply(entry, T[q][c], out=out)
+                written = True
+    return written
 
 
 def monodromy(spec: LatticeSpec, lam: complex,
@@ -570,20 +597,84 @@ def tau_commutator_norm(lam: complex, mu: complex, spec: LatticeSpec,
 
 def hermiticity_pairing_defect(spec: LatticeSpec, lam: float) -> float:
     """At real lam the diagonal monodromy entries are mutual adjoints:
-    ||A^dag - D||_2 per number sector (``_sector_norms``).
+    ||A^dag - D||_2 per number sector, measured as ``_sector_norms``
+    measures it: the largest 2-norm of the sector blocks plus the
+    Frobenius norm of every entry off them, which is 0 on a
+    number-conserving table and makes a conservation fault show.
 
-    A^dag is formed at the last site as sum_q L[0, q]^dag (x) T[q][0]^dag,
-    from the adjoint slices and the adjoints of the product below that
-    site, which are d times smaller than A: bit for bit conj(A).T, but
-    written in order, so the difference reads both operands in order."""
-    L, T = _below_last_site(spec, float(lam), None)
-    D = _left_multiply(L, T, 1, 1)
-    if T is not None:   # keep only the entries below A, as adjoints
-        T = [[np.conjugate(T[q][0].T, order="C")] for q in range(2)]
-    X = _left_multiply(np.conjugate(L).swapaxes(2, 3), T, 0, 0)
-    X -= D
-    groups = _sector_groups(_occupations(spec.cutoff, spec.sites).sum(axis=1))
-    return float(_sector_norms(X[None], groups, 0)[0])
+    A^dag - D is never formed whole (``_pairing_blocks``): its blocks over
+    the last site's levels, of dimension dim/d, are formed one at a time.
+    Each block's in-sector entries are scattered into one buffer of the
+    sector blocks, in basis order, and the squares of the rest are summed;
+    then one SVD per sector.  Held at once: the four products below the
+    last site, two blocks and one term of a sum, and the sector blocks,
+    116,304 entries of the 1,048,576 of A at 4^5 (``_pairing_bytes``)."""
+    _check_dense_budget(spec, "adjoint pairing", _pairing_bytes(spec))
+    L = _site_factor_table(spec, float(lam)).transpose(2, 3, 0, 1)
+    T = _site_products(L, spec.sites - 1)
+    counts = _occupations(spec.cutoff, spec.sites).sum(axis=1)
+    groups = _sector_groups(counts)
+    sizes = np.array([len(group) for group in groups])
+    ends = np.cumsum(sizes * sizes)
+    pos = np.empty_like(counts)   # each state's place in its sector
+    for group in groups:
+        pos[group] = np.arange(len(group))
+    # where each state's row of its sector block starts in the buffer
+    row_start = ends[counts] - sizes[counts] ** 2 + pos * sizes[counts]
+    sectors = np.zeros(ends[-1], dtype=complex)
+    off_sector = sum(_move_in_sector(X, counts[rows], counts[cols],
+                                     row_start[rows], pos[cols], sectors)
+                     for rows, cols, X in _pairing_blocks(L, T))
+    worst = 0.0
+    for end, m in zip(ends, sizes):
+        block = sectors[end - m * m:end].reshape(m, m)
+        worst = max(worst, np.linalg.svd(block, compute_uv=False)[0])
+    return float(worst + math.sqrt(off_sector))
+
+
+def _move_in_sector(X: np.ndarray, row_counts: np.ndarray,
+                    col_counts: np.ndarray, row_start: np.ndarray,
+                    col_pos: np.ndarray, sectors: np.ndarray) -> float:
+    """Moves the entries of X between states of equal particle number
+    (``row_counts``, ``col_counts``) into ``sectors``, entry (r, c) to
+    row_start[r] + col_pos[c], zeroing them in X, and returns the sum of
+    squared magnitudes of what is left."""
+    r, c = np.nonzero(row_counts[:, None] == col_counts)
+    sectors[row_start[r] + col_pos[c]] = X[r, c]
+    X[r, c] = 0.0
+    return np.vdot(X, X).real
+
+
+def _pairing_blocks(L: np.ndarray, T):
+    """Yields (rows, cols, X): X the block of A^dag - D over the state
+    ranges rows x cols, for each block over the last site's levels that a
+    slice of A^dag or D reaches (the others are zero); at one site the
+    whole operator.  X is overwritten by the next block.
+
+    A^dag is sum_q L[0, q]^dag (x) T[q][0]^dag, so block (i, j) of A^dag
+    is written (``_write_block``) from the adjoint slices and the adjoints
+    of T[q][0], which replace T[q][0] in T one at a time, and block (i, j)
+    of D from the slices and T[q][1]; then D is subtracted.  These are the
+    terms, in their order, of the dim x dim A^dag and D that
+    ``_left_multiply`` writes from the same operands, so every entry is
+    that difference's bit for bit."""
+    adjoint = np.conjugate(L).swapaxes(2, 3)
+    if T is None:
+        whole = slice(0, L.shape[-1])
+        yield whole, whole, adjoint[0, 0] - L[1, 1]
+        return
+    for q in range(len(T)):
+        T[q][0] = np.conjugate(T[q][0].T, order="C")
+    n = len(T[0][0])
+    X = np.empty((n, n), dtype=complex)
+    D = np.empty((n, n), dtype=complex)
+    for i, j in zip(*np.nonzero(adjoint[0].any(axis=0) | L[1].any(axis=0))):
+        if not _write_block(adjoint, T, 0, 0, i, j, X):
+            X[...] = 0.0
+        if not _write_block(L, T, 1, 1, i, j, D):
+            D[...] = 0.0
+        X -= D
+        yield slice(i * n, (i + 1) * n), slice(j * n, (j + 1) * n), X
 
 
 # ----------------------------------------------------------------------

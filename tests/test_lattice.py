@@ -543,6 +543,45 @@ class TestMonodromy:
         assert lat.hermiticity_pairing_defect(spec, lam.real) \
             == reference_pairing_defect(spec, lam.real)
 
+    @pytest.mark.parametrize("sites, cutoff, step, c, lam", [
+        (5, 4, 0.3, 1.0, 0.7), (4, 5, 0.35, 1.2, -1.3),
+        (3, 6, 0.3, 1.0, 1.9), (2, 12, 0.25, 0.8, -0.4),
+        # the lattice-sweep benchmark's 4^5 inputs at seeds 2024 and 7
+        (5, 4, 0.3, 1.1641314398892726, 0.472220876675872),
+        (5, 4, 0.3, 0.809052302021444, 1.8703670946984814)])
+    def test_pairing_is_adjoint_of_finished_a_past_sampled_sizes(
+            self, sites, cutoff, step, c, lam):
+        # the sampled cases stop at dimension 256; the blocks over the
+        # last site must give the float of the full-space difference
+        spec = lat.LatticeSpec(sites, cutoff, step, c)
+        assert lat.hermiticity_pairing_defect(spec, lam) \
+            == reference_pairing_defect(spec, lam)
+
+    @pytest.mark.parametrize("sites", [2, 3])
+    @pytest.mark.parametrize("r, s", itertools.product(range(2), repeat=2))
+    def test_pairing_shows_entry_off_the_band(self, r, s, sites):
+        # an entry at n' = n + 2 puts entries of A^dag - D off the sector
+        # blocks; the Frobenius sum of those entries must stay in the
+        # defect, which then bounds the full 2-norm
+        spec = lat.LatticeSpec(sites, 4, 0.35, 1.2)
+        clean = lat._site_factor_table
+
+        def planted(*args):
+            table = clean(*args)
+            table[2, 0, r, s] = 0.5
+            return table
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lat, "_site_factor_table", planted)
+            got = lat.hermiticity_pairing_defect(spec, 0.7)
+            want = reference_pairing_defect(spec, 0.7)
+            A, D = lat._diagonal_entries(spec, 0.7)
+        assert got > lat.IDENTITY_TOL
+        # the sum off the sector blocks may run in another order
+        assert got == pytest.approx(want, rel=1e-15, abs=0)
+        assert got >= np.linalg.norm(np.conjugate(A).T - D, 2) * (1 - 1e-12)
+        assert lat.hermiticity_pairing_defect(spec, 0.7) <= lat.IDENTITY_TOL
+
     @pytest.mark.parametrize("sites", [2, 3])
     @pytest.mark.parametrize("r, s", itertools.product(range(2), repeat=2))
     def test_number_conservation_shows_entry_off_the_band(self, r, s, sites):
@@ -665,7 +704,7 @@ class TestDenseBudget:
                 lat.monodromy(spec, 0.7)
             with pytest.raises(SizeLimit):
                 lat.transfer_operator(spec, 0.7)
-            with pytest.raises(SizeLimit):
+            with pytest.raises(SizeLimit) as pairing_err:
                 lat.hermiticity_pairing_defect(spec, 0.7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -673,6 +712,8 @@ class TestDenseBudget:
         assert peak < 2 ** 20
         assert str(need) in str(err.value)
         assert str(lat.DENSE_BUDGET_BYTES) in str(err.value)
+        # the pairing is refused by its own count, not the monodromy's
+        assert str(lat._pairing_bytes(spec)) in str(pairing_err.value)
 
     def test_cli_rtt_rejected(self, capsys):
         code = main(["lattice", "rtt", "--sites", "7", "--cutoff", "4",
@@ -700,19 +741,21 @@ class TestDenseBudget:
 
     def test_suite_and_sweep_sizes_fit(self):
         # the suite goes up to 3 sites at cutoff 4; the benchmark sweep
-        # runs the exchange relation at 4^4 and monodromy at 4^5; the
-        # exchange relation fits up to 6 sites at cutoff 4 and 10 at cutoff 3
+        # runs the exchange relation at 4^4, monodromy and the adjoint
+        # pairing at 4^5; the exchange relation fits up to 6 sites at
+        # cutoff 4 and 10 at cutoff 3
         rtt = [lat.dense_bytes(lat.LatticeSpec(m, d, 0.3, 1.0), 0,
                                lat.RTT_KEPT_BLOCKS)
                for m, d in ((4, 4), (6, 4), (10, 3))]
         mono = lat.dense_bytes(lat.LatticeSpec(5, 4, 0.3, 1.0),
                                lat.MONODROMY_BLOCKS)
+        pairing = lat._pairing_bytes(lat.LatticeSpec(5, 4, 0.3, 1.0))
         # the commutator sectors: the suite's reach M <= 4 and N <= 3, and
         # the sweep's at 6 to 8 sites, N <= 3, d = N + 2 (at most 56 configs)
         sectors = [lat.sector_bytes(lat.sector_size(
             lat.LatticeSpec(m, n + 2, 0.3, 1.0), n))
             for m, n in ((4, 3), (8, 2), (6, 3))]
-        assert max(*rtt, mono, *sectors) <= lat.DENSE_BUDGET_BYTES
+        assert max(*rtt, mono, pairing, *sectors) <= lat.DENSE_BUDGET_BYTES
 
     @pytest.mark.parametrize("sites, sector", [(16, 2), (24, 2), (12, 3)])
     def test_sector_count_bounds_peak_memory(self, sites, sector):
@@ -727,7 +770,8 @@ class TestDenseBudget:
         # the block count is the real peak, not a loose stand-in
         assert peak <= need <= 1.25 * peak
 
-    @pytest.mark.parametrize("sites, cutoff", [(4, 4), (3, 6), (2, 12)])
+    @pytest.mark.parametrize("sites, cutoff",
+                             [(4, 4), (3, 6), (2, 12), (5, 4)])
     def test_block_counts_bound_peak_memory(self, sites, cutoff):
         spec = lat.LatticeSpec(sites, cutoff, 0.3, 1.0)
         runs = [
@@ -739,7 +783,7 @@ class TestDenseBudget:
             (lambda: lat._diagonal_entries(spec, 0.7 - 0.2j),
              lat.dense_bytes(spec, lat.MONODROMY_BLOCKS)),
             (lambda: lat.hermiticity_pairing_defect(spec, 0.7),
-             lat.dense_bytes(spec, lat.MONODROMY_BLOCKS)),
+             lat._pairing_bytes(spec)),
         ]
         peaks = []
         for run, need in runs:
@@ -751,12 +795,12 @@ class TestDenseBudget:
                 tracemalloc.stop()
             # headroom for the Python objects and the d x d site tables
             assert peaks[-1] <= need + 2 ** 16
-        # both block counts are the real peaks, not loose stand-ins
+        # the block counts are the real peaks, not loose stand-ins
         assert runs[0][1] <= 1.25 * peaks[0]
         assert runs[1][1] <= 1.25 * peaks[1]
-        # the adjoint pairing allocates no full-space block beyond A and D:
-        # its difference lives in A's memory and its sector blocks are small
-        assert peaks[3] <= peaks[2] + 2 ** 16
+        assert runs[3][1] <= 1.25 * peaks[3]
+        # the adjoint pairing holds no full-space block
+        assert peaks[3] < lat.dense_bytes(spec, 1)
 
 
 class TestExchangeRelation:
