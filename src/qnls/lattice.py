@@ -45,15 +45,15 @@ engine reads that table:
   block of dimension dim/d, dim = d^M.  The zero pattern is read from
   the table, and the sums run in Kronecker order, so every entry equals
   the sum of Kronecker products bit for bit.  Only the last site works
-  on dim x dim blocks (``monodromy``); callers that read only A and D
-  (the transfer operator, the ordering breakdown) share the site loop
-  but form only those two at the last site (``_diagonal_entries``), and
-  B and C are never allocated;
-- the adjoint pairing never forms a dim x dim block: it writes A^dag - D
-  one block over the last site's levels at a time, A^dag's from the
-  adjoint slices and the adjoints of the product below that site, keeps
-  each block's in-sector entries and sums the squares of the rest
-  (``hermiticity_pairing_defect``);
+  on dim x dim blocks (``monodromy``);
+- the two full-space checks never form a dim x dim block: one pass
+  (``_last_site_blocks``) writes A and D one block over the last site's
+  levels at a time, of dimension dim/d like the product below that site,
+  and combines them into that block of tau = A + D or of A^dag - D,
+  A^dag's block (i, j) the adjoint of A's block (j, i).  Number
+  conservation takes the largest entry of each block off the sectors;
+  the adjoint pairing keeps each block's in-sector entries and sums the
+  squares of the rest;
 - the exchange relation builds no full-space block: T(lam) (x) T(mu) is
   itself a monodromy, with the 4x4 site factor
   sum_n'' L(lam)[n', n''] (x) L(mu)[n'', n], so the dense engine grows
@@ -82,11 +82,11 @@ works in one sector, and ``normal_ordering_breakdown`` measures 9 x 9
 blocks; both take plain 2-norms.
 
 The monodromy holds a known number of dim x dim complex blocks, the
-adjoint pairing a known number of dim/d x dim/d ones beside its sector
-blocks, the exchange relation a known number of kept x kept ones and the
-sector commutator a known number of m x m ones over the m configs of its
-sector; their bytes are checked against DENSE_BUDGET_BYTES before
-anything is allocated.
+streamed last-site pass a known number of dim/d x dim/d ones (beside the
+adjoint pairing's sector blocks), the exchange relation a known number
+of kept x kept ones and the sector commutator a known number of m x m
+ones over the m configs of its sector; their bytes are checked against
+DENSE_BUDGET_BYTES before anything is allocated.
 """
 
 from __future__ import annotations
@@ -109,16 +109,13 @@ COMPLEX_BYTES = 16
 # site's 4 blocks of dimension dim/d (a quarter block at d = 4) with one
 # such temporary where two slices reach the same block; tracemalloc peaks
 # at 4.05-4.32 full blocks at the sizes the tests measure (4^4, 6^3,
-# 12^2).  A and D alone (_diagonal_entries) are checked against the same
-# count and peak at 2.05-2.32 full blocks there, with no B and C; the
-# number conservation check (tau in A's memory) allocates no further full
-# block.  The adjoint pairing holds no full block and has its own count
-# (_PAIRING_BLOCKS).  rtt_residual holds only kept blocks, 16 per (kept,
-# kept, 4, 4) stack: both orderings' stacks while the defect is measured,
-# the stack of the 6 entries of one number shift and the two products
-# whose difference is written into it: 40 blocks, and 1 more for the
-# index arrays and small tables.
-# tracemalloc peaks at 40.05-40.12 kept blocks at 81 to 125 kept states.
+# 12^2).  The two checks that stream the last site hold no full block and
+# have their own count (_STREAM_BLOCKS).  rtt_residual holds only kept
+# blocks, 16 per (kept, kept, 4, 4) stack: both orderings' stacks while
+# the defect is measured, the stack of the 6 entries of one number shift
+# and the two products whose difference is written into it: 40 blocks,
+# and 1 more for the index arrays and small tables.  tracemalloc peaks at
+# 40.05-40.12 kept blocks at 81 to 125 kept states.
 MONODROMY_BLOCKS = 5
 RTT_KEPT_BLOCKS = 2 * 16 + 6 + 2 + 1
 # tau_commutator_norm holds (m x m) complex blocks over the m configs of
@@ -128,16 +125,19 @@ RTT_KEPT_BLOCKS = 2 * 16 + 6 + 2 + 1
 # 1 more for the configs, index arrays and small tables.  tracemalloc
 # peaks at 13.08-13.52 blocks at 136 to 364 configs.
 SECTOR_BLOCKS = 1 + 2 * 4 + 2 * 2 + 1
-# hermiticity_pairing_defect holds blocks of dimension dim/d, the size of
-# the products below the last site: those 4 products, the two blocks of
-# A^dag and D being formed and one term of a sum where two slices reach a
-# block; a block's in-sector index arrays, less than a block, are alive
-# only between writes.  Beside them: the sector blocks, sum_n
-# sector_size(n)^2 entries.  tracemalloc peaks at 6.47 blocks beside the
-# sector blocks at 4^5 (7.04 on a table where two slices reach a block),
-# and at most 31 KB above the count at 4^4, 6^3 and 12^2, where index
-# arrays and numpy's iteration buffers come to more than a block.
-_PAIRING_BLOCKS = 4 + 2 + 1
+# number_conservation_defect and hermiticity_pairing_defect stream the
+# last site (_last_site_blocks) and hold blocks of dimension dim/d, the
+# size of the products below that site: those 4 products, the blocks of A
+# and D being written and one term of a sum where two slices reach a
+# block; a block's sector mask, its in-sector index arrays or its
+# magnitudes, less than a block, are alive only between writes.  The
+# adjoint pairing also holds the sector blocks, sum_n sector_size(n)^2
+# entries.  At 4^5 tracemalloc peaks at 6.51 blocks for number
+# conservation and at 6.47 beside the sector blocks for the pairing (7.01
+# and 7.04 on a table where two slices reach a block), and at most 22 KB
+# above the count at 4^4, 6^3 and 12^2, where index arrays and numpy's
+# iteration buffers come to more than a block.
+_STREAM_BLOCKS = 4 + 2 + 1
 # continuum_limit_rate: one-particle momentum index, per-site cutoff and
 # the site counts of the fit
 CONTINUUM_MOMENTUM_INDEX = 1
@@ -238,12 +238,13 @@ def sector_bytes(configs: int) -> int:
     return COMPLEX_BYTES * SECTOR_BLOCKS * configs * configs
 
 
-def _pairing_bytes(spec: LatticeSpec) -> int:
-    """Bytes of the dense blocks of ``hermiticity_pairing_defect``."""
+def _stream_bytes(spec: LatticeSpec, sectors: bool) -> int:
+    """Bytes of the dense blocks of a check that streams the last site
+    (``_last_site_blocks``), with the sector blocks if ``sectors``."""
     n = spec.cutoff ** (spec.sites - 1)
-    in_sector = sum(sector_size(spec, total) ** 2
-                    for total in range((spec.cutoff - 1) * spec.sites + 1))
-    return COMPLEX_BYTES * (_PAIRING_BLOCKS * n * n + in_sector)
+    in_sector = sum(sector_size(spec, total) ** 2 for total in range(
+        (spec.cutoff - 1) * spec.sites + 1)) if sectors else 0
+    return COMPLEX_BYTES * (_STREAM_BLOCKS * n * n + in_sector)
 
 
 def _check_dense_budget(spec: LatticeSpec, what: str, need: int) -> None:
@@ -254,19 +255,6 @@ def _check_dense_budget(spec: LatticeSpec, what: str, need: int) -> None:
             f"{what} at {spec.sites} sites, cutoff {spec.cutoff} needs "
             f"{need} bytes of dense complex blocks, over the budget of "
             f"{DENSE_BUDGET_BYTES} bytes")
-
-
-def _monodromy_entries(spec: LatticeSpec, lam: complex, rho_override,
-                       entries) -> list[np.ndarray]:
-    """The listed (r, c) entries of T(lam), after the byte budget of
-    ``monodromy`` has been checked: all four entries of the product over
-    sites M-1..1 (None at one site), then only the listed ones at the last
-    site.  The site factor is taken as a (2, 2, d, d) stack of slices,
-    L[r, s] = table[:, :, r, s]."""
-    _check_dense_budget(spec, "monodromy", dense_bytes(spec, MONODROMY_BLOCKS))
-    L = _site_factor_table(spec, lam, rho_override).transpose(2, 3, 0, 1)
-    T = _site_products(L, spec.sites - 1)
-    return [_left_multiply(L, T, r, c) for r, c in entries]
 
 
 def _site_products(L: np.ndarray, sites: int):
@@ -330,26 +318,58 @@ def monodromy(spec: LatticeSpec, lam: complex,
     Site 1 is the rightmost tensor factor, so each site adds a leftmost
     factor: for T the product over sites s-1..1, entry (r, c) of L(s) T is
     L[r, 0] (x) T[0][c] + L[r, 1] (x) T[1][c], of dimension d^s, written
-    block by block for the nonzero slice entries (``_left_multiply``).
-    Only the last site forms dim x dim blocks.  ``rho_override`` replaces
-    the table's rho diagonal.
+    block by block for the nonzero slice entries (``_left_multiply``),
+    the site factor taken as a (2, 2, d, d) stack of slices,
+    L[r, s] = table[:, :, r, s].  Only the last site forms dim x dim
+    blocks.  ``rho_override`` replaces the table's rho diagonal.
     """
-    A, B, C, D = _monodromy_entries(spec, lam, rho_override,
-                                    ((0, 0), (0, 1), (1, 0), (1, 1)))
-    return [[A, B], [C, D]]
-
-
-def _diagonal_entries(spec: LatticeSpec, lam: complex,
-                      rho_override=None) -> tuple[np.ndarray, np.ndarray]:
-    """A and D of ``monodromy``, bit for bit, without B and C at the last
-    site."""
-    return tuple(_monodromy_entries(spec, lam, rho_override, ((0, 0), (1, 1))))
+    _check_dense_budget(spec, "monodromy", dense_bytes(spec, MONODROMY_BLOCKS))
+    L = _site_factor_table(spec, lam, rho_override).transpose(2, 3, 0, 1)
+    return _site_products(L, spec.sites)
 
 
 def transfer_operator(spec: LatticeSpec, lam: complex) -> np.ndarray:
-    A, D = _diagonal_entries(spec, lam)
+    (A, _), (_, D) = monodromy(spec, lam)
     A += D
     return A
+
+
+def _last_site_blocks(spec: LatticeSpec, lam: complex, adjoint: bool):
+    """Yields (rows, cols, X): X the block of A^dag - D if ``adjoint``,
+    else of tau = A + D, over the state ranges rows x cols, for each block
+    over the last site's levels that a slice of A (of A^dag) or of D
+    reaches (the others are zero); at one site the whole operator.  X is
+    overwritten by the next block.
+
+    Blocks (i, j) of A and D are written (``_write_block``) from the
+    products below the last site, as ``_left_multiply`` writes them, and
+    block (i, j) of A^dag is the adjoint of block (j, i) of A, so every
+    entry is that of the sum or difference of the finished A (or its
+    adjoint) and D, bit for bit."""
+    L = _site_factor_table(spec, lam).transpose(2, 3, 0, 1)
+    T = _site_products(L, spec.sites - 1)
+    if T is None:
+        whole = slice(None)
+        if adjoint:
+            yield whole, whole, np.conjugate(L[0, 0]).T - L[1, 1]
+        else:
+            yield whole, whole, L[0, 0] + L[1, 1]
+        return
+    reach = L[0].any(axis=0)
+    n = len(T[0][0])
+    A = np.empty((n, n), dtype=complex)
+    X = np.empty((n, n), dtype=complex)
+    for i, j in zip(*np.nonzero((reach.T if adjoint else reach)
+                                | L[1].any(axis=0))):
+        if not _write_block(L, T, 0, 0, *((j, i) if adjoint else (i, j)), A):
+            A[...] = 0.0
+        if not _write_block(L, T, 1, 1, i, j, X):
+            X[...] = 0.0
+        if adjoint:
+            np.subtract(np.conjugate(A, out=A).T, X, out=X)
+        else:
+            X += A
+        yield slice(i * n, (i + 1) * n), slice(j * n, (j + 1) * n), X
 
 
 # ----------------------------------------------------------------------
@@ -388,12 +408,19 @@ def sector_size(spec: LatticeSpec, total: int) -> int:
 
 
 def number_conservation_defect(spec: LatticeSpec, lam: complex) -> float:
-    """Largest matrix element of tau(lam) connecting different sectors."""
-    tau = transfer_operator(spec, lam)
+    """Largest matrix element of tau(lam) connecting different sectors,
+    read one block over the last site's levels at a time
+    (``_last_site_blocks``): each block's in-sector entries are zeroed and
+    its largest entry left is taken.  Holds no dim x dim block
+    (``_stream_bytes``)."""
+    _check_dense_budget(spec, "number conservation",
+                        _stream_bytes(spec, False))
     counts = _occupations(spec.cutoff, spec.sites).sum(axis=1)
-    for group in _sector_groups(counts):
-        tau[np.ix_(group, group)] = 0.0   # off-sector entries stay
-    return float(np.abs(tau).max())
+    worst = 0.0
+    for rows, cols, X in _last_site_blocks(spec, lam, adjoint=False):
+        X[counts[rows][:, None] == counts[cols]] = 0.0
+        worst = np.maximum(worst, np.abs(X).max())   # a NaN entry shows
+    return float(worst)
 
 
 def _occupations(cutoff: int, sites: int) -> np.ndarray:
@@ -602,16 +629,15 @@ def hermiticity_pairing_defect(spec: LatticeSpec, lam: float) -> float:
     Frobenius norm of every entry off them, which is 0 on a
     number-conserving table and makes a conservation fault show.
 
-    A^dag - D is never formed whole (``_pairing_blocks``): its blocks over
-    the last site's levels, of dimension dim/d, are formed one at a time.
-    Each block's in-sector entries are scattered into one buffer of the
-    sector blocks, in basis order, and the squares of the rest are summed;
-    then one SVD per sector.  Held at once: the four products below the
-    last site, two blocks and one term of a sum, and the sector blocks,
-    116,304 entries of the 1,048,576 of A at 4^5 (``_pairing_bytes``)."""
-    _check_dense_budget(spec, "adjoint pairing", _pairing_bytes(spec))
-    L = _site_factor_table(spec, float(lam)).transpose(2, 3, 0, 1)
-    T = _site_products(L, spec.sites - 1)
+    A^dag - D is never formed whole (``_last_site_blocks``): its blocks
+    over the last site's levels, of dimension dim/d, are formed one at a
+    time.  Each block's in-sector entries are scattered into one buffer of
+    the sector blocks, in basis order, and the squares of the rest are
+    summed; then one SVD per sector.  Held at once: the four products
+    below the last site, two blocks and one term of a sum, and the sector
+    blocks, 116,304 entries of the 1,048,576 of A at 4^5
+    (``_stream_bytes``)."""
+    _check_dense_budget(spec, "adjoint pairing", _stream_bytes(spec, True))
     counts = _occupations(spec.cutoff, spec.sites).sum(axis=1)
     groups = _sector_groups(counts)
     sizes = np.array([len(group) for group in groups])
@@ -624,7 +650,8 @@ def hermiticity_pairing_defect(spec: LatticeSpec, lam: float) -> float:
     sectors = np.zeros(ends[-1], dtype=complex)
     off_sector = sum(_move_in_sector(X, counts[rows], counts[cols],
                                      row_start[rows], pos[cols], sectors)
-                     for rows, cols, X in _pairing_blocks(L, T))
+                     for rows, cols, X in _last_site_blocks(
+                         spec, float(lam), adjoint=True))
     worst = 0.0
     for end, m in zip(ends, sizes):
         block = sectors[end - m * m:end].reshape(m, m)
@@ -643,38 +670,6 @@ def _move_in_sector(X: np.ndarray, row_counts: np.ndarray,
     sectors[row_start[r] + col_pos[c]] = X[r, c]
     X[r, c] = 0.0
     return np.vdot(X, X).real
-
-
-def _pairing_blocks(L: np.ndarray, T):
-    """Yields (rows, cols, X): X the block of A^dag - D over the state
-    ranges rows x cols, for each block over the last site's levels that a
-    slice of A^dag or D reaches (the others are zero); at one site the
-    whole operator.  X is overwritten by the next block.
-
-    A^dag is sum_q L[0, q]^dag (x) T[q][0]^dag, so block (i, j) of A^dag
-    is written (``_write_block``) from the adjoint slices and the adjoints
-    of T[q][0], which replace T[q][0] in T one at a time, and block (i, j)
-    of D from the slices and T[q][1]; then D is subtracted.  These are the
-    terms, in their order, of the dim x dim A^dag and D that
-    ``_left_multiply`` writes from the same operands, so every entry is
-    that difference's bit for bit."""
-    adjoint = np.conjugate(L).swapaxes(2, 3)
-    if T is None:
-        whole = slice(0, L.shape[-1])
-        yield whole, whole, adjoint[0, 0] - L[1, 1]
-        return
-    for q in range(len(T)):
-        T[q][0] = np.conjugate(T[q][0].T, order="C")
-    n = len(T[0][0])
-    X = np.empty((n, n), dtype=complex)
-    D = np.empty((n, n), dtype=complex)
-    for i, j in zip(*np.nonzero(adjoint[0].any(axis=0) | L[1].any(axis=0))):
-        if not _write_block(adjoint, T, 0, 0, i, j, X):
-            X[...] = 0.0
-        if not _write_block(L, T, 1, 1, i, j, D):
-            D[...] = 0.0
-        X -= D
-        yield slice(i * n, (i + 1) * n), slice(j * n, (j + 1) * n), X
 
 
 # ----------------------------------------------------------------------
@@ -799,12 +794,12 @@ def normal_ordering_breakdown(spec_two_sites: LatticeSpec, lam: complex) -> dict
 
     naive = density_sqrt_naive_ordered(spec.cutoff, spec.step, spec.c)
     one_site = LatticeSpec(1, spec.cutoff, spec.step, spec.c)
-    t1 = _diagonal_entries(one_site, lam)[0]
-    t1_naive = _diagonal_entries(one_site, lam, rho_override=naive)[0]
+    t1 = monodromy(one_site, lam)[0][0]
+    t1_naive = monodromy(one_site, lam, rho_override=naive)[0][0]
     m1_diff = float(np.linalg.norm(t1 - t1_naive, 2))
 
-    exact_entry = _diagonal_entries(spec, lam)[0]
-    naive_entry = _diagonal_entries(spec, lam, rho_override=naive)[0]
+    exact_entry = monodromy(spec, lam)[0][0]
+    naive_entry = monodromy(spec, lam, rho_override=naive)[0][0]
     # scale of the ordering-sensitive cross term: B(2) C(1)
     table = _site_factor_table(spec, lam)
     cross = np.kron(table[:, :, 0, 1], table[:, :, 1, 0])

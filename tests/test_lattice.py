@@ -66,6 +66,10 @@ def table_blocks(spec, lam, rho=None):
 
 
 def reference_tau_sector_matrix(spec, lam, configs):
+    """One ordered product of scalar 2x2 site matrices per config pair,
+    each product formed as the sector engine forms it, column by column
+    with broadcast products in the engine's operand order: a BLAS matmul
+    of the tiny matrices rounds differently on some kernels."""
     step, c = spec.step, spec.c
 
     def site_matrix(np_, n):
@@ -93,7 +97,7 @@ def reference_tau_sector_matrix(spec, lam, configs):
                 ms = site_matrix(cp[site], cq[site])
                 if ms is None:
                     break
-                prod = prod @ ms
+                prod = prod[:, :1] * ms[:1, :] + prod[:, 1:] * ms[1:, :]
             else:
                 out[i, j] = np.trace(prod)
     return out
@@ -145,7 +149,7 @@ def reference_site_products(L, sites):
 def reference_pairing_defect(spec, lam):
     """||conj(A).T - D|| per number sector, the adjoint taken of the
     finished A."""
-    A, D = lat._diagonal_entries(spec, lam)
+    (A, _), (_, D) = lat.monodromy(spec, lam)
     X = np.conjugate(A).T - D
     groups = lat._sector_groups(lat._occupations(spec.cutoff,
                                                  spec.sites).sum(axis=1))
@@ -405,15 +409,30 @@ class TestMonodromy:
     @settings(max_examples=40, deadline=None)
     def test_number_conservation_shows_planted_entry(self, sites, cutoff,
                                                      size, data):
+        # the entry is planted into the block of tau that the streamed
+        # pass reads; the blocks it never reads are those no slice
+        # reaches, zero by construction
         spec = lat.LatticeSpec(sites, cutoff, 0.35, 1.2)
+        lam = 0.7 - 0.2j
         counts = lat._occupations(cutoff, sites).sum(axis=1)
-        off = np.argwhere(counts[:, None] != counts[None, :])
+        index = np.arange(len(counts))
+        blocks = lat._last_site_blocks
+        read = np.zeros((len(counts),) * 2, dtype=bool)
+        for rows, cols, _ in blocks(spec, lam, adjoint=False):
+            read[np.ix_(index[rows], index[cols])] = True
+        off = np.argwhere(read & (counts[:, None] != counts[None, :]))
         i, j = off[data.draw(st.integers(0, len(off) - 1))]
-        tau = lat.transfer_operator(spec, 0.7 - 0.2j)
-        tau[i, j] = -1j * size
+
+        def planted(*args, **kwargs):
+            for rows, cols, X in blocks(*args, **kwargs):
+                at = np.flatnonzero(index[rows] == i), \
+                    np.flatnonzero(index[cols] == j)
+                X[at] = -1j * size
+                yield rows, cols, X
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lat, "transfer_operator", lambda *args: tau.copy())
-            assert lat.number_conservation_defect(spec, 0.7 - 0.2j) == size
+            mp.setattr(lat, "_last_site_blocks", planted)
+            assert lat.number_conservation_defect(spec, lam) == size
 
     def test_number_conservation_with_one_sector(self):
         # cutoff 1: the vacuum is the only state and the only sector
@@ -508,14 +527,6 @@ class TestMonodromy:
             for s in range(2):
                 np.testing.assert_allclose(fast[r][s], dense[r][s], rtol=1e-13)
 
-    @given(monodromy_cases())
-    @settings(max_examples=50, deadline=None)
-    def test_diagonal_entries_are_monodromy_bits(self, case):
-        spec, lam, rho = case
-        (A, _), (_, D) = lat.monodromy(spec, lam, rho_override=rho)
-        got_a, got_d = lat._diagonal_entries(spec, lam, rho_override=rho)
-        assert np.array_equal(got_a, A) and np.array_equal(got_d, D)
-
     @given(sparse_tables())
     @settings(max_examples=100, deadline=None)
     def test_engine_matches_kronecker_sums(self, case):
@@ -575,7 +586,7 @@ class TestMonodromy:
             mp.setattr(lat, "_site_factor_table", planted)
             got = lat.hermiticity_pairing_defect(spec, 0.7)
             want = reference_pairing_defect(spec, 0.7)
-            A, D = lat._diagonal_entries(spec, 0.7)
+            (A, _), (_, D) = lat.monodromy(spec, 0.7)
         assert got > lat.IDENTITY_TOL
         # the sum off the sector blocks may run in another order
         assert got == pytest.approx(want, rel=1e-15, abs=0)
@@ -706,14 +717,19 @@ class TestDenseBudget:
                 lat.transfer_operator(spec, 0.7)
             with pytest.raises(SizeLimit) as pairing_err:
                 lat.hermiticity_pairing_defect(spec, 0.7)
+            with pytest.raises(SizeLimit) as conservation_err:
+                lat.number_conservation_defect(spec, 0.7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
         assert str(need) in str(err.value)
         assert str(lat.DENSE_BUDGET_BYTES) in str(err.value)
-        # the pairing is refused by its own count, not the monodromy's
-        assert str(lat._pairing_bytes(spec)) in str(pairing_err.value)
+        # the streamed checks are refused by their own counts, not the
+        # monodromy's
+        assert str(lat._stream_bytes(spec, True)) in str(pairing_err.value)
+        assert str(lat._stream_bytes(spec, False)) \
+            in str(conservation_err.value)
 
     def test_cli_rtt_rejected(self, capsys):
         code = main(["lattice", "rtt", "--sites", "7", "--cutoff", "4",
@@ -741,21 +757,25 @@ class TestDenseBudget:
 
     def test_suite_and_sweep_sizes_fit(self):
         # the suite goes up to 3 sites at cutoff 4; the benchmark sweep
-        # runs the exchange relation at 4^4, monodromy and the adjoint
-        # pairing at 4^5; the exchange relation fits up to 6 sites at
-        # cutoff 4 and 10 at cutoff 3
+        # runs the exchange relation and number conservation at 4^4 and
+        # the adjoint pairing at 4^5; the exchange relation fits up to 6
+        # sites at cutoff 4 and 10 at cutoff 3, number conservation up to
+        # 6 sites at cutoff 4 and monodromy up to 5
         rtt = [lat.dense_bytes(lat.LatticeSpec(m, d, 0.3, 1.0), 0,
                                lat.RTT_KEPT_BLOCKS)
                for m, d in ((4, 4), (6, 4), (10, 3))]
         mono = lat.dense_bytes(lat.LatticeSpec(5, 4, 0.3, 1.0),
                                lat.MONODROMY_BLOCKS)
-        pairing = lat._pairing_bytes(lat.LatticeSpec(5, 4, 0.3, 1.0))
+        conservation = [lat._stream_bytes(lat.LatticeSpec(m, 4, 0.3, 1.0),
+                                          False) for m in (4, 6)]
+        pairing = lat._stream_bytes(lat.LatticeSpec(5, 4, 0.3, 1.0), True)
         # the commutator sectors: the suite's reach M <= 4 and N <= 3, and
         # the sweep's at 6 to 8 sites, N <= 3, d = N + 2 (at most 56 configs)
         sectors = [lat.sector_bytes(lat.sector_size(
             lat.LatticeSpec(m, n + 2, 0.3, 1.0), n))
             for m, n in ((4, 3), (8, 2), (6, 3))]
-        assert max(*rtt, mono, pairing, *sectors) <= lat.DENSE_BUDGET_BYTES
+        assert max(*rtt, *conservation, mono, pairing, *sectors) \
+            <= lat.DENSE_BUDGET_BYTES
 
     @pytest.mark.parametrize("sites, sector", [(16, 2), (24, 2), (12, 3)])
     def test_sector_count_bounds_peak_memory(self, sites, sector):
@@ -779,11 +799,10 @@ class TestDenseBudget:
              lat.dense_bytes(spec, lat.MONODROMY_BLOCKS)),
             (lambda: lat.rtt_residual(0.7 - 0.2j, -0.4 + 0.5j, spec),
              lat.dense_bytes(spec, 0, lat.RTT_KEPT_BLOCKS)),
-            # A and D alone, under the budget they are checked against
-            (lambda: lat._diagonal_entries(spec, 0.7 - 0.2j),
-             lat.dense_bytes(spec, lat.MONODROMY_BLOCKS)),
+            (lambda: lat.number_conservation_defect(spec, 0.7 - 0.2j),
+             lat._stream_bytes(spec, False)),
             (lambda: lat.hermiticity_pairing_defect(spec, 0.7),
-             lat._pairing_bytes(spec)),
+             lat._stream_bytes(spec, True)),
         ]
         peaks = []
         for run, need in runs:
@@ -796,11 +815,10 @@ class TestDenseBudget:
             # headroom for the Python objects and the d x d site tables
             assert peaks[-1] <= need + 2 ** 16
         # the block counts are the real peaks, not loose stand-ins
-        assert runs[0][1] <= 1.25 * peaks[0]
-        assert runs[1][1] <= 1.25 * peaks[1]
-        assert runs[3][1] <= 1.25 * peaks[3]
-        # the adjoint pairing holds no full-space block
-        assert peaks[3] < lat.dense_bytes(spec, 1)
+        for (_, need), peak in zip(runs, peaks):
+            assert need <= 1.25 * peak
+        # the two streamed checks hold no full-space block
+        assert max(peaks[2:]) < lat.dense_bytes(spec, 1)
 
 
 class TestExchangeRelation:
