@@ -20,12 +20,16 @@ verified here as exact cancellations of plane-wave sums:
   quadruple bracket sum_{j>k>=3} (d_j d_k + c delta_jk) [pair bracket] = 0,
 
 each evaluated in the one-sided limit x_{j+1} -> x_j from the ordered
-region.  The ill-defined "naive" fourth charge differs from H4 by a
-squared-delta term.  ``g4_defect_scan`` shows its 1/eps divergence with
-Gaussian-regularized deltas, in the relative coordinates of the ordered
-region: closed forms in the gaps the deltas leave free and one fixed
-Gauss rule in each pinned pair distance.  Box norms and pair-contact
-elements come from one exponential on pairs of rapidity subsets.
+region.  The tangential derivatives d_l (l != j, j+1) do not touch the
+two coordinates the restriction merges, so they commute with it: the
+triple and quadruple layers act on the restricted pair bracket, one
+restriction per hyperplane.  The ill-defined "naive" fourth charge
+differs from H4 by a squared-delta term.  ``g4_defect_scan`` shows its
+1/eps divergence with Gaussian-regularized deltas, in the relative
+coordinates of the ordered region: closed forms in the gaps the deltas
+leave free and one fixed Gauss rule in each pinned pair distance.  Box
+norms and pair-contact elements come from one exponential on pairs of
+rapidity subsets.
 """
 
 from __future__ import annotations
@@ -163,6 +167,8 @@ def interior_eigen_residual(name: str, w: BetheWavefunction) -> ExpPoly:
 
 def pair_bracket(poly: ExpPoly, coupling, j: int) -> ExpPoly:
     """c f + (d_j - d_{j+1}) f  as a plane-wave sum (not yet restricted)."""
+    if not (1 <= j < poly.num_vars):
+        raise ValueError("boundary index out of range")
     return poly.weighted(lambda z, c: c + (z[j - 1] - z[j]), 1, coupling)
 
 
@@ -179,42 +185,29 @@ def boundary_residual_j3(poly: ExpPoly, coupling, j: int) -> ExpPoly:
     boundary, so vanishing of the pair bracket forces this to vanish."""
     if poly.num_vars < 3:
         raise ValueError("triple bracket needs at least three particles")
-    return _triple(pair_bracket(poly, coupling, j), j)
+    return _triple(boundary_residual_h2(poly, coupling, j), j)
 
 
-def _triple(bracket: ExpPoly, j: int) -> ExpPoly:
-    """``boundary_residual_j3`` from the pair bracket at j."""
-    return bracket.weighted(lambda z: sum(
-        (z[l] for l in range(len(z)) if l not in (j - 1, j)), z[0] * 0),
-        1).restrict_to_boundary(j)
+def _triple(restricted: ExpPoly, j: int) -> ExpPoly:
+    """``boundary_residual_j3`` from the pair bracket restricted at j:
+    every variable but the merged one, x_j at z[j - 1], is tangential."""
+    return restricted.weighted(lambda z: sum(
+        (z[l] for l in range(len(z)) if l != j - 1), z[0] * 0), 1)
 
 
-def boundary_residual_j4(poly: ExpPoly, coupling) -> list[ExpPoly]:
-    """Quadruple-layer boundary condition at x_2 = x_1 + 0.
-
-    Returns two residual components, both required empty:
-      [0] the tangential-derivative part sum_{j>k>=3} d_j d_k [bracket],
-          restricted to x_2 = x_1;
-      [1] the delta layer, evaluated by a second restriction x_j = x_k of
-          the already-restricted bracket, summed over j > k >= 3.
-    """
-    if poly.num_vars < 4:
-        raise ValueError("quadruple bracket needs at least four particles")
-    bracket = pair_bracket(poly, coupling, 1)
-    return _quadruple(bracket, bracket.restrict_to_boundary(1), coupling)
-
-
-def _quadruple(bracket: ExpPoly, restricted: ExpPoly,
-               coupling) -> list[ExpPoly]:
-    """``boundary_residual_j4`` from the pair bracket at j = 1 and its
-    restriction to x_2 = x_1."""
-    n = bracket.num_vars
-    # sum_{j>k>=3} d_j d_k is one operator, weight e_2(z_3, ..., z_n)
-    deriv_total = bracket.weighted(
-        lambda z: elementary_symmetric(z[2:], 2), 2).restrict_to_boundary(1)
-    delta_total = ExpPoly.zero(n - 2, bracket.field)
+def _quadruple(restricted: ExpPoly, coupling) -> list[ExpPoly]:
+    """Quadruple-layer boundary condition at x_2 = x_1 + 0, from the pair
+    bracket restricted there; both residual components must be empty:
+      [0] the tangential-derivative part sum_{j>k>=3} d_j d_k [bracket];
+      [1] the delta layer, a second restriction x_j = x_k of the
+          restricted bracket, summed over j > k >= 3.
+    After x_2 := x_1 the old variable v >= 3 sits at v - 1."""
+    n = restricted.num_vars + 1
+    # sum_{j>k>=3} d_j d_k is one operator, weight e_2 of old z_3, ..., z_n
+    deriv_total = restricted.weighted(
+        lambda z: elementary_symmetric(z[1:], 2), 2)
+    delta_total = ExpPoly.zero(n - 2, restricted.field)
     for k_lo, j_hi in itertools.combinations(range(3, n + 1), 2):
-        # after restricting x_2 := x_1, old variable v >= 3 sits at v - 1
         delta_total = delta_total + restricted.substitute_equal(
             j_hi - 1, k_lo - 1).scale(coupling)
     return [deriv_total, delta_total]
@@ -222,18 +215,17 @@ def _quadruple(bracket: ExpPoly, restricted: ExpPoly,
 
 def all_boundary_residuals(w: BetheWavefunction) -> dict:
     """Every applicable boundary residual for the state; keys name the
-    bracket and the hyperplane index.  The residuals at one hyperplane
-    share one pair bracket."""
+    bracket and the hyperplane index.  Each pair bracket is built and
+    restricted once, and the triple and quadruple residuals at its
+    hyperplane derive from the restriction."""
     n, poly, c = w.n, w.canonical, w.coupling.c
-    brackets = {j: pair_bracket(poly, c, j) for j in range(1, n)}
-    out = {f"pair[j={j}]": bracket.restrict_to_boundary(j)
-           for j, bracket in brackets.items()}
+    out = {f"pair[j={j}]": boundary_residual_h2(poly, c, j)
+           for j in range(1, n)}
     if n >= 3:
-        for j, bracket in brackets.items():
-            out[f"triple[j={j}]"] = _triple(bracket, j)
+        for j in range(1, n):
+            out[f"triple[j={j}]"] = _triple(out[f"pair[j={j}]"], j)
     if n >= 4:
-        quadruple = _quadruple(brackets[1], out["pair[j=1]"], c)
-        for idx, res in enumerate(quadruple):
+        for idx, res in enumerate(_quadruple(out["pair[j=1]"], c)):
             out[f"quadruple[part={idx}]"] = res
     return out
 

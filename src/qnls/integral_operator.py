@@ -251,7 +251,8 @@ def bvp_residual(lam: SpectralParameter, f: ExpPoly,
 
     Interior: prod_j (lam + i d_j) g - prod_j (lam + i d_j - ic) f must
     be the empty sum.  Boundary: the pair bracket of g must equal that
-    of f on every hyperplane x_{j+1} = x_j + 0.
+    of f on every hyperplane x_{j+1} = x_j + 0; bracket and restriction
+    are linear, so each hyperplane brackets g - f once.
     """
     field = FLOAT if FLOAT in (f.field, g.field, lam.field) else EXACT
     lam_v = field.coerce(lam.value)
@@ -269,8 +270,8 @@ def bvp_residual(lam: SpectralParameter, f: ExpPoly,
     i_lam = field.i * lam_v
     pde = (g.weighted(shifted_product, n, i_lam)
            - f.weighted(shifted_product, n, i_lam + c_v)).scale(field.i ** n)
-    boundary = [boundary_residual_h2(g, c, j) - boundary_residual_h2(f, c, j)
-                for j in range(1, n)]
+    diff = g - f
+    boundary = [boundary_residual_h2(diff, c, j) for j in range(1, n)]
     return pde, boundary
 
 

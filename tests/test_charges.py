@@ -149,6 +149,64 @@ def reference_j4_tangential(poly, coupling):
     return total
 
 
+def reference_boundary_residuals(poly, coupling):
+    """The residuals of ``all_boundary_residuals`` in the order the
+    brackets are written: each tangential layer weights the unrestricted
+    pair bracket, which is then restricted; the quadruple delta layer
+    restricts the restricted pair bracket at j = 1 once more."""
+    n = poly.num_vars
+    brackets = {j: ch.pair_bracket(poly, coupling, j) for j in range(1, n)}
+    out = {f"pair[j={j}]": bracket.restrict_to_boundary(j)
+           for j, bracket in brackets.items()}
+    if n >= 3:
+        for j, bracket in brackets.items():
+            out[f"triple[j={j}]"] = bracket.weighted(lambda z, j=j: sum(
+                (z[l] for l in range(n) if l not in (j - 1, j)), z[0] * 0),
+                1).restrict_to_boundary(j)
+    if n >= 4:
+        out["quadruple[part=0]"] = brackets[1].weighted(
+            lambda z: ch.elementary_symmetric(z[2:], 2),
+            2).restrict_to_boundary(1)
+        delta = ExpPoly.zero(n - 2, poly.field)
+        for k, j in itertools.combinations(range(3, n + 1), 2):
+            delta = delta + out["pair[j=1]"].substitute_equal(
+                j - 1, k - 1).scale(coupling)
+        out["quadruple[part=1]"] = delta
+    return out
+
+
+def as_state(poly, coupling, rapidities=None):
+    """Any sum as the state ``all_boundary_residuals`` takes: it reads
+    only the particle count, the canonical sum and the coupling."""
+    rapidities = rapidities or RapiditySet.of(range(poly.num_vars))
+    return BetheWavefunction(rapidities, Coupling(coupling), poly)
+
+
+def assert_same_residual(got, want, key, scale=None):
+    """Bit for bit in EXACT: unit, den, keys in order and coefficients.
+    In FLOAT, within 1e-13 of ``scale``, by default the reference's
+    largest coefficient."""
+    if want.field is EXACT:
+        assert (got.unit, got.den, got.keys) \
+            == (want.unit, want.den, want.keys), key
+        assert [str(x) for x in got.coeffs] \
+            == [str(x) for x in want.coeffs], key
+    else:
+        scale = want.max_coeff() if scale is None else scale
+        assert (got - want).max_coeff() <= 1e-13 * scale, key
+
+
+@st.composite
+def exact_sums(draw, n):
+    """General exact sums in n variables: complex-rational coefficients
+    and frequencies from a small set, so restrictions merge terms."""
+    thirds = st.integers(-4, 4).map(lambda k: F(k, 3))
+    scalars = st.builds(exact, thirds, thirds)
+    terms = draw(st.lists(st.tuples(scalars, st.tuples(*[thirds] * n)),
+                          min_size=1, max_size=10))
+    return ExpPoly.from_terms(n, terms, EXACT)
+
+
 class TestEigenvalues:
     def test_quadratic_power_sum(self):
         assert ch.charge_eigenvalue("H2", RapiditySet.of([1, 2])) == 5
@@ -245,18 +303,22 @@ class TestBoundaryConditions:
 
     def test_quadruple_bracket(self):
         w = build_bethe(RapiditySet.of([1, 2, 3, 4]), Coupling(1))
-        assert all(r.is_empty()
-                   for r in ch.boundary_residual_j4(w.canonical, w.coupling.c))
+        residuals = ch.all_boundary_residuals(w)
+        assert all(residuals[f"quadruple[part={idx}]"].is_empty()
+                   for idx in (0, 1))
 
     def test_quadruple_bracket_other_rapidities(self):
         w = build_bethe(RapiditySet.of([-1, 0, 2, 5]), Coupling(3))
-        assert all(r.is_empty()
-                   for r in ch.boundary_residual_j4(w.canonical, w.coupling.c))
+        residuals = ch.all_boundary_residuals(w)
+        assert all(residuals[f"quadruple[part={idx}]"].is_empty()
+                   for idx in (0, 1))
 
     def test_quadruple_negative_control(self):
-        free = symmetrized_plane_wave(RapiditySet.of([1, 2, 3, 4]))
-        residuals = ch.boundary_residual_j4(free, F(1))
-        assert any(not r.is_empty() for r in residuals)
+        raps = RapiditySet.of([1, 2, 3, 4])
+        free = symmetrized_plane_wave(raps)
+        residuals = ch.all_boundary_residuals(as_state(free, F(1), raps))
+        assert any(not residuals[f"quadruple[part={idx}]"].is_empty()
+                   for idx in (0, 1))
 
     @given(st.integers(4, 6), st.data())
     @settings(max_examples=9, deadline=None)
@@ -264,15 +326,49 @@ class TestBoundaryConditions:
         """The single e_2-weighted pass equals the per-pair loop, exactly
         in EXACT and to rounding in FLOAT, on free waves whose residual
         is not empty."""
-        free = symmetrized_plane_wave(data.draw(rational_rapidities(n)))
+        raps = data.draw(rational_rapidities(n))
+        free = symmetrized_plane_wave(raps)
         c = data.draw(coupling_values).c
         ref = reference_j4_tangential(free, c)
         assert not ref.is_empty()
-        assert ch.boundary_residual_j4(free, c)[0].terms == ref.terms
+        got = ch.all_boundary_residuals(as_state(free, c, raps))
+        assert got["quadruple[part=0]"].terms == ref.terms
         free_f, c_f = free.to_float(), float(c)
         ref_f = reference_j4_tangential(free_f, c_f)
-        new_f = ch.boundary_residual_j4(free_f, c_f)[0]
+        new_f = ch.all_boundary_residuals(
+            as_state(free_f, c_f, raps))["quadruple[part=0]"]
         assert (new_f - ref_f).max_coeff() <= 1e-13 * ref_f.max_coeff()
+
+    @given(st.integers(3, 6), st.booleans(), st.data())
+    @settings(max_examples=16, deadline=None)
+    def test_restricted_bracket_matches_restricting_last(self, n, free,
+                                                         data):
+        """Every residual derived from the restricted pair bracket equals
+        the reference that weights the unrestricted bracket and restricts
+        last: bit for bit in EXACT, to rounding in FLOAT, on free waves
+        and general sums, whose triple and quadruple residuals are not
+        empty."""
+        c = data.draw(coupling_values).c
+        poly = symmetrized_plane_wave(data.draw(rational_rapidities(n))) \
+            if free else data.draw(exact_sums(n))
+        for p, k in ((poly, c), (poly.to_float(), float(c))):
+            want = reference_boundary_residuals(p, k)
+            got = ch.all_boundary_residuals(as_state(p, k))
+            assert list(got) == list(want)
+            for key, res in got.items():
+                assert_same_residual(res, want[key], key)
+        if free:
+            assert not want["triple[j=1]"].is_empty()
+
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_boundary_index_out_of_range(self, j):
+        """j = 0 would read z_N through a wrapped index and j = N past
+        the last variable; both are refused before any pass."""
+        poly = build_bethe(RapiditySet.of([1, 2, 4]), Coupling(1)).canonical
+        for bracket in (ch.pair_bracket, ch.boundary_residual_h2,
+                        ch.boundary_residual_j3):
+            with pytest.raises(ValueError, match="boundary index out of range"):
+                bracket(poly, F(1), j)
 
     def test_pair_bracket_negative_control(self):
         free = symmetrized_plane_wave(RapiditySet.of([1, 2, 3]))
@@ -289,19 +385,16 @@ class TestBoundaryConditions:
 
     @pytest.mark.parametrize("field", [EXACT, FLOAT])
     def test_all_residuals_share_each_pair_bracket(self, field, monkeypatch):
-        """One pair bracket per hyperplane serves its pair and triple
-        residuals, and the one at j = 1 the quadruple residual too; all
-        equal those of the public functions bit for bit."""
+        """One pair bracket per hyperplane, restricted once, serves its
+        pair and triple residuals, and the one at j = 1 the quadruple
+        residual too; all equal the reference, bit for bit in EXACT
+        (every one empty).  In FLOAT each is the rounding residue of an
+        exact cancellation, and the two orders round differently, so
+        they agree on the scale of the state."""
         w = build_bethe(RapiditySet.of([F(1, 2), F(-3, 4), F(5, 3), F(-2),
                                         F(7, 5)], field),
                         Coupling(field.real(F(3, 2))))
-        poly, c = w.canonical, w.coupling.c
-        expected = {f"pair[j={j}]": ch.boundary_residual_h2(poly, c, j)
-                    for j in range(1, 5)}
-        expected.update({f"triple[j={j}]": ch.boundary_residual_j3(poly, c, j)
-                         for j in range(1, 5)})
-        expected.update({f"quadruple[part={idx}]": res for idx, res
-                         in enumerate(ch.boundary_residual_j4(poly, c))})
+        expected = reference_boundary_residuals(w.canonical, w.coupling.c)
         built, restricted = [], []
         pair_bracket = ch.pair_bracket
         monkeypatch.setattr(ch, "pair_bracket",
@@ -315,19 +408,18 @@ class TestBoundaryConditions:
         # one bracket per hyperplane, none rebuilt
         assert [built.count(j) for j in range(1, 5)] == [1, 1, 1, 1]
         assert len(built) == 4
-        # each sum restricted once: four pair brackets, four tangential
-        # triple weights and one quadruple weight; the quadruple delta
-        # layer reuses pair[j=1] (``restricted`` holds every sum, so no
-        # id is reused)
+        # one restriction per hyperplane, of its pair bracket: the triple
+        # and quadruple layers weight the restriction (``restricted``
+        # holds every sum, so no id is reused)
         calls = [(id(poly), j) for poly, j in restricted]
-        assert len(set(calls)) == len(calls) == 9
+        assert len(set(calls)) == len(calls) == 4
+        assert sorted(j for _, j in calls) == [1, 2, 3, 4]
         assert list(got) == list(expected)
         for key, res in got.items():
-            want = expected[key]
-            assert (res.unit, res.den, res.keys) \
-                == (want.unit, want.den, want.keys), key
-            assert [str(x) for x in res.coeffs] \
-                == [str(x) for x in want.coeffs], key
+            assert_same_residual(res, expected[key], key,
+                                 scale=w.canonical.max_coeff())
+        if field is EXACT:
+            assert all(res.is_empty() for res in got.values())
 
 
 def reference_charge_eigenvalue(name, rapidities):

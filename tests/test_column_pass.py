@@ -222,8 +222,9 @@ class TestFloatWeights:
         assert_matches_reference(lambda: ch.boundary_residual_h2(poly, c, j))
         if n >= 3:
             assert_matches_reference(lambda: ch.boundary_residual_j3(poly, c, j))
-        if n >= 4:
-            assert_matches_reference(lambda: ch.boundary_residual_j4(poly, c))
+        # every pair, triple and quadruple residual of the state
+        assert_matches_reference(
+            lambda: list(ch.all_boundary_residuals(w).values()))
 
     @given(float_states())
     @settings(max_examples=20, deadline=None)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from qnls import integral_operator as aop
-from qnls.charges import gauss_rule
+from qnls.charges import boundary_residual_h2, gauss_rule
 from qnls.config import build_config
 from qnls.errors import ConvergenceDomain, SizeLimit
 from qnls.exact import EXACT, FLOAT, exact
@@ -30,6 +30,17 @@ def rational_rapidities(n):
 
 coupling_values = st.fractions(min_value=F(1, 4), max_value=3,
                                max_denominator=4).map(Coupling)
+
+
+@st.composite
+def exact_sums(draw, n):
+    """General exact sums in n variables: complex-rational coefficients
+    and frequencies from a small set, so restrictions merge terms."""
+    thirds = st.integers(-4, 4).map(lambda k: F(k, 3))
+    scalars = st.builds(exact, thirds, thirds)
+    terms = draw(st.lists(st.tuples(scalars, st.tuples(*[thirds] * n)),
+                          min_size=1, max_size=10))
+    return ExpPoly.from_terms(n, terms, EXACT)
 
 
 class TestDomain:
@@ -200,6 +211,31 @@ class TestBoundaryValueProblem:
         assert aop.pair_bracket_residual(combo, c.c) == 0.0
         g = aop.apply_A(LAM, combo, c.c)
         assert aop.pair_bracket_residual(g, c.c) == 0.0
+
+    @given(st.integers(2, 5), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_boundary_brackets_the_difference_once(self, n, data):
+        """The boundary part equals the difference of the two brackets,
+        h2(g) - h2(f), on unrelated sums f and g: the same exact values
+        and frequency unit, and in FLOAT the same to rounding of the two
+        brackets.  The common denominator of the bracket of g - f may be
+        a multiple of that of the difference of brackets, every
+        coefficient scaled alike."""
+        f, g = data.draw(exact_sums(n)), data.draw(exact_sums(n))
+        c = data.draw(coupling_values).c
+        for f, g, c in ((f, g, c), (f.to_float(), g.to_float(), float(c))):
+            _, boundary = aop.bvp_residual(LAM, f, g, c)
+            assert len(boundary) == n - 1
+            for j, got in enumerate(boundary, start=1):
+                bg = boundary_residual_h2(g, c, j)
+                bf = boundary_residual_h2(f, c, j)
+                want = bg - bf
+                if f.field is EXACT:
+                    assert got.unit == want.unit
+                    assert got.terms == want.terms
+                else:
+                    scale = max(bg.max_coeff(), bf.max_coeff())
+                    assert (got - want).max_coeff() <= 1e-13 * scale
 
 
 def reference_numeric_point(lam: complex, w, point) -> complex:

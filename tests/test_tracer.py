@@ -1,8 +1,11 @@
-"""The benchmark's span tracer (``perfbench/tracer.py``) against this
-program: it wraps ``ExactComplex`` and ``ExpPoly`` methods by name, so a
-renamed or removed method would break every traced benchmark run."""
+"""The benchmark's modules against this program.  The span tracer
+(``perfbench/tracer.py``) wraps ``ExactComplex`` and ``ExpPoly`` methods
+by name, so a renamed or removed method would break every traced
+benchmark run; the workloads (``perfbench/workloads.py``) call program
+functions by name and read the shape of their results."""
 
 import importlib.util
+import math
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -13,15 +16,18 @@ from qnls.exact import ExactComplex, exact
 from qnls.laurent import LaurentSeries
 from qnls.planewaves import Coupling, ExpPoly, RapiditySet, build_bethe
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracer(monkeypatch):
-    """The tracer module, loaded from its file without writing bytecode
-    next to it."""
+def load_perfbench(monkeypatch, name):
+    """A benchmark module, loaded from its file without writing bytecode
+    next to it; registered while the test runs, as its dataclasses
+    look their module up."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
 
@@ -35,7 +41,7 @@ def test_tracer_counts_exact_arithmetic_and_restores(monkeypatch):
     # two rapidity sets: sums of equal keys add their columns unmerged
     p, q = (build_bethe(RapiditySet.of(values), Coupling(F(1))).canonical
             for values in ([F(1, 2), F(-3, 2)], [F(1, 3), F(5, 2)]))
-    tracer = load_tracer(monkeypatch).Tracer()
+    tracer = load_perfbench(monkeypatch, "tracer").Tracer()
     tracer.install()
     try:
         assert all(getattr(cls, attr) is not fn for cls, attr, fn in originals)
@@ -72,7 +78,7 @@ def test_tracer_wraps_column_passes_and_apply_a_and_restores(monkeypatch):
                  for attr in ("weighted", "differentiate", "_merged")]
     apply_a = aop.apply_A
     expected = run()
-    tracer = load_tracer(monkeypatch).Tracer()
+    tracer = load_perfbench(monkeypatch, "tracer").Tracer()
     tracer.install()
     try:
         assert all(cls.__dict__[attr] is not fn for cls, attr, fn in originals)
@@ -87,3 +93,16 @@ def test_tracer_wraps_column_passes_and_apply_a_and_restores(monkeypatch):
     for cls, attr, fn in originals:
         assert cls.__dict__[attr] is fn, f"{cls.__name__}.{attr} not restored"
     assert aop.apply_A is apply_a
+
+
+def test_ladder_states_pass_on_the_benchmark_seed(monkeypatch):
+    """``exact-ladder`` judges each state by ``ladder_state_misses``,
+    which reads ``charges.all_boundary_residuals`` by name and its
+    residuals by key: on the benchmark's seed-2024 states it finds no
+    miss and the N! terms of each canonical sum."""
+    workloads = load_perfbench(monkeypatch, "workloads")
+    states = workloads.ladder_inputs(2024)["states"]
+    assert [n for n, _, _ in states] == list(workloads.LADDER_SIZES)
+    for n, values, coupling in states:
+        assert workloads.ladder_state_misses(n, values, coupling) \
+            == (math.factorial(n), [])
