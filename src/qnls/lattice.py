@@ -46,20 +46,21 @@ engine reads that table:
   the table, and the sums run in Kronecker order, so every entry equals
   the sum of Kronecker products bit for bit.  Only the last site works
   on dim x dim blocks (``monodromy``);
-- the two full-space checks never form a dim x dim block: one pass
-  (``_last_site_blocks``) writes A and D one block over the last site's
-  levels at a time, of dimension dim/d like the product below that site,
-  and combines them into that block of tau = A + D or of A^dag - D,
-  A^dag's block (i, j) the adjoint of A's block (j, i).  Number
-  conservation takes the largest entry of each block off the sectors;
-  the adjoint pairing keeps each block's in-sector entries and sums the
-  squares of the rest;
-- the exchange relation builds no full-space block: T(lam) (x) T(mu) is
-  itself a monodromy, with the 4x4 site factor
-  sum_n'' L(lam)[n', n''] (x) L(mu)[n'', n], so the dense engine grows
-  both tensor orderings over the (d-1)^M kept states only, from that
-  factor restricted to the kept levels, and writes the last site straight
-  into an (m, m, 4, 4) stack (``_stacked_product``);
+- the three full-space checks never form a dim x dim block: each is
+  streamed one block over the levels of its last k sites at a time, k
+  the fewest sites that leave at most 64 states below them (k = 1 up to
+  d^(M-1) = 64 states).  Each block is written from the products below
+  those k sites, one nested level of the dense engine's block sums per
+  site (``_write_nested``, the same terms in the same order), so every
+  entry is the dense engine's float.  Number conservation and the
+  adjoint pairing (``_streamed_blocks``) write A and D and combine them
+  into that block of tau = A + D or of A^dag - D, A^dag's block (I, J)
+  the adjoint of A's block (J, I).  The exchange relation
+  (``_product_blocks``) does the same for T(lam) (x) T(mu), itself a
+  monodromy with the 4x4 site factor sum_n'' L(lam)[n', n''] (x)
+  L(mu)[n'', n], for both tensor orderings over the (d-1)^M kept states
+  only, from that factor restricted to the kept levels, and forms the 16
+  entries of R X - Y R of each block;
 - the one-particle block is never formed: one pass over the sites
   applies it to its Fourier vector for all rows at once, carrying two
   2x2 products per row (``one_particle_eigenvalue``);
@@ -70,29 +71,31 @@ Each operator whose 2-norm the exchange relation or the adjoint pairing
 takes moves particle number by a fixed amount (A and D conserve it, B
 and C shift it by +1 and -1), so its 2-norm is the largest 2-norm of its
 blocks between number sectors.  The sectors are index groups of the
-basis states, in basis order (``_sector_groups``); ``_sector_norms``
-gathers each block by index for one small SVD, zeroes it in place and
-adds the Frobenius norm of what is left, which is 0 when the operator
-moves number by exactly the given amount: the result is exact then and
-an upper bound on the full 2-norm always.  No operator is sorted or
-copied whole.  The adjoint pairing measures its difference the same way
-without forming it: the in-sector entries of each block go straight
-into one buffer of the sector blocks.  ``tau_commutator_norm`` already
-works in one sector, and ``normal_ordering_breakdown`` measures 9 x 9
-blocks; both take plain 2-norms.
+basis states, in basis order (``_sector_groups``).  No such operator is
+formed whole: ``_SectorBuffer`` moves the in-sector entries of each
+streamed block straight into one buffer of the sector blocks, per
+operator, sums the squares of the rest, and takes one small SVD per
+sector block for all its operators; the root of the sum left is added,
+which is 0 when the operator moves number by exactly the given amount:
+the result is exact then and an upper bound on the full 2-norm always.
+Number conservation zeroes each block's in-sector entries and takes the
+largest entry left.  ``tau_commutator_norm`` already works in one
+sector, and ``normal_ordering_breakdown`` measures 9 x 9 blocks; both
+take plain 2-norms.
 
 The monodromy holds a known number of dim x dim complex blocks, the
-streamed last-site pass a known number of dim/d x dim/d ones (beside the
-adjoint pairing's sector blocks), the exchange relation a known number
-of kept x kept ones and the sector commutator a known number of m x m
-ones over the m configs of its sector; their bytes are checked against
-DENSE_BUDGET_BYTES before anything is allocated.
+streamed checks a known number of blocks of the size of their products
+below the last k sites beside their sector blocks and state arrays, and
+the sector commutator a known number of m x m ones over the m configs
+of its sector; their bytes are checked against DENSE_BUDGET_BYTES
+before anything is allocated.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -103,21 +106,14 @@ from .transfer import theta
 
 DENSE_BUDGET_BYTES = 2 ** 30
 COMPLEX_BYTES = 16
-# Dense complex blocks alive at once, full (dim x dim) or kept (restricted
-# to the (d-1)^M states with every occupation <= d-2).  monodromy, at the
-# last site: 3 finished blocks, the one being written, and the previous
+_INDEX_BYTES = np.dtype(np.intp).itemsize
+# Dense complex blocks alive at once.  monodromy, at the last site: 3
+# finished dim x dim blocks, the one being written, and the previous
 # site's 4 blocks of dimension dim/d (a quarter block at d = 4) with one
 # such temporary where two slices reach the same block; tracemalloc peaks
 # at 4.05-4.32 full blocks at the sizes the tests measure (4^4, 6^3,
-# 12^2).  The two checks that stream the last site hold no full block and
-# have their own count (_STREAM_BLOCKS).  rtt_residual holds only kept
-# blocks, 16 per (kept, kept, 4, 4) stack: both orderings' stacks while
-# the defect is measured, the stack of the 6 entries of one number shift
-# and the two products whose difference is written into it: 40 blocks,
-# and 1 more for the index arrays and small tables.  tracemalloc peaks at
-# 40.05-40.12 kept blocks at 81 to 125 kept states.
+# 12^2).
 MONODROMY_BLOCKS = 5
-RTT_KEPT_BLOCKS = 2 * 16 + 6 + 2 + 1
 # tau_commutator_norm holds (m x m) complex blocks over the m configs of
 # its sector: the first sector matrix while the second is contracted, that
 # contraction's running and new (m, m, 2, 2) products, its gathered
@@ -125,19 +121,43 @@ RTT_KEPT_BLOCKS = 2 * 16 + 6 + 2 + 1
 # 1 more for the configs, index arrays and small tables.  tracemalloc
 # peaks at 13.08-13.52 blocks at 136 to 364 configs.
 SECTOR_BLOCKS = 1 + 2 * 4 + 2 * 2 + 1
-# number_conservation_defect and hermiticity_pairing_defect stream the
-# last site (_last_site_blocks) and hold blocks of dimension dim/d, the
-# size of the products below that site: those 4 products, the blocks of A
-# and D being written and one term of a sum where two slices reach a
-# block; a block's sector mask, its in-sector index arrays or its
-# magnitudes, less than a block, are alive only between writes.  The
-# adjoint pairing also holds the sector blocks, sum_n sector_size(n)^2
-# entries.  At 4^5 tracemalloc peaks at 6.51 blocks for number
-# conservation and at 6.47 beside the sector blocks for the pairing (7.01
-# and 7.04 on a table where two slices reach a block), and at most 22 KB
-# above the count at 4^4, 6^3 and 12^2, where index arrays and numpy's
-# iteration buffers come to more than a block.
+# The full-space checks stream blocks over the levels of their last k
+# sites, k the fewest that leave at most _STREAM_STATES states below them
+# (_stream_depth).  Nesting pays only past 64 states (medians in-process
+# on one BLAS thread of a 2-core x86-64 machine): at 4^4, 16-state blocks
+# over the last two sites made the adjoint pairing 1.70 -> 3.93 ms; at
+# 4^5, 64-state blocks over the last two sites took it 24.4 -> 17.2 ms and
+# its tracemalloc peak 8.25 -> 2.37 MiB, and 16-state blocks over the
+# last three 54.7 ms.
+_STREAM_STATES = 64
+# number_conservation_defect and hermiticity_pairing_defect
+# (_streamed_blocks) hold blocks of the size of the products below their
+# last k sites: those 4 products, the blocks of A and D being written and
+# one term of a sum where two slices reach a block, and 2 blocks, one per
+# row of the product one site shorter, for each of the k - 1 nested
+# levels; a block's sector mask, its in-sector index arrays or its
+# magnitudes, less than a block, are alive only between writes.  Beside
+# them: the particle number of each state, and for the adjoint pairing
+# each state's place in its sector and where its row of its sector block
+# starts, and the sector blocks, sum_n sector_size(n)^2 entries.
+# tracemalloc peaks at 6-10 KB above the count for number conservation
+# and 11-14 KB for the pairing at 4^4, 6^3 and 12^2 (k = 1) and at 4^5
+# (k = 2).
 _STREAM_BLOCKS = 4 + 2 + 1
+_SECTOR_STATE_ARRAYS = 3
+# rtt_residual (_product_blocks) holds blocks of the products below its
+# last k sites over the kept states: both orderings' 16 products, both
+# orderings' 16 blocks being written, the entries of R X - Y R that make
+# one number shift (6 at most) and the two halves of the one being
+# formed, and 4 blocks for each of the k - 1 nested levels.  Beside them:
+# both orderings' (d, d, 4, 4) pair tables and each entry's sector
+# blocks, both orderings', and the particle number of each kept state,
+# its place in its sector and, for each of the 5 number shifts, where its
+# row of its sector block starts.  tracemalloc peaks from 12 KB below to
+# 41 KB above the count at 4^4, 6^3 and 12^2 (k = 1) and at 4^5 and 3^8
+# (k = 2).
+_EXCHANGE_BLOCKS = 2 * 16 + 2 * 16 + 6 + 2
+_EXCHANGE_STATE_ARRAYS = 2 + 5
 # continuum_limit_rate: one-particle momentum index, per-site cutoff and
 # the site counts of the fit
 CONTINUUM_MOMENTUM_INDEX = 1
@@ -223,13 +243,10 @@ def _site_factor_table(spec: LatticeSpec, lam: complex,
 # Full-space monodromy (small M)
 # ----------------------------------------------------------------------
 
-def dense_bytes(spec: LatticeSpec, blocks: int, kept_blocks: int = 0) -> int:
-    """Bytes of ``blocks`` full (dim x dim) and ``kept_blocks`` kept
-    complex blocks, the latter restricted to the (d-1)^M states with every
-    occupation <= d-2."""
+def dense_bytes(spec: LatticeSpec, blocks: int) -> int:
+    """Bytes of ``blocks`` full (dim x dim) complex blocks."""
     dim = spec.cutoff ** spec.sites
-    kept = (spec.cutoff - 1) ** spec.sites
-    return COMPLEX_BYTES * (blocks * dim * dim + kept_blocks * kept * kept)
+    return COMPLEX_BYTES * blocks * dim * dim
 
 
 def sector_bytes(configs: int) -> int:
@@ -238,13 +255,55 @@ def sector_bytes(configs: int) -> int:
     return COMPLEX_BYTES * SECTOR_BLOCKS * configs * configs
 
 
+def _stream_depth(levels: int, sites: int) -> int:
+    """How many last sites a streamed check splits its blocks over: the
+    fewest that leave at most _STREAM_STATES states below them, but one
+    site or more below them from two sites on."""
+    depth = 1
+    while depth < sites - 1 and levels ** (sites - depth) > _STREAM_STATES:
+        depth += 1
+    return depth
+
+
+def _sector_area(spec: LatticeSpec, shifts: Sequence[int]) -> int:
+    """Entries of the blocks between number sectors n + shift and n, over
+    all n, summed over ``shifts``: those of operators that each move
+    number by one of them."""
+    sizes = [sector_size(spec, total)
+             for total in range((spec.cutoff - 1) * spec.sites + 1)]
+    return sum(a * b for shift in shifts
+               for a, b in zip(sizes, sizes[abs(shift):]))
+
+
 def _stream_bytes(spec: LatticeSpec, sectors: bool) -> int:
-    """Bytes of the dense blocks of a check that streams the last site
-    (``_last_site_blocks``), with the sector blocks if ``sectors``."""
-    n = spec.cutoff ** (spec.sites - 1)
-    in_sector = sum(sector_size(spec, total) ** 2 for total in range(
-        (spec.cutoff - 1) * spec.sites + 1)) if sectors else 0
-    return COMPLEX_BYTES * (_STREAM_BLOCKS * n * n + in_sector)
+    """Bytes of the dense blocks and state arrays of a check that streams
+    the blocks of its last sites (``_streamed_blocks``), with the sector
+    blocks if ``sectors``."""
+    dim = spec.cutoff ** spec.sites
+    depth = _stream_depth(spec.cutoff, spec.sites)
+    n = spec.cutoff ** (spec.sites - depth)
+    blocks = _STREAM_BLOCKS + 2 * (depth - 1)
+    if not sectors:
+        return COMPLEX_BYTES * blocks * n * n + _INDEX_BYTES * dim
+    return COMPLEX_BYTES * (blocks * n * n + _sector_area(spec, [0])) \
+        + _SECTOR_STATE_ARRAYS * _INDEX_BYTES * dim
+
+
+def _exchange_bytes(spec: LatticeSpec) -> int:
+    """Bytes of the dense blocks, sector blocks and state arrays of
+    ``rtt_residual``, over the (d-1)^M kept states."""
+    kept = spec.cutoff - 1
+    if not kept:
+        return 0
+    depth = _stream_depth(kept, spec.sites)
+    n = kept ** (spec.sites - depth)
+    blocks = _EXCHANGE_BLOCKS + 4 * (depth - 1)
+    # the sector blocks of both orderings' entries
+    area = 2 * _sector_area(replace(spec, cutoff=kept), [
+        shift for shift, pairs in _EXCHANGE_ENTRIES.items() for _ in pairs])
+    tables = 2 * 16 * spec.cutoff ** 2
+    return COMPLEX_BYTES * (blocks * n * n + tables + area) \
+        + _EXCHANGE_STATE_ARRAYS * _INDEX_BYTES * kept ** spec.sites
 
 
 def _check_dense_budget(spec: LatticeSpec, what: str, need: int) -> None:
@@ -268,47 +327,85 @@ def _site_products(L: np.ndarray, sites: int):
     return T
 
 
-def _left_multiply(L: np.ndarray, T, r: int, c: int,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def _left_multiply(L: np.ndarray, T, r: int, c: int) -> np.ndarray:
     """Entry (r, c) of L(site) T, the sum over q of L[r, q] (x) T[q][c],
     or L[r, c] itself when there is no product T below the site.
 
     Block (i, j) of a Kronecker product L[r, q] (x) T[q][c] is
     L[r, q][i, j] T[q][c], so only the blocks that some slice reaches are
-    written (``_write_block``) into the zeroed output (or into ``out``, a
-    zeroed square view); the zero pattern is read from the slices, and the
-    result equals the sum of Kronecker products bit for bit."""
+    written (``_write_block``) into the zeroed output; the zero pattern is
+    read from the slices, and the result equals the sum of Kronecker
+    products bit for bit."""
     if T is None:
-        if out is None:
-            return L[r, c]
-        out[...] = L[r, c]
-        return out
+        return L[r, c]
     d, n = L.shape[-1], len(T[0][c])
-    if out is None:
-        out = np.zeros((d * n, d * n), dtype=complex)
+    out = np.zeros((d * n, d * n), dtype=complex)
     blocks = out.reshape(d, n, d, n)
+    column = [row[c] for row in T]
     for i, j in zip(*np.nonzero(L[r].any(axis=0))):
-        _write_block(L, T, r, c, i, j, blocks[i, :, j])
+        _write_block(L[r], column, i, j, blocks[i, :, j])
     return out
 
 
-def _write_block(L: np.ndarray, T, r: int, c: int, i: int, j: int,
+def _write_block(factors: np.ndarray, column, i: int, j: int,
                  out: np.ndarray) -> bool:
-    """Block (i, j) of entry (r, c) of L(site) T, the sum over q of
-    L[r, q][i, j] T[q][c], written into ``out`` in q order: the first
-    nonzero slice entry's term with np.multiply, each later one added,
-    each formed as np.kron forms it (the slice entry the left operand).
-    Returns False, ``out`` untouched, when no slice reaches the block."""
+    """Block (i, j) of the sum over q of factors[q] (x) column[q], for the
+    slices factors[q] = L[r, q] of one row of a site factor and the entries
+    column[q] = T[q][c] of one column of the product below it: the sum over
+    q of factors[q][i, j] column[q], written into ``out`` in q order, the
+    first nonzero slice entry's term with np.multiply, each later one
+    added, each formed as np.kron forms it (the slice entry the left
+    operand).  Returns False, ``out`` untouched, when no slice reaches the
+    block."""
     written = False
-    for q, part in enumerate(L[r]):
+    for part, below in zip(factors, column):
         entry = part[i, j]
         if entry:
             if written:
-                out += np.multiply(entry, T[q][c])
+                out += np.multiply(entry, below)
             else:
-                np.multiply(entry, T[q][c], out=out)
+                np.multiply(entry, below, out=out)
                 written = True
     return written
+
+
+def _write_nested(L: np.ndarray, T, r: int, c: int, I: tuple, J: tuple,
+                  out: np.ndarray, spare) -> bool:
+    """Block (I, J) of entry (r, c) of the product of len(I) copies of the
+    site factor L over the products T below them, I and J the levels of
+    those sites, the leftmost site first.
+
+    It is the sum over q of L[r, q][I[0], J[0]] times block (I[1:], J[1:])
+    of entry (q, c) of the product one site shorter, so each such block
+    that a slice reaches is written the same way into ``spare[0][q]``
+    (zeroed where nothing below reaches it) and the sum is taken by
+    ``_write_block``; the innermost blocks are read from T.  These are the
+    terms and the q order of ``_left_multiply``, so every entry is the
+    float of the dense engine.  Returns False, ``out`` untouched, when no
+    slice reaches the block."""
+    if len(I) == 1:
+        return _write_block(L[r], [row[c] for row in T], I[0], J[0], out)
+    column = spare[0]
+    for q, part in enumerate(L[r]):
+        if part[I[0], J[0]] and not _write_nested(
+                L, T, q, c, I[1:], J[1:], column[q], spare[1:]):
+            column[q][...] = 0.0
+    return _write_block(L[r], column, I[0], J[0], out)
+
+
+def _level_blocks(reach: np.ndarray, depth: int, n: int):
+    """Yields (I, J, rows, cols) for each choice of a level pair (i, j)
+    with ``reach[i, j]`` at each of the last ``depth`` sites, site M first:
+    the levels I and J and the ranges of the block's ``n`` row and column
+    states (site M the slowest index), in row-major order of the pairs."""
+    d = len(reach)
+    pairs = list(zip(*np.nonzero(reach)))
+    for chosen in itertools.product(pairs, repeat=depth):
+        I, J = zip(*chosen)
+        row = col = 0
+        for i, j in chosen:
+            row, col = row * d + i, col * d + j
+        yield I, J, slice(row * n, (row + 1) * n), slice(col * n, (col + 1) * n)
 
 
 def monodromy(spec: LatticeSpec, lam: complex,
@@ -334,20 +431,21 @@ def transfer_operator(spec: LatticeSpec, lam: complex) -> np.ndarray:
     return A
 
 
-def _last_site_blocks(spec: LatticeSpec, lam: complex, adjoint: bool):
+def _streamed_blocks(spec: LatticeSpec, lam: complex, adjoint: bool):
     """Yields (rows, cols, X): X the block of A^dag - D if ``adjoint``,
     else of tau = A + D, over the state ranges rows x cols, for each block
-    over the last site's levels that a slice of A (of A^dag) or of D
-    reaches (the others are zero); at one site the whole operator.  X is
-    overwritten by the next block.
+    over the levels of the last k sites (k from ``_stream_depth``) that a
+    slice of A (of A^dag) or of D reaches (the others are zero); at one
+    site the whole operator.  X is overwritten by the next block.
 
-    Blocks (i, j) of A and D are written (``_write_block``) from the
-    products below the last site, as ``_left_multiply`` writes them, and
-    block (i, j) of A^dag is the adjoint of block (j, i) of A, so every
+    Blocks (I, J) of A and D are written (``_write_nested``) from the
+    products below the last k sites, as the dense engine writes them, and
+    block (I, J) of A^dag is the adjoint of block (J, I) of A, so every
     entry is that of the sum or difference of the finished A (or its
     adjoint) and D, bit for bit."""
     L = _site_factor_table(spec, lam).transpose(2, 3, 0, 1)
-    T = _site_products(L, spec.sites - 1)
+    depth = _stream_depth(spec.cutoff, spec.sites)
+    T = _site_products(L, spec.sites - depth)
     if T is None:
         whole = slice(None)
         if adjoint:
@@ -355,21 +453,25 @@ def _last_site_blocks(spec: LatticeSpec, lam: complex, adjoint: bool):
         else:
             yield whole, whole, L[0, 0] + L[1, 1]
         return
-    reach = L[0].any(axis=0)
     n = len(T[0][0])
-    A = np.empty((n, n), dtype=complex)
-    X = np.empty((n, n), dtype=complex)
-    for i, j in zip(*np.nonzero((reach.T if adjoint else reach)
-                                | L[1].any(axis=0))):
-        if not _write_block(L, T, 0, 0, *((j, i) if adjoint else (i, j)), A):
-            A[...] = 0.0
-        if not _write_block(L, T, 1, 1, i, j, X):
+    A, X = np.empty((2, n, n), dtype=complex)
+    spare = np.empty((depth - 1, 2, n, n), dtype=complex)
+    reach = L.any(axis=(0, 1))
+    for I, J, rows, cols in _level_blocks(reach | reach.T if adjoint
+                                          else reach, depth, n):
+        in_a = _write_nested(L, T, 0, 0, *((J, I) if adjoint else (I, J)),
+                             A, spare)
+        if not _write_nested(L, T, 1, 1, I, J, X, spare):
+            if not in_a:
+                continue
             X[...] = 0.0
+        if not in_a:
+            A[...] = 0.0
         if adjoint:
             np.subtract(np.conjugate(A, out=A).T, X, out=X)
         else:
             X += A
-        yield slice(i * n, (i + 1) * n), slice(j * n, (j + 1) * n), X
+        yield rows, cols, X
 
 
 # ----------------------------------------------------------------------
@@ -409,25 +511,28 @@ def sector_size(spec: LatticeSpec, total: int) -> int:
 
 def number_conservation_defect(spec: LatticeSpec, lam: complex) -> float:
     """Largest matrix element of tau(lam) connecting different sectors,
-    read one block over the last site's levels at a time
-    (``_last_site_blocks``): each block's in-sector entries are zeroed and
+    read one block over the levels of the last sites at a time
+    (``_streamed_blocks``): each block's in-sector entries are zeroed and
     its largest entry left is taken.  Holds no dim x dim block
     (``_stream_bytes``)."""
     _check_dense_budget(spec, "number conservation",
                         _stream_bytes(spec, False))
-    counts = _occupations(spec.cutoff, spec.sites).sum(axis=1)
+    counts = _particle_counts(spec.cutoff, spec.sites)
     worst = 0.0
-    for rows, cols, X in _last_site_blocks(spec, lam, adjoint=False):
+    for rows, cols, X in _streamed_blocks(spec, lam, adjoint=False):
         X[counts[rows][:, None] == counts[cols]] = 0.0
         worst = np.maximum(worst, np.abs(X).max())   # a NaN entry shows
     return float(worst)
 
 
-def _occupations(cutoff: int, sites: int) -> np.ndarray:
-    """Row i: the site occupations of basis state i of ``sites`` sites with
-    occupations 0..cutoff-1, site 1 first (the fastest index)."""
-    index = np.arange(cutoff ** sites)
-    return index[:, None] // cutoff ** np.arange(sites) % cutoff
+def _particle_counts(levels: int, sites: int) -> np.ndarray:
+    """The particle number of each basis state of ``sites`` sites with
+    occupations 0..levels-1, site 1 the fastest index: each site adds its
+    levels as the slowest index, so only arrays of the states are formed."""
+    counts = np.zeros(1, dtype=np.intp)
+    for _ in range(sites):
+        counts = np.add.outer(np.arange(levels), counts).ravel()
+    return counts
 
 
 def _sector_groups(counts: np.ndarray) -> list[np.ndarray]:
@@ -435,6 +540,76 @@ def _sector_groups(counts: np.ndarray) -> list[np.ndarray]:
     n up to the largest of ``counts``."""
     return [np.flatnonzero(counts == n)
             for n in range(counts.max(initial=0) + 1)]
+
+
+class _SectorBuffer:
+    """The blocks between number sectors of operators that each move
+    particle number by a fixed shift, over states with particle numbers
+    ``counts``: for ``operators[shift]`` operators that move it by shift,
+    rows in sector n + shift against columns in sector n, in basis order
+    (``_sector_groups``), one buffer row per operator.
+
+    Such an operator is block diagonal up to the order of its states, so
+    its 2-norm is the largest 2-norm of these blocks.  Each block of the
+    operators that a streamed check forms moves its entries between those
+    sectors into the buffer (``place``, ``move``), which returns the sum
+    of squared magnitudes of the rest: 0 for a number-shifting operator,
+    and its square root added to the block norms (``norms``) keeps the
+    result >= the 2-norm of any operator, so a conservation fault raises
+    the residual rather than hiding it."""
+
+    def __init__(self, counts: np.ndarray, operators: dict[int, int]):
+        groups = _sector_groups(counts)
+        sizes = np.array([len(group) for group in groups])
+        self.counts = counts
+        self.pos = np.empty_like(counts)   # each state's place in its sector
+        for group in groups:
+            self.pos[group] = np.arange(len(group))
+        self.shifts = {}
+        for shift, entries in operators.items():
+            cols = np.arange(max(0, -shift), len(groups) - max(0, shift))
+            rows = cols + shift
+            areas = sizes[rows] * sizes[cols]
+            ends = np.cumsum(areas, dtype=np.intp)
+            blocks = [(end - area, end, sizes[r], sizes[c]) for end, area, r, c
+                      in zip(ends, areas, rows, cols) if area]
+            # where each state's row of its block starts in the buffer
+            start = np.zeros(len(groups), dtype=np.intp)
+            width = np.zeros(len(groups), dtype=np.intp)
+            start[rows], width[rows] = ends - areas, sizes[cols]
+            area = ends[-1] if len(ends) else 0
+            self.shifts[shift] = (
+                blocks, start[counts] + self.pos * width[counts],
+                np.zeros((entries, area), dtype=complex))
+
+    def place(self, rows: slice, cols: slice, shift: int):
+        """The entries (r, c) of a block over the state ranges rows x cols
+        between sectors n + shift and n, and their places in the buffer."""
+        at = np.nonzero(self.counts[rows][:, None] == self.counts[cols] + shift)
+        return at, self.shifts[shift][1][rows][at[0]] + self.pos[cols][at[1]]
+
+    def move(self, X: np.ndarray, at, places: np.ndarray, shift: int,
+             entries: int | slice):
+        """Moves the entries ``at`` of a block X, or of a stack X of blocks
+        of several operators, to their ``places`` (``place``) in the buffer
+        rows ``entries``, zeroing them in X, and returns the sum of squared
+        magnitudes of what is left of each block."""
+        self.shifts[shift][2][entries, places] = X[..., at[0], at[1]]
+        X[..., at[0], at[1]] = 0.0
+        # real and imaginary parts side by side (no copy of a C-ordered X)
+        parts = np.ascontiguousarray(X).view(float)
+        return np.einsum("...ij,...ij->...", parts, parts)
+
+    def norms(self, shift: int) -> np.ndarray:
+        """The largest sector-block 2-norm of each operator that moves
+        number by ``shift``, one SVD call per block for all of them."""
+        blocks, _, buffer = self.shifts[shift]
+        worst = np.zeros(len(buffer))
+        for start, end, m, n in blocks:
+            block = buffer[:, start:end].reshape(-1, m, n)
+            worst = np.maximum(worst,
+                               np.linalg.svd(block, compute_uv=False)[:, 0])
+        return worst
 
 
 # ----------------------------------------------------------------------
@@ -508,72 +683,42 @@ def _pair_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return np.einsum("xzac,zybd->xyabcd", t1, t2).reshape(d, d, 4, 4)
 
 
-def _stacked_product(table: np.ndarray, sites: int) -> np.ndarray:
-    """The product of a (d, d, k, k) site table over ``sites`` sites, site
-    M leftmost, between all d^M basis states (site 1 the fastest index):
-    out[i, j, r, c] is entry (r, c) of the k x k product.  Grown by the
-    dense engine, which writes the last site straight into the
-    (d^M, d^M, k, k) layout."""
-    L = table.transpose(2, 3, 0, 1)
-    T = _site_products(L, sites - 1)
-    m, k = len(table) ** sites, len(L)
-    out = np.zeros((m, m, k, k), dtype=complex)
-    for r in range(k):
-        for c in range(k):
-            _left_multiply(L, T, r, c, out=out[:, :, r, c])
-    return out
+def _product_blocks(tables: Sequence[np.ndarray], sites: int):
+    """Yields (rows, cols, X): X[t][:, :, r, c] the block over the state
+    ranges rows x cols of entry (r, c) of the product of the (d, d, k, k)
+    site table tables[t] over ``sites`` sites, site M leftmost, for each
+    block over the levels of the last k sites (k from ``_stream_depth``)
+    that a slice of either table reaches; at one site the tables
+    themselves.  X is overwritten by the next block.  Each entry is
+    written as the dense engine writes it (``_write_nested``)."""
+    Ls = [table.transpose(2, 3, 0, 1) for table in tables]
+    levels, k = len(tables[0]), len(Ls[0])
+    depth = _stream_depth(levels, sites)
+    Ts = [_site_products(L, sites - depth) for L in Ls]
+    if Ts[0] is None:
+        yield slice(None), slice(None), np.array(tables)
+        return
+    n = len(Ts[0][0][0])
+    X = np.empty((len(tables), n, n, k, k), dtype=complex)
+    spare = np.empty((depth - 1, k, n, n), dtype=complex)
+    reach = np.logical_or.reduce([L.any(axis=(0, 1)) for L in Ls])
+    for I, J, rows, cols in _level_blocks(reach, depth, n):
+        written = False
+        for L, T, out in zip(Ls, Ts, X):
+            for r, c in itertools.product(range(k), repeat=2):
+                if _write_nested(L, T, r, c, I, J, out[:, :, r, c], spare):
+                    written = True
+                else:
+                    out[:, :, r, c] = 0.0
+        if written:
+            yield rows, cols, X
 
 
-def _sector_norms(P: np.ndarray, groups: Sequence[np.ndarray],
-                  shift: int) -> np.ndarray:
-    """Upper bound on the 2-norm of each matrix of a (k, m, m) stack P
-    over states split into number sectors ``groups`` (``_sector_groups``),
-    exact for a matrix that moves number by ``shift``.
-
-    Such a matrix is block diagonal up to the order of its states: rows in
-    sector n + shift against columns in sector n, one block per n.  Its
-    2-norm is the largest block 2-norm, one SVD call per block for the
-    whole stack.  The Frobenius norm of every entry outside those blocks
-    is added, which is 0 for a number-shifting matrix and keeps the result
-    >= its 2-norm for any matrix, so a conservation fault raises the
-    residual rather than hiding it.  Zeroes the blocks of P.
-    """
-    worst = np.zeros(len(P))
-    for n in range(max(0, -shift), len(groups) - max(0, shift)):
-        index = (slice(None), groups[n + shift][:, None], groups[n])
-        block = P[index]
-        if block.size:
-            worst = np.maximum(worst, np.linalg.svd(block, compute_uv=False)[:, 0])
-            P[index] = 0.0   # P keeps only the entries off the blocks
-    return worst + [np.linalg.norm(p) for p in P]
-
-
-def _exchange_defect(R: np.ndarray, X: np.ndarray, Y: np.ndarray,
-                     groups: Sequence[np.ndarray]) -> float:
-    """Largest 2-norm over the 16 operator entries of R X - Y R for
-    (m, m, 4, 4) stacks X and Y over states in number sectors ``groups``.
-
-    T_ac moves number by c - a, so entry (ab),(cd) of T (x) T, at auxiliary
-    index 2a + b, moves it by popcount(2c + d) - popcount(2a + b).  R only
-    swaps indices 1 and 2, so entry (r, s) of R X - Y R moves number by
-    popcount(s) - popcount(r) and is measured per sector (``_sector_norms``),
-    the entries of one shift together.
-    """
-    return float(max(_sector_norms(_exchange_entries(R, X, Y, shift),
-                                   groups, shift).max()
-                     for shift in range(-2, 3)))
-
-
-def _exchange_entries(R: np.ndarray, X: np.ndarray, Y: np.ndarray,
-                      shift: int) -> np.ndarray:
-    """The entries (r, s) of R X - Y R that move number by ``shift``, each
-    written straight into its slot of one stack."""
-    pairs = [(r, s) for r in range(4) for s in range(4)
-             if s.bit_count() - r.bit_count() == shift]
-    stack = np.empty((len(pairs),) + X.shape[:2], dtype=complex)
-    for entry, (r, s) in zip(stack, pairs):
-        np.subtract(X[:, :, :, s] @ R[r], Y[:, :, r, :] @ R[:, s], out=entry)
-    return stack
+# the entries (r, s) of R X - Y R by the number shift popcount(s) -
+# popcount(r) they make (``rtt_residual``)
+_EXCHANGE_ENTRIES = {shift: [(r, s) for r in range(4) for s in range(4)
+                             if s.bit_count() - r.bit_count() == shift]
+                     for shift in range(-2, 3)}
 
 
 def rtt_residual(lam: complex, mu: complex, spec: LatticeSpec) -> dict:
@@ -581,26 +726,54 @@ def rtt_residual(lam: complex, mu: complex, spec: LatticeSpec) -> dict:
 
     Restricted to states with every occupation <= d-2, where truncation
     cannot clip the two-operator products.  Each tensor ordering is a
-    monodromy of the 4x4 pair table, contracted between the kept states
-    only.  Returns both residuals and the ordering that vanishes.
+    monodromy of the 4x4 pair table between the kept states only, formed
+    one block over the levels of the last sites at a time
+    (``_product_blocks``).  The defect is the largest 2-norm over the 16
+    operator entries of R X - Y R: T_ac moves number by c - a, so entry
+    (ab),(cd) of T (x) T, at auxiliary index 2a + b, moves it by
+    popcount(2c + d) - popcount(2a + b), and since R only swaps indices 1
+    and 2, entry (r, s) of R X - Y R moves it by popcount(s) -
+    popcount(r).  So each block of each entry is moved into the sector
+    buffer of its shift (``_SectorBuffer``), the entries of one shift
+    sharing one placement, and measured there.  Returns both residuals
+    and the ordering that vanishes.
     """
     if abs(lam - mu) < 1e-12:
         raise RMatrixPole("coinciding spectral parameters")
-    _check_dense_budget(spec, "exchange relation",
-                        dense_bytes(spec, 0, RTT_KEPT_BLOCKS))
+    _check_dense_budget(spec, "exchange relation", _exchange_bytes(spec))
     R = r_matrix(lam, mu, spec.c)
     kept = spec.cutoff - 1
     tl, tm = _site_factor_table(spec, lam), _site_factor_table(spec, mu)
-    lm = _stacked_product(_pair_table(tl, tm)[:kept, :kept], spec.sites)
-    ml = _stacked_product(_pair_table(tm, tl)[:kept, :kept], spec.sites)
     # R (T(lam) x T(mu)) = (T(mu) x T(lam)) R
-    groups = _sector_groups(_occupations(kept, spec.sites).sum(axis=1))
-    res_a = _exchange_defect(R, lm, ml, groups)
-    res_b = _exchange_defect(R, ml, lm, groups)
+    tables = [_pair_table(tl, tm)[:kept, :kept],
+              _pair_table(tm, tl)[:kept, :kept]]
+    entries = _EXCHANGE_ENTRIES
+    # buffer row t * len(pairs) + e: entry e of ordering t
+    sectors = _SectorBuffer(_particle_counts(kept, spec.sites),
+                            {shift: 2 * len(pairs)
+                             for shift, pairs in entries.items()})
+    off = {shift: np.zeros((2, len(pairs))) for shift, pairs in entries.items()}
+    stack = None   # the entries of one shift, of one ordering
+    for rows, cols, (lm, ml) in _product_blocks(tables, spec.sites):
+        if stack is None:
+            stack = np.empty((max(map(len, entries.values())),)
+                             + lm.shape[:2], dtype=complex)
+        for shift, pairs in entries.items():
+            at, places = sectors.place(rows, cols, shift)
+            for t, (X, Y) in enumerate(((lm, ml), (ml, lm))):
+                for entry, (r, s) in zip(stack, pairs):
+                    np.subtract(X[:, :, :, s] @ R[r], Y[:, :, r, :] @ R[:, s],
+                                out=entry)
+                off[shift][t] += sectors.move(
+                    stack[:len(pairs)], at, places, shift,
+                    slice(t * len(pairs), (t + 1) * len(pairs)))
+    res_a, res_b = np.max([
+        (sectors.norms(shift).reshape(2, -1) + np.sqrt(off[shift])).max(axis=1)
+        for shift in entries], axis=0)
     return {
-        "residual_lam_mu": res_a,
-        "residual_mu_lam": res_b,
-        "residual": min(res_a, res_b),
+        "residual_lam_mu": float(res_a),
+        "residual_mu_lam": float(res_b),
+        "residual": float(min(res_a, res_b)),
         "ordering": "lam_mu" if res_a <= res_b else "mu_lam",
     }
 
@@ -624,52 +797,24 @@ def tau_commutator_norm(lam: complex, mu: complex, spec: LatticeSpec,
 
 def hermiticity_pairing_defect(spec: LatticeSpec, lam: float) -> float:
     """At real lam the diagonal monodromy entries are mutual adjoints:
-    ||A^dag - D||_2 per number sector, measured as ``_sector_norms``
-    measures it: the largest 2-norm of the sector blocks plus the
-    Frobenius norm of every entry off them, which is 0 on a
-    number-conserving table and makes a conservation fault show.
+    ||A^dag - D||_2 per number sector (``_SectorBuffer``): the largest
+    2-norm of the sector blocks plus the Frobenius norm of every entry off
+    them, which is 0 on a number-conserving table and makes a
+    conservation fault show.
 
-    A^dag - D is never formed whole (``_last_site_blocks``): its blocks
-    over the last site's levels, of dimension dim/d, are formed one at a
-    time.  Each block's in-sector entries are scattered into one buffer of
-    the sector blocks, in basis order, and the squares of the rest are
-    summed; then one SVD per sector.  Held at once: the four products
-    below the last site, two blocks and one term of a sum, and the sector
-    blocks, 116,304 entries of the 1,048,576 of A at 4^5
-    (``_stream_bytes``)."""
+    A^dag - D is never formed whole (``_streamed_blocks``): its blocks
+    over the levels of the last sites, of at most _STREAM_STATES states
+    where the lattice is large, are formed one at a time.  Each block's
+    in-sector entries are moved into one buffer of the sector blocks, in
+    basis order, and the squares of the rest are summed; then one SVD per
+    sector.  At 4^5 the sector blocks, 116,304 entries of the 1,048,576
+    of A, are most of what the check holds (``_stream_bytes``)."""
     _check_dense_budget(spec, "adjoint pairing", _stream_bytes(spec, True))
-    counts = _occupations(spec.cutoff, spec.sites).sum(axis=1)
-    groups = _sector_groups(counts)
-    sizes = np.array([len(group) for group in groups])
-    ends = np.cumsum(sizes * sizes)
-    pos = np.empty_like(counts)   # each state's place in its sector
-    for group in groups:
-        pos[group] = np.arange(len(group))
-    # where each state's row of its sector block starts in the buffer
-    row_start = ends[counts] - sizes[counts] ** 2 + pos * sizes[counts]
-    sectors = np.zeros(ends[-1], dtype=complex)
-    off_sector = sum(_move_in_sector(X, counts[rows], counts[cols],
-                                     row_start[rows], pos[cols], sectors)
-                     for rows, cols, X in _last_site_blocks(
+    sectors = _SectorBuffer(_particle_counts(spec.cutoff, spec.sites), {0: 1})
+    off_sector = sum(sectors.move(X, *sectors.place(rows, cols, 0), 0, 0)
+                     for rows, cols, X in _streamed_blocks(
                          spec, float(lam), adjoint=True))
-    worst = 0.0
-    for end, m in zip(ends, sizes):
-        block = sectors[end - m * m:end].reshape(m, m)
-        worst = max(worst, np.linalg.svd(block, compute_uv=False)[0])
-    return float(worst + math.sqrt(off_sector))
-
-
-def _move_in_sector(X: np.ndarray, row_counts: np.ndarray,
-                    col_counts: np.ndarray, row_start: np.ndarray,
-                    col_pos: np.ndarray, sectors: np.ndarray) -> float:
-    """Moves the entries of X between states of equal particle number
-    (``row_counts``, ``col_counts``) into ``sectors``, entry (r, c) to
-    row_start[r] + col_pos[c], zeroing them in X, and returns the sum of
-    squared magnitudes of what is left."""
-    r, c = np.nonzero(row_counts[:, None] == col_counts)
-    sectors[row_start[r] + col_pos[c]] = X[r, c]
-    X[r, c] = 0.0
-    return np.vdot(X, X).real
+    return float(sectors.norms(0)[0] + math.sqrt(off_sector))
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -146,14 +147,111 @@ def reference_site_products(L, sites):
     return T
 
 
+def reference_occupations(cutoff, sites):
+    """Row i: the site occupations of basis state i of ``sites`` sites with
+    occupations 0..cutoff-1, site 1 first (the fastest index)."""
+    index = np.arange(cutoff ** sites)
+    return index[:, None] // cutoff ** np.arange(sites) % cutoff
+
+
+def reference_sector_norms(P, groups, shift):
+    """Upper bound on the 2-norm of each matrix of a (k, m, m) stack P over
+    states split into number sectors ``groups``, exact for a matrix that
+    moves number by ``shift``: the largest block 2-norm, each block
+    gathered by index for one SVD call for the whole stack and then zeroed,
+    plus the Frobenius norm of what is left.  Zeroes the blocks of P."""
+    worst = np.zeros(len(P))
+    for n in range(max(0, -shift), len(groups) - max(0, shift)):
+        index = (slice(None), groups[n + shift][:, None], groups[n])
+        block = P[index]
+        if block.size:
+            worst = np.maximum(worst,
+                               np.linalg.svd(block, compute_uv=False)[:, 0])
+            P[index] = 0.0
+    return worst + [np.linalg.norm(p) for p in P]
+
+
+def reference_groups(cutoff, sites):
+    """The number sectors of all states, as index groups in basis order."""
+    return lat._sector_groups(reference_occupations(cutoff, sites).sum(axis=1))
+
+
 def reference_pairing_defect(spec, lam):
     """||conj(A).T - D|| per number sector, the adjoint taken of the
     finished A."""
     (A, _), (_, D) = lat.monodromy(spec, lam)
     X = np.conjugate(A).T - D
-    groups = lat._sector_groups(lat._occupations(spec.cutoff,
-                                                 spec.sites).sum(axis=1))
-    return float(lat._sector_norms(X[None], groups, 0)[0])
+    groups = reference_groups(spec.cutoff, spec.sites)
+    return float(reference_sector_norms(X[None], groups, 0)[0])
+
+
+def reference_last_site_blocks(spec, lam, adjoint):
+    """The full-space checks' pass over the last site alone: blocks of
+    A^dag - D (or of tau) over the last site's levels, each of dimension
+    dim/d, written from the products below that site; at one site the
+    whole operator."""
+    L = lat._site_factor_table(spec, lam).transpose(2, 3, 0, 1)
+    T = lat._site_products(L, spec.sites - 1)
+    if T is None:
+        whole = slice(None)
+        if adjoint:
+            yield whole, whole, np.conjugate(L[0, 0]).T - L[1, 1]
+        else:
+            yield whole, whole, L[0, 0] + L[1, 1]
+        return
+    reach = L[0].any(axis=0)
+    n = len(T[0][0])
+    A = np.empty((n, n), dtype=complex)
+    X = np.empty((n, n), dtype=complex)
+    a_column, d_column = [row[0] for row in T], [row[1] for row in T]
+    for i, j in zip(*np.nonzero((reach.T if adjoint else reach)
+                                | L[1].any(axis=0))):
+        if not lat._write_block(L[0], a_column,
+                                *((j, i) if adjoint else (i, j)), A):
+            A[...] = 0.0
+        if not lat._write_block(L[1], d_column, i, j, X):
+            X[...] = 0.0
+        if adjoint:
+            np.subtract(np.conjugate(A, out=A).T, X, out=X)
+        else:
+            X += A
+        yield slice(i * n, (i + 1) * n), slice(j * n, (j + 1) * n), X
+
+
+def reference_last_site_conservation(spec, lam):
+    """Number conservation over the blocks of the last site alone."""
+    counts = reference_occupations(spec.cutoff, spec.sites).sum(axis=1)
+    worst = 0.0
+    for rows, cols, X in reference_last_site_blocks(spec, lam, False):
+        X[counts[rows][:, None] == counts[cols]] = 0.0
+        worst = np.maximum(worst, np.abs(X).max())
+    return float(worst)
+
+
+def reference_last_site_pairing(spec, lam):
+    """The adjoint pairing over the blocks of the last site alone, each
+    block's in-sector entries scattered into one buffer of the sector
+    blocks and the squares of the rest summed by vdot."""
+    counts = reference_occupations(spec.cutoff, spec.sites).sum(axis=1)
+    groups = lat._sector_groups(counts)
+    sizes = np.array([len(group) for group in groups])
+    ends = np.cumsum(sizes * sizes)
+    pos = np.empty_like(counts)
+    for group in groups:
+        pos[group] = np.arange(len(group))
+    row_start = ends[counts] - sizes[counts] ** 2 + pos * sizes[counts]
+    sectors = np.zeros(ends[-1], dtype=complex)
+    off_sector = 0.0
+    for rows, cols, X in reference_last_site_blocks(spec, float(lam), True):
+        r, c = np.nonzero(counts[rows][:, None] == counts[cols])
+        sectors[row_start[rows][r] + pos[cols][c]] = X[r, c]
+        X[r, c] = 0.0
+        off_sector += np.vdot(X, X).real
+    worst = 0.0
+    for end, m in zip(ends, sizes):
+        block = sectors[end - m * m:end].reshape(m, m)
+        worst = max(worst, np.linalg.svd(block, compute_uv=False)[0])
+    return float(worst + math.sqrt(off_sector))
 
 
 def ordered_product(table, row, col):
@@ -166,7 +264,7 @@ def ordered_product(table, row, col):
 def reference_occupation_configs(spec, total):
     """All cutoff^sites occupations, site M the fastest, filtered to one
     sector."""
-    occ = lat._occupations(spec.cutoff, spec.sites)[:, ::-1]
+    occ = reference_occupations(spec.cutoff, spec.sites)[:, ::-1]
     return occ[occ.sum(axis=1) == total]
 
 
@@ -226,7 +324,71 @@ def reference_rtt_residual(lam, mu, spec):
     return defect(lm, ml), defect(ml, lm)
 
 
+def reference_stacked_product(table, sites):
+    """The product of a (d, d, k, k) site table over ``sites`` sites by the
+    dense engine, between all d^M basis states, as one whole
+    (d^M, d^M, k, k) stack: out[i, j, r, c] is entry (r, c) of the k x k
+    product."""
+    L = table.transpose(2, 3, 0, 1)
+    T = lat._site_products(L, sites - 1)
+    m, k = len(table) ** sites, len(L)
+    out = np.zeros((m, m, k, k), dtype=complex)
+    for r, c in itertools.product(range(k), repeat=2):
+        out[:, :, r, c] = lat._left_multiply(L, T, r, c)
+    return out
+
+
+def whole_stack_rtt_residual(lam, mu, spec, plant=None):
+    """Both exchange residuals from whole (m, m, 4, 4) stacks of both
+    orderings over the m kept states: for each number shift, the entries
+    (r, s) of R X - Y R that make it, written into one stack and measured
+    per sector (``reference_sector_norms``).  ``plant`` (i, j, value) sets
+    entry (0, 0) of the lam-mu stack between kept states i and j."""
+    R = lat.r_matrix(lam, mu, spec.c)
+    kept = spec.cutoff - 1
+    tl = lat._site_factor_table(spec, lam)
+    tm = lat._site_factor_table(spec, mu)
+    lm = reference_stacked_product(lat._pair_table(tl, tm)[:kept, :kept],
+                                   spec.sites)
+    ml = reference_stacked_product(lat._pair_table(tm, tl)[:kept, :kept],
+                                   spec.sites)
+    if plant is not None:
+        lm[plant[0], plant[1], 0, 0] = plant[2]
+    groups = reference_groups(kept, spec.sites)
+
+    def defect(X, Y):
+        worst = 0.0
+        for shift in range(-2, 3):
+            pairs = [(r, s) for r in range(4) for s in range(4)
+                     if s.bit_count() - r.bit_count() == shift]
+            stack = np.empty((len(pairs),) + X.shape[:2], dtype=complex)
+            for entry, (r, s) in zip(stack, pairs):
+                np.subtract(X[:, :, :, s] @ R[r], Y[:, :, r, :] @ R[:, s],
+                            out=entry)
+            worst = max(worst, reference_sector_norms(stack, groups,
+                                                      shift).max())
+        return float(worst)
+
+    return defect(lm, ml), defect(ml, lm)
+
+
+def streamed_stacks(tables, sites):
+    """The blocks of ``lat._product_blocks`` put together into one whole
+    (d^M, d^M, k, k) stack per table."""
+    m, k = len(tables[0]) ** sites, tables[0].shape[-1]
+    out = np.zeros((len(tables), m, m, k, k), dtype=complex)
+    for rows, cols, X in lat._product_blocks(tables, sites):
+        out[:, rows, cols] = X
+    return out
+
+
 spectral = st.builds(complex, st.floats(-2, 2), st.floats(-1, 1))
+
+
+# (M, d) with d^M <= 4096 whose pass over the last site alone, the
+# reference of the nested pass, holds products of at most 512 states
+STREAM_SIZES = [(m, d) for d in range(1, 65) for m in range(1, 13)
+                if d ** m <= 4096 and d ** (m - 1) <= 512 and (d > 1 or m <= 3)]
 
 
 @st.composite
@@ -259,10 +421,10 @@ def monodromy_cases(draw):
 def sparse_tables(draw):
     """A finite (d, d, k, k) site table, k = 2 or 4, with a random zero
     pattern over all level pairs, one entry at n' = n + 2 whenever d >= 3,
-    and 1..3 sites (full dimension d^M <= 64)."""
+    and 1..4 sites (full dimension d^M <= 81)."""
     k = draw(st.sampled_from([2, 4]))
     d = draw(st.integers(1, 4))
-    sites = draw(st.integers(1, 3))
+    sites = draw(st.integers(1, 4 if d <= 3 else 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     table = rng.standard_normal((d, d, k, k, 2)) @ [1, 1j]
     table *= rng.random((d, d, k, k)) < draw(st.floats(0.0, 1.0))
@@ -414,9 +576,9 @@ class TestMonodromy:
         # reaches, zero by construction
         spec = lat.LatticeSpec(sites, cutoff, 0.35, 1.2)
         lam = 0.7 - 0.2j
-        counts = lat._occupations(cutoff, sites).sum(axis=1)
+        counts = lat._particle_counts(cutoff, sites)
         index = np.arange(len(counts))
-        blocks = lat._last_site_blocks
+        blocks = lat._streamed_blocks
         read = np.zeros((len(counts),) * 2, dtype=bool)
         for rows, cols, _ in blocks(spec, lam, adjoint=False):
             read[np.ix_(index[rows], index[cols])] = True
@@ -431,7 +593,7 @@ class TestMonodromy:
                 yield rows, cols, X
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lat, "_last_site_blocks", planted)
+            mp.setattr(lat, "_streamed_blocks", planted)
             assert lat.number_conservation_defect(spec, lam) == size
 
     def test_number_conservation_with_one_sector(self):
@@ -480,11 +642,11 @@ class TestMonodromy:
                 np.testing.assert_allclose(
                     got[i, j], ordered_product(table, occ[i], occ[j]),
                     rtol=1e-14, atol=0)
-        # the dense engine of the exchange relation, on all kept states
+        # the streamed blocks of the exchange relation, on all kept states
         if sites <= 4:
-            kept = lat._occupations(cutoff - 1, sites)
-            stacked = lat._stacked_product(
-                table[:cutoff - 1, :cutoff - 1], sites)
+            kept = reference_occupations(cutoff - 1, sites)
+            stacked, = streamed_stacks([table[:cutoff - 1, :cutoff - 1]],
+                                       sites)
             for i, j in itertools.product(range(len(kept)), repeat=2):
                 np.testing.assert_allclose(
                     stacked[i, j], ordered_product(table, kept[i], kept[j]),
@@ -527,15 +689,19 @@ class TestMonodromy:
             for s in range(2):
                 np.testing.assert_allclose(fast[r][s], dense[r][s], rtol=1e-13)
 
-    @given(sparse_tables())
+    @given(sparse_tables(), st.sampled_from([64, 4, 1]))
     @settings(max_examples=100, deadline=None)
-    def test_engine_matches_kronecker_sums(self, case):
-        # the zero pattern is read from the table, off the band included
+    def test_engine_matches_kronecker_sums(self, case, states):
+        # the zero pattern is read from the table, off the band included;
+        # a smaller bound on the states below the streamed sites nests the
+        # streamed blocks over up to M - 1 sites
         table, sites = case
         L = table.transpose(2, 3, 0, 1)
         want = reference_site_products(L, sites)
         got = lat._site_products(L, sites)
-        stacked = lat._stacked_product(table, sites)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lat, "_STREAM_STATES", states)
+            stacked, = streamed_stacks([table], sites)
         for r, c in itertools.product(range(len(L)), repeat=2):
             np.testing.assert_array_equal(got[r][c], want[r][c])
             np.testing.assert_array_equal(stacked[:, :, r, c], want[r][c])
@@ -611,7 +777,7 @@ class TestMonodromy:
         T = reference_site_products(planted(spec, lam).transpose(2, 3, 0, 1),
                                     sites)
         tau = T[0][0] + T[1][1]
-        counts = lat._occupations(4, sites).sum(axis=1)
+        counts = lat._particle_counts(4, sites)
         want = np.abs(tau[counts[:, None] != counts[None, :]]).max()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lat, "_site_factor_table", planted)
@@ -657,9 +823,71 @@ def reference_sector_norm(X, counts, shift):
 
 
 def sector_norm(X, counts, shift):
-    """``_sector_norms`` of X alone; it zeroes the blocks of its input."""
-    groups = lat._sector_groups(counts)
-    return float(lat._sector_norms(X[None].copy(), groups, shift)[0])
+    """The streamed checks' measure of X taken as one block: its sector
+    blocks moved into a ``_SectorBuffer``, their largest 2-norm plus the
+    square root of the sum of squares left."""
+    sectors = lat._SectorBuffer(counts, {shift: 1})
+    whole = slice(None)
+    off = sectors.move(X.copy(), *sectors.place(whole, whole, shift),
+                       shift, 0)
+    return float(sectors.norms(shift)[0] + math.sqrt(off))
+
+
+class TestNestedPass:
+    """The full-space checks nest over their last k sites once the
+    products below the last site pass _STREAM_STATES states; the pass over
+    the last site alone is the reference."""
+
+    def test_sizes_reach_depth_three(self):
+        depths = {lat._stream_depth(d, m) for m, d in STREAM_SIZES}
+        assert {1, 2, 3} <= depths
+        # the suite's sizes and the sweep's conservation keep the last site
+        assert [lat._stream_depth(d, m) for m, d in
+                ((3, 4), (3, 3), (4, 4), (5, 4))] == [1, 1, 1, 2]
+
+    @given(st.sampled_from(STREAM_SIZES), st.floats(-2, 2), spectral,
+           st.floats(0.05, 1.0), st.floats(0.1, 3.0))
+    @settings(max_examples=25, deadline=None)
+    @example((5, 4), 0.7, 0.7 - 0.2j, 0.3, 1.0)     # depth 2, the sweep's
+    @example((6, 3), -1.3, 0.4 + 0.3j, 0.35, 1.2)   # depth 3
+    @example((9, 2), 0.2, -1.1 + 0.5j, 0.25, 0.8)   # depth 3
+    def test_checks_match_last_site_pass(self, size, lam, lam_c, step, c):
+        sites, cutoff = size
+        spec = lat.LatticeSpec(sites, cutoff, step, c)
+        assert lat.number_conservation_defect(spec, lam_c) \
+            == reference_last_site_conservation(spec, lam_c) == 0.0
+        assert lat.hermiticity_pairing_defect(spec, lam) \
+            == reference_last_site_pairing(spec, lam)
+
+    @given(st.sampled_from([(m, d) for m, d in STREAM_SIZES
+                            if d >= 3 and m >= 2]),
+           st.sampled_from(list(itertools.product(range(2), repeat=2))),
+           st.floats(-2, 2), spectral)
+    @settings(max_examples=15, deadline=None)
+    @example((5, 4), (0, 1), 0.7, 0.7 - 0.2j)
+    @example((6, 3), (1, 0), -1.3, 0.4 + 0.3j)
+    def test_checks_match_last_site_pass_off_the_band(self, size, rs, lam,
+                                                       lam_c):
+        # an entry at n' = n + 2 puts entries off the sector blocks: the
+        # largest of them is the same float, and their Frobenius sum runs
+        # over other blocks in another order
+        sites, cutoff = size
+        spec = lat.LatticeSpec(sites, cutoff, 0.35, 1.2)
+        clean = lat._site_factor_table
+
+        def planted(*args):
+            table = clean(*args)
+            table[(2, 0) + rs] = 0.5
+            return table
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lat, "_site_factor_table", planted)
+            conservation = lat.number_conservation_defect(spec, lam_c)
+            assert conservation == reference_last_site_conservation(spec, lam_c)
+            pairing = lat.hermiticity_pairing_defect(spec, lam)
+            want = reference_last_site_pairing(spec, lam)
+        assert conservation > 0.0 and pairing > lat.IDENTITY_TOL
+        assert pairing == pytest.approx(want, rel=1e-15, abs=0)
 
 
 class TestSectorNorm:
@@ -705,8 +933,13 @@ class TestSectorNorm:
 
 class TestDenseBudget:
     def test_rejects_by_bytes_before_allocating(self):
-        spec = lat.LatticeSpec(7, 4, 0.3, 1.0)   # 3^7 kept states
-        need = lat.dense_bytes(spec, 0, lat.RTT_KEPT_BLOCKS)
+        # 4^8: 3^8 kept states for the exchange relation, whose sector
+        # blocks alone would take 2.4 GiB, and 5.7 GiB of sector blocks
+        # for the adjoint pairing; number conservation holds blocks of at
+        # most 64 states and is refused only at 4^14, where the particle
+        # numbers of the states take 2 GiB
+        spec = lat.LatticeSpec(8, 4, 0.3, 1.0)
+        wide = lat.LatticeSpec(14, 4, 0.3, 1.0)
         tracemalloc.start()
         try:
             with pytest.raises(SizeLimit) as err:
@@ -718,21 +951,22 @@ class TestDenseBudget:
             with pytest.raises(SizeLimit) as pairing_err:
                 lat.hermiticity_pairing_defect(spec, 0.7)
             with pytest.raises(SizeLimit) as conservation_err:
-                lat.number_conservation_defect(spec, 0.7)
+                lat.number_conservation_defect(wide, 0.7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
-        assert str(need) in str(err.value)
+        assert str(lat._exchange_bytes(spec)) in str(err.value)
         assert str(lat.DENSE_BUDGET_BYTES) in str(err.value)
         # the streamed checks are refused by their own counts, not the
         # monodromy's
         assert str(lat._stream_bytes(spec, True)) in str(pairing_err.value)
-        assert str(lat._stream_bytes(spec, False)) \
+        assert str(lat._stream_bytes(wide, False)) \
             in str(conservation_err.value)
+        assert lat._stream_bytes(spec, False) <= lat.DENSE_BUDGET_BYTES
 
     def test_cli_rtt_rejected(self, capsys):
-        code = main(["lattice", "rtt", "--sites", "7", "--cutoff", "4",
+        code = main(["lattice", "rtt", "--sites", "8", "--cutoff", "4",
                      "--step", "0.3", "--coupling", "1.0"])
         assert code == 1
         assert "bytes" in capsys.readouterr().err
@@ -758,24 +992,31 @@ class TestDenseBudget:
     def test_suite_and_sweep_sizes_fit(self):
         # the suite goes up to 3 sites at cutoff 4; the benchmark sweep
         # runs the exchange relation and number conservation at 4^4 and
-        # the adjoint pairing at 4^5; the exchange relation fits up to 6
-        # sites at cutoff 4 and 10 at cutoff 3, number conservation up to
-        # 6 sites at cutoff 4 and monodromy up to 5
-        rtt = [lat.dense_bytes(lat.LatticeSpec(m, d, 0.3, 1.0), 0,
-                               lat.RTT_KEPT_BLOCKS)
-               for m, d in ((4, 4), (6, 4), (10, 3))]
-        mono = lat.dense_bytes(lat.LatticeSpec(5, 4, 0.3, 1.0),
-                               lat.MONODROMY_BLOCKS)
-        conservation = [lat._stream_bytes(lat.LatticeSpec(m, 4, 0.3, 1.0),
-                                          False) for m in (4, 6)]
-        pairing = lat._stream_bytes(lat.LatticeSpec(5, 4, 0.3, 1.0), True)
+        # the adjoint pairing at 4^5; the exchange relation fits up to 7
+        # sites at cutoff 4 and 11 at cutoff 3, the adjoint pairing up to
+        # 7 sites at cutoff 4, number conservation up to 13, and monodromy
+        # up to 5
+        def spec(m, d):
+            return lat.LatticeSpec(m, d, 0.3, 1.0)
+
+        rtt = [lat._exchange_bytes(spec(m, d))
+               for m, d in ((4, 4), (7, 4), (11, 3))]
+        mono = lat.dense_bytes(spec(5, 4), lat.MONODROMY_BLOCKS)
+        conservation = [lat._stream_bytes(spec(m, 4), False) for m in (4, 13)]
+        pairing = [lat._stream_bytes(spec(m, 4), True) for m in (5, 7)]
         # the commutator sectors: the suite's reach M <= 4 and N <= 3, and
         # the sweep's at 6 to 8 sites, N <= 3, d = N + 2 (at most 56 configs)
-        sectors = [lat.sector_bytes(lat.sector_size(
-            lat.LatticeSpec(m, n + 2, 0.3, 1.0), n))
-            for m, n in ((4, 3), (8, 2), (6, 3))]
-        assert max(*rtt, *conservation, mono, pairing, *sectors) \
+        sectors = [lat.sector_bytes(lat.sector_size(spec(m, n + 2), n))
+                   for m, n in ((4, 3), (8, 2), (6, 3))]
+        assert max(*rtt, *conservation, mono, *pairing, *sectors) \
             <= lat.DENSE_BUDGET_BYTES
+        # one site more is refused
+        assert min(lat._exchange_bytes(spec(8, 4)),
+                   lat._exchange_bytes(spec(12, 3)),
+                   lat._stream_bytes(spec(8, 4), True),
+                   lat._stream_bytes(spec(14, 4), False),
+                   lat.dense_bytes(spec(6, 4), lat.MONODROMY_BLOCKS)) \
+            > lat.DENSE_BUDGET_BYTES
 
     @pytest.mark.parametrize("sites, sector", [(16, 2), (24, 2), (12, 3)])
     def test_sector_count_bounds_peak_memory(self, sites, sector):
@@ -790,35 +1031,47 @@ class TestDenseBudget:
         # the block count is the real peak, not a loose stand-in
         assert peak <= need <= 1.25 * peak
 
+    @staticmethod
+    def peak_against_count(run, need):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # headroom for the Python objects and the d x d site tables
+        assert peak <= need + 2 ** 16
+        # the count is the real peak, not a loose stand-in
+        assert need <= 1.25 * peak
+        return peak
+
     @pytest.mark.parametrize("sites, cutoff",
                              [(4, 4), (3, 6), (2, 12), (5, 4)])
     def test_block_counts_bound_peak_memory(self, sites, cutoff):
+        # at 4^5 the streamed checks nest over their last two sites, and
+        # the exchange relation over its last two of 3^5 kept states
         spec = lat.LatticeSpec(sites, cutoff, 0.3, 1.0)
-        runs = [
+        peaks = [self.peak_against_count(run, need) for run, need in [
             (lambda: lat.monodromy(spec, 0.7 - 0.2j),
              lat.dense_bytes(spec, lat.MONODROMY_BLOCKS)),
             (lambda: lat.rtt_residual(0.7 - 0.2j, -0.4 + 0.5j, spec),
-             lat.dense_bytes(spec, 0, lat.RTT_KEPT_BLOCKS)),
+             lat._exchange_bytes(spec)),
             (lambda: lat.number_conservation_defect(spec, 0.7 - 0.2j),
              lat._stream_bytes(spec, False)),
             (lambda: lat.hermiticity_pairing_defect(spec, 0.7),
              lat._stream_bytes(spec, True)),
-        ]
-        peaks = []
-        for run, need in runs:
-            tracemalloc.start()
-            try:
-                run()
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            # headroom for the Python objects and the d x d site tables
-            assert peaks[-1] <= need + 2 ** 16
-        # the block counts are the real peaks, not loose stand-ins
-        for (_, need), peak in zip(runs, peaks):
-            assert need <= 1.25 * peak
+        ]]
         # the two streamed checks hold no full-space block
         assert max(peaks[2:]) < lat.dense_bytes(spec, 1)
+
+    def test_exchange_count_bounds_peak_memory_past_monodromy(self):
+        # 3^8: monodromy is refused, while the exchange relation streams
+        # the 2^8 kept states over its last two sites, 64 states below them
+        spec = lat.LatticeSpec(8, 3, 0.3, 1.0)
+        assert lat._stream_depth(2, 8) == 2
+        self.peak_against_count(
+            lambda: lat.rtt_residual(0.7 - 0.2j, -0.4 + 0.5j, spec),
+            lat._exchange_bytes(spec))
 
 
 class TestExchangeRelation:
@@ -860,6 +1113,82 @@ class TestExchangeRelation:
         ref_lam_mu, ref_mu_lam = reference_rtt_residual(lam, mu, spec)
         assert max(res["residual_lam_mu"], ref_lam_mu) <= 1e-13
         assert res["residual_mu_lam"] == pytest.approx(ref_mu_lam, rel=1e-13)
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.floats(0.05, 1.0),
+           st.floats(0.1, 3.0), spectral, spectral)
+    @settings(max_examples=30, deadline=None)
+    @example(4, 4, 0.3, 1.3, 0.37 + 0.11j, -0.9 + 0.55j)
+    @example(2, 1, 0.3, 1.3, 0.4 + 0j, 1.1 + 0j)   # no kept state
+    def test_streamed_residuals_match_whole_stacks(self, sites, cutoff,
+                                                   step, c, lam, mu):
+        assume(abs(lam - mu) >= 1e-3)
+        spec = lat.LatticeSpec(sites, cutoff, step, c)
+        res = lat.rtt_residual(lam, mu, spec)
+        assert (res["residual_lam_mu"], res["residual_mu_lam"]) \
+            == whole_stack_rtt_residual(lam, mu, spec)
+
+    def test_nested_residuals_match_whole_stacks(self):
+        # 3^5 kept states: the blocks are streamed over the last two sites
+        spec = lat.LatticeSpec(5, 4, 0.3, 1.0)
+        assert lat._stream_depth(3, 5) == 2
+        lam, mu = 0.7 - 0.2j, -0.4 + 0.5j
+        res = lat.rtt_residual(lam, mu, spec)
+        assert (res["residual_lam_mu"], res["residual_mu_lam"]) \
+            == whole_stack_rtt_residual(lam, mu, spec)
+
+    def test_suite_grid_matches_whole_stacks(self):
+        # the 25 pairs of the suite's exchange-relation check at seed 2024
+        spec = lat.LatticeSpec(1, 4, 0.3, 1.3)
+        rng = random.Random("2024:lattice")
+        for _ in range(25):
+            lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            mu = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            if abs(lam - mu) < 1e-3:
+                mu += 0.5
+            res = lat.rtt_residual(lam, mu, spec)
+            assert (res["residual_lam_mu"], res["residual_mu_lam"]) \
+                == whole_stack_rtt_residual(lam, mu, spec)
+
+    @given(st.integers(1, 3), st.integers(3, 4), st.floats(1e-3, 1e3),
+           st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_planted_number_shift_shows(self, sites, cutoff, size, data):
+        # an entry of T(lam) (x) T(mu) at (0, 0) between kept states of
+        # different number reaches only entry (0, 0) of R X - Y R in both
+        # orderings, times f = R[0, 0], off its sector blocks: it must add
+        # its size to both residuals
+        spec = lat.LatticeSpec(sites, cutoff, 0.3, 1.3)
+        lam, mu = 0.37 + 0.11j, -0.9 + 0.55j
+        tables = [lat._pair_table(lat._site_factor_table(spec, a),
+                                  lat._site_factor_table(spec, b))
+                  [:cutoff - 1, :cutoff - 1] for a, b in ((lam, mu), (mu, lam))]
+        counts = lat._particle_counts(cutoff - 1, sites)
+        index = np.arange(len(counts))
+        blocks = lat._product_blocks
+        read = np.zeros((len(counts),) * 2, dtype=bool)
+        for rows, cols, _ in blocks(tables, sites):
+            read[np.ix_(index[rows], index[cols])] = True
+        off = np.argwhere(read & (counts[:, None] != counts[None, :]))
+        i, j = off[data.draw(st.integers(0, len(off) - 1))]
+
+        def planted(*args):
+            for rows, cols, X in blocks(*args):
+                at = np.flatnonzero(index[rows] == i), \
+                    np.flatnonzero(index[cols] == j)
+                X[0][at[0], at[1], 0, 0] = size
+                yield rows, cols, X
+
+        clean = lat.rtt_residual(lam, mu, spec)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lat, "_product_blocks", planted)
+            res = lat.rtt_residual(lam, mu, spec)
+        want = whole_stack_rtt_residual(lam, mu, spec, plant=(i, j, size))
+        assert res["residual_lam_mu"] == pytest.approx(want[0], rel=1e-14)
+        assert res["residual_mu_lam"] == pytest.approx(want[1], rel=1e-14)
+        shown = abs(lat.r_matrix(lam, mu, spec.c)[0, 0]) * size
+        assert res["residual_lam_mu"] == pytest.approx(shown, rel=1e-9)
+        assert res["residual_mu_lam"] >= max(clean["residual_mu_lam"],
+                                             shown * (1 - 1e-12))
 
     def test_cli_rtt_beyond_full_space_budget(self, capsys):
         # four full blocks of the 3^8 states would not fit; only the 2^8
