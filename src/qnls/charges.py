@@ -23,7 +23,10 @@ each evaluated in the one-sided limit x_{j+1} -> x_j from the ordered
 region.  The tangential derivatives d_l (l != j, j+1) do not touch the
 two coordinates the restriction merges, so they commute with it: the
 triple and quadruple layers act on the restricted pair bracket, one
-restriction per hyperplane.  The ill-defined "naive" fourth charge
+restriction per hyperplane.  Given a sequence of states of one N, the
+residuals run on one tagged sum (``planewaves``), the couplings and
+eigenvalues columns gathered by tag, and come back one per state, each
+that state's own.  The ill-defined "naive" fourth charge
 differs from H4 by a squared-delta term.  ``g4_defect_scan`` shows its
 1/eps divergence with Gaussian-regularized deltas, in the relative
 coordinates of the ordered region: closed forms in the gaps the deltas
@@ -141,24 +144,38 @@ def charge_eigenvalue(name: str, rapidities: RapiditySet):
 # Interior (free-part) action
 # ----------------------------------------------------------------------
 
-def apply_free_part(spec: FreeChargeSpec, w: BetheWavefunction) -> ExpPoly:
-    """Apply the free differential part on the ordered region.
+def apply_free_part(spec: FreeChargeSpec, w) -> ExpPoly:
+    """Apply the free differential part on the ordered region, to a
+    state's canonical sum or to a sum.
 
     A plane wave with frequency vector omega is an eigenvector of every
     constant-coefficient operator; the free part multiplies its
     coefficient by sign * sym(i*omega).
     """
     sym = power_sum if spec.kind == "power" else elementary_symmetric
-    return w.canonical.weighted(
+    return (w.canonical if isinstance(w, BetheWavefunction) else w).weighted(
         lambda z: sym(z, spec.degree) * spec.sign, spec.degree)
 
 
-def interior_eigen_residual(name: str, w: BetheWavefunction) -> ExpPoly:
+def _batch(w) -> tuple:
+    """The states (one state is the batch of one) and their tagged sum."""
+    states = (w,) if isinstance(w, BetheWavefunction) else tuple(w)
+    return states, ExpPoly._tagged(tuple(s.canonical for s in states))
+
+
+def _per_state(w, results: list):
+    """A list for a sequence of states, the one item for one state."""
+    return results[0] if isinstance(w, BetheWavefunction) else results
+
+
+def interior_eigen_residual(name: str, w) -> ExpPoly | list:
     """Free part applied minus eigenvalue times the wavefunction; must be
-    the empty sum on the ordered region."""
-    spec = CHARGES[name]
-    applied = apply_free_part(spec, w)
-    return applied - w.canonical.scale(charge_eigenvalue(name, w.rapidities))
+    the empty sum on the ordered region; a list of them for a sequence
+    of states of one N."""
+    spec, (states, batch) = CHARGES[name], _batch(w)
+    residual = apply_free_part(spec, batch) - batch.scale(_per_state(
+        w, [charge_eigenvalue(name, s.rapidities) for s in states]))
+    return _per_state(w, residual._untagged(len(states)))
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +183,8 @@ def interior_eigen_residual(name: str, w: BetheWavefunction) -> ExpPoly:
 # ----------------------------------------------------------------------
 
 def pair_bracket(poly: ExpPoly, coupling, j: int) -> ExpPoly:
-    """c f + (d_j - d_{j+1}) f  as a plane-wave sum (not yet restricted)."""
+    """c f + (d_j - d_{j+1}) f  as a plane-wave sum (not yet restricted);
+    for a tagged batch the coupling may be a list, one per state."""
     if not (1 <= j < poly.num_vars):
         raise ValueError("boundary index out of range")
     return poly.weighted(lambda z, c: c + (z[j - 1] - z[j]), 1, coupling)
@@ -206,19 +224,22 @@ def _quadruple(restricted: ExpPoly, coupling) -> list[ExpPoly]:
     # sum_{j>k>=3} d_j d_k is one operator, weight e_2 of old z_3, ..., z_n
     deriv_total = restricted.weighted(
         lambda z: elementary_symmetric(z[1:], 2), 2)
-    delta_total = ExpPoly.zero(n - 2, restricted.field)
-    for k_lo, j_hi in itertools.combinations(range(3, n + 1), 2):
-        delta_total = delta_total + restricted.substitute_equal(
-            j_hi - 1, k_lo - 1).scale(coupling)
+    # the sum starts at its first pair: adding it to the empty sum would
+    # merge a sum that is merged already
+    delta_total = functools.reduce(ExpPoly.__add__, (
+        restricted.substitute_equal(j_hi - 1, k_lo - 1).scale(coupling)
+        for k_lo, j_hi in itertools.combinations(range(3, n + 1), 2)))
     return [deriv_total, delta_total]
 
 
-def all_boundary_residuals(w: BetheWavefunction) -> dict:
+def all_boundary_residuals(w) -> dict | list:
     """Every applicable boundary residual for the state; keys name the
     bracket and the hyperplane index.  Each pair bracket is built and
     restricted once, and the triple and quadruple residuals at its
-    hyperplane derive from the restriction."""
-    n, poly, c = w.n, w.canonical, w.coupling.c
+    hyperplane derive from the restriction.  A list of such dicts for a
+    sequence of states of one N."""
+    states, poly = _batch(w)
+    n, c = states[0].n, _per_state(w, [s.coupling.c for s in states])
     out = {f"pair[j={j}]": boundary_residual_h2(poly, c, j)
            for j in range(1, n)}
     if n >= 3:
@@ -227,7 +248,9 @@ def all_boundary_residuals(w: BetheWavefunction) -> dict:
     if n >= 4:
         for idx, res in enumerate(_quadruple(out["pair[j=1]"], c)):
             out[f"quadruple[part={idx}]"] = res
-    return out
+    split = [res._untagged(len(states)) for res in out.values()]
+    return _per_state(w, [{key: res[s] for key, res in zip(out, split)}
+                          for s in range(len(states))])
 
 
 # ----------------------------------------------------------------------

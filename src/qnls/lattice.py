@@ -88,7 +88,8 @@ streamed checks a known number of blocks of the size of their products
 below the last k sites beside their sector blocks and state arrays, and
 the sector commutator a known number of m x m ones over the m configs
 of its sector; their bytes are checked against DENSE_BUDGET_BYTES
-before anything is allocated.
+before anything is allocated, and so are the entries the streamed
+checks would write.
 """
 
 from __future__ import annotations
@@ -105,6 +106,10 @@ from .errors import CutoffTooSmall, RMatrixPole, SizeLimit
 from .transfer import theta
 
 DENSE_BUDGET_BYTES = 2 ** 30
+# Block entries a streamed check may write (_stream_entries): at 5.7e7 to
+# 7.6e7 entries per second (number_conservation_defect at 4^4 to 4^8, CPU
+# time on one BLAS thread of a 2-core x86-64 machine), 14-19 s of work.
+_STREAM_ENTRY_BUDGET = 2 ** 30
 COMPLEX_BYTES = 16
 _INDEX_BYTES = np.dtype(np.intp).itemsize
 # Dense complex blocks alive at once.  monodromy, at the last site: 3
@@ -306,14 +311,30 @@ def _exchange_bytes(spec: LatticeSpec) -> int:
         + _EXCHANGE_STATE_ARRAYS * _INDEX_BYTES * kept ** spec.sites
 
 
-def _check_dense_budget(spec: LatticeSpec, what: str, need: int) -> None:
+def _check_dense_budget(spec: LatticeSpec, what: str, need: int,
+                        entries: int = 0) -> None:
     """Raises SizeLimit, before anything is allocated, unless the ``need``
-    bytes of dense blocks of ``what`` fit the byte budget."""
+    bytes of dense blocks of ``what`` fit the byte budget and the block
+    ``entries`` it writes the entry budget."""
     if need > DENSE_BUDGET_BYTES:
         raise SizeLimit(
             f"{what} at {spec.sites} sites, cutoff {spec.cutoff} needs "
             f"{need} bytes of dense complex blocks, over the budget of "
             f"{DENSE_BUDGET_BYTES} bytes")
+    if entries > _STREAM_ENTRY_BUDGET:
+        raise SizeLimit(f"{what} at {spec.sites} sites, cutoff {spec.cutoff} "
+                        f"writes {entries} block entries, over the budget "
+                        f"of {_STREAM_ENTRY_BUDGET}")
+
+
+def _stream_entries(spec: LatticeSpec) -> int:
+    """The most block entries a streamed check writes: n x n for each of
+    the (3d - 2)^k level pairs of its last k sites that the tridiagonal
+    site factor reaches; at one site, the whole d x d operator."""
+    depth = _stream_depth(spec.cutoff, spec.sites)
+    n = spec.cutoff ** (spec.sites - depth)
+    return spec.cutoff ** 2 if spec.sites == 1 \
+        else (3 * spec.cutoff - 2) ** depth * n * n
 
 
 def _site_products(L: np.ndarray, sites: int):
@@ -516,7 +537,7 @@ def number_conservation_defect(spec: LatticeSpec, lam: complex) -> float:
     its largest entry left is taken.  Holds no dim x dim block
     (``_stream_bytes``)."""
     _check_dense_budget(spec, "number conservation",
-                        _stream_bytes(spec, False))
+                        _stream_bytes(spec, False), _stream_entries(spec))
     counts = _particle_counts(spec.cutoff, spec.sites)
     worst = 0.0
     for rows, cols, X in _streamed_blocks(spec, lam, adjoint=False):
@@ -809,7 +830,8 @@ def hermiticity_pairing_defect(spec: LatticeSpec, lam: float) -> float:
     basis order, and the squares of the rest are summed; then one SVD per
     sector.  At 4^5 the sector blocks, 116,304 entries of the 1,048,576
     of A, are most of what the check holds (``_stream_bytes``)."""
-    _check_dense_budget(spec, "adjoint pairing", _stream_bytes(spec, True))
+    _check_dense_budget(spec, "adjoint pairing", _stream_bytes(spec, True),
+                        _stream_entries(spec))
     sectors = _SectorBuffer(_particle_counts(spec.cutoff, spec.sites), {0: 1})
     off_sector = sum(sectors.move(X, *sectors.place(rows, cols, 0), 0, 0)
                      for rows, cols, X in _streamed_blocks(

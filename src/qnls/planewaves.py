@@ -45,6 +45,11 @@ by a non-negative int, and ``z[0] * 0`` for a zero: no comparison,
 ``bool`` or branch on a term's value.  A pass calls it once, in either
 field, on the columns z_n = i * freq_n; it moves no key, so it merges
 nothing.
+
+States checked together form one sum (``_tagged``): each key ends in its
+state's index, which keeps the states apart in a merge and which no
+weight, recast or merge tolerance reads; a value given as a list, one
+per state, becomes a column gathered by that tag (``_numerators``).
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ import math
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterable, Sequence
 
@@ -232,7 +237,11 @@ class ExpPoly:
             for coeff, key in raw_terms:
                 prev = acc.get(key)
                 acc[key] = coeff if prev is None else prev + coeff
-            acc = _consolidate_float(acc)
+            width, states = 2 * self.num_vars, {}     # by tag, if any
+            for key, coeff in acc.items():
+                states.setdefault(key[width:], {})[key] = coeff
+            acc = {key: coeff for tag in sorted(states) for key, coeff
+                   in _consolidate_float(states[tag], width).items()}
             return self._with(tuple(acc), np.array(list(acc.values()), dtype=object))
         # each key is hashed once and gets the next slot of the columns
         slots: dict = {}
@@ -254,9 +263,9 @@ class ExpPoly:
         coefficients over den, both multiples of the current ones."""
         if unit == self.unit and den == self.den:
             return self
-        fu = unit // self.unit
-        keys = self.keys if fu == 1 else tuple(
-            tuple(x * fu for x in f) for f in self.keys)
+        fu, width = unit // self.unit, 2 * self.num_vars
+        keys = self.keys if fu == 1 else tuple(     # a tag stays as it is
+            tuple(x * fu for x in f[:width]) + f[width:] for f in self.keys)
         return ExpPoly(self.num_vars, self.field, keys,
                        self.coeffs * (den // self.den), unit, den)
 
@@ -272,12 +281,54 @@ class ExpPoly:
     def _numerators(self, values) -> tuple:
         """Numbers as scalars the coefficient column multiplies, and their
         common denominator: int GaussColumns over the lcm in an exact
-        sum, complex values over 1 in a FLOAT one."""
-        values = [self.field.coerce(v) for v in values]
+        sum, complex values over 1 in a FLOAT one.  A list, one number
+        per state of a tagged batch, becomes a column gathered by tag."""
+        values = [[self.field.coerce(x) for x in v] if type(v) is list
+                  else [self.field.coerce(v)] for v in values]
+        tags = [key[2 * self.num_vars] for key in self.keys] \
+            if max(map(len, values), default=1) > 1 else None
         if self.field is FLOAT:
-            return values, 1
-        den = math.lcm(*(v.d for v in values))
-        return [GaussColumn.of(v, den) for v in values], den
+            return [v[0] if len(v) == 1 else np.array(v, dtype=object)[tags]
+                    for v in values], 1
+        den = math.lcm(*(x.d for v in values for x in v))
+        cols = [[GaussColumn.of(x, den) for x in v] for v in values]
+        return [v[0] if len(v) == 1 else GaussColumn(*(
+            np.array(p, dtype=object)[tags] if any(p) else 0
+            for p in zip(*((x.real, x.imag) for x in v)))) for v in cols], den
+
+    @staticmethod
+    @lru_cache(maxsize=1)       # asked once per charge of a check
+    def _tagged(polys: tuple) -> "ExpPoly":
+        """The sums of states of one N and field as one sum over their lcm
+        unit and den, each key ending in its state's index (one sum stays
+        as it is).  Sums hash and compare by identity."""
+        if len(polys) == 1:
+            return polys[0]
+        for p in polys[1:]:
+            polys[0]._check_compatible(p)
+        unit, den = (math.lcm(*(getattr(p, a) for p in polys))
+                     for a in ("unit", "den"))
+        parts = [p._recast(unit, den) for p in polys]
+        if polys[0].field is FLOAT:
+            coeffs = np.concatenate([p.coeffs for p in parts])
+        else:
+            coeffs = GaussColumn(*(np.concatenate(c) for c in zip(
+                *((p.coeffs.real, p.coeffs.imag) for p in parts))))
+        return ExpPoly(polys[0].num_vars, polys[0].field, tuple(
+            key + (tag,) for tag, p in enumerate(parts) for key in p.keys),
+            coeffs, unit, den)
+
+    def _untagged(self, count: int) -> list:
+        """The sums of the ``count`` states of a batch, untagged (an empty
+        sum shows no tag)."""
+        if count == 1 or not self.keys:
+            return [self] * count
+        rows, width = [[] for _ in range(count)], 2 * self.num_vars
+        for t, key in enumerate(self.keys):
+            rows[key[width]].append(t)
+        return [ExpPoly(self.num_vars, self.field,
+                        tuple(self.keys[t][:width] for t in r),
+                        self.coeffs[r], self.unit, self.den) for r in rows]
 
     # -- the scalar view --------------------------------------------------
     @property
@@ -322,9 +373,10 @@ class ExpPoly:
 
     @cached_property
     def _key_columns(self) -> np.ndarray:
-        """The keys as a read-only (terms x 2N) object array."""
-        keys = np.array(self.keys, dtype=object).reshape(
-            len(self.keys), 2 * self.num_vars)
+        """The keys as a read-only (terms x 2N) object array, (terms x
+        2N + 1) for a tagged batch."""
+        keys = np.array(self.keys, dtype=object).reshape(len(self.keys), len(
+            self.keys[0]) if self.keys else 2 * self.num_vars)
         keys.flags.writeable = False
         return keys
 
@@ -357,10 +409,8 @@ class ExpPoly:
                        self.unit, self.den)
 
     def scale(self, factor) -> "ExpPoly":
-        if self.field.is_zero(self.field.coerce(factor)):
-            return ExpPoly.zero(self.num_vars, self.field)
         (factor,), den = self._numerators([factor])
-        # a FLOAT product can underflow to zero; zero terms are dropped
+        # a zero factor, or a FLOAT product that underflows, drops terms
         return self._with(self.keys, self.coeffs * factor, den=self.den * den)
 
     def weighted(self, weight: Callable, degree: int, *constants) -> "ExpPoly":
@@ -448,7 +498,10 @@ class ExpPoly:
         return not self.keys
 
     def max_coeff(self) -> float:
-        return max(map(abs, self.complex_arrays[1].tolist()), default=0.0)
+        # a FLOAT sum holds its complex coefficients already, in key order
+        coeffs = self.coeffs if self.field is FLOAT \
+            else self.complex_arrays[1].tolist()
+        return float(max(map(abs, coeffs), default=0.0))
 
     def max_freq(self) -> float:
         """Largest modulus of a single frequency; 0.0 for the empty sum."""
@@ -519,8 +572,9 @@ class _Terms(SequenceABC):
         return repr(self._poly._field_terms)
 
 
-def _consolidate_float(acc: dict) -> dict:
-    """Merge float keys that agree to relative 1e-12.
+def _consolidate_float(acc: dict, width: int) -> dict:
+    """Merge float keys that agree to relative 1e-12 in their first
+    ``width`` parts (the frequencies; a tag past them is equal throughout).
 
     Two keys are linked when every real and imaginary part differs by
     at most the tolerance; each connected cluster becomes one term,
@@ -534,21 +588,23 @@ def _consolidate_float(acc: dict) -> dict:
     if len(acc) < 2:
         return acc
     points = sorted(acc)
-    scale = max((abs(x) for p in points for x in p), default=0.0)
+    scale = max(map(abs, itertools.chain.from_iterable(
+        p[:width] for p in points)), default=0.0)
     tol = FLOAT_MERGE_RTOL * max(scale, 1.0)
 
+    # a key cut off alone links to none: only groups of two or more go on
     groups = [list(range(len(points)))]
-    for axis in range(len(points[0])):
-        cut = []
+    for axis in range(width):
+        cut, part = [], [p[axis] for p in points]
         for group in groups:
-            group.sort(key=lambda e: points[e][axis])
+            group.sort(key=part.__getitem__)
             start = 0
             for pos in range(1, len(group)):
-                if points[group[pos]][axis] - points[group[pos - 1]][axis] > tol:
+                if part[group[pos]] - part[group[pos - 1]] > tol:
                     cut.append(group[start:pos])
                     start = pos
             cut.append(group[start:])
-        groups = cut
+        groups = [group for group in cut if len(group) > 1]
 
     root = list(range(len(points)))
 
@@ -684,54 +740,67 @@ class BetheWavefunction:
         return poly._merged(poly._items(poly.coeffs, map(tuple, keys.tolist())))
 
 
-def build_bethe(rapidities: RapiditySet, coupling: Coupling) -> BetheWavefunction:
+def build_bethe(rapidities: RapiditySet | list, coupling: Coupling | list
+                ) -> BetheWavefunction | list:
     """Construct the canonical-region wavefunction for the given rapidities.
 
     On x_1 < ... < x_N each permutation P contributes
     (-1)^P prod_{j>k} (l_{Pj} - l_{Pk} - i c) exp(i sum_n x_n l_{Pn}).
+    Lists of rapidity sets of one N and of couplings build their states
+    in one pass over one tagged sum, and give a list of states.
     """
-    n = len(rapidities)
+    many = type(rapidities) is list
+    raps, cps = (rapidities, coupling) if many else ([rapidities], [coupling])
+    n = len(raps[0])
     if n > MAX_PARTICLES:
         raise SizeLimit(f"N={n} exceeds the maximum {MAX_PARTICLES}")
-    lam = list(rapidities.values)
-    c = coupling.c
-    field = Field.of(*lam, c)
+    lam = [list(r.values) for r in raps]
+    cs = [cp.c for cp in cps]
+    field = Field.of(*itertools.chain(*lam), *cs)
     if field is EXACT:
         # lengths in units of D: rapidities k and coupling c become the
         # integers D*k and D*c, each pair factor the Gaussian integer
         # D*(l_{Pj} - l_{Pk}) - i*D*c, and the coefficient is their
         # product over D^(number of pairs)
-        unit = math.lcm(*(v.denominator for v in lam + [c]))
-        ks = [v.numerator * (unit // v.denominator) for v in lam]
-        cd, zero, pack = c.numerator * (unit // c.denominator), 0, zip
+        unit = math.lcm(*(v.denominator for v in itertools.chain(*lam, cs)))
+        ks = [[v.numerator * (unit // v.denominator) for v in vs] for vs in lam]
+        cd = [c.numerator * (unit // c.denominator) for c in cs]
+        zero, pack = 0, zip
     else:
-        unit, ks, cd, zero = 1, [float(v) for v in lam], float(c), 0.0
+        unit, ks, cd, zero = 1, [[float(v) for v in vs] for vs in lam], \
+            [float(c) for c in cs], 0.0
 
         def pack(re, im, keys):
             return zip(map(complex, re, im), keys)
-    # one column entry per permutation P, in the lexicographic order of
-    # itertools: a first entry that is the d-th smallest adds d
+    # one column entry per state and permutation P, in the lexicographic
+    # order of itertools: a first entry that is the d-th smallest adds d
     # inversions to those of the rest, so (-1)^P builds up digit by digit
     perms = list(itertools.permutations(range(n)))
     signs = [1]
     for m in range(2, n + 1):
         signs = [-x if d % 2 else x for d in range(m) for x in signs]
-    re = np.array(signs, dtype=object)
+    re = np.array(signs * len(raps), dtype=object)
     im = re * 0
-    lam_p = [np.array([ks[perm[m]] for perm in perms], dtype=object)
-             for m in range(n)]
+    tagged = len(raps) > 1      # a batch of one carries no tag
+    cd = np.repeat(np.array(cd, dtype=object), len(perms)) if tagged else cd[0]
+    lam_p = [np.array([k[perm[m]] for k in ks for perm in perms],
+                      dtype=object) for m in range(n)]
     for j in range(n):
         for k in range(j):
             # sgn(x_j - x_k) = +1 on the fundamental region for j > k
             a = lam_p[j] - lam_p[k]
             re, im = re * a + im * cd, im * a - re * cd
-    # keys (l_{P1}, 0, ..., l_{PN}, 0); N = 0 has the one key ()
+    # keys (l_{P1}, 0, ..., l_{PN}, 0), then the state's tag; N = 0 has
+    # the one key ()
+    tags = [np.repeat(np.arange(len(raps)), len(perms)).tolist()] \
+        if tagged else []
     keys = list(zip(*[part for col in lam_p
-                      for part in (col, [zero] * len(perms))])) or [()]
-    terms = list(pack(re, im, keys))
-    poly = ExpPoly(n, field, unit=unit,
-                   den=unit ** (n * (n - 1) // 2))._merged(terms)
-    return BetheWavefunction(rapidities, coupling, poly)
+                      for part in (col, [zero] * len(re))], *tags)) or [()]
+    poly = ExpPoly(n, field, unit=unit, den=unit ** (n * (n - 1) // 2))._merged(
+        list(pack(re, im, keys)))
+    states = [BetheWavefunction(*state) for state in zip(
+        raps, cps, poly._untagged(len(raps)))]
+    return states if many else states[0]
 
 
 def symmetrized_plane_wave(rapidities: RapiditySet) -> ExpPoly:

@@ -202,14 +202,20 @@ def run_charges_suite(cfg: RunConfig) -> list:
 
     for n in range(1, 5):
         def identities(n=n):
-            for _ in range(20):
-                w = build_bethe(sample_rapidities(rng, n, field),
-                                sample_coupling(rng, field))
-                scale = _state_scale(w)
-                for name, spec in ch.CHARGES.items():
-                    if n >= spec.min_particles():
-                        yield ch.interior_eigen_residual(name, w), scale
-                for res in ch.all_boundary_residuals(w).values():
+            # the 20 states are drawn before any is built or checked, in
+            # the order that one state at a time would draw them, since
+            # neither draws; one call builds them, one tagged sum checks them
+            drawn = [(sample_rapidities(rng, n, field),
+                      sample_coupling(rng, field)) for _ in range(20)]
+            states = build_bethe([r for r, _ in drawn], [c for _, c in drawn])
+            scales = [_state_scale(w) for w in states]
+            for name, spec in ch.CHARGES.items():
+                if n >= spec.min_particles():
+                    yield from zip(ch.interior_eigen_residual(name, states),
+                                   scales)
+            for brackets, scale in zip(ch.all_boundary_residuals(states),
+                                       scales):
+                for res in brackets.values():
                     yield res, scale
         _zero_check(records, field, f"charges.identities.n{n}",
                     "eigen-and-boundary-identities", {"n": n, "samples": 20},

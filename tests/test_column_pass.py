@@ -35,9 +35,10 @@ from hypothesis import given, settings, strategies as st
 
 from qnls import charges as ch
 from qnls import integral_operator as aop
+from qnls import suites
 from qnls.exact import EXACT, FLOAT, exact
-from qnls.planewaves import (FLOAT_MERGE_RTOL, Coupling, ExpPoly,
-                             GaussColumn, RapiditySet, build_bethe)
+from qnls.planewaves import (FLOAT_MERGE_RTOL, BetheWavefunction, Coupling,
+                             ExpPoly, GaussColumn, RapiditySet, build_bethe)
 
 LAM = aop.SpectralParameter(exact(F(1, 3), -2))
 COLUMN_MAP_COEFFS = ExpPoly._map_coeffs
@@ -436,6 +437,162 @@ def test_complex_columns_are_object_arrays():
 
     state(2, FLOAT).weighted(weight, 1)
     assert seen == [np.ndarray, np.dtype(object), complex]
+
+
+# ----------------------------------------------------------------------
+# Tagged batches of states
+# ----------------------------------------------------------------------
+
+def per_state_interior(name, w):
+    """``interior_eigen_residual`` as it ran state by state."""
+    return ch.apply_free_part(ch.CHARGES[name], w) - w.canonical.scale(
+        ch.charge_eigenvalue(name, w.rapidities))
+
+
+def per_state_brackets(w):
+    """``all_boundary_residuals`` as it ran state by state, the delta
+    layer summed from the empty sum."""
+    n, poly, c = w.n, w.canonical, w.coupling.c
+    out = {f"pair[j={j}]": ch.pair_bracket(poly, c, j).restrict_to_boundary(j)
+           for j in range(1, n)}
+    if n >= 3:
+        for j in range(1, n):
+            out[f"triple[j={j}]"] = out[f"pair[j={j}]"].weighted(
+                lambda z, j=j: sum((z[l] for l in range(len(z)) if l != j - 1),
+                                   z[0] * 0), 1)
+    if n >= 4:
+        restricted = out["pair[j=1]"]
+        out["quadruple[part=0]"] = restricted.weighted(
+            lambda z: ch.elementary_symmetric(z[1:], 2), 2)
+        delta = ExpPoly.zero(n - 2, poly.field)
+        for k, j in itertools.combinations(range(3, n + 1), 2):
+            delta = delta + restricted.substitute_equal(j - 1, k - 1).scale(c)
+        out["quadruple[part=1]"] = delta
+    return out
+
+
+def as_state(poly, c):
+    """Any sum as a state: the residuals read only N, the canonical sum
+    and the coupling."""
+    return BetheWavefunction(RapiditySet.of(range(poly.num_vars)),
+                             Coupling(c), poly)
+
+
+@st.composite
+def batches(draw, field):
+    """1 to 6 states of one N = 1..4; a state may carry a planted fault:
+    amplitudes built at 1.1 c under the declared c, or one coefficient
+    raised by 1.  Returns the states and their faults."""
+    n = draw(st.integers(1, 4))
+    values = st.fractions(-3, 3, max_denominator=6) if field is EXACT \
+        else st.one_of(st.fractions(-3, 3, max_denominator=6), reals)
+    states, faults = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        raps = RapiditySet.of(draw(st.lists(
+            values, min_size=n, max_size=n, unique_by=field.real)), field)
+        c = field.real(draw(st.sampled_from([F(1, 2), F(1), F(3, 2), F(9, 4)])))
+        fault = draw(st.sampled_from([None, None, "coupling", "coefficient"]))
+        poly = build_bethe(raps, Coupling(
+            c * field.real(F(11, 10)) if fault == "coupling" else c)).canonical
+        if fault == "coefficient":
+            poly = poly + ExpPoly.from_terms(n, [(1, poly.terms[0][1])], field)
+        states.append(BetheWavefunction(raps, Coupling(c), poly))
+        faults.append(fault)
+    return states, faults
+
+
+class TestTaggedBatch:
+    @given(st.sampled_from([EXACT, FLOAT]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_batch_matches_state_by_state(self, field, data):
+        """Each state's residuals from one tagged sum are those of the
+        state alone: term for term in EXACT, every coefficient bit in
+        FLOAT, and so the float verdict's largest coefficient over the
+        state's own scale."""
+        states, faults = data.draw(batches(field))
+        n = states[0].n
+        names = [name for name, spec in ch.CHARGES.items()
+                 if n >= spec.min_particles()]
+        interior = [ch.interior_eigen_residual(name, states) for name in names]
+        brackets = ch.all_boundary_residuals(states)
+        assert len(brackets) == len(states)
+        for s, (w, fault) in enumerate(zip(states, faults)):
+            want = per_state_brackets(w)
+            assert list(brackets[s]) == list(want)
+            want = [per_state_interior(name, w) for name in names] \
+                + list(want.values())
+            got = [res[s] for res in interior] + list(brackets[s].values())
+            if field is EXACT:
+                assert [r.terms for r in got] == [r.terms for r in want]
+                if fault and n >= 2:
+                    assert any(r.term_count() for r in got)
+            else:
+                assert layouts(got) == layouts(want)
+                scale = max(suites._state_scale(w), 1.0)
+                assert [(r.max_coeff() / scale).hex() for r in got] \
+                    == [(r.max_coeff() / scale).hex() for r in want]
+
+    @given(st.sampled_from([EXACT, FLOAT]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_batch_build_matches_single_builds(self, field, data):
+        """States built in one call are those built one by one: every
+        bit in FLOAT, term for term in EXACT (over the batch's unit)."""
+        states, _ = data.draw(batches(field))
+        raps = [w.rapidities for w in states]
+        couplings = [w.coupling for w in states]
+        built = build_bethe(raps, couplings)
+        assert [(w.rapidities, w.coupling) for w in built] \
+            == list(zip(raps, couplings))
+        for w, r, c in zip(built, raps, couplings):
+            alone = build_bethe(r, c).canonical
+            if field is EXACT:
+                assert w.canonical.terms == alone.terms
+            else:
+                assert layout(w.canonical) == layout(alone)
+
+    def test_float_states_merge_at_their_own_tolerance(self):
+        """The restricted keys 0.3 and 0.3 + 3e-12 of ``near`` stay apart
+        at its own tolerance, 1e-12; the frequencies 1e4 of ``far`` or a
+        tag of 4 in the tolerance would merge them."""
+        near = as_state(ExpPoly.from_terms(
+            2, [(1.0, (0.3, 0.0)), (2.0, (0.1, 0.2 + 3e-12))], FLOAT), 1.0)
+        far = as_state(ExpPoly.from_terms(
+            2, [(1.0, (1e4, 0.5)), (1.0, (0.5, 1e4))], FLOAT), 1.0)
+        small = as_state(ExpPoly.from_terms(2, [(1.0, (0.25, 0.5))], FLOAT),
+                         1.0)
+        assert per_state_brackets(near)["pair[j=1]"].term_count() == 2
+        for batch in ([near, far], [far, near], [small] * 4 + [near]):
+            got = ch.all_boundary_residuals(batch)
+            for s, w in enumerate(batch):
+                assert layouts(list(got[s].values())) \
+                    == layouts(list(per_state_brackets(w).values()))
+
+    def test_states_of_one_n_and_field(self):
+        exact_two = build_bethe(RapiditySet.of([F(1), F(2)]), Coupling(F(1)))
+        float_two = build_bethe(RapiditySet.of([1.0, 2.5]), Coupling(1.0))
+        exact_three = build_bethe(RapiditySet.of([F(1), F(2), F(3)]),
+                                  Coupling(F(1)))
+        for batch in ([exact_two, float_two], [exact_two, exact_three]):
+            with pytest.raises(ValueError):
+                ch.all_boundary_residuals(batch)
+            with pytest.raises(ValueError):
+                ch.interior_eigen_residual("H2", batch)
+
+    @pytest.mark.parametrize("field", [EXACT, FLOAT])
+    def test_one_state_is_the_batch_of_one(self, field):
+        """A state alone and a list of it take one path, untagged."""
+        w = build_bethe(RapiditySet.of([F(1, 2), F(-3, 4), F(5, 3), F(-2)],
+                                       field), Coupling(field.real(F(3, 2))))
+        assert ExpPoly._tagged((w.canonical,)) is w.canonical
+        for name in ch.CHARGES:
+            single = ch.interior_eigen_residual(name, w)
+            assert layouts(single) == layouts(
+                ch.interior_eigen_residual(name, [w]))
+            assert layouts(single) == layouts(per_state_interior(name, w))
+        single = ch.all_boundary_residuals(w)
+        for other in (ch.all_boundary_residuals([w])[0], per_state_brackets(w)):
+            assert layouts(list(other.values())) \
+                == layouts(list(single.values()))
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -936,8 +937,9 @@ class TestDenseBudget:
         # 4^8: 3^8 kept states for the exchange relation, whose sector
         # blocks alone would take 2.4 GiB, and 5.7 GiB of sector blocks
         # for the adjoint pairing; number conservation holds blocks of at
-        # most 64 states and is refused only at 4^14, where the particle
-        # numbers of the states take 2 GiB
+        # most 64 states and its bytes are refused only at 4^14, where the
+        # particle numbers of the states take 2 GiB (its block entries are
+        # refused from 4^9: test_streamed_work_refused_before_any_block)
         spec = lat.LatticeSpec(8, 4, 0.3, 1.0)
         wide = lat.LatticeSpec(14, 4, 0.3, 1.0)
         tracemalloc.start()
@@ -964,6 +966,45 @@ class TestDenseBudget:
         assert str(lat._stream_bytes(wide, False)) \
             in str(conservation_err.value)
         assert lat._stream_bytes(spec, False) <= lat.DENSE_BUDGET_BYTES
+
+    def test_streamed_work_refused_before_any_block(self):
+        # 4^13 fits the byte budget (blocks of 64 states, 512 MiB of
+        # particle numbers) but would write 4e13 block entries
+        spec = lat.LatticeSpec(13, 4, 0.3, 1.0)
+        assert lat._stream_bytes(spec, False) <= lat.DENSE_BUDGET_BYTES
+        calls = []
+        tracemalloc.start()
+        try:
+            with mock.patch.object(lat, "_write_nested",
+                                   side_effect=calls.append), \
+                    pytest.raises(SizeLimit) as err:
+                lat.number_conservation_defect(spec, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20 and not calls
+        assert str(lat._stream_entries(spec)) in str(err.value)
+        assert str(lat._STREAM_ENTRY_BUDGET) in str(err.value)
+
+    @pytest.mark.parametrize("sites, cutoff", [(3, 4), (4, 4), (5, 4),
+                                               (3, 3), (6, 2), (1, 4)])
+    def test_entry_count_bounds_the_pass(self, sites, cutoff):
+        # the suite's 4^3 and the sweep's 4^4 and 4^5 fit the budget; the
+        # count is at least the entries the pass writes, and past one
+        # site (the whole d x d operator) those of every reachable block
+        spec = lat.LatticeSpec(sites, cutoff, 0.3, 1.0)
+        entries = lat._stream_entries(spec)
+        for adjoint in (False, True):
+            written = sum(X.size for _, _, X in
+                          lat._streamed_blocks(spec, 0.7, adjoint))
+            assert written <= entries <= lat._STREAM_ENTRY_BUDGET
+        if sites > 1:
+            L = lat._site_factor_table(spec, 0.7).transpose(2, 3, 0, 1)
+            depth = lat._stream_depth(cutoff, sites)
+            n = cutoff ** (sites - depth)
+            reach = L.any(axis=(0, 1))
+            assert entries == n * n * len(list(lat._level_blocks(
+                reach | reach.T, depth, n)))
 
     def test_cli_rtt_rejected(self, capsys):
         code = main(["lattice", "rtt", "--sites", "8", "--cutoff", "4",
@@ -994,8 +1035,8 @@ class TestDenseBudget:
         # runs the exchange relation and number conservation at 4^4 and
         # the adjoint pairing at 4^5; the exchange relation fits up to 7
         # sites at cutoff 4 and 11 at cutoff 3, the adjoint pairing up to
-        # 7 sites at cutoff 4, number conservation up to 13, and monodromy
-        # up to 5
+        # 7 sites at cutoff 4, number conservation up to 13 (by bytes; its
+        # entries up to 8), and monodromy up to 5
         def spec(m, d):
             return lat.LatticeSpec(m, d, 0.3, 1.0)
 
