@@ -751,12 +751,15 @@ def build_bethe(rapidities: RapiditySet | list, coupling: Coupling | list
     """
     many = type(rapidities) is list
     raps, cps = (rapidities, coupling) if many else ([rapidities], [coupling])
-    n = len(raps[0])
+    kinds = {(len(r), Field.of(*r.values, cp.c)) for r, cp in zip(raps, cps)}
+    if len(kinds) != 1 or len(raps) != len(cps):
+        raise ValueError("a batch needs one coupling per state, and states "
+                         "of one N and one field")
+    (n, field), = kinds
     if n > MAX_PARTICLES:
         raise SizeLimit(f"N={n} exceeds the maximum {MAX_PARTICLES}")
     lam = [list(r.values) for r in raps]
     cs = [cp.c for cp in cps]
-    field = Field.of(*itertools.chain(*lam), *cs)
     if field is EXACT:
         # lengths in units of D: rapidities k and coupling c become the
         # integers D*k and D*c, each pair factor the Gaussian integer

@@ -13,7 +13,10 @@ as oracles:
   separately and left the factor c^size to its caller
   (``pending_subset_integral``), and a rescale of every output term to
   the common denominator on its own.  Exact scalars there are
-  ``GaussColumn``s with int parts.
+  ``GaussColumn``s with int parts;
+* ``per_state_interior`` and ``per_state_brackets``: the charge
+  residuals one state at a time, against which the states of one tagged
+  sum (``TestTaggedBatch``) are checked.
 
 FLOAT results must match them bit for bit: same keys, same order, same
 coefficient bits, the sign of a zero part included (a merge keeps it,
@@ -577,6 +580,11 @@ class TestTaggedBatch:
                 ch.all_boundary_residuals(batch)
             with pytest.raises(ValueError):
                 ch.interior_eigen_residual("H2", batch)
+            with pytest.raises(ValueError):
+                build_bethe([w.rapidities for w in batch],
+                            [w.coupling for w in batch])
+        with pytest.raises(ValueError):     # one coupling per state
+            build_bethe([exact_two.rapidities] * 2, [exact_two.coupling])
 
     @pytest.mark.parametrize("field", [EXACT, FLOAT])
     def test_one_state_is_the_batch_of_one(self, field):
