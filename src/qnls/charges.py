@@ -97,6 +97,12 @@ def power_sum(values: Sequence, m: int):
 
 
 def elementary_symmetric(values: Sequence, m: int):
+    return _elementary_sums(values, m)[m]
+
+
+def _elementary_sums(values: Sequence, m: int) -> list:
+    """e_0, ..., e_m of the values; e_k for k < m is the float
+    ``elementary_symmetric(values, k)`` gives."""
     if not values:
         raise DomainError("elementary symmetric sum of an empty set of values")
     one = values[0] * 0 + 1
@@ -105,7 +111,7 @@ def elementary_symmetric(values: Sequence, m: int):
     for v in values:
         for k in range(min(m, len(values)), 0, -1):
             coeffs[k] = coeffs[k] + v * coeffs[k - 1]
-    return coeffs[m]
+    return coeffs
 
 
 def _numerators(rapidities: RapiditySet) -> tuple[list[int], int]:
@@ -118,6 +124,39 @@ def _numerators(rapidities: RapiditySet) -> tuple[list[int], int]:
 
 # i^m as (re, im), indexed by m mod 4
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+# the degrees of the symmetric sums kept per state (``_state_sums``)
+_SUM_DEGREE = max(spec.degree for spec in CHARGES.values())
+
+
+def _state_sums(rapidities: RapiditySet) -> tuple[dict, int | None]:
+    """(sums, D): sums[kind][m], m = 0.._SUM_DEGREE, the power ("power")
+    and elementary ("elementary") symmetric sums of the state's scalars,
+    which are the int numerators a_k of the rapidities v_k = a_k / D under
+    EXACT and i * v_k under FLOAT (D is None).  A rapidity set is
+    immutable, so its field, numerators and sums are computed on the
+    first call and kept on it: the identities checks read every charge of
+    each state."""
+    kept = vars(rapidities).get("_charge_sums")
+    if kept is None:
+        field = rapidities.field
+        if field is EXACT:
+            scalars, den = _numerators(rapidities)
+        else:
+            scalars, den = [field.i * v for v in rapidities.values], None
+        kept = ({"power": [power_sum(scalars, m)
+                           for m in range(_SUM_DEGREE + 1)],
+                 "elementary": _elementary_sums(scalars, _SUM_DEGREE)}, den)
+        vars(rapidities)["_charge_sums"] = kept
+    return kept
+
+
+def _eigen_numerator(name: str, sums: dict) -> tuple[int, int]:
+    """The exact eigenvalue of the named charge as a Gaussian integer
+    (re, im) over D^m: the registered sign times sym(a_k), times i^m."""
+    spec = CHARGES[name]
+    s = spec.sign * sums[spec.kind][spec.degree]
+    re, im = _I_POWERS[spec.degree % 4]
+    return re * s, im * s
 
 
 def charge_eigenvalue(name: str, rapidities: RapiditySet):
@@ -128,16 +167,13 @@ def charge_eigenvalue(name: str, rapidities: RapiditySet):
 
     The polynomial is homogeneous of degree m, so under EXACT it is one
     sum of ints: sym(a_k) over D^m for numerators a_k over the common
-    denominator D, times i^m, reduced once."""
+    denominator D, times i^m, reduced once.  The sums are the state's
+    (``_state_sums``), computed once for all its charges."""
     spec = CHARGES[name]
-    sym = power_sum if spec.kind == "power" else elementary_symmetric
-    if rapidities.field is EXACT:
-        nums, den = _numerators(rapidities)
-        s = spec.sign * sym(nums, spec.degree)
-        re, im = _I_POWERS[spec.degree % 4]
-        return ExactComplex.over(re * s, im * s, den ** spec.degree)
-    vals = [rapidities.field.i * v for v in rapidities.values]
-    return sym(vals, spec.degree) * spec.sign
+    sums, den = _state_sums(rapidities)
+    if den is None:
+        return sums[spec.kind][spec.degree] * spec.sign
+    return ExactComplex.over(*_eigen_numerator(name, sums), den ** spec.degree)
 
 
 # ----------------------------------------------------------------------
@@ -257,34 +293,55 @@ def all_boundary_residuals(w) -> dict | list:
 # Composition identities at eigenvalue level
 # ----------------------------------------------------------------------
 
+# H3 and H4 as int combinations of products of ladder charges, each term
+# (coefficient, *names) of the composed charge's degree
+_COMPOSITIONS = {
+    "H3": ((1, "H1", "H1", "H1"), (-3, "H1", "J2"), (3, "J3")),
+    "H4": ((1, "H1", "H1", "H1", "H1"), (2, "J2", "J2"),
+           (-4, "H1", "H1", "J2"), (4, "H1", "J3"), (-4, "J4")),
+}
+
+
+def _composed(terms: tuple, ev: dict) -> tuple[int, int]:
+    """The sum over ``terms`` of coefficient times the product of the
+    named eigenvalue numerators, a Gaussian integer (re, im)."""
+    re = im = 0
+    for coeff, *names in terms:
+        a, b = coeff, 0
+        for name in names:
+            x, y = ev[name]
+            a, b = a * x - b * y, a * y + b * x
+        re, im = re + a, im + b
+    return re, im
+
+
 def composition_identity_check(rapidities: RapiditySet) -> dict:
     """Verify the ladder compositions and the underlying Newton
     identities exactly at eigenvalue level; the rapidities must be
-    rational.  Newton's identities are homogeneous, so they compare the
-    int sums of the numerators over the common denominator."""
+    rational.  Both are homogeneous, so they compare int numerators over
+    the common denominator D: the state's numerators, p1-p4 and e1-e4
+    are computed once (``_state_sums``), each charge's eigenvalue is a
+    Gaussian integer over D^m with its registered sign and i^m
+    (``_eigen_numerator``), and each composition of degree m is the
+    Gaussian-integer combination of products of them, over D^m too."""
     n = len(rapidities)
     if n == 0:
         raise DomainError("composition identities need at least one particle")
     if rapidities.field is not EXACT:
         raise DomainError("composition identities are exact equalities: "
                           "give rational rapidities, not floats")
-    ev = {name: charge_eigenvalue(name, rapidities) for name in CHARGES}
+    sums, _ = _state_sums(rapidities)
+    ev = {name: _eigen_numerator(name, sums) for name in CHARGES}
 
-    h3_combo = ev["H1"] ** 3 - 3 * ev["H1"] * ev["J2"] + 3 * ev["J3"]
-    h4_combo = (ev["H1"] ** 4 + 2 * ev["J2"] ** 2 - 4 * ev["H1"] ** 2 * ev["J2"]
-                + 4 * ev["H1"] * ev["J3"] - 4 * ev["J4"])
-
-    nums, _ = _numerators(rapidities)
-    p = {m: power_sum(nums, m) for m in (1, 2, 3, 4)}
-    e = {m: elementary_symmetric(nums, m) for m in (1, 2, 3, 4)}
+    p, e = sums["power"], sums["elementary"]
     newton3 = p[3] == e[1] ** 3 - 3 * e[1] * e[2] + 3 * e[3]
     newton4 = p[4] == (e[1] ** 4 - 4 * e[1] ** 2 * e[2] + 2 * e[2] ** 2
                        + 4 * e[1] * e[3] - 4 * e[4])
 
     report = {
         "n": n,
-        "h3_composition": ev["H3"] == h3_combo,
-        "h4_composition": ev["H4"] == h4_combo,
+        "h3_composition": ev["H3"] == _composed(_COMPOSITIONS["H3"], ev),
+        "h4_composition": ev["H4"] == _composed(_COMPOSITIONS["H4"], ev),
         "newton_p3": bool(newton3),
         "newton_p4": bool(newton4),
     }

@@ -151,16 +151,17 @@ _STREAM_STATES = 64
 _STREAM_BLOCKS = 4 + 2 + 1
 _SECTOR_STATE_ARRAYS = 3
 # rtt_residual (_product_blocks) holds blocks of the products below its
-# last k sites over the kept states: both orderings' 16 products, both
-# orderings' 16 blocks being written, the entries of R X - Y R that make
-# one number shift (6 at most) and the two halves of the one being
-# formed, and 4 blocks for each of the k - 1 nested levels.  Beside them:
-# both orderings' (d, d, 4, 4) pair tables and each entry's sector
-# blocks, both orderings', and the particle number of each kept state,
-# its place in its sector and, for each of the 5 number shifts, where its
-# row of its sector block starts.  tracemalloc peaks from 12 KB below to
-# 41 KB above the count at 4^4, 6^3 and 12^2 (k = 1) and at 4^5 and 3^8
-# (k = 2).
+# last k sites over the kept states, for each (lam, mu) pair of a batch:
+# both orderings' 16 products, both orderings' 16 blocks being written,
+# the entries of R X - Y R that make one number shift (6 at most) and the
+# two halves of the one being formed; and 4 blocks for each of the k - 1
+# nested levels.  Beside them, for each pair: both orderings' (d, d, 4,
+# 4) pair tables, the two site tables and each entry's sector blocks,
+# both orderings'; and the particle number of each kept state, its place
+# in its sector and, for each of the 5 number shifts, where its row of
+# its sector block starts.  tracemalloc peaks from 146 KB below to 53 KB
+# above the count at 4^4, 6^3 and 12^2 (k = 1) and at 4^5 and 3^8
+# (k = 2), for one pair and for three.
 _EXCHANGE_BLOCKS = 2 * 16 + 2 * 16 + 6 + 2
 _EXCHANGE_STATE_ARRAYS = 2 + 5
 # continuum_limit_rate: one-particle momentum index, per-site cutoff and
@@ -294,19 +295,23 @@ def _stream_bytes(spec: LatticeSpec, sectors: bool) -> int:
         + _SECTOR_STATE_ARRAYS * _INDEX_BYTES * dim
 
 
-def _exchange_bytes(spec: LatticeSpec) -> int:
-    """Bytes of the dense blocks, sector blocks and state arrays of
-    ``rtt_residual``, over the (d-1)^M kept states."""
+def _exchange_bytes(spec: LatticeSpec, pairs: int = 1) -> int:
+    """Bytes of the dense blocks, sector blocks, tables and state arrays
+    of ``rtt_residual`` on a batch of ``pairs`` (lam, mu) pairs, over the
+    (d-1)^M kept states."""
     kept = spec.cutoff - 1
     if not kept:
         return 0
     depth = _stream_depth(kept, spec.sites)
     n = kept ** (spec.sites - depth)
-    blocks = _EXCHANGE_BLOCKS + 4 * (depth - 1)
+    blocks = pairs * _EXCHANGE_BLOCKS + 4 * (depth - 1)
     # the sector blocks of both orderings' entries
-    area = 2 * _sector_area(replace(spec, cutoff=kept), [
-        shift for shift, pairs in _EXCHANGE_ENTRIES.items() for _ in pairs])
-    tables = 2 * 16 * spec.cutoff ** 2
+    area = 2 * pairs * _sector_area(replace(spec, cutoff=kept), [
+        shift for shift, entries in _EXCHANGE_ENTRIES.items()
+        for _ in entries])
+    # both orderings' (d, d, 4, 4) pair tables and the (d, d, 2, 2) site
+    # tables they are formed from
+    tables = pairs * (2 * 16 + 2 * 4) * spec.cutoff ** 2
     return COMPLEX_BYTES * (blocks * n * n + tables + area) \
         + _EXCHANGE_STATE_ARRAYS * _INDEX_BYTES * kept ** spec.sites
 
@@ -742,7 +747,9 @@ _EXCHANGE_ENTRIES = {shift: [(r, s) for r in range(4) for s in range(4)
                      for shift in range(-2, 3)}
 
 
-def rtt_residual(lam: complex, mu: complex, spec: LatticeSpec) -> dict:
+def rtt_residual(lam: complex | Sequence[complex],
+                 mu: complex | Sequence[complex],
+                 spec: LatticeSpec) -> dict | list:
     """Exchange-relation defect for both tensor-leg orderings.
 
     Restricted to states with every occupation <= d-2, where truncation
@@ -758,45 +765,71 @@ def rtt_residual(lam: complex, mu: complex, spec: LatticeSpec) -> dict:
     buffer of its shift (``_SectorBuffer``), the entries of one shift
     sharing one placement, and measured there.  Returns both residuals
     and the ordering that vanishes.
+
+    Equal-length sequences of lam and mu give a list, one result per
+    pair, from one pass: every pair's tables go through
+    ``_product_blocks`` together, each entry is formed with each pair's
+    R over a leading pair axis, and one sector buffer holds the entries
+    of every pair, so each sector block takes one SVD call for all of
+    them.  Each pair's products, sums and norms are those of a call on
+    that pair alone, so its result is the same float; a single pair is
+    the batch of one.
     """
-    if abs(lam - mu) < 1e-12:
+    many = np.ndim(lam) > 0
+    lams, mus = (list(lam), list(mu)) if many else ([lam], [mu])
+    if len(lams) != len(mus):
+        raise ValueError("a batch needs one mu per lam")
+    if any(abs(a - b) < 1e-12 for a, b in zip(lams, mus)):
         raise RMatrixPole("coinciding spectral parameters")
-    _check_dense_budget(spec, "exchange relation", _exchange_bytes(spec))
-    R = r_matrix(lam, mu, spec.c)
+    count = len(lams)
+    _check_dense_budget(spec, "exchange relation",
+                        _exchange_bytes(spec, count))
+    R = np.array([r_matrix(a, b, spec.c) for a, b in zip(lams, mus)])
     kept = spec.cutoff - 1
-    tl, tm = _site_factor_table(spec, lam), _site_factor_table(spec, mu)
-    # R (T(lam) x T(mu)) = (T(mu) x T(lam)) R
-    tables = [_pair_table(tl, tm)[:kept, :kept],
-              _pair_table(tm, tl)[:kept, :kept]]
+    sites = [(_site_factor_table(spec, a), _site_factor_table(spec, b))
+             for a, b in zip(lams, mus)]
+    # R (T(lam) x T(mu)) = (T(mu) x T(lam)) R: every pair's lam-mu table,
+    # then every pair's mu-lam table
+    tables = [_pair_table(tl, tm)[:kept, :kept] for tl, tm in sites] \
+        + [_pair_table(tm, tl)[:kept, :kept] for tl, tm in sites]
     entries = _EXCHANGE_ENTRIES
-    # buffer row t * len(pairs) + e: entry e of ordering t
+    # buffer row (t * len(pairs) + e) * count + p: entry e of ordering t
+    # of pair p
     sectors = _SectorBuffer(_particle_counts(kept, spec.sites),
-                            {shift: 2 * len(pairs)
+                            {shift: 2 * len(pairs) * count
                              for shift, pairs in entries.items()})
-    off = {shift: np.zeros((2, len(pairs))) for shift, pairs in entries.items()}
-    stack = None   # the entries of one shift, of one ordering
-    for rows, cols, (lm, ml) in _product_blocks(tables, spec.sites):
+    off = {shift: np.zeros((2, len(pairs), count))
+           for shift, pairs in entries.items()}
+    stack = None   # the entries of one shift, of one ordering, every pair's
+    for rows, cols, both in _product_blocks(tables, spec.sites):
+        lm, ml = both[:count], both[count:]
         if stack is None:
             stack = np.empty((max(map(len, entries.values())),)
-                             + lm.shape[:2], dtype=complex)
+                             + lm.shape[:3], dtype=complex)
         for shift, pairs in entries.items():
             at, places = sectors.place(rows, cols, shift)
+            width = len(pairs) * count
             for t, (X, Y) in enumerate(((lm, ml), (ml, lm))):
                 for entry, (r, s) in zip(stack, pairs):
-                    np.subtract(X[:, :, :, s] @ R[r], Y[:, :, r, :] @ R[:, s],
+                    # each pair's row R[p, r] and column R[p, :, s] as a
+                    # (count, 1, 4, 1) stack of 4 x 1 matrices
+                    np.subtract((X[..., :, s] @ R[:, None, r, :, None])[..., 0],
+                                (Y[..., r, :] @ R[:, None, :, s, None])[..., 0],
                                 out=entry)
                 off[shift][t] += sectors.move(
-                    stack[:len(pairs)], at, places, shift,
-                    slice(t * len(pairs), (t + 1) * len(pairs)))
-    res_a, res_b = np.max([
-        (sectors.norms(shift).reshape(2, -1) + np.sqrt(off[shift])).max(axis=1)
-        for shift in entries], axis=0)
-    return {
+                    stack[:len(pairs)].reshape((width,) + stack.shape[2:]),
+                    at, places, shift, slice(t * width, (t + 1) * width)
+                ).reshape(len(pairs), count)
+    res = np.max([(sectors.norms(shift).reshape(2, len(pairs), count)
+                   + np.sqrt(off[shift])).max(axis=1)
+                  for shift, pairs in entries.items()], axis=0)
+    results = [{
         "residual_lam_mu": float(res_a),
         "residual_mu_lam": float(res_b),
         "residual": float(min(res_a, res_b)),
         "ordering": "lam_mu" if res_a <= res_b else "mu_lam",
-    }
+    } for res_a, res_b in res.T]
+    return results if many else results[0]
 
 
 def tau_commutator_norm(lam: complex, mu: complex, spec: LatticeSpec,

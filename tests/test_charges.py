@@ -455,13 +455,16 @@ def reference_composition_check(rapidities):
 
 
 def mixed_rapidities(n):
-    """n distinct rationals: small and large denominators, zero and
-    negative values."""
+    """n rationals that stay distinct as floats: small and large
+    denominators, zero and negative values.  (Two rationals within an ulp
+    of each other near 10^6 round to one float, which a FLOAT rapidity
+    set rejects as coincident.)"""
     return st.sets(st.one_of(
         st.fractions(min_value=-6, max_value=6, max_denominator=6),
         st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
                      max_denominator=10 ** 12),
-        st.just(F(0))), min_size=n, max_size=n)
+        st.just(F(0))), min_size=n, max_size=n).filter(
+        lambda values: len(set(map(float, values))) == n)
 
 
 class TestEigenvaluesAgainstReference:
@@ -516,6 +519,53 @@ class TestCompositions:
         # report them false
         with pytest.raises(DomainError, match="rational rapidities"):
             ch.composition_identity_check(RapiditySet.of([0.1, 0.7, 1.3]))
+
+    def test_compositions_are_homogeneous(self):
+        # every term of a composition has the composed charge's degree, so
+        # all their numerators are over the same power of the denominator
+        for name, terms in ch._COMPOSITIONS.items():
+            assert {sum(ch.CHARGES[f].degree for f in factors)
+                    for _, *factors in terms} == {ch.CHARGES[name].degree}
+
+    @pytest.mark.parametrize("values", [[1, 2, 3], [F(-7, 2), F(1, 3), 5, 6]])
+    def test_wrongly_signed_charge_breaks_a_composition(self, values,
+                                                        monkeypatch):
+        # the registry's sign is applied per charge before the integer
+        # comparison: the reference on ExactComplex eigenvalues agrees
+        raps = RapiditySet.of(values)
+        monkeypatch.setitem(ch.CHARGES, "J3",
+                            ch.FreeChargeSpec("elementary", 3, -1))
+        got = ch.composition_identity_check(raps)
+        assert got == reference_composition_check(raps)
+        assert not got["h3_composition"] and not got["h4_composition"]
+        assert got["newton_p3"] and got["newton_p4"] and not got["ok"]
+
+
+class TestStateSums:
+    def test_each_state_read_once_for_all_charges(self, monkeypatch):
+        calls = []
+        numerators = ch._numerators
+        monkeypatch.setattr(ch, "_numerators",
+                            lambda r: calls.append(r) or numerators(r))
+        states = build_bethe([RapiditySet.of([1, F(5, 2), F(-1, 3), 4]),
+                              RapiditySet.of([F(2, 3), 3, F(-7, 4), 0])],
+                             [Coupling(1), Coupling(F(1, 2))])
+        for name in ch.CHARGES:
+            assert all(res.is_empty()
+                       for res in ch.interior_eigen_residual(name, states))
+        assert calls == [w.rapidities for w in states]
+
+    def test_fields_kept_apart(self):
+        # an exact and a float set of equal values compare equal, but each
+        # keeps its own sums
+        exact_set = RapiditySet.of([F(1, 2), 2, 3])
+        float_set = RapiditySet.of([0.5, 2.0, 3.0])
+        assert exact_set == float_set
+        for name in ch.CHARGES:
+            assert type(ch.charge_eigenvalue(name, exact_set)) is not complex
+            assert type(ch.charge_eigenvalue(name, float_set)) is complex
+            assert complex(ch.charge_eigenvalue(name, exact_set)) \
+                == ch.charge_eigenvalue(name, float_set)
 
 
 class TestDefectScan:

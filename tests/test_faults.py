@@ -1,9 +1,9 @@
 """Every verdict earned: named program faults and a seed sweep.
 
-Each fault is a monkeypatch of one program function that models a
-plausible bug.  It lists the suites it touches and the check ids that
-must fail under it, in both modes; every other check of those suites
-must keep the verdict of a clean run at the same seed.
+Each fault is a monkeypatch of one program function or registry entry
+that models a plausible bug.  It lists the suites it touches and the
+check ids that must fail under it, in both modes; every other check of
+those suites must keep the verdict of a clean run at the same seed.
 
 The seed sweep runs ``qnls run all`` at a few seeds in both modes.  The
 full sweep over seeds 1-40, with every report compared to another
@@ -25,7 +25,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qnls import suites
+from qnls import charges as ch, suites
 from qnls.cli import main
 from qnls.config import RunConfig
 from qnls.planewaves import BetheWavefunction, Coupling
@@ -53,11 +53,24 @@ def amplitudes_at(factor, state: int):
     return patch
 
 
+def registered(name: str, spec: ch.FreeChargeSpec):
+    """The charge ``name`` registered as ``spec``."""
+    def patch(monkeypatch):
+        monkeypatch.setitem(ch.CHARGES, name, spec)
+    return patch
+
+
 # name -> (patch, suites it touches, check ids that must fail); N = 1
-# has no pair factor, so its amplitudes do not depend on the coupling
+# has no pair factor, so its amplitudes do not depend on the coupling.
+# A charge registered with the wrong sign keeps every identity, since the
+# free part and the eigenvalue read the same registry: only the ladder
+# compositions see it
 FAULTS = {
     "amplitudes-at-1.1c": (amplitudes_at(F(11, 10), 6), ("charges",),
                            {f"charges.identities.n{n}" for n in (2, 3, 4)}),
+    "j3-sign-flipped": (
+        registered("J3", ch.FreeChargeSpec("elementary", 3, -1)),
+        ("charges",), {"charges.compositions"}),
 }
 
 

@@ -1114,6 +1114,41 @@ class TestDenseBudget:
             lambda: lat.rtt_residual(0.7 - 0.2j, -0.4 + 0.5j, spec),
             lat._exchange_bytes(spec))
 
+    @pytest.mark.parametrize("sites, cutoff", [(4, 4), (2, 12), (5, 4)])
+    def test_exchange_count_bounds_a_batch(self, sites, cutoff):
+        # a batch holds every pair's blocks, tables and sector blocks at
+        # once, beside one set of state arrays
+        spec = lat.LatticeSpec(sites, cutoff, 0.3, 1.0)
+        lams = [0.7 - 0.2j, 0.1 + 0.3j, -1.2 - 0.4j]
+        mus = [-0.4 + 0.5j, 0.9 - 0.1j, 0.3 + 0.8j]
+        need = lat._exchange_bytes(spec, 3)
+        assert need > 2.5 * lat._exchange_bytes(spec)
+        self.peak_against_count(lambda: lat.rtt_residual(lams, mus, spec),
+                                need)
+
+    def test_batch_refused_by_its_total(self):
+        # 4^7: one pair fits the byte budget, and a batch of them whose
+        # total does not is refused before anything is allocated
+        spec = lat.LatticeSpec(7, 4, 0.3, 1.0)
+        one = lat._exchange_bytes(spec)
+        count = lat.DENSE_BUDGET_BYTES // one + 1
+        assert one <= lat.DENSE_BUDGET_BYTES \
+            < lat._exchange_bytes(spec, count)
+        lams = [0.7 - 0.2j + 0.1 * k for k in range(count)]
+        mus = [-0.4 + 0.5j] * count
+        calls = []
+        tracemalloc.start()
+        try:
+            with mock.patch.object(lat, "_site_factor_table",
+                                   side_effect=calls.append), \
+                    pytest.raises(SizeLimit) as err:
+                lat.rtt_residual(lams, mus, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20 and not calls
+        assert str(lat._exchange_bytes(spec, count)) in str(err.value)
+
 
 class TestExchangeRelation:
     def test_trivial_cutoff(self):
@@ -1142,6 +1177,50 @@ class TestExchangeRelation:
     def test_pole_guard(self):
         with pytest.raises(RMatrixPole):
             lat.rtt_residual(1.0, 1.0, lat.LatticeSpec(1, 3, 0.3, 1.0))
+
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_pole_anywhere_in_a_batch_refused_before_allocating(self, at):
+        spec = lat.LatticeSpec(4, 4, 0.3, 1.0)
+        lams = [0.3 + 0.1j * k for k in range(5)]
+        mus = [-0.7 + 0.2j * k for k in range(5)]
+        mus[at] = lams[at] + 1e-13
+        calls = []
+        tracemalloc.start()
+        try:
+            with mock.patch.object(lat, "_site_factor_table",
+                                   side_effect=calls.append), \
+                    mock.patch.object(lat, "_exchange_bytes",
+                                      side_effect=calls.append), \
+                    pytest.raises(RMatrixPole):
+                lat.rtt_residual(lams, mus, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16 and not calls
+
+    def test_batch_needs_one_mu_per_lam(self):
+        with pytest.raises(ValueError, match="one mu per lam"):
+            lat.rtt_residual([0.3, 0.5], [1.1], lat.LatticeSpec(1, 3, 0.3, 1.0))
+
+    @given(st.integers(1, 3), st.integers(1, 4), st.floats(0.05, 1.0),
+           st.floats(0.1, 3.0),
+           st.lists(st.tuples(spectral, spectral), min_size=1, max_size=6))
+    @settings(max_examples=30, deadline=None)
+    @example(2, 1, 0.3, 1.3, [(0.4 + 0j, 1.1 + 0j), (0.2 - 0.5j, -0.9 + 0j)])
+    @example(3, 4, 0.3, 1.3, [(0.37 + 0.11j, -0.9 + 0.55j)] * 2
+             + [(0.7 - 0.2j, -0.4 + 0.5j)])
+    def test_batch_matches_single_pairs_and_whole_stacks(
+            self, sites, cutoff, step, c, pairs):
+        # cutoff 1 keeps no occupation (the suite's exchange-trivial-cutoff)
+        assume(all(abs(lam - mu) >= 1e-3 for lam, mu in pairs))
+        spec = lat.LatticeSpec(sites, cutoff, step, c)
+        lams, mus = (list(v) for v in zip(*pairs))
+        batch = lat.rtt_residual(lams, mus, spec)
+        assert len(batch) == len(pairs)
+        for (lam, mu), res in zip(pairs, batch):
+            assert res == lat.rtt_residual(lam, mu, spec)
+            assert (res["residual_lam_mu"], res["residual_mu_lam"]) \
+                == whole_stack_rtt_residual(lam, mu, spec)
 
     @pytest.mark.parametrize("sites, cutoff",
                              [(1, 1), (1, 4), (2, 3), (3, 3), (4, 4)])
@@ -1178,15 +1257,19 @@ class TestExchangeRelation:
             == whole_stack_rtt_residual(lam, mu, spec)
 
     def test_suite_grid_matches_whole_stacks(self):
-        # the 25 pairs of the suite's exchange-relation check at seed 2024
+        # the 25 pairs of the suite's exchange-relation check at seed 2024,
+        # in one batch as the suite checks them
         spec = lat.LatticeSpec(1, 4, 0.3, 1.3)
         rng = random.Random("2024:lattice")
+        pairs = []
         for _ in range(25):
             lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             mu = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             if abs(lam - mu) < 1e-3:
                 mu += 0.5
-            res = lat.rtt_residual(lam, mu, spec)
+            pairs.append((lam, mu))
+        batch = lat.rtt_residual(*(list(v) for v in zip(*pairs)), spec)
+        for (lam, mu), res in zip(pairs, batch):
             assert (res["residual_lam_mu"], res["residual_mu_lam"]) \
                 == whole_stack_rtt_residual(lam, mu, spec)
 
