@@ -25,7 +25,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qnls import charges as ch, suites
+from qnls import charges as ch, lattice as lat, suites
 from qnls.cli import main
 from qnls.config import RunConfig
 from qnls.planewaves import BetheWavefunction, Coupling
@@ -60,6 +60,30 @@ def registered(name: str, spec: ch.FreeChargeSpec):
     return patch
 
 
+def lattice_table(edit):
+    """Every lattice site factor table with ``edit`` applied to it."""
+    def patch(monkeypatch):
+        build = lat._site_factor_table
+
+        def faulty(*args, **kwargs):
+            table = build(*args, **kwargs)
+            edit(table)
+            return table
+        monkeypatch.setattr(lat, "_site_factor_table", faulty)
+    return patch
+
+
+def b_scaled(table):
+    """B entries 2% too large."""
+    table[:, :, 0, 1] *= 1.02
+
+
+def off_band(table):
+    """An A entry at n' = n + 2, which moves particle number by two."""
+    if len(table) > 2:
+        table[2, 0, 0, 0] = 0.5
+
+
 # name -> (patch, suites it touches, check ids that must fail); N = 1
 # has no pair factor, so its amplitudes do not depend on the coupling.
 # A charge registered with the wrong sign keeps every identity, since the
@@ -71,6 +95,19 @@ FAULTS = {
     "j3-sign-flipped": (
         registered("J3", ch.FreeChargeSpec("elementary", 3, -1)),
         ("charges",), {"charges.compositions"}),
+    # B scaled by 1.02 and C unchanged keeps tau number-conserving, and A
+    # and D stay adjoint: only the identities that pair B with C see it
+    "lattice-b-times-1.02": (
+        lattice_table(b_scaled), ("lattice",),
+        {"lattice.commuting-family", "lattice.cutoff-control",
+         "lattice.exchange-relation"}),
+    # an entry off the band moves number by two, which no B or C entry
+    # elsewhere undoes: the in-sector entries of tau stay as they are, and
+    # only the three full-space checks see it
+    "lattice-off-band-entry": (
+        lattice_table(off_band), ("lattice",),
+        {"lattice.adjoint-pairing", "lattice.exchange-relation",
+         "lattice.number-conservation"}),
 }
 
 
