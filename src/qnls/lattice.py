@@ -46,21 +46,24 @@ engine reads that table:
   the table, and the sums run in Kronecker order, so every entry equals
   the sum of Kronecker products bit for bit.  Only the last site works
   on dim x dim blocks (``monodromy``);
-- the three full-space checks never form a dim x dim block: each is
-  streamed one block over the levels of its last k sites at a time, k
-  the fewest sites that leave at most 64 states below them (k = 1 up to
-  d^(M-1) = 64 states).  Each block is written from the products below
-  those k sites, one nested level of the dense engine's block sums per
-  site (``_write_nested``, the same terms in the same order), so every
-  entry is the dense engine's float.  Number conservation and the
-  adjoint pairing (``_streamed_blocks``) write A and D and combine them
-  into that block of tau = A + D or of A^dag - D, A^dag's block (I, J)
-  the adjoint of A's block (J, I).  The exchange relation
-  (``_product_blocks``) does the same for T(lam) (x) T(mu), itself a
-  monodromy with the 4x4 site factor sum_n'' L(lam)[n', n''] (x)
-  L(mu)[n'', n], for both tensor orderings over the (d-1)^M kept states
-  only, from that factor restricted to the kept levels, and forms the 16
-  entries of R X - Y R of each block;
+- the three full-space checks never form a dim x dim block: each
+  streams the blocks of the monodromy entries it reads
+  (``_product_blocks``), one block over the levels of its last k sites
+  at a time, k the fewest sites that leave at most 64 states below them
+  (k = 1 up to d^(M-1) = 64 states).  Each block is written from the
+  columns of the products below those k sites that its entry reads, one
+  nested level of the dense engine's block sums per site
+  (``_write_nested``, the same terms in the same order), so every entry
+  is the dense engine's float.  Number conservation reads A and D of the
+  site table and adds them into that block of tau = A + D.  The adjoint
+  pairing reads D of the site table and A of the adjoint site table,
+  conj(table[n, n']) in place of table[n', n], whose product is A^dag
+  block by block and bit for bit, and subtracts them.  The exchange
+  relation reads all 16 entries of T(lam) (x) T(mu), itself a monodromy
+  with the 4x4 site factor sum_n'' L(lam)[n', n''] (x) L(mu)[n'', n],
+  for both tensor orderings over the (d-1)^M kept states only, from that
+  factor restricted to the kept levels, and forms the 16 entries of
+  R X - Y R of each block;
 - the one-particle block is never formed: one pass over the sites
   applies it to its Fourier vector for all rows at once, carrying two
   2x2 products per row (``one_particle_eigenvalue``);
@@ -84,19 +87,19 @@ sector, and ``normal_ordering_breakdown`` measures 9 x 9 blocks; both
 take plain 2-norms.
 
 The monodromy holds a known number of dim x dim complex blocks, the
-streamed checks a known number of blocks of the size of their products
-below the last k sites beside their sector blocks and state arrays, and
-the sector commutator a known number of m x m ones over the m configs
-of its sector; their bytes are checked against DENSE_BUDGET_BYTES
-before anything is allocated, and so are the entries the streamed
-checks would write.
+streamed checks what the stream holds, blocks of the size of their
+products below the last k sites, beside their own sector blocks and
+state arrays (``_stream_bytes``), and the sector commutator a known
+number of m x m ones over the m configs of its sector; their bytes are
+checked against DENSE_BUDGET_BYTES before anything is allocated, and so
+are the entries the streamed checks would write (``_stream_entries``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -106,9 +109,10 @@ from .errors import CutoffTooSmall, RMatrixPole, SizeLimit
 from .transfer import theta
 
 DENSE_BUDGET_BYTES = 2 ** 30
-# Block entries a streamed check may write (_stream_entries): at 5.7e7 to
-# 7.6e7 entries per second (number_conservation_defect at 4^4 to 4^8, CPU
-# time on one BLAS thread of a 2-core x86-64 machine), 14-19 s of work.
+# Block entries a streamed check may write (_stream_entries): at 1.0e8 to
+# 1.4e8 entries per second (number_conservation_defect at 4^5 to 4^8, the
+# blocks of A and D, CPU time on one BLAS thread of a 2-core x86-64
+# machine), 8-10 s of work.
 _STREAM_ENTRY_BUDGET = 2 ** 30
 COMPLEX_BYTES = 16
 _INDEX_BYTES = np.dtype(np.intp).itemsize
@@ -135,35 +139,9 @@ SECTOR_BLOCKS = 1 + 2 * 4 + 2 * 2 + 1
 # its tracemalloc peak 8.25 -> 2.37 MiB, and 16-state blocks over the
 # last three 54.7 ms.
 _STREAM_STATES = 64
-# number_conservation_defect and hermiticity_pairing_defect
-# (_streamed_blocks) hold blocks of the size of the products below their
-# last k sites: those 4 products, the blocks of A and D being written and
-# one term of a sum where two slices reach a block, and 2 blocks, one per
-# row of the product one site shorter, for each of the k - 1 nested
-# levels; a block's sector mask, its in-sector index arrays or its
-# magnitudes, less than a block, are alive only between writes.  Beside
-# them: the particle number of each state, and for the adjoint pairing
-# each state's place in its sector and where its row of its sector block
-# starts, and the sector blocks, sum_n sector_size(n)^2 entries.
-# tracemalloc peaks at 6-10 KB above the count for number conservation
-# and 11-14 KB for the pairing at 4^4, 6^3 and 12^2 (k = 1) and at 4^5
-# (k = 2).
-_STREAM_BLOCKS = 4 + 2 + 1
-_SECTOR_STATE_ARRAYS = 3
-# rtt_residual (_product_blocks) holds blocks of the products below its
-# last k sites over the kept states, for each (lam, mu) pair of a batch:
-# both orderings' 16 products, both orderings' 16 blocks being written,
-# the entries of R X - Y R that make one number shift (6 at most) and the
-# two halves of the one being formed; and 4 blocks for each of the k - 1
-# nested levels.  Beside them, for each pair: both orderings' (d, d, 4,
-# 4) pair tables, the two site tables and each entry's sector blocks,
-# both orderings'; and the particle number of each kept state, its place
-# in its sector and, for each of the 5 number shifts, where its row of
-# its sector block starts.  tracemalloc peaks from 146 KB below to 53 KB
-# above the count at 4^4, 6^3 and 12^2 (k = 1) and at 4^5 and 3^8
-# (k = 2), for one pair and for three.
-_EXCHANGE_BLOCKS = 2 * 16 + 2 * 16 + 6 + 2
-_EXCHANGE_STATE_ARRAYS = 2 + 5
+# The entries of the two tables that number conservation and the adjoint
+# pairing stream (_product_blocks): A of the first, D of the second.
+_DIAGONAL = ([(0, 0)], [(1, 1)])
 # continuum_limit_rate: one-particle momentum index, per-site cutoff and
 # the site counts of the fit
 CONTINUUM_MOMENTUM_INDEX = 1
@@ -271,49 +249,46 @@ def _stream_depth(levels: int, sites: int) -> int:
     return depth
 
 
-def _sector_area(spec: LatticeSpec, shifts: Sequence[int]) -> int:
+def _sector_area(levels: int, sites: int, sectors: dict[int, int]) -> int:
     """Entries of the blocks between number sectors n + shift and n, over
-    all n, summed over ``shifts``: those of operators that each move
-    number by one of them."""
-    sizes = [sector_size(spec, total)
-             for total in range((spec.cutoff - 1) * spec.sites + 1)]
-    return sum(a * b for shift in shifts
+    all n, of ``sectors[shift]`` operators for each shift, over the states
+    of ``sites`` sites with ``levels`` levels; the sector sizes are the
+    coefficients of (1 + x + ... + x^(levels-1))^sites."""
+    sizes = [1]
+    for _ in range(sites):
+        sizes = [sum(sizes[max(0, total - levels + 1):total + 1])
+                 for total in range(len(sizes) + levels - 1)]
+    return sum(count * a * b for shift, count in sectors.items()
                for a, b in zip(sizes, sizes[abs(shift):]))
 
 
-def _stream_bytes(spec: LatticeSpec, sectors: bool) -> int:
-    """Bytes of the dense blocks and state arrays of a check that streams
-    the blocks of its last sites (``_streamed_blocks``), with the sector
-    blocks if ``sectors``."""
-    dim = spec.cutoff ** spec.sites
-    depth = _stream_depth(spec.cutoff, spec.sites)
-    n = spec.cutoff ** (spec.sites - depth)
-    blocks = _STREAM_BLOCKS + 2 * (depth - 1)
-    if not sectors:
-        return COMPLEX_BYTES * blocks * n * n + _INDEX_BYTES * dim
-    return COMPLEX_BYTES * (blocks * n * n + _sector_area(spec, [0])) \
-        + _SECTOR_STATE_ARRAYS * _INDEX_BYTES * dim
+def _stream_bytes(levels: int, sites: int, entries, factors: int = 1,
+                  sectors: dict[int, int] | None = None, blocks: int = 0,
+                  held: int = 0) -> int:
+    """Bytes held by a check that streams the ``entries`` of site tables
+    of ``levels`` levels over ``sites`` sites, each table a product of
+    ``factors`` site factors: what the stream holds (``_product_blocks``),
+    the check's own ``blocks`` of the stream's size and ``held`` complex
+    entries, the sector blocks of its ``_SectorBuffer`` over
+    ``sectors[shift]`` operators for each shift, and its state arrays:
+    the particle number of each state and, with sector blocks, each
+    state's place in its sector and, for each shift, where its row of its
+    sector block starts.
 
-
-def _exchange_bytes(spec: LatticeSpec, pairs: int = 1) -> int:
-    """Bytes of the dense blocks, sector blocks, tables and state arrays
-    of ``rtt_residual`` on a batch of ``pairs`` (lam, mu) pairs, over the
-    (d-1)^M kept states."""
-    kept = spec.cutoff - 1
-    if not kept:
-        return 0
-    depth = _stream_depth(kept, spec.sites)
-    n = kept ** (spec.sites - depth)
-    blocks = pairs * _EXCHANGE_BLOCKS + 4 * (depth - 1)
-    # the sector blocks of both orderings' entries
-    area = 2 * pairs * _sector_area(replace(spec, cutoff=kept), [
-        shift for shift, entries in _EXCHANGE_ENTRIES.items()
-        for _ in entries])
-    # both orderings' (d, d, 4, 4) pair tables and the (d, d, 2, 2) site
-    # tables they are formed from
-    tables = pairs * (2 * 16 + 2 * 4) * spec.cutoff ** 2
-    return COMPLEX_BYTES * (blocks * n * n + tables + area) \
-        + _EXCHANGE_STATE_ARRAYS * _INDEX_BYTES * kept ** spec.sites
+    tracemalloc peaks at 12-34 KiB above the count for number
+    conservation and the adjoint pairing at 4^4, 6^3, 12^2 (one streamed
+    site) and 4^5 (two), and from 143 KiB below to 28 KiB above it for the
+    exchange relation there and at 3^8, for one pair and for three."""
+    depth = _stream_depth(levels, sites)
+    n = levels ** (sites - depth)
+    rows = 2 ** factors
+    blocks += 1 + rows * (depth - 1) + sum(
+        rows * len({c for _, c in wanted}) + len(wanted) for wanted in entries)
+    arrays, area = 1, 0
+    if sectors:
+        arrays, area = 2 + len(sectors), _sector_area(levels, sites, sectors)
+    return COMPLEX_BYTES * (blocks * n * n + held + area) \
+        + arrays * _INDEX_BYTES * levels ** sites
 
 
 def _check_dense_budget(spec: LatticeSpec, what: str, need: int,
@@ -332,24 +307,32 @@ def _check_dense_budget(spec: LatticeSpec, what: str, need: int,
                         f"of {_STREAM_ENTRY_BUDGET}")
 
 
-def _stream_entries(spec: LatticeSpec) -> int:
-    """The most block entries a streamed check writes: n x n for each of
-    the (3d - 2)^k level pairs of its last k sites that the tridiagonal
-    site factor reaches; at one site, the whole d x d operator."""
-    depth = _stream_depth(spec.cutoff, spec.sites)
-    n = spec.cutoff ** (spec.sites - depth)
-    return spec.cutoff ** 2 if spec.sites == 1 \
-        else (3 * spec.cutoff - 2) ** depth * n * n
+def _stream_entries(levels: int, sites: int, entries,
+                    factors: int = 1) -> int:
+    """The most block entries that streaming the ``entries`` of site
+    tables, each a product of ``factors`` site factors, of ``levels``
+    levels over ``sites`` sites writes (``_product_blocks``): n x n of
+    each for every level pair of its last k sites that such a table
+    reaches, |n' - n| <= factors at each; at one site, the whole table."""
+    depth = _stream_depth(levels, sites)
+    n = levels ** (sites - depth)
+    written = sum(map(len, entries))
+    reach = sum(levels - abs(shift) for shift in range(-factors, factors + 1)
+                if abs(shift) < levels)
+    return written * (levels ** 2 if sites == 1 else reach ** depth * n * n)
 
 
-def _site_products(L: np.ndarray, sites: int):
-    """All k x k entries of the product of ``sites`` copies of the
+def _site_products(L: np.ndarray, sites: int, columns=None):
+    """The k x k entries of the product of ``sites`` copies of the
     (k, k, d, d) site factor L, site 1 the rightmost tensor factor, or None
-    for no sites."""
+    for no sites.  Column c of a product is formed from column c of the
+    product below alone, so only the ``columns`` listed (all by default)
+    are formed; the other entries are None."""
+    columns = range(len(L)) if columns is None else columns
     T = None
     for _ in range(sites):
-        T = [[_left_multiply(L, T, r, c) for c in range(len(L))]
-             for r in range(len(L))]
+        T = [[_left_multiply(L, T, r, c) if c in columns else None
+              for c in range(len(L))] for r in range(len(L))]
     return T
 
 
@@ -457,49 +440,6 @@ def transfer_operator(spec: LatticeSpec, lam: complex) -> np.ndarray:
     return A
 
 
-def _streamed_blocks(spec: LatticeSpec, lam: complex, adjoint: bool):
-    """Yields (rows, cols, X): X the block of A^dag - D if ``adjoint``,
-    else of tau = A + D, over the state ranges rows x cols, for each block
-    over the levels of the last k sites (k from ``_stream_depth``) that a
-    slice of A (of A^dag) or of D reaches (the others are zero); at one
-    site the whole operator.  X is overwritten by the next block.
-
-    Blocks (I, J) of A and D are written (``_write_nested``) from the
-    products below the last k sites, as the dense engine writes them, and
-    block (I, J) of A^dag is the adjoint of block (J, I) of A, so every
-    entry is that of the sum or difference of the finished A (or its
-    adjoint) and D, bit for bit."""
-    L = _site_factor_table(spec, lam).transpose(2, 3, 0, 1)
-    depth = _stream_depth(spec.cutoff, spec.sites)
-    T = _site_products(L, spec.sites - depth)
-    if T is None:
-        whole = slice(None)
-        if adjoint:
-            yield whole, whole, np.conjugate(L[0, 0]).T - L[1, 1]
-        else:
-            yield whole, whole, L[0, 0] + L[1, 1]
-        return
-    n = len(T[0][0])
-    A, X = np.empty((2, n, n), dtype=complex)
-    spare = np.empty((depth - 1, 2, n, n), dtype=complex)
-    reach = L.any(axis=(0, 1))
-    for I, J, rows, cols in _level_blocks(reach | reach.T if adjoint
-                                          else reach, depth, n):
-        in_a = _write_nested(L, T, 0, 0, *((J, I) if adjoint else (I, J)),
-                             A, spare)
-        if not _write_nested(L, T, 1, 1, I, J, X, spare):
-            if not in_a:
-                continue
-            X[...] = 0.0
-        if not in_a:
-            A[...] = 0.0
-        if adjoint:
-            np.subtract(np.conjugate(A, out=A).T, X, out=X)
-        else:
-            X += A
-        yield rows, cols, X
-
-
 # ----------------------------------------------------------------------
 # Occupation sectors
 # ----------------------------------------------------------------------
@@ -537,17 +477,22 @@ def sector_size(spec: LatticeSpec, total: int) -> int:
 
 def number_conservation_defect(spec: LatticeSpec, lam: complex) -> float:
     """Largest matrix element of tau(lam) connecting different sectors,
-    read one block over the levels of the last sites at a time
-    (``_streamed_blocks``): each block's in-sector entries are zeroed and
-    its largest entry left is taken.  Holds no dim x dim block
-    (``_stream_bytes``)."""
+    read one block over the levels of the last sites at a time: blocks of
+    A and D are streamed (``_product_blocks``) and added into that block
+    of tau, whose in-sector entries are zeroed and whose largest entry
+    left is taken.  Holds no dim x dim block (``_stream_bytes``)."""
+    d, M = spec.cutoff, spec.sites
     _check_dense_budget(spec, "number conservation",
-                        _stream_bytes(spec, False), _stream_entries(spec))
-    counts = _particle_counts(spec.cutoff, spec.sites)
+                        _stream_bytes(d, M, _DIAGONAL),
+                        _stream_entries(d, M, _DIAGONAL))
+    table = _site_factor_table(spec, lam)
+    counts = _particle_counts(d, M)
     worst = 0.0
-    for rows, cols, X in _streamed_blocks(spec, lam, adjoint=False):
-        X[counts[rows][:, None] == counts[cols]] = 0.0
-        worst = np.maximum(worst, np.abs(X).max())   # a NaN entry shows
+    for rows, cols, X in _product_blocks([table, table], M, _DIAGONAL):
+        tau, D = X[..., 0]
+        tau += D
+        tau[counts[rows][:, None] == counts[cols]] = 0.0
+        worst = np.maximum(worst, np.abs(tau).max())   # a NaN entry shows
     return float(worst)
 
 
@@ -709,33 +654,49 @@ def _pair_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return np.einsum("xzac,zybd->xyabcd", t1, t2).reshape(d, d, 4, 4)
 
 
-def _product_blocks(tables: Sequence[np.ndarray], sites: int):
-    """Yields (rows, cols, X): X[t][:, :, r, c] the block over the state
-    ranges rows x cols of entry (r, c) of the product of the (d, d, k, k)
-    site table tables[t] over ``sites`` sites, site M leftmost, for each
-    block over the levels of the last k sites (k from ``_stream_depth``)
-    that a slice of either table reaches; at one site the tables
-    themselves.  X is overwritten by the next block.  Each entry is
-    written as the dense engine writes it (``_write_nested``)."""
+def _product_blocks(tables: Sequence[np.ndarray], sites: int,
+                    entries: Sequence[Sequence[tuple[int, int]]]):
+    """Yields (rows, cols, X): X[t][:, :, e] the block over the state
+    ranges rows x cols of entry entries[t][e] = (r, c) of the product of
+    the (d, d, k, k) site table tables[t] over ``sites`` sites, site M
+    leftmost, for each block over the levels of the last k sites (k from
+    ``_stream_depth``) that a slice of any table reaches; at one site
+    those entries of the tables themselves.  Every table lists as many
+    entries.  X is overwritten by the next block.
+
+    Each entry is written as the dense engine writes it
+    (``_write_nested``), from the columns of the products below the last
+    k sites that the table's entries read.  The stream holds, in blocks
+    of the size of those products: for each table, the products in each
+    column read and the block of each entry; one term of a sum where two
+    slices reach a block; and one block per row of a table for each of
+    the k - 1 nested levels (``_stream_bytes``)."""
     Ls = [table.transpose(2, 3, 0, 1) for table in tables]
     levels, k = len(tables[0]), len(Ls[0])
     depth = _stream_depth(levels, sites)
-    Ts = [_site_products(L, sites - depth) for L in Ls]
-    if Ts[0] is None:
-        yield slice(None), slice(None), np.array(tables)
+    if depth == sites:
+        yield slice(None), slice(None), np.array(
+            [table[:, :, [r for r, _ in wanted], [c for _, c in wanted]]
+             for table, wanted in zip(tables, entries)])
         return
-    n = len(Ts[0][0][0])
-    X = np.empty((len(tables), n, n, k, k), dtype=complex)
+    Ts = [_site_products(L, sites - depth, {c for _, c in wanted})
+          for L, wanted in zip(Ls, entries)]
+    n = levels ** (sites - depth)
+    # entries last: all 16 entries of a 4 x 4 table then lie as the
+    # (n, n, 4, 4) stack the exchange relation's matmuls read, whose
+    # strides decide their summation order and so their floats
+    X = np.empty((len(tables), n, n, len(entries[0])), dtype=complex)
+    blocks = np.moveaxis(X, -1, 1)   # blocks[t][e] = X[t][:, :, e]
     spare = np.empty((depth - 1, k, n, n), dtype=complex)
     reach = np.logical_or.reduce([L.any(axis=(0, 1)) for L in Ls])
     for I, J, rows, cols in _level_blocks(reach, depth, n):
         written = False
-        for L, T, out in zip(Ls, Ts, X):
-            for r, c in itertools.product(range(k), repeat=2):
-                if _write_nested(L, T, r, c, I, J, out[:, :, r, c], spare):
+        for L, T, wanted, out in zip(Ls, Ts, entries, blocks):
+            for (r, c), block in zip(wanted, out):
+                if _write_nested(L, T, r, c, I, J, block, spare):
                     written = True
                 else:
-                    out[:, :, r, c] = 0.0
+                    block[...] = 0.0
         if written:
             yield rows, cols, X
 
@@ -776,32 +737,40 @@ def rtt_residual(lam: complex | Sequence[complex],
     the batch of one.
     """
     many = np.ndim(lam) > 0
-    lams, mus = (list(lam), list(mu)) if many else ([lam], [mu])
-    if len(lams) != len(mus):
-        raise ValueError("a batch needs one mu per lam")
+    lams, mus = (lam, mu) if many else ([lam], [mu])
+    if np.ndim(mus) != 1 or len(lams) != len(mus) or not len(lams):
+        raise ValueError("a batch needs one mu per lam, and one pair or more")
     if any(abs(a - b) < 1e-12 for a, b in zip(lams, mus)):
         raise RMatrixPole("coinciding spectral parameters")
-    count = len(lams)
-    _check_dense_budget(spec, "exchange relation",
-                        _exchange_bytes(spec, count))
+    count, kept = len(lams), spec.cutoff - 1
+    entries = _EXCHANGE_ENTRIES
+    # every entry of both orderings' tables of every pair; buffer row
+    # (t * len(pairs) + e) * count + p: entry e of ordering t of pair p
+    every = [list(itertools.product(range(4), repeat=2))] * (2 * count)
+    operators = {shift: 2 * len(pairs) * count
+                 for shift, pairs in entries.items()}
+    # beside the stream, for each pair: the entries of R X - Y R that make
+    # one number shift (6 at most) and the two halves of the one being
+    # formed, and both orderings' (d, d, 4, 4) pair tables and the
+    # (d, d, 2, 2) site tables they are formed from
+    _check_dense_budget(
+        spec, "exchange relation",
+        _stream_bytes(kept, spec.sites, every, 2, operators, 8 * count,
+                      (2 * 16 + 2 * 4) * count * spec.cutoff ** 2),
+        _stream_entries(kept, spec.sites, every, 2))
     R = np.array([r_matrix(a, b, spec.c) for a, b in zip(lams, mus)])
-    kept = spec.cutoff - 1
     sites = [(_site_factor_table(spec, a), _site_factor_table(spec, b))
              for a, b in zip(lams, mus)]
     # R (T(lam) x T(mu)) = (T(mu) x T(lam)) R: every pair's lam-mu table,
     # then every pair's mu-lam table
     tables = [_pair_table(tl, tm)[:kept, :kept] for tl, tm in sites] \
         + [_pair_table(tm, tl)[:kept, :kept] for tl, tm in sites]
-    entries = _EXCHANGE_ENTRIES
-    # buffer row (t * len(pairs) + e) * count + p: entry e of ordering t
-    # of pair p
-    sectors = _SectorBuffer(_particle_counts(kept, spec.sites),
-                            {shift: 2 * len(pairs) * count
-                             for shift, pairs in entries.items()})
+    sectors = _SectorBuffer(_particle_counts(kept, spec.sites), operators)
     off = {shift: np.zeros((2, len(pairs), count))
            for shift, pairs in entries.items()}
     stack = None   # the entries of one shift, of one ordering, every pair's
-    for rows, cols, both in _product_blocks(tables, spec.sites):
+    for rows, cols, both in _product_blocks(tables, spec.sites, every):
+        both = both.reshape(both.shape[:3] + (4, 4))
         lm, ml = both[:count], both[count:]
         if stack is None:
             stack = np.empty((max(map(len, entries.values())),)
@@ -856,19 +825,30 @@ def hermiticity_pairing_defect(spec: LatticeSpec, lam: float) -> float:
     them, which is 0 on a number-conserving table and makes a
     conservation fault show.
 
-    A^dag - D is never formed whole (``_streamed_blocks``): its blocks
-    over the levels of the last sites, of at most _STREAM_STATES states
-    where the lattice is large, are formed one at a time.  Each block's
-    in-sector entries are moved into one buffer of the sector blocks, in
-    basis order, and the squares of the rest are summed; then one SVD per
-    sector.  At 4^5 the sector blocks, 116,304 entries of the 1,048,576
-    of A, are most of what the check holds (``_stream_bytes``)."""
-    _check_dense_budget(spec, "adjoint pairing", _stream_bytes(spec, True),
-                        _stream_entries(spec))
-    sectors = _SectorBuffer(_particle_counts(spec.cutoff, spec.sites), {0: 1})
-    off_sector = sum(sectors.move(X, *sectors.place(rows, cols, 0), 0, 0)
-                     for rows, cols, X in _streamed_blocks(
-                         spec, float(lam), adjoint=True))
+    A^dag - D is never formed whole: its blocks over the levels of the
+    last sites, of at most _STREAM_STATES states where the lattice is
+    large, are formed one at a time (``_product_blocks``).  A^dag is A of
+    the adjoint site table, conj(table[n, n']) in place of table[n', n]:
+    entry (r, c) of its product is the adjoint of entry (r, c) of the
+    product of the table, formed from the conjugates of the same terms in
+    the same order, so every block is the adjoint of A's, bit for bit.
+    Each block's in-sector entries are moved into one buffer of the
+    sector blocks, in basis order, and the squares of the rest are
+    summed; then one SVD per sector.  At 4^5 the sector blocks, 116,304
+    entries of the 1,048,576 of A, are most of what the check holds
+    (``_stream_bytes``)."""
+    d, M = spec.cutoff, spec.sites
+    _check_dense_budget(spec, "adjoint pairing",
+                        _stream_bytes(d, M, _DIAGONAL, sectors={0: 1}),
+                        _stream_entries(d, M, _DIAGONAL))
+    table = _site_factor_table(spec, float(lam))
+    adjoint = np.conjugate(table.transpose(1, 0, 2, 3))
+    sectors = _SectorBuffer(_particle_counts(d, M), {0: 1})
+    off_sector = 0.0
+    for rows, cols, X in _product_blocks([adjoint, table], M, _DIAGONAL):
+        a_dag, D = X[..., 0]
+        np.subtract(a_dag, D, out=D)
+        off_sector += sectors.move(D, *sectors.place(rows, cols, 0), 0, 0)
     return float(sectors.norms(0)[0] + math.sqrt(off_sector))
 
 

@@ -374,13 +374,37 @@ def whole_stack_rtt_residual(lam, mu, spec, plant=None):
 
 
 def streamed_stacks(tables, sites):
-    """The blocks of ``lat._product_blocks`` put together into one whole
-    (d^M, d^M, k, k) stack per table."""
+    """The blocks of every entry by ``lat._product_blocks`` put together
+    into one whole (d^M, d^M, k, k) stack per table."""
     m, k = len(tables[0]) ** sites, tables[0].shape[-1]
-    out = np.zeros((len(tables), m, m, k, k), dtype=complex)
-    for rows, cols, X in lat._product_blocks(tables, sites):
+    every = [list(itertools.product(range(k), repeat=2))] * len(tables)
+    out = np.zeros((len(tables), m, m, k * k), dtype=complex)
+    for rows, cols, X in lat._product_blocks(tables, sites, every):
         out[:, rows, cols] = X
-    return out
+    return out.reshape(len(tables), m, m, k, k)
+
+
+def conservation_bytes(spec):
+    """The bytes ``number_conservation_defect`` counts (``_stream_bytes``)."""
+    return lat._stream_bytes(spec.cutoff, spec.sites, lat._DIAGONAL)
+
+
+def pairing_bytes(spec):
+    """The bytes ``hermiticity_pairing_defect`` counts."""
+    return lat._stream_bytes(spec.cutoff, spec.sites, lat._DIAGONAL,
+                             sectors={0: 1})
+
+
+def exchange_bytes(spec, pairs=1):
+    """The bytes ``rtt_residual`` counts on a batch of ``pairs`` pairs:
+    every entry of both orderings' pair tables, the sector blocks of each
+    entry of R X - Y R, 8 blocks and the pair and site tables per pair."""
+    every = [list(itertools.product(range(4), repeat=2))] * (2 * pairs)
+    operators = {shift: 2 * len(entries) * pairs
+                 for shift, entries in lat._EXCHANGE_ENTRIES.items()}
+    return lat._stream_bytes(spec.cutoff - 1, spec.sites, every, 2,
+                             operators, 8 * pairs,
+                             (2 * 16 + 2 * 4) * pairs * spec.cutoff ** 2)
 
 
 spectral = st.builds(complex, st.floats(-2, 2), st.floats(-1, 1))
@@ -579,22 +603,24 @@ class TestMonodromy:
         lam = 0.7 - 0.2j
         counts = lat._particle_counts(cutoff, sites)
         index = np.arange(len(counts))
-        blocks = lat._streamed_blocks
+        blocks = lat._product_blocks
+        table = lat._site_factor_table(spec, lam)
         read = np.zeros((len(counts),) * 2, dtype=bool)
-        for rows, cols, _ in blocks(spec, lam, adjoint=False):
+        for rows, cols, _ in blocks([table, table], sites, lat._DIAGONAL):
             read[np.ix_(index[rows], index[cols])] = True
         off = np.argwhere(read & (counts[:, None] != counts[None, :]))
         i, j = off[data.draw(st.integers(0, len(off) - 1))]
 
-        def planted(*args, **kwargs):
-            for rows, cols, X in blocks(*args, **kwargs):
+        def planted(*args):
+            # into the block of A, whose block of D is zero off the sectors
+            for rows, cols, X in blocks(*args):
                 at = np.flatnonzero(index[rows] == i), \
                     np.flatnonzero(index[cols] == j)
-                X[at] = -1j * size
+                X[0][at[0], at[1], 0] = -1j * size
                 yield rows, cols, X
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lat, "_streamed_blocks", planted)
+            mp.setattr(lat, "_product_blocks", planted)
             assert lat.number_conservation_defect(spec, lam) == size
 
     def test_number_conservation_with_one_sector(self):
@@ -695,17 +721,22 @@ class TestMonodromy:
     def test_engine_matches_kronecker_sums(self, case, states):
         # the zero pattern is read from the table, off the band included;
         # a smaller bound on the states below the streamed sites nests the
-        # streamed blocks over up to M - 1 sites
+        # streamed blocks over up to M - 1 sites.  The adjoint table's
+        # product is the adjoint of the table's, entry by entry, which the
+        # adjoint pairing reads for A^dag
         table, sites = case
         L = table.transpose(2, 3, 0, 1)
         want = reference_site_products(L, sites)
         got = lat._site_products(L, sites)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lat, "_STREAM_STATES", states)
-            stacked, = streamed_stacks([table], sites)
+            stacked, adjoint = streamed_stacks(
+                [table, np.conjugate(table.transpose(1, 0, 2, 3))], sites)
         for r, c in itertools.product(range(len(L)), repeat=2):
             np.testing.assert_array_equal(got[r][c], want[r][c])
             np.testing.assert_array_equal(stacked[:, :, r, c], want[r][c])
+        np.testing.assert_array_equal(adjoint[:, :, 0, 0],
+                                      np.conjugate(want[0][0]).T)
 
     @given(monodromy_cases())
     @settings(max_examples=50, deadline=None)
@@ -958,20 +989,20 @@ class TestDenseBudget:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
-        assert str(lat._exchange_bytes(spec)) in str(err.value)
+        assert str(exchange_bytes(spec)) in str(err.value)
         assert str(lat.DENSE_BUDGET_BYTES) in str(err.value)
         # the streamed checks are refused by their own counts, not the
         # monodromy's
-        assert str(lat._stream_bytes(spec, True)) in str(pairing_err.value)
-        assert str(lat._stream_bytes(wide, False)) \
+        assert str(pairing_bytes(spec)) in str(pairing_err.value)
+        assert str(conservation_bytes(wide)) \
             in str(conservation_err.value)
-        assert lat._stream_bytes(spec, False) <= lat.DENSE_BUDGET_BYTES
+        assert conservation_bytes(spec) <= lat.DENSE_BUDGET_BYTES
 
     def test_streamed_work_refused_before_any_block(self):
         # 4^13 fits the byte budget (blocks of 64 states, 512 MiB of
-        # particle numbers) but would write 4e13 block entries
+        # particle numbers) but would write 8e13 block entries
         spec = lat.LatticeSpec(13, 4, 0.3, 1.0)
-        assert lat._stream_bytes(spec, False) <= lat.DENSE_BUDGET_BYTES
+        assert conservation_bytes(spec) <= lat.DENSE_BUDGET_BYTES
         calls = []
         tracemalloc.start()
         try:
@@ -983,7 +1014,8 @@ class TestDenseBudget:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20 and not calls
-        assert str(lat._stream_entries(spec)) in str(err.value)
+        assert str(lat._stream_entries(4, 13, lat._DIAGONAL)) \
+            in str(err.value)
         assert str(lat._STREAM_ENTRY_BUDGET) in str(err.value)
 
     @pytest.mark.parametrize("sites, cutoff", [(3, 4), (4, 4), (5, 4),
@@ -991,20 +1023,32 @@ class TestDenseBudget:
     def test_entry_count_bounds_the_pass(self, sites, cutoff):
         # the suite's 4^3 and the sweep's 4^4 and 4^5 fit the budget; the
         # count is at least the entries the pass writes, and past one
-        # site (the whole d x d operator) those of every reachable block
+        # site (the whole d x d operator) those of A and D in every
+        # reachable block
         spec = lat.LatticeSpec(sites, cutoff, 0.3, 1.0)
-        entries = lat._stream_entries(spec)
-        for adjoint in (False, True):
+        entries = lat._stream_entries(cutoff, sites, lat._DIAGONAL)
+        table = lat._site_factor_table(spec, 0.7)
+        adjoint = np.conjugate(table.transpose(1, 0, 2, 3))
+        for tables in ([table, table], [adjoint, table]):
             written = sum(X.size for _, _, X in
-                          lat._streamed_blocks(spec, 0.7, adjoint))
+                          lat._product_blocks(tables, sites, lat._DIAGONAL))
             assert written <= entries <= lat._STREAM_ENTRY_BUDGET
         if sites > 1:
-            L = lat._site_factor_table(spec, 0.7).transpose(2, 3, 0, 1)
+            L = table.transpose(2, 3, 0, 1)
             depth = lat._stream_depth(cutoff, sites)
             n = cutoff ** (sites - depth)
             reach = L.any(axis=(0, 1))
-            assert entries == n * n * len(list(lat._level_blocks(
+            assert entries == 2 * n * n * len(list(lat._level_blocks(
                 reach | reach.T, depth, n)))
+        # the exchange relation's pair tables over the kept levels, which
+        # reach |n' - n| <= 2
+        kept = cutoff - 1
+        pair = lat._pair_table(table, lat._site_factor_table(spec, -0.4))
+        every = [list(itertools.product(range(4), repeat=2))] * 2
+        written = sum(X.size for _, _, X in lat._product_blocks(
+            [pair[:kept, :kept]] * 2, sites, every))
+        assert written <= lat._stream_entries(kept, sites, every, 2) \
+            <= lat._STREAM_ENTRY_BUDGET
 
     def test_cli_rtt_rejected(self, capsys):
         code = main(["lattice", "rtt", "--sites", "8", "--cutoff", "4",
@@ -1040,11 +1084,11 @@ class TestDenseBudget:
         def spec(m, d):
             return lat.LatticeSpec(m, d, 0.3, 1.0)
 
-        rtt = [lat._exchange_bytes(spec(m, d))
+        rtt = [exchange_bytes(spec(m, d))
                for m, d in ((4, 4), (7, 4), (11, 3))]
         mono = lat.dense_bytes(spec(5, 4), lat.MONODROMY_BLOCKS)
-        conservation = [lat._stream_bytes(spec(m, 4), False) for m in (4, 13)]
-        pairing = [lat._stream_bytes(spec(m, 4), True) for m in (5, 7)]
+        conservation = [conservation_bytes(spec(m, 4)) for m in (4, 13)]
+        pairing = [pairing_bytes(spec(m, 4)) for m in (5, 7)]
         # the commutator sectors: the suite's reach M <= 4 and N <= 3, and
         # the sweep's at 6 to 8 sites, N <= 3, d = N + 2 (at most 56 configs)
         sectors = [lat.sector_bytes(lat.sector_size(spec(m, n + 2), n))
@@ -1052,10 +1096,10 @@ class TestDenseBudget:
         assert max(*rtt, *conservation, mono, *pairing, *sectors) \
             <= lat.DENSE_BUDGET_BYTES
         # one site more is refused
-        assert min(lat._exchange_bytes(spec(8, 4)),
-                   lat._exchange_bytes(spec(12, 3)),
-                   lat._stream_bytes(spec(8, 4), True),
-                   lat._stream_bytes(spec(14, 4), False),
+        assert min(exchange_bytes(spec(8, 4)),
+                   exchange_bytes(spec(12, 3)),
+                   pairing_bytes(spec(8, 4)),
+                   conservation_bytes(spec(14, 4)),
                    lat.dense_bytes(spec(6, 4), lat.MONODROMY_BLOCKS)) \
             > lat.DENSE_BUDGET_BYTES
 
@@ -1096,11 +1140,11 @@ class TestDenseBudget:
             (lambda: lat.monodromy(spec, 0.7 - 0.2j),
              lat.dense_bytes(spec, lat.MONODROMY_BLOCKS)),
             (lambda: lat.rtt_residual(0.7 - 0.2j, -0.4 + 0.5j, spec),
-             lat._exchange_bytes(spec)),
+             exchange_bytes(spec)),
             (lambda: lat.number_conservation_defect(spec, 0.7 - 0.2j),
-             lat._stream_bytes(spec, False)),
+             conservation_bytes(spec)),
             (lambda: lat.hermiticity_pairing_defect(spec, 0.7),
-             lat._stream_bytes(spec, True)),
+             pairing_bytes(spec)),
         ]]
         # the two streamed checks hold no full-space block
         assert max(peaks[2:]) < lat.dense_bytes(spec, 1)
@@ -1112,7 +1156,7 @@ class TestDenseBudget:
         assert lat._stream_depth(2, 8) == 2
         self.peak_against_count(
             lambda: lat.rtt_residual(0.7 - 0.2j, -0.4 + 0.5j, spec),
-            lat._exchange_bytes(spec))
+            exchange_bytes(spec))
 
     @pytest.mark.parametrize("sites, cutoff", [(4, 4), (2, 12), (5, 4)])
     def test_exchange_count_bounds_a_batch(self, sites, cutoff):
@@ -1121,8 +1165,8 @@ class TestDenseBudget:
         spec = lat.LatticeSpec(sites, cutoff, 0.3, 1.0)
         lams = [0.7 - 0.2j, 0.1 + 0.3j, -1.2 - 0.4j]
         mus = [-0.4 + 0.5j, 0.9 - 0.1j, 0.3 + 0.8j]
-        need = lat._exchange_bytes(spec, 3)
-        assert need > 2.5 * lat._exchange_bytes(spec)
+        need = exchange_bytes(spec, 3)
+        assert need > 2.5 * exchange_bytes(spec)
         self.peak_against_count(lambda: lat.rtt_residual(lams, mus, spec),
                                 need)
 
@@ -1130,10 +1174,10 @@ class TestDenseBudget:
         # 4^7: one pair fits the byte budget, and a batch of them whose
         # total does not is refused before anything is allocated
         spec = lat.LatticeSpec(7, 4, 0.3, 1.0)
-        one = lat._exchange_bytes(spec)
+        one = exchange_bytes(spec)
         count = lat.DENSE_BUDGET_BYTES // one + 1
         assert one <= lat.DENSE_BUDGET_BYTES \
-            < lat._exchange_bytes(spec, count)
+            < exchange_bytes(spec, count)
         lams = [0.7 - 0.2j + 0.1 * k for k in range(count)]
         mus = [-0.4 + 0.5j] * count
         calls = []
@@ -1147,7 +1191,7 @@ class TestDenseBudget:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20 and not calls
-        assert str(lat._exchange_bytes(spec, count)) in str(err.value)
+        assert str(exchange_bytes(spec, count)) in str(err.value)
 
 
 class TestExchangeRelation:
@@ -1189,7 +1233,7 @@ class TestExchangeRelation:
         try:
             with mock.patch.object(lat, "_site_factor_table",
                                    side_effect=calls.append), \
-                    mock.patch.object(lat, "_exchange_bytes",
+                    mock.patch.object(lat, "_stream_bytes",
                                       side_effect=calls.append), \
                     pytest.raises(RMatrixPole):
                 lat.rtt_residual(lams, mus, spec)
@@ -1199,8 +1243,16 @@ class TestExchangeRelation:
         assert peak < 2 ** 16 and not calls
 
     def test_batch_needs_one_mu_per_lam(self):
-        with pytest.raises(ValueError, match="one mu per lam"):
-            lat.rtt_residual([0.3, 0.5], [1.1], lat.LatticeSpec(1, 3, 0.3, 1.0))
+        # a batch against a single mu, a single lam against a batch and an
+        # empty batch are refused too, before any table is built
+        calls = []
+        for lam, mu in [([0.3, 0.5], [1.1]), ([0.3, 0.5], 1.1),
+                        (0.3, [1.1]), ([], [])]:
+            with mock.patch.object(lat, "_site_factor_table",
+                                   side_effect=calls.append), \
+                    pytest.raises(ValueError, match="one mu per lam"):
+                lat.rtt_residual(lam, mu, lat.LatticeSpec(1, 3, 0.3, 1.0))
+        assert not calls
 
     @given(st.integers(1, 3), st.integers(1, 4), st.floats(0.05, 1.0),
            st.floats(0.1, 3.0),
@@ -1289,8 +1341,9 @@ class TestExchangeRelation:
         counts = lat._particle_counts(cutoff - 1, sites)
         index = np.arange(len(counts))
         blocks = lat._product_blocks
+        every = list(itertools.product(range(4), repeat=2))
         read = np.zeros((len(counts),) * 2, dtype=bool)
-        for rows, cols, _ in blocks(tables, sites):
+        for rows, cols, _ in blocks(tables, sites, [every] * 2):
             read[np.ix_(index[rows], index[cols])] = True
         off = np.argwhere(read & (counts[:, None] != counts[None, :]))
         i, j = off[data.draw(st.integers(0, len(off) - 1))]
@@ -1299,7 +1352,7 @@ class TestExchangeRelation:
             for rows, cols, X in blocks(*args):
                 at = np.flatnonzero(index[rows] == i), \
                     np.flatnonzero(index[cols] == j)
-                X[0][at[0], at[1], 0, 0] = size
+                X[0][at[0], at[1], 0] = size
                 yield rows, cols, X
 
         clean = lat.rtt_residual(lam, mu, spec)
