@@ -38,25 +38,29 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .charges import boundary_residual_h2, fit_loglog_slope, gauss_rule
 from .errors import ConvergenceDomain, SizeLimit
-from .exact import EXACT, FLOAT, Field
+from .exact import EXACT, FLOAT, ExactComplex, Field
 from .planewaves import BetheWavefunction, ExpPoly, GaussColumn
 
 
 @dataclass(frozen=True)
 class SpectralParameter:
-    """Spectral parameter restricted to the lower half plane."""
+    """Spectral parameter restricted to the finite lower half plane."""
 
     value: object  # complex or ExactComplex
 
     def __post_init__(self):
-        if not self.value.imag < 0:
-            raise ConvergenceDomain("need Im(lambda) < 0 for convergent integrals")
+        re, im = self.value.real, self.value.imag
+        # NaN fails every comparison
+        if not (-math.inf < im < 0 and abs(re) < math.inf):
+            raise ConvergenceDomain("need a finite lambda with Im(lambda) < 0 "
+                                    "for convergent integrals")
 
     @property
     def field(self) -> Field:
@@ -95,12 +99,15 @@ def apply_A(lam: SpectralParameter, f: ExpPoly, c) -> ExpPoly:
     ``SizeLimit``, before building anything, past ``MAX_APPLY_TERMS``,
     and ``ConvergenceDomain`` for an input frequency off the real axis.
 
-    The subset integrals run on columns with one entry per input term.
-    Exact mode runs on the integer columns of ``planewaves``: in units
-    of 1/U, U the common denominator of the frequencies, lambda and c,
-    all three are Gaussian integers, and 1/(i mu) = U (-i) conj(mu) /
-    |mu|^2 puts each new term over its own integer denominator; one
-    product per column brings them over their lcm.
+    The subset integrals run on the integer columns of ``planewaves``,
+    with one entry per input term: in units of 1/U, U the common
+    denominator of the frequencies and lambda, both are Gaussian
+    integers, and so is every key the integrals form.  Exact mode puts
+    c over U too, and 1/(i mu) = U (-i) conj(mu) / |mu|^2 puts each new
+    term over its own integer denominator; one product per column brings
+    them over their lcm.  FLOAT takes each float as the binary fraction
+    it is, so U is a power of two, rounds each output key once (int /
+    U), and forms 1/(i mu) from mu = freq - lambda rounded once.
     """
     n = f.num_vars
     count = apply_A_term_count(n, f.term_count())
@@ -114,19 +121,37 @@ def apply_A(lam: SpectralParameter, f: ExpPoly, c) -> ExpPoly:
     c_v = field.coerce(c)
     if field is EXACT:
         unit = math.lcm(f.unit, lam.value.denominator, c_v.denominator)
-        poly, lam_v = f._recast(unit, f.den), GaussColumn.of(lam.value, unit)
-        c_v = GaussColumn.of(c_v, unit)
+        poly, lam_x = f._recast(unit, f.den), lam.value
+        keys = poly._key_columns
+        c_v, c_den = GaussColumn.of(c_v, unit), unit
 
         def inverse(re, im):
             return GaussColumn(-im * unit, -re * unit), re * re + im * im
+
+        def keyed(cols):
+            return zip(*cols)
     else:
-        poly, unit, lam_v = f.to_float(), 1, complex(lam.value)
+        poly, lam_f, c_den = f.to_float(), complex(lam.value), 1
+        lam_x = ExactComplex(lam_f.real, lam_f.imag)
+        parts = [Fraction(x) for key in poly.keys for x in key]
+        unit = math.lcm(lam_x.denominator, *(x.denominator for x in parts))
+        keys = np.array([x.numerator * (unit // x.denominator) for x in parts],
+                        dtype=object).reshape(len(poly.keys), 2 * n)
 
         def inverse(re, im):
-            return np.array([1 / (1j * complex(a, b)) for a, b in zip(re, im)],
-                            dtype=object), 1
+            return np.array([1 / (1j * complex(a / unit, b / unit))
+                             for a, b in zip(re, im)], dtype=object), 1
+
+        rounded = {}    # by id; ``groups`` keeps every column alive
+
+        def keyed(cols):
+            # ends share their unchanged columns: each is rounded once
+            for col in cols:
+                if id(col) not in rounded:
+                    rounded[id(col)] = col / unit
+            return zip(*(rounded[id(col)] for col in cols))
+    lam_v = GaussColumn.of(lam_x, unit)
     # frequencies as (real, imag) column pairs; mu_q = freq_q - lambda
-    keys = poly._key_columns
     freqs = [(keys[:, m], keys[:, m + 1]) for m in range(0, 2 * n, 2)]
     mus = [(re - lam_v.real, im - lam_v.imag) for re, im in freqs]
     inverses = [inverse(*mu) for mu in mus]
@@ -137,7 +162,7 @@ def apply_A(lam: SpectralParameter, f: ExpPoly, c) -> ExpPoly:
             weight = weight * c_v
         for subset in itertools.combinations(range(n), size):
             groups += _subset_integral(poly.coeffs, freqs, mus, inverses,
-                                       subset, lam_v, (weight, unit ** size))
+                                       subset, lam_v, (weight, c_den ** size))
     # every term over the least common denominator (1 in FLOAT)
     den = math.lcm(*{d for group_den, _ in groups
                      for d in np.atleast_1d(group_den).tolist()})
@@ -145,8 +170,9 @@ def apply_A(lam: SpectralParameter, f: ExpPoly, c) -> ExpPoly:
     raw = [out._items(poly.coeffs * den if den > 1 else poly.coeffs, poly.keys)]
     for group_den, ends in groups:
         raw.append(itertools.chain.from_iterable(zip(*[
-            out._items(coeff * (den // group_den) if den > 1 else coeff, keys)
-            for coeff, keys in ends])))
+            out._items(coeff * (den // group_den) if den > 1 else coeff,
+                       keyed(cols))
+            for coeff, cols in ends])))
     return out._merged(itertools.chain.from_iterable(raw))
 
 
@@ -154,8 +180,8 @@ def _subset_integral(coeffs, freqs: list, mus: list, inverses: list,
                      subset: tuple, lam_v, weight: tuple) -> list:
     """All closed-form terms for one coordinate subset, times ``weight``.
 
-    ``freqs`` and ``mus`` hold (real, imag) column pairs of the input
-    frequencies and of mu_q = freq_q - lambda; ``inverses`` 1/(i mu_q)
+    ``freqs`` and ``mus`` hold (real, imag) integer column pairs of the
+    input frequencies and of mu_q = freq_q - lambda; ``inverses`` 1/(i mu_q)
     and ``weight`` c^size are (numerator, denominator) pairs.  The
     integration variable xi_m sweeps (x_{i_m}, x_{i_{m+1}}) (the last to
     +infinity), split at the in-between coordinates so a fixed region
@@ -163,12 +189,11 @@ def _subset_integral(coeffs, freqs: list, mus: list, inverses: list,
     prod_q 1/(i mu_q) * c^size, in that order, at every choice of ends; a
     lower end flips its sign and an upper end at +infinity vanishes,
     since Im(mu) > 0.  Returns (denominator, ends) per choice of pieces,
-    ends a (coefficient column, key list) pair per choice of ends.
+    ends a (coefficient column, key columns) pair per choice of ends.
     """
     n = len(freqs)
-    re0, im0 = freqs[0]
-    # the input's zero, freq * 0 as a complex product forms it, plus lambda
-    moved = (re0 * 0 - im0 * 0 + lam_v.real, re0 * 0 + im0 * 0 + lam_v.imag)
+    zero = freqs[0][0] * 0
+    moved = (zero + lam_v.real, zero + lam_v.imag)      # lambda in every entry
     out = []
     for pieces in itertools.product(*(
             range(lo, hi) for lo, hi in zip(subset, subset[1:] + (n,)))):
@@ -192,7 +217,7 @@ def _subset_integral(coeffs, freqs: list, mus: list, inverses: list,
                 re, im = slots[q + offset]
                 slots[q + offset] = (re + mus[q][0], im + mus[q][1])
             ends.append((-coeff if offsets.count(0) % 2 else coeff,
-                         list(zip(*[part for slot in slots for part in slot]))))
+                         [part for slot in slots for part in slot]))
         out.append((den, ends))
     return out
 

@@ -35,10 +35,13 @@ float keys and an object array of Python ``complex``, which rounds as
 one operation per term would (complex128 arrays moved a float residual
 from 0.0 to 3.3e-19).  Negation, scaling, weights and sums of equal keys
 act on whole columns; only ``_merged`` (other sums, restrictions,
-products) visits the terms one by one.  ``terms`` presents field
-scalars (``ExactComplex`` or ``complex``) sorted by frequency;
-``from_terms``, ``evaluate``, ``to_float`` and the JSON documents
-convert at the edge.
+products) visits the terms one by one.  It combines terms whose keys
+are equal, in both fields.  FLOAT keys one rounding apart stay two
+terms; every key the program forms is an exact sum of its float
+operands, rounded once, so keys equal as exact sums are equal floats.
+``terms`` presents field scalars (``ExactComplex`` or ``complex``)
+sorted by frequency; ``from_terms``, ``evaluate``, ``to_float`` and the
+JSON documents convert at the edge.
 
 A weight (``weighted``, ``differentiate``) may use only +, -, * and **
 by a non-negative int, and ``z[0] * 0`` for a zero: no comparison,
@@ -48,8 +51,8 @@ nothing.
 
 States checked together form one sum (``_tagged``): each key ends in its
 state's index, which keeps the states apart in a merge and which no
-weight, recast or merge tolerance reads; a value given as a list, one
-per state, becomes a column gathered by that tag (``_numerators``).
+weight or recast reads; a value given as a list, one per state,
+becomes a column gathered by that tag (``_numerators``).
 """
 
 from __future__ import annotations
@@ -69,9 +72,6 @@ from .errors import DegenerateRapidities, SizeLimit
 from .exact import EXACT, FLOAT, ExactComplex, Field
 
 MAX_PARTICLES = 8
-
-# Relative tolerance used to consolidate float-mode frequency vectors.
-FLOAT_MERGE_RTOL = 1e-12
 
 
 class GaussColumn:
@@ -160,9 +160,10 @@ class ExpPoly:
     read from the flat key keys[t] = (re_1, im_1, ..., re_N, im_N) in
     units of 1/``unit``.  Exact sums have int keys, in no particular
     order, and a ``GaussColumn`` of coefficients; FLOAT sums have float
-    keys, sorted by every merge, an object array of ``complex``
-    coefficients and ``unit = den = 1``.  Invariants: no two terms share
-    a key and no coefficient is zero (exactly 0.0 in float mode).
+    keys, sorted by state tag, then by key, after every merge, an
+    object array of ``complex`` coefficients and ``unit = den = 1``.
+    Invariants: no two terms share a key (equal floats are one key) and
+    no coefficient is zero (exactly 0.0 in float mode).
     Without columns (``coeffs`` None) a sum is only a ``_merged`` template.
     Operands of ``+`` and ``-`` with equal keys after alignment add their
     columns and merge nothing.  A scaled or weighted sum that keeps every
@@ -230,19 +231,18 @@ class ExpPoly:
     def _merged(self, raw_terms) -> "ExpPoly":
         """The sum of raw terms, one item per term: (real, imag, key) in
         an exact sum, the ints read over ``den``, and (coeff, key) in a
-        FLOAT one.  Equal keys are combined and zeros dropped; FLOAT
-        sums also merge nearly equal keys (``_consolidate_float``)."""
+        FLOAT one.  Terms with equal keys are combined, in FLOAT too,
+        where keys one rounding apart stay two terms; zeros are dropped.
+        FLOAT keys come out sorted by state tag, then by key."""
         if self.field is FLOAT:
             acc: dict = {}
             for coeff, key in raw_terms:
                 prev = acc.get(key)
                 acc[key] = coeff if prev is None else prev + coeff
-            width, states = 2 * self.num_vars, {}     # by tag, if any
-            for key, coeff in acc.items():
-                states.setdefault(key[width:], {})[key] = coeff
-            acc = {key: coeff for tag in sorted(states) for key, coeff
-                   in _consolidate_float(states[tag], width).items()}
-            return self._with(tuple(acc), np.array(list(acc.values()), dtype=object))
+            width = 2 * self.num_vars       # a tag, if any, follows
+            keys = sorted(acc, key=lambda key: (key[width:], key))
+            return self._with(tuple(keys), np.array([acc[key] for key in keys],
+                                                    dtype=object))
         # each key is hashed once and gets the next slot of the columns
         slots: dict = {}
         res, ims = [], []
@@ -396,7 +396,7 @@ class ExpPoly:
     def __add__(self, other: "ExpPoly") -> "ExpPoly":
         self._check_compatible(other)
         a, b = self._aligned(other, same_den=True)
-        if a.keys == b.keys:    # consolidated in FLOAT: nothing to merge
+        if a.keys == b.keys:    # keys are distinct: nothing to merge
             return a._with(a.keys, a.coeffs + b.coeffs)
         return a._merged(itertools.chain(a._items(a.coeffs, a.keys),
                                          b._items(b.coeffs, b.keys)))
@@ -577,61 +577,6 @@ class _Terms(SequenceABC):
 
     def __repr__(self):
         return repr(self._poly._field_terms)
-
-
-def _consolidate_float(acc: dict, width: int) -> dict:
-    """Merge float keys that agree to relative 1e-12 in their first
-    ``width`` parts (the frequencies; a tag past them is equal throughout).
-
-    Two keys are linked when every real and imaginary part differs by
-    at most the tolerance; each connected cluster becomes one term,
-    keyed by its least key, with the coefficients added in key order.
-    The result comes back sorted by key and does not depend on the
-    order of the input.  Candidate clusters come from cutting the keys,
-    one component at a time, wherever two sorted neighbours differ by
-    more than the tolerance; no linked pair is ever cut apart, so the exact
-    links are then resolved within each (small) candidate group.
-    """
-    if len(acc) < 2:
-        return acc
-    points = sorted(acc)
-    scale = max(map(abs, itertools.chain.from_iterable(
-        p[:width] for p in points)), default=0.0)
-    tol = FLOAT_MERGE_RTOL * max(scale, 1.0)
-
-    # a key cut off alone links to none: only groups of two or more go on
-    groups = [list(range(len(points)))]
-    for axis in range(width):
-        cut, part = [], [p[axis] for p in points]
-        for group in groups:
-            group.sort(key=part.__getitem__)
-            start = 0
-            for pos in range(1, len(group)):
-                if part[group[pos]] - part[group[pos - 1]] > tol:
-                    cut.append(group[start:pos])
-                    start = pos
-            cut.append(group[start:])
-        groups = [group for group in cut if len(group) > 1]
-
-    root = list(range(len(points)))
-
-    def find(e):
-        while root[e] != e:
-            root[e] = root[root[e]]
-            e = root[e]
-        return e
-
-    for group in groups:
-        for a, b in itertools.combinations(group, 2):
-            if all(abs(x - y) <= tol for x, y in zip(points[a], points[b])):
-                ra, rb = find(a), find(b)
-                root[max(ra, rb)] = min(ra, rb)
-
-    sums: dict = {}
-    for e, point in enumerate(points):
-        rep, coeff = find(e), acc[point]
-        sums[rep] = sums[rep] + coeff if rep in sums else coeff
-    return {points[rep]: total for rep, total in sums.items()}
 
 
 def _num_json(v):

@@ -28,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .charges import power_sum
 from .errors import PoleAtRapidity
 from .exact import Field
 from .laurent import LaurentSeries
@@ -95,16 +96,6 @@ def asymptotic_product_series(rapidities: Sequence, c,
             power = power * kv
         series = series * LaurentSeries.from_coeffs(coeffs, field)
     return series
-
-
-def power_sums(rapidities: Sequence, up_to: int, field: Field):
-    out = {0: field.coerce(len(rapidities))}
-    for m in range(1, up_to + 1):
-        total = field.zero
-        for k in rapidities:
-            total = total + field.coerce(k) ** m
-        out[m] = total
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +219,8 @@ def charge_coefficients_from_formulas(rapidities: Sequence, c
     n = len(rapidities)
     series = asymptotic_product_series(rapidities, c, PRINTED_ORDER)
     log_series = series.log()
-    p = power_sums(rapidities, 3, field)
+    ks = [field.coerce(k) for k in rapidities]
+    p = {m: power_sum(ks, m) for m in (1, 2, 3)}
     h = {1: field.i * p[1], 2: p[2], 3: (field.i ** 3) * p[3]}
 
     printed = {

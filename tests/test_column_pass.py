@@ -6,14 +6,15 @@ fields.  The references below are the earlier per-term forms, kept here
 as oracles:
 
 * ``per_term_map_coeffs``: the FLOAT pass that called the weight once
-  per term and then re-merged the sum (``_merged``, with its tolerance
-  consolidation);
+  per term and then re-merged the sum (``_merged``);
 * ``per_branch_apply_A``: ``apply_A`` one input term at a time, with
   the subset integral that multiplied every pending branch by 1/(i mu)
   separately and left the factor c^size to its caller
   (``pending_subset_integral``), and a rescale of every output term to
   the common denominator on its own.  Exact scalars there are
-  ``GaussColumn``s with int parts;
+  ``GaussColumn``s with int parts; FLOAT frequencies and lambda are the
+  exact values of their floats (``ExactComplex``), so each key is formed
+  exactly and rounded once, and 1/(i mu) is taken of mu rounded once;
 * ``per_state_interior`` and ``per_state_brackets``: the charge
   residuals one state at a time, against which the states of one tagged
   sum (``TestTaggedBatch``) are checked.
@@ -39,9 +40,9 @@ from hypothesis import given, settings, strategies as st
 from qnls import charges as ch
 from qnls import integral_operator as aop
 from qnls import suites
-from qnls.exact import EXACT, FLOAT, exact
-from qnls.planewaves import (FLOAT_MERGE_RTOL, BetheWavefunction, Coupling,
-                             ExpPoly, GaussColumn, RapiditySet, build_bethe)
+from qnls.exact import EXACT, FLOAT, ExactComplex, exact
+from qnls.planewaves import (BetheWavefunction, Coupling, ExpPoly,
+                             GaussColumn, RapiditySet, build_bethe)
 
 LAM = aop.SpectralParameter(exact(F(1, 3), -2))
 COLUMN_MAP_COEFFS = ExpPoly._map_coeffs
@@ -122,9 +123,13 @@ def per_branch_apply_A(lam, f, c):
         poly = f.to_float()
 
         def inverse(mu):
-            return 1 / (1j * mu), 1
+            return 1 / (1j * complex(mu)), 1
 
-        lam_v, weight_den, scalar = complex(lam.value), 1, complex
+        def scalar(re, im):
+            return ExactComplex(F(re), F(im))
+
+        lam_f = complex(lam.value)
+        lam_v, weight_den = scalar(lam_f.real, lam_f.imag), 1
         coeffs = list(poly.coeffs)
     terms = [(cf, [scalar(fr[m], fr[m + 1]) for m in range(0, 2 * n, 2)], 1)
              for cf, fr in zip(coeffs, poly.keys)]
@@ -143,7 +148,7 @@ def per_branch_apply_A(lam, f, c):
             coeff = coeff * (den // d)
         key = tuple(x for w in freq for x in (w.real, w.imag))
         raw.append((coeff.real, coeff.imag, key) if field is EXACT
-                   else (coeff, key))
+                   else (coeff, tuple(map(float, key))))
     return ExpPoly(n, field, unit=poly.unit, den=poly.den * den)._merged(raw)
 
 
@@ -405,13 +410,13 @@ class TestEqualKeySums:
            st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_float_keys_near_merge_tolerance(self, gaps, coeffs, rnd):
-        """Neighbouring frequencies 0.5 to 2 tolerances apart: the
-        consolidated keys of two sums on them agree, whatever the order
-        of the terms, and their sum matches the merge."""
-        tol = FLOAT_MERGE_RTOL * 2.0
+        """Neighbouring frequencies 1e-12 to 4e-12 apart: the keys of
+        two sums on them agree, whatever the order of the terms, and
+        their sum matches the merge."""
         freqs = [(2.0, 1.5)]
         for du, dv in gaps:
-            freqs.append((freqs[-1][0] + du * tol, freqs[-1][1] + dv * tol))
+            freqs.append((freqs[-1][0] + du * 2e-12,
+                          freqs[-1][1] + dv * 2e-12))
         p = ExpPoly.from_terms(2, list(zip(coeffs, freqs)), FLOAT)
         shuffled = list(zip(coeffs[len(freqs):], freqs))
         rnd.shuffle(shuffled)

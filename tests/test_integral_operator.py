@@ -2,6 +2,7 @@
 expansion non-uniformity."""
 
 import functools
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -49,6 +50,15 @@ class TestDomain:
             aop.SpectralParameter(1.0 + 0.0j)
         with pytest.raises(ConvergenceDomain):
             aop.SpectralParameter(exact(1, 0))
+
+    @pytest.mark.parametrize("value", [complex(math.nan, -1.0),
+                                       complex(0.0, -math.inf),
+                                       complex(math.inf, -1.0)])
+    def test_requires_finite_value(self, value):
+        """A non-finite lambda is refused before anything is built: apply_A
+        would have no exact binary fraction to take of it."""
+        with pytest.raises(ConvergenceDomain):
+            aop.SpectralParameter(value)
 
     def test_term_count_guard(self, monkeypatch):
         """N = 6 Bethe states (972,720 terms) are refused before any
@@ -123,6 +133,29 @@ class TestDiagonality:
         w = build_bethe(raps, c)
         _, residual = aop.eigenvalue_check(LAM, w)
         assert residual == 0.0
+
+    @given(st.integers(1, 4), st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_float_diagonal_by_coefficients(self, n, data):
+        """In FLOAT, g = A f cancels against Lambda f term by term: every
+        key of g is an exact sum rounded once, so the terms of one
+        frequency meet on one key, and no two keys are a rounding
+        apart."""
+        values = data.draw(st.lists(st.floats(-4, 4), min_size=n, max_size=n)
+                           .filter(lambda v: all(abs(a - b) > 0.25 for a, b in
+                                                 itertools.combinations(v, 2))))
+        c = data.draw(st.floats(0.25, 3))
+        lam = aop.SpectralParameter(complex(data.draw(st.floats(-3, 3)),
+                                            data.draw(st.floats(-3, -0.5))))
+        w = build_bethe(RapiditySet.of(values), Coupling(c))
+        f = w.canonical
+        g = aop.apply_A(lam, f, c)
+        expected = aop.bethe_eigenvalue(lam, w.rapidities.values, c, FLOAT)
+        assert (g - f.scale(expected)).max_coeff() <= 1e-12 * f.max_coeff()
+        keys = np.array(g.keys)
+        gaps = np.abs(keys[:, None] - keys[None, :]).max(axis=2)
+        np.fill_diagonal(gaps, np.inf)
+        assert gaps.min() > 1e-12
 
     def test_free_limit_eigenvalue_is_one(self):
         big = aop.bethe_eigenvalue(

@@ -15,9 +15,8 @@ from qnls import charges as ch
 from qnls import integral_operator as aop
 from qnls.errors import DegenerateRapidities, SizeLimit
 from qnls.exact import EXACT, FLOAT, ExactComplex, exact
-from qnls.planewaves import (FLOAT_MERGE_RTOL, BetheWavefunction, Coupling,
-                             ExpPoly, RapiditySet, build_bethe,
-                             symmetrized_plane_wave)
+from qnls.planewaves import (BetheWavefunction, Coupling, ExpPoly,
+                             RapiditySet, build_bethe, symmetrized_plane_wave)
 
 
 def rational_rapidities(n):
@@ -251,9 +250,16 @@ class TestSerialization:
 
 class TestFloatMerge:
     def test_non_neighbouring_duplicates_cancel(self):
+        """An exact duplicate cancels; keys one rounding apart (1 and
+        1 + 2.2e-16) are two keys, and their terms stay two terms."""
         p = ExpPoly.from_terms(2, [(1, (1, 3)), (5, (1, 5)),
-                                   (-1, (1 + 2.2e-16, 3))], FLOAT)
+                                   (-1, (1.0, 3))], FLOAT)
         assert p.terms == ((5 + 0j, (1 + 0j, 5 + 0j)),)
+        q = ExpPoly.from_terms(2, [(1, (1, 3)), (5, (1, 5)),
+                                   (-1, (1 + 2.2e-16, 3))], FLOAT)
+        assert q.terms == ((1 + 0j, (1 + 0j, 3 + 0j)),
+                           (5 + 0j, (1 + 0j, 5 + 0j)),
+                           (-1 + 0j, (1 + 2.2e-16 + 0j, 3 + 0j)))
 
     def test_distinct_frequencies_kept(self):
         p = ExpPoly.from_terms(1, [(1, (1.0,)), (1, (1.0 + 1e-9,))], FLOAT)
@@ -269,29 +275,21 @@ class TestFloatMerge:
     @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
                               st.integers(-4, 4).filter(bool)),
                     min_size=1, max_size=12),
-           st.randoms(use_true_random=False), st.data())
+           st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
-    def test_invariant_under_order_and_small_perturbations(self, raw, rnd, data):
-        """Well-separated frequencies, each repeated with jitter far
-        below the merge tolerance, merge to the same sum in any order."""
-        jitter = data.draw(st.lists(
-            st.floats(-FLOAT_MERGE_RTOL / 20, FLOAT_MERGE_RTOL / 20),
-            min_size=2 * len(raw), max_size=2 * len(raw)))
-        terms = [(complex(coeff), (complex(a + jitter[2 * k]),
-                                   complex(b + jitter[2 * k + 1])))
-                 for k, (a, b, coeff) in enumerate(raw)]
+    def test_invariant_under_order_and_small_perturbations(self, raw, rnd):
+        """Well-separated frequencies, repeated exactly, merge to the same
+        sum in any order."""
+        terms = [(complex(coeff), (complex(a), complex(b)))
+                 for a, b, coeff in raw]
         shuffled = terms[:]
         rnd.shuffle(shuffled)
-        ref = ExpPoly.from_terms(2, [(c, (complex(a), complex(b)))
-                                     for a, b, c in raw], FLOAT)
-        for variant in (terms, shuffled):
-            got = ExpPoly.from_terms(2, variant, FLOAT)
-            assert got.term_count() == ref.term_count()
-            for c_ref, f_ref in ref.terms:
-                near = [c for c, f in got.terms
-                        if all(abs(x - y) <= 4 * FLOAT_MERGE_RTOL
-                               for x, y in zip(f, f_ref))]
-                assert near == [pytest.approx(c_ref, abs=1e-9)]
+        ref = ExpPoly.from_terms(2, terms, FLOAT)
+        got = ExpPoly.from_terms(2, shuffled, FLOAT)
+        assert got.term_count() == ref.term_count()
+        for c_ref, f_ref in ref.terms:
+            assert [c for c, f in got.terms if f == f_ref] \
+                == [pytest.approx(c_ref, abs=1e-9)]
 
 
 class TestExactComplex:
