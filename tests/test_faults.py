@@ -23,9 +23,10 @@ the other one):
 import json
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-from qnls import charges as ch, integral_operator as aop, lattice as lat
+from qnls import bethe, charges as ch, integral_operator as aop, lattice as lat
 from qnls import suites
 from qnls.cli import main
 from qnls.config import RunConfig
@@ -84,6 +85,28 @@ def gauss_node_shifted(monkeypatch):
         monkeypatch.setattr(module, "gauss_rule", lambda: (nodes, weights))
 
 
+def full_subset_dropped(monkeypatch):
+    """``apply_A`` without the integral over the full coordinate subset:
+    its terms never reach the merge."""
+    integral = aop._subset_integral
+
+    def faulty(coeffs, freqs, mus, inverses, subset, *rest):
+        if len(subset) == len(freqs):
+            return ()
+        return integral(coeffs, freqs, mus, inverses, subset, *rest)
+    monkeypatch.setattr(aop, "_subset_integral", faulty)
+
+
+def bethe_phase_202(monkeypatch):
+    """The Bethe equations solved with the two-body phase 2.02 arctan."""
+    def faulty(k, box, I):
+        with np.errstate(over="ignore"):
+            phases = 2.02 * np.arctan((k[:, None] - k[None, :]) / box.c)
+        np.fill_diagonal(phases, 0.0)
+        return k * box.L + phases.sum(axis=1) - 2.0 * np.pi * I
+    monkeypatch.setattr(bethe, "_log_residual", faulty)
+
+
 def b_scaled(table):
     """B entries 2% too large."""
     table[:, :, 0, 1] *= 1.02
@@ -103,6 +126,17 @@ def off_band(table):
 FAULTS = {
     "amplitudes-at-1.1c": (amplitudes_at(F(11, 10), 6), ("charges",),
                            {f"charges.identities.n{n}" for n in (2, 3, 4)}),
+    # every check that compares A(lambda) f with an independent value
+    "apply-A-drops-full-subset": (
+        full_subset_dropped, ("aop",),
+        {"aop.boundary-value-problem", "aop.bracket-equality-generic",
+         "aop.bracket-preservation", "aop.diagonality.n1",
+         "aop.diagonality.n2", "aop.diagonality.n3", "aop.expansion-decay",
+         "aop.numeric-cross-check"}),
+    # the impenetrable-limit comparison stays inside its bound under it
+    "bethe-phase-2.02": (bethe_phase_202, ("bethe",),
+                         {"bethe.near-free-limit",
+                          "bethe.product-residual-grid"}),
     # the quartic defect checks fit the 1/eps slope, which a fault in the
     # shared rule keeps: only the direct quadrature of A(lambda) sees it
     "gauss-node-shifted": (gauss_node_shifted, ("charges", "aop"),
