@@ -67,7 +67,9 @@ class SpectralParameter:
         return Field.of(self.value)
 
 
-# Bethe states take 43,440 pre-merge terms at N = 5 and 972,720 at N = 6
+# Pre-merge terms bound work, not memory (they merge as they are formed):
+# Bethe states take 43,440 at N = 5; N = 6's 972,720 peak near 10 MiB but
+# take about 1.5 s
 MAX_APPLY_TERMS = 100_000
 
 # eigenvalue_check samples A f / f at ordered tuples of EIGEN_GRID values;
@@ -104,10 +106,13 @@ def apply_A(lam: SpectralParameter, f: ExpPoly, c) -> ExpPoly:
     denominator of the frequencies and lambda, both are Gaussian
     integers, and so is every key the integrals form.  Exact mode puts
     c over U too, and 1/(i mu) = U (-i) conj(mu) / |mu|^2 puts each new
-    term over its own integer denominator; one product per column brings
-    them over their lcm.  FLOAT takes each float as the binary fraction
-    it is, so U is a power of two, rounds each output key once (int /
-    U), and forms 1/(i mu) from mu = freq - lambda rounded once.
+    term over a divisor of the full subset's prod_q |mu_q|^2 U^N, whose
+    lcm over the input terms is known before any term is formed.  Each
+    subset integral streams its terms over that lcm into one merge on
+    the integer keys.  FLOAT takes each float as the binary fraction it
+    is (U a power of two, every denominator 1), forms 1/(i mu) from
+    mu = freq - lambda rounded once, and rounds each surviving key once
+    (int / U), merging again only keys that round to one float.
     """
     n = f.num_vars
     count = apply_A_term_count(n, f.term_count())
@@ -127,9 +132,6 @@ def apply_A(lam: SpectralParameter, f: ExpPoly, c) -> ExpPoly:
 
         def inverse(re, im):
             return GaussColumn(-im * unit, -re * unit), re * re + im * im
-
-        def keyed(cols):
-            return zip(*cols)
     else:
         poly, lam_f, c_den = f.to_float(), complex(lam.value), 1
         lam_x = ExactComplex(lam_f.real, lam_f.imag)
@@ -141,44 +143,37 @@ def apply_A(lam: SpectralParameter, f: ExpPoly, c) -> ExpPoly:
         def inverse(re, im):
             return np.array([1 / (1j * complex(a / unit, b / unit))
                              for a, b in zip(re, im)], dtype=object), 1
-
-        rounded = {}    # by id; ``groups`` keeps every column alive
-
-        def keyed(cols):
-            # ends share their unchanged columns: each is rounded once
-            for col in cols:
-                if id(col) not in rounded:
-                    rounded[id(col)] = col / unit
-            return zip(*(rounded[id(col)] for col in cols))
     lam_v = GaussColumn.of(lam_x, unit)
     # frequencies as (real, imag) column pairs; mu_q = freq_q - lambda
     freqs = [(keys[:, m], keys[:, m + 1]) for m in range(0, 2 * n, 2)]
     mus = [(re - lam_v.real, im - lam_v.imag) for re, im in freqs]
     inverses = [inverse(*mu) for mu in mus]
-    groups = []
-    for size in range(1, n + 1):
-        weight = c_v
-        for _ in range(size - 1):
-            weight = weight * c_v
-        for subset in itertools.combinations(range(n), size):
-            groups += _subset_integral(poly.coeffs, freqs, mus, inverses,
-                                       subset, lam_v, (weight, c_den ** size))
-    # every term over the least common denominator (1 in FLOAT)
-    den = math.lcm(*{d for group_den, _ in groups
-                     for d in np.atleast_1d(group_den).tolist()})
+    # every term over the lcm of the full subset's denominators (1 in FLOAT)
+    den = math.lcm(*np.atleast_1d(
+        math.prod(d for _, d in inverses) * c_den ** n).tolist())
     out = ExpPoly(n, field, unit=poly.unit, den=poly.den * den)
-    raw = [out._items(poly.coeffs * den if den > 1 else poly.coeffs, poly.keys)]
-    for group_den, ends in groups:
-        raw.append(itertools.chain.from_iterable(zip(*[
-            out._items(coeff * (den // group_den) if den > 1 else coeff,
-                       keyed(cols))
-            for coeff, cols in ends])))
-    return out._merged(itertools.chain.from_iterable(raw))
+    raw = [out._items(poly.coeffs * den if den > 1 else poly.coeffs,
+                      map(tuple, keys.tolist()))]
+    for size in range(1, n + 1):
+        weight = weight * c_v if size > 1 else c_v
+        raw += (_subset_integral(poly.coeffs, freqs, mus, inverses, subset,
+                                 lam_v, (weight, c_den ** size), out, den)
+                for subset in itertools.combinations(range(n), size))
+    out = out._merged(itertools.chain.from_iterable(raw))
+    if field is EXACT:
+        return out
+    # each surviving key rounded once; two that round alike merge again
+    keys = [tuple(x / unit for x in key) for key in out.keys]
+    if len(set(keys)) < len(keys):
+        return out._merged(zip(out.coeffs, keys))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return out._with(tuple(keys[t] for t in order), out.coeffs[order])
 
 
 def _subset_integral(coeffs, freqs: list, mus: list, inverses: list,
-                     subset: tuple, lam_v, weight: tuple) -> list:
-    """All closed-form terms for one coordinate subset, times ``weight``.
+                     subset: tuple, lam_v, weight: tuple, out, common: int):
+    """Yield the merge items of ``out`` for one coordinate subset, times
+    ``weight``, each coefficient over the common denominator ``common``.
 
     ``freqs`` and ``mus`` hold (real, imag) integer column pairs of the
     input frequencies and of mu_q = freq_q - lambda; ``inverses`` 1/(i mu_q)
@@ -188,13 +183,12 @@ def _subset_integral(coeffs, freqs: list, mus: list, inverses: list,
     form of f applies on each piece.  A piece integrates to coeff *
     prod_q 1/(i mu_q) * c^size, in that order, at every choice of ends; a
     lower end flips its sign and an upper end at +infinity vanishes,
-    since Im(mu) > 0.  Returns (denominator, ends) per choice of pieces,
-    ends a (coefficient column, key columns) pair per choice of ends.
+    since Im(mu) > 0.  Pieces come one at a time, each term by term with
+    its ends in turn.
     """
     n = len(freqs)
     zero = freqs[0][0] * 0
     moved = (zero + lam_v.real, zero + lam_v.imag)      # lambda in every entry
-    out = []
     for pieces in itertools.product(*(
             range(lo, hi) for lo, hi in zip(subset, subset[1:] + (n,)))):
         # in the sorted argument list xi_m sits at slot pieces[m] (right
@@ -207,6 +201,8 @@ def _subset_integral(coeffs, freqs: list, mus: list, inverses: list,
         for q in pieces:
             coeff, den = coeff * inverses[q][0], den * inverses[q][1]
         coeff, den = coeff * weight[0], den * weight[1]
+        if common > 1:
+            coeff = coeff * (common // den)
         ends = []
         # xi ends at x_q (offset 0, a lower end) or x_{q+1} (offset 1); the
         # order sets FLOAT rounding: lower end first, first piece slowest
@@ -216,10 +212,9 @@ def _subset_integral(coeffs, freqs: list, mus: list, inverses: list,
             for q, offset in zip(pieces, offsets):
                 re, im = slots[q + offset]
                 slots[q + offset] = (re + mus[q][0], im + mus[q][1])
-            ends.append((-coeff if offsets.count(0) % 2 else coeff,
-                         [part for slot in slots for part in slot]))
-        out.append((den, ends))
-    return out
+            ends.append(out._items(-coeff if offsets.count(0) % 2 else coeff,
+                                   zip(*itertools.chain(*slots))))
+        yield from itertools.chain.from_iterable(zip(*ends))
 
 
 def bethe_eigenvalue(lam: SpectralParameter, rapidities: Sequence, c,

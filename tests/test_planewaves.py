@@ -357,20 +357,26 @@ def assert_float_layout(poly):
 
 
 def assert_close(exact_poly, float_poly, rel=1e-12):
-    """Same term count, and each exact term matched by exactly one float
-    term whose key and coefficient are within rel of the largest key
-    entry and coefficient."""
+    """Each exact term matched by exactly one float term whose key and
+    coefficient are within rel of the largest key entry and coefficient.
+    A float term that no exact term matches is round-off left where the
+    exact coefficients cancel: its coefficient is within that tolerance
+    of zero."""
     a, b = [list(zip(p.coeffs, p.keys))
             for p in (exact_poly.to_float(), float_poly)]
-    assert len(a) == len(b)
     if not a:
+        assert not b
         return
     f_tol = rel * max(1.0, max(abs(x) for _, f in a for x in f))
     c_tol = rel * max(abs(c) for c, _ in a)
+
+    def near(fa, fb):
+        return all(abs(x - y) <= f_tol for x, y in zip(fa, fb))
     for ca, fa in a:
-        near = [cb for cb, fb in b
-                if all(abs(x - y) <= f_tol for x, y in zip(fa, fb))]
-        assert len(near) == 1 and abs(ca - near[0]) <= c_tol
+        match = [cb for cb, fb in b if near(fa, fb)]
+        assert len(match) == 1 and abs(ca - match[0]) <= c_tol
+    assert all(abs(cb) <= c_tol for cb, fb in b
+               if not any(near(fa, fb) for _, fa in a))
 
 
 # coefficients and imaginary frequency parts are dyadic, so the float
@@ -469,6 +475,33 @@ class TestFloatLayout:
         assert want.field is EXACT
         assert_float_layout(got)
         assert_close(want, got)
+
+    def test_apply_A_round_off_where_exact_terms_cancel(self):
+        """f = i exp(i(x2 + 2 x3)), lambda = -i/2, c = 1/2, all dyadic: the
+        exact action has 3 terms, the float one a 4th of coefficient
+        1.4e-17 on a key where the exact coefficients cancel."""
+        p = ExpPoly.from_terms(3, [(exact(0, 1), (0, 1, 2))], EXACT)
+        lam = exact(0, F(-1, 2))
+        want = aop.apply_A(aop.SpectralParameter(lam), p, F(1, 2))
+        got = aop.apply_A(aop.SpectralParameter(complex(lam)), p.to_float(),
+                          0.5)
+        assert (len(want.keys), len(got.keys)) == (3, 4)
+        assert_float_layout(got)
+        assert_close(want, got)
+
+    def test_apply_A_keys_that_round_to_one_float(self):
+        """The exact keys 1023 + 2^-50 and 1023 + 2^-51 (plus the imaginary
+        part of lambda) both round to 1023.0: the FLOAT action merges them
+        again after its merge on exact keys, into one of its 3 terms."""
+        f = ExpPoly.from_terms(2, [(1, (1024.0, 2.0 ** -50)),
+                                   (1, (1024.0, 2.0 ** -51))], FLOAT)
+        with mock.patch.object(ExpPoly, "_merged", autospec=True,
+                               side_effect=ExpPoly._merged) as merged:
+            got = aop.apply_A(aop.SpectralParameter(1 - 1j), f, 1.0)
+        assert merged.call_count == 2
+        assert_float_layout(got)
+        assert len(got.keys) == 3
+        assert (1.0, -1.0, 1023.0, 1.0) in got.keys
 
 
 class TestSubtraction:
