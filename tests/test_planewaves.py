@@ -490,9 +490,10 @@ class TestFloatLayout:
         assert_close(want, got)
 
     def test_apply_A_keys_that_round_to_one_float(self):
-        """The exact keys 1023 + 2^-50 and 1023 + 2^-51 (plus the imaginary
-        part of lambda) both round to 1023.0: the FLOAT action merges them
-        again after its merge on exact keys, into one of its 3 terms."""
+        """Two exact keys whose second frequency k_2 + k_1 - lambda is
+        1023 + 2^-50 + i and 1023 + 2^-51 + i both round to 1023 + i: the
+        FLOAT action merges them again after its merge on exact keys, into
+        one of its 3 terms."""
         f = ExpPoly.from_terms(2, [(1, (1024.0, 2.0 ** -50)),
                                    (1, (1024.0, 2.0 ** -51))], FLOAT)
         with mock.patch.object(ExpPoly, "_merged", autospec=True,
