@@ -27,9 +27,10 @@ import numpy as np
 import pytest
 
 from qnls import bethe, charges as ch, integral_operator as aop, lattice as lat
-from qnls import suites
+from qnls import suites, transfer as tr
 from qnls.cli import main
 from qnls.config import RunConfig
+from qnls.laurent import LaurentSeries
 from qnls.planewaves import BetheWavefunction, Coupling
 
 SWEEP_SEEDS = range(1, 5)
@@ -107,6 +108,21 @@ def bethe_phase_202(monkeypatch):
     monkeypatch.setattr(bethe, "_log_residual", faulty)
 
 
+def m2_dropped(owner, name: str):
+    """``owner.name``, a function returning a series, with coefficient 2
+    of every result zeroed: a dropped Laurent term."""
+    def patch(monkeypatch):
+        series_of = getattr(owner, name)
+
+        def faulty(*args, **kwargs):
+            series = series_of(*args, **kwargs)
+            coeffs = list(series.coeffs)
+            coeffs[2] = series.field.zero
+            return LaurentSeries(series.order, tuple(coeffs), series.field)
+        monkeypatch.setattr(owner, name, faulty)
+    return patch
+
+
 def b_scaled(table):
     """B entries 2% too large."""
     table[:, :, 0, 1] *= 1.02
@@ -157,6 +173,25 @@ FAULTS = {
         lattice_table(off_band), ("lattice",),
         {"lattice.adjoint-pairing", "lattice.exchange-relation",
          "lattice.number-conservation"}),
+    # the round trip exponentiates the wrong log; the product itself and
+    # the tables read from it stay right
+    "laurent-log-drops-m2": (
+        m2_dropped(LaurentSeries, "log"), ("transfer",),
+        {"transfer.adjudication-complete", "transfer.log-exp-roundtrip",
+         "transfer.scalar-log-oracle", "transfer.solved-states",
+         "transfer.table.log_eigenvalue_expansion.m2",
+         "transfer.table.log_operator_expansion.m2"}),
+    # every other check compares two series both formed by the faulty
+    # product, so each keeps its verdict
+    "product-oracle-drops-m2": (
+        m2_dropped(tr, "asymptotic_product_series"), ("transfer",),
+        {f"transfer.{check}" for check in (
+            "adjudication-complete", "remainder-bound", "solved-states",
+            "table.charge_constants.m2", "table.log_eigenvalue_expansion.m2",
+            "table.log_eigenvalue_expansion.m3",
+            "table.log_eigenvalue_expansion.m4",
+            "table.log_operator_expansion.m2",
+            "table.log_operator_expansion.m3")}),
 }
 
 
