@@ -8,8 +8,8 @@ callers see; it presents its real and imaginary parts as
 `fractions.Fraction` instances.  Plane-wave sums keep their exact
 coefficients as columns of Gaussian-integer numerators over a
 denominator shared by the whole sum (``planewaves.GaussColumn``), and
-series form each coefficient as one sum of ints (``Field.fold``); both
-convert to this scalar at their interface.  ``FLOAT`` mirrors every
+series products, logs and exps run on such numerators (``laurent``);
+both convert to this scalar at their interface.  ``FLOAT`` mirrors every
 computation on complex floats; floating point is otherwise
 reserved for box integrals, quadrature, Newton iteration and eigenvalue
 work, where tolerances are meaningful.
@@ -223,6 +223,14 @@ def _sum(x: ExactComplex, a: int, b: int, d: int) -> ExactComplex:
     return _lowest(a // h, b // h, sx * (d // h))
 
 
+def over_lcm(values) -> tuple:
+    """The real and the imaginary int numerators of ExactComplex values
+    over the lcm of their denominators, and that lcm."""
+    den = lcm(*(v.d for v in values))
+    return ([v.a * (den // v.d) for v in values],
+            [v.b * (den // v.d) for v in values], den)
+
+
 def exact(re: Rat = 0, im: Rat = 0) -> ExactComplex:
     """Shorthand constructor used throughout the exact-mode code."""
     return ExactComplex(re, im)
@@ -236,10 +244,8 @@ class Field:
     Each field offers the constants ``zero``, ``one`` and ``i``;
     ``coerce`` (a number as a scalar of the field), ``real`` (a number as
     a real of the field), ``frac`` and ``over`` (the scalar (a + ib)/d);
-    ``fold``, a coefficient of a series product, log or exp; and the
-    tests ``is_zero`` and
-    ``equal``, exact in ``EXACT`` and within the given tolerance in
-    ``FLOAT``.
+    and the tests ``is_zero`` and ``equal``, exact in ``EXACT`` and
+    within the given tolerance in ``FLOAT``.
     """
 
     name: str
@@ -267,21 +273,6 @@ class _ExactField(Field):
     real = staticmethod(Fraction)
     over = staticmethod(ExactComplex.over)
 
-    @staticmethod
-    def fold(start, sign: int, terms: list, n: int) -> ExactComplex:
-        """start + sign * sum k x y / n over (k, x, y) in terms (x y alone
-        for n = 0): one sum of ints over the lcm of the products'
-        denominators, reduced once, then added to start."""
-        dens = [x.d * y.d for _, x, y in terms]
-        den = lcm(*dens)
-        re = im = 0
-        for (k, x, y), d in zip(terms, dens):
-            f = k * (den // d)
-            re += (x.a * y.a - x.b * y.b) * f
-            im += (x.a * y.b + x.b * y.a) * f
-        total = _reduced(re, im, den * max(n, 1))
-        return start + total if sign > 0 else start - total
-
     def is_zero(self, value, abs_tol: float = 0.0) -> bool:
         return value == 0
 
@@ -299,14 +290,6 @@ class _FloatField(Field):
     def over(a, b, d: int) -> complex:
         """(a + ib)/d, correctly rounded for ints; floats over 1 unchanged."""
         return complex(a / d, b / d)
-
-    @staticmethod
-    def fold(start, sign: int, terms: list, n: int) -> complex:
-        """Term by term, in order, rounding as the recurrences do."""
-        for k, x, y in terms:
-            term = x * y if n == 0 else x * y * k / n
-            start = start + term if sign > 0 else start - term
-        return start
 
     def is_zero(self, value, abs_tol: float = 0.0) -> bool:
         return abs(value) <= abs_tol

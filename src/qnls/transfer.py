@@ -30,7 +30,7 @@ import numpy as np
 
 from .charges import power_sum
 from .errors import PoleAtRapidity
-from .exact import Field
+from .exact import EXACT, Field, over_lcm
 from .laurent import LaurentSeries
 from .report import judge
 
@@ -78,13 +78,30 @@ def theta(lam: complex, rapidities: Sequence[float], c: float, L: float) -> comp
 def asymptotic_product_series(rapidities: Sequence, c,
                               order: int = DEFAULT_ORDER) -> LaurentSeries:
     """Expansion of prod_j (1 - ic/(lam - k_j)) to the given order, in
-    the field of the rapidities and the coupling.
+    the field of the rapidities and the coupling: the ground-truth oracle
+    for the commuting-constant eigenvalues.
 
-    Per factor, -ic/(lam - k) = -ic sum_m k^m lam^{-m-1}; the factors are
-    multiplied as truncated series.  This is the ground-truth oracle for
-    the commuting-constant eigenvalues.
+    With x = 1/lam, the factor 1 - ic x/(1 - k x) takes coefficients s_n
+    to s_n - ic w_n, w_n = s_{n-1} + k w_{n-1}.  ``EXACT`` runs this on
+    ints: with K = D k and C = D c over one denominator D, s_n = T_n/D^n,
+    W_n = T_{n-1} + K W_{n-1} and T_n -= iC W_n, both reading the T from
+    before the factor, O(order) per factor; each s_n is reduced once.
+    ``FLOAT`` multiplies in -ic sum_m k^m lam^{-m-1} as a series.
     """
     field = Field.of(*rapidities, c)
+    if field is EXACT:
+        re, im, den = over_lcm([EXACT.coerce(v) for v in (*rapidities, c)])
+        gr, gi = im.pop(), -re.pop()                   # -iC
+        t_re, t_im = [1] + [0] * order, [0] * (order + 1)
+        for kr, ki in zip(re, im):
+            wr, wi, pr, pi = 0, 0, t_re[0], t_im[0]
+            for n in range(1, order + 1):
+                wr, wi = pr + kr * wr - ki * wi, pi + kr * wi + ki * wr
+                pr, pi = t_re[n], t_im[n]
+                t_re[n], t_im[n] = pr + gr * wr - gi * wi, pi + gr * wi + gi * wr
+        return LaurentSeries(order, tuple(
+            EXACT.over(a, b, den ** n)
+            for n, (a, b) in enumerate(zip(t_re, t_im))), EXACT)
     minus_ic = -field.i * field.coerce(c)
     series = LaurentSeries.one(order, field)
     for k in rapidities:

@@ -161,3 +161,50 @@ class TestKernels:
         log = product.log()
         assert view(log) == view(reference_log(product))
         assert view(log.exp()) == view(reference_exp(log))
+
+
+def factor_series(k, c, order, field):
+    """1 - ic/(lam - k) as a truncated series, -ic k^m at lam^{-m-1},
+    each power one multiplication on the last."""
+    minus_ic, kv = -field.i * field.coerce(c), field.coerce(k)
+    coeffs, power = [field.one], field.one
+    for _ in range(order):
+        coeffs.append(minus_ic * power)
+        power = power * kv
+    return LaurentSeries.from_coeffs(coeffs, field)
+
+
+scalars = st.one_of(st.integers(-9, 9), rationals)
+
+
+class TestProductOracle:
+    """``asymptotic_product_series`` against the product of its factor
+    series by ``reference_mul``: the same triples in EXACT, the same bits
+    in FLOAT."""
+
+    @pytest.mark.parametrize("field", [EXACT, FLOAT])
+    @given(st.lists(scalars, max_size=5), scalars, st.integers(0, 72))
+    @example([0], 2, 5)
+    @example([F(1, 2), 0, -3], F(3, 2), 72)
+    @example([], F(5, 3), 7)
+    @settings(max_examples=25, deadline=None)
+    def test_matches_product_of_factor_series(self, field, ks, c, order):
+        view = triples if field is EXACT else bits
+        if field is FLOAT:
+            ks, c = [float(k) for k in ks], float(c)
+        expected = LaurentSeries.one(order, field)
+        for k in ks:
+            expected = reference_mul(expected, factor_series(k, c, order,
+                                                             field))
+        series = tr.asymptotic_product_series(ks, c, order)
+        assert series.field is field
+        assert view(series) == view(expected)
+
+    def test_gaussian_rapidities_and_coupling(self):
+        ks = [exact(F(1, 2), -1), exact(0, F(2, 3)), F(-3)]
+        c = exact(F(3, 4), F(-1, 5))
+        expected = LaurentSeries.one(9, EXACT)
+        for k in ks:
+            expected = reference_mul(expected, factor_series(k, c, 9, EXACT))
+        assert triples(tr.asymptotic_product_series(ks, c, 9)) \
+            == triples(expected)

@@ -47,6 +47,8 @@ def test_tracer_counts_exact_arithmetic_and_restores(monkeypatch):
         assert all(getattr(cls, attr) is not fn for cls, attr, fn in originals)
         series = tr.asymptotic_product_series([F(1, 2), F(-2), F(3)], F(3, 2), 8)
         assert series.log().exp() == series
+        # the series kernels run on ints: one exact scalar sum to count
+        assert exact(1, 2) + F(1, 2) == exact(F(3, 2), 2)
         # sums and differences of different keys pass the wrapped merge
         assert ((p - q) + q - p).is_empty()
     finally:
