@@ -67,7 +67,7 @@ class LaurentSeries:
         self._check(other)
         x, y, field = self.coeffs, other.coeffs, self.field
         if field is EXACT:
-            return LaurentSeries(self.order, _exact_mul(x, y), field)
+            return _exact_mul(x, y)
         live = [i for i, a in enumerate(x) if not field.is_zero(a)]
         return LaurentSeries(self.order, tuple(
             _fold(field.zero, 1, [(1, x[i], y[n - i])
@@ -138,13 +138,14 @@ def _dot(xr: list, xi: list, yr: list, yi: list) -> tuple:
             sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)))
 
 
-def _exact_mul(x: tuple, y: tuple) -> tuple:
+def _exact_mul(x: tuple, y: tuple) -> LaurentSeries:
     """Coefficient n of the product: x_0..x_n dotted with y_n..y_0, each
     side over its lcm."""
     (xr, xi, dx), (yr, yi, dy) = over_lcm(x), over_lcm(y[::-1])
     top = len(x) - 1
-    return tuple(ExactComplex.over(*_dot(xr, xi, yr[top - n:], yi[top - n:]),
-                                   dx * dy) for n in range(top + 1))
+    return LaurentSeries(top, tuple(
+        ExactComplex.over(*_dot(xr, xi, yr[top - n:], yi[top - n:]), dx * dy)
+        for n in range(top + 1)), EXACT)
 
 
 def _exact_log_exp(coeffs: tuple, log: bool) -> LaurentSeries:
